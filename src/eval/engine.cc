@@ -266,86 +266,231 @@ constexpr size_t kFirstChunkSeeds = 8;
 constexpr size_t kMaxChunkSeeds = 4096;
 
 // ---------------------------------------------------------------------------
-// Observability helpers (docs/observability.md)
+// Execution records and the one publisher (docs/observability.md)
 // ---------------------------------------------------------------------------
 
-uint64_t MsToUs(double ms) { return static_cast<uint64_t>(ms * 1000.0); }
+using obs::MsToUs;
 
-// Stage-histogram series of the graph registry; the base metric is shared,
-// the label selects the pipeline stage (obs/prometheus.h splits them back).
-constexpr char kStagePlan[] = "gpml_stage_duration_us{stage=\"plan\"}";
-constexpr char kStageSeed[] = "gpml_stage_duration_us{stage=\"seed\"}";
-constexpr char kStageMatch[] = "gpml_stage_duration_us{stage=\"match\"}";
-constexpr char kStageJoin[] = "gpml_stage_duration_us{stage=\"join\"}";
-constexpr char kStageFilter[] = "gpml_stage_duration_us{stage=\"filter\"}";
+size_t ResolveThreads(const EngineOptions& options) {
+  if (options.num_threads != 0) return options.num_threads;
+  static const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<size_t>(hw);
+}
+
+MatcherOptions ExecMatcherOptions(const EngineOptions& options,
+                                  size_t threads) {
+  MatcherOptions matcher = options.matcher;
+  matcher.num_threads = threads;
+  matcher.use_csr = options.use_csr;
+  matcher.use_batch = options.use_batch;
+  return matcher;
+}
+
+/// The record of an execution about to start: its decisions known before
+/// any matching (threads, plan identity, cache hit) and the compile costs
+/// it replays.
+obs::ExecutionRecord StartRecord(const EngineOptions& options,
+                                 const planner::CachedPlan& plan,
+                                 bool cache_hit, double parse_ms) {
+  obs::ExecutionRecord rec;
+  rec.parse_ms = parse_ms;
+  rec.compile_ms = plan.analyze_ms + plan.plan_ms + plan.compile_ms;
+  rec.threads = ResolveThreads(options);
+  rec.plan_hash = plan.plan_hash;
+  rec.cache_hit = cache_hit;
+  return rec;
+}
+
+/// Adds one matcher run's work — a declaration, or a stream chunk — to the
+/// record.
+void AddMatchStats(const MatchStats& stats, obs::ExecutionRecord* rec) {
+  rec->seeds += stats.seeds;
+  rec->steps += stats.steps;
+  rec->batch_blocks += stats.batch_blocks;
+  rec->batch_candidates += stats.batch_candidates;
+  rec->batch_survivors += stats.batch_survivors;
+  rec->seed_ms += stats.seed_ms;
+  rec->match_ms += stats.match_ms;
+}
+
+EngineMetrics ToEngineMetrics(const obs::ExecutionRecord& rec) {
+  EngineMetrics m;
+  m.decls = rec.decls;
+  m.seeded_nodes = rec.seeds;
+  m.matcher_steps = rec.steps;
+  m.reversed_decls = rec.reversed_decls;
+  m.seed_filtered_decls = rec.bound_seeded_decls;
+  m.threads = rec.threads;
+  m.plan_cache_hits = rec.cache_hit ? 1 : 0;
+  m.plan_cache_misses = rec.cache_hit ? 0 : 1;
+  m.index_seeded_decls = rec.index_seeded_decls;
+  m.rows = rec.rows;
+  m.budget_truncated = rec.truncated ? 1 : 0;
+  m.batch_blocks = rec.batch_blocks;
+  m.batch_candidates = rec.batch_candidates;
+  m.batch_survivors = rec.batch_survivors;
+  m.plan_ms = rec.paid_plan_ms();
+  m.seed_ms = rec.seed_ms;
+  m.exec_ms = rec.match_ms;
+  return m;
+}
+
+/// Span-level detail of one declaration of a materialized run, beyond what
+/// the record sums up. Times are offsets from the execution's start.
+struct DeclRun {
+  planner::DeclActual actual;
+  int decl_index = 0;
+  uint64_t start_us = 0;
+  uint64_t end_us = 0;
+  double seed_ms = 0;
+  std::vector<double> shard_ms;
+  bool joined = false;  // Every declaration after the first joins.
+  uint64_t join_start_us = 0;
+  uint64_t join_us = 0;
+};
+
+/// What a materialized run's span tree and EXPLAIN ANALYZE need on top of
+/// its record. Collected only when one of them may be consumed.
+struct ExecDetail {
+  uint64_t epoch_us = 0;  // MonotonicMicros at the execution's start.
+  std::vector<DeclRun> decls;  // Plan order.
+  uint64_t filter_start_us = 0;
+
+  uint64_t NowUs() const { return obs::MonotonicMicros() - epoch_us; }
+  std::vector<planner::DeclActual> Actuals() const {
+    std::vector<planner::DeclActual> out;
+    out.reserve(decls.size());
+    for (const DeclRun& run : decls) out.push_back(run.actual);
+    return out;
+  }
+};
+
+/// Renders the span trace of a finished execution from its record. A
+/// materialized run (which always keeps its detail when a trace may be
+/// rendered) becomes the query > decl > seed/shard tree plus join and
+/// filter spans; a stream, whose work happened across pulls, becomes a flat
+/// query/parse/plan/seed/match trace.
+void RenderTrace(const EngineOptions& options, const obs::ExecutionRecord& rec,
+                 const ExecDetail* detail, obs::Trace* tr) {
+  tr->Clear();
+  const char* cached = rec.cache_hit ? "true" : "false";
+  int root = tr->AddComplete("query", obs::Trace::kNoParent, 0,
+                             MsToUs(rec.total_ms));
+  if (rec.streamed) {
+    tr->Attr(root, "mode", "stream");
+    tr->Attr(root, "cached", cached);
+    tr->Attr(root, "rows", std::to_string(rec.rows));
+  } else {
+    tr->Attr(root, "threads", std::to_string(rec.threads));
+    tr->Attr(root, "cached", cached);
+  }
+  if (!options.tenant.empty()) tr->Attr(root, "tenant", options.tenant);
+  if (!options.trace_id.empty()) tr->Attr(root, "trace_id", options.trace_id);
+  if (!rec.streamed) tr->Attr(root, "rows", std::to_string(rec.rows));
+  if (rec.parse_ms > 0) tr->AddComplete("parse", root, 0, MsToUs(rec.parse_ms));
+  int plan_span = tr->AddComplete("plan", root, 0, MsToUs(rec.compile_ms));
+  tr->Attr(plan_span, "cached", cached);
+  if (detail == nullptr) {  // A stream: no per-declaration detail.
+    tr->AddComplete("seed", root, 0, MsToUs(rec.seed_ms));
+    tr->AddComplete("match", root, 0, MsToUs(rec.match_ms));
+    return;
+  }
+  for (const DeclRun& run : detail->decls) {
+    int decl = tr->AddComplete("decl", root, run.start_us,
+                               run.end_us - run.start_us);
+    tr->Attr(decl, "decl", std::to_string(run.decl_index));
+    tr->Attr(decl, "source", run.actual.index_seeded    ? "index"
+                             : run.actual.seed_filtered ? "bound"
+                                                        : "scan");
+    tr->AddComplete("seed", decl, run.start_us, MsToUs(run.seed_ms));
+    uint64_t shard_start = run.start_us + MsToUs(run.seed_ms);
+    for (size_t s = 0; s < run.shard_ms.size(); ++s) {
+      int shard = tr->AddComplete("shard", decl, shard_start,
+                                  MsToUs(run.shard_ms[s]));
+      tr->Attr(shard, "shard", std::to_string(s));
+    }
+    if (run.joined) {
+      tr->AddComplete("join", root, run.join_start_us, run.join_us);
+    }
+  }
+  tr->AddComplete("filter", root, detail->filter_start_us,
+                  MsToUs(rec.filter_ms));
+}
 
 /// Captures one slow execution into the configured (or global) log.
 void CaptureSlowQuery(const EngineOptions& options, const PropertyGraph& g,
-                      const planner::CachedPlan& prepared,
-                      const planner::ExplainExec& exec,
-                      const std::vector<planner::DeclActual>* actuals,
-                      const obs::Trace* trace, double total_ms,
-                      size_t rows) {
-  obs::SlowQueryRecord rec;
-  rec.graph_token = g.identity_token();
+                      const planner::CachedPlan& plan,
+                      const obs::ExecutionRecord& rec,
+                      const ExecDetail* detail, const obs::Trace& trace) {
+  planner::ExplainExec exec;
+  exec.threads = rec.threads;
+  exec.cached = rec.cache_hit;
+  exec.batch = options.use_batch ? kBatchBlockTarget : 0;
+  exec.analyzed = true;
+  exec.rows = rec.rows;
+  exec.truncated = rec.truncated;
+  exec.total_ms = rec.total_ms;
+  exec.plan_ms = rec.paid_plan_ms();
+  std::vector<planner::DeclActual> actuals;
+  if (detail != nullptr) actuals = detail->Actuals();
+
+  obs::SlowQueryRecord slow;
+  slow.graph_token = g.identity_token();
   // Parameterized fingerprint: $names render as themselves, so the capture
   // never leaks bound values (matches the plan cache's keying).
-  rec.fingerprint = Print(prepared.normalized);
-  rec.total_ms = total_ms;
-  rec.rows = rows;
-  rec.explain = planner::ExplainPlan(prepared.plan, *prepared.vars,
-                                     /*stats=*/nullptr, &exec, actuals,
-                                     &prepared.diagnostics);
-  if (trace != nullptr) rec.trace_json = trace->ToJsonLines();
-  rec.tenant = options.tenant;
-  rec.trace_id = options.trace_id;
+  slow.fingerprint = plan.stats_fingerprint;
+  slow.total_ms = rec.total_ms;
+  slow.rows = rec.rows;
+  slow.explain = planner::ExplainPlan(plan.plan, *plan.vars, /*stats=*/nullptr,
+                                      &exec,
+                                      detail != nullptr ? &actuals : nullptr,
+                                      &plan.diagnostics);
+  slow.trace_json = trace.ToJsonLines();
+  slow.tenant = options.tenant;
+  slow.trace_id = options.trace_id;
   obs::SlowQueryLog& log = options.slow_log != nullptr
                                ? *options.slow_log
                                : obs::GlobalSlowQueryLog();
-  log.Add(std::move(rec));
+  log.Add(std::move(slow));
 }
 
-/// Folds one completed execution — success, error, or truncation — into
-/// the query-stats store (EngineOptions::query_stats, defaulting to the
-/// process-wide store) and publishes the gpml_querystats_* /
-/// gpml_plan_changes_total counters into the graph's registry. One short
-/// mutexed update per completion; the matcher's inner loop never sees it.
-void RecordQueryStats(const EngineOptions& options, const PropertyGraph& g,
-                      const planner::CachedPlan& prepared, bool cache_hit,
-                      double total_ms, uint64_t rows, uint64_t seeds,
-                      uint64_t steps, bool error, bool truncated,
-                      bool batch_engaged) {
+/// The one publisher: fans a finished execution's record out to
+/// EngineMetrics, the graph registry (through handles resolved once per
+/// registry), the trace consumers, the slow-query log and the query-stats
+/// store. A failed execution reaches only EngineMetrics, a caller-attached
+/// trace and the stats store — with the work it spent before failing: a
+/// query that dies on its step budget dominated that budget, and the
+/// store's purpose is to say so. The span trace is rendered only when
+/// something consumes it.
+void Publish(const PropertyGraph& g, const EngineOptions& options,
+             const planner::CachedPlan& plan, const obs::ExecutionRecord& rec,
+             const ExecDetail* detail) {
+  if (options.metrics != nullptr) *options.metrics = ToEngineMetrics(rec);
+  const bool slow = !rec.error && options.slow_query_ms >= 0 &&
+                    rec.total_ms > options.slow_query_ms;
+  obs::ExecutionSeries* series =
+      options.publish_metrics ? &g.registry().execution_series() : nullptr;
+  if (series != nullptr && !rec.error) series->Publish(rec, slow);
+
+  const bool emit = !rec.error && options.trace_sink != nullptr;
+  obs::Trace local_trace;
+  obs::Trace* trace = options.trace;
+  if (trace == nullptr && (emit || slow)) trace = &local_trace;
+  if (trace != nullptr) RenderTrace(options, rec, detail, trace);
+  if (emit) options.trace_sink->Emit(*trace);
+  if (slow) CaptureSlowQuery(options, g, plan, rec, detail, *trace);
+
   if (!options.publish_query_stats) return;
-  obs::QueryObservation o;
-  // Stats key: the parameterized pattern text (same discipline as the
-  // slow-query fingerprint — bound values never leak). The cached copy
-  // avoids re-rendering per execution; plan-cache-off runs compute it
-  // fresh in PreparePlan either way.
-  o.fingerprint = prepared.stats_fingerprint;
-  o.graph_token = g.identity_token();
-  o.tenant = options.tenant;
-  o.plan_hash = prepared.plan_hash;
-  o.total_ms = total_ms;
-  o.rows = rows;
-  o.seeds = seeds;
-  o.steps = steps;
-  o.error = error;
-  o.truncated = truncated;
-  o.cache_hit = cache_hit;
-  o.batch_engaged = batch_engaged;
   obs::QueryStatsStore& store = options.query_stats != nullptr
                                     ? *options.query_stats
                                     : obs::GlobalQueryStats();
-  obs::QueryStatsStore::RecordOutcome outcome = store.Record(o);
-  if (options.publish_metrics) {
-    std::shared_ptr<obs::MetricsRegistry> registry = g.metrics_registry();
-    registry->GetCounter("gpml_querystats_observations_total")->Increment();
-    if (outcome.evicted) {
-      registry->GetCounter("gpml_querystats_evictions_total")->Increment();
-    }
-    if (outcome.plan_changed) {
-      registry->GetCounter("gpml_plan_changes_total")->Increment();
-    }
+  obs::QueryStatsStore::RecordOutcome outcome =
+      store.Record(options.tenant, plan.stats_fingerprint,
+                   plan.stats_fingerprint_hash, g.identity_token(), rec);
+  if (series != nullptr) {
+    series->querystats_observations->Increment();
+    if (outcome.evicted) series->querystats_evictions->Increment();
+    if (outcome.plan_changed) series->plan_changes->Increment();
   }
 }
 
@@ -365,11 +510,7 @@ Result<Engine::Analyzed> Engine::AnalyzePattern(
   return p;
 }
 
-size_t Engine::ResolvedThreads() const {
-  if (options_.num_threads != 0) return options_.num_threads;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<size_t>(hw);
-}
+size_t Engine::ResolvedThreads() const { return ResolveThreads(options_); }
 
 Result<planner::Plan> Engine::PlanNormalized(const GraphPattern& normalized,
                                              const VarTable& vars) const {
@@ -398,11 +539,9 @@ Result<std::shared_ptr<const planner::CachedPlan>> Engine::PreparePlan(
     fingerprint = planner::PlanFingerprint(pattern, options_.use_planner,
                                            options_.use_seed_index,
                                            options_.use_analysis);
-    // The registry outlives this call: the graph's member slot keeps it.
     if (std::shared_ptr<const planner::CachedPlan> cached = planner::LookupPlan(
             graph_, fingerprint,
-            options_.publish_metrics ? graph_.metrics_registry().get()
-                                     : nullptr)) {
+            options_.publish_metrics ? &graph_.registry() : nullptr)) {
       *cache_hit = true;
       return cached;
     }
@@ -424,11 +563,7 @@ Result<std::shared_ptr<const planner::CachedPlan>> Engine::PreparePlan(
     analysis::QueryAnalysis qa =
         analysis::AnalyzeQuery(entry->normalized, p.analysis, &graph_);
     entry->analysis_ms = analysis_clock.ElapsedMs();
-    if (options_.publish_metrics && !qa.diagnostics.empty()) {
-      graph_.metrics_registry()
-          ->GetCounter("gpml_diagnostics_emitted_total")
-          ->Increment(qa.diagnostics.size());
-    }
+    CountDiagnostics(qa.diagnostics);
     if (qa.diagnostics.has_errors()) {
       return Status::SemanticError(qa.diagnostics.ToString());
     }
@@ -466,6 +601,7 @@ Result<std::shared_ptr<const planner::CachedPlan>> Engine::PreparePlan(
   // warnings don't masquerade as replans — flips, which is exactly the
   // signal QueryStatsStore turns into a plan-change event.
   entry->stats_fingerprint = Print(entry->normalized);
+  entry->stats_fingerprint_hash = obs::HashFingerprint(entry->stats_fingerprint);
   entry->plan_hash = obs::HashPlanText(planner::ExplainPlan(
       entry->plan, *entry->vars, /*stats=*/nullptr, /*exec=*/nullptr,
       /*actuals=*/nullptr, /*warnings=*/nullptr));
@@ -539,16 +675,15 @@ Result<std::string> Engine::ExplainAnalyze(const GraphPattern& pattern,
   EngineOptions opts = options_;
   opts.metrics = &metrics;
   opts.trace = &trace;
-  Engine sub(graph_, opts);
-  GPML_ASSIGN_OR_RETURN(PreparedQuery prepared, sub.Prepare(pattern));
+  GPML_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(pattern));
   GPML_RETURN_IF_ERROR(ValidateParams(prepared.signature_, params));
   std::shared_ptr<const Params> shared =
       params.empty() ? nullptr : std::make_shared<const Params>(params);
   std::vector<planner::DeclActual> actuals;
   GPML_ASSIGN_OR_RETURN(
       MatchOutput out,
-      sub.ExecutePlan(*prepared.plan_, prepared.cache_hit_, std::move(shared),
-                      &actuals));
+      ExecutePlan(graph_, opts, *prepared.plan_, prepared.cache_hit_,
+                  std::move(shared), &actuals));
   planner::ExplainExec exec;
   exec.threads = ResolvedThreads();
   exec.cached = prepared.cache_hit_;
@@ -625,17 +760,20 @@ analysis::DiagnosticList Engine::LintImpl(const std::string& match_text) const {
   }
   analysis::QueryAnalysis qa =
       analysis::AnalyzeQuery(*normalized, *sem, &graph_);
-  if (options_.publish_metrics && !qa.diagnostics.empty()) {
-    graph_.metrics_registry()
-        ->GetCounter("gpml_diagnostics_emitted_total")
-        ->Increment(qa.diagnostics.size());
-  }
+  CountDiagnostics(qa.diagnostics);
   return std::move(qa.diagnostics);
 }
 
 // ---------------------------------------------------------------------------
 // Engine: batch execution (the differential oracle)
 // ---------------------------------------------------------------------------
+
+void Engine::CountDiagnostics(const analysis::DiagnosticList& diags) const {
+  if (options_.publish_metrics && !diags.empty()) {
+    graph_.registry().execution_series().diagnostics_emitted->Increment(
+        diags.size());
+  }
+}
 
 Result<MatchOutput> Engine::Match(const std::string& match_text) const {
   GPML_ASSIGN_OR_RETURN(GraphPattern pattern, ParseGraphPattern(match_text));
@@ -649,106 +787,27 @@ Result<MatchOutput> Engine::Match(const GraphPattern& pattern) const {
   return prepared.Execute();
 }
 
-Result<MatchOutput> Engine::ExecutePlan(
-    const planner::CachedPlan& prepared, bool cache_hit,
-    std::shared_ptr<const Params> params,
-    std::vector<planner::DeclActual>* actuals, double parse_ms) const {
-  obs::Stopwatch total_clock;
-  ExecObserved observed;
-  Result<MatchOutput> out =
-      ExecutePlanImpl(prepared, cache_hit, std::move(params), actuals,
-                      parse_ms, &observed);
-  // Unlike the registry publication inside the impl (completed executions
-  // only), workload statistics count failures too: a query that dies on
-  // its step budget dominated that budget, and the whole point of the
-  // store is to say so. `observed` carries the work spent before death.
-  RecordQueryStats(options_, graph_, prepared, cache_hit,
-                   total_clock.ElapsedMs(),
-                   out.ok() ? out->rows.size() : 0, observed.seeds,
-                   observed.steps, /*error=*/!out.ok(),
-                   /*truncated=*/out.ok() && out->truncated,
-                   /*batch_engaged=*/observed.batch_blocks > 0);
-  return out;
-}
+namespace {
 
-Result<MatchOutput> Engine::ExecutePlanImpl(
-    const planner::CachedPlan& prepared, bool cache_hit,
-    std::shared_ptr<const Params> params,
-    std::vector<planner::DeclActual>* actuals, double parse_ms,
-    ExecObserved* observed) const {
-  obs::Stopwatch total_clock;
+/// The materializing execution: per-declaration matching in plan order,
+/// the singleton hash join, declaration reordering, then the per-row tail.
+/// Fills `rec` as it goes — including the work of a declaration whose run
+/// fails — and `detail` when non-null.
+Result<MatchOutput> MaterializePlan(const PropertyGraph& graph,
+                                    const EngineOptions& options,
+                                    const planner::CachedPlan& prepared,
+                                    std::shared_ptr<const Params> params,
+                                    obs::ExecutionRecord* rec,
+                                    ExecDetail* detail) {
   MatchOutput out;
-  if (options_.metrics != nullptr) *options_.metrics = {};
   out.normalized = prepared.normalized;
   out.vars = prepared.vars;
   out.params = std::move(params);
   const planner::Plan& plan = prepared.plan;
   const bool truncate =
-      options_.on_budget == EngineOptions::BudgetPolicy::kTruncate;
-
-  const size_t num_workers = ResolvedThreads();
-  MatcherOptions matcher_options = options_.matcher;
-  matcher_options.num_threads = num_workers;
-  matcher_options.use_csr = options_.use_csr;
-  matcher_options.use_batch = options_.use_batch;
-
-  // One trace per execution: the caller's, or a local one when only a sink
-  // or the slow-query log will consume it.
-  const bool slow_enabled = options_.slow_query_ms >= 0;
-  obs::Trace local_trace;
-  obs::Trace* tr = options_.trace;
-  if (tr == nullptr && (options_.trace_sink != nullptr || slow_enabled)) {
-    tr = &local_trace;
-  }
-  if (tr != nullptr) tr->Clear();
-  // Slow-query capture renders EXPLAIN ANALYZE, so collect per-declaration
-  // actuals locally even when the caller passed none.
-  std::vector<planner::DeclActual> local_actuals;
-  if (actuals == nullptr && slow_enabled) actuals = &local_actuals;
-
-  // Compile cost this execution paid: parsing always runs (the fingerprint
-  // needs a parsed pattern); the normalize/plan/compile half was only paid
-  // on a cache miss — hits replay the entry's stored costs into the trace.
-  const double compile_ms =
-      prepared.analyze_ms + prepared.plan_ms + prepared.compile_ms;
-  const double paid_plan_ms = parse_ms + (cache_hit ? 0.0 : compile_ms);
-
-  int root = obs::Trace::kNoParent;
-  if (tr != nullptr) {
-    root = tr->Begin("query");
-    tr->Attr(root, "threads", std::to_string(num_workers));
-    tr->Attr(root, "cached", cache_hit ? "true" : "false");
-    if (!options_.tenant.empty()) tr->Attr(root, "tenant", options_.tenant);
-    if (!options_.trace_id.empty()) {
-      tr->Attr(root, "trace_id", options_.trace_id);
-    }
-    if (parse_ms > 0) {
-      tr->AddComplete("parse", root, 0, MsToUs(parse_ms));
-    }
-    int plan_span = tr->AddComplete("plan", root, 0, MsToUs(compile_ms));
-    tr->Attr(plan_span, "cached", cache_hit ? "true" : "false");
-  }
-
-  if (options_.metrics != nullptr) {
-    options_.metrics->threads = num_workers;
-    options_.metrics->plan_ms = paid_plan_ms;
-    if (cache_hit) {
-      options_.metrics->plan_cache_hits = 1;
-    } else {
-      options_.metrics->plan_cache_misses = 1;
-    }
-  }
-
-  // Registry aggregates (published at the end, for completed executions);
-  // tracked locally so publication does not depend on options_.metrics.
-  // Seeds/steps/batch-blocks accumulate through `observed` so the
-  // ExecutePlan wrapper sees partial work after an error return.
-  size_t& agg_seeded = observed->seeds;
-  size_t& agg_steps = observed->steps;
-  size_t& agg_batch_blocks = observed->batch_blocks;
-  size_t agg_reversed = 0, agg_bound = 0, agg_indexed = 0;
-  size_t agg_batch_candidates = 0, agg_batch_survivors = 0;
-  double seed_ms_total = 0, match_ms_total = 0, join_ms_total = 0;
+      options.on_budget == EngineOptions::BudgetPolicy::kTruncate;
+  const MatcherOptions matcher_options =
+      ExecMatcherOptions(options, rec->threads);
 
   // Evaluate every path declaration independently (§6.5) in plan order,
   // then join. The planner may mirror a declaration (anchor at its right
@@ -756,23 +815,20 @@ Result<MatchOutput> Engine::ExecutePlanImpl(
   // result-preserving (see docs/planner.md).
   const size_t num_decls = plan.decls.size();
   out.path_vars.assign(num_decls, -1);
+  if (detail != nullptr) detail->decls.reserve(num_decls);
   bool first = true;
   std::vector<ResultRow> rows;
   // Analyzer-proven empty pattern (docs/analysis.md): skip seeding, matching
   // and joining entirely — the loop guard below keeps the tail of this
-  // function (reorder, filter, metrics publication, tracing) running over
-  // zero rows, so the execution still publishes its counters (0 seeds,
-  // 0 matcher steps, 0 rows) and a complete trace.
+  // function (reorder, filter) running over zero rows, so the execution
+  // still publishes its counters (0 seeds, 0 matcher steps, 0 rows) and a
+  // complete trace.
   const bool always_empty = prepared.always_empty;
   for (size_t plan_pos = 0; !always_empty && plan_pos < num_decls;
        ++plan_pos) {
     const planner::DeclPlan& dp = plan.decls[plan_pos];
     const PathPatternDecl& decl = dp.decl;
-    int decl_span = obs::Trace::kNoParent;
-    if (tr != nullptr) {
-      decl_span = tr->Begin("decl", root);
-      tr->Attr(decl_span, "decl", std::to_string(dp.decl_index));
-    }
+    const uint64_t decl_start_us = detail != nullptr ? detail->NowUs() : 0;
     out.path_vars[static_cast<size_t>(dp.decl_index)] =
         decl.path_var.empty() ? -1 : out.vars->Find(decl.path_var);
 
@@ -808,8 +864,8 @@ Result<MatchOutput> Engine::ExecutePlanImpl(
           ResolveIndexValue(dp.anchor, out.params.get());
       if (idx_value != nullptr) {
         use_index = true;
-        filter = &graph_.IndexedNodes(dp.anchor.label, dp.anchor.index_prop,
-                                      *idx_value);
+        filter = &graph.IndexedNodes(dp.anchor.label, dp.anchor.index_prop,
+                                     *idx_value);
       }
       // A NULL-bound parameter falls back to label-scan seeding: the inline
       // predicate itself filters (to nothing — `= NULL` is never true).
@@ -817,69 +873,40 @@ Result<MatchOutput> Engine::ExecutePlanImpl(
 
     MatchStats match_stats;
     bool decl_truncated = false;
-    GPML_ASSIGN_OR_RETURN(
-        MatchSet match,
-        RunPattern(graph_, program, *out.vars, matcher_options, filter,
+    Result<MatchSet> match =
+        RunPattern(graph, program, *out.vars, matcher_options, filter,
                    &match_stats, out.params.get(), /*shared_budget=*/nullptr,
-                   truncate ? &decl_truncated : nullptr));
+                   truncate ? &decl_truncated : nullptr);
+    // Count the work even when the run failed: RunPattern reports the
+    // steps it spent before a budget refusal.
+    AddMatchStats(match_stats, rec);
+    ++rec->decls;
+    if (dp.reversed) ++rec->reversed_decls;
+    if (use_filter) ++rec->bound_seeded_decls;
+    if (use_index) ++rec->index_seeded_decls;
+    if (!match.ok()) return match.status();
     if (decl_truncated) out.truncated = true;
-    if (dp.reversed) planner::UnreverseMatchSet(&match);
+    if (dp.reversed) planner::UnreverseMatchSet(&*match);
 
-    agg_seeded += match_stats.seeds;
-    agg_steps += match_stats.steps;
-    agg_batch_blocks += match_stats.batch_blocks;
-    agg_batch_candidates += match_stats.batch_candidates;
-    agg_batch_survivors += match_stats.batch_survivors;
-    if (dp.reversed) ++agg_reversed;
-    if (use_filter) ++agg_bound;
-    if (use_index) ++agg_indexed;
-    seed_ms_total += match_stats.seed_ms;
-    match_ms_total += match_stats.match_ms;
-
-    if (options_.metrics != nullptr) {
-      EngineMetrics& m = *options_.metrics;
-      ++m.decls;
-      m.seeded_nodes += match_stats.seeds;
-      m.matcher_steps += match_stats.steps;
-      m.batch_blocks += match_stats.batch_blocks;
-      m.batch_candidates += match_stats.batch_candidates;
-      m.batch_survivors += match_stats.batch_survivors;
-      if (dp.reversed) ++m.reversed_decls;
-      if (use_filter) ++m.seed_filtered_decls;
-      if (use_index) ++m.index_seeded_decls;
-      m.seed_ms += match_stats.seed_ms;
-      m.exec_ms += match_stats.match_ms;
-    }
-    if (actuals != nullptr) {
-      planner::DeclActual a;
-      a.seeds = match_stats.seeds;
-      a.steps = match_stats.steps;
-      a.bindings = match.bindings.size();
-      a.index_seeded = use_index;
-      a.seed_filtered = use_filter;
-      a.ms = match_stats.match_ms;
-      actuals->push_back(a);
-    }
-    if (tr != nullptr) {
-      // Seed and shard children reconstructed from the matcher's measured
-      // wall times (the trace is single-threaded; workers never touch it).
-      tr->Attr(decl_span, "source",
-               use_index ? "index" : (use_filter ? "bound" : "scan"));
-      uint64_t decl_start = tr->spans()[decl_span].start_us;
-      tr->AddComplete("seed", decl_span, decl_start,
-                      MsToUs(match_stats.seed_ms));
-      uint64_t shard_start = decl_start + MsToUs(match_stats.seed_ms);
-      for (size_t s = 0; s < match_stats.shard_ms.size(); ++s) {
-        int shard_span = tr->AddComplete("shard", decl_span, shard_start,
-                                         MsToUs(match_stats.shard_ms[s]));
-        tr->Attr(shard_span, "shard", std::to_string(s));
-      }
-      tr->End(decl_span);
+    DeclRun* run = nullptr;
+    if (detail != nullptr) {
+      run = &detail->decls.emplace_back();
+      run->decl_index = dp.decl_index;
+      run->start_us = decl_start_us;
+      run->end_us = detail->NowUs();
+      run->seed_ms = match_stats.seed_ms;
+      run->shard_ms = std::move(match_stats.shard_ms);
+      run->actual.seeds = match_stats.seeds;
+      run->actual.steps = match_stats.steps;
+      run->actual.bindings = match->bindings.size();
+      run->actual.index_seeded = use_index;
+      run->actual.seed_filtered = use_filter;
+      run->actual.ms = match_stats.match_ms;
     }
 
     std::vector<std::shared_ptr<const PathBinding>> bindings;
-    bindings.reserve(match.bindings.size());
-    for (PathBinding& pb : match.bindings) {
+    bindings.reserve(match->bindings.size());
+    for (PathBinding& pb : match->bindings) {
       bindings.push_back(std::make_shared<const PathBinding>(std::move(pb)));
     }
 
@@ -894,15 +921,18 @@ Result<MatchOutput> Engine::ExecutePlanImpl(
       continue;
     }
 
-    int join_span =
-        tr != nullptr ? tr->Begin("join", root) : obs::Trace::kNoParent;
     obs::Stopwatch join_clock;
     bool join_truncated = false;
     GPML_ASSIGN_OR_RETURN(
         rows, JoinDecl(std::move(rows), bindings, dp.join_vars,
-                       options_.max_rows, truncate, &join_truncated));
-    join_ms_total += join_clock.ElapsedMs();
-    if (tr != nullptr) tr->End(join_span);
+                       options.max_rows, truncate, &join_truncated));
+    const uint64_t join_us = join_clock.ElapsedMicros();
+    rec->join_ms += static_cast<double>(join_us) / 1e3;
+    if (run != nullptr) {
+      run->joined = true;
+      run->join_start_us = join_clock.start_us() - detail->epoch_us;
+      run->join_us = join_us;
+    }
     if (join_truncated) out.truncated = true;
   }
 
@@ -925,76 +955,49 @@ Result<MatchOutput> Engine::ExecutePlanImpl(
 
   // Per-row tail: match-mode filter (§7.1) and the final WHERE (§5.2) —
   // the same RowSurvives the cursor paths stream through.
-  int filter_span =
-      tr != nullptr ? tr->Begin("filter", root) : obs::Trace::kNoParent;
   obs::Stopwatch filter_clock;
+  if (detail != nullptr) {
+    detail->filter_start_us = filter_clock.start_us() - detail->epoch_us;
+  }
   std::vector<ResultRow> surviving;
   surviving.reserve(rows.size());
   for (ResultRow& row : rows) {
-    GPML_ASSIGN_OR_RETURN(bool keep, RowSurvives(out, graph_, row));
+    GPML_ASSIGN_OR_RETURN(bool keep, RowSurvives(out, graph, row));
     if (keep) surviving.push_back(std::move(row));
   }
   out.rows = std::move(surviving);
-  const double filter_ms = filter_clock.ElapsedMs();
-  if (tr != nullptr) tr->End(filter_span);
+  rec->filter_ms = filter_clock.ElapsedMs();
+  return out;
+}
 
-  if (options_.metrics != nullptr) {
-    options_.metrics->rows = out.rows.size();
-    options_.metrics->budget_truncated = out.truncated ? 1 : 0;
-  }
+}  // namespace
 
-  // Observability publication — completed executions only (every error
-  // above returned before reaching this point).
-  if (tr != nullptr) {
-    tr->Attr(root, "rows", std::to_string(out.rows.size()));
-    tr->End(root);
+Result<MatchOutput> Engine::ExecutePlan(
+    const PropertyGraph& graph, const EngineOptions& options,
+    const planner::CachedPlan& prepared, bool cache_hit,
+    std::shared_ptr<const Params> params,
+    std::vector<planner::DeclActual>* actuals, double parse_ms) {
+  obs::Stopwatch clock;
+  obs::ExecutionRecord rec = StartRecord(options, prepared, cache_hit, parse_ms);
+  // Span-level detail only when a trace or EXPLAIN ANALYZE may read it: a
+  // caller's trace, a sink, the caller's actuals, or an armed slow-query
+  // capture (which renders both if the run turns out slow).
+  ExecDetail detail;
+  detail.epoch_us = clock.start_us();
+  const bool keep_detail = actuals != nullptr || options.trace != nullptr ||
+                           options.trace_sink != nullptr ||
+                           options.slow_query_ms >= 0;
+  Result<MatchOutput> out =
+      MaterializePlan(graph, options, prepared, std::move(params), &rec,
+                      keep_detail ? &detail : nullptr);
+  rec.total_ms = clock.ElapsedMs();
+  rec.error = !out.ok();
+  if (out.ok()) {
+    rec.rows = out->rows.size();
+    rec.truncated = out->truncated;
   }
-  const double total_ms = total_clock.ElapsedMs();
-  if (options_.publish_metrics) {
-    std::shared_ptr<obs::MetricsRegistry> registry = graph_.metrics_registry();
-    registry->GetCounter("gpml_executions_total")->Increment();
-    registry->GetCounter("gpml_decls_total")->Increment(num_decls);
-    registry->GetCounter("gpml_seeded_nodes_total")->Increment(agg_seeded);
-    registry->GetCounter("gpml_matcher_steps_total")->Increment(agg_steps);
-    registry->GetCounter("gpml_reversed_decls_total")->Increment(agg_reversed);
-    registry->GetCounter("gpml_seed_filtered_decls_total")
-        ->Increment(agg_bound);
-    registry->GetCounter("gpml_index_seeded_decls_total")
-        ->Increment(agg_indexed);
-    registry->GetCounter("gpml_rows_total")->Increment(out.rows.size());
-    registry->GetCounter("gpml_budget_truncated_total")
-        ->Increment(out.truncated ? 1 : 0);
-    registry->GetCounter("gpml_batch_blocks_total")
-        ->Increment(agg_batch_blocks);
-    if (agg_batch_candidates > 0) {
-      registry->GetHistogram("gpml_batch_survivor_rate")
-          ->Observe(100.0 * static_cast<double>(agg_batch_survivors) /
-                    static_cast<double>(agg_batch_candidates));
-    }
-    registry->GetHistogram(kStagePlan)->Observe(MsToUs(paid_plan_ms));
-    registry->GetHistogram(kStageSeed)->Observe(MsToUs(seed_ms_total));
-    registry->GetHistogram(kStageMatch)->Observe(MsToUs(match_ms_total));
-    registry->GetHistogram(kStageJoin)->Observe(MsToUs(join_ms_total));
-    registry->GetHistogram(kStageFilter)->Observe(MsToUs(filter_ms));
-    registry->GetHistogram("gpml_query_duration_us")->Observe(MsToUs(total_ms));
-    if (slow_enabled && total_ms > options_.slow_query_ms) {
-      registry->GetCounter("gpml_slow_queries_total")->Increment();
-    }
-  }
-  if (options_.trace_sink != nullptr) options_.trace_sink->Emit(*tr);
-  if (slow_enabled && total_ms > options_.slow_query_ms) {
-    planner::ExplainExec exec;
-    exec.threads = num_workers;
-    exec.cached = cache_hit;
-    exec.batch = options_.use_batch ? kBatchBlockTarget : 0;
-    exec.analyzed = true;
-    exec.rows = out.rows.size();
-    exec.truncated = out.truncated;
-    exec.total_ms = total_ms;
-    exec.plan_ms = paid_plan_ms;
-    CaptureSlowQuery(options_, graph_, prepared, exec, actuals, tr, total_ms,
-                     out.rows.size());
-  }
+  if (actuals != nullptr) *actuals = detail.Actuals();
+  Publish(graph, options, prepared, rec, keep_detail ? &detail : nullptr);
   return out;
 }
 
@@ -1016,9 +1019,9 @@ Result<MatchOutput> PreparedQuery::Execute(const Params& params) const {
   GPML_RETURN_IF_ERROR(ValidateParams(signature_, params));
   std::shared_ptr<const Params> shared =
       params.empty() ? nullptr : std::make_shared<const Params>(params);
-  Engine engine(*graph_, options_);
-  return engine.ExecutePlan(*plan_, cache_hit_, std::move(shared),
-                            /*actuals=*/nullptr, parse_ms_);
+  return Engine::ExecutePlan(*graph_, options_, *plan_, cache_hit_,
+                             std::move(shared), /*actuals=*/nullptr,
+                             parse_ms_);
 }
 
 Result<Cursor> PreparedQuery::Open(const Params& params) const {
@@ -1035,9 +1038,8 @@ Result<Cursor> PreparedQuery::Open(const Params& params,
 }
 
 Result<std::string> PreparedQuery::Explain() const {
-  Engine engine(*graph_, options_);
   planner::ExplainExec exec;
-  exec.threads = engine.ResolvedThreads();
+  exec.threads = ResolveThreads(options_);
   exec.cached = cache_hit_;
   exec.batch = options_.use_batch ? kBatchBlockTarget : 0;
   return planner::ExplainPlan(plan_->plan, *plan_->vars, /*stats=*/nullptr,
@@ -1056,10 +1058,9 @@ Cursor::Cursor(const PropertyGraph& graph, EngineOptions options,
     : graph_(&graph),
       options_(std::move(options)),
       plan_(std::move(plan)),
-      cache_hit_(cache_hit),
       limit_(limit),
-      parse_ms_(parse_ms),
-      open_us_(obs::MonotonicMicros()) {
+      open_us_(obs::MonotonicMicros()),
+      record_(StartRecord(options_, *plan_, cache_hit, parse_ms)) {
   context_.normalized = plan_->normalized;
   context_.vars = plan_->vars;
   context_.params = std::move(params);
@@ -1084,47 +1085,35 @@ Cursor::Cursor(const PropertyGraph& graph, EngineOptions options,
       FixedPatternLength(*p.decls[0].decl.pattern).has_value()) {
     mode_ = Mode::kStream;
     const planner::DeclPlan& dp = p.decls[0];
-    stream_reversed_ = dp.reversed;
+    record_.streamed = true;
+    record_.decls = 1;
+    if (dp.reversed) record_.reversed_decls = 1;
     const std::vector<NodeId>* filter = nullptr;
     if (p.planner_used && dp.anchor.has_index()) {
       const Value* idx_value =
           ResolveIndexValue(dp.anchor, context_.params.get());
       if (idx_value != nullptr) {
-        stream_index_seeded_ = true;
+        record_.index_seeded_decls = 1;
         filter = &graph.IndexedNodes(dp.anchor.label, dp.anchor.index_prop,
                                      *idx_value);
       }
     }
     obs::Stopwatch seed_clock;
     seeds_ = ComputeSeeds(graph, *plan_->programs[0], filter);
-    seed_ms_total_ = seed_clock.ElapsedMs();
+    record_.seed_ms = seed_clock.ElapsedMs();
     chunk_size_ = kFirstChunkSeeds;
     // One budget across all chunks: the stream can never execute more
     // steps or accept more matches than a single materializing call.
     budget_ = std::make_unique<SharedBudget>(options_.matcher.max_steps,
                                              options_.matcher.max_matches);
   }
+  SyncMetrics();
+}
 
-  if (options_.metrics != nullptr) {
-    *options_.metrics = {};
-    Engine engine(*graph_, options_);
-    options_.metrics->threads = engine.ResolvedThreads();
-    options_.metrics->plan_ms =
-        parse_ms_ + (cache_hit_ ? 0.0
-                                : plan_->analyze_ms + plan_->plan_ms +
-                                      plan_->compile_ms);
-    if (cache_hit_) {
-      options_.metrics->plan_cache_hits = 1;
-    } else {
-      options_.metrics->plan_cache_misses = 1;
-    }
-    if (mode_ == Mode::kStream) {
-      options_.metrics->decls = 1;
-      options_.metrics->seed_ms = seed_ms_total_;
-      if (stream_reversed_) options_.metrics->reversed_decls = 1;
-      if (stream_index_seeded_) options_.metrics->index_seeded_decls = 1;
-    }
-  }
+void Cursor::SyncMetrics() {
+  if (options_.metrics == nullptr) return;
+  record_.rows = emitted_;
+  *options_.metrics = ToEngineMetrics(record_);
 }
 
 Status Cursor::FillChunk() {
@@ -1140,43 +1129,23 @@ Status Cursor::FillChunk() {
   seed_pos_ += count;
   chunk_size_ = std::min(chunk_size_ * 2, kMaxChunkSeeds);
 
-  Engine engine(*graph_, options_);
-  MatcherOptions matcher_options = options_.matcher;
-  matcher_options.num_threads = engine.ResolvedThreads();
-  matcher_options.use_csr = options_.use_csr;
-  matcher_options.use_batch = options_.use_batch;
-
   const bool truncate =
       options_.on_budget == EngineOptions::BudgetPolicy::kTruncate;
   MatchStats stats;
   bool exhausted = false;
-  Result<MatchSet> match =
-      RunPattern(*graph_, program, *context_.vars, matcher_options, &chunk,
-                 &stats, context_.params.get(), budget_.get(),
-                 truncate ? &exhausted : nullptr);
+  Result<MatchSet> match = RunPattern(
+      *graph_, program, *context_.vars,
+      ExecMatcherOptions(options_, record_.threads), &chunk, &stats,
+      context_.params.get(), budget_.get(), truncate ? &exhausted : nullptr);
   // Record the matcher work even when the run errored: RunPattern fills
   // `stats` with the steps actually spent before a budget refusal, and
   // downstream accounting (the server's per-tenant step charging) must see
   // them — a query that dies on its step cap still did that work.
-  seeds_total_ += stats.seeds;
-  steps_total_ += stats.steps;
-  batch_blocks_total_ += stats.batch_blocks;
-  batch_candidates_total_ += stats.batch_candidates;
-  batch_survivors_total_ += stats.batch_survivors;
-  seed_ms_total_ += stats.seed_ms;
-  exec_ms_total_ += stats.match_ms;
-  if (options_.metrics != nullptr) {
-    options_.metrics->seeded_nodes += stats.seeds;
-    options_.metrics->matcher_steps += stats.steps;
-    options_.metrics->batch_blocks += stats.batch_blocks;
-    options_.metrics->batch_candidates += stats.batch_candidates;
-    options_.metrics->batch_survivors += stats.batch_survivors;
-    options_.metrics->seed_ms += stats.seed_ms;
-    options_.metrics->exec_ms += stats.match_ms;
-  }
+  AddMatchStats(stats, &record_);
   if (!match.ok()) return match.status();
   if (dp.reversed) planner::UnreverseMatchSet(&*match);
 
+  obs::Stopwatch filter_clock;
   for (PathBinding& pb : match->bindings) {
     ResultRow row;
     row.bindings.push_back(
@@ -1185,24 +1154,23 @@ Status Cursor::FillChunk() {
     if (!keep.ok()) return keep.status();
     if (*keep) staged_.push_back(std::move(row));
   }
+  record_.filter_ms += filter_clock.ElapsedMs();
 
   if (exhausted) {
     truncated_ = true;
     context_.truncated = true;
+    record_.truncated = true;
     seed_pos_ = seeds_.size();  // No further chunks.
-    if (options_.metrics != nullptr) {
-      options_.metrics->budget_truncated = 1;
-    }
   }
+  SyncMetrics();
   return Status::OK();
 }
 
 Status Cursor::FillBatch() {
   batch_ran_ = true;
-  Engine engine(*graph_, options_);
-  Result<MatchOutput> out =
-      engine.ExecutePlan(*plan_, cache_hit_, context_.params,
-                         /*actuals=*/nullptr, parse_ms_);
+  Result<MatchOutput> out = Engine::ExecutePlan(
+      *graph_, options_, *plan_, record_.cache_hit, context_.params,
+      /*actuals=*/nullptr, record_.parse_ms);
   if (!out.ok()) return out.status();
   truncated_ = out->truncated;
   context_.truncated = out->truncated;
@@ -1220,7 +1188,7 @@ Result<bool> Cursor::Next(RowView* view) {
     if (!done_) {
       done_ = true;
       hit_limit_ = true;
-      FinishStream();
+      FinishStream(/*error=*/false);
     }
     return false;
   }
@@ -1243,115 +1211,28 @@ Result<bool> Cursor::Next(RowView* view) {
     } else {
       if (seed_pos_ >= seeds_.size()) {
         done_ = true;
-        FinishStream();
+        FinishStream(/*error=*/false);
         return false;
       }
       status_ = FillChunk();
     }
     if (!status_.ok()) {
       done_ = true;
-      // kStream errors bypass FinishStream (no clean completion to
-      // publish), but the workload store still counts them; kBatch
-      // errors were already recorded inside ExecutePlan.
-      RecordStreamStats(/*error=*/true);
+      // kBatch errors were already published inside ExecutePlan.
+      FinishStream(/*error=*/true);
       return status_;
     }
   }
 }
 
-void Cursor::FinishStream() {
+void Cursor::FinishStream(bool error) {
   if (published_ || mode_ != Mode::kStream) return;
   published_ = true;
-  const double total_ms =
+  record_.total_ms =
       static_cast<double>(obs::MonotonicMicros() - open_us_) / 1e3;
-  const double compile_ms =
-      plan_->analyze_ms + plan_->plan_ms + plan_->compile_ms;
-  const double paid_plan_ms = parse_ms_ + (cache_hit_ ? 0.0 : compile_ms);
-  const bool slow_enabled = options_.slow_query_ms >= 0;
-
-  // Streams have no live span nesting (work happened across pulls), so the
-  // trace is reconstructed flat from the accumulated stage totals.
-  obs::Trace local_trace;
-  obs::Trace* tr = options_.trace;
-  if (tr == nullptr && (options_.trace_sink != nullptr || slow_enabled)) {
-    tr = &local_trace;
-  }
-  if (tr != nullptr) {
-    tr->Clear();
-    int root = tr->AddComplete("query", obs::Trace::kNoParent, 0,
-                               MsToUs(total_ms));
-    tr->Attr(root, "mode", "stream");
-    tr->Attr(root, "cached", cache_hit_ ? "true" : "false");
-    tr->Attr(root, "rows", std::to_string(emitted_));
-    if (!options_.tenant.empty()) tr->Attr(root, "tenant", options_.tenant);
-    if (!options_.trace_id.empty()) {
-      tr->Attr(root, "trace_id", options_.trace_id);
-    }
-    if (parse_ms_ > 0) {
-      tr->AddComplete("parse", root, 0, MsToUs(parse_ms_));
-    }
-    int plan_span = tr->AddComplete("plan", root, 0, MsToUs(compile_ms));
-    tr->Attr(plan_span, "cached", cache_hit_ ? "true" : "false");
-    tr->AddComplete("seed", root, 0, MsToUs(seed_ms_total_));
-    tr->AddComplete("match", root, 0, MsToUs(exec_ms_total_));
-  }
-
-  if (options_.publish_metrics) {
-    std::shared_ptr<obs::MetricsRegistry> registry =
-        graph_->metrics_registry();
-    registry->GetCounter("gpml_executions_total")->Increment();
-    registry->GetCounter("gpml_decls_total")->Increment(1);
-    registry->GetCounter("gpml_seeded_nodes_total")->Increment(seeds_total_);
-    registry->GetCounter("gpml_matcher_steps_total")->Increment(steps_total_);
-    registry->GetCounter("gpml_reversed_decls_total")
-        ->Increment(stream_reversed_ ? 1 : 0);
-    registry->GetCounter("gpml_index_seeded_decls_total")
-        ->Increment(stream_index_seeded_ ? 1 : 0);
-    registry->GetCounter("gpml_rows_total")->Increment(emitted_);
-    registry->GetCounter("gpml_budget_truncated_total")
-        ->Increment(truncated_ ? 1 : 0);
-    registry->GetCounter("gpml_batch_blocks_total")
-        ->Increment(batch_blocks_total_);
-    if (batch_candidates_total_ > 0) {
-      registry->GetHistogram("gpml_batch_survivor_rate")
-          ->Observe(100.0 * static_cast<double>(batch_survivors_total_) /
-                    static_cast<double>(batch_candidates_total_));
-    }
-    registry->GetHistogram(kStagePlan)->Observe(MsToUs(paid_plan_ms));
-    registry->GetHistogram(kStageSeed)->Observe(MsToUs(seed_ms_total_));
-    registry->GetHistogram(kStageMatch)->Observe(MsToUs(exec_ms_total_));
-    registry->GetHistogram("gpml_query_duration_us")
-        ->Observe(MsToUs(total_ms));
-    if (slow_enabled && total_ms > options_.slow_query_ms) {
-      registry->GetCounter("gpml_slow_queries_total")->Increment();
-    }
-  }
-  if (options_.trace_sink != nullptr) options_.trace_sink->Emit(*tr);
-  if (slow_enabled && total_ms > options_.slow_query_ms) {
-    planner::ExplainExec exec;
-    Engine engine(*graph_, options_);
-    exec.threads = engine.ResolvedThreads();
-    exec.cached = cache_hit_;
-    exec.batch = options_.use_batch ? kBatchBlockTarget : 0;
-    exec.analyzed = true;
-    exec.rows = emitted_;
-    exec.truncated = truncated_;
-    exec.total_ms = total_ms;
-    exec.plan_ms = paid_plan_ms;
-    CaptureSlowQuery(options_, *graph_, *plan_, exec, /*actuals=*/nullptr,
-                     tr, total_ms, emitted_);
-  }
-  RecordStreamStats(/*error=*/false);
-}
-
-void Cursor::RecordStreamStats(bool error) {
-  if (stats_recorded_ || mode_ != Mode::kStream) return;
-  stats_recorded_ = true;
-  const double total_ms =
-      static_cast<double>(obs::MonotonicMicros() - open_us_) / 1e3;
-  RecordQueryStats(options_, *graph_, *plan_, cache_hit_, total_ms, emitted_,
-                   seeds_total_, steps_total_, error, truncated_,
-                   /*batch_engaged=*/batch_blocks_total_ > 0);
+  record_.rows = emitted_;
+  record_.error = error;
+  Publish(*graph_, options_, *plan_, record_, /*detail=*/nullptr);
 }
 
 Result<MatchOutput> Cursor::Drain() {

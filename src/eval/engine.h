@@ -14,6 +14,7 @@
 #include "eval/matcher.h"
 #include "eval/params.h"
 #include "graph/property_graph.h"
+#include "obs/execution_record.h"
 #include "obs/query_stats.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
@@ -29,11 +30,12 @@ namespace gpml {
 /// Filled when EngineOptions::metrics points here; the planner benchmarks
 /// compare these with the planner on and off.
 ///
+/// A view of the execution's obs::ExecutionRecord, copied out of it when
+/// the execution publishes (and, for a cursor stream, after every chunk).
 /// Deliberately plain scalar fields (the benchmarks depend on the struct
-/// staying POD): nothing increments them during execution. Worker shards
-/// count into shard-local MatchStats and the totals are merged into this
-/// struct once per declaration, after all shards have joined — so a
-/// num_threads > 1 run never races on these fields. Cursor streams update
+/// staying POD): worker shards count into shard-local MatchStats, merged
+/// into the record once per declaration after all shards have joined — so
+/// a num_threads > 1 run never races on these fields. Cursor streams update
 /// the struct between pulls (single-threaded caller context).
 ///
 /// Reset-on-execute: every execution (including Cursor construction, which
@@ -147,7 +149,8 @@ struct EngineOptions {
   /// thread-safe — one trace per concurrently executing call.
   obs::Trace* trace = nullptr;
   /// When non-null, every completed execution's trace is emitted here as
-  /// JSON lines (a trace is built internally even when `trace` is null).
+  /// JSON lines (rendered from the execution record even when `trace` is
+  /// null; with neither set, and no slow capture firing, no trace is built).
   /// Sinks must be thread-safe: the engine emits from whichever thread
   /// runs the execution.
   obs::TraceSink* trace_sink = nullptr;
@@ -414,23 +417,19 @@ class Cursor {
   Status FillChunk();
   /// Runs the whole batch pipeline (kBatch) and stages surviving rows.
   Status FillBatch();
-  /// One-shot observability publication when a kStream stream completes
-  /// cleanly (end of seeds, LIMIT, or flagged truncation): registry
-  /// counters/histograms, trace emission, slow-query capture. kBatch
-  /// streams publish through ExecutePlan instead; errored or abandoned
-  /// streams publish nothing (docs/observability.md).
-  void FinishStream();
-  /// Folds this stream into the query-stats store (kStream only; kBatch
-  /// records through ExecutePlan). Called once — from FinishStream on
-  /// clean completion, or from Next when the stream dies on an error, so
-  /// unlike the metrics publication above, errored streams ARE counted
-  /// (with the steps they spent before failing).
-  void RecordStreamStats(bool error);
+  /// One-shot publication of a kStream execution's record, from Next when
+  /// the stream completes cleanly (end of seeds, LIMIT, or flagged
+  /// truncation) or dies on an error. An errored stream reaches only
+  /// EngineMetrics, a caller-attached trace and the query-stats store (with
+  /// the steps it spent); an abandoned stream publishes nothing. kBatch
+  /// streams publish through ExecutePlan instead (docs/observability.md).
+  void FinishStream(bool error);
+  /// Copies the record into EngineOptions::metrics (rows = emitted so far).
+  void SyncMetrics();
 
   const PropertyGraph* graph_;
   EngineOptions options_;
   std::shared_ptr<const planner::CachedPlan> plan_;
-  bool cache_hit_ = false;
   Mode mode_ = Mode::kBatch;
 
   MatchOutput context_;  // rows empty; carries vars/normalized/params.
@@ -451,22 +450,13 @@ class Cursor {
   std::vector<NodeId> seeds_;
   size_t seed_pos_ = 0;
   size_t chunk_size_ = 0;
-  bool stream_reversed_ = false;
-  bool stream_index_seeded_ = false;
   std::unique_ptr<SharedBudget> budget_;  // One budget across all chunks.
 
-  // Observability accumulators (kStream; see FinishStream).
-  double parse_ms_ = 0;
-  uint64_t open_us_ = 0;      // Monotonic time of construction.
-  double seed_ms_total_ = 0;  // ComputeSeeds + per-chunk seed derivation.
-  double exec_ms_total_ = 0;  // RunPattern wall, summed over chunks.
-  size_t seeds_total_ = 0;
-  size_t steps_total_ = 0;
-  size_t batch_blocks_total_ = 0;
-  size_t batch_candidates_total_ = 0;
-  size_t batch_survivors_total_ = 0;
-  bool published_ = false;
-  bool stats_recorded_ = false;  // RecordStreamStats fired (once ever).
+  uint64_t open_us_ = 0;  // Monotonic time of construction.
+  // The execution's only running totals (kStream; a kBatch cursor's
+  // execution keeps its own record inside ExecutePlan).
+  obs::ExecutionRecord record_;
+  bool published_ = false;  // FinishStream fired (once ever).
 };
 
 /// The GPML processor of Figure 9: evaluates graph patterns over one
@@ -563,38 +553,22 @@ class Engine {
   Result<std::shared_ptr<const planner::CachedPlan>> PreparePlan(
       const GraphPattern& pattern, bool* cache_hit) const;
 
+  /// Adds a prepare-time analysis's findings to the registry counter.
+  void CountDiagnostics(const analysis::DiagnosticList& diags) const;
+
   /// The materializing execution shared by Match, PreparedQuery::Execute,
-  /// and ExplainAnalyze: per-declaration matching in plan order, the
-  /// singleton hash join, declaration reordering, match-mode filter, and
-  /// the final WHERE. `actuals`, when non-null, receives per-declaration
-  /// measured counters in plan order (EXPLAIN ANALYZE). `parse_ms` is the
-  /// already-paid text-parse cost replayed into the trace and plan_ms
-  /// totals. Also the observability chokepoint: fills
-  /// EngineOptions::trace, emits to trace_sink, publishes registry
-  /// counters/histograms, and captures slow queries — for completed
-  /// executions (failed ones publish nothing).
-  Result<MatchOutput> ExecutePlan(
+  /// the kBatch cursor and ExplainAnalyze: per-declaration matching in plan
+  /// order, the singleton hash join, declaration reordering, match-mode
+  /// filter, and the final WHERE. `actuals`, when non-null, receives
+  /// per-declaration measured counters in plan order (EXPLAIN ANALYZE).
+  /// `parse_ms` is the already-paid text-parse cost replayed into the
+  /// record. Fills one obs::ExecutionRecord and publishes it — success or
+  /// error — through the one publisher (docs/observability.md).
+  static Result<MatchOutput> ExecutePlan(
+      const PropertyGraph& graph, const EngineOptions& options,
       const planner::CachedPlan& prepared, bool cache_hit,
       std::shared_ptr<const Params> params,
-      std::vector<planner::DeclActual>* actuals, double parse_ms = 0) const;
-
-  /// Matcher work observed by one ExecutePlan call, filled as the run
-  /// progresses so the query-stats recorder sees the steps an execution
-  /// spent even when it then died on an error (mirrors the cursor's
-  /// record-before-status-check discipline in FillChunk).
-  struct ExecObserved {
-    size_t seeds = 0;
-    size_t steps = 0;
-    size_t batch_blocks = 0;
-  };
-
-  /// The body of ExecutePlan; the public wrapper times it and records the
-  /// outcome — success or error — into the query-stats store.
-  Result<MatchOutput> ExecutePlanImpl(
-      const planner::CachedPlan& prepared, bool cache_hit,
-      std::shared_ptr<const Params> params,
-      std::vector<planner::DeclActual>* actuals, double parse_ms,
-      ExecObserved* observed) const;
+      std::vector<planner::DeclActual>* actuals, double parse_ms = 0);
 
   const PropertyGraph& graph_;
   EngineOptions options_;

@@ -7,19 +7,8 @@
 
 namespace gpml {
 
-std::shared_ptr<obs::MetricsRegistry> PropertyGraph::metrics_registry()
-    const {
-  std::shared_ptr<obs::MetricsRegistry> reg =
-      std::atomic_load(&metrics_registry_);
-  if (reg != nullptr) return reg;
-  auto fresh = std::make_shared<obs::MetricsRegistry>();
-  // First publisher wins; losers adopt the winner's registry so every
-  // engine over this graph increments the same counters.
-  if (std::atomic_compare_exchange_strong(&metrics_registry_, &reg, fresh)) {
-    return fresh;
-  }
-  return reg;
-}
+PropertyGraph::PropertyGraph()
+    : metrics_registry_(std::make_shared<obs::MetricsRegistry>()) {}
 
 uint64_t PropertyGraph::NextIdentityToken() {
   // Starts at 1 so 0 can mean "no graph" in cache keys and tests.

@@ -104,7 +104,7 @@ struct SymSpan {
 /// rendering and tests.
 class PropertyGraph {
  public:
-  PropertyGraph() = default;
+  PropertyGraph();
 
   // Movable but not copyable: graphs can be large, copies should be explicit.
   PropertyGraph(PropertyGraph&&) = default;
@@ -248,11 +248,13 @@ class PropertyGraph {
 
   /// The graph's observability registry (docs/observability.md): counters
   /// and stage-latency histograms the engine publishes into on every
-  /// execution over this graph, created lazily on first use and shared by
-  /// every engine/host. Same slot discipline as stats/plan-cache, with a
-  /// compare-exchange on creation so racing first users converge on one
-  /// registry (counters are never split across two instances).
-  std::shared_ptr<obs::MetricsRegistry> metrics_registry() const;
+  /// execution over this graph, shared by every engine/host. Created with
+  /// the graph and never replaced, so reading it needs no atomic load; a
+  /// fresh registry holds no series until something is published.
+  std::shared_ptr<obs::MetricsRegistry> metrics_registry() const {
+    return metrics_registry_;
+  }
+  obs::MetricsRegistry& registry() const { return *metrics_registry_; }
 
  private:
   friend class GraphBuilder;
@@ -292,7 +294,7 @@ class PropertyGraph {
   PropertySeedIndex seed_index_;
   mutable std::shared_ptr<const planner::GraphStats> stats_cache_;
   mutable std::shared_ptr<const planner::PlanCache> plan_cache_;
-  mutable std::shared_ptr<obs::MetricsRegistry> metrics_registry_;
+  std::shared_ptr<obs::MetricsRegistry> metrics_registry_;
   uint64_t identity_token_ = NextIdentityToken();
 };
 

@@ -18,6 +18,10 @@ inline uint64_t MonotonicMicros() {
           .count());
 }
 
+/// Milliseconds to whole microseconds (truncating), the unit of histogram
+/// observations and span times.
+inline uint64_t MsToUs(double ms) { return static_cast<uint64_t>(ms * 1e3); }
+
 /// A started monotonic stopwatch. Two clock reads per measured region; cheap
 /// enough to stay on unconditionally in the engine (the bench_obs gate holds
 /// total instrumentation overhead under 2%).

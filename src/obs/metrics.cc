@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "obs/execution_record.h"
+
 namespace gpml {
 namespace obs {
 
@@ -45,7 +47,8 @@ const HistogramSnapshot* MetricsSnapshot::FindHistogram(
   return nullptr;
 }
 
-MetricsRegistry::MetricsRegistry() {
+MetricsRegistry::MetricsRegistry()
+    : execution_series_(std::make_unique<ExecutionSeries>(this)) {
   RegistryDirectory& dir = Directory();
   std::lock_guard<std::mutex> lock(dir.mu);
   dir.live.insert(this);

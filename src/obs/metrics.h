@@ -130,10 +130,14 @@ struct MetricsSnapshot {
   const HistogramSnapshot* FindHistogram(const std::string& name) const;
 };
 
+struct ExecutionSeries;  // obs/execution_record.h
+
 /// A thread-safe registry of named counters and histograms. Registration
-/// and snapshotting take a mutex; the returned handles increment lock-free,
-/// so the per-query hot path pays one short critical section per metric
-/// lookup and plain atomic adds afterwards.
+/// and snapshotting take a mutex; the returned handles increment lock-free.
+/// Hot paths never look a name up per call: they resolve a handle once and
+/// keep it — the engine through execution_series(), the server through
+/// handles held per server and per session — so a completed query costs
+/// plain atomic adds and no lock.
 ///
 /// Metric names follow the Prometheus conventions rendered by
 /// RenderPrometheus (obs/prometheus.h): `base{key="value",...}` — the
@@ -162,11 +166,16 @@ class MetricsRegistry {
 
   MetricsSnapshot Snapshot() const;
 
+  /// The engine's publication handles for this registry, each resolved on
+  /// first use and then read lock-free (obs/execution_record.h).
+  ExecutionSeries& execution_series() { return *execution_series_; }
+
  private:
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::unique_ptr<Counter>> counters_;
   std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::unique_ptr<ExecutionSeries> execution_series_;
 };
 
 /// Merges the snapshots of every live MetricsRegistry in the process

@@ -1,6 +1,7 @@
 #include "obs/query_stats.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "obs/clock.h"
 
@@ -26,74 +27,108 @@ uint64_t HashPlanText(const std::string& explain_text) {
   return Fnv1a(explain_text);
 }
 
-size_t QueryStatsStore::KeyHash::operator()(const Key& k) const {
-  // Fold the tenant into the fingerprint hash with a separator byte so
-  // ("ab", "c") and ("a", "bc") cannot collide structurally.
-  uint64_t h = Fnv1a(k.tenant);
-  h ^= 0xff;
-  h *= kFnvPrime;
-  return static_cast<size_t>(Fnv1a(k.fingerprint, h));
+uint64_t HashFingerprint(const std::string& fingerprint) {
+  return Fnv1a(fingerprint);
 }
 
 QueryStatsStore::RecordOutcome QueryStatsStore::Record(
     const QueryObservation& obs) {
+  ExecutionRecord record;
+  record.plan_hash = obs.plan_hash;
+  record.total_ms = obs.total_ms;
+  record.rows = obs.rows;
+  record.seeds = obs.seeds;
+  record.steps = obs.steps;
+  record.error = obs.error;
+  record.truncated = obs.truncated;
+  record.cache_hit = obs.cache_hit;
+  record.batch_blocks = obs.batch_engaged ? 1 : 0;
+  return Record(obs.tenant, obs.fingerprint, HashFingerprint(obs.fingerprint),
+                obs.graph_token, record);
+}
+
+QueryStatsStore::RecordOutcome QueryStatsStore::Record(
+    const std::string& tenant, const std::string& fingerprint,
+    uint64_t fingerprint_hash, uint64_t graph_token,
+    const ExecutionRecord& record) {
   RecordOutcome outcome;
   const uint64_t now_us = MonotonicMicros();
-  const uint64_t latency_us = static_cast<uint64_t>(
-      obs.total_ms > 0 ? obs.total_ms * 1e3 : 0.0);
+  const double total_ms = record.total_ms;
+  const uint64_t latency_us =
+      static_cast<uint64_t>(total_ms > 0 ? total_ms * 1e3 : 0.0);
   const size_t bucket = Histogram::BucketIndex(latency_us);
+  // Fold the tenant in only when there is one: in-process hosts record
+  // under "", whose key hash is then the precomputed fingerprint hash.
+  uint64_t key_hash = fingerprint_hash;
+  if (!tenant.empty()) {
+    key_hash ^= Fnv1a(tenant) + 0x9e3779b97f4a7c15ull + (key_hash << 6) +
+                (key_hash >> 2);
+  }
 
   std::lock_guard<std::mutex> lock(mu_);
   ++recorded_;
 
-  Key key{obs.tenant, obs.fingerprint};
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  Lru::iterator pos = lru_.end();
+  auto [first, last] = index_.equal_range(key_hash);
+  for (auto it = first; it != last; ++it) {
+    if (it->second->stats.fingerprint == fingerprint &&
+        it->second->stats.tenant == tenant) {
+      pos = it->second;
+      break;
+    }
+  }
+  if (pos == lru_.end()) {
     outcome.new_entry = true;
-    if (entries_.size() >= capacity_) {
+    if (lru_.size() >= capacity_) {
       // Evict the least-recently-updated entry.
-      const Key& victim = lru_.back();
-      entries_.erase(victim);
-      lru_.pop_back();
+      Lru::iterator victim = std::prev(lru_.end());
+      auto [vfirst, vlast] = index_.equal_range(victim->key_hash);
+      for (auto it = vfirst; it != vlast; ++it) {
+        if (it->second == victim) {
+          index_.erase(it);
+          break;
+        }
+      }
+      lru_.erase(victim);
       ++evictions_;
       outcome.evicted = true;
     }
-    lru_.push_front(key);
-    Entry entry;
-    entry.stats.fingerprint = obs.fingerprint;
-    entry.stats.tenant = obs.tenant;
-    entry.stats.latency_buckets.assign(Histogram::kNumBounds + 1, 0);
-    entry.lru_pos = lru_.begin();
-    it = entries_.emplace(std::move(key), std::move(entry)).first;
+    lru_.emplace_front();
+    pos = lru_.begin();
+    pos->key_hash = key_hash;
+    pos->stats.fingerprint = fingerprint;
+    pos->stats.tenant = tenant;
+    pos->stats.latency_buckets.assign(Histogram::kNumBounds + 1, 0);
+    index_.emplace(key_hash, pos);
   } else {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    it->second.lru_pos = lru_.begin();
+    lru_.splice(lru_.begin(), lru_, pos);
   }
 
-  QueryStatEntry& s = it->second.stats;
+  QueryStatEntry& s = pos->stats;
   const bool first_call = s.calls == 0;
-  s.graph_token = obs.graph_token;  // Last writer wins (stable in practice).
+  s.graph_token = graph_token;  // Last writer wins (stable in practice).
   ++s.calls;
-  if (obs.error) ++s.errors;
-  if (obs.truncated) ++s.truncations;
-  s.rows += obs.rows;
-  s.seeds += obs.seeds;
-  s.steps += obs.steps;
-  if (obs.cache_hit) {
+  if (record.error) ++s.errors;
+  if (record.truncated) ++s.truncations;
+  s.rows += record.rows;
+  s.seeds += record.seeds;
+  s.steps += record.steps;
+  if (record.cache_hit) {
     ++s.cache_hits;
   } else {
     ++s.cache_misses;
   }
-  if (obs.batch_engaged) ++s.batch_calls;
-  s.total_ms += obs.total_ms;
-  if (first_call || obs.total_ms < s.min_ms) s.min_ms = obs.total_ms;
-  if (first_call || obs.total_ms > s.max_ms) s.max_ms = obs.total_ms;
+  if (record.batch_blocks > 0) ++s.batch_calls;
+  s.total_ms += total_ms;
+  if (first_call || total_ms < s.min_ms) s.min_ms = total_ms;
+  if (first_call || total_ms > s.max_ms) s.max_ms = total_ms;
   s.latency_buckets[bucket] += 1;
 
   // Plan ring: find the observation's plan among the remembered ones.
+  const uint64_t plan_hash = record.plan_hash;
   PlanRecord* rec = nullptr;
   for (PlanRecord& p : s.plans) {
-    if (p.plan_hash == obs.plan_hash) {
+    if (p.plan_hash == plan_hash) {
       rec = &p;
       break;
     }
@@ -101,7 +136,7 @@ QueryStatsStore::RecordOutcome QueryStatsStore::Record(
   // back() is the plan currently in use; arriving under any other hash —
   // brand new or a remembered older plan — is a change.
   const bool current_plan =
-      !s.plans.empty() && s.plans.back().plan_hash == obs.plan_hash;
+      !s.plans.empty() && s.plans.back().plan_hash == plan_hash;
   if (!s.plans.empty() && !current_plan) {
     outcome.plan_changed = true;
     s.plan_changed = true;
@@ -113,10 +148,10 @@ QueryStatsStore::RecordOutcome QueryStatsStore::Record(
     }
     s.plans.push_back(PlanRecord{});
     rec = &s.plans.back();
-    rec->plan_hash = obs.plan_hash;
+    rec->plan_hash = plan_hash;
     rec->first_seen_us = now_us;
-    rec->min_ms = obs.total_ms;
-    rec->max_ms = obs.total_ms;
+    rec->min_ms = total_ms;
+    rec->max_ms = total_ms;
   } else if (!current_plan) {
     // Revisited an older remembered plan: move it to the current slot.
     PlanRecord revived = *rec;
@@ -126,9 +161,9 @@ QueryStatsStore::RecordOutcome QueryStatsStore::Record(
   }
   rec->last_seen_us = now_us;
   ++rec->calls;
-  rec->total_ms += obs.total_ms;
-  if (obs.total_ms < rec->min_ms) rec->min_ms = obs.total_ms;
-  if (obs.total_ms > rec->max_ms) rec->max_ms = obs.total_ms;
+  rec->total_ms += total_ms;
+  if (total_ms < rec->min_ms) rec->min_ms = total_ms;
+  if (total_ms > rec->max_ms) rec->max_ms = total_ms;
 
   return outcome;
 }
@@ -136,11 +171,8 @@ QueryStatsStore::RecordOutcome QueryStatsStore::Record(
 std::vector<QueryStatEntry> QueryStatsStore::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<QueryStatEntry> out;
-  out.reserve(entries_.size());
-  for (const Key& key : lru_) {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) out.push_back(it->second.stats);
-  }
+  out.reserve(lru_.size());
+  for (const Entry& entry : lru_) out.push_back(entry.stats);
   return out;
 }
 
@@ -156,12 +188,12 @@ uint64_t QueryStatsStore::evictions() const {
 
 size_t QueryStatsStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+  return lru_.size();
 }
 
 void QueryStatsStore::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
+  index_.clear();
   lru_.clear();
 }
 

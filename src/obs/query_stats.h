@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/execution_record.h"
 #include "obs/metrics.h"
 
 namespace gpml {
@@ -116,6 +117,16 @@ class QueryStatsStore {
   /// sight, evicting the least-recently-updated entry at capacity).
   RecordOutcome Record(const QueryObservation& obs);
 
+  /// The engine's fold: the same aggregation, read straight from the
+  /// execution record and keyed by (tenant, fingerprint) with the
+  /// fingerprint's hash precomputed (HashFingerprint, cached on the plan).
+  /// A hit compares the strings in place; they are copied only into a new
+  /// entry.
+  RecordOutcome Record(const std::string& tenant,
+                       const std::string& fingerprint,
+                       uint64_t fingerprint_hash, uint64_t graph_token,
+                       const ExecutionRecord& record);
+
   /// All retained entries, most-recently-updated first.
   std::vector<QueryStatEntry> Snapshot() const;
 
@@ -126,28 +137,24 @@ class QueryStatsStore {
   void Clear();
 
  private:
-  struct Key {
-    std::string tenant;
-    std::string fingerprint;
-    bool operator==(const Key& o) const {
-      return tenant == o.tenant && fingerprint == o.fingerprint;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const;
-  };
   struct Entry {
+    uint64_t key_hash = 0;
     QueryStatEntry stats;
-    std::list<Key>::iterator lru_pos;
   };
+  using Lru = std::list<Entry>;
 
   mutable std::mutex mu_;
   const size_t capacity_;
-  std::unordered_map<Key, Entry, KeyHash> entries_;
-  std::list<Key> lru_;  // Front = most recently updated.
+  Lru lru_;  // Front = most recently updated.
+  // Key hash -> entry; colliding keys are told apart by their strings.
+  std::unordered_multimap<uint64_t, Lru::iterator> index_;
   uint64_t recorded_ = 0;
   uint64_t evictions_ = 0;
 };
+
+/// 64-bit FNV-1a of a stats fingerprint: the hash CachedPlan precomputes
+/// so executions never rehash the text.
+uint64_t HashFingerprint(const std::string& fingerprint);
 
 /// 64-bit FNV-1a of a rendered plan — the stable plan hash. Pure function
 /// of the text, so identical EXPLAIN renderings (cache hits, re-plans that

@@ -1,5 +1,7 @@
 #include "obs/trace.h"
 
+#include <charconv>
+
 #include "obs/clock.h"
 
 namespace gpml {
@@ -28,6 +30,13 @@ void AppendJsonString(std::string* out, const std::string& s) {
     }
   }
   out->push_back('"');
+}
+
+template <typename Int>
+void AppendInt(std::string* out, Int value) {
+  char buf[24];
+  char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out->append(buf, end);
 }
 
 }  // namespace
@@ -97,15 +106,16 @@ double Trace::TotalMs(const std::string& name) const {
 
 std::string Trace::ToJsonLines() const {
   std::string out;
+  out.reserve(spans_.size() * 96);
   for (const Span& s : spans_) {
     out += "{\"span\":";
     AppendJsonString(&out, s.name);
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  ",\"parent\":%d,\"start_us\":%llu,\"dur_us\":%lld",
-                  s.parent, static_cast<unsigned long long>(s.start_us),
-                  static_cast<long long>(s.duration_us));
-    out += buf;
+    out += ",\"parent\":";
+    AppendInt(&out, s.parent);
+    out += ",\"start_us\":";
+    AppendInt(&out, s.start_us);
+    out += ",\"dur_us\":";
+    AppendInt(&out, s.duration_us);
     if (!s.attrs.empty()) {
       out += ",\"attrs\":{";
       for (size_t i = 0; i < s.attrs.size(); ++i) {

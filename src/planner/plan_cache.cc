@@ -1,6 +1,7 @@
 #include "planner/plan_cache.h"
 
 #include "ast/print.h"
+#include "obs/execution_record.h"
 
 namespace gpml {
 namespace planner {
@@ -27,9 +28,8 @@ std::shared_ptr<const CachedPlan> LookupPlan(const PropertyGraph& g,
     if (it != cache->entries.end()) entry = it->second;
   }
   if (registry != nullptr) {
-    registry
-        ->GetCounter(entry != nullptr ? "gpml_plan_cache_hits_total"
-                                      : "gpml_plan_cache_misses_total")
+    obs::ExecutionSeries& series = registry->execution_series();
+    (entry != nullptr ? series.plan_cache_hits : series.plan_cache_misses)
         ->Increment();
   }
   return entry;

@@ -67,6 +67,9 @@ struct CachedPlan {
   /// QueryStatsStore detects a plan change. Computed once on the cache-miss
   /// path; hits reuse it for free.
   std::string stats_fingerprint;
+  /// HashFingerprint(stats_fingerprint): the query-stats key hash, computed
+  /// with the fingerprint so executions never rehash the text.
+  uint64_t stats_fingerprint_hash = 0;
   /// FNV-1a of the plan's EXPLAIN rendering (obs::HashPlanText): the stable
   /// plan identity QueryStatsStore tracks per fingerprint. Identical plans
   /// hash identically across cache hits, processes, and runs.

@@ -608,7 +608,7 @@ Status Server::EnsureSession(ConnState* state, const std::string& tenant) {
     TenantRefusalsCounter(effective, kReasonTenantSessions)->Increment();
     return admitted;
   }
-  state->session = registry_.Create(effective);
+  state->session = registry_.Create(effective, TenantStepsCounter(effective));
   sessions_opened_total_->Increment();
   TenantSessionsGauge(effective)->Increment();
   return Status::OK();
@@ -648,26 +648,18 @@ obs::Gauge* Server::TenantSessionsGauge(const std::string& tenant) {
                            PromLabelEscape(tenant) + "\"}");
 }
 
-void Server::ChargeTenantSteps(const std::string& tenant, uint64_t steps) {
-  admission_.ChargeSteps(tenant, steps);
-  if (steps > 0) TenantStepsCounter(tenant)->Increment(steps);
+void Server::ChargeTenantSteps(const ServerSession& session, uint64_t steps) {
+  admission_.ChargeSteps(session.tenant(), steps);
+  if (steps > 0) session.steps_counter()->Increment(steps);
 }
 
 std::string Server::RunPooled(const char* op, const std::string& tenant,
                               const std::string& trace_id,
                               const std::string& id_raw,
                               const std::function<std::string()>& fn) {
-  obs::Trace trace;
-  int root = trace.Begin("request");
-  trace.Attr(root, "op", op);
-  trace.Attr(root, "tenant", tenant);
-  if (!trace_id.empty()) trace.Attr(root, "trace_id", trace_id);
-
-  int admission_span = trace.Begin("admission", root);
-  obs::Stopwatch admission_clock;
+  obs::Stopwatch request_clock;
   Status admitted = admission_.AdmitQuery(tenant);
-  double admission_ms = admission_clock.ElapsedMs();
-  trace.End(admission_span);
+  const uint64_t admission_us = request_clock.ElapsedMicros();
   if (!admitted.ok()) {
     rejected_quota_total_->Increment();
     // AdmitQuery has two refusal causes; the messages (admission.cc) are
@@ -686,7 +678,7 @@ std::string Server::RunPooled(const char* op, const std::string& tenant,
   // so the reads below are ordered after the writes.
   double queue_ms = 0;
   double exec_ms = 0;
-  uint64_t queue_start_us = trace.NowUs();
+  const uint64_t queue_start_us = request_clock.ElapsedMicros();
   bool accepted = pool_->SubmitTimed(
       [&result, &fn, &queue_ms, &exec_ms](double waited_ms) {
         queue_ms = waited_ms;
@@ -709,19 +701,25 @@ std::string Server::RunPooled(const char* op, const std::string& tenant,
   }
   std::string response = future.get();
 
-  // The queue span starts at submission and ends at worker pickup (the
-  // wait the pool measured); the session span is the handler running
-  // under the session from pickup to completion. Both are reconstructed
-  // here because the worker thread must not touch the trace while the
-  // submitting thread owns it.
-  uint64_t queue_us = static_cast<uint64_t>(queue_ms * 1e3);
-  uint64_t exec_us = static_cast<uint64_t>(exec_ms * 1e3);
-  trace.AddComplete("queue", root, queue_start_us, queue_us);
-  trace.AddComplete("session", root, queue_start_us + queue_us, exec_us);
-  trace.End(root);
+  // The request trace is rendered only for a sink, from the measured
+  // times. The queue span starts at submission and ends at worker pickup
+  // (the wait the pool measured); the session span is the handler running
+  // under the session from pickup to completion.
   if (options_.engine.trace_sink != nullptr) {
+    obs::Trace trace;
+    int root = trace.AddComplete("request", obs::Trace::kNoParent, 0,
+                                 request_clock.ElapsedMicros());
+    trace.Attr(root, "op", op);
+    trace.Attr(root, "tenant", tenant);
+    if (!trace_id.empty()) trace.Attr(root, "trace_id", trace_id);
+    trace.AddComplete("admission", root, 0, admission_us);
+    const uint64_t queue_us = obs::MsToUs(queue_ms);
+    trace.AddComplete("queue", root, queue_start_us, queue_us);
+    trace.AddComplete("session", root, queue_start_us + queue_us,
+                      obs::MsToUs(exec_ms));
     options_.engine.trace_sink->Emit(trace);
   }
+  const double admission_ms = static_cast<double>(admission_us) / 1e3;
 
   // Successful responses carry the request timing breakdown; error
   // response shapes stay pinned by the protocol tests.
@@ -977,7 +975,7 @@ std::string Server::OpExecute(ConnState* state, const JsonValue& req,
         stored->WithOptions(ExecutionOptions(tenant, &metrics, trace_id));
     Result<Cursor> cursor = bound.Open(params, limit);
     if (!cursor.ok()) {
-      ChargeTenantSteps(tenant, metrics.matcher_steps);
+      ChargeTenantSteps(*state->session, metrics.matcher_steps);
       return ErrorResponse(cursor.status(), "", id_raw);
     }
     std::string rows;
@@ -986,7 +984,7 @@ std::string Server::OpExecute(ConnState* state, const JsonValue& req,
     while (true) {
       Result<bool> more = cursor->Next(&view);
       if (!more.ok()) {
-        ChargeTenantSteps(tenant, metrics.matcher_steps);
+        ChargeTenantSteps(*state->session, metrics.matcher_steps);
         return ErrorResponse(more.status(), "", id_raw);
       }
       if (!*more) break;
@@ -994,7 +992,7 @@ std::string Server::OpExecute(ConnState* state, const JsonValue& req,
       rows += RowToJson(cursor->context(), *view.row, *graph);
       ++count;
     }
-    ChargeTenantSteps(tenant, metrics.matcher_steps);
+    ChargeTenantSteps(*state->session, metrics.matcher_steps);
     queries_total_->Increment();
     query_duration_us_->Observe(watch.ElapsedMicros());
     return OkResponseHead(id_raw) + ",\"rows\":[" + rows +
@@ -1118,7 +1116,7 @@ std::string Server::OpFetch(ConnState* state, const JsonValue& req,
     RowView view;
     auto charge = [&] {
       uint64_t total = handle->metrics->matcher_steps;
-      ChargeTenantSteps(tenant, total - handle->steps_charged);
+      ChargeTenantSteps(*state->session, total - handle->steps_charged);
       handle->steps_charged = total;
     };
     while (count < static_cast<size_t>(max_rows)) {

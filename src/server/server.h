@@ -198,9 +198,9 @@ class Server {
                                       const char* reason);
   obs::Gauge* TenantSessionsGauge(const std::string& tenant);
 
-  /// Charges `steps` against the tenant's admission budget and mirrors
-  /// them into gpml_tenant_steps_total{tenant=...}.
-  void ChargeTenantSteps(const std::string& tenant, uint64_t steps);
+  /// Charges `steps` against the session tenant's admission budget and
+  /// mirrors them into its gpml_tenant_steps_total{tenant=...} counter.
+  void ChargeTenantSteps(const ServerSession& session, uint64_t steps);
 
   /// Releases the session's admission slot exactly once (the
   /// admission_released latch) and decrements the tenant's active-sessions

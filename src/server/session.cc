@@ -6,10 +6,10 @@ namespace gpml {
 namespace server {
 
 std::shared_ptr<ServerSession> SessionRegistry::Create(
-    const std::string& tenant) {
+    const std::string& tenant, obs::Counter* steps_counter) {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t id = next_id_++;
-  auto session = std::make_shared<ServerSession>(id, tenant);
+  auto session = std::make_shared<ServerSession>(id, tenant, steps_counter);
   session->last_active_us = obs::MonotonicMicros();
   sessions_[id] = session;
   return session;
@@ -37,7 +37,12 @@ std::vector<std::shared_ptr<ServerSession>> SessionRegistry::ReapIdle(
   for (const std::shared_ptr<ServerSession>& session : Snapshot()) {
     std::lock_guard<std::mutex> lock(session->mu);
     if (session->expired || session->in_flight > 0) continue;
-    if (now_us - session->last_active_us < idle_us) continue;
+    // Unsigned: a clock stamped after `now_us` was sampled must not wrap
+    // into a huge idle time.
+    if (session->last_active_us >= now_us ||
+        now_us - session->last_active_us < idle_us) {
+      continue;
+    }
     session->expired = true;
     session->statements.clear();
     session->cursors.clear();

@@ -43,11 +43,14 @@ struct CursorHandle {
 /// sessions with no request in flight.
 class ServerSession {
  public:
-  ServerSession(uint64_t id, std::string tenant)
-      : id_(id), tenant_(std::move(tenant)) {}
+  ServerSession(uint64_t id, std::string tenant, obs::Counter* steps_counter)
+      : id_(id), tenant_(std::move(tenant)), steps_counter_(steps_counter) {}
 
   uint64_t id() const { return id_; }
   const std::string& tenant() const { return tenant_; }
+  /// gpml_tenant_steps_total{tenant=...} of this session's tenant, resolved
+  /// once when the session is created (a session's tenant never changes).
+  obs::Counter* steps_counter() const { return steps_counter_; }
 
   /// Guards every mutable field below.
   std::mutex mu;
@@ -74,6 +77,7 @@ class ServerSession {
  private:
   const uint64_t id_;
   const std::string tenant_;
+  obs::Counter* const steps_counter_;
 };
 
 /// The server's session table. Sessions are created at connection setup,
@@ -82,14 +86,19 @@ class ServerSession {
 /// request gets a structured SESSION_EXPIRED error, not a disconnect).
 class SessionRegistry {
  public:
-  std::shared_ptr<ServerSession> Create(const std::string& tenant);
+  /// Registers a session of `tenant`; `steps_counter` is its tenant's
+  /// step counter, resolved once by the caller.
+  std::shared_ptr<ServerSession> Create(const std::string& tenant,
+                                        obs::Counter* steps_counter);
   void Remove(uint64_t id);
   std::shared_ptr<ServerSession> Find(uint64_t id) const;
   size_t size() const;
 
   /// Expires sessions idle for longer than `idle_us`: drops their
   /// statements and cursors, marks them expired, and reports them (the
-  /// caller releases admission slots). Sessions with a request in flight
+  /// caller releases admission slots). A session whose clock is at or past
+  /// `now_us` — a request finished after the caller sampled the time — is
+  /// not idle. Sessions with a request in flight
   /// are never reaped, whatever their clock says — an open cursor mid-
   /// fetch cannot be destroyed under the fetch.
   std::vector<std::shared_ptr<ServerSession>> ReapIdle(uint64_t now_us,

@@ -23,6 +23,7 @@
 #include "graph/sample_graph.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
+#include "obs/query_stats.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
 #include "pgq/graph_table.h"
@@ -724,6 +725,137 @@ TEST(CursorObsTest, MetricsResetOnEachExecution) {
   // And the next materializing execution resets again.
   ASSERT_TRUE(engine.Match(kFraudQuery).ok());
   EXPECT_EQ(metrics.rows, fraud_rows);
+}
+
+// --- one execution record, two execution paths -----------------------------
+
+/// EngineMetrics with the wall-clock fields zeroed: what must agree between
+/// two executions of one query whatever the timings.
+EngineMetrics WithoutDurations(EngineMetrics m) {
+  m.plan_ms = 0;
+  m.seed_ms = 0;
+  m.exec_ms = 0;
+  return m;
+}
+
+void ExpectSameCounts(const EngineMetrics& a, const EngineMetrics& b) {
+  EngineMetrics x = WithoutDurations(a);
+  EngineMetrics y = WithoutDurations(b);
+  EXPECT_EQ(x.decls, y.decls);
+  EXPECT_EQ(x.seeded_nodes, y.seeded_nodes);
+  EXPECT_EQ(x.matcher_steps, y.matcher_steps);
+  EXPECT_EQ(x.reversed_decls, y.reversed_decls);
+  EXPECT_EQ(x.seed_filtered_decls, y.seed_filtered_decls);
+  EXPECT_EQ(x.threads, y.threads);
+  EXPECT_EQ(x.plan_cache_hits, y.plan_cache_hits);
+  EXPECT_EQ(x.plan_cache_misses, y.plan_cache_misses);
+  EXPECT_EQ(x.index_seeded_decls, y.index_seeded_decls);
+  EXPECT_EQ(x.rows, y.rows);
+  EXPECT_EQ(x.budget_truncated, y.budget_truncated);
+  EXPECT_EQ(x.batch_blocks, y.batch_blocks);
+  EXPECT_EQ(x.batch_candidates, y.batch_candidates);
+  EXPECT_EQ(x.batch_survivors, y.batch_survivors);
+}
+
+/// Per-series change between two registry snapshots: counter values and
+/// histogram observation counts (a series absent from `before` counts 0).
+std::map<std::string, uint64_t> RegistryDelta(
+    const obs::MetricsSnapshot& before, const obs::MetricsSnapshot& after) {
+  std::map<std::string, uint64_t> delta;
+  for (const obs::CounterSnapshot& c : after.counters) {
+    delta[c.name] = c.value - before.CounterValue(c.name);
+  }
+  for (const obs::HistogramSnapshot& h : after.histograms) {
+    const obs::HistogramSnapshot* old = before.FindHistogram(h.name);
+    delta[h.name] = h.count - (old != nullptr ? old->count : 0);
+  }
+  return delta;
+}
+
+TEST(ExecutionRecordTest, StreamAndMaterializedRunsPublishEqualRecords) {
+  // A single fixed-length declaration over the paper graph's few accounts:
+  // the cursor streams it in one seed chunk, so both paths do the same
+  // matcher work and must publish the same record, durations aside.
+  PropertyGraph g = BuildPaperGraph();
+  obs::QueryStatsStore store;
+  EngineMetrics metrics;
+  EngineOptions options;
+  options.metrics = &metrics;
+  options.query_stats = &store;
+  options.slow_query_ms = -1;
+  Result<PreparedQuery> q = Engine(g, options).Prepare(kStreamQuery);
+  ASSERT_TRUE(q.ok()) << q.status();
+
+  obs::MetricsSnapshot start = g.metrics_registry()->Snapshot();
+  Result<MatchOutput> materialized = q->Execute();
+  ASSERT_TRUE(materialized.ok()) << materialized.status();
+  const EngineMetrics materialized_metrics = metrics;
+  obs::MetricsSnapshot middle = g.metrics_registry()->Snapshot();
+
+  Result<Cursor> cursor = q->Open();
+  ASSERT_TRUE(cursor.ok()) << cursor.status();
+  Result<MatchOutput> streamed = cursor->Drain();
+  ASSERT_TRUE(streamed.ok()) << streamed.status();
+  const EngineMetrics streamed_metrics = metrics;
+  obs::MetricsSnapshot end = g.metrics_registry()->Snapshot();
+
+  ASSERT_GT(materialized->rows.size(), 0u);
+  EXPECT_EQ(streamed->rows.size(), materialized->rows.size());
+  ExpectSameCounts(materialized_metrics, streamed_metrics);
+  EXPECT_EQ(streamed_metrics.rows, materialized->rows.size());
+
+  std::map<std::string, uint64_t> materialized_delta =
+      RegistryDelta(start, middle);
+  std::map<std::string, uint64_t> streamed_delta = RegistryDelta(middle, end);
+  EXPECT_EQ(materialized_delta, streamed_delta);
+  // Both paths observe every stage histogram, join and filter included.
+  for (const char* stage : {"plan", "seed", "match", "join", "filter"}) {
+    std::string name =
+        std::string("gpml_stage_duration_us{stage=\"") + stage + "\"}";
+    EXPECT_EQ(streamed_delta[name], 1u) << name;
+  }
+  EXPECT_EQ(streamed_delta["gpml_executions_total"], 1u);
+
+  std::vector<obs::QueryStatEntry> stats = store.Snapshot();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].calls, 2u);
+  EXPECT_EQ(stats[0].rows, 2 * materialized->rows.size());
+  EXPECT_EQ(stats[0].steps, 2 * materialized_metrics.matcher_steps);
+}
+
+TEST(ExecutionRecordTest, SlowCaptureRendersTheTraceOfEachMode) {
+  // No caller trace and no sink: the slow capture is the only consumer, so
+  // the trace is rendered from the record only because the run was slow.
+  PropertyGraph g = BuildPaperGraph();
+  obs::SlowQueryLog log(8);
+  EngineOptions options;
+  options.slow_query_ms = 0;
+  options.slow_log = &log;
+  Result<PreparedQuery> q = Engine(g, options).Prepare(kStreamQuery);
+  ASSERT_TRUE(q.ok()) << q.status();
+
+  ASSERT_TRUE(q->Execute().ok());
+  Result<Cursor> cursor = q->Open();
+  ASSERT_TRUE(cursor.ok());
+  ASSERT_TRUE(cursor->Drain().ok());
+
+  std::vector<obs::SlowQueryRecord> captured = log.Snapshot();
+  ASSERT_EQ(captured.size(), 2u);
+  auto has_span = [](const std::string& json, const char* name) {
+    return json.find(std::string("{\"span\":\"") + name + "\"") !=
+           std::string::npos;
+  };
+  const std::string& materialized = captured[0].trace_json;
+  for (const char* name : {"query", "plan", "decl", "seed", "shard",
+                           "filter"}) {
+    EXPECT_TRUE(has_span(materialized, name)) << name << "\n" << materialized;
+  }
+  const std::string& streamed = captured[1].trace_json;
+  for (const char* name : {"query", "plan", "seed", "match"}) {
+    EXPECT_TRUE(has_span(streamed, name)) << name << "\n" << streamed;
+  }
+  EXPECT_FALSE(has_span(streamed, "decl")) << streamed;
+  EXPECT_NE(streamed.find("\"mode\":\"stream\""), std::string::npos);
 }
 
 // --- ExplainAnalyze plumbing -------------------------------------------------

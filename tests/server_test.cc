@@ -29,6 +29,7 @@
 #include "server/client.h"
 #include "server/json.h"
 #include "server/server.h"
+#include "server/session.h"
 
 namespace gpml {
 namespace server {
@@ -358,6 +359,32 @@ TEST(ServerTest, IdleReapExpiresOpenCursorAndHelloRecovers) {
 // An in-flight request fences its session from the reaper: a fetch that
 // takes longer than the idle timeout must not have the cursor destroyed
 // under it. debug_sleep stands in for a slow execution.
+// The reaper samples the clock before it locks each session, so a request
+// finishing in between leaves the session's clock ahead of `now_us`. That
+// session is busy, not idle: the unsigned difference must not wrap into an
+// enormous idle time and reap it.
+TEST(SessionRegistryTest, ClockAheadOfNowIsNotIdle) {
+  SessionRegistry registry;
+  obs::Counter steps;
+  std::shared_ptr<ServerSession> session = registry.Create("busy", &steps);
+  const uint64_t now_us = 1'000'000'000;
+  const uint64_t idle_us = 1'000;
+  {
+    std::lock_guard<std::mutex> lock(session->mu);
+    session->last_active_us = now_us + 1;
+  }
+  EXPECT_TRUE(registry.ReapIdle(now_us, idle_us).empty());
+  EXPECT_FALSE(session->expired);
+
+  // Control: a clock exactly one timeout behind is reaped.
+  {
+    std::lock_guard<std::mutex> lock(session->mu);
+    session->last_active_us = now_us - idle_us;
+  }
+  EXPECT_EQ(registry.ReapIdle(now_us, idle_us).size(), 1u);
+  EXPECT_TRUE(session->expired);
+}
+
 TEST(ServerTest, InFlightRequestIsNeverReaped) {
   ServerOptions options;
   options.idle_timeout_ms = 150;
