@@ -1,19 +1,19 @@
 // Interned-CSR storage contracts on the fraud-300 workloads, run under
 // ctest as a regression gate (see docs/storage.md):
 //
-//  1. Expansion throughput (enforced only in optimized, unsanitized
-//     builds): on the expansion-heavy fraud-300 graph (300 accounts, 100
-//     transfers per account — high-degree nodes with mixed edge labels)
-//     the CSR path must deliver >= 3x matcher throughput, geometric mean
-//     over the expansion workloads. Throughput is legacy-equivalent
-//     matcher steps per second: the instruction count the use_csr=false
-//     oracle executes for the workload, divided by each configuration's
-//     wall time — both sides do the same logical work, the CSR side just
-//     never visits the records the label filter would reject.
+//  1. Partitioned expansion (always enforced): on the expansion-heavy
+//     fraud-300 graph (300 accounts, 100 transfers per account — high-
+//     degree nodes with mixed edge labels) each expansion workload must
+//     execute exactly its pinned number of matcher steps at one thread
+//     with the planner off. An edge step that scans its label's CSR bucket
+//     visits only the records that carry the label; a step that fell back
+//     to scanning the full adjacency list would charge ~100x more steps,
+//     so the gate fails on such a regression with no timing noise. Wall
+//     time is reported, not gated.
 //  2. Byte-identity (always enforced): identical rows in identical order
-//     across {csr on/off} x {threads 1, 8} within each planner setting,
-//     and an identical row multiset across planner on/off (a mirrored or
-//     reordered plan may emit the same matches in a different order).
+//     across {threads 1, 8} within each planner setting, and an identical
+//     row multiset across planner on/off (a mirrored or reordered plan may
+//     emit the same matches in a different order).
 //  3. Index-backed seeding (always enforced): on the equality-predicate
 //     workload, (label, prop) = value index seeding strictly reduces
 //     seeded starts vs label-scan seeding, rows stay identical, and
@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -30,22 +29,13 @@
 #include "eval/engine.h"
 #include "graph/generator.h"
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define GPML_BENCH_SANITIZED 1
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define GPML_BENCH_SANITIZED 1
-#endif
-#endif
-
 namespace gpml {
 namespace {
 
 /// The expansion-heavy fraud-300 configuration: every Account node has
 /// ~200 Transfer adjacencies next to a handful of isLocatedIn/hasPhone/
-/// signInWithIP records, so expansion along a selective edge label is
-/// dominated by label rejects on the legacy path.
+/// signInWithIP records, so a full-list scan along a selective edge label
+/// would be dominated by label rejects.
 PropertyGraph MakeExpansionGraph() {
   FraudGraphOptions options;
   options.num_accounts = 300;
@@ -68,16 +58,28 @@ struct Workload {
   std::string query;
 };
 
-const Workload kExpansionWorkloads[] = {
+/// An expansion workload and the matcher steps it executes over the CSR
+/// buckets (num_threads = 1, planner off, batch matcher on). A full-list
+/// scan ran 6,172,780 / 61,062 / 61,065 steps on the same workloads.
+struct PinnedWorkload {
+  const char* name;
+  std::string query;
+  size_t steps;
+};
+
+const PinnedWorkload kExpansionWorkloads[] = {
     {"paper_sec2_shared_phone",
      "MATCH (p:Phone)~[:hasPhone]~(s:Account)-[t:Transfer]->"
-     "(d:Account)~[:hasPhone]~(p)"},
+     "(d:Account)~[:hasPhone]~(p)",
+     90480},
     {"located_in_ankh_morpork",
      "MATCH (a:Account)-[:isLocatedIn]->(c:City WHERE "
-     "c.name='Ankh-Morpork')"},
+     "c.name='Ankh-Morpork')",
+     600},
     {"city_account_blocked_phone",
      "MATCH (c:City)<-[:isLocatedIn]-(a:Account)~[:hasPhone]~"
-     "(p:Phone WHERE p.isBlocked='yes')"},
+     "(p:Phone WHERE p.isBlocked='yes')",
+     603},
 };
 
 const Workload kMatrixWorkloads[] = {
@@ -153,124 +155,67 @@ Measurement Measure(const PropertyGraph& g, const std::string& query,
   return m;
 }
 
-bool ThroughputGateActive() {
-#ifdef GPML_BENCH_SANITIZED
-  std::printf("throughput gate: SKIPPED (sanitizer build distorts timings)\n");
-  return false;
-#elif !defined(NDEBUG)
-  std::printf("throughput gate: SKIPPED (unoptimized build)\n");
-  return false;
-#else
-  return true;
-#endif
-}
-
 int RunBench() {
   bool ok = true;
   bench::JsonReport report("csr");
 
-  // --- 1. expansion throughput --------------------------------------------
+  // --- 1. partitioned expansion: pinned matcher steps ---------------------
   {
     PropertyGraph g = MakeExpansionGraph();
     std::printf("expansion graph: %s\n", g.Summary().c_str());
-    const bool enforce = ThroughputGateActive();
-    double log_ratio_sum = 0;
-    size_t measured = 0;
-
-    std::printf("%-28s | %10s %10s | %12s %12s | %7s\n", "workload", "ms:off",
-                "ms:on", "steps/s:off", "steps/s:on", "ratio");
-    for (const Workload& w : kExpansionWorkloads) {
+    std::printf("%-28s | %10s | %10s %10s\n", "workload", "ms", "steps",
+                "pinned");
+    for (const PinnedWorkload& w : kExpansionWorkloads) {
       EngineOptions base;
-      base.use_planner = false;  // Pure matcher comparison.
+      base.use_planner = false;  // Pure matcher measurement.
       base.num_threads = 1;
-      base.use_csr = false;
-      Measurement off = Measure(g, w.query, base, &ok);
-      base.use_csr = true;
-      Measurement on = Measure(g, w.query, base, &ok);
+      Measurement m = Measure(g, w.query, base, &ok);
       if (!ok) break;
-
-      // Legacy-equivalent steps per second: same logical work (the oracle's
-      // instruction count), each side's own wall time.
-      double work = static_cast<double>(off.metrics.matcher_steps);
-      double thr_off = work / (off.millis / 1e3);
-      double thr_on = work / (on.millis / 1e3);
-      double ratio = on.millis > 0 ? off.millis / on.millis : 0;
-      std::printf("%-28s | %10.3f %10.3f | %12.3g %12.3g | %6.2fx\n", w.name,
-                  off.millis, on.millis, thr_off, thr_on, ratio);
-      report.Add(std::string(w.name) + ":csr=off", off.millis,
-                 off.metrics.seeded_nodes, off.metrics.matcher_steps,
-                 off.rows.size());
-      report.Add(std::string(w.name) + ":csr=on", on.millis,
-                 on.metrics.seeded_nodes, on.metrics.matcher_steps,
-                 on.rows.size(), {{"throughput_ratio", ratio}});
-
-      if (off.rows != on.rows) {
-        std::fprintf(stderr, "FAIL %s: csr changed rows (%zu vs %zu)\n",
-                     w.name, on.rows.size(), off.rows.size());
-        ok = false;
-      }
-      if (on.metrics.matcher_steps >= off.metrics.matcher_steps) {
+      std::printf("%-28s | %10.3f | %10zu %10zu\n", w.name, m.millis,
+                  m.metrics.matcher_steps, w.steps);
+      report.Add(w.name, m.millis, m.metrics.seeded_nodes,
+                 m.metrics.matcher_steps, m.rows.size(),
+                 {{"pinned_steps", static_cast<double>(w.steps)}});
+      if (m.metrics.matcher_steps != w.steps) {
         std::fprintf(stderr,
-                     "FAIL %s: csr did not reduce considered records "
-                     "(%zu vs %zu)\n",
-                     w.name, on.metrics.matcher_steps,
-                     off.metrics.matcher_steps);
-        ok = false;
-      }
-      if (enforce && ratio < 1.5) {
-        std::fprintf(stderr, "FAIL %s: csr throughput ratio %.2fx < 1.5x\n",
-                     w.name, ratio);
-        ok = false;
-      }
-      log_ratio_sum += std::log(std::max(ratio, 1e-9));
-      ++measured;
-    }
-    if (ok && measured > 0) {
-      double geomean = std::exp(log_ratio_sum / static_cast<double>(measured));
-      std::printf("expansion throughput: %.2fx geometric mean (gate: 3x)\n",
-                  geomean);
-      if (enforce && geomean < 3.0) {
-        std::fprintf(stderr,
-                     "FAIL expansion throughput %.2fx < 3x geometric mean\n",
-                     geomean);
+                     "FAIL %s: %zu matcher steps, pinned %zu (did an edge "
+                     "step stop scanning its CSR bucket?)\n",
+                     w.name, m.metrics.matcher_steps, w.steps);
         ok = false;
       }
     }
   }
 
   // --- 2. byte-identity matrix --------------------------------------------
-  // Within each planner setting every {csr, threads} combination must be
-  // byte-identical (same rows, same order); across planner on/off the row
-  // multiset must be identical — a mirrored or reordered plan may emit the
-  // same matches in a different order (the planner's contract since the
-  // PR 1 differential tests).
+  // Within each planner setting both thread counts must be byte-identical
+  // (same rows, same order); across planner on/off the row multiset must
+  // be identical — a mirrored or reordered plan may emit the same matches
+  // in a different order (the planner's contract, also checked by
+  // tests/differential_test.cc).
   {
     PropertyGraph g = MakeMatrixGraph();
     for (const Workload& w : kMatrixWorkloads) {
       std::vector<std::string> baseline[2];
       bool have_baseline[2] = {false, false};
-      for (bool csr : {true, false}) {
-        for (size_t threads : {size_t{1}, size_t{8}}) {
-          for (bool planner : {true, false}) {
-            EngineOptions base;
-            base.use_csr = csr;
-            base.num_threads = threads;
-            base.use_planner = planner;
-            // Force real sharding even on short seed lists.
-            base.matcher.min_seeds_per_shard = 1;
-            Measurement m = Measure(g, w.query, base, &ok, /*reps=*/1);
-            if (!ok) break;
-            if (!have_baseline[planner]) {
-              baseline[planner] = m.rows;
-              have_baseline[planner] = true;
-            } else if (m.rows != baseline[planner]) {
-              std::fprintf(stderr,
-                           "FAIL %s: rows differ at csr=%d threads=%zu "
-                           "planner=%d (%zu vs %zu rows)\n",
-                           w.name, csr ? 1 : 0, threads, planner ? 1 : 0,
-                           m.rows.size(), baseline[planner].size());
-              ok = false;
-            }
+      for (size_t threads : {size_t{1}, size_t{8}}) {
+        for (bool planner : {true, false}) {
+          EngineOptions base;
+          base.num_threads = threads;
+          base.use_planner = planner;
+          // Force real sharding even on short seed lists.
+          base.matcher.min_seeds_per_shard = 1;
+          Measurement m = Measure(g, w.query, base, &ok, /*reps=*/1);
+          if (!ok) break;
+          if (!have_baseline[planner]) {
+            baseline[planner] = m.rows;
+            have_baseline[planner] = true;
+          } else if (m.rows != baseline[planner]) {
+            std::fprintf(stderr,
+                         "FAIL %s: rows differ at threads=%zu planner=%d "
+                         "(%zu vs %zu rows)\n",
+                         w.name, threads, planner ? 1 : 0, m.rows.size(),
+                         baseline[planner].size());
+            ok = false;
           }
         }
       }
@@ -288,7 +233,7 @@ int RunBench() {
         }
         std::printf(
             "byte-identity %-28s: %4zu rows identical over "
-            "{csr on/off} x {threads 1,8}, multiset-stable over planner\n",
+            "{threads 1,8}, multiset-stable over planner\n",
             w.name, baseline[0].size());
       }
     }
@@ -357,8 +302,8 @@ int RunBench() {
   }
 
   report.Write();
-  std::printf(ok ? "csr contract holds: faster expansion, identical rows, "
-                   "index-backed seeding\n"
+  std::printf(ok ? "csr contract holds: pinned expansion steps, identical "
+                   "rows, index-backed seeding\n"
                  : "csr contract VIOLATED (see stderr)\n");
   return ok ? 0 : 1;
 }

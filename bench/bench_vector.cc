@@ -157,10 +157,10 @@ int RunBench() {
       base.use_planner = false;  // Pure matcher comparison.
       base.num_threads = 1;
       Measurement off, on;
-      base.use_batch = false;
+      base.matcher.use_batch = false;
       base.metrics = &off.metrics;
       Engine scalar_engine(g, base);
-      base.use_batch = true;
+      base.matcher.use_batch = true;
       base.metrics = &on.metrics;
       Engine batch_engine(g, base);
       // Warm both plan caches, then interleave the timed repetitions so
@@ -247,7 +247,7 @@ int RunBench() {
       for (bool batch : {false, true}) {
         for (size_t threads : {size_t{1}, size_t{8}}) {
           EngineOptions base;
-          base.use_batch = batch;
+          base.matcher.use_batch = batch;
           base.num_threads = threads;
           // Force real sharding even on short seed lists.
           base.matcher.min_seeds_per_shard = 1;

@@ -281,8 +281,6 @@ MatcherOptions ExecMatcherOptions(const EngineOptions& options,
                                   size_t threads) {
   MatcherOptions matcher = options.matcher;
   matcher.num_threads = threads;
-  matcher.use_csr = options.use_csr;
-  matcher.use_batch = options.use_batch;
   return matcher;
 }
 
@@ -425,7 +423,7 @@ void CaptureSlowQuery(const EngineOptions& options, const PropertyGraph& g,
   planner::ExplainExec exec;
   exec.threads = rec.threads;
   exec.cached = rec.cache_hit;
-  exec.batch = options.use_batch ? kBatchBlockTarget : 0;
+  exec.batch = options.matcher.use_batch ? kBatchBlockTarget : 0;
   exec.analyzed = true;
   exec.rows = rec.rows;
   exec.truncated = rec.truncated;
@@ -653,7 +651,7 @@ Result<std::string> Engine::Explain(const GraphPattern& pattern) const {
   planner::ExplainExec exec;
   exec.threads = ResolvedThreads();
   exec.cached = cache_hit;
-  exec.batch = options_.use_batch ? kBatchBlockTarget : 0;
+  exec.batch = options_.matcher.use_batch ? kBatchBlockTarget : 0;
   return planner::ExplainPlan(prepared->plan, *prepared->vars,
                               /*stats=*/nullptr, &exec, /*actuals=*/nullptr,
                               &prepared->diagnostics);
@@ -687,7 +685,7 @@ Result<std::string> Engine::ExplainAnalyze(const GraphPattern& pattern,
   planner::ExplainExec exec;
   exec.threads = ResolvedThreads();
   exec.cached = prepared.cache_hit_;
-  exec.batch = options_.use_batch ? kBatchBlockTarget : 0;
+  exec.batch = options_.matcher.use_batch ? kBatchBlockTarget : 0;
   exec.analyzed = true;
   exec.rows = out.rows.size();
   exec.truncated = out.truncated;
@@ -1041,7 +1039,7 @@ Result<std::string> PreparedQuery::Explain() const {
   planner::ExplainExec exec;
   exec.threads = ResolveThreads(options_);
   exec.cached = cache_hit_;
-  exec.batch = options_.use_batch ? kBatchBlockTarget : 0;
+  exec.batch = options_.matcher.use_batch ? kBatchBlockTarget : 0;
   return planner::ExplainPlan(plan_->plan, *plan_->vars, /*stats=*/nullptr,
                               &exec, /*actuals=*/nullptr,
                               &plan_->diagnostics);

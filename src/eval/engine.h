@@ -99,11 +99,6 @@ struct EngineOptions {
   /// placeholders, so executions differing only in bound values share one
   /// entry (docs/planner.md).
   bool use_plan_cache = true;
-  /// Interned-storage fast paths (docs/storage.md): label-partitioned CSR
-  /// expansion and compiled symbol-id label predicates in the matcher. Off
-  /// runs the legacy full-adjacency scans with string label matching — the
-  /// differential oracle. Rows are byte-identical either way.
-  bool use_csr = true;
   /// Planner seeding from the (label, prop) = value equality hash index
   /// when an anchor endpoint carries a matching inline predicate (EXPLAIN:
   /// `source=index:<label>.<prop>`). The predicate may compare against a
@@ -111,15 +106,6 @@ struct EngineOptions {
   /// back to label-scan seeding; rows are identical, only the seed list
   /// shrinks.
   bool use_seed_index = true;
-  /// Block-at-a-time frontier expansion in the matcher (docs/vectorized.md):
-  /// linear fixed-length patterns expand whole frontier blocks over the CSR
-  /// with selection-vector filtering and predicate kernels compiled at
-  /// plan-bind time. Off runs the tuple-at-a-time interpreter for every
-  /// pattern — the differential oracle, like use_csr above. Rows are
-  /// byte-identical either way; patterns outside the eligible shape fall
-  /// back to the scalar route automatically. Overrides
-  /// MatcherOptions::use_batch.
-  bool use_batch = true;
   /// Static query analysis at prepare time (docs/analysis.md): typed
   /// diagnostics over the normalized pattern — type errors fail Prepare,
   /// warnings ride on the compiled plan (EXPLAIN `warnings=`), provably
@@ -136,8 +122,9 @@ struct EngineOptions {
   /// delivers the rows found so far with MatchOutput::truncated (or
   /// Cursor::truncated()) set and EngineMetrics::budget_truncated = 1 —
   /// never silently: a capped result is always either an error or a
-  /// flagged partial. Truncated row sets are best-effort (deterministic
-  /// only for single-shard runs); full results are unaffected.
+  /// flagged partial. Under kTruncate the matcher runs each declaration on
+  /// one thread, so truncated rows are exactly the sequential engine's;
+  /// full results are unaffected.
   enum class BudgetPolicy { kError, kTruncate };
   BudgetPolicy on_budget = BudgetPolicy::kError;
   /// When non-null, reset and filled on every execution.

@@ -227,13 +227,11 @@ class Matcher {
         params_(params) {}
 
   Status Run() {
-    if (!program_.selector.IsNone()) return RunBfs();
-    // Block-at-a-time route (docs/vectorized.md): eligible linear programs
-    // with all predicate kernels bindable. Anything else — and the
-    // differential oracle with use_batch off — runs the tuple-at-a-time
-    // interpreter.
-    if (options_.use_batch && TryBindBatch()) return RunBatch();
-    return RunDfs();
+    GPML_RETURN_IF_ERROR(RunRoute());
+    // A shard that finishes charges its last partial stride too, so a
+    // sharded run is refused whenever its steps exceed max_steps.
+    if (budget_ == nullptr || pending_steps_ == 0) return Status::OK();
+    return budget_->ChargeSteps(pending_steps_);
   }
 
   /// Raw accepted bindings in discovery order, deduplicated within this
@@ -248,6 +246,16 @@ class Matcher {
 
  private:
   // --- shared helpers ------------------------------------------------------
+
+  Status RunRoute() {
+    if (!program_.selector.IsNone()) return RunBfs();
+    // Block-at-a-time route (docs/vectorized.md): eligible linear programs
+    // with all predicate kernels bindable. Anything else — and the
+    // differential oracle with use_batch off — runs the tuple-at-a-time
+    // interpreter.
+    if (options_.use_batch && TryBindBatch()) return RunBatch();
+    return RunDfs();
+  }
 
   Status Budget() {
     ++steps_;
@@ -276,43 +284,30 @@ class Matcher {
     return st;
   }
 
-  /// Label admissibility of a node check: the graph-bound symbol predicate
-  /// when available (bit tests, no strings), else the legacy string match.
+  /// Label admissibility of a node check through the program's compiled
+  /// symbol predicate (bit tests, no strings).
   bool NodeLabelsMatch(const Instr& in, NodeId node) const {
     if (in.node->labels == nullptr) return true;
-    if (options_.use_csr && in.lpred >= 0) {
-      SymSpan syms = g_.node_label_syms(node);
-      return program_.label_preds[static_cast<size_t>(in.lpred)].Matches(
-          g_.node_label_bits(node), syms.data, syms.count);
-    }
-    return in.node->labels->Matches(g_.node(node).labels);
+    SymSpan syms = g_.node_label_syms(node);
+    return program_.label_preds[static_cast<size_t>(in.lpred)].Matches(
+        g_.node_label_bits(node), syms.data, syms.count);
   }
 
   /// Same for an edge step's label expression.
   bool EdgeLabelsMatch(const Instr& in, EdgeId edge) const {
     if (in.edge->labels == nullptr) return true;
-    if (options_.use_csr && in.lpred >= 0) {
-      SymSpan syms = g_.edge_label_syms(edge);
-      return program_.label_preds[static_cast<size_t>(in.lpred)].Matches(
-          g_.edge_label_bits(edge), syms.data, syms.count);
-    }
-    return in.edge->labels->Matches(g_.edge(edge).labels);
+    SymSpan syms = g_.edge_label_syms(edge);
+    return program_.label_preds[static_cast<size_t>(in.lpred)].Matches(
+        g_.edge_label_bits(edge), syms.data, syms.count);
   }
 
-  /// The adjacency records an edge step must consider from `node`: with the
-  /// CSR path and a usable label partition, the contiguous bucket of the
-  /// step's (most selective) label symbol; otherwise the full list.
-  /// `*prefiltered` reports that bucket membership already implies the label
-  /// expression (single plain names), so TryEdge skips the re-check.
-  AdjSpan ExpansionRange(const Instr& in, NodeId node,
-                         bool* prefiltered) const {
-    if (options_.use_csr && in.edge_label_sym != kNoLabelPartition) {
-      *prefiltered = in.edge_prefiltered;
-      if (in.edge_label_sym == kInvalidSymbol) return {};  // Unknown label.
-      return g_.csr().Range(node, in.edge_label_sym);
-    }
-    *prefiltered = false;
-    return g_.AdjacencySpan(node);
+  /// The adjacency records an edge step must consider from `node`: the
+  /// contiguous CSR bucket of the step's (most selective) label symbol when
+  /// a partition applies, otherwise the full list.
+  AdjSpan ExpansionRange(const Instr& in, NodeId node) const {
+    if (in.edge_label_sym == kNoLabelPartition) return g_.AdjacencySpan(node);
+    if (in.edge_label_sym == kInvalidSymbol) return {};  // Unknown label.
+    return g_.csr().Range(node, in.edge_label_sym);
   }
 
   /// Checks a node pattern against `node` with `state`'s environment;
@@ -414,16 +409,14 @@ class Matcher {
     }
   }
 
-  /// Attempts the edge step `in` from `state` over adjacency `adj`;
-  /// on success returns the successor state. `label_prechecked` is set when
-  /// `adj` came from the CSR partition that already guarantees the label
-  /// expression.
+  /// Attempts the edge step `in` from `state` over adjacency `adj` (drawn
+  /// from ExpansionRange); on success returns the successor state. A
+  /// prefiltered step's CSR bucket already guarantees the label expression.
   Result<std::optional<State>> TryEdge(const Instr& in, const State& state,
-                                       const Adjacency& adj,
-                                       bool label_prechecked) {
+                                       const Adjacency& adj) {
     const EdgePattern& ep = *in.edge;
     if (!Admits(ep.orientation, adj.traversal)) return std::optional<State>();
-    if (!label_prechecked && !EdgeLabelsMatch(in, adj.edge)) {
+    if (!in.edge_prefiltered && !EdgeLabelsMatch(in, adj.edge)) {
       return std::optional<State>();
     }
     ElementRef ref = ElementRef::Edge(adj.edge);
@@ -621,12 +614,10 @@ class Matcher {
       State cur = std::move(stack.back());
       stack.pop_back();
       const Instr& in = program_.code[static_cast<size_t>(cur.pc)];
-      bool prefiltered = false;
-      AdjSpan range = ExpansionRange(in, cur.node, &prefiltered);
-      for (const Adjacency& adj : range) {
+      for (const Adjacency& adj : ExpansionRange(in, cur.node)) {
         GPML_RETURN_IF_ERROR(Budget());
         GPML_ASSIGN_OR_RETURN(std::optional<State> next,
-                              TryEdge(in, cur, adj, prefiltered));
+                              TryEdge(in, cur, adj));
         if (next.has_value()) {
           GPML_RETURN_IF_ERROR(AdvanceEpsilon(std::move(*next), &stack));
         }
@@ -759,11 +750,8 @@ class Matcher {
     const Instr& edge_in = program_.code[static_cast<size_t>(es.pc)];
     const Instr& node_in = program_.code[static_cast<size_t>(ns.pc)];
     const EdgeOrientation orientation = edge_in.edge->orientation;
-    const bool edge_prefiltered = options_.use_csr &&
-                                  edge_in.edge_label_sym != kNoLabelPartition &&
-                                  edge_in.edge_prefiltered;
     const bool check_edge_label =
-        !edge_prefiltered && edge_in.edge->labels != nullptr;
+        !edge_in.edge_prefiltered && edge_in.edge->labels != nullptr;
     const bool check_node_label =
         node_in.node->labels != nullptr && !ns.label_implied;
 
@@ -781,9 +769,7 @@ class Matcher {
       // straight out of the contiguous CSR label bucket (or the full
       // adjacency list when no partition applies).
       for (size_t f = base; f < limit; ++f) {
-        bool prefiltered = false;
-        AdjSpan range =
-            ExpansionRange(edge_in, frontier[f].node, &prefiltered);
+        AdjSpan range = ExpansionRange(edge_in, frontier[f].node);
         for (size_t k = 0; k < range.count; ++k) {
           const Adjacency& adj = range[k];
           blk.parent.push_back(static_cast<uint32_t>(f));
@@ -1054,12 +1040,10 @@ class Matcher {
       for (const State& cur : frontier) {
         if (!AdmitExpansion(cur, cur.edges)) continue;
         const Instr& in = program_.code[static_cast<size_t>(cur.pc)];
-        bool prefiltered = false;
-        AdjSpan range = ExpansionRange(in, cur.node, &prefiltered);
-        for (const Adjacency& adj : range) {
+        for (const Adjacency& adj : ExpansionRange(in, cur.node)) {
           GPML_RETURN_IF_ERROR(Budget());
           GPML_ASSIGN_OR_RETURN(std::optional<State> nxt,
-                                TryEdge(in, cur, adj, prefiltered));
+                                TryEdge(in, cur, adj));
           if (nxt.has_value()) {
             GPML_RETURN_IF_ERROR(
                 AdvanceEpsilon(std::move(*nxt), &next_frontier));
@@ -1236,6 +1220,13 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
                             MatchStats* stats, const Params* params,
                             SharedBudget* shared_budget,
                             bool* budget_exhausted) {
+  if (program.graph_token != g.identity_token()) {
+    return Status::InvalidArgument(
+        program.graph_token == 0
+            ? "RunPattern: program is not bound to a graph "
+              "(call BindProgramToGraph)"
+            : "RunPattern: program is bound to a different graph");
+  }
   obs::Stopwatch run_clock;
   std::vector<NodeId> seeds = ComputeSeeds(g, program, seed_filter);
   const double seed_ms = run_clock.ElapsedMs();
@@ -1245,7 +1236,12 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
   // Fan out only when every worker gets a meaningful block: thread
   // spawn/join costs tens of microseconds, which would dominate small
   // queries (the shard count never changes results, only latency).
-  const size_t threads = std::max<size_t>(1, options.num_threads);
+  // Partial delivery never fans out: it must cut where the sequential run
+  // stops, and sibling shards sharing a budget would each stop wherever
+  // their timing left them — a later shard can spend max_matches before
+  // the first shard accepts a binding.
+  const size_t threads =
+      keep_partial ? 1 : std::max<size_t>(1, options.num_threads);
   const size_t per_shard = std::max<size_t>(1, options.min_seeds_per_shard);
   const size_t shards =
       std::max<size_t>(1, std::min(threads, seeds.size() / per_shard));
@@ -1285,8 +1281,8 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
       workers.emplace_back(RunShard, std::cref(g), std::cref(program),
                            std::cref(vars), std::cref(options),
                            seeds.data() + offset, count, budget,
-                           kParallelChargeStride, params, keep_partial,
-                           &outcomes[i]);
+                           kParallelChargeStride, params,
+                           /*keep_partial=*/false, &outcomes[i]);
       offset += count;
     }
     for (std::thread& t : workers) t.join();

@@ -36,25 +36,18 @@ struct MatcherOptions {
   /// of the shard count, so this is purely a latency knob). Tests set 1 to
   /// force sharding on tiny graphs.
   size_t min_seeds_per_shard = 16;
-  /// Interned-storage fast paths (see docs/storage.md): expansion over the
-  /// label-partitioned CSR index and label matching through the program's
-  /// compiled symbol predicates. Off runs the legacy full-adjacency scan
-  /// with string label comparison — the differential oracle. Results are
-  /// byte-identical either way (CSR partitions preserve the legacy scan
-  /// order); only the step counts differ, because the CSR path never visits
-  /// the records the label filter would reject.
-  bool use_csr = true;
   /// Block-at-a-time frontier expansion (docs/vectorized.md): linear
   /// fixed-length patterns expand whole frontier blocks against contiguous
   /// CSR ranges with selection-vector filtering and compiled predicate
   /// kernels, materializing states only for accepted rows. Off runs the
   /// tuple-at-a-time interpreter for every pattern — the differential
-  /// oracle, exactly like `use_csr` above. Rows are byte-identical either
-  /// way (the batch drain replays the DFS accept order); only the step
-  /// accounting differs, because the batch path charges per adjacency
-  /// candidate rather than per interpreter instruction. Patterns outside
-  /// the eligible shape (selectors, quantifiers, restrictors, non-kernel
-  /// WHEREs) fall back to the scalar interpreter automatically.
+  /// oracle. Rows are byte-identical either way (the batch drain replays
+  /// the DFS accept order); only the step accounting differs, because the
+  /// batch path charges per adjacency candidate rather than per interpreter
+  /// instruction. Patterns outside the eligible shape (selectors,
+  /// quantifiers, restrictors, non-kernel WHEREs) fall back to the scalar
+  /// interpreter automatically. EngineOptions passes this field through
+  /// unchanged (`EngineOptions::matcher.use_batch`).
   bool use_batch = true;
 };
 
@@ -179,8 +172,12 @@ struct MatchStats {
 /// engine). `budget_exhausted`, when non-null, switches budget exhaustion
 /// from an error into partial delivery: the bindings found so far are
 /// returned with *budget_exhausted = true (non-budget errors still fail
-/// the call). Partial sets are best-effort — deterministic only for
-/// single-shard runs.
+/// the call). Partial delivery runs as a single shard whatever
+/// `num_threads` says, so the partial set is exactly the one the
+/// sequential engine returns.
+///
+/// `program` must be bound to `g` (BindProgramToGraph); an unbound program,
+/// or one bound to another graph, fails with kInvalidArgument.
 Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
                             const VarTable& vars,
                             const MatcherOptions& options,

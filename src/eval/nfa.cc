@@ -349,6 +349,7 @@ void BindProgramToGraph(Program* program, const PropertyGraph& g,
   const SymbolTable& labels = g.label_symbols();
   const bool use_bits = g.label_bits_usable();
   program->label_preds.clear();
+  program->graph_token = g.identity_token();
 
   auto add_pred = [&](const LabelExprPtr& expr) {
     program->label_preds.push_back(

@@ -43,12 +43,11 @@ struct Instr {
   const NodePattern* node = nullptr;
   const EdgePattern* edge = nullptr;
   int var = -1;                      // Interned variable id.
-  /// Graph-bound acceleration slots, filled by BindProgramToGraph (and left
-  /// at their defaults on unbound programs, which then run the legacy
-  /// string-matching paths):
+  /// Graph-bound slots, filled by BindProgramToGraph (the matcher runs
+  /// only bound programs):
   int lpred = -1;                    // kNodeCheck/kEdgeStep: index into
                                      // Program::label_preds; -1 = no label
-                                     // constraint or unbound program.
+                                     // constraint.
   Symbol edge_label_sym = kNoLabelPartition;  // kEdgeStep: CSR partition to
                                      // scan; kNoLabelPartition = full
                                      // adjacency scan, kInvalidSymbol = the
@@ -117,9 +116,13 @@ struct Program {
   PathPatternPtr root; // Keeps the normalized AST alive (instrs borrow).
 
   /// Label expressions compiled against one graph's symbol table (see
-  /// BindProgramToGraph); indexed by Instr::lpred. Empty on unbound
-  /// programs.
+  /// BindProgramToGraph); indexed by Instr::lpred.
   std::vector<CompiledLabelPred> label_preds;
+
+  /// PropertyGraph::identity_token() of the graph the program is bound to;
+  /// 0 = unbound. RunPattern refuses a program whose token is not its
+  /// graph's — the same token the plan cache keys its entries on.
+  uint64_t graph_token = 0;
 
   /// Block-at-a-time plan, built when BindProgramToGraph is given the
   /// variable table; nullptr (or !eligible) routes to the scalar
@@ -140,10 +143,9 @@ Result<Program> CompilePattern(const PathPatternDecl& decl,
 /// expression compiles once into a symbol-id predicate, and every edge step
 /// resolves the CSR partition it can scan — the most selective required
 /// label conjunct, or the exact partition (no per-edge label re-check) when
-/// the expression is a single plain name. Programs bound to one graph must
-/// only run over that graph; the plan cache guarantees this by keying
-/// entries on the graph identity token. Unbound programs still execute
-/// correctly through the legacy string paths.
+/// the expression is a single plain name. The program records the graph's
+/// identity token: RunPattern runs it over that graph only, and never runs
+/// an unbound program.
 ///
 /// When `vars` is non-null the batch plan is built too (Program::batch):
 /// shape eligibility, per-position equi-join targets, bind-time label

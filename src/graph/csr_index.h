@@ -40,10 +40,10 @@ struct AdjSpan {
 ///  * An edge with k labels contributes one record to k buckets of each
 ///    endpoint it is incident to; label-less edges appear in no bucket (they
 ///    can never match a name-bearing label expression).
-///  * Within a bucket, records keep the relative order of the legacy
+///  * Within a bucket, records keep the relative order of the full
 ///    per-node adjacency list. A bucket scan therefore yields successor
-///    states in exactly the order the legacy full-scan-and-filter produced,
-///    which is what keeps result rows byte-identical across use_csr on/off.
+///    states in exactly the order a label-filtered scan of the full list
+///    would, so the range an edge step scans never changes row order.
 ///  * Buckets of one node are sorted by label symbol (binary search).
 class CsrIndex {
  public:

@@ -19,7 +19,7 @@ namespace planner {
 struct ExplainExec {
   size_t threads = 1;
   bool cached = false;
-  /// Vectorized matcher block target (EngineOptions::use_batch on): rendered
+  /// Vectorized matcher block target (MatcherOptions::use_batch on): rendered
   /// as `batch=N` on the exec line; 0 = scalar execution.
   size_t batch = 0;
   bool analyzed = false;  // True for EXPLAIN ANALYZE: rows/truncated valid.

@@ -1,7 +1,7 @@
 // Vectorized batch matcher (docs/vectorized.md): the block-at-a-time
-// frontier expansion behind EngineOptions::use_batch must produce rows
+// frontier expansion behind MatcherOptions::use_batch must produce rows
 // byte-identical to the scalar interpreter — same rows, same order — across
-// {batch on/off} x {threads 1,8} x {csr on/off} x {planner on/off}, on the
+// {batch on/off} x {threads 1,8} x {planner on/off}, on the
 // fraud workloads and on adversarial graphs (self-loops, parallel edges,
 // label universes beyond the 64-bit masks). Quantified, selector-carrying,
 // and cross-referencing patterns must fall back to the scalar route
@@ -44,13 +44,12 @@ std::vector<std::string> CanonRows(const MatchOutput& out,
 }
 
 Result<MatchOutput> RunMatch(const PropertyGraph& g, const std::string& query,
-                        bool use_batch, size_t threads = 1, bool csr = true,
+                        bool use_batch, size_t threads = 1,
                         bool planner = false,
                         EngineMetrics* metrics = nullptr) {
   EngineOptions options;
-  options.use_batch = use_batch;
+  options.matcher.use_batch = use_batch;
   options.num_threads = threads;
-  options.use_csr = csr;
   options.use_planner = planner;
   options.metrics = metrics;
   options.matcher.min_seeds_per_shard = 1;  // Force real sharding.
@@ -62,22 +61,19 @@ Result<MatchOutput> RunMatch(const PropertyGraph& g, const std::string& query,
 /// (a different plan may legitimately reorder rows).
 void ExpectBatchAgreement(const PropertyGraph& g, const std::string& query) {
   for (bool planner : {false, true}) {
-    for (bool csr : {true, false}) {
-      for (size_t threads : {size_t{1}, size_t{8}}) {
-        EngineMetrics off_metrics;
-        Result<MatchOutput> off =
-            RunMatch(g, query, /*use_batch=*/false, threads, csr, planner,
-                &off_metrics);
-        ASSERT_TRUE(off.ok()) << query << " -> " << off.status();
-        EXPECT_EQ(off_metrics.batch_blocks, 0u) << query;
-        EngineMetrics on_metrics;
-        Result<MatchOutput> on = RunMatch(g, query, /*use_batch=*/true, threads,
-                                     csr, planner, &on_metrics);
-        ASSERT_TRUE(on.ok()) << query << " -> " << on.status();
-        EXPECT_EQ(CanonRows(*off, g), CanonRows(*on, g))
-            << query << " threads=" << threads << " csr=" << csr
-            << " planner=" << planner << " on " << g.Summary();
-      }
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      EngineMetrics off_metrics;
+      Result<MatchOutput> off = RunMatch(g, query, /*use_batch=*/false,
+                                         threads, planner, &off_metrics);
+      ASSERT_TRUE(off.ok()) << query << " -> " << off.status();
+      EXPECT_EQ(off_metrics.batch_blocks, 0u) << query;
+      EngineMetrics on_metrics;
+      Result<MatchOutput> on = RunMatch(g, query, /*use_batch=*/true,
+                                        threads, planner, &on_metrics);
+      ASSERT_TRUE(on.ok()) << query << " -> " << on.status();
+      EXPECT_EQ(CanonRows(*off, g), CanonRows(*on, g))
+          << query << " threads=" << threads << " planner=" << planner
+          << " on " << g.Summary();
     }
   }
 }
@@ -162,8 +158,8 @@ TEST(BatchMatcherTest, EligibleWorkloadsActuallyRunBatched) {
   PropertyGraph g = MatrixGraph();
   for (const char* query : kEligibleWorkloads) {
     EngineMetrics metrics;
-    Result<MatchOutput> out = RunMatch(g, query, /*use_batch=*/true, 1, true,
-                                  false, &metrics);
+    Result<MatchOutput> out =
+        RunMatch(g, query, /*use_batch=*/true, 1, false, &metrics);
     ASSERT_TRUE(out.ok()) << query;
     // Single-node patterns expand no level, so only multi-hop workloads
     // must report blocks; every eligible workload with an edge does.
@@ -180,8 +176,8 @@ TEST(BatchMatcherTest, FallbackWorkloadsStayScalar) {
   PropertyGraph g = MatrixGraph();
   for (const char* query : kFallbackWorkloads) {
     EngineMetrics metrics;
-    Result<MatchOutput> out = RunMatch(g, query, /*use_batch=*/true, 1, true,
-                                  false, &metrics);
+    Result<MatchOutput> out =
+        RunMatch(g, query, /*use_batch=*/true, 1, false, &metrics);
     ASSERT_TRUE(out.ok()) << query;
     EXPECT_EQ(metrics.batch_blocks, 0u) << query;
   }
@@ -293,7 +289,7 @@ TEST(BatchMatcherTest, MatchBudgetTripsIdentically) {
     // Accept order is preserved, so max_matches trips at exactly the same
     // accepted binding on both routes.
     EngineOptions options;
-    options.use_batch = use_batch;
+    options.matcher.use_batch = use_batch;
     options.matcher.max_matches = total;
     EXPECT_TRUE(Engine(g, options).Match(query).ok()) << use_batch;
     options.matcher.max_matches = total - 1;
@@ -319,7 +315,7 @@ const char kBudgetQuery[] =
 TEST(BatchMatcherTest, TruncatedRowsAreAPrefixOfTheOracle) {
   PropertyGraph g = BudgetGraph();
   EngineOptions base;
-  base.use_batch = false;
+  base.matcher.use_batch = false;
   Result<MatchOutput> oracle = Engine(g, base).Match(kBudgetQuery);
   ASSERT_TRUE(oracle.ok());
   std::vector<std::string> want = CanonRows(*oracle, g);
@@ -329,7 +325,7 @@ TEST(BatchMatcherTest, TruncatedRowsAreAPrefixOfTheOracle) {
     // max_matches under kTruncate: the accepted-binding budget charges in
     // identical order, so the truncated output is byte-identical.
     EngineOptions options;
-    options.use_batch = use_batch;
+    options.matcher.use_batch = use_batch;
     options.on_budget = EngineOptions::BudgetPolicy::kTruncate;
     options.matcher.max_matches = 7;
     Result<MatchOutput> out = Engine(g, options).Match(kBudgetQuery);
@@ -346,12 +342,12 @@ TEST(BatchMatcherTest, TruncatedRowsAreAPrefixOfTheOracle) {
     // be a prefix of the oracle's rows. Budget at half of this route's
     // own full step count so it reliably trips mid-search.
     EngineMetrics route_metrics;
-    Result<MatchOutput> full = RunMatch(g, kBudgetQuery, use_batch, 1, true,
+    Result<MatchOutput> full = RunMatch(g, kBudgetQuery, use_batch, 1,
                                         false, &route_metrics);
     ASSERT_TRUE(full.ok());
     ASSERT_GT(route_metrics.matcher_steps, 100u);
     EngineOptions steps;
-    steps.use_batch = use_batch;
+    steps.matcher.use_batch = use_batch;
     steps.on_budget = EngineOptions::BudgetPolicy::kTruncate;
     steps.matcher.max_steps = route_metrics.matcher_steps / 2;
     Result<MatchOutput> clipped = Engine(g, steps).Match(kBudgetQuery);
@@ -368,7 +364,7 @@ TEST(BatchMatcherTest, SharedStepBudgetTripsAcrossShards) {
   PropertyGraph g = BudgetGraph();
   EngineMetrics metrics;
   Result<MatchOutput> full =
-      RunMatch(g, kBudgetQuery, /*use_batch=*/true, 1, true, false, &metrics);
+      RunMatch(g, kBudgetQuery, /*use_batch=*/true, 1, false, &metrics);
   ASSERT_TRUE(full.ok());
   // The shards flush charges in batches of 256, so up to 256 x 8 steps can
   // sit uncharged; a half-budget is guaranteed to trip only when
@@ -377,7 +373,7 @@ TEST(BatchMatcherTest, SharedStepBudgetTripsAcrossShards) {
 
   // One shared atomic budget spans all shards on the batch route too.
   EngineOptions options;
-  options.use_batch = true;
+  options.matcher.use_batch = true;
   options.num_threads = 8;
   options.matcher.min_seeds_per_shard = 1;
   options.matcher.max_steps = metrics.matcher_steps / 2;
@@ -400,7 +396,7 @@ TEST(BatchMatcherTest, CursorStreamsIdenticalRows) {
   };
   for (const char* query : queries) {
     EngineOptions off;
-    off.use_batch = false;
+    off.matcher.use_batch = false;
     Result<MatchOutput> oracle = Engine(g, off).Match(query);
     ASSERT_TRUE(oracle.ok());
     std::vector<std::string> want = CanonRows(*oracle, g);
@@ -408,7 +404,7 @@ TEST(BatchMatcherTest, CursorStreamsIdenticalRows) {
     for (std::optional<uint64_t> limit :
          {std::optional<uint64_t>{}, std::optional<uint64_t>{3}}) {
       EngineOptions on;
-      on.use_batch = true;
+      on.matcher.use_batch = true;
       Engine engine(g, on);
       Result<PreparedQuery> q = engine.Prepare(query);
       ASSERT_TRUE(q.ok()) << q.status();

@@ -1,7 +1,7 @@
 // Streaming cursor execution: rows pulled through a Cursor are
 // byte-identical to Engine::Match's materialized row sequence (a prefix of
-// it under LIMIT) across the full option matrix {threads 1,8} x {csr
-// on/off} x {planner on/off} x {limit absent/present}, for both cursor
+// it under LIMIT) across the full option matrix {threads 1,8} x
+// {planner on/off} x {limit absent/present}, for both cursor
 // modes (chunked single-declaration streaming and lazy-batch). Mid-stream
 // abandonment leaks nothing; budget exhaustion surfaces as a flagged
 // truncation under BudgetPolicy::kTruncate, distinct from a clean LIMIT
@@ -104,28 +104,24 @@ TEST(CursorTest, StreamedRowsByteIdenticalAcrossMatrix) {
   PropertyGraph g = MatrixGraph();
   for (const char* query : kQueries) {
     for (size_t threads : {size_t{1}, size_t{8}}) {
-      for (bool csr : {true, false}) {
-        for (bool planner : {true, false}) {
-          EngineOptions options;
-          options.num_threads = threads;
-          options.use_csr = csr;
-          options.use_planner = planner;
-          options.matcher.min_seeds_per_shard = 1;  // Force real sharding.
-          std::vector<std::string> oracle = MatchRows(g, query, options);
-          // Full stream == full materialization.
-          EXPECT_EQ(CursorRows(g, query, options, std::nullopt), oracle)
-              << query << " threads=" << threads << " csr=" << csr
-              << " planner=" << planner;
-          // Limited stream == prefix of the materialization.
-          uint64_t limit = 3;
-          std::vector<std::string> expected(
-              oracle.begin(),
-              oracle.begin() +
-                  static_cast<long>(std::min<size_t>(limit, oracle.size())));
-          EXPECT_EQ(CursorRows(g, query, options, limit), expected)
-              << query << " threads=" << threads << " csr=" << csr
-              << " planner=" << planner << " limit";
-        }
+      for (bool planner : {true, false}) {
+        EngineOptions options;
+        options.num_threads = threads;
+        options.use_planner = planner;
+        options.matcher.min_seeds_per_shard = 1;  // Force real sharding.
+        std::vector<std::string> oracle = MatchRows(g, query, options);
+        // Full stream == full materialization.
+        EXPECT_EQ(CursorRows(g, query, options, std::nullopt), oracle)
+            << query << " threads=" << threads << " planner=" << planner;
+        // Limited stream == prefix of the materialization.
+        uint64_t limit = 3;
+        std::vector<std::string> expected(
+            oracle.begin(),
+            oracle.begin() +
+                static_cast<long>(std::min<size_t>(limit, oracle.size())));
+        EXPECT_EQ(CursorRows(g, query, options, limit), expected)
+            << query << " threads=" << threads << " planner=" << planner
+            << " limit";
       }
     }
   }

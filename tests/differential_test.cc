@@ -178,11 +178,10 @@ std::vector<std::string> OrderedRows(const MatchOutput& out,
   return rows;
 }
 
-/// The storage/parallel/planner execution matrix over
-/// {csr on/off} x {threads 1,8} x {planner on/off}:
-///  * within each planner setting, every {csr, threads} combination must
-///    produce byte-identical rows in identical order — CSR partitions
-///    preserve the legacy scan order and shards merge in seed order;
+/// The parallel/planner execution matrix over {threads 1,8} x
+/// {planner on/off}:
+///  * within each planner setting, both thread counts must produce
+///    byte-identical rows in identical order — shards merge in seed order;
 ///  * across planner on/off the row multiset must be identical (a mirrored
 ///    declaration discovers the same matches from the other end, so its
 ///    legal row order within one path-length group can differ — the
@@ -190,27 +189,23 @@ std::vector<std::string> OrderedRows(const MatchOutput& out,
 void ExpectMatrixIdentical(const PropertyGraph& g, const std::string& query) {
   std::vector<std::string> planner_baseline[2];
   bool have_planner_baseline[2] = {false, false};
-  for (bool csr : {false, true}) {
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      for (bool planner : {false, true}) {
-        EngineOptions options;
-        options.use_csr = csr;
-        options.num_threads = threads;
-        options.use_planner = planner;
-        options.matcher.min_seeds_per_shard = 1;  // Shard tiny seed lists.
-        Engine engine(g, options);
-        Result<MatchOutput> out = engine.Match(query);
-        ASSERT_TRUE(out.ok()) << query << " -> " << out.status();
-        std::vector<std::string> rows = OrderedRows(*out, g);
-        std::vector<std::string>& baseline = planner_baseline[planner];
-        if (!have_planner_baseline[planner]) {
-          baseline = std::move(rows);
-          have_planner_baseline[planner] = true;
-        } else {
-          ASSERT_EQ(rows, baseline)
-              << query << " diverges at csr=" << csr
-              << " threads=" << threads << " planner=" << planner;
-        }
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    for (bool planner : {false, true}) {
+      EngineOptions options;
+      options.num_threads = threads;
+      options.use_planner = planner;
+      options.matcher.min_seeds_per_shard = 1;  // Shard tiny seed lists.
+      Engine engine(g, options);
+      Result<MatchOutput> out = engine.Match(query);
+      ASSERT_TRUE(out.ok()) << query << " -> " << out.status();
+      std::vector<std::string> rows = OrderedRows(*out, g);
+      std::vector<std::string>& baseline = planner_baseline[planner];
+      if (!have_planner_baseline[planner]) {
+        baseline = std::move(rows);
+        have_planner_baseline[planner] = true;
+      } else {
+        ASSERT_EQ(rows, baseline) << query << " diverges at threads="
+                                  << threads << " planner=" << planner;
       }
     }
   }

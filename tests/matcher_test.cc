@@ -11,17 +11,29 @@
 namespace gpml {
 namespace {
 
-/// Compiles one declaration and runs the matcher directly (below the
-/// Engine facade) so the raw MatchSet is observable.
-Result<MatchSet> RunMatch(const PropertyGraph& g, const std::string& text,
-                     MatcherOptions options = {}) {
+/// One declaration compiled below the Engine facade, not yet bound.
+struct Compiled {
+  VarTable vars;
+  Program program;
+};
+
+Result<Compiled> Compile(const std::string& text) {
   GPML_ASSIGN_OR_RETURN(GraphPattern parsed, ParseGraphPattern(text));
   GPML_ASSIGN_OR_RETURN(GraphPattern normalized, Normalize(parsed));
   GPML_ASSIGN_OR_RETURN(Analysis analysis, Analyze(normalized));
   VarTable vars(analysis);
   GPML_ASSIGN_OR_RETURN(Program program,
                         CompilePattern(normalized.paths[0], vars));
-  return RunPattern(g, program, vars, options);
+  return Compiled{std::move(vars), std::move(program)};
+}
+
+/// Compiles one declaration, binds it to `g` and runs the matcher directly
+/// so the raw MatchSet is observable.
+Result<MatchSet> RunMatch(const PropertyGraph& g, const std::string& text,
+                     MatcherOptions options = {}) {
+  GPML_ASSIGN_OR_RETURN(Compiled c, Compile(text));
+  BindProgramToGraph(&c.program, g, &c.vars);
+  return RunPattern(g, c.program, c.vars, options);
 }
 
 TEST(MatcherTest, BindingsOrderedByPathLength) {
@@ -110,6 +122,29 @@ TEST(MatcherTest, EmptyMatchSetForUnsatisfiableLabels) {
   Result<MatchSet> m = RunMatch(g, "MATCH (x:NoSuchLabel)");
   ASSERT_TRUE(m.ok());
   EXPECT_TRUE(m->bindings.empty());
+}
+
+TEST(MatcherTest, RunsOnlyProgramsBoundToItsGraph) {
+  // Label checks use the symbol predicates compiled against one graph, so
+  // an unbound program, or one bound to an equal-looking graph, is refused.
+  PropertyGraph g = MakeChainGraph(4);
+  PropertyGraph other = MakeChainGraph(4);
+  Result<Compiled> c = Compile("MATCH (a)-[:Transfer]->(b)");
+  ASSERT_TRUE(c.ok()) << c.status();
+
+  Result<MatchSet> unbound = RunPattern(g, c->program, c->vars, {});
+  ASSERT_FALSE(unbound.ok());
+  EXPECT_EQ(unbound.status().code(), StatusCode::kInvalidArgument);
+
+  BindProgramToGraph(&c->program, other, &c->vars);
+  Result<MatchSet> foreign = RunPattern(g, c->program, c->vars, {});
+  ASSERT_FALSE(foreign.ok());
+  EXPECT_EQ(foreign.status().code(), StatusCode::kInvalidArgument);
+
+  BindProgramToGraph(&c->program, g, &c->vars);
+  Result<MatchSet> bound = RunPattern(g, c->program, c->vars, {});
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  EXPECT_EQ(bound->bindings.size(), 3u);
 }
 
 TEST(MatcherTest, MultisetTagsPreserveMultiplicity) {

@@ -1,7 +1,7 @@
 // The observability layer (docs/observability.md): the metrics registry's
 // counter/histogram semantics (including exactness under concurrent
 // increments — run under TSan in CI), the engine's span-tree tracing across
-// the {threads} x {csr} x {planner} x {cache} execution matrix, Prometheus
+// the {threads} x {planner} x {cache} execution matrix, Prometheus
 // text-format rendering validated against the exposition-format grammar,
 // the slow-query ring buffer and its engine capture path, streaming-cursor
 // publication semantics, and both hosts' retrieval surfaces.
@@ -237,42 +237,38 @@ TEST(TraceTest, EngineTraceAcrossExecutionMatrix) {
   size_t want_rows = 0;
   bool first_config = true;
   for (size_t threads : {size_t{1}, size_t{8}}) {
-    for (bool csr : {true, false}) {
-      for (bool planner : {true, false}) {
-        // Fresh graph per config: the first run is a plan-cache miss, the
-        // second a hit whose trace replays the stored compile costs.
-        PropertyGraph g = MakeFraudGraph(graph_options);
-        EngineMetrics metrics;
-        obs::Trace trace;
-        EngineOptions options;
-        options.num_threads = threads;
-        options.use_csr = csr;
-        options.use_planner = planner;
-        options.metrics = &metrics;
-        options.trace = &trace;
-        Engine engine(g, options);
+    for (bool planner : {true, false}) {
+      // Fresh graph per config: the first run is a plan-cache miss, the
+      // second a hit whose trace replays the stored compile costs.
+      PropertyGraph g = MakeFraudGraph(graph_options);
+      EngineMetrics metrics;
+      obs::Trace trace;
+      EngineOptions options;
+      options.num_threads = threads;
+      options.use_planner = planner;
+      options.metrics = &metrics;
+      options.trace = &trace;
+      Engine engine(g, options);
 
-        for (bool warm : {false, true}) {
-          std::string config = "threads=" + std::to_string(threads) +
-                               " csr=" + std::to_string(csr) +
-                               " planner=" + std::to_string(planner) +
-                               " warm=" + std::to_string(warm);
-          Result<MatchOutput> out = engine.Match(kFraudQuery);
-          ASSERT_TRUE(out.ok()) << config << ": " << out.status();
-          if (first_config) {
-            want_rows = out->rows.size();
-            first_config = false;
-          }
-          EXPECT_EQ(out->rows.size(), want_rows)
-              << config << ": tracing must not change results";
-          CheckEngineTrace(trace, /*expect_cached=*/warm, config);
-          // The trace's stage totals are the same measurements the
-          // metrics report (docs/observability.md).
-          EXPECT_GE(metrics.plan_ms, 0) << config;
-          EXPECT_GE(metrics.seed_ms, 0) << config;
-          EXPECT_GE(metrics.exec_ms, 0) << config;
-          EXPECT_EQ(metrics.plan_cache_hits, warm ? 1u : 0u) << config;
+      for (bool warm : {false, true}) {
+        std::string config = "threads=" + std::to_string(threads) +
+                             " planner=" + std::to_string(planner) +
+                             " warm=" + std::to_string(warm);
+        Result<MatchOutput> out = engine.Match(kFraudQuery);
+        ASSERT_TRUE(out.ok()) << config << ": " << out.status();
+        if (first_config) {
+          want_rows = out->rows.size();
+          first_config = false;
         }
+        EXPECT_EQ(out->rows.size(), want_rows)
+            << config << ": tracing must not change results";
+        CheckEngineTrace(trace, /*expect_cached=*/warm, config);
+        // The trace's stage totals are the same measurements the
+        // metrics report (docs/observability.md).
+        EXPECT_GE(metrics.plan_ms, 0) << config;
+        EXPECT_GE(metrics.seed_ms, 0) << config;
+        EXPECT_GE(metrics.exec_ms, 0) << config;
+        EXPECT_EQ(metrics.plan_cache_hits, warm ? 1u : 0u) << config;
       }
     }
   }
@@ -335,7 +331,7 @@ TEST(MetricsTest, BatchMatcherPublishesBlockTelemetry) {
   EngineMetrics metrics;
   EngineOptions options;
   options.metrics = &metrics;
-  options.use_batch = true;
+  options.matcher.use_batch = true;
   ASSERT_TRUE(Engine(g, options).Match(kStreamQuery).ok());
   EXPECT_GT(metrics.batch_blocks, 0u);
   EXPECT_GT(metrics.batch_candidates, 0u);
@@ -352,7 +348,7 @@ TEST(MetricsTest, BatchMatcherPublishesBlockTelemetry) {
 
   // The scalar oracle leaves the batch telemetry untouched.
   PropertyGraph scalar_graph = BuildPaperGraph();
-  options.use_batch = false;
+  options.matcher.use_batch = false;
   ASSERT_TRUE(Engine(scalar_graph, options).Match(kStreamQuery).ok());
   EXPECT_EQ(metrics.batch_blocks, 0u);
   EXPECT_EQ(metrics.batch_candidates, 0u);
@@ -885,14 +881,14 @@ TEST(ObsTest, ExplainAnalyzeRoundTripsBatchBlockTarget) {
   // batch path is disabled) survives a render -> ParseExplain round trip.
   PropertyGraph g = BuildPaperGraph();
   EngineOptions options;
-  options.use_batch = true;
+  options.matcher.use_batch = true;
   Result<std::string> text = Engine(g, options).ExplainAnalyze(kStreamQuery);
   ASSERT_TRUE(text.ok()) << text.status();
   Result<planner::ExplainedPlan> parsed = planner::ParseExplain(*text);
   ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << *text;
   EXPECT_EQ(parsed->batch, 512) << *text;
 
-  options.use_batch = false;
+  options.matcher.use_batch = false;
   Result<std::string> off = Engine(g, options).ExplainAnalyze(kStreamQuery);
   ASSERT_TRUE(off.ok()) << off.status();
   Result<planner::ExplainedPlan> parsed_off = planner::ParseExplain(*off);

@@ -281,7 +281,26 @@ TEST(ParallelTest, ParallelBudgetIsSharedAcrossShards) {
   EXPECT_TRUE(Engine(g, opts).Match(kBudgetQuery).ok());
 }
 
-/// max_matches is shared the same way.
+/// A shard that finishes charges its last partial stride: four shards that
+/// each run fewer steps than one charge stride (256) must not slip past a
+/// one-step budget between them.
+TEST(ParallelTest, FinishedShardsChargeTheirLastPartialStride) {
+  PropertyGraph g = BuildPaperGraph();
+  EngineMetrics metrics;
+  EngineOptions opts;
+  opts.num_threads = 4;
+  opts.matcher.min_seeds_per_shard = 1;
+  opts.matcher.max_steps = 1;
+  opts.metrics = &metrics;
+  Result<MatchOutput> clipped = Engine(g, opts).Match(
+      "MATCH (x:Account)-[t:Transfer]->(y:Account)");
+  ASSERT_FALSE(clipped.ok())
+      << metrics.matcher_steps << " steps ran under max_steps = 1";
+  EXPECT_EQ(clipped.status().code(), StatusCode::kResourceExhausted);
+}
+
+/// max_matches is shared the same way; under kTruncate every thread count
+/// delivers the sequential cut.
 TEST(ParallelTest, SharedMatchBudget) {
   FraudGraphOptions options;
   options.num_accounts = 40;
@@ -291,6 +310,7 @@ TEST(ParallelTest, SharedMatchBudget) {
   size_t rows = full->rows.size();
   ASSERT_GT(rows, 16u);
 
+  std::vector<std::string> sequential_cut;
   for (size_t threads : {size_t{1}, size_t{8}}) {
     EngineOptions opts;
     opts.num_threads = threads;
@@ -299,6 +319,12 @@ TEST(ParallelTest, SharedMatchBudget) {
     Result<MatchOutput> clipped = Engine(g, opts).Match(kBudgetQuery);
     ASSERT_FALSE(clipped.ok()) << "threads=" << threads;
     EXPECT_EQ(clipped.status().code(), StatusCode::kResourceExhausted);
+
+    opts.on_budget = EngineOptions::BudgetPolicy::kTruncate;
+    Result<MatchOutput> cut = Engine(g, opts).Match(kBudgetQuery);
+    ASSERT_TRUE(cut.ok()) << cut.status();
+    if (threads == 1) sequential_cut = CanonRows(*cut, g);
+    EXPECT_EQ(CanonRows(*cut, g), sequential_cut) << "threads=" << threads;
   }
 }
 

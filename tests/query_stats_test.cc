@@ -1,6 +1,6 @@
 // The per-fingerprint workload-statistics store (obs/query_stats.h) and
 // its engine wiring: exact aggregation against a per-call oracle under the
-// concurrent {threads} x {csr} x {batch} execution matrix (the TSan CI job
+// concurrent {threads} x {batch} execution matrix (the TSan CI job
 // races this), LRU eviction at capacity, plan-hash stability across
 // plan-cache hits, plan-change detection when use_seed_index flips,
 // per-tenant metric families in the Prometheus rendering, and both hosts'
@@ -27,8 +27,8 @@ namespace gpml {
 namespace {
 
 // Single fixed-length declaration: streams through the cursor and is
-// eligible for the batch path (under csr), so one query exercises every
-// recording route in the matrix.
+// eligible for the batch path, so one query exercises every recording
+// route in the matrix.
 const char* kStreamQuery =
     "MATCH (x:Account WHERE x.isBlocked='no')-[t:Transfer]->(y:Account)";
 
@@ -226,81 +226,77 @@ TEST(QueryStatsStoreTest, HashPlanTextIsStableAndDiscriminating) {
 // --- engine recording --------------------------------------------------------
 
 TEST(QueryStatsEngineTest, ExactAggregationAcrossConcurrentMatrix) {
-  // {engine threads} x {csr} x {batch}; in every cell, 4 client threads
+  // {engine threads} x {batch}; in every cell, 4 client threads
   // each run 5 executions against a shared private store. The per-call
   // EngineMetrics are the oracle: the store's cumulative entry must equal
   // their sums exactly, even under concurrent Record calls.
   constexpr int kClients = 4;
   constexpr int kCallsEach = 5;
   for (size_t threads : {size_t{1}, size_t{8}}) {
-    for (bool csr : {true, false}) {
-      for (bool batch : {true, false}) {
-        std::string config = "threads=" + std::to_string(threads) +
-                             " csr=" + std::to_string(csr) +
-                             " batch=" + std::to_string(batch);
-        PropertyGraph g = TestGraph();
-        obs::QueryStatsStore store;
+    for (bool batch : {true, false}) {
+      std::string config = "threads=" + std::to_string(threads) +
+                           " batch=" + std::to_string(batch);
+      PropertyGraph g = TestGraph();
+      obs::QueryStatsStore store;
 
-        struct Oracle {
-          uint64_t rows = 0;
-          uint64_t seeds = 0;
-          uint64_t steps = 0;
-          uint64_t batch_calls = 0;
-          uint64_t cache_hits = 0;
-        };
-        std::vector<Oracle> oracles(kClients);
-        std::vector<std::thread> clients;
-        for (int c = 0; c < kClients; ++c) {
-          clients.emplace_back([&, c] {
-            EngineMetrics metrics;
-            EngineOptions options;
-            options.num_threads = threads;
-            options.use_csr = csr;
-            options.use_batch = batch;
-            options.query_stats = &store;
-            options.metrics = &metrics;
-            Engine engine(g, options);
-            for (int i = 0; i < kCallsEach; ++i) {
-              Result<MatchOutput> out = engine.Match(kStreamQuery);
-              ASSERT_TRUE(out.ok()) << config << ": " << out.status();
-              oracles[c].rows += metrics.rows;
-              oracles[c].seeds += metrics.seeded_nodes;
-              oracles[c].steps += metrics.matcher_steps;
-              oracles[c].batch_calls += metrics.batch_blocks > 0 ? 1 : 0;
-              oracles[c].cache_hits += metrics.plan_cache_hits;
-            }
-          });
-        }
-        for (std::thread& t : clients) t.join();
-
-        Oracle want;
-        for (const Oracle& o : oracles) {
-          want.rows += o.rows;
-          want.seeds += o.seeds;
-          want.steps += o.steps;
-          want.batch_calls += o.batch_calls;
-          want.cache_hits += o.cache_hits;
-        }
-        std::vector<obs::QueryStatEntry> snap = store.Snapshot();
-        ASSERT_EQ(snap.size(), 1u) << config;
-        const obs::QueryStatEntry& e = snap[0];
-        EXPECT_EQ(e.calls, static_cast<uint64_t>(kClients * kCallsEach))
-            << config;
-        EXPECT_EQ(e.rows, want.rows) << config;
-        EXPECT_EQ(e.seeds, want.seeds) << config;
-        EXPECT_EQ(e.steps, want.steps) << config;
-        EXPECT_EQ(e.batch_calls, want.batch_calls) << config;
-        EXPECT_EQ(e.cache_hits, want.cache_hits) << config;
-        EXPECT_EQ(e.cache_hits + e.cache_misses, e.calls) << config;
-        EXPECT_EQ(e.errors, 0u) << config;
-        EXPECT_EQ(e.truncations, 0u) << config;
-        uint64_t bucketed = 0;
-        for (uint64_t b : e.latency_buckets) bucketed += b;
-        EXPECT_EQ(bucketed, e.calls) << config;
-        // One compiled plan per cell: the flags are fixed inside it.
-        ASSERT_GE(e.plans.size(), 1u) << config;
-        EXPECT_FALSE(e.plan_changed) << config;
+      struct Oracle {
+        uint64_t rows = 0;
+        uint64_t seeds = 0;
+        uint64_t steps = 0;
+        uint64_t batch_calls = 0;
+        uint64_t cache_hits = 0;
+      };
+      std::vector<Oracle> oracles(kClients);
+      std::vector<std::thread> clients;
+      for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+          EngineMetrics metrics;
+          EngineOptions options;
+          options.num_threads = threads;
+          options.matcher.use_batch = batch;
+          options.query_stats = &store;
+          options.metrics = &metrics;
+          Engine engine(g, options);
+          for (int i = 0; i < kCallsEach; ++i) {
+            Result<MatchOutput> out = engine.Match(kStreamQuery);
+            ASSERT_TRUE(out.ok()) << config << ": " << out.status();
+            oracles[c].rows += metrics.rows;
+            oracles[c].seeds += metrics.seeded_nodes;
+            oracles[c].steps += metrics.matcher_steps;
+            oracles[c].batch_calls += metrics.batch_blocks > 0 ? 1 : 0;
+            oracles[c].cache_hits += metrics.plan_cache_hits;
+          }
+        });
       }
+      for (std::thread& t : clients) t.join();
+
+      Oracle want;
+      for (const Oracle& o : oracles) {
+        want.rows += o.rows;
+        want.seeds += o.seeds;
+        want.steps += o.steps;
+        want.batch_calls += o.batch_calls;
+        want.cache_hits += o.cache_hits;
+      }
+      std::vector<obs::QueryStatEntry> snap = store.Snapshot();
+      ASSERT_EQ(snap.size(), 1u) << config;
+      const obs::QueryStatEntry& e = snap[0];
+      EXPECT_EQ(e.calls, static_cast<uint64_t>(kClients * kCallsEach))
+          << config;
+      EXPECT_EQ(e.rows, want.rows) << config;
+      EXPECT_EQ(e.seeds, want.seeds) << config;
+      EXPECT_EQ(e.steps, want.steps) << config;
+      EXPECT_EQ(e.batch_calls, want.batch_calls) << config;
+      EXPECT_EQ(e.cache_hits, want.cache_hits) << config;
+      EXPECT_EQ(e.cache_hits + e.cache_misses, e.calls) << config;
+      EXPECT_EQ(e.errors, 0u) << config;
+      EXPECT_EQ(e.truncations, 0u) << config;
+      uint64_t bucketed = 0;
+      for (uint64_t b : e.latency_buckets) bucketed += b;
+      EXPECT_EQ(bucketed, e.calls) << config;
+      // One compiled plan per cell: the flags are fixed inside it.
+      ASSERT_GE(e.plans.size(), 1u) << config;
+      EXPECT_FALSE(e.plan_changed) << config;
     }
   }
 }
