@@ -9,7 +9,13 @@
 //     visits only the records that carry the label; a step that fell back
 //     to scanning the full adjacency list would charge ~100x more steps,
 //     so the gate fails on such a regression with no timing noise. Wall
-//     time is reported, not gated.
+//     time is reported, not gated. The selector route is pinned the same
+//     way on Figure 4's transfer chain (fraud-300 matrix graph, one
+//     thread, planner on), under ANY and ALL SHORTEST, each also run with
+//     max_matches set to exactly the bindings its declarations keep: exact
+//     (pc, node, start) visit keys fix the ANY step count, and a search
+//     that stopped gating accepts per endpoint partition or restricting
+//     them to the bound end nodes exceeds that budget.
 //  2. Byte-identity (always enforced): identical rows in identical order
 //     across {threads 1, 8} within each planner setting, and an identical
 //     row multiset across planner on/off (a mirrored or reordered plan may
@@ -58,15 +64,28 @@ struct Workload {
   std::string query;
 };
 
-/// An expansion workload and the matcher steps it executes over the CSR
-/// buckets (num_threads = 1, planner off, batch matcher on). A full-list
-/// scan ran 6,172,780 / 61,062 / 61,065 steps on the same workloads.
+/// A workload and the exact matcher steps it executes at one thread.
+/// `max_matches`, when non-zero, runs it under that match budget.
 struct PinnedWorkload {
   const char* name;
   std::string query;
   size_t steps;
+  size_t max_matches = 0;
 };
 
+/// Figure 4: co-located unblocked and blocked accounts, then a transfer
+/// chain between them under a selector.
+const std::string kFig4Colocated =
+    "MATCH (x:Account WHERE x.isBlocked='no')-[:isLocatedIn]->"
+    "(g:City WHERE g.name='Ankh-Morpork')<-[:isLocatedIn]-"
+    "(y:Account WHERE y.isBlocked='yes'), ";
+const std::string kFig4FraudAny = kFig4Colocated + "ANY (x)-[:Transfer]->+(y)";
+const std::string kFig4FraudAllShortest =
+    kFig4Colocated + "ALL SHORTEST (x)-[:Transfer]->+(y)";
+
+/// The expansion workloads over the CSR buckets (planner off, batch
+/// matcher on). A full-list scan ran 6,172,780 / 61,062 / 61,065 steps on
+/// the same workloads.
 const PinnedWorkload kExpansionWorkloads[] = {
     {"paper_sec2_shared_phone",
      "MATCH (p:Phone)~[:hasPhone]~(s:Account)-[t:Transfer]->"
@@ -82,15 +101,25 @@ const PinnedWorkload kExpansionWorkloads[] = {
      603},
 };
 
+/// The selector route on the matrix graph (planner on): the chain is
+/// seeded from the co-location step's x values and kept to its y values.
+/// The co-location step keeps 588 bindings; the ANY chain 581 and the ALL
+/// SHORTEST chain 1,297. Before the selector route gated accepts per
+/// endpoint partition, keyed ANY visits on exact (pc, node, start) and
+/// restricted accepts to bound end nodes, the ANY chain ran 1,080,089
+/// steps and needed max_matches 97,947 (ALL SHORTEST: 2,323,810 steps, as
+/// now, and 210,770).
+const PinnedWorkload kSelectorWorkloads[] = {
+    {"fig4_fraud_any", kFig4FraudAny, 421958, /*max_matches=*/588},
+    {"fig4_fraud_all_shortest", kFig4FraudAllShortest, 2323810,
+     /*max_matches=*/1297},
+};
+
 const Workload kMatrixWorkloads[] = {
     {"paper_sec2_shared_phone",
      "MATCH (p:Phone)~[:hasPhone]~(s:Account)-[t:Transfer]->"
      "(d:Account)~[:hasPhone]~(p)"},
-    {"fig4_fraud_any",
-     "MATCH (x:Account WHERE x.isBlocked='no')-[:isLocatedIn]->"
-     "(g:City WHERE g.name='Ankh-Morpork')<-[:isLocatedIn]-"
-     "(y:Account WHERE y.isBlocked='yes'), "
-     "ANY (x)-[:Transfer]->+(y)"},
+    {"fig4_fraud_any", kFig4FraudAny},
     {"trail_transfers",
      "MATCH TRAIL (a:Account WHERE a.owner='u0')-[:Transfer]->{1,3}"
      "(b:Account WHERE b.isBlocked='yes')"},
@@ -155,34 +184,64 @@ Measurement Measure(const PropertyGraph& g, const std::string& query,
   return m;
 }
 
+/// Runs `w` at one thread and checks its exact matcher steps against the
+/// pin; `hint` names the likely regression in the failure message.
+void CheckPinned(const PropertyGraph& g, const PinnedWorkload& w,
+                 bool planner, const char* hint, bench::JsonReport* report,
+                 bool* ok) {
+  EngineOptions base;
+  base.use_planner = planner;
+  base.num_threads = 1;
+  if (w.max_matches > 0) base.matcher.max_matches = w.max_matches;
+  Measurement m = Measure(g, w.query, base, ok);
+  if (!*ok) {
+    if (w.max_matches > 0) {
+      std::fprintf(stderr,
+                   "FAIL %s: refused under max_matches %zu (did the "
+                   "selector route stop gating accepts per endpoint "
+                   "partition, or stop restricting them to bound end "
+                   "nodes?)\n",
+                   w.name, w.max_matches);
+    }
+    return;
+  }
+  std::printf("%-28s | %10.3f | %10zu %10zu\n", w.name, m.millis,
+              m.metrics.matcher_steps, w.steps);
+  report->Add(w.name, m.millis, m.metrics.seeded_nodes,
+              m.metrics.matcher_steps, m.rows.size(),
+              {{"pinned_steps", static_cast<double>(w.steps)}});
+  if (m.metrics.matcher_steps != w.steps) {
+    std::fprintf(stderr, "FAIL %s: %zu matcher steps, pinned %zu (%s)\n",
+                 w.name, m.metrics.matcher_steps, w.steps, hint);
+    *ok = false;
+  }
+}
+
 int RunBench() {
   bool ok = true;
   bench::JsonReport report("csr");
 
-  // --- 1. partitioned expansion: pinned matcher steps ---------------------
+  // --- 1. pinned matcher steps --------------------------------------------
   {
     PropertyGraph g = MakeExpansionGraph();
     std::printf("expansion graph: %s\n", g.Summary().c_str());
     std::printf("%-28s | %10s | %10s %10s\n", "workload", "ms", "steps",
                 "pinned");
     for (const PinnedWorkload& w : kExpansionWorkloads) {
-      EngineOptions base;
-      base.use_planner = false;  // Pure matcher measurement.
-      base.num_threads = 1;
-      Measurement m = Measure(g, w.query, base, &ok);
+      // Planner off: a pure matcher measurement.
+      CheckPinned(g, w, /*planner=*/false,
+                  "did an edge step stop scanning its CSR bucket?", &report,
+                  &ok);
       if (!ok) break;
-      std::printf("%-28s | %10.3f | %10zu %10zu\n", w.name, m.millis,
-                  m.metrics.matcher_steps, w.steps);
-      report.Add(w.name, m.millis, m.metrics.seeded_nodes,
-                 m.metrics.matcher_steps, m.rows.size(),
-                 {{"pinned_steps", static_cast<double>(w.steps)}});
-      if (m.metrics.matcher_steps != w.steps) {
-        std::fprintf(stderr,
-                     "FAIL %s: %zu matcher steps, pinned %zu (did an edge "
-                     "step stop scanning its CSR bucket?)\n",
-                     w.name, m.metrics.matcher_steps, w.steps);
-        ok = false;
-      }
+    }
+  }
+  if (ok) {
+    PropertyGraph g = MakeMatrixGraph();
+    for (const PinnedWorkload& w : kSelectorWorkloads) {
+      CheckPinned(g, w, /*planner=*/true,
+                  "did ANY visits stop keying on exact (pc, node, start)?",
+                  &report, &ok);
+      if (!ok) break;
     }
   }
 
@@ -302,7 +361,7 @@ int RunBench() {
   }
 
   report.Write();
-  std::printf(ok ? "csr contract holds: pinned expansion steps, identical "
+  std::printf(ok ? "csr contract holds: pinned matcher steps, identical "
                    "rows, index-backed seeding\n"
                  : "csr contract VIOLATED (see stderr)\n");
   return ok ? 0 : 1;

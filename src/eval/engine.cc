@@ -318,6 +318,7 @@ EngineMetrics ToEngineMetrics(const obs::ExecutionRecord& rec) {
   m.matcher_steps = rec.steps;
   m.reversed_decls = rec.reversed_decls;
   m.seed_filtered_decls = rec.bound_seeded_decls;
+  m.target_filtered_decls = rec.target_filtered_decls;
   m.threads = rec.threads;
   m.plan_cache_hits = rec.cache_hit ? 1 : 0;
   m.plan_cache_misses = rec.cache_hit ? 0 : 1;
@@ -787,6 +788,24 @@ Result<MatchOutput> Engine::Match(const GraphPattern& pattern) const {
 
 namespace {
 
+/// The distinct nodes `var` is bound to across `rows` (its last binding in
+/// each row), ascending — a declaration's restricted seed or target list.
+std::vector<NodeId> BoundNodes(const std::vector<ResultRow>& rows, int var) {
+  std::unordered_set<NodeId> distinct;
+  for (const ResultRow& row : rows) {
+    for (size_t i = row.bindings.size(); i-- > 0;) {
+      const ElementRef* el = row.bindings[i]->LastOf(var);
+      if (el != nullptr) {
+        if (el->is_node()) distinct.insert(el->id);
+        break;
+      }
+    }
+  }
+  std::vector<NodeId> out(distinct.begin(), distinct.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 /// The materializing execution: per-declaration matching in plan order,
 /// the singleton hash join, declaration reordering, then the per-row tail.
 /// Fills `rec` as it goes — including the work of a declaration whose run
@@ -844,18 +863,7 @@ Result<MatchOutput> MaterializePlan(const PropertyGraph& graph,
     bool use_filter = !first && dp.seed_bound_var >= 0;
     bool use_index = false;
     if (use_filter) {
-      std::unordered_set<NodeId> distinct;
-      for (const ResultRow& row : rows) {
-        for (size_t i = row.bindings.size(); i-- > 0;) {
-          const ElementRef* el = row.bindings[i]->LastOf(dp.seed_bound_var);
-          if (el != nullptr) {
-            if (el->is_node()) distinct.insert(el->id);
-            break;
-          }
-        }
-      }
-      seed_filter.assign(distinct.begin(), distinct.end());
-      std::sort(seed_filter.begin(), seed_filter.end());
+      seed_filter = BoundNodes(rows, dp.seed_bound_var);
       filter = &seed_filter;
     } else if (plan.planner_used && dp.anchor.has_index()) {
       const Value* idx_value =
@@ -869,18 +877,26 @@ Result<MatchOutput> MaterializePlan(const PropertyGraph& graph,
       // predicate itself filters (to nothing — `= NULL` is never true).
     }
 
+    // Target restriction: the far endpoint is bound by earlier
+    // declarations too, so a binding ending anywhere else cannot join.
+    std::vector<NodeId> target_filter;
+    const bool use_target = !first && dp.target_bound_var >= 0;
+    if (use_target) target_filter = BoundNodes(rows, dp.target_bound_var);
+
     MatchStats match_stats;
     bool decl_truncated = false;
-    Result<MatchSet> match =
-        RunPattern(graph, program, *out.vars, matcher_options, filter,
-                   &match_stats, out.params.get(), /*shared_budget=*/nullptr,
-                   truncate ? &decl_truncated : nullptr);
+    Result<MatchSet> match = RunPattern(
+        graph, program, *out.vars, matcher_options, filter,
+        use_target ? &target_filter : nullptr, &match_stats,
+        out.params.get(), /*shared_budget=*/nullptr,
+        truncate ? &decl_truncated : nullptr);
     // Count the work even when the run failed: RunPattern reports the
     // steps it spent before a budget refusal.
     AddMatchStats(match_stats, rec);
     ++rec->decls;
     if (dp.reversed) ++rec->reversed_decls;
     if (use_filter) ++rec->bound_seeded_decls;
+    if (use_target) ++rec->target_filtered_decls;
     if (use_index) ++rec->index_seeded_decls;
     if (!match.ok()) return match.status();
     if (decl_truncated) out.truncated = true;
@@ -899,6 +915,8 @@ Result<MatchOutput> MaterializePlan(const PropertyGraph& graph,
       run->actual.bindings = match->bindings.size();
       run->actual.index_seeded = use_index;
       run->actual.seed_filtered = use_filter;
+      run->actual.target_filtered = use_target;
+      run->actual.targets = target_filter.size();
       run->actual.ms = match_stats.match_ms;
     }
 
@@ -1133,7 +1151,8 @@ Status Cursor::FillChunk() {
   bool exhausted = false;
   Result<MatchSet> match = RunPattern(
       *graph_, program, *context_.vars,
-      ExecMatcherOptions(options_, record_.threads), &chunk, &stats,
+      ExecMatcherOptions(options_, record_.threads), &chunk,
+      /*target_filter=*/nullptr, &stats,
       context_.params.get(), budget_.get(), truncate ? &exhausted : nullptr);
   // Record the matcher work even when the run errored: RunPattern fills
   // `stats` with the steps actually spent before a budget refusal, and

@@ -50,6 +50,9 @@ struct EngineMetrics {
                                    // pattern (right-end anchor).
   size_t seed_filtered_decls = 0;  // Declarations seeded from the bindings
                                    // of earlier declarations.
+  size_t target_filtered_decls = 0;  // Declarations whose accepts were
+                                   // restricted to end nodes bound by
+                                   // earlier declarations.
   size_t threads = 0;              // Resolved worker count of this call.
   size_t plan_cache_hits = 0;      // 1 when the compiled plan came from the
                                    // graph's plan cache, else 0.

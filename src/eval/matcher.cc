@@ -51,6 +51,62 @@ size_t IdSetHash(const IdSet& set) {
 }
 
 // ---------------------------------------------------------------------------
+// Exact visit keys (selector route, Program::exact_visit_key programs)
+// ---------------------------------------------------------------------------
+
+/// An open-addressing set of exact (tagged pc, node, start) visit keys.
+/// Compared field by field, never by hash alone, and sized by the keys
+/// inserted — the states one shard actually visits.
+class VisitKeySet {
+ public:
+  /// Inserts the key; false when it was already present.
+  bool Insert(uint32_t pc, NodeId node, NodeId start) {
+    if ((size_ + 1) * 2 > slots_.size()) Grow();
+    const uint64_t nodes = (static_cast<uint64_t>(start) << 32) | node;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Hash(pc, nodes) & mask;; i = (i + 1) & mask) {
+      Slot& s = slots_[i];
+      if (s.pc == kEmpty) {
+        s = {nodes, pc};
+        ++size_;
+        return true;
+      }
+      if (s.pc == pc && s.nodes == nodes) return false;
+    }
+  }
+
+ private:
+  struct Slot {
+    uint64_t nodes = 0;  // start << 32 | node.
+    uint32_t pc = kEmpty;
+  };
+  static constexpr uint32_t kEmpty = 0xffffffffu;
+
+  static size_t Hash(uint32_t pc, uint64_t nodes) {
+    uint64_t h = nodes ^ (static_cast<uint64_t>(pc) * 0x9e3779b97f4a7c15ULL);
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    return static_cast<size_t>(h);
+  }
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 64 : old.size() * 2, Slot());
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.pc == kEmpty) continue;
+      size_t i = Hash(s.pc, s.nodes) & mask;
+      while (slots_[i].pc != kEmpty) i = (i + 1) & mask;
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+};
+
+// ---------------------------------------------------------------------------
 // Search state
 // ---------------------------------------------------------------------------
 
@@ -212,16 +268,19 @@ class Matcher {
   /// the interpreter loop. With a shared budget (parallel shards), steps
   /// are charged in batches of `charge_stride` to keep the hot loop off the
   /// shared cache line (overshoot bounded by one batch per shard).
+  /// `targets`, when non-null, is the sorted list of end nodes an accept
+  /// may have (RunPattern's target_filter).
   Matcher(const PropertyGraph& g, const Program& program, const VarTable& vars,
           const MatcherOptions& options, const NodeId* seeds,
-          size_t num_seeds, SharedBudget* budget, size_t charge_stride,
-          const Params* params)
+          size_t num_seeds, const std::vector<NodeId>* targets,
+          SharedBudget* budget, size_t charge_stride, const Params* params)
       : g_(g),
         program_(program),
         vars_(vars),
         options_(options),
         seeds_(seeds),
         num_seeds_(num_seeds),
+        targets_(targets),
         budget_(budget),
         charge_stride_(charge_stride),
         params_(params) {}
@@ -445,6 +504,14 @@ class Matcher {
     if (!CheckRestrictors(state, adj.edge, adj.neighbor)) {
       return std::optional<State>();
     }
+    // Exact-key programs: a successor whose position was already reached
+    // adds nothing (Program::exact_visit_key), so it never pays the copy
+    // or its epsilon closure.
+    if (program_.exact_visit_key &&
+        !visited_.Insert(VisitPc(in.next, /*parked=*/false), adj.neighbor,
+                         state.start)) {
+      return std::optional<State>();
+    }
 
     State next = state;
     if (extend_env) next.env = ExtendEnv(next.env, in.var, ref, serial);
@@ -474,7 +541,11 @@ class Matcher {
         const Instr& in = program_.code[static_cast<size_t>(cur.pc)];
         switch (in.op) {
           case Instr::Op::kAccept: {
-            GPML_RETURN_IF_ERROR(RecordAccept(cur.chain, cur.tags));
+            if (TargetAdmits(cur.node)) {
+              GPML_RETURN_IF_ERROR(RecordAccept(cur.chain, cur.tags,
+                                                cur.start, cur.node,
+                                                cur.edges));
+            }
             dead = true;
             break;
           }
@@ -563,17 +634,38 @@ class Matcher {
     return Status::OK();
   }
 
-  /// Records one accepted binding (shared by the interpreter's kAccept and
-  /// the batch drain, which accepts in the same order — so the shard-local
-  /// keep-first dedup is route-independent).
+  /// May an accept ending at `end` reach a row? Only end nodes in the
+  /// target filter can pass the join that follows (RunPattern), so the
+  /// others are dropped before their binding is built.
+  bool TargetAdmits(NodeId end) const {
+    return targets_ == nullptr ||
+           std::binary_search(targets_->begin(), targets_->end(), end);
+  }
+
+  /// Records one accepted binding of the path from `start` to `end` with
+  /// `length` edges (shared by the interpreter's kAccept and the batch
+  /// drain, which accepts in the same order — so the shard-local keep-first
+  /// dedup is route-independent). The selector's keep rule gates it per
+  /// endpoint partition before the binding is reduced: accepts arrive in
+  /// nondecreasing length on the selector route, so a binding the rule
+  /// refuses here is one ApplySelector would drop. max_matches counts only
+  /// the bindings kept.
   Status RecordAccept(const BindingChain& chain,
-                      const std::vector<int32_t>& tags) {
+                      const std::vector<int32_t>& tags, NodeId start,
+                      NodeId end, uint32_t length) {
+    const Selector& selector = program_.selector;
+    SelectorPartition* part = nullptr;
+    if (!selector.IsNone()) {
+      part = &partitions_[(static_cast<uint64_t>(start) << 32) | end];
+      if (!SelectorKeeps(selector, *part, length)) return Status::OK();
+    }
     PathBinding pb = ReduceChain(chain, vars_, tags);
     size_t h = pb.ReducedHash();
     auto [it, inserted] = seen_.emplace(h, std::vector<size_t>());
     for (size_t idx : it->second) {
       if (results_[idx].SameReduced(pb)) return Status::OK();  // Duplicate.
     }
+    if (part != nullptr) SelectorRecordKept(selector, part, length);
     it->second.push_back(results_.size());
     results_.push_back(std::move(pb));
     Status charge;
@@ -897,9 +989,11 @@ class Matcher {
         continue;
       }
       if (hops == 0) {
-        GPML_RETURN_IF_ERROR(RecordAccept(
-            Extend(nullptr, {bp.nodes[0].var, ElementRef::Node(seed)}),
-            no_tags));
+        if (TargetAdmits(seed)) {
+          GPML_RETURN_IF_ERROR(RecordAccept(
+              Extend(nullptr, {bp.nodes[0].var, ElementRef::Node(seed)}),
+              no_tags, seed, seed, 0));
+        }
         continue;
       }
 
@@ -936,8 +1030,10 @@ class Matcher {
       }
       for (size_t p = parents.size(); p-- > 0;) {
         for (size_t i = drain_offsets_[p]; i < drain_offsets_[p + 1]; ++i) {
+          if (!TargetAdmits(finals[i].node)) continue;
           GPML_RETURN_IF_ERROR(RecordAccept(
-              BuildChain(hops, static_cast<uint32_t>(i)), no_tags));
+              BuildChain(hops, static_cast<uint32_t>(i)), no_tags, seed,
+              finals[i].node, static_cast<uint32_t>(hops)));
         }
       }
     }
@@ -951,17 +1047,24 @@ class Matcher {
   /// currency, open-frame contents, restrictor memories, provenance tags).
   /// The key hashes the start node, so visit budgets are per start node and
   /// seed-partitioned shards prune exactly like the sequential frontier.
-  size_t StateKey(const State& state) const {
+  /// Serves only programs outside Program::exact_visit_key.
+  size_t StateKey(const State& state) {
     size_t h = 0x9ddfea08eb382d69ULL;
     h = HashCombine(h, static_cast<size_t>(state.pc));
     h = HashCombine(h, state.node);
     h = HashCombine(h, state.start);
     // Latest binding per named var, with "bound in the current iteration
     // instance at its depth" as part of the key instead of the raw serial.
-    std::unordered_set<int> seen_vars;
+    if (var_seen_.size() != static_cast<size_t>(vars_.size())) {
+      var_seen_.assign(static_cast<size_t>(vars_.size()), 0);
+    }
+    var_seen_list_.clear();
     for (const EnvLink* e = state.env.get(); e != nullptr;
          e = e->prev.get()) {
-      if (!seen_vars.insert(e->var).second) continue;
+      uint8_t& seen = var_seen_[static_cast<size_t>(e->var)];
+      if (seen != 0) continue;
+      seen = 1;
+      var_seen_list_.push_back(e->var);
       const VarInfo& vi = vars_.info(e->var);
       bool current =
           e->serial == state.serials[static_cast<size_t>(vi.depth)];
@@ -969,6 +1072,7 @@ class Matcher {
       h = HashCombine(h, ElementRefHash()(e->element));
       h = HashCombine(h, current ? 0x51u : 0x7fu);
     }
+    for (int var : var_seen_list_) var_seen_[static_cast<size_t>(var)] = 0;
     if (!state.frames.empty()) {
       uint32_t floor = state.frames.front().chain_size_at_begin;
       for (const BindingLink* b = state.chain.get();
@@ -989,8 +1093,19 @@ class Matcher {
     return h;
   }
 
+  /// The visit-key pc of an exact-key program: a parked state (at an edge
+  /// step) and a fresh successor (just past one) live in separate halves,
+  /// since an edge step can directly follow another.
+  static uint32_t VisitPc(int pc, bool parked) {
+    return static_cast<uint32_t>(pc) * 2 + (parked ? 1 : 0);
+  }
+
   /// May `state` (parked at an edge step, at BFS level `level`) expand?
   bool AdmitExpansion(const State& state, uint32_t level) {
+    if (program_.exact_visit_key) {
+      return visited_.Insert(VisitPc(state.pc, /*parked=*/true), state.node,
+                             state.start);
+    }
     size_t key = StateKey(state);
     Visits& v = visits_[key];
     switch (program_.selector.kind) {
@@ -1069,6 +1184,7 @@ class Matcher {
   const MatcherOptions& options_;
   const NodeId* seeds_;
   size_t num_seeds_;
+  const std::vector<NodeId>* targets_;  // Sorted; nullptr: any end node.
   SharedBudget* budget_;  // nullptr: local exact limits (single shard).
   const size_t charge_stride_;
   const Params* params_;  // $name bindings for inline predicates; may be null.
@@ -1089,7 +1205,12 @@ class Matcher {
   size_t batch_survivors_ = 0;
   std::vector<PathBinding> results_;
   std::unordered_map<size_t, std::vector<size_t>> seen_;
-  std::unordered_map<size_t, Visits> visits_;
+  // Selector route: kept bindings per (start << 32 | end) partition.
+  std::unordered_map<uint64_t, SelectorPartition> partitions_;
+  std::unordered_map<size_t, Visits> visits_;  // Hashed StateKey visits.
+  VisitKeySet visited_;                        // Exact-key visits.
+  std::vector<uint8_t> var_seen_;   // StateKey scratch, indexed by var id;
+  std::vector<int> var_seen_list_;  // all zero between calls.
 };
 
 // ---------------------------------------------------------------------------
@@ -1113,11 +1234,12 @@ constexpr size_t kParallelChargeStride = 256;
 
 void RunShard(const PropertyGraph& g, const Program& program,
               const VarTable& vars, const MatcherOptions& options,
-              const NodeId* seeds, size_t num_seeds, SharedBudget* budget,
+              const NodeId* seeds, size_t num_seeds,
+              const std::vector<NodeId>* targets, SharedBudget* budget,
               size_t charge_stride, const Params* params, bool keep_partial,
               ShardOutcome* out) {
   obs::Stopwatch shard_clock;
-  Matcher m(g, program, vars, options, seeds, num_seeds, budget,
+  Matcher m(g, program, vars, options, seeds, num_seeds, targets, budget,
             charge_stride, params);
   out->status = m.Run();
   out->steps = m.steps();
@@ -1217,6 +1339,7 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
                             const VarTable& vars,
                             const MatcherOptions& options,
                             const std::vector<NodeId>* seed_filter,
+                            const std::vector<NodeId>* target_filter,
                             MatchStats* stats, const Params* params,
                             SharedBudget* shared_budget,
                             bool* budget_exhausted) {
@@ -1257,8 +1380,8 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
     // charged per step (stride 1), so the cumulative limit fires at the
     // same instruction a single materializing call would have stopped at.
     RunShard(g, program, vars, options, seeds.data(), seeds.size(),
-             /*budget=*/shared_budget, /*charge_stride=*/1, params,
-             keep_partial, &outcomes[0]);
+             target_filter, /*budget=*/shared_budget, /*charge_stride=*/1,
+             params, keep_partial, &outcomes[0]);
   } else {
     SharedBudget* budget =
         shared_budget != nullptr ? shared_budget : &local_budget;
@@ -1280,8 +1403,8 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
       size_t count = base + (i < extra ? 1 : 0);
       workers.emplace_back(RunShard, std::cref(g), std::cref(program),
                            std::cref(vars), std::cref(options),
-                           seeds.data() + offset, count, budget,
-                           kParallelChargeStride, params,
+                           seeds.data() + offset, count, target_filter,
+                           budget, kParallelChargeStride, params,
                            /*keep_partial=*/false, &outcomes[i]);
       offset += count;
     }

@@ -23,7 +23,10 @@ namespace gpml {
 /// (see SharedBudget), so a parallel run can never execute more than the
 /// configured number of steps plus one charge batch per shard.
 struct MatcherOptions {
-  size_t max_matches = 1u << 20;       // Accepted bindings (pre-selector).
+  /// Bindings kept: an accept counts once it passed the target filter and
+  /// the selector's per-partition keep rule (RunPattern) and was not a
+  /// duplicate, so an ANY search counts one binding per endpoint pair.
+  size_t max_matches = 1u << 20;
   size_t max_steps = 200u << 20;       // Executed instructions.
   /// Seed-partitioned worker threads. 1 (the default) runs the exact
   /// sequential engine; N > 1 shards the seed list into N contiguous blocks
@@ -148,6 +151,10 @@ struct MatchStats {
 /// termination rules guarantee finiteness through restrictors); patterns
 /// with a selector run a level-order BFS that emits matches in increasing
 /// path length with per-product-state pruning sound for each selector kind.
+/// On that route an accept is recorded only if the selector's keep rule
+/// for its endpoint partition (SelectorKeeps) still admits it, and
+/// Program::exact_visit_key programs prune on exact (pc, node, start) keys
+/// before a successor state is built (docs/planner.md, "Selector route").
 ///
 /// With `options.num_threads > 1` the seed list is split into contiguous
 /// blocks, one per worker; per-seed searches are independent (the paper's
@@ -158,8 +165,12 @@ struct MatchStats {
 /// `seed_filter`, when non-null, replaces the default seeding (label index
 /// or all nodes) with the given start nodes — the planner passes the values
 /// an earlier declaration bound to the pattern's first variable, which is
-/// sound because the join discards every other start. `stats`, when
-/// non-null, receives execution counters.
+/// sound because the join discards every other start. `target_filter`,
+/// when non-null, is the sorted list of end nodes a binding may have — the
+/// planner passes the values earlier declarations bound to the pattern's
+/// last variable — and every other accept is dropped before its binding is
+/// built, on every route. `stats`, when non-null, receives execution
+/// counters.
 ///
 /// `params` supplies the $name bindings inline predicates may reference
 /// (prepared queries); nullptr when the pattern is parameter-free.
@@ -182,6 +193,7 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
                             const VarTable& vars,
                             const MatcherOptions& options,
                             const std::vector<NodeId>* seed_filter = nullptr,
+                            const std::vector<NodeId>* target_filter = nullptr,
                             MatchStats* stats = nullptr,
                             const Params* params = nullptr,
                             SharedBudget* shared_budget = nullptr,

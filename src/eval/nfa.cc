@@ -27,10 +27,44 @@ class Compiler {
     Emit(Instr::Op::kAccept);
 
     program_.start = 0;
+    program_.exact_visit_key = PositionIsState(*decl.pattern);
     return std::move(program_);
   }
 
  private:
+  /// Program::exact_visit_key's rule over the compiled code. The endpoint
+  /// nodes are the top-level first and last elements: the first binds the
+  /// start node, the last is checked only on the way to kAccept, so neither
+  /// varies between states at one (pc, node, start).
+  bool PositionIsState(const PathPattern& pattern) const {
+    if (program_.selector.kind != Selector::Kind::kAny &&
+        program_.selector.kind != Selector::Kind::kAnyShortest) {
+      return false;
+    }
+    if (program_.num_scopes > 0) return false;
+    const NodePattern* first = nullptr;
+    const NodePattern* last = nullptr;
+    if (pattern.kind == PathPattern::Kind::kConcat &&
+        !pattern.elements.empty()) {
+      const PathElement& front = pattern.elements.front();
+      const PathElement& back = pattern.elements.back();
+      if (front.kind == PathElement::Kind::kNode) first = &front.node;
+      if (back.kind == PathElement::Kind::kNode) last = &back.node;
+    }
+    for (const Instr& in : program_.code) {
+      if (in.op == Instr::Op::kTag || in.op == Instr::Op::kWhereCheck) {
+        return false;
+      }
+      if (in.op != Instr::Op::kNodeCheck && in.op != Instr::Op::kEdgeStep) {
+        continue;
+      }
+      if (vars_.info(in.var).anonymous) continue;
+      if (in.op == Instr::Op::kEdgeStep) return false;
+      if (in.node != first && in.node != last) return false;
+    }
+    return true;
+  }
+
   int Emit(Instr::Op op) {
     Instr i;
     i.op = op;

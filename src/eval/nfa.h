@@ -113,6 +113,15 @@ struct Program {
   Selector selector;
   int path_var = -1;   // Interned id of the path variable, -1 if none.
   bool has_unbounded = false;  // Any {m,} quantifier in the pattern.
+  /// The selector search may key visits on exactly (pc, node, start): an
+  /// ANY / ANY SHORTEST program with no restrictor scope, no kTag, no
+  /// kWhereCheck and no named node or edge variable other than the two
+  /// endpoint nodes (a path variable is fine). Nothing else in such a state
+  /// can change what the search does next, so a state whose position was
+  /// already reached cannot yield a row the first one does not (see the
+  /// "Selector route" section of docs/planner.md). Set by CompilePattern,
+  /// so plan-cache hits reuse it.
+  bool exact_visit_key = false;
   PathPatternPtr root; // Keeps the normalized AST alive (instrs borrow).
 
   /// Label expressions compiled against one graph's symbol table (see

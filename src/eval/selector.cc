@@ -1,66 +1,57 @@
 #include "eval/selector.h"
 
+#include <algorithm>
 #include <map>
 #include <utility>
 
 namespace gpml {
 
+bool SelectorKeeps(const Selector& sel, const SelectorPartition& p,
+                   uint32_t len) {
+  switch (sel.kind) {
+    case Selector::Kind::kAny:
+    case Selector::Kind::kAnyShortest:
+      // First (= shortest, thanks to the length ordering) per partition.
+      return p.kept == 0;
+    case Selector::Kind::kAllShortest:
+      return p.kept == 0 || len == p.min_len;
+    case Selector::Kind::kAnyK:
+    case Selector::Kind::kShortestK:
+      return p.kept < static_cast<size_t>(sel.k);
+    case Selector::Kind::kShortestKGroup:
+      return p.lengths.size() < static_cast<size_t>(sel.k) ||
+             std::find(p.lengths.begin(), p.lengths.end(), len) !=
+                 p.lengths.end();
+    case Selector::Kind::kNone:
+      return true;
+  }
+  return true;
+}
+
+void SelectorRecordKept(const Selector& sel, SelectorPartition* p,
+                        uint32_t len) {
+  if (p->kept == 0) p->min_len = len;
+  if (sel.kind == Selector::Kind::kShortestKGroup &&
+      std::find(p->lengths.begin(), p->lengths.end(), len) ==
+          p->lengths.end()) {
+    p->lengths.push_back(len);
+  }
+  ++p->kept;
+}
+
 void ApplySelector(const Selector& sel, std::vector<PathBinding>* bindings) {
   if (sel.IsNone()) return;
 
-  struct Partition {
-    size_t kept = 0;
-    std::vector<uint32_t> lengths;  // Distinct lengths kept (GROUP).
-    uint32_t min_len = 0;
-    bool any = false;
-  };
-  std::map<std::pair<NodeId, NodeId>, Partition> parts;
+  std::map<std::pair<NodeId, NodeId>, SelectorPartition> parts;
   std::vector<PathBinding> kept;
   kept.reserve(bindings->size());
 
   for (PathBinding& pb : *bindings) {
-    auto key = std::make_pair(pb.path.Start(), pb.path.End());
-    Partition& p = parts[key];
+    SelectorPartition& p = parts[{pb.path.Start(), pb.path.End()}];
     uint32_t len = static_cast<uint32_t>(pb.path.Length());
-    bool keep = false;
-    switch (sel.kind) {
-      case Selector::Kind::kAny:
-      case Selector::Kind::kAnyShortest:
-        // First (= shortest, thanks to the length ordering) per partition.
-        keep = !p.any;
-        break;
-      case Selector::Kind::kAllShortest:
-        if (!p.any) {
-          p.min_len = len;
-          keep = true;
-        } else {
-          keep = len == p.min_len;
-        }
-        break;
-      case Selector::Kind::kAnyK:
-      case Selector::Kind::kShortestK:
-        keep = p.kept < static_cast<size_t>(sel.k);
-        break;
-      case Selector::Kind::kShortestKGroup: {
-        bool known = false;
-        for (uint32_t l : p.lengths) known = known || l == len;
-        if (known) {
-          keep = true;
-        } else if (p.lengths.size() < static_cast<size_t>(sel.k)) {
-          p.lengths.push_back(len);
-          keep = true;
-        }
-        break;
-      }
-      case Selector::Kind::kNone:
-        keep = true;
-        break;
-    }
-    if (keep) {
-      p.any = true;
-      ++p.kept;
-      kept.push_back(std::move(pb));
-    }
+    if (!SelectorKeeps(sel, p, len)) continue;
+    SelectorRecordKept(sel, &p, len);
+    kept.push_back(std::move(pb));
   }
   *bindings = std::move(kept);
 }

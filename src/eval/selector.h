@@ -1,12 +1,34 @@
 #ifndef GPML_EVAL_SELECTOR_H_
 #define GPML_EVAL_SELECTOR_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "ast/ast.h"
 #include "eval/binding.h"
 
 namespace gpml {
+
+/// What a selector has kept so far in one endpoint partition (§5.1): the
+/// bindings of one (start node, end node) pair, seen in nondecreasing path
+/// length.
+struct SelectorPartition {
+  size_t kept = 0;
+  uint32_t min_len = 0;           // Length of the first kept binding.
+  std::vector<uint32_t> lengths;  // Distinct lengths kept (GROUP only).
+};
+
+/// The per-partition keep rule of every selector kind (Figure 8): would a
+/// binding of length `len`, arriving after everything `part` records, be
+/// kept? Pure; SelectorRecordKept commits a kept binding. ApplySelector and
+/// the matcher's accept gate both decide through this one rule.
+bool SelectorKeeps(const Selector& selector, const SelectorPartition& part,
+                   uint32_t len);
+
+/// Records that a binding of length `len` was kept in `part`.
+void SelectorRecordKept(const Selector& selector, SelectorPartition* part,
+                        uint32_t len);
 
 /// Applies a selector (Figure 8) to deduplicated path bindings: partitions
 /// by endpoint pair (path start/end node) and keeps a finite subset per

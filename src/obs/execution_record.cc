@@ -14,6 +14,7 @@ ExecutionSeries::ExecutionSeries(MetricsRegistry* r)
       matcher_steps(r, "gpml_matcher_steps_total"),
       reversed_decls(r, "gpml_reversed_decls_total"),
       seed_filtered_decls(r, "gpml_seed_filtered_decls_total"),
+      target_filtered_decls(r, "gpml_target_filtered_decls_total"),
       index_seeded_decls(r, "gpml_index_seeded_decls_total"),
       rows(r, "gpml_rows_total"),
       budget_truncated(r, "gpml_budget_truncated_total"),
@@ -40,6 +41,7 @@ void ExecutionSeries::Publish(const ExecutionRecord& record, bool slow) {
   matcher_steps->Increment(record.steps);
   reversed_decls->Increment(record.reversed_decls);
   seed_filtered_decls->Increment(record.bound_seeded_decls);
+  target_filtered_decls->Increment(record.target_filtered_decls);
   index_seeded_decls->Increment(record.index_seeded_decls);
   rows->Increment(record.rows);
   budget_truncated->Increment(record.truncated ? 1 : 0);

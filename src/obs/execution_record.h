@@ -44,6 +44,8 @@ struct ExecutionRecord {
   uint64_t reversed_decls = 0;      // Run from the right-end anchor.
   uint64_t index_seeded_decls = 0;  // Seeded from the equality hash index.
   uint64_t bound_seeded_decls = 0;  // Seeded from earlier declarations.
+  uint64_t target_filtered_decls = 0;  // End nodes restricted to earlier
+                                       // declarations' bindings.
   uint64_t threads = 0;             // Resolved worker count.
   uint64_t plan_hash = 0;           // CachedPlan::plan_hash.
   bool cache_hit = false;           // Plan served from the plan cache.
@@ -105,6 +107,7 @@ struct ExecutionSeries {
   SeriesHandle<Counter> matcher_steps;
   SeriesHandle<Counter> reversed_decls;
   SeriesHandle<Counter> seed_filtered_decls;
+  SeriesHandle<Counter> target_filtered_decls;
   SeriesHandle<Counter> index_seeded_decls;
   SeriesHandle<Counter> rows;
   SeriesHandle<Counter> budget_truncated;

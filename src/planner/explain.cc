@@ -162,6 +162,10 @@ std::string ExplainPlan(const Plan& plan, const VarTable& vars,
        // histogram estimates resolved it, else the System-R constants.
        << " sel~" << FormatEstimate(dp.anchor.selectivity) << " join=["
        << JoinVarNames(dp.join_vars, vars) << "]";
+    if (dp.target_bound_var >= 0) {
+      os << " target=bound:"
+         << EscapeExplainValue(vars.name(dp.target_bound_var));
+    }
     if (actuals != nullptr && i < actuals->size()) {
       // EXPLAIN ANALYZE: measured counterparts of the estimates above.
       const DeclActual& a = (*actuals)[i];
@@ -170,6 +174,7 @@ std::string ExplainPlan(const Plan& plan, const VarTable& vars,
       if (a.ms >= 0) os << " actual_ms=" << FormatMs(a.ms);
       os << " actual_source="
          << (a.index_seeded ? "index" : (a.seed_filtered ? "bound" : "scan"));
+      if (a.target_filtered) os << " actual_targets=" << a.targets;
     }
     std::string selector = dp.decl.selector.ToString();
     os << " selector="
@@ -266,6 +271,7 @@ Result<ExplainedPlan> ParseExplain(const std::string& text) {
         }
       }
     }
+    d.target = UnescapeExplainValue(TokenValue(line, "target="));
     d.selector = UnescapeExplainValue(TokenValue(line, "selector="));
     std::string actual = TokenValue(line, "actual_seeds=");
     if (!actual.empty()) {
@@ -275,6 +281,8 @@ Result<ExplainedPlan> ParseExplain(const std::string& text) {
       std::string actual_ms = TokenValue(line, "actual_ms=");
       if (!actual_ms.empty()) d.actual_ms = std::atof(actual_ms.c_str());
       d.actual_source = TokenValue(line, "actual_source=");
+      std::string targets = TokenValue(line, "actual_targets=");
+      if (!targets.empty()) d.actual_targets = std::atol(targets.c_str());
     }
     out.decls.push_back(std::move(d));
   }

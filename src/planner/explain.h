@@ -41,6 +41,9 @@ struct DeclActual {
   size_t bindings = 0;         // Match-set size before the join.
   bool index_seeded = false;   // Seeded from the equality hash index.
   bool seed_filtered = false;  // Seeded from earlier declarations' bindings.
+  bool target_filtered = false;  // End nodes restricted to earlier
+                                 // declarations' bindings.
+  size_t targets = 0;          // Distinct end nodes allowed (when filtered).
   double ms = -1;              // Declaration wall clock (seed + match);
                                // rendered as actual_ms= when >= 0.
 };
@@ -61,9 +64,14 @@ struct DeclActual {
 /// ParseExplain, which keeps renderer and parser honest. Free-form values
 /// (variable names, labels, selectors) are escaped with EscapeExplainValue
 /// so quotes, spaces, and newlines cannot break the line framing.
+/// A step whose far endpoint is bound by earlier steps carries
+/// `target=bound:<var>` after `join=`: its accepts are restricted to those
+/// end nodes.
 /// `actuals`, when non-null (EXPLAIN ANALYZE), appends measured
 /// `actual_seeds/actual_steps/actual_rows/actual_ms/actual_source` tokens
-/// to each step line, where actual_source is `index`, `bound` or `scan`.
+/// to each step line, where actual_source is `index`, `bound` or `scan`,
+/// plus `actual_targets=<n>` (distinct end nodes allowed) on a
+/// target-restricted step.
 /// `warnings`, when non-null and non-empty, renders the static analyzer's
 /// findings (docs/analysis.md) between the exec line and the steps:
 ///
@@ -101,6 +109,7 @@ struct ExplainedDecl {
   double selectivity = -1;  // `sel~` estimate; -1 when the line carried none.
   std::string source;   // "all", "label:<L>", or "bound:<var>".
   std::vector<std::string> join_vars;
+  std::string target;   // "bound:<var>"; "" when the line carried none.
   std::string selector;
   // EXPLAIN ANALYZE actuals; -1 when the line carried none.
   long actual_seeds = -1;
@@ -108,6 +117,7 @@ struct ExplainedDecl {
   long actual_rows = -1;
   double actual_ms = -1;      // Wall-clock ms of this declaration.
   std::string actual_source;  // "index", "bound", "scan"; "" when absent.
+  long actual_targets = -1;   // Distinct end nodes allowed; -1 when absent.
 };
 
 /// A warning line of an EXPLAIN rendering, decoded. Mirrors

@@ -613,6 +613,8 @@ Result<Plan> PlanPattern(const GraphPattern& normalized, const VarTable& vars,
     dp.other = dp.reversed ? c.left : c.right;
     dp.anchor_var = dp.reversed ? c.right_var : c.left_var;
     if (is_join_var(dp.anchor_var)) dp.seed_bound_var = dp.anchor_var;
+    const int other_var = dp.reversed ? c.left_var : c.right_var;
+    if (is_join_var(other_var)) dp.target_bound_var = other_var;
     if (dp.reversed) {
       dp.decl = decl;
       dp.decl.pattern = ReversePathPattern(decl.pattern);

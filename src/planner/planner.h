@@ -74,6 +74,9 @@ struct DeclPlan {
                               // not extractable).
   int seed_bound_var = -1;    // == anchor_var when earlier-planned decls bind
                               // it, so the engine seeds from those bindings.
+  int target_bound_var = -1;  // The other endpoint's var when earlier-planned
+                              // decls bind it, so the engine keeps only
+                              // accepts ending at those bindings.
   SeedEstimate anchor;        // Estimate of the chosen end.
   SeedEstimate other;         // Estimate of the rejected end.
   std::vector<int> join_vars; // Equi-join vars vs already-planned decls

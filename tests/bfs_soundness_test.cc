@@ -4,9 +4,16 @@
 // must not be merged when the difference affects future admissibility or
 // result identity.
 
+#include <algorithm>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
+#include "eval/nfa.h"
+#include "eval/reference_eval.h"
 #include "graph/graph_builder.h"
+#include "parser/parser.h"
+#include "semantics/normalize.h"
 #include "test_util.h"
 
 namespace gpml {
@@ -107,6 +114,105 @@ TEST(BfsSoundnessTest, ConditionalBranchesNotMergedAcrossEnvironments) {
       "MATCH ALL SHORTEST (s:S)[-[x:A]->(m) | -[y:B]->(m)]-[:A]->(t:T)",
       "x, y, t");
   EXPECT_EQ(rows, (std::vector<std::string>{"NULL|e2|t", "e1|NULL|t"}));
+}
+
+/// Compiles the first declaration of `text` for a flag check.
+Result<Program> CompileFirst(const std::string& text) {
+  GPML_ASSIGN_OR_RETURN(GraphPattern parsed, ParseGraphPattern(text));
+  GPML_ASSIGN_OR_RETURN(GraphPattern normalized, Normalize(parsed));
+  GPML_ASSIGN_OR_RETURN(Analysis analysis, Analyze(normalized));
+  VarTable vars(analysis);
+  return CompilePattern(normalized.paths[0], vars);
+}
+
+TEST(BfsSoundnessTest, ExactVisitKeyEligibility) {
+  // Exact (pc, node, start) keys: ANY / ANY SHORTEST whose only named
+  // node variables are the two endpoints, with no restrictor scope, no
+  // multiset tag and no parenthesized WHERE.
+  for (const char* text : {
+           "MATCH ANY (x)-[:T]->+(y)",
+           "MATCH ANY SHORTEST p = (x WHERE x.w > 1)-[:T]->+"
+           "(y WHERE y.w > x.w)",
+           "MATCH ANY (x)[()-[:T]->()-[:T]->()]+(x)",
+       }) {
+    Result<Program> program = CompileFirst(text);
+    ASSERT_TRUE(program.ok()) << text << " -> " << program.status();
+    EXPECT_TRUE(program->exact_visit_key) << text;
+  }
+  for (const char* text : {
+           "MATCH ALL SHORTEST (x)-[:T]->+(y)",
+           "MATCH ANY 2 (x)-[:T]->+(y)",
+           "MATCH ANY TRAIL (x)-[:T]->+(y)",
+           "MATCH ANY (x)-[:T]->+(m)-[:T]->+(y)",
+           "MATCH ANY (x)-[e:T]->+(y)",
+           "MATCH ANY (x)[-[:T]->(y) |+| -[:U]->(y)]",
+           "MATCH ANY (x)[()-[t:T]->() WHERE t.w > 1]+(y)",
+           "MATCH ANY (x)[(a)-[:T]->()]+(y)",
+       }) {
+    Result<Program> program = CompileFirst(text);
+    ASSERT_TRUE(program.ok()) << text << " -> " << program.status();
+    EXPECT_FALSE(program->exact_visit_key) << text;
+  }
+}
+
+TEST(BfsSoundnessTest, InteriorVariableKeepsHashedKeysAndAgreesWithReference) {
+  // The named interior m decides whether y qualifies, so states meeting at
+  // hub with different m must not merge. s reaches hub first through m2
+  // (w=9, which no y beats) and then through m1 (w=1); only the m1 prefix
+  // reaches t (w=5) at length 3. The program stays on hashed visit keys,
+  // and its (start, end, length) triples match the reference evaluator's.
+  GraphBuilder b;
+  b.AddNode("s", {"N"}, {{"w", Value::Int(0)}});
+  b.AddNode("m2", {"N"}, {{"w", Value::Int(9)}});
+  b.AddNode("m1", {"N"}, {{"w", Value::Int(1)}});
+  b.AddNode("hub", {"N"}, {{"w", Value::Int(7)}});
+  b.AddNode("t", {"N"}, {{"w", Value::Int(5)}});
+  b.AddDirectedEdge("s_m2", "s", "m2", {"T"});
+  b.AddDirectedEdge("s_m1", "s", "m1", {"T"});
+  b.AddDirectedEdge("m2_hub", "m2", "hub", {"T"});
+  b.AddDirectedEdge("m1_hub", "m1", "hub", {"T"});
+  b.AddDirectedEdge("hub_t", "hub", "t", {"T"});
+  b.AddDirectedEdge("t_s", "t", "s", {"T"});
+  PropertyGraph g = std::move(std::move(b).Build()).value();
+  const std::string text =
+      "MATCH ANY SHORTEST (x)-[:T]->+(m)-[:T]->+(y WHERE y.w > m.w)";
+
+  Result<Program> program = CompileFirst(text);
+  ASSERT_TRUE(program.ok()) << program.status();
+  EXPECT_FALSE(program->exact_visit_key);
+
+  using Triple = std::tuple<NodeId, NodeId, size_t>;
+  auto triples = [](const std::vector<PathBinding>& bindings) {
+    std::vector<Triple> out;
+    for (const PathBinding& pb : bindings) {
+      out.emplace_back(pb.path.Start(), pb.path.End(), pb.path.Length());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+
+  Result<GraphPattern> parsed = ParseGraphPattern(text);
+  ASSERT_TRUE(parsed.ok());
+  Result<GraphPattern> normalized = Normalize(*parsed);
+  ASSERT_TRUE(normalized.ok());
+  Result<Analysis> analysis = Analyze(*normalized);
+  ASSERT_TRUE(analysis.ok());
+  VarTable vars(*analysis);
+  Result<MatchSet> reference =
+      RunReference(g, normalized->paths[0], vars, ReferenceOptions{});
+  ASSERT_TRUE(reference.ok()) << reference.status();
+
+  Result<MatchOutput> out = Engine(g).Match(text);
+  ASSERT_TRUE(out.ok()) << out.status();
+  std::vector<PathBinding> engine_bindings;
+  for (const ResultRow& row : out->rows) {
+    engine_bindings.push_back(*row.bindings[0]);
+  }
+  std::vector<Triple> expected = triples(reference->bindings);
+  EXPECT_EQ(triples(engine_bindings), expected);
+  EXPECT_NE(std::find(expected.begin(), expected.end(),
+                      Triple{g.FindNode("s"), g.FindNode("t"), 3}),
+            expected.end());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // inside GRAPH_TABLE.
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -89,6 +90,9 @@ TEST(ExplainTest, RoundtripsThePlan) {
     for (size_t j = 0; j < dp.join_vars.size(); ++j) {
       EXPECT_EQ(ed.join_vars[j], vars.name(dp.join_vars[j]));
     }
+    EXPECT_EQ(ed.target, dp.target_bound_var >= 0
+                             ? "bound:" + vars.name(dp.target_bound_var)
+                             : std::string());
     std::string selector = dp.decl.selector.ToString();
     EXPECT_EQ(ed.selector, selector.empty() ? "none" : selector);
   }
@@ -111,6 +115,10 @@ TEST(ExplainTest, FraudQueryPlanDecisions) {
   EXPECT_EQ(parsed->decls[1].source, "bound:x");
   EXPECT_EQ(parsed->decls[1].join_vars,
             (std::vector<std::string>{"x", "y"}));
+  // Its far endpoint y is bound by the first step too: accepts are
+  // restricted to those end nodes.
+  EXPECT_EQ(parsed->decls[0].target, "");
+  EXPECT_EQ(parsed->decls[1].target, "bound:y");
 }
 
 TEST(ExplainTest, SeedIndexOffFallsBackToLabelScan) {
@@ -350,6 +358,22 @@ TEST(ExplainTest, ExplainAnalyzeRendersAndParsesActuals) {
     EXPECT_GE(d.actual_ms, 0) << *text;
     EXPECT_FALSE(d.actual_source.empty());
   }
+  // The target-restricted step reports how many end nodes it allowed: the
+  // distinct y values of the first step's rows.
+  EXPECT_EQ(parsed->decls[0].actual_targets, -1);
+  Result<MatchOutput> first = engine.Match(
+      "MATCH (x:Account WHERE x.isBlocked='no')-[:isLocatedIn]->"
+      "(c:City WHERE c.name='Ankh-Morpork')<-[:isLocatedIn]-"
+      "(y:Account WHERE y.isBlocked='yes')");
+  ASSERT_TRUE(first.ok()) << first.status();
+  std::set<NodeId> ys;
+  const int y = first->vars->Find("y");
+  for (const ResultRow& row : first->rows) {
+    ys.insert(row.bindings[0]->LastOf(y)->id);
+  }
+  ASSERT_FALSE(ys.empty());
+  EXPECT_EQ(parsed->decls[1].actual_targets, static_cast<long>(ys.size()))
+      << *text;
   // The measured actuals agree with the engine's metrics.
   EngineMetrics metrics;
   EngineOptions options;
@@ -374,6 +398,7 @@ TEST(ExplainTest, PlainExplainCarriesNoActuals) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_FALSE(parsed->analyzed);
   EXPECT_EQ(parsed->decls[0].actual_seeds, -1);
+  EXPECT_EQ(parsed->decls[1].actual_targets, -1);
   EXPECT_LT(parsed->total_ms, 0);
   EXPECT_LT(parsed->decls[0].actual_ms, 0);
 }

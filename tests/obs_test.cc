@@ -309,6 +309,10 @@ TEST(MetricsTest, EnginePublishesToGraphRegistry) {
   EXPECT_EQ(snap.CounterValue("gpml_plan_cache_hits_total"), 1u);
   EXPECT_GT(snap.CounterValue("gpml_matcher_steps_total"), 0u);
   EXPECT_GT(snap.CounterValue("gpml_seeded_nodes_total"), 0u);
+  // The transfer chain is seeded from the bound x values and kept to the
+  // bound y values, once per execution.
+  EXPECT_EQ(snap.CounterValue("gpml_seed_filtered_decls_total"), 2u);
+  EXPECT_EQ(snap.CounterValue("gpml_target_filtered_decls_total"), 2u);
 
   for (const char* stage : {"plan", "seed", "match", "join", "filter"}) {
     const obs::HistogramSnapshot* h = snap.FindHistogram(
@@ -742,6 +746,7 @@ void ExpectSameCounts(const EngineMetrics& a, const EngineMetrics& b) {
   EXPECT_EQ(x.matcher_steps, y.matcher_steps);
   EXPECT_EQ(x.reversed_decls, y.reversed_decls);
   EXPECT_EQ(x.seed_filtered_decls, y.seed_filtered_decls);
+  EXPECT_EQ(x.target_filtered_decls, y.target_filtered_decls);
   EXPECT_EQ(x.threads, y.threads);
   EXPECT_EQ(x.plan_cache_hits, y.plan_cache_hits);
   EXPECT_EQ(x.plan_cache_misses, y.plan_cache_misses);
@@ -852,6 +857,36 @@ TEST(ExecutionRecordTest, SlowCaptureRendersTheTraceOfEachMode) {
   }
   EXPECT_FALSE(has_span(streamed, "decl")) << streamed;
   EXPECT_NE(streamed.find("\"mode\":\"stream\""), std::string::npos);
+}
+
+TEST(ExecutionRecordTest, TargetFilteredDeclsReachEveryView) {
+  // The fraud query's transfer chain has both endpoints bound by the
+  // co-location step: EngineMetrics, the registry counter and EXPLAIN
+  // ANALYZE all report the one target-restricted declaration; with the
+  // planner off nothing is restricted.
+  PropertyGraph g = BuildPaperGraph();
+  EngineMetrics metrics;
+  EngineOptions options;
+  options.metrics = &metrics;
+  ASSERT_TRUE(Engine(g, options).Match(kFraudQuery).ok());
+  EXPECT_EQ(metrics.target_filtered_decls, 1u);
+  EXPECT_EQ(g.metrics_registry()->Snapshot().CounterValue(
+                "gpml_target_filtered_decls_total"),
+            1u);
+  Result<std::string> text = Engine(g, options).ExplainAnalyze(kFraudQuery);
+  ASSERT_TRUE(text.ok()) << text.status();
+  Result<planner::ExplainedPlan> parsed = planner::ParseExplain(*text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << *text;
+  ASSERT_EQ(parsed->decls.size(), 2u);
+  EXPECT_EQ(parsed->decls[1].target, "bound:y") << *text;
+  EXPECT_GT(parsed->decls[1].actual_targets, 0) << *text;
+
+  options.use_planner = false;
+  ASSERT_TRUE(Engine(g, options).Match(kFraudQuery).ok());
+  EXPECT_EQ(metrics.target_filtered_decls, 0u);
+  EXPECT_EQ(g.metrics_registry()->Snapshot().CounterValue(
+                "gpml_target_filtered_decls_total"),
+            2u);  // The Match and EXPLAIN ANALYZE runs; none with it off.
 }
 
 // --- ExplainAnalyze plumbing -------------------------------------------------

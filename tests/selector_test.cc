@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include "eval/matcher.h"
+#include "eval/nfa.h"
 #include "graph/generator.h"
 #include "graph/graph_builder.h"
 #include "graph/sample_graph.h"
+#include "parser/parser.h"
+#include "planner/planner.h"
+#include "semantics/normalize.h"
 #include "test_util.h"
 
 namespace gpml {
@@ -139,6 +144,327 @@ TEST(SelectorTest, AllShortestDeterministicOnTies) {
   std::vector<std::string> rows =
       Paths(g, "MATCH ALL SHORTEST p = (a)-[:T]->+(b)");
   EXPECT_EQ(rows, (std::vector<std::string>{"path(u,e1,v)", "path(u,e2,v)"}));
+}
+
+// --- the selector route's witnesses --------------------------------------
+//
+// The selector route records an accept only when the selector's keep rule
+// for its endpoint partition admits it, and ANY / ANY SHORTEST programs
+// prune on exact (pc, node, start) visit keys (docs/planner.md, "Selector
+// route"). Neither may change a row, witness paths included.
+
+/// Parallel edges (t1/t2 a->b, t8/t9 d->e), self-loops (t3 on b, t10 on e),
+/// equal-length alternatives (a->b->d and a->c->d) and one edge of another
+/// label (u1). Searches start at the two S nodes, a and d.
+PropertyGraph MultigraphFixture() {
+  GraphBuilder b;
+  b.AddNode("a", {"N", "S"}, {{"w", Value::Int(1)}});
+  b.AddNode("b", {"N"}, {{"w", Value::Int(5)}});
+  b.AddNode("c", {"N"}, {{"w", Value::Int(3)}});
+  b.AddNode("d", {"N", "S"}, {{"w", Value::Int(2)}});
+  b.AddNode("e", {"N"}, {{"w", Value::Int(4)}});
+  b.AddDirectedEdge("t1", "a", "b", {"T"});
+  b.AddDirectedEdge("t2", "a", "b", {"T"});
+  b.AddDirectedEdge("t3", "b", "b", {"T"});
+  b.AddDirectedEdge("t4", "a", "c", {"T"});
+  b.AddDirectedEdge("t5", "b", "d", {"T"});
+  b.AddDirectedEdge("t6", "c", "d", {"T"});
+  b.AddDirectedEdge("t7", "d", "a", {"T"});
+  b.AddDirectedEdge("t8", "d", "e", {"T"});
+  b.AddDirectedEdge("t9", "d", "e", {"T"});
+  b.AddDirectedEdge("t10", "e", "e", {"T"});
+  b.AddDirectedEdge("t11", "c", "e", {"T"});
+  b.AddDirectedEdge("u1", "b", "e", {"U"});
+  return std::move(std::move(b).Build()).value();
+}
+
+struct Golden {
+  const char* query;
+  std::vector<std::string> rows;  // In engine order.
+};
+
+/// Rows captured from the engine as it was before accept gating and exact
+/// visit keys, in delivery order. The last three queries are exact-key
+/// programs beyond the plain shape: an endpoint predicate reading the
+/// other endpoint, a two-edge iteration body, and an undirected step.
+const Golden kGoldens[] = {
+    {"MATCH ANY (x:S)-[:T]->+(y)",
+     {"x=a -=t1 y=b",
+      "x=a -=t4 y=c",
+      "x=d -=t7 y=a",
+      "x=d -=t8 y=e",
+      "x=a -=t1 _=b -=t5 y=d",
+      "x=a -=t4 _=c -=t11 y=e",
+      "x=d -=t7 _=a -=t1 y=b",
+      "x=d -=t7 _=a -=t4 y=c",
+      "x=a -=t1 _=b -=t5 _=d -=t7 y=a",
+      "x=d -=t7 _=a -=t1 _=b -=t5 y=d"}},
+    {"MATCH ANY SHORTEST p = (x:S)-[:T]->+(y)",
+     {"x=a -=t1 y=b",
+      "x=a -=t4 y=c",
+      "x=d -=t7 y=a",
+      "x=d -=t8 y=e",
+      "x=a -=t1 _=b -=t5 y=d",
+      "x=a -=t4 _=c -=t11 y=e",
+      "x=d -=t7 _=a -=t1 y=b",
+      "x=d -=t7 _=a -=t4 y=c",
+      "x=a -=t1 _=b -=t5 _=d -=t7 y=a",
+      "x=d -=t7 _=a -=t1 _=b -=t5 y=d"}},
+    {"MATCH ANY 2 p = (x:S)-[:T]->+(y)",
+     {"x=a -=t1 y=b",
+      "x=a -=t2 y=b",
+      "x=a -=t4 y=c",
+      "x=d -=t7 y=a",
+      "x=d -=t8 y=e",
+      "x=d -=t9 y=e",
+      "x=a -=t1 _=b -=t5 y=d",
+      "x=a -=t2 _=b -=t5 y=d",
+      "x=a -=t4 _=c -=t11 y=e",
+      "x=d -=t7 _=a -=t1 y=b",
+      "x=d -=t7 _=a -=t2 y=b",
+      "x=d -=t7 _=a -=t4 y=c",
+      "x=a -=t1 _=b -=t5 _=d -=t7 y=a",
+      "x=a -=t1 _=b -=t5 _=d -=t8 y=e",
+      "x=a -=t2 _=b -=t5 _=d -=t7 y=a",
+      "x=d -=t7 _=a -=t1 _=b -=t5 y=d",
+      "x=d -=t7 _=a -=t2 _=b -=t5 y=d",
+      "x=a -=t1 _=b -=t5 _=d -=t7 _=a -=t4 y=c",
+      "x=d -=t7 _=a -=t1 _=b -=t5 _=d -=t7 y=a",
+      "x=d -=t7 _=a -=t1 _=b -=t5 _=d -=t7 _=a -=t4 y=c"}},
+    {"MATCH SHORTEST 2 GROUP p = (x:S)-[:T]->+(y)",
+     {"x=a -=t1 y=b",
+      "x=a -=t2 y=b",
+      "x=a -=t4 y=c",
+      "x=d -=t7 y=a",
+      "x=d -=t8 y=e",
+      "x=d -=t9 y=e",
+      "x=a -=t1 _=b -=t3 y=b",
+      "x=a -=t1 _=b -=t5 y=d",
+      "x=a -=t2 _=b -=t3 y=b",
+      "x=a -=t2 _=b -=t5 y=d",
+      "x=a -=t4 _=c -=t6 y=d",
+      "x=a -=t4 _=c -=t11 y=e",
+      "x=d -=t7 _=a -=t1 y=b",
+      "x=d -=t7 _=a -=t2 y=b",
+      "x=d -=t7 _=a -=t4 y=c",
+      "x=d -=t8 _=e -=t10 y=e",
+      "x=d -=t9 _=e -=t10 y=e",
+      "x=a -=t1 _=b -=t3 _=b -=t5 y=d",
+      "x=a -=t1 _=b -=t5 _=d -=t7 y=a",
+      "x=a -=t1 _=b -=t5 _=d -=t8 y=e",
+      "x=a -=t1 _=b -=t5 _=d -=t9 y=e",
+      "x=a -=t2 _=b -=t3 _=b -=t5 y=d",
+      "x=a -=t2 _=b -=t5 _=d -=t7 y=a",
+      "x=a -=t2 _=b -=t5 _=d -=t8 y=e",
+      "x=a -=t2 _=b -=t5 _=d -=t9 y=e",
+      "x=a -=t4 _=c -=t6 _=d -=t7 y=a",
+      "x=a -=t4 _=c -=t6 _=d -=t8 y=e",
+      "x=a -=t4 _=c -=t6 _=d -=t9 y=e",
+      "x=a -=t4 _=c -=t11 _=e -=t10 y=e",
+      "x=d -=t7 _=a -=t1 _=b -=t3 y=b",
+      "x=d -=t7 _=a -=t1 _=b -=t5 y=d",
+      "x=d -=t7 _=a -=t2 _=b -=t3 y=b",
+      "x=d -=t7 _=a -=t2 _=b -=t5 y=d",
+      "x=d -=t7 _=a -=t4 _=c -=t6 y=d",
+      "x=a -=t1 _=b -=t3 _=b -=t5 _=d -=t7 y=a",
+      "x=a -=t1 _=b -=t5 _=d -=t7 _=a -=t4 y=c",
+      "x=a -=t2 _=b -=t3 _=b -=t5 _=d -=t7 y=a",
+      "x=a -=t2 _=b -=t5 _=d -=t7 _=a -=t4 y=c",
+      "x=a -=t4 _=c -=t6 _=d -=t7 _=a -=t4 y=c",
+      "x=d -=t7 _=a -=t1 _=b -=t3 _=b -=t5 y=d",
+      "x=d -=t7 _=a -=t1 _=b -=t5 _=d -=t7 y=a",
+      "x=d -=t7 _=a -=t2 _=b -=t3 _=b -=t5 y=d",
+      "x=d -=t7 _=a -=t2 _=b -=t5 _=d -=t7 y=a",
+      "x=d -=t7 _=a -=t4 _=c -=t6 _=d -=t7 y=a",
+      "x=d -=t7 _=a -=t1 _=b -=t5 _=d -=t7 _=a -=t4 y=c",
+      "x=d -=t7 _=a -=t2 _=b -=t5 _=d -=t7 _=a -=t4 y=c",
+      "x=d -=t7 _=a -=t4 _=c -=t6 _=d -=t7 _=a -=t4 y=c"}},
+    {"MATCH ALL SHORTEST p = (x:S)-[:T]->+(y)",
+     {"x=a -=t1 y=b",
+      "x=a -=t2 y=b",
+      "x=a -=t4 y=c",
+      "x=d -=t7 y=a",
+      "x=d -=t8 y=e",
+      "x=d -=t9 y=e",
+      "x=a -=t1 _=b -=t5 y=d",
+      "x=a -=t2 _=b -=t5 y=d",
+      "x=a -=t4 _=c -=t6 y=d",
+      "x=a -=t4 _=c -=t11 y=e",
+      "x=d -=t7 _=a -=t1 y=b",
+      "x=d -=t7 _=a -=t2 y=b",
+      "x=d -=t7 _=a -=t4 y=c",
+      "x=a -=t1 _=b -=t5 _=d -=t7 y=a",
+      "x=a -=t2 _=b -=t5 _=d -=t7 y=a",
+      "x=a -=t4 _=c -=t6 _=d -=t7 y=a",
+      "x=d -=t7 _=a -=t1 _=b -=t5 y=d",
+      "x=d -=t7 _=a -=t2 _=b -=t5 y=d",
+      "x=d -=t7 _=a -=t4 _=c -=t6 y=d"}},
+    {"MATCH ANY SHORTEST p = (x:S)-[:T]->+(y WHERE y.w > x.w)",
+     {"x=a -=t1 y=b",
+      "x=a -=t4 y=c",
+      "x=d -=t8 y=e",
+      "x=a -=t1 _=b -=t5 y=d",
+      "x=a -=t4 _=c -=t11 y=e",
+      "x=d -=t7 _=a -=t1 y=b",
+      "x=d -=t7 _=a -=t4 y=c"}},
+    {"MATCH ANY p = (x:S)[()-[:T]->()-[:T]->()]+(y)",
+     {"x=a -=t1 _=b -=t3 y=b",
+      "x=a -=t1 _=b -=t5 y=d",
+      "x=a -=t4 _=c -=t11 y=e",
+      "x=d -=t7 _=a -=t1 y=b",
+      "x=d -=t7 _=a -=t4 y=c",
+      "x=d -=t8 _=e -=t10 y=e",
+      "x=a -=t1 _=b -=t3 _=b -=t5 _=d -=t7 y=a",
+      "x=a -=t1 _=b -=t5 _=d -=t7 _=a -=t4 y=c",
+      "x=d -=t7 _=a -=t1 _=b -=t3 _=b -=t5 y=d",
+      "x=d -=t7 _=a -=t1 _=b -=t5 _=d -=t7 y=a"}},
+    {"MATCH ANY SHORTEST p = (x:S)-[:T]-+(y)",
+     {"x=a -=t1 y=b",
+      "x=a -=t4 y=c",
+      "x=a -=t7 y=d",
+      "x=d -=t5 y=b",
+      "x=d -=t6 y=c",
+      "x=d -=t7 y=a",
+      "x=d -=t8 y=e",
+      "x=a -=t1 _=b -=t1 y=a",
+      "x=a -=t4 _=c -=t11 y=e",
+      "x=d -=t5 _=b -=t5 y=d"}},
+};
+
+std::string RenderRow(const ResultRow& row, const MatchOutput& context,
+                      const PropertyGraph& g) {
+  std::string s;
+  for (size_t i = 0; i < row.bindings.size(); ++i) {
+    if (i > 0) s += " | ";
+    s += row.bindings[i]->ToString(g, *context.vars);
+  }
+  return s;
+}
+
+std::vector<std::string> RenderRows(const MatchOutput& out,
+                                    const PropertyGraph& g) {
+  std::vector<std::string> rows;
+  for (const ResultRow& row : out.rows) rows.push_back(RenderRow(row, out, g));
+  return rows;
+}
+
+TEST(SelectorTest, WitnessGoldensHoldAcrossThreadsStreamsAndTruncation) {
+  PropertyGraph g = MultigraphFixture();
+  for (const Golden& golden : kGoldens) {
+    SCOPED_TRACE(golden.query);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      EngineOptions options;
+      options.num_threads = threads;
+      options.matcher.min_seeds_per_shard = 1;
+      Result<MatchOutput> out = Engine(g, options).Match(golden.query);
+      ASSERT_TRUE(out.ok()) << out.status();
+      EXPECT_EQ(RenderRows(*out, g), golden.rows) << threads << " threads";
+
+      Result<PreparedQuery> prepared = Engine(g, options).Prepare(golden.query);
+      ASSERT_TRUE(prepared.ok()) << prepared.status();
+      Result<Cursor> cursor = prepared->Open();
+      ASSERT_TRUE(cursor.ok()) << cursor.status();
+      std::vector<std::string> streamed;
+      RowView view;
+      while (true) {
+        Result<bool> more = cursor->Next(&view);
+        ASSERT_TRUE(more.ok()) << more.status();
+        if (!*more) break;
+        streamed.push_back(RenderRow(*view.row, *view.context, g));
+      }
+      EXPECT_EQ(streamed, golden.rows) << "cursor, " << threads << " threads";
+    }
+
+    // max_matches counts kept bindings, so a truncated run delivers
+    // exactly the first max_matches rows.
+    const size_t keep = golden.rows.size() / 2;
+    EngineOptions truncating;
+    truncating.on_budget = EngineOptions::BudgetPolicy::kTruncate;
+    truncating.matcher.max_matches = keep;
+    Result<MatchOutput> cut = Engine(g, truncating).Match(golden.query);
+    ASSERT_TRUE(cut.ok()) << cut.status();
+    EXPECT_TRUE(cut->truncated);
+    EXPECT_EQ(RenderRows(*cut, g),
+              std::vector<std::string>(golden.rows.begin(),
+                                       golden.rows.begin() + keep));
+  }
+}
+
+TEST(SelectorTest, AnyBudgetCountsOnlyKeptBindings) {
+  // The search records 28 accepts for these 10 endpoint pairs. When every
+  // accept counted against max_matches, a budget of 10 was refused; now
+  // only the one binding ANY keeps per pair counts.
+  PropertyGraph g = MultigraphFixture();
+  const char* query = "MATCH ANY (x:S)-[:T]->+(y)";
+  EngineOptions options;
+  options.matcher.max_matches = 10;
+  Result<MatchOutput> out = Engine(g, options).Match(query);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(out->rows.size(), 10u);
+
+  options.matcher.max_matches = 9;
+  EXPECT_EQ(Engine(g, options).Match(query).status().code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST(SelectorTest, TargetPushdownKeepsJoinedRowsExactly) {
+  // y is bound by the first declaration, so the second keeps only accepts
+  // ending at those nodes; the join would discard the rest anyway.
+  PropertyGraph g = MultigraphFixture();
+  const std::string query =
+      "MATCH (x:S)-[:T]->{2}(y), ANY SHORTEST p = (x)-[:T]->+(y)";
+  EngineMetrics on_metrics;
+  EngineOptions on;
+  on.metrics = &on_metrics;
+  EngineMetrics off_metrics;
+  EngineOptions off;
+  off.use_planner = false;  // No target restriction.
+  off.metrics = &off_metrics;
+  std::vector<std::string> planned = Rows(g, query, "x, y, p", on);
+  EXPECT_EQ(planned, Rows(g, query, "x, y, p", off));
+  EXPECT_FALSE(planned.empty());
+  EXPECT_EQ(on_metrics.target_filtered_decls, 1u);
+  EXPECT_EQ(off_metrics.target_filtered_decls, 0u);
+}
+
+TEST(SelectorTest, TargetPushdownOnAMirroredDeclaration) {
+  // A mirrored program runs right to left: its accepts end at the
+  // declaration's *left* endpoint, which is what the target filter tests.
+  PropertyGraph g = MultigraphFixture();
+  Result<GraphPattern> parsed =
+      ParseGraphPattern("MATCH ALL SHORTEST p = (x)-[:T]->+(y:S)");
+  ASSERT_TRUE(parsed.ok());
+  Result<GraphPattern> normalized = Normalize(*parsed);
+  ASSERT_TRUE(normalized.ok());
+  Result<Analysis> analysis = Analyze(*normalized);
+  ASSERT_TRUE(analysis.ok());
+  VarTable vars(*analysis);
+  PathPatternDecl mirrored = normalized->paths[0];
+  ASSERT_TRUE(planner::ReversalSafe(mirrored));
+  mirrored.pattern = planner::ReversePathPattern(mirrored.pattern);
+  Result<Program> program = CompilePattern(mirrored, vars);
+  ASSERT_TRUE(program.ok());
+  BindProgramToGraph(&*program, g, &vars);
+
+  const std::vector<NodeId> targets = {g.FindNode("b"), g.FindNode("c")};
+  Result<MatchSet> all = RunPattern(g, *program, vars, {});
+  Result<MatchSet> kept = RunPattern(g, *program, vars, {},
+                                     /*seed_filter=*/nullptr, &targets);
+  ASSERT_TRUE(all.ok() && kept.ok());
+  std::vector<std::string> expected;
+  for (const PathBinding& pb : all->bindings) {
+    NodeId end = pb.path.End();
+    if (end == targets[0] || end == targets[1]) {
+      expected.push_back(pb.ToString(g, vars));
+    }
+  }
+  std::vector<std::string> actual;
+  for (const PathBinding& pb : kept->bindings) {
+    actual.push_back(pb.ToString(g, vars));
+  }
+  EXPECT_FALSE(expected.empty());
+  EXPECT_LT(expected.size(), all->bindings.size());
+  EXPECT_EQ(actual, expected);
 }
 
 }  // namespace
