@@ -25,8 +25,9 @@
 //     telemetry — span tree with a closed "query" root, emitted JSON lines,
 //     advanced registry counters, a well-formed Prometheus rendering, a
 //     slow-query capture whose EXPLAIN ANALYZE text parses back, an exact
-//     per-fingerprint stats entry, and a seed-index toggle surfacing as
-//     exactly one recorded plan change.
+//     per-fingerprint stats entry, and one query text run over a graph
+//     and its reload with a different city count (which flips the
+//     planner's anchor) surfacing as exactly one recorded plan change.
 
 #include <algorithm>
 #include <array>
@@ -211,10 +212,17 @@ int RunBench() {
   MeasureOnce(g, on, &ok, &rows_on);
   if (!ok) return 1;
 
-  // Interleaved min-of-N, alternating which configuration goes first each
-  // repetition: pairing cancels slow thermal/clock drift, alternation
-  // cancels any systematic first-vs-second bias within a pair.
-  constexpr int kRepetitions = 9;
+  // Interleaved pairs, alternating which configuration goes first each
+  // repetition: the two runs of a pair are adjacent in time, so slow
+  // thermal/clock drift and a shared host's load phases hit both alike,
+  // and alternation cancels any first-vs-second bias within a pair. The
+  // overhead is the median over pairs of on/off - 1, which also ignores
+  // the few pairs a phase change splits. (Comparing each side's fastest
+  // run instead rests on two single samples: A/A rounds of it read from
+  // -16% to +11% on a 4-vCPU shared host, the paired median within ±3%.)
+  // Minima are still reported as each side's best time.
+  constexpr int kRepetitions = 60;
+  std::vector<double> on_ratios;
   auto measure_pair = [&](double* best_off, double* best_on) {
     for (int rep = 0; rep < kRepetitions && ok; ++rep) {
       double ms_off, ms_on;
@@ -227,27 +235,29 @@ int RunBench() {
       }
       *best_off = std::min(*best_off, ms_off);
       *best_on = std::min(*best_on, ms_on);
+      if (ms_off > 0) on_ratios.push_back(ms_on / ms_off);
     }
   };
-  auto overhead = [](double best_off, double best_on) {
-    return best_off > 0 ? (best_on - best_off) / best_off * 100.0 : 0;
+  auto overhead = [](const std::vector<double>& ratios) {
+    return ratios.empty() ? 0 : (Median(ratios) - 1.0) * 100.0;
   };
   double best_off = 1e300, best_on = 1e300;
   measure_pair(&best_off, &best_on);
-  if (OverheadGateActive() && ok && overhead(best_off, best_on) > 2.0) {
+  if (OverheadGateActive() && ok && overhead(on_ratios) > 2.0) {
     // One retry before declaring failure: the first round may have run on
-    // a machine still hot or loaded from an earlier bench gate. Minima
+    // a machine still hot or loaded from an earlier bench gate. Pairs
     // accumulate across rounds, so a genuine regression still fails.
     std::printf("overhead %.2f%% on first round; re-measuring\n",
-                overhead(best_off, best_on));
+                overhead(on_ratios));
     measure_pair(&best_off, &best_on);
   }
   if (!ok) return 1;
 
-  double overhead_pct = overhead(best_off, best_on);
+  double overhead_pct = overhead(on_ratios);
   std::printf(
-      "observability overhead: off %.3fms, on %.3fms (%+.2f%%), rows %zu\n",
-      best_off, best_on, overhead_pct, rows_on);
+      "observability overhead: %+.2f%% (median of %zu pairs; best off "
+      "%.3fms, on %.3fms), rows %zu\n",
+      overhead_pct, on_ratios.size(), best_off, best_on, rows_on);
   report.Add("fraud300:obs=off", best_off, 0, 0, rows_off);
   report.Add("fraud300:obs=on", best_on, metrics.seeded_nodes,
              metrics.matcher_steps, rows_on,
@@ -265,7 +275,7 @@ int RunBench() {
   } else if (overhead_pct > 2.0) {
     std::fprintf(stderr,
                  "FAIL: observability overhead %.2f%% > 2%% "
-                 "(off %.3fms, on %.3fms)\n",
+                 "(best off %.3fms, on %.3fms)\n",
                  overhead_pct, best_off, best_on);
     ok = false;
   }
@@ -282,6 +292,7 @@ int RunBench() {
   MeasureOnce(g, stats, &ok, &rows_stats);  // Warm, like the main gate.
   ++stats_calls;
   if (!ok) return 1;
+  std::vector<double> stats_ratios;
   auto measure_stats_pair = [&](double* best_base, double* best_stats) {
     for (int rep = 0; rep < kRepetitions && ok; ++rep) {
       double ms_base, ms_stats;
@@ -295,20 +306,22 @@ int RunBench() {
       ++stats_calls;
       *best_base = std::min(*best_base, ms_base);
       *best_stats = std::min(*best_stats, ms_stats);
+      if (ms_base > 0) stats_ratios.push_back(ms_stats / ms_base);
     }
   };
   double best_base = 1e300, best_stats = 1e300;
   measure_stats_pair(&best_base, &best_stats);
-  if (OverheadGateActive() && ok && overhead(best_base, best_stats) > 2.0) {
+  if (OverheadGateActive() && ok && overhead(stats_ratios) > 2.0) {
     std::printf("query-stats overhead %.2f%% on first round; re-measuring\n",
-                overhead(best_base, best_stats));
+                overhead(stats_ratios));
     measure_stats_pair(&best_base, &best_stats);
   }
   if (!ok) return 1;
-  double stats_overhead_pct = overhead(best_base, best_stats);
+  double stats_overhead_pct = overhead(stats_ratios);
   std::printf(
-      "query-stats overhead: off %.3fms, stats %.3fms (%+.2f%%)\n",
-      best_base, best_stats, stats_overhead_pct);
+      "query-stats overhead: %+.2f%% (median of %zu pairs; best off "
+      "%.3fms, stats %.3fms)\n",
+      stats_overhead_pct, stats_ratios.size(), best_base, best_stats);
   report.Add("fraud300:stats=on", best_stats, 0, 0, rows_stats,
              {{"overhead_pct", stats_overhead_pct}});
   if (!OverheadGateActive()) {
@@ -317,7 +330,7 @@ int RunBench() {
   } else if (stats_overhead_pct > 2.0) {
     std::fprintf(stderr,
                  "FAIL: query-stats overhead %.2f%% > 2%% "
-                 "(off %.3fms, stats %.3fms)\n",
+                 "(best off %.3fms, stats %.3fms)\n",
                  stats_overhead_pct, best_base, best_stats);
     ok = false;
   }
@@ -334,26 +347,40 @@ int RunBench() {
     ok = false;
   }
 
-  // Plan-change regression detection: flipping the seed index between runs
-  // of the same fingerprint must surface as exactly one plan change.
-  obs::QueryStatsStore change_store;
-  EngineOptions indexed = OffOptions();
-  indexed.publish_query_stats = true;
-  indexed.query_stats = &change_store;
-  EngineOptions scanned = indexed;
-  scanned.use_seed_index = false;
-  size_t rows_toggle = 0;
-  MeasureOnce(g, indexed, &ok, &rows_toggle);
-  MeasureOnce(g, scanned, &ok, &rows_toggle);
-  MeasureOnce(g, scanned, &ok, &rows_toggle);
-  std::vector<obs::QueryStatEntry> toggled = change_store.Snapshot();
-  if (toggled.size() != 1 || !toggled[0].plan_changed ||
-      toggled[0].plan_changes != 1 || toggled[0].plans.size() != 2) {
-    std::fprintf(stderr,
-                 "FAIL: seed-index toggle did not record exactly one plan "
-                 "change (%zu entries)\n",
-                 toggled.size());
-    ok = false;
+  // Plan-change regression detection: the same text run over a graph and
+  // its reload with more cities than accounts, which mirrors the plan to
+  // the Account end, must surface as exactly one plan change.
+  {
+    const char* flip_query = "MATCH (c:City)<-[:isLocatedIn]-(x:Account)";
+    FraudGraphOptions reload_options;
+    reload_options.num_accounts = 60;
+    reload_options.num_cities = 2;
+    PropertyGraph before = MakeFraudGraph(reload_options);
+    reload_options.num_cities = 600;
+    PropertyGraph after = MakeFraudGraph(reload_options);
+    obs::QueryStatsStore change_store;
+    EngineOptions recorded_options = OffOptions();
+    recorded_options.publish_query_stats = true;
+    recorded_options.query_stats = &change_store;
+    Engine before_engine(before, recorded_options);
+    Engine after_engine(after, recorded_options);
+    Result<std::string> before_plan = before_engine.Explain(flip_query);
+    Result<std::string> after_plan = after_engine.Explain(flip_query);
+    bool ran = before_plan.ok() && after_plan.ok() &&
+               before_plan->find("dir=forward") != std::string::npos &&
+               after_plan->find("dir=reversed") != std::string::npos &&
+               before_engine.Match(flip_query).ok() &&
+               after_engine.Match(flip_query).ok() &&
+               after_engine.Match(flip_query).ok();
+    std::vector<obs::QueryStatEntry> changed = change_store.Snapshot();
+    if (!ran || changed.size() != 1 || !changed[0].plan_changed ||
+        changed[0].plan_changes != 1 || changed[0].plans.size() != 2) {
+      std::fprintf(stderr,
+                   "FAIL: graph reload did not record exactly one plan "
+                   "change (%zu entries)\n",
+                   changed.size());
+      ok = false;
+    }
   }
 
   // --- microsecond-scale publication cost ----------------------------------

@@ -246,17 +246,26 @@ std::optional<uint64_t> FixedPatternLength(const PathPattern& p) {
   return std::nullopt;
 }
 
-/// Resolves the index-seeding value of an anchor estimate: the planned
-/// literal, or the bind-time value of the $parameter the equality compares
-/// against. nullptr when the parameter is unbound or NULL (the engine then
-/// falls back to label-scan seeding, which is always result-identical).
-const Value* ResolveIndexValue(const planner::SeedEstimate& anchor,
-                               const Params* params) {
-  if (anchor.index_param.empty()) return &anchor.index_value;
-  if (params == nullptr) return nullptr;
-  auto it = params->find(anchor.index_param);
-  if (it == params->end() || it->second.is_null()) return nullptr;
-  return &it->second;
+/// The index-backed seed list of a declaration: the (label, prop) = value
+/// bucket of its anchor, the value being the planned literal or the
+/// bind-time binding of the $parameter the equality compares against.
+/// nullptr seeds from the label scan instead: the anchor has no index
+/// source (DirectPlan never sets one), or the parameter is unbound or NULL
+/// — the inline predicate then filters by itself (to nothing: `= NULL` is
+/// never true), so rows are identical either way.
+const std::vector<NodeId>* IndexSeeds(const PropertyGraph& graph,
+                                      const planner::DeclPlan& dp,
+                                      const Params* params) {
+  const planner::SeedEstimate& anchor = dp.anchor;
+  if (!anchor.has_index()) return nullptr;
+  const Value* value = &anchor.index_value;
+  if (!anchor.index_param.empty()) {
+    if (params == nullptr) return nullptr;
+    auto it = params->find(anchor.index_param);
+    if (it == params->end() || it->second.is_null()) return nullptr;
+    value = &it->second;
+  }
+  return &graph.IndexedNodes(anchor.label, anchor.index_prop, *value);
 }
 
 /// First-row chunk of the streaming cursor; chunks grow geometrically so a
@@ -519,7 +528,6 @@ Result<planner::Plan> Engine::PlanNormalized(const GraphPattern& normalized,
   std::shared_ptr<const planner::GraphStats> stats =
       planner::GetStats(graph_);
   planner::PlannerConfig config;
-  config.use_seed_index = options_.use_seed_index;
   // Exact per-(label, key, value) counts for equality selectivities
   // (docs/planner.md): the planner reads the graph's property seed index
   // instead of the System-R constant whenever an estimate hint resolves.
@@ -530,20 +538,16 @@ Result<planner::Plan> Engine::PlanNormalized(const GraphPattern& normalized,
 Result<std::shared_ptr<const planner::CachedPlan>> Engine::PreparePlan(
     const GraphPattern& pattern, bool* cache_hit) const {
   *cache_hit = false;
-  std::string fingerprint;
-  if (options_.use_plan_cache) {
-    // The fingerprint is the parameterized pattern text: $name placeholders
-    // render as themselves, so executions differing only in bound values
-    // share one entry — the prepare-once contract.
-    fingerprint = planner::PlanFingerprint(pattern, options_.use_planner,
-                                           options_.use_seed_index,
-                                           options_.use_analysis);
-    if (std::shared_ptr<const planner::CachedPlan> cached = planner::LookupPlan(
-            graph_, fingerprint,
-            options_.publish_metrics ? &graph_.registry() : nullptr)) {
-      *cache_hit = true;
-      return cached;
-    }
+  // The fingerprint is the parameterized pattern text: $name placeholders
+  // render as themselves, so executions differing only in bound values
+  // share one entry — the prepare-once contract.
+  const std::string fingerprint =
+      planner::PlanFingerprint(pattern, options_.use_planner);
+  if (std::shared_ptr<const planner::CachedPlan> cached = planner::LookupPlan(
+          graph_, fingerprint,
+          options_.publish_metrics ? &graph_.registry() : nullptr)) {
+    *cache_hit = true;
+    return cached;
   }
   auto entry = std::make_shared<planner::CachedPlan>();
   obs::Stopwatch analyze_clock;
@@ -551,27 +555,25 @@ Result<std::shared_ptr<const planner::CachedPlan>> Engine::PreparePlan(
   entry->normalized = std::move(p.normalized);
   entry->vars = std::move(p.vars);
   entry->analyze_ms = analyze_clock.ElapsedMs();
-  if (options_.use_analysis) {
-    // Static analysis (docs/analysis.md): collect-all diagnostics over the
-    // normalized pattern. Errors fail Prepare; warnings/notes are cached on
-    // the entry so EXPLAIN and Lint see them on cache hits too. The pass
-    // may rewrite the postfilter (dropping parameter-free TRUE conjuncts)
-    // and prove the pattern empty — both recorded before planning so the
-    // plan is built against the rewritten pattern.
-    obs::Stopwatch analysis_clock;
-    analysis::QueryAnalysis qa =
-        analysis::AnalyzeQuery(entry->normalized, p.analysis, &graph_);
-    entry->analysis_ms = analysis_clock.ElapsedMs();
-    CountDiagnostics(qa.diagnostics);
-    if (qa.diagnostics.has_errors()) {
-      return Status::SemanticError(qa.diagnostics.ToString());
-    }
-    if (qa.postfilter_rewritten) {
-      entry->normalized.where = qa.rewritten_postfilter;
-    }
-    entry->diagnostics = std::move(qa.diagnostics);
-    entry->always_empty = qa.always_empty;
+  // Static analysis (docs/analysis.md): collect-all diagnostics over the
+  // normalized pattern. Errors fail Prepare; warnings/notes are cached on
+  // the entry so EXPLAIN and Lint see them on cache hits too. The pass may
+  // rewrite the postfilter (dropping parameter-free TRUE conjuncts) and
+  // prove the pattern empty — both recorded before planning so the plan is
+  // built against the rewritten pattern.
+  obs::Stopwatch analysis_clock;
+  analysis::QueryAnalysis qa =
+      analysis::AnalyzeQuery(entry->normalized, p.analysis, &graph_);
+  entry->analysis_ms = analysis_clock.ElapsedMs();
+  CountDiagnostics(qa.diagnostics);
+  if (qa.diagnostics.has_errors()) {
+    return Status::SemanticError(qa.diagnostics.ToString());
   }
+  if (qa.postfilter_rewritten) {
+    entry->normalized.where = qa.rewritten_postfilter;
+  }
+  entry->diagnostics = std::move(qa.diagnostics);
+  entry->always_empty = qa.always_empty;
   obs::Stopwatch plan_clock;
   GPML_ASSIGN_OR_RETURN(entry->plan,
                         PlanNormalized(entry->normalized, *entry->vars));
@@ -594,8 +596,8 @@ Result<std::shared_ptr<const planner::CachedPlan>> Engine::PreparePlan(
   entry->compile_ms = compile_clock.ElapsedMs();
   // Workload-statistics identity, computed once per compile so executions
   // (cache hits included) never pay for rendering. The stats fingerprint
-  // deliberately omits the planning flags the cache fingerprint embeds:
-  // toggling use_seed_index keeps one stats entry while the plan hash —
+  // is the query shape alone: the same text replanned over a graph whose
+  // statistics moved the anchor keeps one stats entry while the plan hash —
   // FNV-1a of the plan's EXPLAIN rendering, diagnostics excluded so
   // warnings don't masquerade as replans — flips, which is exactly the
   // signal QueryStatsStore turns into a plan-change event.
@@ -605,9 +607,7 @@ Result<std::shared_ptr<const planner::CachedPlan>> Engine::PreparePlan(
       entry->plan, *entry->vars, /*stats=*/nullptr, /*exec=*/nullptr,
       /*actuals=*/nullptr, /*warnings=*/nullptr));
   std::shared_ptr<const planner::CachedPlan> shared = std::move(entry);
-  if (options_.use_plan_cache) {
-    planner::StorePlan(graph_, fingerprint, shared);
-  }
+  planner::StorePlan(graph_, fingerprint, shared);
   return shared;
 }
 
@@ -865,16 +865,9 @@ Result<MatchOutput> MaterializePlan(const PropertyGraph& graph,
     if (use_filter) {
       seed_filter = BoundNodes(rows, dp.seed_bound_var);
       filter = &seed_filter;
-    } else if (plan.planner_used && dp.anchor.has_index()) {
-      const Value* idx_value =
-          ResolveIndexValue(dp.anchor, out.params.get());
-      if (idx_value != nullptr) {
-        use_index = true;
-        filter = &graph.IndexedNodes(dp.anchor.label, dp.anchor.index_prop,
-                                     *idx_value);
-      }
-      // A NULL-bound parameter falls back to label-scan seeding: the inline
-      // predicate itself filters (to nothing — `= NULL` is never true).
+    } else {
+      filter = IndexSeeds(graph, dp, out.params.get());
+      use_index = filter != nullptr;
     }
 
     // Target restriction: the far endpoint is bound by earlier
@@ -1104,16 +1097,9 @@ Cursor::Cursor(const PropertyGraph& graph, EngineOptions options,
     record_.streamed = true;
     record_.decls = 1;
     if (dp.reversed) record_.reversed_decls = 1;
-    const std::vector<NodeId>* filter = nullptr;
-    if (p.planner_used && dp.anchor.has_index()) {
-      const Value* idx_value =
-          ResolveIndexValue(dp.anchor, context_.params.get());
-      if (idx_value != nullptr) {
-        record_.index_seeded_decls = 1;
-        filter = &graph.IndexedNodes(dp.anchor.label, dp.anchor.index_prop,
-                                     *idx_value);
-      }
-    }
+    const std::vector<NodeId>* filter =
+        IndexSeeds(graph, dp, context_.params.get());
+    if (filter != nullptr) record_.index_seeded_decls = 1;
     obs::Stopwatch seed_clock;
     seeds_ = ComputeSeeds(graph, *plan_->programs[0], filter);
     record_.seed_ms = seed_clock.ElapsedMs();

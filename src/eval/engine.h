@@ -94,31 +94,6 @@ struct EngineOptions {
   /// std::thread::hardware_concurrency(); 1 runs the exact sequential
   /// engine. Overrides MatcherOptions::num_threads.
   size_t num_threads = 0;
-  /// Compiled-plan reuse: cache (normalized pattern, vars, plan, compiled
-  /// programs) on the graph keyed by (graph identity token, pattern
-  /// fingerprint) so repeated queries skip normalize/analyze/plan/compile
-  /// (see planner/plan_cache.h). The cache is shared by every engine/host
-  /// over the same graph. The fingerprint renders $parameters as
-  /// placeholders, so executions differing only in bound values share one
-  /// entry (docs/planner.md).
-  bool use_plan_cache = true;
-  /// Planner seeding from the (label, prop) = value equality hash index
-  /// when an anchor endpoint carries a matching inline predicate (EXPLAIN:
-  /// `source=index:<label>.<prop>`). The predicate may compare against a
-  /// $parameter; the index value is then resolved at bind time. Off falls
-  /// back to label-scan seeding; rows are identical, only the seed list
-  /// shrinks.
-  bool use_seed_index = true;
-  /// Static query analysis at prepare time (docs/analysis.md): typed
-  /// diagnostics over the normalized pattern — type errors fail Prepare,
-  /// warnings ride on the compiled plan (EXPLAIN `warnings=`), provably
-  /// unsatisfiable patterns compile to the cached empty plan (execution
-  /// publishes 0 seeds / 0 steps), and always-true postfilter conjuncts
-  /// are dropped. Off reproduces the unanalyzed pipeline exactly — the
-  /// differential oracle for the analyzer (rows are identical either way;
-  /// only type-error queries that would fail at evaluation time prepare
-  /// successfully with it off).
-  bool use_analysis = true;
   /// What happens when an evaluation budget (MatcherOptions::max_steps /
   /// max_matches, EngineOptions::max_rows) trips. kError (the historical
   /// behavior) fails the call with kResourceExhausted and no rows. kTruncate
@@ -252,8 +227,8 @@ class PreparedQuery {
   bool from_cache() const { return cache_hit_; }
 
   /// The static analyzer's findings for this query (warnings and notes —
-  /// errors failed Prepare). Empty when EngineOptions::use_analysis is off
-  /// or the query is clean. Carried through plan-cache hits.
+  /// errors failed Prepare). Empty when the query is clean. Carried
+  /// through plan-cache hits.
   const analysis::DiagnosticList& diagnostics() const {
     return plan_->diagnostics;
   }
@@ -263,8 +238,8 @@ class PreparedQuery {
   bool always_empty() const { return plan_->always_empty; }
 
   /// Wall-clock cost of the static analysis pass paid when this plan was
-  /// compiled (0 when use_analysis is off; a cache hit reports the cost
-  /// the original compile paid). Benchmarked by bench_query_api.
+  /// compiled (a cache hit reports the cost the original compile paid).
+  /// Benchmarked by bench_query_api.
   double analysis_ms() const { return plan_->analysis_ms; }
 
   /// Extends the bindable signature with parameters referenced by host

@@ -47,8 +47,8 @@ struct GraphTableQuery {
 /// instead of executing (the COLUMNS list is ignored); EXPLAIN ANALYZE
 /// executes the match with the bound parameters and renders measured
 /// actuals. `options` plumbs the engine knobs through the SQL host —
-/// notably num_threads (seed-partitioned parallelism) and use_plan_cache;
-/// cached plans are keyed on the catalog graph's identity, so repeated
+/// notably num_threads (seed-partitioned parallelism). Compiled plans are
+/// cached on the catalog graph, keyed on its identity, so repeated
 /// GRAPH_TABLE calls (and GQL statements) over the same graph share them.
 Result<Table> GraphTable(const Catalog& catalog, const GraphTableQuery& query,
                          EngineOptions options = {});

@@ -6,15 +6,12 @@
 namespace gpml {
 namespace planner {
 
-std::string PlanFingerprint(const GraphPattern& pattern, bool use_planner,
-                            bool use_seed_index, bool use_analysis) {
+std::string PlanFingerprint(const GraphPattern& pattern, bool use_planner) {
   // Print covers mode, every declaration (selector, restrictor, path var,
   // pattern) and the postfilter WHERE; parse(Print(x)) == x structurally, so
   // the rendering is injective on parseable patterns.
   std::string fp = Print(pattern);
   fp += use_planner ? "|planner=on" : "|planner=off";
-  if (!use_seed_index) fp += "|seed_index=off";
-  if (!use_analysis) fp += "|analysis=off";
   return fp;
 }
 

@@ -61,11 +61,11 @@ struct CachedPlan {
   /// metrics with 0 seeds and 0 steps — the cached empty plan.
   bool always_empty = false;
   /// The workload-statistics key: Print of the normalized pattern, $names
-  /// kept. Unlike the cache fingerprint it does NOT embed planning flags —
-  /// toggling use_seed_index must keep one stats entry (same query shape)
-  /// while producing a different plan_hash, which is exactly how
-  /// QueryStatsStore detects a plan change. Computed once on the cache-miss
-  /// path; hits reuse it for free.
+  /// kept. Unlike the cache fingerprint it does NOT embed the planner flag,
+  /// and the graph is not part of it either: the same text replanned over
+  /// a reloaded graph keeps one stats entry while producing a different
+  /// plan_hash, which is exactly how QueryStatsStore detects a plan change.
+  /// Computed once on the cache-miss path; hits reuse it for free.
   std::string stats_fingerprint;
   /// HashFingerprint(stats_fingerprint): the query-stats key hash, computed
   /// with the fingerprint so executions never rehash the text.
@@ -93,15 +93,10 @@ inline constexpr size_t kPlanCacheMaxEntries = 128;
 
 /// Deterministic fingerprint of (pattern, planning mode): the pattern's
 /// surface-syntax rendering — Print roundtrips with the parser, so distinct
-/// patterns render distinctly — plus the planner, seed-index, and static-
-/// analysis flags, which select between PlanPattern/DirectPlan outputs,
-/// index-backed vs label-scan seeding, and analyzed vs raw compilation
-/// (analysis may rewrite the postfilter and mark the plan always-empty, so
-/// the two modes must not share entries). The graph half of the cache key
-/// is the identity token carried by the cache snapshot itself.
-std::string PlanFingerprint(const GraphPattern& pattern, bool use_planner,
-                            bool use_seed_index = true,
-                            bool use_analysis = true);
+/// patterns render distinctly — plus the planner flag, which selects
+/// between PlanPattern and DirectPlan outputs. The graph half of the cache
+/// key is the identity token carried by the cache snapshot itself.
+std::string PlanFingerprint(const GraphPattern& pattern, bool use_planner);
 
 /// The cached entry of `g` for `fingerprint`, or nullptr on a miss (also
 /// when the stored snapshot belongs to a different graph identity). When

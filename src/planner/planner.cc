@@ -301,7 +301,7 @@ SeedEstimate EstimateEndpoint(const NodePattern* np, const GraphStats& stats,
   // enumerated seeds (exact bucket size when histograms are available); the
   // index is never larger than the label scan, so this estimate errs
   // conservative.
-  if (config.use_seed_index && !est.label.empty() && np->where != nullptr &&
+  if (!est.label.empty() && np->where != nullptr &&
       FindEqualityConjunct(*np->where, np->var, &est.index_prop,
                            &est.index_value, &est.index_param)) {
     if (config.histograms != nullptr && est.index_param.empty()) {

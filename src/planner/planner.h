@@ -23,13 +23,6 @@ struct PlannerConfig {
   /// Mirror the pattern only when the right end is better by this factor
   /// (hysteresis: ties and near-ties keep the written direction).
   double reverse_margin = 1.5;
-  /// Index-backed seeding: when an anchor endpoint carries a label and an
-  /// inline `var.prop = literal` conjunct, seed from the graph's
-  /// (label, prop) = value hash index instead of the label scan. Always at
-  /// most the label-scan seeds (cost-compared via eq_selectivity), and
-  /// result-preserving: the restriction only drops starts the first node
-  /// check would reject anyway. Off for differential comparison.
-  bool use_seed_index = true;
   /// Exact equality histograms: when non-null, `var.prop = literal`
   /// selectivities over a labeled endpoint are computed from the graph's
   /// per-(label, key, value) property seed index counts instead of

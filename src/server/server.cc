@@ -915,30 +915,43 @@ std::string Server::OpExplain(ConnState* state, const JsonValue& req,
   return OkResponseHead(id_raw) + ",\"plan\":\"" + JsonEscape(*plan) + "\"}";
 }
 
-std::string Server::OpExecute(ConnState* state, const JsonValue& req,
-                              const std::string& id_raw) {
+/// The request half execute and open share, decoded and resolved against
+/// the session's statement table.
+struct Server::StatementCall {
+  Params params;
+  std::optional<uint64_t> limit;
+  std::string trace_id;
+  std::shared_ptr<const PropertyGraph> graph;
+  std::optional<PreparedQuery> query;  // Cheap copy; shared compiled plan.
+};
+
+std::string Server::RunStatement(
+    const char* op, ConnState* state, const JsonValue& req,
+    const std::string& id_raw,
+    const std::function<std::string(const StatementCall&)>& run) {
   if (state->session == nullptr) {
-    return ErrorResponse(
-        Status::InvalidArgument("execute needs a session; send hello first"),
-        kReasonBadRequest, id_raw);
+    return ErrorResponse(Status::InvalidArgument(
+                             std::string(op) +
+                             " needs a session; send hello first"),
+                         kReasonBadRequest, id_raw);
   }
-  SessionOp op(state->session);
-  if (op.expired()) return SessionExpiredResponse(id_raw);
+  SessionOp session_op(state->session);
+  if (session_op.expired()) return SessionExpiredResponse(id_raw);
   int64_t stmt = 0;
   if (!GetInt(req, "stmt", &stmt)) {
-    return ErrorResponse(
-        Status::InvalidArgument("execute needs an integer \"stmt\" handle"),
-        kReasonBadRequest, id_raw);
+    return ErrorResponse(Status::InvalidArgument(
+                             std::string(op) +
+                             " needs an integer \"stmt\" handle"),
+                         kReasonBadRequest, id_raw);
   }
-  Params params;
+  StatementCall call;
   if (const JsonValue* p = req.Find("params")) {
     Result<Params> decoded = WireJsonToParams(*p);
     if (!decoded.ok()) {
       return ErrorResponse(decoded.status(), kReasonBadRequest, id_raw);
     }
-    params = std::move(*decoded);
+    call.params = std::move(*decoded);
   }
-  std::optional<uint64_t> limit;
   int64_t limit_v = 0;
   if (GetInt(req, "limit", &limit_v)) {
     if (limit_v < 0) {
@@ -946,130 +959,89 @@ std::string Server::OpExecute(ConnState* state, const JsonValue& req,
           Status::InvalidArgument("\"limit\" must be non-negative"),
           kReasonBadRequest, id_raw);
     }
-    limit = static_cast<uint64_t>(limit_v);
+    call.limit = static_cast<uint64_t>(limit_v);
   }
-
-  std::shared_ptr<const PropertyGraph> graph;
-  std::optional<PreparedQuery> stored;
   {
     std::lock_guard<std::mutex> lock(state->session->mu);
     auto it = state->session->statements.find(stmt);
     if (it != state->session->statements.end()) {
-      graph = it->second.graph;
-      stored = it->second.query;  // Cheap copy; shared compiled plan.
+      call.graph = it->second.graph;
+      call.query = it->second.query;
     }
   }
-  if (!stored.has_value()) {
+  if (!call.query.has_value()) {
     return ErrorResponse(Status::NotFound("unknown statement handle " +
                                           std::to_string(stmt)),
                          "", id_raw);
   }
+  if (const std::string* t = GetString(req, "trace_id")) call.trace_id = *t;
+  return RunPooled(op, state->session->tenant(), call.trace_id, id_raw,
+                   [&] { return run(call); });
+}
 
-  std::string trace_id;
-  if (const std::string* t = GetString(req, "trace_id")) trace_id = *t;
-  const std::string& tenant = state->session->tenant();
-  return RunPooled("execute", tenant, trace_id, id_raw, [&]() -> std::string {
-    obs::Stopwatch watch;
-    EngineMetrics metrics;
-    PreparedQuery bound =
-        stored->WithOptions(ExecutionOptions(tenant, &metrics, trace_id));
-    Result<Cursor> cursor = bound.Open(params, limit);
-    if (!cursor.ok()) {
-      ChargeTenantSteps(*state->session, metrics.matcher_steps);
-      return ErrorResponse(cursor.status(), "", id_raw);
-    }
-    std::string rows;
-    size_t count = 0;
-    RowView view;
-    while (true) {
-      Result<bool> more = cursor->Next(&view);
-      if (!more.ok()) {
+std::string Server::OpExecute(ConnState* state, const JsonValue& req,
+                              const std::string& id_raw) {
+  return RunStatement(
+      "execute", state, req, id_raw,
+      [&](const StatementCall& call) -> std::string {
+        obs::Stopwatch watch;
+        EngineMetrics metrics;
+        PreparedQuery bound = call.query->WithOptions(ExecutionOptions(
+            state->session->tenant(), &metrics, call.trace_id));
+        Result<Cursor> cursor = bound.Open(call.params, call.limit);
+        if (!cursor.ok()) {
+          ChargeTenantSteps(*state->session, metrics.matcher_steps);
+          return ErrorResponse(cursor.status(), "", id_raw);
+        }
+        std::string rows;
+        size_t count = 0;
+        RowView view;
+        while (true) {
+          Result<bool> more = cursor->Next(&view);
+          if (!more.ok()) {
+            ChargeTenantSteps(*state->session, metrics.matcher_steps);
+            return ErrorResponse(more.status(), "", id_raw);
+          }
+          if (!*more) break;
+          if (count > 0) rows += ",";
+          rows += RowToJson(cursor->context(), *view.row, *call.graph);
+          ++count;
+        }
         ChargeTenantSteps(*state->session, metrics.matcher_steps);
-        return ErrorResponse(more.status(), "", id_raw);
-      }
-      if (!*more) break;
-      if (count > 0) rows += ",";
-      rows += RowToJson(cursor->context(), *view.row, *graph);
-      ++count;
-    }
-    ChargeTenantSteps(*state->session, metrics.matcher_steps);
-    queries_total_->Increment();
-    query_duration_us_->Observe(watch.ElapsedMicros());
-    return OkResponseHead(id_raw) + ",\"rows\":[" + rows +
-           "],\"row_count\":" + std::to_string(count) +
-           ",\"truncated\":" + (cursor->truncated() ? "true" : "false") +
-           ",\"hit_limit\":" + (cursor->hit_limit() ? "true" : "false") + "}";
-  });
+        queries_total_->Increment();
+        query_duration_us_->Observe(watch.ElapsedMicros());
+        return OkResponseHead(id_raw) + ",\"rows\":[" + rows +
+               "],\"row_count\":" + std::to_string(count) +
+               ",\"truncated\":" + (cursor->truncated() ? "true" : "false") +
+               ",\"hit_limit\":" + (cursor->hit_limit() ? "true" : "false") +
+               "}";
+      });
 }
 
 std::string Server::OpOpen(ConnState* state, const JsonValue& req,
                            const std::string& id_raw) {
-  if (state->session == nullptr) {
-    return ErrorResponse(
-        Status::InvalidArgument("open needs a session; send hello first"),
-        kReasonBadRequest, id_raw);
-  }
-  SessionOp op(state->session);
-  if (op.expired()) return SessionExpiredResponse(id_raw);
-  int64_t stmt = 0;
-  if (!GetInt(req, "stmt", &stmt)) {
-    return ErrorResponse(
-        Status::InvalidArgument("open needs an integer \"stmt\" handle"),
-        kReasonBadRequest, id_raw);
-  }
-  Params params;
-  if (const JsonValue* p = req.Find("params")) {
-    Result<Params> decoded = WireJsonToParams(*p);
-    if (!decoded.ok()) {
-      return ErrorResponse(decoded.status(), kReasonBadRequest, id_raw);
-    }
-    params = std::move(*decoded);
-  }
-  std::optional<uint64_t> limit;
-  int64_t limit_v = 0;
-  if (GetInt(req, "limit", &limit_v) && limit_v >= 0) {
-    limit = static_cast<uint64_t>(limit_v);
-  }
-
-  std::shared_ptr<const PropertyGraph> graph;
-  std::optional<PreparedQuery> stored;
-  {
-    std::lock_guard<std::mutex> lock(state->session->mu);
-    auto it = state->session->statements.find(stmt);
-    if (it != state->session->statements.end()) {
-      graph = it->second.graph;
-      stored = it->second.query;
-    }
-  }
-  if (!stored.has_value()) {
-    return ErrorResponse(Status::NotFound("unknown statement handle " +
-                                          std::to_string(stmt)),
-                         "", id_raw);
-  }
-
-  std::string trace_id;
-  if (const std::string* t = GetString(req, "trace_id")) trace_id = *t;
-  const std::string& tenant = state->session->tenant();
-  return RunPooled("open", tenant, trace_id, id_raw, [&]() -> std::string {
-    auto metrics = std::make_unique<EngineMetrics>();
-    PreparedQuery bound =
-        stored->WithOptions(ExecutionOptions(tenant, metrics.get(), trace_id));
-    Result<Cursor> cursor = bound.Open(params, limit);
-    if (!cursor.ok()) return ErrorResponse(cursor.status(), "", id_raw);
-    queries_total_->Increment();
-    CursorHandle handle;
-    handle.cursor = std::make_unique<Cursor>(std::move(*cursor));
-    handle.metrics = std::move(metrics);
-    handle.graph = graph;
-    int64_t cursor_id = 0;
-    {
-      std::lock_guard<std::mutex> lock(state->session->mu);
-      cursor_id = state->session->next_handle++;
-      state->session->cursors[cursor_id] = std::move(handle);
-    }
-    return OkResponseHead(id_raw) +
-           ",\"cursor\":" + std::to_string(cursor_id) + "}";
-  });
+  return RunStatement(
+      "open", state, req, id_raw,
+      [&](const StatementCall& call) -> std::string {
+        auto metrics = std::make_unique<EngineMetrics>();
+        PreparedQuery bound = call.query->WithOptions(ExecutionOptions(
+            state->session->tenant(), metrics.get(), call.trace_id));
+        Result<Cursor> cursor = bound.Open(call.params, call.limit);
+        if (!cursor.ok()) return ErrorResponse(cursor.status(), "", id_raw);
+        queries_total_->Increment();
+        CursorHandle handle;
+        handle.cursor = std::make_unique<Cursor>(std::move(*cursor));
+        handle.metrics = std::move(metrics);
+        handle.graph = call.graph;
+        int64_t cursor_id = 0;
+        {
+          std::lock_guard<std::mutex> lock(state->session->mu);
+          cursor_id = state->session->next_handle++;
+          state->session->cursors[cursor_id] = std::move(handle);
+        }
+        return OkResponseHead(id_raw) +
+               ",\"cursor\":" + std::to_string(cursor_id) + "}";
+      });
 }
 
 std::string Server::OpFetch(ConnState* state, const JsonValue& req,

@@ -144,6 +144,17 @@ class Server {
                         const std::string& trace_id, const std::string& id_raw,
                         const std::function<std::string()>& fn);
 
+  /// What execute and open share: the session check, the statement
+  /// lookup, and the `params`, `limit` (rejected when negative) and
+  /// `trace_id` decode. Returns the error response for a malformed or
+  /// unresolvable request; otherwise runs `run` on the worker pool through
+  /// RunPooled and returns its response.
+  struct StatementCall;
+  std::string RunStatement(
+      const char* op, ConnState* state, const JsonValue& req,
+      const std::string& id_raw,
+      const std::function<std::string(const StatementCall&)>& run);
+
   // Op handlers (NDJSON). All return a full response line.
   std::string OpHello(ConnState* state, const JsonValue& req,
                       const std::string& id_raw);

@@ -20,6 +20,7 @@
 #include "planner/planner.h"
 #include "planner/stats.h"
 #include "semantics/normalize.h"
+#include "tests/test_util.h"
 
 namespace gpml {
 namespace {
@@ -121,16 +122,24 @@ TEST(ExplainTest, FraudQueryPlanDecisions) {
   EXPECT_EQ(parsed->decls[1].target, "bound:y");
 }
 
-TEST(ExplainTest, SeedIndexOffFallsBackToLabelScan) {
+TEST(ExplainTest, PostfilterEqualityFallsBackToLabelScan) {
+  // The planner index-seeds only on inline endpoint conjuncts: the same
+  // equalities written in the postfilter WHERE seed from the label scan,
+  // and the rows are those of the index-seeded query.
+  const char* postfiltered =
+      "MATCH (x:Account)-[:isLocatedIn]->"
+      "(c:City WHERE c.name='Ankh-Morpork')<-[:isLocatedIn]-(y:Account), "
+      "ANY (x)-[:Transfer]->+(y) "
+      "WHERE x.isBlocked='no' AND y.isBlocked='yes'";
   PropertyGraph g = BuildPaperGraph();
-  EngineOptions options;
-  options.use_seed_index = false;
-  Engine engine(g, options);
-  Result<std::string> text = engine.Explain(kFraudQuery);
-  ASSERT_TRUE(text.ok());
+  Engine engine(g);
+  Result<std::string> text = engine.Explain(postfiltered);
+  ASSERT_TRUE(text.ok()) << text.status();
   Result<planner::ExplainedPlan> parsed = planner::ParseExplain(*text);
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->decls[0].source, "label:Account");
+  EXPECT_EQ(parsed->decls[0].source, "label:Account") << *text;
+  EXPECT_EQ(testing_util::Rows(g, postfiltered, "x, y"),
+            testing_util::Rows(g, kFraudQuery, "x, y"));
 }
 
 TEST(ExplainTest, PlannerOffIsReported) {

@@ -60,8 +60,7 @@ TEST(PlanCacheTest, SharedAcrossEnginesAndHosts) {
   options.metrics = &metrics;
 
   Session session(catalog);
-  session.set_options(options);  // Runtime plumbing: metrics, threads, cache.
-  EXPECT_TRUE(session.options().use_plan_cache);
+  session.set_options(options);  // Runtime plumbing: metrics, threads.
   ASSERT_TRUE(session.UseGraph("bank").ok());
   ASSERT_TRUE(session.Execute(kQuery).ok());
   EXPECT_EQ(metrics.plan_cache_misses, 1u);
@@ -141,27 +140,12 @@ TEST(PlanCacheTest, MovePreservesIdentityAndCache) {
   EXPECT_EQ(metrics.plan_cache_hits, 1u) << "identity follows the data";
 }
 
-TEST(PlanCacheTest, DisabledCacheNeverStoresOrHits) {
-  PropertyGraph g = BuildPaperGraph();
-  EngineMetrics metrics;
-  EngineOptions options;
-  options.use_plan_cache = false;
-  options.metrics = &metrics;
-  Engine engine(g, options);
-  ASSERT_TRUE(engine.Match(kQuery).ok());
-  ASSERT_TRUE(engine.Match(kQuery).ok());
-  EXPECT_EQ(metrics.plan_cache_hits, 0u);
-  EXPECT_EQ(metrics.plan_cache_misses, 1u);
-  EXPECT_EQ(g.plan_cache(), nullptr);
-}
-
 TEST(PlanCacheTest, ResultsInvariantUnderCaching) {
   PropertyGraph g = BuildPaperGraph();
-  EngineOptions cold;
-  cold.use_plan_cache = false;
-  Result<MatchOutput> want = Engine(g, cold).Match(kQuery);
+  Result<MatchOutput> want = Engine(g).Match(kQuery);  // Cold compile.
   ASSERT_TRUE(want.ok());
 
+  g.set_plan_cache(nullptr);
   Engine warm(g);
   for (int i = 0; i < 2; ++i) {  // Miss, then hit.
     Result<MatchOutput> got = warm.Match(kQuery);

@@ -325,15 +325,17 @@ TEST(PreparedQueryTest, IndexSeedingResolvesParameterAtBindTime) {
   EXPECT_EQ(metrics.index_seeded_decls, 1u);
   EXPECT_EQ(metrics.seeded_nodes, 1u);  // One account owns "u42".
 
-  // Row-identical to the literal form and to index-seeding off.
-  EngineOptions no_index;
-  no_index.use_seed_index = false;
+  // Row-identical to label-scan seeding: the same equality in the
+  // postfilter WHERE is never index-seeded.
+  const std::string scanned =
+      "MATCH (x:Account)-[t:Transfer]->(y:Account) WHERE x.owner = 'u42'";
+  Result<std::string> scan_explain = plain.Explain(scanned);
+  ASSERT_TRUE(scan_explain.ok()) << scan_explain.status();
+  EXPECT_NE(scan_explain->find("source=label:Account"), std::string::npos)
+      << *scan_explain;
   EXPECT_EQ(PreparedRows(g, text, {{"owner", Value::String("u42")}},
                          "x, y, t.amount"),
-            Rows(g,
-                 "MATCH (x:Account WHERE x.owner = 'u42')"
-                 "-[t:Transfer]->(y:Account)",
-                 "x, y, t.amount", no_index));
+            Rows(g, scanned, "x, y, t.amount"));
 
   // A NULL binding falls back to label-scan seeding and selects nothing.
   EngineMetrics null_metrics;

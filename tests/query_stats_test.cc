@@ -2,7 +2,7 @@
 // its engine wiring: exact aggregation against a per-call oracle under the
 // concurrent {threads} x {batch} execution matrix (the TSan CI job
 // races this), LRU eviction at capacity, plan-hash stability across
-// plan-cache hits, plan-change detection when use_seed_index flips,
+// plan-cache hits, plan-change detection when a reloaded graph replans,
 // per-tenant metric families in the Prometheus rendering, and both hosts'
 // graph-identity-filtered retrieval surfaces.
 
@@ -32,20 +32,21 @@ namespace {
 const char* kStreamQuery =
     "MATCH (x:Account WHERE x.isBlocked='no')-[t:Transfer]->(y:Account)";
 
-// Inline equality on the anchor: the planner seeds this from the
-// (City, name) hash index when use_seed_index is on and from a label scan
-// when it is off — two different compiled plans for one query shape.
-const char* kIndexedQuery =
-    "MATCH (c:City WHERE c.name='Ankh-Morpork')<-[:isLocatedIn]-(x:Account)";
+// The planner anchors this at its rarer endpoint: the City end over a
+// graph with a few cities, the Account end (mirrored) over one with more
+// cities than accounts — two compiled plans for one query shape.
+const char* kAnchorFlipQuery =
+    "MATCH (c:City)<-[:isLocatedIn]-(x:Account)";
 
-// No inline equality anywhere: the seed-index flag cannot affect this
-// plan, so its entry must never record a plan change.
+// No City anywhere: the plan depends only on the Account/Transfer
+// structure, which does not change with the city count, so its entry must
+// never record a plan change.
 const char* kPlainQuery = "MATCH (x:Account)-[t:Transfer]->(y:Account)";
 
-PropertyGraph TestGraph() {
+PropertyGraph TestGraph(int num_cities = 2) {
   FraudGraphOptions options;
   options.num_accounts = 60;
-  options.num_cities = 2;
+  options.num_cities = num_cities;
   return MakeFraudGraph(options);
 }
 
@@ -326,45 +327,49 @@ TEST(QueryStatsEngineTest, PlanHashIsStableAcrossCacheHits) {
   EXPECT_FALSE(e.plan_changed);
 }
 
-TEST(QueryStatsEngineTest, SeedIndexToggleRecordsExactlyOnePlanChange) {
-  PropertyGraph g = TestGraph();
+TEST(QueryStatsEngineTest, ReloadedGraphRecordsExactlyOnePlanChange) {
+  // How a replan happens in production: the same query text runs over a
+  // graph reloaded with different data. Stats entries are keyed by
+  // (tenant, fingerprint) — the graph is only a field — so both graphs
+  // feed one entry per query.
+  PropertyGraph before_graph = TestGraph();
+  PropertyGraph after_graph = TestGraph(/*num_cities=*/600);
   obs::QueryStatsStore store;
+  EngineOptions options;
+  options.query_stats = &store;
+  Engine before(before_graph, options);
+  Engine after(after_graph, options);
 
-  EngineOptions with_index;
-  with_index.query_stats = &store;
-  Engine indexed(g, with_index);
+  // Premise check: the city count flips the anchor of the City query and
+  // does not touch the plain one.
+  Result<std::string> flip_before = before.Explain(kAnchorFlipQuery);
+  Result<std::string> flip_after = after.Explain(kAnchorFlipQuery);
+  ASSERT_TRUE(flip_before.ok() && flip_after.ok());
+  ASSERT_NE(flip_before->find("dir=forward"), std::string::npos)
+      << *flip_before;
+  ASSERT_NE(flip_after->find("dir=reversed"), std::string::npos)
+      << *flip_after;
+  Result<std::string> plain_before = before.Explain(kPlainQuery);
+  Result<std::string> plain_after = after.Explain(kPlainQuery);
+  ASSERT_TRUE(plain_before.ok() && plain_after.ok());
+  ASSERT_EQ(*plain_before, *plain_after);
 
-  EngineOptions without_index = with_index;
-  without_index.use_seed_index = false;
-  Engine scanned(g, without_index);
-
-  // Premise check: the flag actually flips the compiled plan for the
-  // indexed query and does not touch the plain one.
-  Result<std::string> plan_on = indexed.Explain(kIndexedQuery);
-  Result<std::string> plan_off = scanned.Explain(kIndexedQuery);
-  ASSERT_TRUE(plan_on.ok() && plan_off.ok());
-  ASSERT_NE(*plan_on, *plan_off);
-  Result<std::string> plain_on = indexed.Explain(kPlainQuery);
-  Result<std::string> plain_off = scanned.Explain(kPlainQuery);
-  ASSERT_TRUE(plain_on.ok() && plain_off.ok());
-  ASSERT_EQ(*plain_on, *plain_off);
-
-  ASSERT_TRUE(indexed.Match(kIndexedQuery).ok());
-  ASSERT_TRUE(indexed.Match(kIndexedQuery).ok());
-  ASSERT_TRUE(indexed.Match(kPlainQuery).ok());
-  // The toggle: the next indexed-query execution replans without the
-  // index — same stats fingerprint, different plan hash.
-  ASSERT_TRUE(scanned.Match(kIndexedQuery).ok());
-  ASSERT_TRUE(scanned.Match(kIndexedQuery).ok());
-  ASSERT_TRUE(scanned.Match(kPlainQuery).ok());
+  ASSERT_TRUE(before.Match(kAnchorFlipQuery).ok());
+  ASSERT_TRUE(before.Match(kAnchorFlipQuery).ok());
+  ASSERT_TRUE(before.Match(kPlainQuery).ok());
+  // The reload: the next execution of the City query replans — same stats
+  // fingerprint, different plan hash.
+  ASSERT_TRUE(after.Match(kAnchorFlipQuery).ok());
+  ASSERT_TRUE(after.Match(kAnchorFlipQuery).ok());
+  ASSERT_TRUE(after.Match(kPlainQuery).ok());
 
   std::vector<obs::QueryStatEntry> snap = store.Snapshot();
-  ASSERT_EQ(snap.size(), 2u) << "flag must not split the stats entry";
-  const obs::QueryStatEntry* affected = FindEntry(snap, "isLocatedIn");
+  ASSERT_EQ(snap.size(), 2u) << "a reload must not split the stats entry";
+  const obs::QueryStatEntry* affected = FindEntry(snap, "City");
   ASSERT_NE(affected, nullptr);
   EXPECT_EQ(affected->calls, 4u);
   EXPECT_TRUE(affected->plan_changed);
-  EXPECT_EQ(affected->plan_changes, 1u) << "one toggle, one change";
+  EXPECT_EQ(affected->plan_changes, 1u) << "one reload, one change";
   ASSERT_EQ(affected->plans.size(), 2u);
   EXPECT_NE(affected->plans[0].plan_hash, affected->plans[1].plan_hash);
   EXPECT_EQ(affected->plans[0].calls, 2u);
@@ -376,13 +381,17 @@ TEST(QueryStatsEngineTest, SeedIndexToggleRecordsExactlyOnePlanChange) {
   EXPECT_FALSE(unaffected->plan_changed);
   EXPECT_EQ(unaffected->plans.size(), 1u);
 
-  // The regression signal is also a counter on the graph's registry.
-  EXPECT_EQ(g.metrics_registry()->Snapshot().CounterValue(
+  // The regression signal is also a counter on the registry of the graph
+  // whose execution detected the change.
+  EXPECT_EQ(before_graph.metrics_registry()->Snapshot().CounterValue(
+                "gpml_plan_changes_total"),
+            0u);
+  EXPECT_EQ(after_graph.metrics_registry()->Snapshot().CounterValue(
                 "gpml_plan_changes_total"),
             1u);
-  EXPECT_EQ(g.metrics_registry()->Snapshot().CounterValue(
+  EXPECT_EQ(after_graph.metrics_registry()->Snapshot().CounterValue(
                 "gpml_querystats_observations_total"),
-            6u);
+            3u);
 }
 
 TEST(QueryStatsEngineTest, ErrorsAndTruncationsAreCounted) {

@@ -265,6 +265,28 @@ TEST(ServerTest, ErrorsCarryStableCodes) {
   EXPECT_TRUE(client.Ping().ok());
 }
 
+// execute and open decode `limit` the same way: a negative one is a bad
+// request for both, never an unbounded stream.
+TEST(ServerTest, NegativeLimitIsBadRequestForExecuteAndOpen) {
+  TestServer srv;
+  Client client = MustConnect(srv);
+  ASSERT_TRUE(client.UseGraph("fraud").ok());
+  Result<Client::PreparedInfo> prepared = client.Prepare(kAllTransfers);
+  ASSERT_TRUE(prepared.ok());
+  const std::string stmt = std::to_string(prepared->stmt);
+  for (const char* op : {"execute", "open"}) {
+    Result<Client::RawResponse> response = client.RoundTrip(
+        std::string("{\"op\":\"") + op + "\",\"stmt\":" + stmt +
+        ",\"limit\":-1}");
+    ASSERT_TRUE(response.ok()) << op;
+    EXPECT_FALSE(response->parsed.Find("ok")->bool_v) << op;
+    const JsonValue* error = response->parsed.Find("error");
+    ASSERT_NE(error, nullptr) << op;
+    EXPECT_EQ(error->Find("reason")->string_v, "BAD_REQUEST") << op;
+  }
+  EXPECT_TRUE(client.Ping().ok());
+}
+
 // Satellite edge case: double-closing a statement (and a cursor) is a
 // structured NOT_FOUND on the second close, never a disconnect.
 TEST(ServerTest, DoubleCloseIsStructuredNotFound) {
