@@ -15,7 +15,10 @@
 //     max_matches set to exactly the bindings its declarations keep: exact
 //     (pc, node, start) visit keys fix the ANY step count, and a search
 //     that stopped gating accepts per endpoint partition or restricting
-//     them to the bound end nodes exceeds that budget.
+//     them to the bound end nodes exceeds that budget. A third selector pin
+//     sums perfbench `paths`' ANY statement (inline target WHERE) over a
+//     fixed suspect list: the witness route must charge exactly the steps
+//     the general selector search charged for the same programs.
 //  2. Byte-identity (always enforced): identical rows in identical order
 //     across {threads 1, 8} within each planner setting, and an identical
 //     row multiset across planner on/off (a mirrored or reordered plan may
@@ -117,6 +120,21 @@ const PinnedWorkload kSelectorWorkloads[] = {
     {"fig4_fraud_all_shortest", kFig4FraudAllShortest, 2323810,
      /*max_matches=*/1297},
 };
+
+/// perfbench `paths`' ANY statement with each suspect inlined as a literal
+/// (the planner index-seeds it from the one matching account), pinned as
+/// the sum of its steps over a fixed suspect list: the selector route with
+/// an inline target WHERE on the endpoint it accepts at.
+constexpr const char* kPathsAnySuspects[] = {"u0",   "u20",  "u40",  "u60",
+                                             "u80",  "u100", "u120", "u140",
+                                             "u160", "u180", "u200", "u220",
+                                             "u240", "u260", "u280"};
+constexpr size_t kPathsAnySteps = 72037;
+
+std::string PathsAnyQuery(const char* owner) {
+  return std::string("MATCH ANY (x:Account WHERE x.owner='") + owner +
+         "')-[:Transfer]->+(y:Account WHERE y.isBlocked='yes')";
+}
 
 const Workload kMatrixWorkloads[] = {
     {"paper_sec2_shared_phone",
@@ -226,6 +244,38 @@ void CheckPinned(const PropertyGraph& g, const PinnedWorkload& w,
   }
 }
 
+/// Runs perfbench `paths`' ANY statement once per suspect at one thread
+/// and checks the summed matcher steps against kPathsAnySteps.
+void CheckPathsAnyPin(const PropertyGraph& g, bench::JsonReport* report,
+                      bool* ok) {
+  EngineOptions base;
+  base.num_threads = 1;
+  size_t seeds = 0;
+  size_t steps = 0;
+  size_t rows = 0;
+  double millis = 0;
+  for (const char* owner : kPathsAnySuspects) {
+    Measurement m = Measure(g, PathsAnyQuery(owner), base, ok);
+    if (!*ok) return;
+    seeds += m.metrics.seeded_nodes;
+    steps += m.metrics.matcher_steps;
+    rows += m.rows.size();
+    millis += m.millis;
+  }
+  std::printf("%-28s | %10.3f | %10zu %10zu\n", "paths_any_blocked", millis,
+              steps, kPathsAnySteps);
+  report->Add("paths_any_blocked", millis, seeds, steps, rows,
+              {{"pinned_steps", static_cast<double>(kPathsAnySteps)}});
+  if (steps != kPathsAnySteps) {
+    std::fprintf(stderr,
+                 "FAIL paths_any_blocked: %zu matcher steps, pinned %zu "
+                 "(did the witness route stop charging one step per "
+                 "adjacency candidate and per epsilon instruction?)\n",
+                 steps, kPathsAnySteps);
+    *ok = false;
+  }
+}
+
 int RunBench() {
   bool ok = true;
   bench::JsonReport report("csr");
@@ -252,6 +302,7 @@ int RunBench() {
                   &report, &ok);
       if (!ok) break;
     }
+    if (ok) CheckPathsAnyPin(g, &report, &ok);
   }
 
   // --- 2. byte-identity matrix --------------------------------------------

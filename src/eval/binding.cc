@@ -109,9 +109,13 @@ std::string PathBinding::ToString(const PropertyGraph& g,
 
 PathBinding ReduceChain(const BindingChain& chain, const VarTable& vars,
                         std::vector<int32_t> tags) {
+  return ReduceBindings(Materialize(chain), vars, std::move(tags));
+}
+
+PathBinding ReduceBindings(const std::vector<BindingLink>& raw,
+                           const VarTable& vars, std::vector<int32_t> tags) {
   PathBinding out;
   out.tags = std::move(tags);
-  std::vector<BindingLink> raw = Materialize(chain);
 
   // Reconstruct the path: first node entry starts it; every edge entry is
   // followed by (a run of) node entries for the node it reaches.
@@ -121,6 +125,9 @@ PathBinding ReduceChain(const BindingChain& chain, const VarTable& vars,
     if (l.binding.element.is_node()) {
       if (!started) {
         out.path = Path(l.binding.element.id);
+        out.path.Reserve(static_cast<size_t>(std::count_if(
+            raw.begin() + static_cast<long>(i), raw.end(),
+            [](const BindingLink& b) { return b.binding.element.is_edge(); })));
         started = true;
       }
     } else {

@@ -126,6 +126,12 @@ struct PathBinding {
 PathBinding ReduceChain(const BindingChain& chain, const VarTable& vars,
                         std::vector<int32_t> tags);
 
+/// ReduceChain over the chain's links already materialized front-to-back
+/// (`prev` and `size` are not read), for callers that keep their bindings
+/// outside refcounted links.
+PathBinding ReduceBindings(const std::vector<BindingLink>& raw,
+                           const VarTable& vars, std::vector<int32_t> tags);
+
 }  // namespace gpml
 
 #endif  // GPML_EVAL_BINDING_H_

@@ -328,6 +328,7 @@ EngineMetrics ToEngineMetrics(const obs::ExecutionRecord& rec) {
   m.reversed_decls = rec.reversed_decls;
   m.seed_filtered_decls = rec.bound_seeded_decls;
   m.target_filtered_decls = rec.target_filtered_decls;
+  m.witness_decls = rec.witness_decls;
   m.threads = rec.threads;
   m.plan_cache_hits = rec.cache_hit ? 1 : 0;
   m.plan_cache_misses = rec.cache_hit ? 0 : 1;
@@ -891,6 +892,7 @@ Result<MatchOutput> MaterializePlan(const PropertyGraph& graph,
     if (use_filter) ++rec->bound_seeded_decls;
     if (use_target) ++rec->target_filtered_decls;
     if (use_index) ++rec->index_seeded_decls;
+    if (match_stats.route == MatchRoute::kWitness) ++rec->witness_decls;
     if (!match.ok()) return match.status();
     if (decl_truncated) out.truncated = true;
     if (dp.reversed) planner::UnreverseMatchSet(&*match);
@@ -910,6 +912,7 @@ Result<MatchOutput> MaterializePlan(const PropertyGraph& graph,
       run->actual.seed_filtered = use_filter;
       run->actual.target_filtered = use_target;
       run->actual.targets = target_filter.size();
+      run->actual.route = MatchRouteName(match_stats.route);
       run->actual.ms = match_stats.match_ms;
     }
 

@@ -53,6 +53,9 @@ struct EngineMetrics {
   size_t target_filtered_decls = 0;  // Declarations whose accepts were
                                    // restricted to end nodes bound by
                                    // earlier declarations.
+  size_t witness_decls = 0;        // Declarations run on the matcher's
+                                   // witness route (exact-key ANY / ANY
+                                   // SHORTEST; docs/planner.md).
   size_t threads = 0;              // Resolved worker count of this call.
   size_t plan_cache_hits = 0;      // 1 when the compiled plan came from the
                                    // graph's plan cache, else 0.

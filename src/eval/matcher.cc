@@ -1,6 +1,7 @@
 #include "eval/matcher.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <optional>
 #include <thread>
@@ -51,14 +52,28 @@ size_t IdSetHash(const IdSet& set) {
 }
 
 // ---------------------------------------------------------------------------
-// Exact visit keys (selector route, Program::exact_visit_key programs)
+// Exact visit keys (the witness route of Program::exact_visit_key programs)
 // ---------------------------------------------------------------------------
 
 /// An open-addressing set of exact (tagged pc, node, start) visit keys.
 /// Compared field by field, never by hash alone, and sized by the keys
-/// inserted — the states one shard actually visits.
+/// inserted — the states one shard actually visits. The slot array is
+/// reused across the searches one thread runs (a fresh set per RunPattern
+/// call would allocate and zero it every time): a slot is occupied only
+/// when it carries this set's epoch, so taking the array over clears it.
 class VisitKeySet {
  public:
+  VisitKeySet() = default;
+  ~VisitKeySet() {
+    Pool& pool = ThreadPool();
+    if (slots_.size() <= kMaxPooledSlots &&
+        slots_.size() > pool.slots.size()) {
+      pool.slots = std::move(slots_);
+    }
+  }
+  VisitKeySet(const VisitKeySet&) = delete;
+  VisitKeySet& operator=(const VisitKeySet&) = delete;
+
   /// Inserts the key; false when it was already present.
   bool Insert(uint32_t pc, NodeId node, NodeId start) {
     if ((size_ + 1) * 2 > slots_.size()) Grow();
@@ -66,8 +81,8 @@ class VisitKeySet {
     const size_t mask = slots_.size() - 1;
     for (size_t i = Hash(pc, nodes) & mask;; i = (i + 1) & mask) {
       Slot& s = slots_[i];
-      if (s.pc == kEmpty) {
-        s = {nodes, pc};
+      if (s.epoch != epoch_) {
+        s = {nodes, pc, epoch_};
         ++size_;
         return true;
       }
@@ -78,9 +93,22 @@ class VisitKeySet {
  private:
   struct Slot {
     uint64_t nodes = 0;  // start << 32 | node.
-    uint32_t pc = kEmpty;
+    uint32_t pc = 0;
+    uint32_t epoch = 0;  // Occupied iff equal to the owning set's epoch_.
   };
-  static constexpr uint32_t kEmpty = 0xffffffffu;
+  /// One thread's spare slot array, and the epochs handed out on it.
+  struct Pool {
+    std::vector<Slot> slots;
+    uint32_t epoch = 0;
+  };
+  /// Arrays above this many slots (1 MiB) are freed, not kept: a search
+  /// that large costs far more than the allocation.
+  static constexpr size_t kMaxPooledSlots = size_t{1} << 16;
+
+  static Pool& ThreadPool() {
+    thread_local Pool pool;
+    return pool;
+  }
 
   static size_t Hash(uint32_t pc, uint64_t nodes) {
     uint64_t h = nodes ^ (static_cast<uint64_t>(pc) * 0x9e3779b97f4a7c15ULL);
@@ -91,19 +119,31 @@ class VisitKeySet {
   }
 
   void Grow() {
+    if (slots_.empty()) {
+      // First insert: take over the thread's spare array under a new epoch.
+      Pool& pool = ThreadPool();
+      slots_ = std::move(pool.slots);
+      epoch_ = ++pool.epoch;
+      if (epoch_ == 0) {  // Wrapped: no stale slot may look occupied.
+        std::fill(slots_.begin(), slots_.end(), Slot());
+        epoch_ = ++pool.epoch;
+      }
+      if (!slots_.empty()) return;
+    }
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.empty() ? 64 : old.size() * 2, Slot());
     const size_t mask = slots_.size() - 1;
     for (const Slot& s : old) {
-      if (s.pc == kEmpty) continue;
+      if (s.epoch != epoch_) continue;
       size_t i = Hash(s.pc, s.nodes) & mask;
-      while (slots_[i].pc != kEmpty) i = (i + 1) & mask;
+      while (slots_[i].epoch == epoch_) i = (i + 1) & mask;
       slots_[i] = s;
     }
   }
 
   std::vector<Slot> slots_;
   size_t size_ = 0;
+  uint32_t epoch_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -212,6 +252,47 @@ class SearchScope : public EvalScope {
   const Params* params_;
 };
 
+/// The expression scope of the witness route (exact-key programs): the
+/// only named variables are the two endpoints, so an inline predicate sees
+/// the start node (once its check has bound it) and the element being
+/// bound — what SearchScope's environment holds at the same point.
+class WitnessScope : public EvalScope {
+ public:
+  WitnessScope(int start_var, ElementRef start, int pending_var,
+               ElementRef pending, const Params* params)
+      : start_var_(start_var),
+        start_(start),
+        pending_var_(pending_var),
+        pending_(pending),
+        params_(params) {}
+
+  std::optional<ElementRef> LookupSingleton(int var) const override {
+    if (var == pending_var_) return pending_;
+    if (var == start_var_) return start_;
+    return std::nullopt;
+  }
+
+  /// Unreached: the analyzer refuses aggregates in inline predicates, and
+  /// exact-key programs have no parenthesized WHERE.
+  std::vector<ElementRef> CollectGroup(int var) const override {
+    std::vector<ElementRef> out;
+    if (var == start_var_) out.push_back(start_);
+    if (var == pending_var_) out.push_back(pending_);
+    return out;
+  }
+
+  const Value* LookupParam(const std::string& name) const override {
+    return FindParam(params_, name);
+  }
+
+ private:
+  int start_var_;  // -1 when no named start node is bound yet.
+  ElementRef start_;
+  int pending_var_;
+  ElementRef pending_;
+  const Params* params_;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -283,7 +364,8 @@ class Matcher {
         targets_(targets),
         budget_(budget),
         charge_stride_(charge_stride),
-        params_(params) {}
+        params_(params),
+        witness_(program.witness.get()) {}
 
   Status Run() {
     GPML_RETURN_IF_ERROR(RunRoute());
@@ -299,6 +381,7 @@ class Matcher {
   std::vector<PathBinding> TakeResults() { return std::move(results_); }
 
   size_t steps() const { return steps_; }
+  MatchRoute route() const { return route_; }
   size_t batch_blocks() const { return batch_blocks_; }
   size_t batch_candidates() const { return batch_candidates_; }
   size_t batch_survivors() const { return batch_survivors_; }
@@ -307,12 +390,23 @@ class Matcher {
   // --- shared helpers ------------------------------------------------------
 
   Status RunRoute() {
-    if (!program_.selector.IsNone()) return RunBfs();
+    if (program_.exact_visit_key) {
+      route_ = MatchRoute::kWitness;
+      return RunWitness();
+    }
+    if (!program_.selector.IsNone()) {
+      route_ = MatchRoute::kBfs;
+      return RunBfs();
+    }
     // Block-at-a-time route (docs/vectorized.md): eligible linear programs
     // with all predicate kernels bindable. Anything else — and the
     // differential oracle with use_batch off — runs the tuple-at-a-time
     // interpreter.
-    if (options_.use_batch && TryBindBatch()) return RunBatch();
+    if (options_.use_batch && TryBindBatch()) {
+      route_ = MatchRoute::kBatch;
+      return RunBatch();
+    }
+    route_ = MatchRoute::kDfs;
     return RunDfs();
   }
 
@@ -504,14 +598,6 @@ class Matcher {
     if (!CheckRestrictors(state, adj.edge, adj.neighbor)) {
       return std::optional<State>();
     }
-    // Exact-key programs: a successor whose position was already reached
-    // adds nothing (Program::exact_visit_key), so it never pays the copy
-    // or its epsilon closure.
-    if (program_.exact_visit_key &&
-        !visited_.Insert(VisitPc(in.next, /*parked=*/false), adj.neighbor,
-                         state.start)) {
-      return std::optional<State>();
-    }
 
     State next = state;
     if (extend_env) next.env = ExtendEnv(next.env, in.var, ref, serial);
@@ -653,20 +739,43 @@ class Matcher {
   Status RecordAccept(const BindingChain& chain,
                       const std::vector<int32_t>& tags, NodeId start,
                       NodeId end, uint32_t length) {
-    const Selector& selector = program_.selector;
     SelectorPartition* part = nullptr;
-    if (!selector.IsNone()) {
-      part = &partitions_[(static_cast<uint64_t>(start) << 32) | end];
-      if (!SelectorKeeps(selector, *part, length)) return Status::OK();
+    if (!program_.selector.IsNone()) {
+      part = SelectorGate(start, end, length);
+      if (part == nullptr) return Status::OK();
     }
-    PathBinding pb = ReduceChain(chain, vars_, tags);
+    return KeepBinding(ReduceChain(chain, vars_, tags), part, length);
+  }
+
+  /// The selector's keep rule for an accept of `length` from `start` to
+  /// `end`: its endpoint partition when the rule still admits it, else
+  /// nullptr (the accept adds no row, so its binding is never built).
+  SelectorPartition* SelectorGate(NodeId start, NodeId end, uint32_t length) {
+    SelectorPartition* part =
+        &partitions_[(static_cast<uint64_t>(start) << 32) | end];
+    return SelectorKeeps(program_.selector, *part, length) ? part : nullptr;
+  }
+
+  /// Keeps `pb` unless this shard already kept an equal binding; `part`
+  /// (nullptr without a selector) records it. Charges max_matches.
+  Status KeepBinding(PathBinding pb, SelectorPartition* part,
+                     uint32_t length) {
     size_t h = pb.ReducedHash();
     auto [it, inserted] = seen_.emplace(h, std::vector<size_t>());
     for (size_t idx : it->second) {
       if (results_[idx].SameReduced(pb)) return Status::OK();  // Duplicate.
     }
-    if (part != nullptr) SelectorRecordKept(selector, part, length);
     it->second.push_back(results_.size());
+    Status charge = CommitBinding(std::move(pb), part, length);
+    if (!charge.ok()) it->second.pop_back();
+    return charge;
+  }
+
+  /// Keeps `pb`, which repeats no binding this shard kept, and charges it
+  /// against max_matches.
+  Status CommitBinding(PathBinding pb, SelectorPartition* part,
+                       uint32_t length) {
+    if (part != nullptr) SelectorRecordKept(program_.selector, part, length);
     results_.push_back(std::move(pb));
     Status charge;
     if (budget_ == nullptr) {
@@ -678,13 +787,9 @@ class Matcher {
     } else {
       charge = budget_->ChargeMatch();
     }
-    if (!charge.ok()) {
-      // Keep partial deliveries within the configured limit: the binding
-      // that tripped max_matches is dropped (the search stops on the error
-      // either way, so the dangling seen_ entry is never consulted).
-      results_.pop_back();
-      it->second.pop_back();
-    }
+    // Keep partial deliveries within the configured limit: the binding
+    // that tripped max_matches is dropped (the search stops on the error).
+    if (!charge.ok()) results_.pop_back();
     return charge;
   }
 
@@ -1047,7 +1152,8 @@ class Matcher {
   /// currency, open-frame contents, restrictor memories, provenance tags).
   /// The key hashes the start node, so visit budgets are per start node and
   /// seed-partitioned shards prune exactly like the sequential frontier.
-  /// Serves only programs outside Program::exact_visit_key.
+  /// Serves only programs outside Program::exact_visit_key (those run on
+  /// the witness route).
   size_t StateKey(const State& state) {
     size_t h = 0x9ddfea08eb382d69ULL;
     h = HashCombine(h, static_cast<size_t>(state.pc));
@@ -1093,19 +1199,8 @@ class Matcher {
     return h;
   }
 
-  /// The visit-key pc of an exact-key program: a parked state (at an edge
-  /// step) and a fresh successor (just past one) live in separate halves,
-  /// since an edge step can directly follow another.
-  static uint32_t VisitPc(int pc, bool parked) {
-    return static_cast<uint32_t>(pc) * 2 + (parked ? 1 : 0);
-  }
-
   /// May `state` (parked at an edge step, at BFS level `level`) expand?
   bool AdmitExpansion(const State& state, uint32_t level) {
-    if (program_.exact_visit_key) {
-      return visited_.Insert(VisitPc(state.pc, /*parked=*/true), state.node,
-                             state.start);
-    }
     size_t key = StateKey(state);
     Visits& v = visits_[key];
     switch (program_.selector.kind) {
@@ -1172,6 +1267,263 @@ class Matcher {
     return Status::OK();
   }
 
+  // --- Witness route (Program::exact_visit_key) ---------------------------
+  //
+  // An exact-key ANY / ANY SHORTEST program searches the (pc, node, start)
+  // product graph: nothing else in a state can change what the search does
+  // next (docs/planner.md, "Selector route"). So this route carries no
+  // State. A frontier entry is a 16-byte (pc, node, start, link) record;
+  // the bindings of its path live in a per-shard arena of index-linked
+  // WitnessLinks and are read out only for an accept the selector keeps.
+  // The epsilon closure runs the same instructions in the same order as
+  // AdvanceEpsilon, charging Budget() the same way, so step counts,
+  // max_steps cut-offs, kTruncate prefixes, accept order and witnesses
+  // are those the State search gave these programs (bench_csr and
+  // selector_test pin the steps). Rows are the general selector search's:
+  // the same program with exact_visit_key cleared is the differential
+  // oracle (tests/witness_test.cc).
+  //
+  // What the closure leaves out is what exact-key programs cannot use: an
+  // environment (the named variables are the start node, bound once, and
+  // the end node, bound just before kAccept), serials (no named variable
+  // inside a quantifier), restrictor scopes and tags (none), and the frame
+  // stack. A frame opened in an earlier closure has seen an edge since, so
+  // only the frames opened in this closure can fail guard_progress — a
+  // counter of those is the whole frame state.
+
+  static constexpr uint32_t kNoLink = 0xffffffffu;
+
+  /// One binding on a witness path: `prev` links toward the start node.
+  struct WitnessLink {
+    ElementaryBinding binding;
+    Traversal traversal = Traversal::kForward;
+    uint32_t prev = kNoLink;
+  };
+
+  /// A frontier entry: parked at the edge step `pc` on `node`.
+  struct WitnessEntry {
+    uint32_t pc;
+    NodeId node;
+    NodeId start;
+    uint32_t link;  // Last binding of the path in witness_links_.
+  };
+
+  /// A pending branch of one epsilon closure (kSplit's alternative).
+  struct WitnessFork {
+    int pc;
+    uint32_t link;
+    uint32_t fresh_frames;  // Frames opened in this closure, still open.
+  };
+
+  /// The visit-key pc: a parked entry (at an edge step) and a fresh
+  /// successor (just past one) live in separate halves, since an edge step
+  /// can directly follow another.
+  static uint32_t VisitPc(int pc, bool parked) {
+    return static_cast<uint32_t>(pc) * 2 + (parked ? 1 : 0);
+  }
+
+  Result<uint32_t> AddWitnessLink(uint32_t prev, int var, ElementRef element,
+                                  Traversal traversal) {
+    if (witness_links_.size() >= kNoLink) {
+      return Status::ResourceExhausted(
+          "witness search exceeded its binding arena; tighten the pattern");
+    }
+    witness_links_.push_back({{var, element}, traversal, prev});
+    return static_cast<uint32_t>(witness_links_.size() - 1);
+  }
+
+  /// Evaluates the inline WHERE of the check at `pc` on the element being
+  /// bound: through its bound kernel when it has one, else the scalar
+  /// evaluator over a WitnessScope.
+  Result<bool> WitnessWhere(int pc, const Expr& where, int var,
+                            ElementRef pending, NodeId start) {
+    const int k = witness_->kernel_of[static_cast<size_t>(pc)];
+    if (k >= 0 && witness_kernel_bound_[static_cast<size_t>(k)]) {
+      return EvalKernel(witness_kernels_[static_cast<size_t>(k)], g_,
+                        pending.is_node(), pending.id);
+    }
+    const bool start_bound = pc != witness_->start_pc;
+    WitnessScope scope(start_bound ? witness_start_var_ : -1,
+                       ElementRef::Node(start), var, pending, params_);
+    GPML_ASSIGN_OR_RETURN(TriBool ok, EvalPredicate(where, g_, vars_, scope));
+    return ok == TriBool::kTrue;
+  }
+
+  /// ApplyNodeCheck without an environment: the start variable met again
+  /// must be the start node (§4.2's implicit equi-join); every other named
+  /// check binds for the first time.
+  Result<bool> WitnessNodeCheck(const Instr& in, int pc, NodeId node,
+                                NodeId start) {
+    if (!NodeLabelsMatch(in, node)) return false;
+    if (in.var == witness_start_var_ && pc != witness_->start_pc &&
+        node != start) {
+      return false;
+    }
+    if (in.node->where == nullptr) return true;
+    return WitnessWhere(pc, *in.node->where, in.var, ElementRef::Node(node),
+                        start);
+  }
+
+  /// AdvanceEpsilon for one witness entry reached at `level` edges: parks
+  /// edge steps in `parked` and records accepts.
+  Status WitnessClosure(int pc, NodeId node, NodeId start, uint32_t link,
+                        uint32_t level, std::vector<WitnessEntry>* parked) {
+    std::vector<WitnessFork>& work = witness_work_;
+    work.clear();
+    work.push_back({pc, link, 0});
+    while (!work.empty()) {
+      WitnessFork cur = work.back();
+      work.pop_back();
+      bool dead = false;
+      while (!dead) {
+        GPML_RETURN_IF_ERROR(Budget());
+        const Instr& in = program_.code[static_cast<size_t>(cur.pc)];
+        switch (in.op) {
+          case Instr::Op::kAccept:
+            if (TargetAdmits(node)) {
+              GPML_RETURN_IF_ERROR(
+                  RecordWitness(start, node, level, cur.link));
+            }
+            dead = true;
+            break;
+          case Instr::Op::kEdgeStep:
+            parked->push_back(
+                {static_cast<uint32_t>(cur.pc), node, start, cur.link});
+            dead = true;
+            break;
+          case Instr::Op::kNodeCheck: {
+            GPML_ASSIGN_OR_RETURN(bool ok,
+                                  WitnessNodeCheck(in, cur.pc, node, start));
+            if (!ok) {
+              dead = true;
+              break;
+            }
+            GPML_ASSIGN_OR_RETURN(
+                cur.link, AddWitnessLink(cur.link, in.var,
+                                         ElementRef::Node(node),
+                                         Traversal::kForward));
+            cur.pc = in.next;
+            break;
+          }
+          case Instr::Op::kSplit:
+            work.push_back({in.alt, cur.link, cur.fresh_frames});
+            cur.pc = in.next;
+            break;
+          case Instr::Op::kJump:
+            cur.pc = in.next;
+            break;
+          case Instr::Op::kFrameBegin:
+            ++cur.fresh_frames;
+            cur.pc = in.next;
+            break;
+          case Instr::Op::kFrameEnd:
+            if (cur.fresh_frames > 0) {
+              if (in.guard_progress) {
+                dead = true;  // Zero-width loop iteration: cut.
+                break;
+              }
+              --cur.fresh_frames;
+            }
+            cur.pc = in.next;
+            break;
+          case Instr::Op::kWhereCheck:
+          case Instr::Op::kScopeBegin:
+          case Instr::Op::kScopeEnd:
+          case Instr::Op::kTag:
+            return Status::Internal(
+                "witness route: instruction outside an exact-key program");
+        }
+      }
+    }
+    return Status::OK();
+  }
+
+  /// kAccept on the witness route: the selector gate first, then the
+  /// path's bindings, read front-to-back off its parent links — the links a
+  /// BindingChain of the general search would hold — and reduced.
+  Status RecordWitness(NodeId start, NodeId end, uint32_t length,
+                       uint32_t link) {
+    SelectorPartition* part = SelectorGate(start, end, length);
+    if (part == nullptr) return Status::OK();
+    size_t n = 0;
+    for (uint32_t i = link; i != kNoLink; i = witness_links_[i].prev) ++n;
+    witness_path_.resize(n);
+    for (uint32_t i = link; i != kNoLink; i = witness_links_[i].prev) {
+      BindingLink& out = witness_path_[--n];
+      out.binding = witness_links_[i].binding;
+      out.traversal = witness_links_[i].traversal;
+    }
+    // No dedupe lookup: ANY and ANY SHORTEST keep one binding per endpoint
+    // partition, and equal bindings share their endpoints, so a binding
+    // the gate admits never repeats a kept one.
+    return CommitBinding(ReduceBindings(witness_path_, vars_, {}), part,
+                         length);
+  }
+
+  /// RunBfs on witness entries: the same level order, the same Budget()
+  /// charge per adjacency candidate, the same TryEdge checks in the same
+  /// order, and the exact (pc, node, start) visit keys.
+  Status RunWitness() {
+    if (witness_->start_pc >= 0) {
+      const int var =
+          program_.code[static_cast<size_t>(witness_->start_pc)].var;
+      if (!vars_.info(var).anonymous) witness_start_var_ = var;
+    }
+    witness_kernels_.resize(witness_->kernels.size());
+    witness_kernel_bound_.assign(witness_->kernels.size(), false);
+    for (size_t k = 0; k < witness_->kernels.size(); ++k) {
+      // An unbound $param leaves the kernel unbound: the scalar evaluator
+      // then reports the error exactly as the general search does.
+      witness_kernel_bound_[k] = BindPredicateKernel(
+          witness_->kernels[k], params_, &witness_kernels_[k]);
+    }
+
+    std::vector<WitnessEntry> frontier;
+    std::vector<WitnessEntry> next;
+    for (size_t i = 0; i < num_seeds_; ++i) {
+      GPML_RETURN_IF_ERROR(WitnessClosure(program_.start, seeds_[i],
+                                          seeds_[i], kNoLink, 0, &frontier));
+    }
+    for (uint32_t level = 0; !frontier.empty(); ++level) {
+      next.clear();
+      for (const WitnessEntry& cur : frontier) {
+        if (!visited_.Insert(VisitPc(static_cast<int>(cur.pc), true),
+                             cur.node, cur.start)) {
+          continue;
+        }
+        const Instr& in = program_.code[cur.pc];
+        const EdgePattern& ep = *in.edge;
+        for (const Adjacency& adj : ExpansionRange(in, cur.node)) {
+          GPML_RETURN_IF_ERROR(Budget());
+          if (!Admits(ep.orientation, adj.traversal)) continue;
+          if (!in.edge_prefiltered && !EdgeLabelsMatch(in, adj.edge)) {
+            continue;
+          }
+          const ElementRef ref = ElementRef::Edge(adj.edge);
+          if (ep.where != nullptr) {
+            GPML_ASSIGN_OR_RETURN(
+                bool ok, WitnessWhere(static_cast<int>(cur.pc), *ep.where,
+                                      in.var, ref, cur.start));
+            if (!ok) continue;
+          }
+          // A successor whose position was already reached adds nothing.
+          if (!visited_.Insert(VisitPc(in.next, false), adj.neighbor,
+                               cur.start)) {
+            continue;
+          }
+          GPML_ASSIGN_OR_RETURN(
+              uint32_t link,
+              AddWitnessLink(cur.link, in.var, ref, adj.traversal));
+          GPML_RETURN_IF_ERROR(WitnessClosure(in.next, adj.neighbor,
+                                              cur.start, link, level + 1,
+                                              &next));
+        }
+      }
+      frontier.swap(next);
+    }
+    return Status::OK();
+  }
+
   struct Visits {
     size_t count = 0;
     uint32_t min_level = 0;
@@ -1188,6 +1540,7 @@ class Matcher {
   SharedBudget* budget_;  // nullptr: local exact limits (single shard).
   const size_t charge_stride_;
   const Params* params_;  // $name bindings for inline predicates; may be null.
+  const WitnessPlan* witness_;  // Set exactly for exact_visit_key programs.
 
   size_t steps_ = 0;
   size_t pending_steps_ = 0;
@@ -1208,7 +1561,15 @@ class Matcher {
   // Selector route: kept bindings per (start << 32 | end) partition.
   std::unordered_map<uint64_t, SelectorPartition> partitions_;
   std::unordered_map<size_t, Visits> visits_;  // Hashed StateKey visits.
-  VisitKeySet visited_;                        // Exact-key visits.
+  // Witness-route state (see RunWitness):
+  int witness_start_var_ = -1;  // Named start variable, else -1.
+  std::vector<BoundPredicateKernel> witness_kernels_;  // Indexed like
+  std::vector<bool> witness_kernel_bound_;             // WitnessPlan::kernels.
+  std::vector<WitnessLink> witness_links_;
+  std::vector<WitnessFork> witness_work_;  // WitnessClosure scratch.
+  std::vector<BindingLink> witness_path_;  // RecordWitness scratch.
+  VisitKeySet visited_;                    // Exact (pc, node, start) keys.
+  MatchRoute route_ = MatchRoute::kDfs;
   std::vector<uint8_t> var_seen_;   // StateKey scratch, indexed by var id;
   std::vector<int> var_seen_list_;  // all zero between calls.
 };
@@ -1217,38 +1578,46 @@ class Matcher {
 // Shard orchestration and deterministic merge
 // ---------------------------------------------------------------------------
 
-struct ShardOutcome {
+struct SliceOutcome {
   Status status = Status::OK();
   std::vector<PathBinding> results;
   size_t steps = 0;
+  MatchRoute route = MatchRoute::kDfs;
   size_t batch_blocks = 0;
   size_t batch_candidates = 0;
   size_t batch_survivors = 0;
-  double ms = 0;  // Shard wall clock, measured inside the worker.
+  double ms = 0;  // Slice wall clock, measured inside the worker.
 };
 
 /// Steps charged per shared-budget access in parallel shards. The budget can
-/// overshoot by at most `kParallelChargeStride * shards` steps, traded for
-/// keeping the interpreter loop off the contended atomic.
+/// overshoot by at most `kParallelChargeStride * shards` steps (a shard runs
+/// one slice at a time, and a finished slice charges its remainder), traded
+/// for keeping the interpreter loop off the contended atomic.
 constexpr size_t kParallelChargeStride = 256;
 
-void RunShard(const PropertyGraph& g, const Program& program,
+/// Seed slices per worker shard in a parallel run: enough that the shards
+/// which run while a sibling waits for a CPU take over its slices, few
+/// enough that each slice still amortizes its matcher's setup.
+constexpr size_t kSlicesPerShard = 4;
+
+void RunSlice(const PropertyGraph& g, const Program& program,
               const VarTable& vars, const MatcherOptions& options,
               const NodeId* seeds, size_t num_seeds,
               const std::vector<NodeId>* targets, SharedBudget* budget,
               size_t charge_stride, const Params* params, bool keep_partial,
-              ShardOutcome* out) {
-  obs::Stopwatch shard_clock;
+              SliceOutcome* out) {
+  obs::Stopwatch slice_clock;
   Matcher m(g, program, vars, options, seeds, num_seeds, targets, budget,
             charge_stride, params);
   out->status = m.Run();
   out->steps = m.steps();
+  out->route = m.route();
   out->batch_blocks = m.batch_blocks();
   out->batch_candidates = m.batch_candidates();
   out->batch_survivors = m.batch_survivors();
   if (out->status.ok()) {
     out->results = m.TakeResults();
-    out->ms = shard_clock.ElapsedMs();
+    out->ms = slice_clock.ElapsedMs();
     return;
   }
   // Partial-delivery mode (streaming cursors): budget exhaustion keeps the
@@ -1263,15 +1632,15 @@ void RunShard(const PropertyGraph& g, const Program& program,
     // check instead of finishing doomed work.
     budget->Abort();
   }
-  out->ms = shard_clock.ElapsedMs();
+  out->ms = slice_clock.ElapsedMs();
 }
 
 /// The status RunPattern reports for a sharded run: the first genuine error
-/// in shard (= seed) order; shards that merely stopped because a sibling
+/// in slice (= seed) order; slices that merely stopped because a sibling
 /// exhausted the shared budget are skipped in favor of the real cause.
-Status MergeStatuses(const std::vector<ShardOutcome>& outcomes) {
+Status MergeStatuses(const std::vector<SliceOutcome>& outcomes) {
   const Status* first_error = nullptr;
-  for (const ShardOutcome& o : outcomes) {
+  for (const SliceOutcome& o : outcomes) {
     if (o.status.ok()) continue;
     if (first_error == nullptr) first_error = &o.status;
     if (o.status.message() != SharedBudget::kAbortedBySibling) {
@@ -1281,24 +1650,24 @@ Status MergeStatuses(const std::vector<ShardOutcome>& outcomes) {
   return first_error == nullptr ? Status::OK() : *first_error;
 }
 
-/// Concatenates shard results in shard order (= seed-index order), removes
-/// cross-shard duplicates keeping the first occurrence, stable-sorts by path
+/// Concatenates slice results in slice order (= seed-index order), removes
+/// cross-slice duplicates keeping the first occurrence, stable-sorts by path
 /// length, and applies the selector — exactly the sequential pipeline:
-/// sequential discovery order equals the shard-order concatenation because
-/// shards are contiguous seed blocks (DFS emits per seed, BFS per level with
+/// sequential discovery order equals the slice-order concatenation because
+/// slices are contiguous seed blocks (DFS emits per seed, BFS per level with
 /// seeds in order within each level, and equal bindings always have equal
 /// path length, so the keep-first choice is order-independent too).
-MatchSet MergeShards(std::vector<ShardOutcome> outcomes,
-                     const Program& program, bool cross_shard_dedup) {
+MatchSet MergeSlices(std::vector<SliceOutcome> outcomes,
+                     const Program& program, bool cross_slice_dedup) {
   std::vector<PathBinding> all;
   size_t total = 0;
-  for (const ShardOutcome& o : outcomes) total += o.results.size();
+  for (const SliceOutcome& o : outcomes) total += o.results.size();
   all.reserve(total);
-  for (ShardOutcome& o : outcomes) {
+  for (SliceOutcome& o : outcomes) {
     std::move(o.results.begin(), o.results.end(), std::back_inserter(all));
   }
 
-  if (cross_shard_dedup) {
+  if (cross_slice_dedup) {
     std::vector<PathBinding> uniq;
     uniq.reserve(all.size());
     std::unordered_map<size_t, std::vector<size_t>> seen;
@@ -1335,6 +1704,16 @@ MatchSet MergeShards(std::vector<ShardOutcome> outcomes,
 
 }  // namespace
 
+const char* MatchRouteName(MatchRoute route) {
+  switch (route) {
+    case MatchRoute::kDfs: return "dfs";
+    case MatchRoute::kBatch: return "batch";
+    case MatchRoute::kBfs: return "bfs";
+    case MatchRoute::kWitness: return "witness";
+  }
+  return "?";
+}
+
 Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
                             const VarTable& vars,
                             const MatcherOptions& options,
@@ -1343,9 +1722,13 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
                             MatchStats* stats, const Params* params,
                             SharedBudget* shared_budget,
                             bool* budget_exhausted) {
-  if (program.graph_token != g.identity_token()) {
+  // Binding sets the graph token and, for exact-key programs, the plan of
+  // the witness route they run on.
+  const bool bound = program.graph_token != 0 &&
+                     (!program.exact_visit_key || program.witness != nullptr);
+  if (!bound || program.graph_token != g.identity_token()) {
     return Status::InvalidArgument(
-        program.graph_token == 0
+        !bound
             ? "RunPattern: program is not bound to a graph "
               "(call BindProgramToGraph)"
             : "RunPattern: program is bound to a different graph");
@@ -1370,7 +1753,8 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
       std::max<size_t>(1, std::min(threads, seeds.size() / per_shard));
 
   SharedBudget local_budget(options.max_steps, options.max_matches);
-  std::vector<ShardOutcome> outcomes(shards);
+  std::vector<SliceOutcome> outcomes;  // One per seed slice, in seed order.
+  std::vector<double> shard_ms(shards);
   bool seeds_distinct = true;
 
   if (shards == 1) {
@@ -1379,35 +1763,51 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
     // sequential engine. An external budget (streaming cursor chunks) is
     // charged per step (stride 1), so the cumulative limit fires at the
     // same instruction a single materializing call would have stopped at.
-    RunShard(g, program, vars, options, seeds.data(), seeds.size(),
+    outcomes.resize(1);
+    RunSlice(g, program, vars, options, seeds.data(), seeds.size(),
              target_filter, /*budget=*/shared_budget, /*charge_stride=*/1,
              params, keep_partial, &outcomes[0]);
+    shard_ms[0] = outcomes[0].ms;
   } else {
     SharedBudget* budget =
         shared_budget != nullptr ? shared_budget : &local_budget;
     // Equal bindings always share their start node (reduction keeps the
-    // first node binding), so cross-shard duplicates exist only if the
+    // first node binding), so cross-slice duplicates exist only if the
     // seed list itself repeats a node — possible only through an external
     // seed_filter; the label index, full scan, and the planner's bound
     // lists are distinct by construction.
     std::unordered_set<NodeId> distinct(seeds.begin(), seeds.end());
     seeds_distinct = distinct.size() == seeds.size();
 
-    // Contiguous seed blocks preserve seed-index order across the merge.
+    // The seed list is cut into contiguous slices, several per worker,
+    // which the workers claim in seed order from a shared counter: a
+    // worker that starts late or is descheduled leaves its share to the
+    // others instead of holding up the join. Merging slice results in
+    // slice order preserves seed-index order whoever ran them. The calling
+    // thread works as shard 0 instead of idling in join().
+    const size_t slices = std::min(seeds.size(), shards * kSlicesPerShard);
+    const size_t base = seeds.size() / slices;
+    const size_t extra = seeds.size() % slices;
+    auto slice_begin = [&](size_t i) { return i * base + std::min(i, extra); };
+    outcomes.resize(slices);
+    std::atomic<size_t> next_slice{0};
+    auto work = [&](size_t shard) {
+      obs::Stopwatch shard_clock;
+      for (size_t i = next_slice.fetch_add(1, std::memory_order_relaxed);
+           i < slices;
+           i = next_slice.fetch_add(1, std::memory_order_relaxed)) {
+        const size_t begin = slice_begin(i);
+        RunSlice(g, program, vars, options, seeds.data() + begin,
+                 slice_begin(i + 1) - begin, target_filter, budget,
+                 kParallelChargeStride, params, /*keep_partial=*/false,
+                 &outcomes[i]);
+      }
+      shard_ms[shard] = shard_clock.ElapsedMs();
+    };
     std::vector<std::thread> workers;
-    workers.reserve(shards);
-    const size_t base = seeds.size() / shards;
-    const size_t extra = seeds.size() % shards;
-    size_t offset = 0;
-    for (size_t i = 0; i < shards; ++i) {
-      size_t count = base + (i < extra ? 1 : 0);
-      workers.emplace_back(RunShard, std::cref(g), std::cref(program),
-                           std::cref(vars), std::cref(options),
-                           seeds.data() + offset, count, target_filter,
-                           budget, kParallelChargeStride, params,
-                           /*keep_partial=*/false, &outcomes[i]);
-      offset += count;
-    }
+    workers.reserve(shards - 1);
+    for (size_t i = 1; i < shards; ++i) workers.emplace_back(work, i);
+    work(0);
     for (std::thread& t : workers) t.join();
   }
 
@@ -1419,15 +1819,14 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
     stats->batch_candidates = 0;
     stats->batch_survivors = 0;
     stats->seed_ms = seed_ms;
-    stats->shard_ms.clear();
-    stats->shard_ms.reserve(outcomes.size());
-    for (const ShardOutcome& o : outcomes) {
+    stats->route = outcomes[0].route;  // Every slice takes the same route.
+    for (const SliceOutcome& o : outcomes) {
       stats->steps += o.steps;
       stats->batch_blocks += o.batch_blocks;
       stats->batch_candidates += o.batch_candidates;
       stats->batch_survivors += o.batch_survivors;
-      stats->shard_ms.push_back(o.ms);
     }
+    stats->shard_ms = std::move(shard_ms);
   }
   Status merged = MergeStatuses(outcomes);
   if (!merged.ok()) {
@@ -1438,8 +1837,8 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
     *budget_exhausted = true;  // Deliver the partial set below.
   }
   MatchSet result =
-      MergeShards(std::move(outcomes), program,
-                  /*cross_shard_dedup=*/shards > 1 && !seeds_distinct);
+      MergeSlices(std::move(outcomes), program,
+                  /*cross_slice_dedup=*/!seeds_distinct);
   if (stats != nullptr) stats->match_ms = run_clock.ElapsedMs();
   return result;
 }

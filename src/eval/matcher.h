@@ -29,9 +29,10 @@ struct MatcherOptions {
   size_t max_matches = 1u << 20;
   size_t max_steps = 200u << 20;       // Executed instructions.
   /// Seed-partitioned worker threads. 1 (the default) runs the exact
-  /// sequential engine; N > 1 shards the seed list into N contiguous blocks
-  /// searched concurrently and merged back in seed-index order, which makes
-  /// results byte-identical to the sequential run (see docs/parallel.md).
+  /// sequential engine; N > 1 runs up to N worker shards that claim
+  /// contiguous seed slices in order, searched concurrently and merged back
+  /// in seed-index order, which makes results byte-identical to the
+  /// sequential run (see docs/parallel.md).
   size_t num_threads = 1;
   /// Minimum seeds per worker shard: seed lists shorter than
   /// 2 * min_seeds_per_shard never fan out, so small queries skip the
@@ -122,6 +123,15 @@ struct MatchSet {
   std::vector<PathBinding> bindings;
 };
 
+/// The search a RunPattern call ran (docs/planner.md, "Selector route";
+/// docs/vectorized.md): the per-seed DFS, the block-at-a-time batch
+/// matcher, the general selector BFS over hashed state keys, or the
+/// witness route of exact-key programs (Program::exact_visit_key).
+enum class MatchRoute { kDfs, kBatch, kBfs, kWitness };
+
+/// "dfs", "batch", "bfs" or "witness" (EXPLAIN ANALYZE's actual_route=).
+const char* MatchRouteName(MatchRoute route);
+
 /// Execution counters of one RunPattern call (planner benchmarks, EXPLAIN
 /// ANALYZE-style reporting). Filled once after all shards join — workers
 /// count locally and the totals are merged at the end, so the struct stays
@@ -130,6 +140,7 @@ struct MatchStats {
   size_t seeds = 0;   // Start nodes seeded.
   size_t steps = 0;   // Interpreter instructions executed (summed over shards).
   size_t shards = 0;  // Worker shards the seed list was split into.
+  MatchRoute route = MatchRoute::kDfs;  // The route every shard ran.
   // Batch-path counters (zero when the scalar interpreter ran):
   size_t batch_blocks = 0;      // Frontier blocks expanded.
   size_t batch_candidates = 0;  // Adjacency candidates gathered into blocks.
@@ -140,7 +151,7 @@ struct MatchStats {
   // histogram totals (docs/observability.md).
   double seed_ms = 0;             // ComputeSeeds (seed-list derivation).
   double match_ms = 0;            // The whole RunPattern call.
-  std::vector<double> shard_ms;   // Per worker shard, in shard order.
+  std::vector<double> shard_ms;   // Per worker shard (all its slices).
 };
 
 /// Runs one compiled pattern over the graph: every admissible start node is
@@ -152,9 +163,11 @@ struct MatchStats {
 /// with a selector run a level-order BFS that emits matches in increasing
 /// path length with per-product-state pruning sound for each selector kind.
 /// On that route an accept is recorded only if the selector's keep rule
-/// for its endpoint partition (SelectorKeeps) still admits it, and
-/// Program::exact_visit_key programs prune on exact (pc, node, start) keys
-/// before a successor state is built (docs/planner.md, "Selector route").
+/// for its endpoint partition (SelectorKeeps) still admits it.
+/// Program::exact_visit_key programs run the same BFS as the witness route:
+/// compact (pc, node, start) entries keyed exactly, with parent-linked
+/// bindings materialized only for kept accepts — same steps, same rows
+/// (docs/planner.md, "Selector route").
 ///
 /// With `options.num_threads > 1` the seed list is split into contiguous
 /// blocks, one per worker; per-seed searches are independent (the paper's

@@ -376,6 +376,37 @@ std::shared_ptr<const BatchPlan> BuildBatchPlan(const Program& program,
   return plan;
 }
 
+/// Builds the witness route's plan (see WitnessPlan in nfa.h): the start
+/// check and the inline WHEREs that compile into PredicateKernels.
+std::shared_ptr<const WitnessPlan> BuildWitnessPlan(const Program& program,
+                                                    const PropertyGraph& g,
+                                                    const VarTable* vars) {
+  auto plan = std::make_shared<WitnessPlan>();
+  const size_t n = program.code.size();
+  plan->kernel_of.assign(n, -1);
+  if (program.code[static_cast<size_t>(program.start)].op ==
+      Instr::Op::kNodeCheck) {
+    plan->start_pc = program.start;
+  }
+  if (vars == nullptr) return plan;
+  for (size_t pc = 0; pc < n; ++pc) {
+    const Instr& in = program.code[pc];
+    const Expr* where = in.op == Instr::Op::kNodeCheck ? in.node->where.get()
+                        : in.op == Instr::Op::kEdgeStep
+                            ? in.edge->where.get()
+                            : nullptr;
+    if (where == nullptr) continue;
+    PredicateKernel kernel;
+    if (!PredicateKernel::Compile(*where, in.var, *vars, g.property_symbols(),
+                                  &kernel)) {
+      continue;
+    }
+    plan->kernel_of[pc] = static_cast<int>(plan->kernels.size());
+    plan->kernels.push_back(std::move(kernel));
+  }
+  return plan;
+}
+
 }  // namespace
 
 void BindProgramToGraph(Program* program, const PropertyGraph& g,
@@ -437,6 +468,9 @@ void BindProgramToGraph(Program* program, const PropertyGraph& g,
   // variable table (tests binding raw programs) the batch path stays off.
   program->batch =
       vars != nullptr ? BuildBatchPlan(*program, g, *vars) : nullptr;
+  program->witness = program->exact_visit_key
+                         ? BuildWitnessPlan(*program, g, vars)
+                         : nullptr;
 }
 
 }  // namespace gpml

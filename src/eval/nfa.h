@@ -104,6 +104,23 @@ struct BatchPlan {
   bool eligible = false;
 };
 
+/// The witness route's plan of an exact-key program (Program::
+/// exact_visit_key; docs/planner.md, "Selector route"). Built by
+/// BindProgramToGraph next to the BatchPlan and reused by plan-cache hits
+/// the same way. The route runs the program's instructions on compact
+/// (pc, node) entries with no environment and no frame stack; this plan
+/// holds the little it needs instead.
+struct WitnessPlan {
+  /// Indexed by pc: into `kernels` for a kNodeCheck / kEdgeStep whose
+  /// inline WHERE compiled into a PredicateKernel; -1 otherwise (no WHERE,
+  /// or one outside the kernel shape, which the scalar evaluator runs).
+  std::vector<int> kernel_of;
+  std::vector<PredicateKernel> kernels;
+  /// The kNodeCheck binding the start node (the program's first
+  /// instruction when it is a node check), else -1.
+  int start_pc = -1;
+};
+
 /// A compiled top-level path pattern.
 struct Program {
   std::vector<Instr> code;
@@ -119,8 +136,9 @@ struct Program {
   /// endpoint nodes (a path variable is fine). Nothing else in such a state
   /// can change what the search does next, so a state whose position was
   /// already reached cannot yield a row the first one does not (see the
-  /// "Selector route" section of docs/planner.md). Set by CompilePattern,
-  /// so plan-cache hits reuse it.
+  /// "Selector route" section of docs/planner.md). Such programs run on the
+  /// matcher's witness route. Set by CompilePattern, so plan-cache hits
+  /// reuse it.
   bool exact_visit_key = false;
   PathPatternPtr root; // Keeps the normalized AST alive (instrs borrow).
 
@@ -138,6 +156,10 @@ struct Program {
   /// interpreter. Stored on the program so plan-cache hits reuse the
   /// compiled kernels exactly like they reuse label_preds.
   std::shared_ptr<const BatchPlan> batch;
+
+  /// Witness-route plan; set by BindProgramToGraph exactly for
+  /// exact_visit_key programs, which the matcher runs on the witness route.
+  std::shared_ptr<const WitnessPlan> witness;
 
   std::string ToString() const;  // Disassembly for tests/debugging.
 };
@@ -159,7 +181,9 @@ Result<Program> CompilePattern(const PathPatternDecl& decl,
 /// When `vars` is non-null the batch plan is built too (Program::batch):
 /// shape eligibility, per-position equi-join targets, bind-time label
 /// hoisting, and the inline-WHERE predicate kernels — all derived data, so
-/// both the batch and scalar routes can run the same bound program.
+/// both the batch and scalar routes can run the same bound program. An
+/// exact_visit_key program gets its WitnessPlan (its kernels only when
+/// `vars` is non-null).
 void BindProgramToGraph(Program* program, const PropertyGraph& g,
                         const VarTable* vars = nullptr);
 

@@ -37,6 +37,13 @@ class Path {
 
   /// Appends a step crossing `e` to `next`. The caller guarantees the step is
   /// admissible in the underlying graph.
+  /// Reserves room for a path of `length` edges.
+  void Reserve(size_t length) {
+    nodes_.reserve(length + 1);
+    edges_.reserve(length);
+    traversals_.reserve(length);
+  }
+
   void Append(EdgeId e, Traversal t, NodeId next) {
     edges_.push_back(e);
     traversals_.push_back(t);

@@ -46,6 +46,7 @@ struct ExecutionRecord {
   uint64_t bound_seeded_decls = 0;  // Seeded from earlier declarations.
   uint64_t target_filtered_decls = 0;  // End nodes restricted to earlier
                                        // declarations' bindings.
+  uint64_t witness_decls = 0;       // Run on the matcher's witness route.
   uint64_t threads = 0;             // Resolved worker count.
   uint64_t plan_hash = 0;           // CachedPlan::plan_hash.
   bool cache_hit = false;           // Plan served from the plan cache.

@@ -62,6 +62,29 @@ class Parser {
                                "')");
   }
 
+  /// Enters one more level of nesting (see kMaxParseNesting); fails with
+  /// a syntax error at the current token past the cap. The level is held
+  /// until the enclosing NestingScope closes.
+  Status Nest() {
+    if (++depth_ <= kMaxParseNesting) return Status::OK();
+    return Err("nesting deeper than " + std::to_string(kMaxParseNesting) +
+               " levels");
+  }
+
+  /// Restores the nesting depth of the production it lives in on exit.
+  class NestingScope {
+   public:
+    explicit NestingScope(Parser* parser)
+        : parser_(parser), saved_(parser->depth_) {}
+    ~NestingScope() { parser_->depth_ = saved_; }
+    NestingScope(const NestingScope&) = delete;
+    NestingScope& operator=(const NestingScope&) = delete;
+
+   private:
+    Parser* parser_;
+    size_t saved_;
+  };
+
   /// End offset of the most recently consumed token — the natural `end` for
   /// a span that began at an earlier token's `offset`.
   size_t PrevEnd() const { return pos_ > 0 ? tokens_[pos_ - 1].end() : 0; }
@@ -122,6 +145,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // Open nesting levels (Nest).
 };
 
 // ---------------------------------------------------------------------------
@@ -376,6 +400,8 @@ Result<PathElement> Parser::ParseElement() {
 }
 
 Result<PathElement> Parser::ParseParenElement(TokenKind close) {
+  NestingScope nesting(this);
+  GPML_RETURN_IF_ERROR(Nest());
   Restrictor r = TryParseRestrictor();
   GPML_ASSIGN_OR_RETURN(PathPatternPtr sub, ParsePathPattern());
   ExprPtr where;
@@ -524,10 +550,13 @@ Status Parser::ParseSpec(std::string* var, LabelExprPtr* labels,
 }
 
 Result<LabelExprPtr> Parser::ParseLabelExpr() {
+  NestingScope nesting(this);
   GPML_ASSIGN_OR_RETURN(LabelExprPtr left, ParseLabelAnd());
   while (At(TokenKind::kPipe)) {
     // `(x:A|B)` label disjunction; inside a node/edge spec `|` cannot be a
-    // path union, so this is unambiguous.
+    // path union, so this is unambiguous. Each one deepens the left-deep
+    // tree.
+    GPML_RETURN_IF_ERROR(Nest());
     Advance();
     GPML_ASSIGN_OR_RETURN(LabelExprPtr right, ParseLabelAnd());
     left = LabelExpr::Or(std::move(left), std::move(right));
@@ -536,8 +565,10 @@ Result<LabelExprPtr> Parser::ParseLabelExpr() {
 }
 
 Result<LabelExprPtr> Parser::ParseLabelAnd() {
+  NestingScope nesting(this);
   GPML_ASSIGN_OR_RETURN(LabelExprPtr left, ParseLabelUnary());
   while (At(TokenKind::kAmp)) {
+    GPML_RETURN_IF_ERROR(Nest());
     Advance();
     GPML_ASSIGN_OR_RETURN(LabelExprPtr right, ParseLabelUnary());
     left = LabelExpr::And(std::move(left), std::move(right));
@@ -546,12 +577,17 @@ Result<LabelExprPtr> Parser::ParseLabelAnd() {
 }
 
 Result<LabelExprPtr> Parser::ParseLabelUnary() {
-  if (Eat(TokenKind::kBang)) {
+  NestingScope nesting(this);
+  if (At(TokenKind::kBang)) {
+    GPML_RETURN_IF_ERROR(Nest());
+    Advance();
     GPML_ASSIGN_OR_RETURN(LabelExprPtr sub, ParseLabelUnary());
     return LabelExpr::Not(std::move(sub));
   }
   if (Eat(TokenKind::kPercent)) return LabelExpr::Wildcard();
-  if (Eat(TokenKind::kLParen)) {
+  if (At(TokenKind::kLParen)) {
+    GPML_RETURN_IF_ERROR(Nest());
+    Advance();
     GPML_ASSIGN_OR_RETURN(LabelExprPtr sub, ParseLabelExpr());
     GPML_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "label expression"));
     return sub;
@@ -622,9 +658,11 @@ Status Parser::ParseQuantifier(uint64_t* min, std::optional<uint64_t>* max,
 Result<ExprPtr> Parser::ParseExpr() { return ParseOr(); }
 
 Result<ExprPtr> Parser::ParseOr() {
+  NestingScope nesting(this);
   size_t begin = Cur().offset;
   GPML_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
   while (AtKeyword("OR")) {
+    GPML_RETURN_IF_ERROR(Nest());
     Advance();
     GPML_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
     left = Expr::WithSpan(
@@ -635,9 +673,11 @@ Result<ExprPtr> Parser::ParseOr() {
 }
 
 Result<ExprPtr> Parser::ParseAnd() {
+  NestingScope nesting(this);
   size_t begin = Cur().offset;
   GPML_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
   while (AtKeyword("AND")) {
+    GPML_RETURN_IF_ERROR(Nest());
     Advance();
     GPML_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
     left = Expr::WithSpan(
@@ -648,8 +688,11 @@ Result<ExprPtr> Parser::ParseAnd() {
 }
 
 Result<ExprPtr> Parser::ParseNot() {
+  NestingScope nesting(this);
   size_t begin = Cur().offset;
-  if (EatKeyword("NOT")) {
+  if (AtKeyword("NOT")) {
+    GPML_RETURN_IF_ERROR(Nest());
+    Advance();
     GPML_ASSIGN_OR_RETURN(ExprPtr sub, ParseNot());
     return Expr::WithSpan(Expr::Not(std::move(sub)), SpanFrom(begin));
   }
@@ -711,10 +754,12 @@ Result<ExprPtr> Parser::ParseComparison() {
 }
 
 Result<ExprPtr> Parser::ParseAdditive() {
+  NestingScope nesting(this);
   size_t begin = Cur().offset;
   GPML_ASSIGN_OR_RETURN(ExprPtr left, ParseMultiplicative());
   while (At(TokenKind::kPlus) || At(TokenKind::kMinus)) {
     BinaryOp op = At(TokenKind::kPlus) ? BinaryOp::kAdd : BinaryOp::kSub;
+    GPML_RETURN_IF_ERROR(Nest());
     Advance();
     GPML_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
     left = Expr::WithSpan(
@@ -724,10 +769,12 @@ Result<ExprPtr> Parser::ParseAdditive() {
 }
 
 Result<ExprPtr> Parser::ParseMultiplicative() {
+  NestingScope nesting(this);
   size_t begin = Cur().offset;
   GPML_ASSIGN_OR_RETURN(ExprPtr left, ParseUnary());
   while (At(TokenKind::kStar) || At(TokenKind::kSlash)) {
     BinaryOp op = At(TokenKind::kStar) ? BinaryOp::kMul : BinaryOp::kDiv;
+    GPML_RETURN_IF_ERROR(Nest());
     Advance();
     GPML_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
     left = Expr::WithSpan(
@@ -737,8 +784,11 @@ Result<ExprPtr> Parser::ParseMultiplicative() {
 }
 
 Result<ExprPtr> Parser::ParseUnary() {
+  NestingScope nesting(this);
   size_t begin = Cur().offset;
-  if (Eat(TokenKind::kMinus)) {
+  if (At(TokenKind::kMinus)) {
+    GPML_RETURN_IF_ERROR(Nest());
+    Advance();
     GPML_ASSIGN_OR_RETURN(ExprPtr sub, ParseUnary());
     return Expr::WithSpan(Expr::Binary(BinaryOp::kSub,
                                        Expr::Lit(Value::Int(0)),
@@ -772,6 +822,8 @@ Result<ExprPtr> Parser::ParsePrimary() {
       return Expr::WithSpan(std::move(e), SpanFrom(begin));
     }
     case TokenKind::kLParen: {
+      NestingScope nesting(this);
+      GPML_RETURN_IF_ERROR(Nest());
       Advance();
       GPML_ASSIGN_OR_RETURN(ExprPtr sub, ParseExpr());
       GPML_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "expression"));
@@ -812,6 +864,8 @@ Result<ExprPtr> Parser::ParsePrimary() {
 }
 
 Result<ExprPtr> Parser::ParseCall(const std::string& name) {
+  NestingScope nesting(this);
+  GPML_RETURN_IF_ERROR(Nest());
   GPML_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "function call"));
 
   auto parse_var_list = [&]() -> Result<std::vector<std::string>> {

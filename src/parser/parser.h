@@ -9,6 +9,16 @@
 
 namespace gpml {
 
+/// The deepest nesting any parse accepts. One level is one parenthesized
+/// or called expression, NOT, unary minus, binary operator of a chain
+/// (`a + b + c` nests two deep), label-expression parenthesis, `!`, `&` or
+/// `|`, or parenthesized / bracketed (possibly quantified) path pattern.
+/// Deeper input fails with kSyntaxError at the offending token's offset,
+/// before any recursion can exhaust the stack — query text arrives from the
+/// network — and every pass over the parsed tree (normalize, analyze,
+/// compile, evaluation) is bounded by it too.
+inline constexpr size_t kMaxParseNesting = 256;
+
 /// Parses a complete GPML statement:
 ///   MATCH <path decls> [WHERE <postfilter>] [RETURN [DISTINCT] <items>]
 /// RETURN is the GQL host's projection (Figure 9); SQL/PGQ callers use

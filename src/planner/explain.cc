@@ -175,6 +175,7 @@ std::string ExplainPlan(const Plan& plan, const VarTable& vars,
       os << " actual_source="
          << (a.index_seeded ? "index" : (a.seed_filtered ? "bound" : "scan"));
       if (a.target_filtered) os << " actual_targets=" << a.targets;
+      if (!a.route.empty()) os << " actual_route=" << a.route;
     }
     std::string selector = dp.decl.selector.ToString();
     os << " selector="
@@ -283,6 +284,7 @@ Result<ExplainedPlan> ParseExplain(const std::string& text) {
       d.actual_source = TokenValue(line, "actual_source=");
       std::string targets = TokenValue(line, "actual_targets=");
       if (!targets.empty()) d.actual_targets = std::atol(targets.c_str());
+      d.actual_route = TokenValue(line, "actual_route=");
     }
     out.decls.push_back(std::move(d));
   }

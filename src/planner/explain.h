@@ -44,6 +44,8 @@ struct DeclActual {
   bool target_filtered = false;  // End nodes restricted to earlier
                                  // declarations' bindings.
   size_t targets = 0;          // Distinct end nodes allowed (when filtered).
+  std::string route;           // The matcher route that ran
+                               // (MatchRouteName); rendered when non-empty.
   double ms = -1;              // Declaration wall clock (seed + match);
                                // rendered as actual_ms= when >= 0.
 };
@@ -71,7 +73,8 @@ struct DeclActual {
 /// `actual_seeds/actual_steps/actual_rows/actual_ms/actual_source` tokens
 /// to each step line, where actual_source is `index`, `bound` or `scan`,
 /// plus `actual_targets=<n>` (distinct end nodes allowed) on a
-/// target-restricted step.
+/// target-restricted step and `actual_route=witness|bfs|dfs|batch`, the
+/// matcher route the declaration ran on.
 /// `warnings`, when non-null and non-empty, renders the static analyzer's
 /// findings (docs/analysis.md) between the exec line and the steps:
 ///
@@ -118,6 +121,8 @@ struct ExplainedDecl {
   double actual_ms = -1;      // Wall-clock ms of this declaration.
   std::string actual_source;  // "index", "bound", "scan"; "" when absent.
   long actual_targets = -1;   // Distinct end nodes allowed; -1 when absent.
+  std::string actual_route;   // "witness", "bfs", "dfs", "batch"; "" when
+                              // absent.
 };
 
 /// A warning line of an EXPLAIN rendering, decoded. Mirrors

@@ -747,6 +747,7 @@ void ExpectSameCounts(const EngineMetrics& a, const EngineMetrics& b) {
   EXPECT_EQ(x.reversed_decls, y.reversed_decls);
   EXPECT_EQ(x.seed_filtered_decls, y.seed_filtered_decls);
   EXPECT_EQ(x.target_filtered_decls, y.target_filtered_decls);
+  EXPECT_EQ(x.witness_decls, y.witness_decls);
   EXPECT_EQ(x.threads, y.threads);
   EXPECT_EQ(x.plan_cache_hits, y.plan_cache_hits);
   EXPECT_EQ(x.plan_cache_misses, y.plan_cache_misses);
@@ -822,6 +823,54 @@ TEST(ExecutionRecordTest, StreamAndMaterializedRunsPublishEqualRecords) {
   EXPECT_EQ(stats[0].calls, 2u);
   EXPECT_EQ(stats[0].rows, 2 * materialized->rows.size());
   EXPECT_EQ(stats[0].steps, 2 * materialized_metrics.matcher_steps);
+}
+
+TEST(ExecutionRecordTest, EveryViewReportsTheRouteEachDeclarationRan) {
+  // kFraudQuery's fixed-length co-location declaration runs batched and its
+  // ANY chain on the witness route: EXPLAIN ANALYZE names both, and
+  // EngineMetrics counts the witness declaration for a materialized run
+  // and for a cursor over the same prepared query alike.
+  FraudGraphOptions graph_options;
+  graph_options.num_accounts = 60;
+  graph_options.num_cities = 2;
+  PropertyGraph g = MakeFraudGraph(graph_options);
+  Result<std::string> explained = Engine(g).ExplainAnalyze(kFraudQuery);
+  ASSERT_TRUE(explained.ok()) << explained.status();
+  Result<planner::ExplainedPlan> plan = planner::ParseExplain(*explained);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(plan->decls.size(), 2u);
+  EXPECT_EQ(plan->decls[0].actual_route, "batch") << *explained;
+  EXPECT_EQ(plan->decls[1].actual_route, "witness") << *explained;
+
+  // Materialized and streamed runs of one query report the same route: a
+  // selector query (the cursor materializes it) and a fixed-length one
+  // (the cursor streams it), batched and on the scalar DFS.
+  struct Case {
+    const char* query;
+    bool use_batch;
+    size_t witness_decls;
+    bool batched;
+  };
+  for (const Case& c : {Case{kFraudQuery, true, 1, true},
+                        Case{kStreamQuery, true, 0, true},
+                        Case{kStreamQuery, false, 0, false}}) {
+    SCOPED_TRACE(std::string(c.query) + (c.use_batch ? "" : " scalar"));
+    EngineMetrics metrics;
+    EngineOptions options;
+    options.metrics = &metrics;
+    options.matcher.use_batch = c.use_batch;
+    Result<PreparedQuery> q = Engine(g, options).Prepare(c.query);
+    ASSERT_TRUE(q.ok()) << q.status();
+    ASSERT_TRUE(q->Execute().ok());
+    const EngineMetrics materialized = metrics;
+    Result<Cursor> cursor = q->Open();
+    ASSERT_TRUE(cursor.ok()) << cursor.status();
+    ASSERT_TRUE(cursor->Drain().ok());
+    EXPECT_EQ(materialized.witness_decls, c.witness_decls);
+    EXPECT_EQ(metrics.witness_decls, c.witness_decls);
+    EXPECT_EQ(materialized.batch_blocks > 0, c.batched);
+    EXPECT_EQ(metrics.batch_blocks > 0, c.batched);
+  }
 }
 
 TEST(ExecutionRecordTest, SlowCaptureRendersTheTraceOfEachMode) {

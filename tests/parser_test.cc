@@ -368,5 +368,93 @@ TEST(ParserTest, ReturnLimit) {
   EXPECT_TRUE(ident.ok()) << ident.status();
 }
 
+// --- nesting cap (kMaxParseNesting) -----------------------------------------
+
+std::string Repeat(const std::string& s, size_t n) {
+  std::string out;
+  out.reserve(s.size() * n);
+  for (size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// One statement per nesting kind, `depth` levels deep by the parser's
+/// count (see kMaxParseNesting).
+std::vector<std::pair<std::string, std::string>> NestedStatements(
+    size_t depth) {
+  const size_t d = depth;
+  return {
+      {"parenthesized expression",
+       "MATCH (x WHERE " + Repeat("(", d) + "x.a = 1" + Repeat(")", d) +
+           ")"},
+      {"NOT chain", "MATCH (x WHERE " + Repeat("NOT ", d) + "x.a = 1)"},
+      {"unary minus chain", "MATCH (x WHERE x.a = " + Repeat("- ", d) + "1)"},
+      // `x.a + 1 + 1 ...`: each operator of the chain is one level.
+      {"binary operator chain",
+       "MATCH (x WHERE x.a = 0" + Repeat(" + 1", d) + ")"},
+      {"AND chain", "MATCH (x WHERE x.a = 1" + Repeat(" AND x.a = 1", d) + ")"},
+      // COUNT(...) nests one level per call and its argument's parenthesis.
+      {"aggregate call",
+       "MATCH (x WHERE " + Repeat("COUNT(", d) + "x" + Repeat(")", d) +
+           " = 1)"},
+      {"label parenthesis",
+       "MATCH (x:" + Repeat("(", d) + "A" + Repeat(")", d) + ")"},
+      {"label negation", "MATCH (x:" + Repeat("!", d) + "A)"},
+      {"label conjunction", "MATCH (x:A" + Repeat("&A", d) + ")"},
+      {"bracketed path pattern",
+       "MATCH " + Repeat("[", d) + "(x)-[:T]->(y)" + Repeat("]", d)},
+      {"parenthesized path pattern",
+       "MATCH " + Repeat("(", d) + "(x)-[:T]->(y)" + Repeat(")", d)},
+      {"quantified path pattern",
+       "MATCH (x)" + Repeat("[", d) + "()-[:T]->()" + Repeat("]{1,2}", d) +
+           "(y)"},
+  };
+}
+
+TEST(ParserNestingTest, EveryKindParsesAtTheCapAndFailsOneDeeper) {
+  for (const auto& [kind, text] : NestedStatements(kMaxParseNesting)) {
+    Result<MatchStatement> at_cap = ParseStatement(text);
+    EXPECT_TRUE(at_cap.ok()) << kind << ": " << at_cap.status();
+  }
+  for (const auto& [kind, text] : NestedStatements(kMaxParseNesting + 1)) {
+    Result<MatchStatement> deeper = ParseStatement(text);
+    ASSERT_FALSE(deeper.ok()) << kind;
+    EXPECT_EQ(deeper.status().code(), StatusCode::kSyntaxError) << kind;
+    EXPECT_NE(deeper.status().message().find("nesting deeper than 256"),
+              std::string::npos)
+        << kind << ": " << deeper.status();
+    EXPECT_NE(deeper.status().message().find("offset="), std::string::npos)
+        << kind << ": " << deeper.status();
+  }
+}
+
+TEST(ParserNestingTest, ErrorCarriesTheOffsetOfTheFirstLevelPastTheCap) {
+  const std::string prefix = "MATCH (x WHERE ";
+  const std::string text = prefix + Repeat("(", kMaxParseNesting + 5) +
+                           "x.a = 1" + Repeat(")", kMaxParseNesting + 5) +
+                           ")";
+  Result<MatchStatement> r = ParseStatement(text);
+  ASSERT_FALSE(r.ok());
+  const size_t offset = prefix.size() + kMaxParseNesting;
+  EXPECT_NE(r.status().message().find("offset=" + std::to_string(offset)),
+            std::string::npos)
+      << r.status();
+}
+
+TEST(ParserNestingTest, MegabyteOfNestingFailsCleanly) {
+  // Far past any stack: the cap stops the descent at 256 levels.
+  const size_t n = (1u << 20) / 2;
+  for (const std::string& text :
+       {"MATCH (x WHERE " + Repeat("(", n) + "x.a = 1" + Repeat(")", n) + ")",
+        "MATCH " + Repeat("[", n) + "(x)" + Repeat("]", n),
+        "MATCH (x WHERE " + Repeat("NOT ", n / 2) + "x.a = 1)",
+        "MATCH (x:" + Repeat("!", n) + "A)"}) {
+    Result<MatchStatement> r = ParseStatement(text);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kSyntaxError) << r.status();
+  }
+  EXPECT_FALSE(ParseExpression(Repeat("(", n) + "1" + Repeat(")", n)).ok());
+  EXPECT_FALSE(ParseColumns(Repeat("- ", n / 2) + "1").ok());
+}
+
 }  // namespace
 }  // namespace gpml

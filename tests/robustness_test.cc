@@ -78,6 +78,20 @@ TEST(RobustnessTest, DeeplyNestedQuantifiers) {
             Status::OK());
 }
 
+TEST(RobustnessTest, MegabyteOfNestingIsASyntaxError) {
+  // Past the parser's nesting cap the query fails before any pass recurses
+  // into it (a stack overflow here would take down a server).
+  PropertyGraph g = BuildPaperGraph();
+  const size_t depth = (1u << 20) / 2;
+  for (const std::string& text :
+       {"MATCH (x WHERE " + std::string(depth, '(') + "x.a = 1" +
+            std::string(depth, ')') + ")",
+        "MATCH " + std::string(depth, '[') + "(x)-[:Transfer]->(y)" +
+            std::string(depth, ']')}) {
+    EXPECT_EQ(MatchStatusOf(g, text).code(), StatusCode::kSyntaxError);
+  }
+}
+
 TEST(RobustnessTest, DeeplyNestedUnions) {
   PropertyGraph g = BuildPaperGraph();
   EXPECT_EQ(MatchStatusOf(g,

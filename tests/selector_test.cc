@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "eval/matcher.h"
@@ -387,6 +389,59 @@ TEST(SelectorTest, WitnessGoldensHoldAcrossThreadsStreamsAndTruncation) {
     EXPECT_EQ(RenderRows(*cut, g),
               std::vector<std::string>(golden.rows.begin(),
                                        golden.rows.begin() + keep));
+  }
+}
+
+TEST(SelectorTest, WitnessRouteKeepsTheStepCountOfTheSearchItReplaced) {
+  // perfbench `paths`' ANY statement for one suspect on fraud-300 runs on
+  // the witness route. The State search it replaced charged exactly 4,791
+  // steps here (bench_csr pins the same statement over 15 suspects), so the
+  // budget trips at the same instruction: one step fewer is refused, and
+  // kTruncate delivers the sequential engine's prefix whatever
+  // num_threads asks for.
+  FraudGraphOptions graph_options;
+  graph_options.num_accounts = 300;
+  graph_options.num_cities = 3;
+  PropertyGraph g = MakeFraudGraph(graph_options);
+  const char* query =
+      "MATCH ANY (x:Account WHERE x.owner='u0')-[:Transfer]->+"
+      "(y:Account WHERE y.isBlocked='yes')";
+  constexpr size_t kPinnedSteps = 4791;
+
+  EngineMetrics metrics;
+  EngineOptions options;
+  options.num_threads = 1;
+  options.metrics = &metrics;
+  Result<MatchOutput> full = Engine(g, options).Match(query);
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_EQ(metrics.matcher_steps, kPinnedSteps);
+  EXPECT_EQ(metrics.witness_decls, 1u);
+  const std::vector<std::string> rows = RenderRows(*full, g);
+  EXPECT_EQ(rows.size(), 28u);
+
+  options.matcher.max_steps = kPinnedSteps - 1;
+  EXPECT_EQ(Engine(g, options).Match(query).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(metrics.matcher_steps, kPinnedSteps);
+
+  options.on_budget = EngineOptions::BudgetPolicy::kTruncate;
+  for (size_t max_steps : {kPinnedSteps - 1, kPinnedSteps / 2}) {
+    options.matcher.max_steps = max_steps;
+    options.num_threads = 1;
+    Result<MatchOutput> sequential = Engine(g, options).Match(query);
+    ASSERT_TRUE(sequential.ok()) << sequential.status();
+    EXPECT_TRUE(sequential->truncated);
+    const std::vector<std::string> prefix = RenderRows(*sequential, g);
+    ASSERT_LE(prefix.size(), rows.size());
+    EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), rows.begin()));
+    if (max_steps < kPinnedSteps - 1) EXPECT_LT(prefix.size(), rows.size());
+
+    options.num_threads = 4;
+    options.matcher.min_seeds_per_shard = 1;
+    Result<MatchOutput> sharded = Engine(g, options).Match(query);
+    ASSERT_TRUE(sharded.ok()) << sharded.status();
+    EXPECT_TRUE(sharded->truncated);
+    EXPECT_EQ(RenderRows(*sharded, g), prefix) << max_steps;
   }
 }
 

@@ -265,6 +265,33 @@ TEST(ServerTest, ErrorsCarryStableCodes) {
   EXPECT_TRUE(client.Ping().ok());
 }
 
+// Query text is parsed on the server: a request nested far past the
+// parser's cap (about 1 MiB of brackets) gets a structured syntax error,
+// and the connection keeps serving.
+TEST(ServerTest, DeeplyNestedQueryIsSyntaxErrorAndConnectionSurvives) {
+  TestServer srv;
+  Client client = MustConnect(srv);
+  ASSERT_TRUE(client.UseGraph("fraud").ok());
+  const size_t depth = (1u << 20) / 2;
+  const std::string nested = "MATCH (x WHERE " + std::string(depth, '(') +
+                             "x.a = 1" + std::string(depth, ')') + ")";
+  Result<Client::PreparedInfo> refused = client.Prepare(nested);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kSyntaxError)
+      << refused.status();
+  EXPECT_NE(refused.status().message().find("nesting deeper than"),
+            std::string::npos)
+      << refused.status();
+
+  EXPECT_TRUE(client.Ping().ok());
+  Result<Client::PreparedInfo> prepared = client.Prepare(kOwnerQuery);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  Result<ExecuteResult> rows = client.Execute(prepared->stmt, Owner(3));
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->rows.size(), OracleRows(TestGraph(), kOwnerQuery, Owner(3))
+                                   .size());
+}
+
 // execute and open decode `limit` the same way: a negative one is a bad
 // request for both, never an unbounded stream.
 TEST(ServerTest, NegativeLimitIsBadRequestForExecuteAndOpen) {

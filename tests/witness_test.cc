@@ -1,0 +1,335 @@
+// Differential test of the witness route (docs/planner.md, "Selector
+// route"). Every Program::exact_visit_key program runs on compact
+// (pc, node, start) entries with parent-linked bindings. Its oracle is the
+// general selector search: RunPattern on a copy of the same bound program
+// with exact_visit_key cleared. On seeded random multigraphs (self-loops,
+// parallel edges, undirected edges) both must return the same MatchSet —
+// bindings, witness paths and order — at 1 and 4 threads; under kTruncate
+// and max_matches both deliver prefixes of it; the endpoint pairs must
+// match reference_eval; and the engine's cursor must deliver the rows
+// Execute does, with the declaration reported on the witness route. (Step
+// parity with the search the witness route replaced is pinned in
+// bench_csr and selector_test.)
+
+#include <algorithm>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "eval/engine.h"
+#include "eval/nfa.h"
+#include "eval/reference_eval.h"
+#include "graph/generator.h"
+#include "parser/parser.h"
+#include "semantics/normalize.h"
+
+namespace gpml {
+namespace {
+
+/// Exact-key shapes: the ExactVisitKeyEligibility cases of
+/// bfs_soundness_test, kernel and non-kernel inline WHEREs, (x)…(x)
+/// cycles, `{2,}`, nested quantifiers, `-+`, undirected steps, parameters,
+/// path variables, unions and zero-width iterations.
+const char* kQueries[] = {
+    "MATCH ANY (x)-[:L0]->+(y)",
+    "MATCH ANY SHORTEST p = (x WHERE x.w > 20)-[:L0|L1]->+(y WHERE y.w > x.w)",
+    "MATCH ANY (x)[()-[:L0]->()-[:L1]->()]+(x)",
+    "MATCH ANY (x:L0)-[:L1|L2]->+(y WHERE y.w < 50)",
+    "MATCH ANY SHORTEST (x)-[]->{2,}(y)",
+    "MATCH ANY SHORTEST (x)[[()-[:L0|L2]->()]{1,2}]{1,3}(y)",
+    "MATCH ANY (x)-+(y)",
+    "MATCH ANY p = (x)~[]~+(y)",
+    "MATCH ANY SHORTEST (x)<-[]-+(x)",
+    "MATCH ANY SHORTEST (x)-[:L0|L1 WHERE x.w > 10]->+(y)",
+    "MATCH ANY (x)[()-[:L1|L0]->(WHERE x.w > 30)]+(y)",
+    "MATCH ANY SHORTEST p = (x)-[WHERE $lo < 60]-{1,}(y WHERE y.w >= $lo)",
+    "MATCH ANY (x)[()-[:L0]->()]*(y)",
+    "MATCH ANY ()-[:L0|L2]->+()",
+    // Unions park several entries per closure: the fork order decides
+    // which of them expands first, and so the witness.
+    "MATCH ANY (x)[()-[:L0]->() | ()-[:L1|L2]->()]+(y)",
+    "MATCH ANY SHORTEST p = (x)[()-[]->() | ()<-[]-()]{1,3}(y)",
+    // Zero-width iterations: guard_progress must cut them in the closure.
+    "MATCH ANY (x)[[()-[:L0|L1]->()]?]*(y)",
+    "MATCH ANY SHORTEST (x)[[()-[:L0]->()]{0,1}]{1,}(y)",
+};
+
+const Params kParams = {{"lo", Value::Int(30)}};
+
+struct Compiled {
+  GraphPattern normalized;
+  std::unique_ptr<VarTable> vars;
+  Program program;
+};
+
+Compiled Compile(const PropertyGraph& g, const std::string& text) {
+  Compiled c;
+  Result<GraphPattern> parsed = ParseGraphPattern(text);
+  EXPECT_TRUE(parsed.ok()) << text << " -> " << parsed.status();
+  Result<GraphPattern> normalized = Normalize(*parsed);
+  EXPECT_TRUE(normalized.ok()) << text;
+  c.normalized = std::move(*normalized);
+  Result<Analysis> analysis = Analyze(c.normalized);
+  EXPECT_TRUE(analysis.ok()) << text << " -> " << analysis.status();
+  c.vars = std::make_unique<VarTable>(*analysis);
+  Result<Program> program = CompilePattern(c.normalized.paths[0], *c.vars);
+  EXPECT_TRUE(program.ok()) << text;
+  c.program = std::move(*program);
+  BindProgramToGraph(&c.program, g, c.vars.get());
+  return c;
+}
+
+/// A MatchSet in order, each binding with its witness path spelled out.
+std::vector<std::string> Render(const MatchSet& set, const PropertyGraph& g,
+                                const VarTable& vars) {
+  std::vector<std::string> out;
+  for (const PathBinding& pb : set.bindings) {
+    std::string s = pb.ToString(g, vars) + " path=" + g.node(pb.path.Start()).name;
+    for (size_t i = 0; i < pb.path.Length(); ++i) {
+      s += " " + g.edge(pb.path.edges()[i]).name + "/" +
+           std::to_string(static_cast<int>(pb.path.traversals()[i])) + " " +
+           g.node(pb.path.nodes()[i + 1]).name;
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+struct RouteRun {
+  Status status;
+  std::vector<std::string> rows;
+  size_t steps = 0;
+  MatchRoute route = MatchRoute::kDfs;
+  bool truncated = false;
+};
+
+RouteRun RunOnce(const PropertyGraph& g, const Program& program,
+            const VarTable& vars, const MatcherOptions& options,
+            bool partial) {
+  RouteRun run;
+  MatchStats stats;
+  bool exhausted = false;
+  Result<MatchSet> set =
+      RunPattern(g, program, vars, options, /*seed_filter=*/nullptr,
+                 /*target_filter=*/nullptr, &stats, &kParams,
+                 /*shared_budget=*/nullptr, partial ? &exhausted : nullptr);
+  run.status = set.ok() ? Status::OK() : set.status();
+  if (set.ok()) run.rows = Render(*set, g, vars);
+  run.steps = stats.steps;
+  run.route = stats.route;
+  run.truncated = exhausted;
+  return run;
+}
+
+/// `prefix` is a prefix of `full`.
+bool IsPrefix(const std::vector<std::string>& prefix,
+              const std::vector<std::string>& full) {
+  return prefix.size() <= full.size() &&
+         std::equal(prefix.begin(), prefix.end(), full.begin());
+}
+
+/// The (start, end) pairs of a MatchSet, with the path length kept when
+/// `with_length` (ANY SHORTEST fixes it; ANY does not).
+std::set<std::tuple<NodeId, NodeId, size_t>> Endpoints(
+    const std::vector<PathBinding>& bindings, bool with_length) {
+  std::set<std::tuple<NodeId, NodeId, size_t>> out;
+  for (const PathBinding& pb : bindings) {
+    out.emplace(pb.path.Start(), pb.path.End(),
+                with_length ? pb.path.Length() : 0);
+  }
+  return out;
+}
+
+void CheckQuery(const PropertyGraph& g, const std::string& text) {
+  SCOPED_TRACE(text + " on " + g.Summary());
+  Compiled c = Compile(g, text);
+  ASSERT_TRUE(c.program.exact_visit_key);
+  ASSERT_NE(c.program.witness, nullptr);
+  Program oracle = c.program;
+  oracle.exact_visit_key = false;
+
+  // Full runs at 1 and 4 threads (shards of one seed each): the same
+  // MatchSet as the general search, in the same order. The general search
+  // keys visits on hashed states and builds every successor before keying
+  // it, so it may run more steps; the witness route's own count does not
+  // depend on the shard count.
+  RouteRun full;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    MatcherOptions options;
+    options.num_threads = threads;
+    options.min_seeds_per_shard = 1;
+    RouteRun witness = RunOnce(g, c.program, *c.vars, options, false);
+    RouteRun general = RunOnce(g, oracle, *c.vars, options, false);
+    const std::string what = "threads=" + std::to_string(threads);
+    ASSERT_TRUE(witness.status.ok()) << what << ": " << witness.status;
+    ASSERT_TRUE(general.status.ok()) << what << ": " << general.status;
+    EXPECT_EQ(witness.route, MatchRoute::kWitness) << what;
+    EXPECT_EQ(general.route, MatchRoute::kBfs) << what;
+    EXPECT_EQ(witness.rows, general.rows) << what;
+    EXPECT_LE(witness.steps, general.steps) << what;
+    if (threads == 1) full = witness;
+    EXPECT_EQ(witness.steps, full.steps) << what;
+  }
+
+  // Step budgets: an error run trips exactly one step past max_steps; a
+  // kTruncate run (4 threads asked, one shard run) delivers the prefix the
+  // sequential search had kept by then — for the general search too.
+  for (size_t max_steps : {size_t{1}, full.steps / 3, full.steps / 2,
+                           full.steps - 1, full.steps}) {
+    if (max_steps == 0) continue;
+    const bool trips = max_steps < full.steps;
+    for (bool partial : {false, true}) {
+      MatcherOptions options;
+      options.max_steps = max_steps;
+      options.num_threads = partial ? 4 : 1;
+      options.min_seeds_per_shard = 1;
+      RouteRun witness = RunOnce(g, c.program, *c.vars, options, partial);
+      const std::string what = "max_steps=" + std::to_string(max_steps) +
+                               (partial ? " kTruncate" : " kError");
+      EXPECT_EQ(witness.status.code(),
+                trips && !partial ? StatusCode::kResourceExhausted
+                                  : StatusCode::kOk)
+          << what << ": " << witness.status;
+      EXPECT_EQ(witness.steps, trips ? max_steps + 1 : full.steps) << what;
+      if (!partial) continue;
+      EXPECT_EQ(witness.truncated, trips) << what;
+      EXPECT_TRUE(IsPrefix(witness.rows, full.rows)) << what;
+      RouteRun general = RunOnce(g, oracle, *c.vars, options, partial);
+      EXPECT_TRUE(general.status.ok()) << what << ": " << general.status;
+      EXPECT_TRUE(IsPrefix(general.rows, full.rows)) << what;
+    }
+  }
+
+  // max_matches stops both searches at the same kept binding.
+  if (full.rows.size() > 1) {
+    MatcherOptions options;
+    options.max_matches = full.rows.size() - 1;
+    RouteRun witness = RunOnce(g, c.program, *c.vars, options, true);
+    RouteRun general = RunOnce(g, oracle, *c.vars, options, true);
+    const std::vector<std::string> kept(full.rows.begin(),
+                                        full.rows.end() - 1);
+    EXPECT_TRUE(witness.truncated);
+    EXPECT_EQ(witness.rows, kept);
+    EXPECT_EQ(general.rows, kept);
+  }
+
+  // Through the engine: the cursor delivers Execute's rows, and both
+  // report the declaration on the witness route.
+  const Params params =
+      text.find("$lo") != std::string::npos ? kParams : Params();
+  EngineMetrics executed;
+  EngineMetrics streamed;
+  EngineOptions engine_options;
+  engine_options.metrics = &executed;
+  Engine engine(g, engine_options);
+  Result<PreparedQuery> prepared = engine.Prepare(text);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  Result<MatchOutput> out = prepared->Execute(params);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(executed.witness_decls, 1u);
+  engine_options.metrics = &streamed;
+  Result<Cursor> cursor =
+      prepared->WithOptions(engine_options).Open(params);
+  ASSERT_TRUE(cursor.ok()) << cursor.status();
+  size_t i = 0;
+  for (const RowView& view : *cursor) {
+    ASSERT_LT(i, out->rows.size());
+    EXPECT_EQ(view.row->bindings[0]->ToString(g, *out->vars),
+              out->rows[i].bindings[0]->ToString(g, *out->vars));
+    EXPECT_EQ(view.row->bindings[0]->path.edges(),
+              out->rows[i].bindings[0]->path.edges());
+    ++i;
+  }
+  EXPECT_EQ(i, out->rows.size());
+  EXPECT_EQ(streamed.witness_decls, 1u);
+}
+
+/// The witness route's endpoint pairs (and, under ANY SHORTEST, their
+/// path lengths) are the literal §6 evaluator's.
+void CheckAgainstReference(const PropertyGraph& g, const std::string& text) {
+  SCOPED_TRACE(text + " on " + g.Summary());
+  Compiled c = Compile(g, text);
+  // A shortest witness repeats no (node, position) state, so N + 1
+  // iterations reach every endpoint pair on these patterns.
+  ReferenceOptions options;
+  options.expansion_cap = g.num_nodes() + 1;
+  Result<MatchSet> ref =
+      RunReference(g, c.normalized.paths[0], *c.vars, options);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  Result<MatchSet> mine = RunPattern(g, c.program, *c.vars, MatcherOptions(),
+                                     nullptr, nullptr, nullptr, &kParams);
+  ASSERT_TRUE(mine.ok()) << mine.status();
+  const bool shortest =
+      c.program.selector.kind == Selector::Kind::kAnyShortest;
+  EXPECT_EQ(Endpoints(mine->bindings, shortest),
+            Endpoints(ref->bindings, shortest));
+}
+
+class WitnessRouteTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, const char*>> {};
+
+TEST_P(WitnessRouteTest, MatchesTheGeneralSelectorSearch) {
+  auto [seed, query] = GetParam();
+  PropertyGraph g =
+      MakeRandomGraph(/*num_nodes=*/9, /*num_edges=*/22, /*num_labels=*/3,
+                      /*undirected_fraction=*/0.3, seed);
+  CheckQuery(g, query);
+  // The reference expands every path up to its cap: a smaller graph, and
+  // no $parameters (it binds none).
+  if (std::string(query).find('$') != std::string::npos) return;
+  PropertyGraph small =
+      MakeRandomGraph(/*num_nodes=*/6, /*num_edges=*/9, /*num_labels=*/3,
+                      /*undirected_fraction=*/0.3, seed);
+  CheckAgainstReference(small, query);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomMultigraphs, WitnessRouteTest,
+    ::testing::Combine(::testing::Values(uint64_t{1}, uint64_t{2},
+                                         uint64_t{3}, uint64_t{4}),
+                       ::testing::ValuesIn(kQueries)),
+    [](const ::testing::TestParamInfo<WitnessRouteTest::ParamType>& info) {
+      return "seed" + std::to_string(std::get<0>(info.param)) + "_q" +
+             std::to_string(info.index % std::size(kQueries));
+    });
+
+TEST(WitnessRouteTest, ShardsALargerGraph) {
+  PropertyGraph g = MakeRandomGraph(/*num_nodes=*/40, /*num_edges=*/110,
+                                    /*num_labels=*/3,
+                                    /*undirected_fraction=*/0.2,
+                                    /*seed=*/11);
+  for (const char* query : {"MATCH ANY (x)-[:L0|L1]->+(y WHERE y.w > 40)",
+                            "MATCH ANY SHORTEST p = (x)-+(y)"}) {
+    CheckQuery(g, query);
+  }
+}
+
+TEST(WitnessRouteTest, UnboundParameterFailsLikeTheGeneralSearch) {
+  PropertyGraph g = MakeRandomGraph(9, 22, 3, 0.3, 5);
+  Compiled c = Compile(g, "MATCH ANY (x)-[:L0]->+(y WHERE y.w > $missing)");
+  ASSERT_TRUE(c.program.exact_visit_key);
+  Program oracle = c.program;
+  oracle.exact_visit_key = false;
+  RouteRun witness = RunOnce(g, c.program, *c.vars, MatcherOptions(), false);
+  RouteRun general = RunOnce(g, oracle, *c.vars, MatcherOptions(), false);
+  EXPECT_FALSE(witness.status.ok());
+  EXPECT_EQ(witness.status.code(), general.status.code());
+  EXPECT_EQ(witness.status.message(), general.status.message());
+}
+
+TEST(WitnessRouteTest, RefusesAProgramWithoutItsWitnessPlan) {
+  PropertyGraph g = MakeRandomGraph(9, 22, 3, 0.3, 6);
+  Compiled c = Compile(g, "MATCH ANY (x)-[:L0]->+(y)");
+  Program unbound = c.program;
+  unbound.witness = nullptr;
+  Result<MatchSet> r = RunPattern(g, unbound, *c.vars, MatcherOptions());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+}  // namespace
+}  // namespace gpml
