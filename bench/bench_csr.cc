@@ -4,25 +4,26 @@
 //  1. Partitioned expansion (always enforced): on the expansion-heavy
 //     fraud-300 graph (300 accounts, 100 transfers per account — high-
 //     degree nodes with mixed edge labels) each expansion workload must
-//     execute exactly its pinned number of matcher steps at one thread
-//     with the planner off. An edge step that scans its label's CSR bucket
-//     visits only the records that carry the label; a step that fell back
-//     to scanning the full adjacency list would charge ~100x more steps,
-//     so the gate fails on such a regression with no timing noise. Wall
-//     time is reported, not gated. The selector route is pinned the same
-//     way on Figure 4's transfer chain (fraud-300 matrix graph, one
-//     thread, planner on), under ANY and ALL SHORTEST, each also run with
-//     max_matches set to exactly the bindings its declarations keep: exact
-//     (pc, node, start) visit keys fix the ANY step count, and a search
-//     that stopped gating accepts per endpoint partition or restricting
-//     them to the bound end nodes exceeds that budget. A third selector pin
-//     sums perfbench `paths`' ANY statement (inline target WHERE) over a
-//     fixed suspect list: the witness route must charge exactly the steps
-//     the general selector search charged for the same programs.
+//     execute exactly its pinned number of matcher steps at one thread,
+//     run as written through RunPattern (the test harness's compiled
+//     declaration; no planner in between). An edge step that scans its
+//     label's CSR bucket visits only the records that carry the label; a
+//     step that fell back to scanning the full adjacency list would charge
+//     ~100x more steps, so the gate fails on such a regression with no
+//     timing noise. Wall time is reported, not gated. The selector route
+//     is pinned the same way on Figure 4's transfer chain (fraud-300
+//     matrix graph, one thread, through the engine and its planner), under
+//     ANY and ALL SHORTEST, each also run with max_matches set to exactly
+//     the bindings its declarations keep: exact (pc, node, start) visit
+//     keys fix the ANY step count, and a search that stopped gating
+//     accepts per endpoint partition or restricting them to the bound end
+//     nodes exceeds that budget. A third selector pin sums perfbench
+//     `paths`' ANY statement (inline target WHERE) over a fixed suspect
+//     list: the witness route must charge exactly the steps the general
+//     selector search charged for the same programs.
 //  2. Byte-identity (always enforced): identical rows in identical order
-//     across {threads 1, 8} within each planner setting, and an identical
-//     row multiset across planner on/off (a mirrored or reordered plan may
-//     emit the same matches in a different order).
+//     across {threads 1, 8}. (The rows themselves are checked against the
+//     §6.5 reference join on small graphs in tests/differential_test.cc.)
 //  3. Index-backed seeding (always enforced): on the equality-predicate
 //     workload, (label, prop) = value index seeding strictly reduces
 //     seeded starts vs label-scan seeding, rows stay identical, and
@@ -31,7 +32,6 @@
 //     the postfilter WHERE, which the planner never index-seeds (EXPLAIN
 //     must show source=label:<label> for it).
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -40,6 +40,7 @@
 #include "bench_util.h"
 #include "eval/engine.h"
 #include "graph/generator.h"
+#include "tests/test_util.h"
 
 namespace gpml {
 namespace {
@@ -89,8 +90,8 @@ const std::string kFig4FraudAny = kFig4Colocated + "ANY (x)-[:Transfer]->+(y)";
 const std::string kFig4FraudAllShortest =
     kFig4Colocated + "ALL SHORTEST (x)-[:Transfer]->+(y)";
 
-/// The expansion workloads over the CSR buckets (planner off, batch
-/// matcher on). A full-list scan ran 6,172,780 / 61,062 / 61,065 steps on
+/// The expansion workloads over the CSR buckets (as written, batch matcher
+/// on). A full-list scan ran 6,172,780 / 61,062 / 61,065 steps on
 /// the same workloads.
 const PinnedWorkload kExpansionWorkloads[] = {
     {"paper_sec2_shared_phone",
@@ -107,7 +108,7 @@ const PinnedWorkload kExpansionWorkloads[] = {
      603},
 };
 
-/// The selector route on the matrix graph (planner on): the chain is
+/// The selector route on the matrix graph (planned): the chain is
 /// seeded from the co-location step's x values and kept to its y values.
 /// The co-location step keeps 588 bindings; the ANY chain 581 and the ALL
 /// SHORTEST chain 1,297. Before the selector route gated accepts per
@@ -163,21 +164,6 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-std::vector<std::string> CanonRows(const MatchOutput& out,
-                                   const PropertyGraph& g) {
-  std::vector<std::string> rows;
-  rows.reserve(out.rows.size());
-  for (const ResultRow& row : out.rows) {
-    std::string s;
-    for (const auto& pb : row.bindings) {
-      s += pb->ToString(g, *out.vars);
-      s += " | ";
-    }
-    rows.push_back(std::move(s));
-  }
-  return rows;
-}
-
 struct Measurement {
   std::vector<std::string> rows;
   EngineMetrics metrics;
@@ -206,18 +192,63 @@ Measurement Measure(const PropertyGraph& g, const std::string& query,
       return m;
     }
     if (rep == 0 || ms < m.millis) m.millis = ms;
-    if (rep == 0) m.rows = CanonRows(*out, g);
+    if (rep == 0) m.rows = testing_util::OrderedRows(*out, g);
   }
   return m;
 }
 
-/// Runs `w` at one thread and checks its exact matcher steps against the
-/// pin; `hint` names the likely regression in the failure message.
+/// Checks `w`'s exact matcher steps against the pin; `hint` names the
+/// likely regression in the failure message.
+void CheckSteps(const PinnedWorkload& w, size_t seeds, size_t steps,
+                size_t rows, double millis, const char* hint,
+                bench::JsonReport* report, bool* ok) {
+  std::printf("%-28s | %10.3f | %10zu %10zu\n", w.name, millis, steps,
+              w.steps);
+  report->Add(w.name, millis, seeds, steps, rows,
+              {{"pinned_steps", static_cast<double>(w.steps)}});
+  if (steps != w.steps) {
+    std::fprintf(stderr, "FAIL %s: %zu matcher steps, pinned %zu (%s)\n",
+                 w.name, steps, w.steps, hint);
+    *ok = false;
+  }
+}
+
+/// Runs `w`'s declaration as written through RunPattern at one thread:
+/// a pure matcher measurement (best of 5).
+void CheckMatcherPinned(const PropertyGraph& g, const PinnedWorkload& w,
+                        bench::JsonReport* report, bool* ok) {
+  testing_util::CompiledDecl c = testing_util::Compile(g, w.query);
+  if (!c.status.ok()) {
+    std::fprintf(stderr, "compile failed: %s\n",
+                 c.status.ToString().c_str());
+    *ok = false;
+    return;
+  }
+  MatcherOptions options;
+  options.num_threads = 1;
+  testing_util::RouteRun run;
+  double millis = 0;
+  for (int rep = 0; rep < 5; ++rep) {
+    auto start = std::chrono::steady_clock::now();
+    run = testing_util::RunOnce(g, c.program, *c.vars, options, false);
+    double ms = MillisSince(start);
+    if (!run.status.ok()) {
+      std::fprintf(stderr, "query failed: %s\n  %s\n", w.query.c_str(),
+                   run.status.ToString().c_str());
+      *ok = false;
+      return;
+    }
+    if (rep == 0 || ms < millis) millis = ms;
+  }
+  CheckSteps(w, run.seeds, run.steps, run.rows.size(), millis,
+             "did an edge step stop scanning its CSR bucket?", report, ok);
+}
+
+/// Runs `w` through the engine at one thread (under its max_matches, when
+/// set) and checks its exact matcher steps against the pin.
 void CheckPinned(const PropertyGraph& g, const PinnedWorkload& w,
-                 bool planner, const char* hint, bench::JsonReport* report,
-                 bool* ok) {
+                 bench::JsonReport* report, bool* ok) {
   EngineOptions base;
-  base.use_planner = planner;
   base.num_threads = 1;
   if (w.max_matches > 0) base.matcher.max_matches = w.max_matches;
   Measurement m = Measure(g, w.query, base, ok);
@@ -232,16 +263,10 @@ void CheckPinned(const PropertyGraph& g, const PinnedWorkload& w,
     }
     return;
   }
-  std::printf("%-28s | %10.3f | %10zu %10zu\n", w.name, m.millis,
-              m.metrics.matcher_steps, w.steps);
-  report->Add(w.name, m.millis, m.metrics.seeded_nodes,
-              m.metrics.matcher_steps, m.rows.size(),
-              {{"pinned_steps", static_cast<double>(w.steps)}});
-  if (m.metrics.matcher_steps != w.steps) {
-    std::fprintf(stderr, "FAIL %s: %zu matcher steps, pinned %zu (%s)\n",
-                 w.name, m.metrics.matcher_steps, w.steps, hint);
-    *ok = false;
-  }
+  CheckSteps(w, m.metrics.seeded_nodes, m.metrics.matcher_steps,
+             m.rows.size(), m.millis,
+             "did ANY visits stop keying on exact (pc, node, start)?", report,
+             ok);
 }
 
 /// Runs perfbench `paths`' ANY statement once per suspect at one thread
@@ -287,74 +312,45 @@ int RunBench() {
     std::printf("%-28s | %10s | %10s %10s\n", "workload", "ms", "steps",
                 "pinned");
     for (const PinnedWorkload& w : kExpansionWorkloads) {
-      // Planner off: a pure matcher measurement.
-      CheckPinned(g, w, /*planner=*/false,
-                  "did an edge step stop scanning its CSR bucket?", &report,
-                  &ok);
+      CheckMatcherPinned(g, w, &report, &ok);
       if (!ok) break;
     }
   }
   if (ok) {
     PropertyGraph g = MakeMatrixGraph();
     for (const PinnedWorkload& w : kSelectorWorkloads) {
-      CheckPinned(g, w, /*planner=*/true,
-                  "did ANY visits stop keying on exact (pc, node, start)?",
-                  &report, &ok);
+      CheckPinned(g, w, &report, &ok);
       if (!ok) break;
     }
     if (ok) CheckPathsAnyPin(g, &report, &ok);
   }
 
   // --- 2. byte-identity matrix --------------------------------------------
-  // Within each planner setting both thread counts must be byte-identical
-  // (same rows, same order); across planner on/off the row multiset must
-  // be identical — a mirrored or reordered plan may emit the same matches
-  // in a different order (the planner's contract, also checked by
-  // tests/differential_test.cc).
+  // Both thread counts must be byte-identical (same rows, same order).
   {
     PropertyGraph g = MakeMatrixGraph();
     for (const Workload& w : kMatrixWorkloads) {
-      std::vector<std::string> baseline[2];
-      bool have_baseline[2] = {false, false};
+      std::vector<std::string> baseline;
       for (size_t threads : {size_t{1}, size_t{8}}) {
-        for (bool planner : {true, false}) {
-          EngineOptions base;
-          base.num_threads = threads;
-          base.use_planner = planner;
-          // Force real sharding even on short seed lists.
-          base.matcher.min_seeds_per_shard = 1;
-          Measurement m = Measure(g, w.query, base, &ok, /*reps=*/1);
-          if (!ok) break;
-          if (!have_baseline[planner]) {
-            baseline[planner] = m.rows;
-            have_baseline[planner] = true;
-          } else if (m.rows != baseline[planner]) {
-            std::fprintf(stderr,
-                         "FAIL %s: rows differ at threads=%zu planner=%d "
-                         "(%zu vs %zu rows)\n",
-                         w.name, threads, planner ? 1 : 0, m.rows.size(),
-                         baseline[planner].size());
-            ok = false;
-          }
-        }
-      }
-      if (have_baseline[0] && have_baseline[1]) {
-        std::vector<std::string> on = baseline[1];
-        std::vector<std::string> off = baseline[0];
-        std::sort(on.begin(), on.end());
-        std::sort(off.begin(), off.end());
-        if (on != off) {
+        EngineOptions base;
+        base.num_threads = threads;
+        // Force real sharding even on short seed lists.
+        base.matcher.min_seeds_per_shard = 1;
+        Measurement m = Measure(g, w.query, base, &ok, /*reps=*/1);
+        if (!ok) break;
+        if (threads == 1) {
+          baseline = std::move(m.rows);
+        } else if (m.rows != baseline) {
           std::fprintf(stderr,
-                       "FAIL %s: planner changed the row multiset "
-                       "(%zu vs %zu rows)\n",
-                       w.name, on.size(), off.size());
+                       "FAIL %s: rows differ at threads=%zu (%zu vs %zu "
+                       "rows)\n",
+                       w.name, threads, m.rows.size(), baseline.size());
           ok = false;
         }
-        std::printf(
-            "byte-identity %-28s: %4zu rows identical over "
-            "{threads 1,8}, multiset-stable over planner\n",
-            w.name, baseline[0].size());
       }
+      std::printf("byte-identity %-28s: %4zu rows identical over "
+                  "{threads 1,8}\n",
+                  w.name, baseline.size());
     }
   }
 

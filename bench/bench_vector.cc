@@ -1,22 +1,26 @@
 // Vectorized batch matcher contracts on the fraud-300 workloads, run under
-// ctest as a regression gate (see docs/vectorized.md):
+// ctest as a regression gate (see docs/vectorized.md). Each workload is one
+// declaration compiled and bound as written (the test harness in
+// tests/test_util.h) and run through RunPattern; its scalar oracle is the
+// same bound program with the batch plan cleared (Program::batch).
 //
 //  1. Matcher-step throughput (enforced only in optimized, unsanitized
 //     builds): on the expansion-heavy fraud-300 graph (300 accounts, 100
 //     transfers per account) the batch path must deliver >= 3x matcher
 //     throughput, geometric mean over the expansion workloads, and >= 1.5x
 //     on every individual workload. Throughput is scalar-equivalent matcher
-//     steps per second: the step count the use_batch=false oracle charges
-//     for the workload, divided by each configuration's wall time — both
-//     sides produce the same rows, the batch side just replaces per-edge
-//     interpreter dispatch with block-at-a-time kernels. Measurements
-//     interleave batch-off and batch-on repetitions (min of 5 each) so
-//     frequency scaling and cache warmth hit both sides alike.
+//     steps per second: the step count the scalar oracle charges for the
+//     workload, divided by each route's wall time — both sides produce the
+//     same rows, the batch side just replaces per-edge interpreter
+//     dispatch with block-at-a-time kernels. Measurements interleave
+//     scalar and batch repetitions (min of 5 each) so frequency scaling and
+//     cache warmth hit both sides alike.
 //  2. Byte-identity (always enforced): identical rows in identical order
-//     across {batch on/off} x {threads 1, 8} on every workload.
+//     from the batch route and its scalar oracle at threads 1 and 8 on
+//     every workload.
 //  3. Batch engagement (always enforced): every expansion workload must
-//     actually run vectorized (batch_blocks > 0) with use_batch on, and
-//     must not (batch_blocks == 0) with it off.
+//     actually run vectorized (batch_blocks > 0), and its oracle must not
+//     (batch_blocks == 0).
 //
 // Results land in BENCH_vector.json / BENCH_vector.prom (GPML_BENCH_OUT).
 
@@ -30,6 +34,7 @@
 #include "bench_util.h"
 #include "eval/engine.h"
 #include "graph/generator.h"
+#include "tests/test_util.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define GPML_BENCH_SANITIZED 1
@@ -83,46 +88,33 @@ const Workload kExpansionWorkloads[] = {
      "-[:Transfer]->(x)"},
 };
 
+using testing_util::RouteRun;
+
 double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
 }
 
-std::vector<std::string> CanonRows(const MatchOutput& out,
-                                   const PropertyGraph& g) {
-  std::vector<std::string> rows;
-  rows.reserve(out.rows.size());
-  for (const ResultRow& row : out.rows) {
-    std::string s;
-    for (const auto& pb : row.bindings) {
-      s += pb->ToString(g, *out.vars);
-      s += " | ";
-    }
-    rows.push_back(std::move(s));
-  }
-  return rows;
-}
-
 struct Measurement {
-  std::vector<std::string> rows;
-  EngineMetrics metrics;
+  RouteRun run;
   double millis = 0;
 };
 
 /// One timed repetition; folds the wall time into the running minimum.
-bool MeasureOnce(Engine& engine, const PropertyGraph& g,
-                 const std::string& query, int rep, Measurement* m) {
+bool MeasureOnce(const PropertyGraph& g, const Program& program,
+                 const VarTable& vars, const MatcherOptions& options, int rep,
+                 Measurement* m) {
   auto start = std::chrono::steady_clock::now();
-  Result<MatchOutput> out = engine.Match(query);
+  RouteRun run = testing_util::RunOnce(g, program, vars, options, false);
   double ms = MillisSince(start);
-  if (!out.ok()) {
-    std::fprintf(stderr, "query failed: %s\n  %s\n", query.c_str(),
-                 out.status().ToString().c_str());
+  if (!run.status.ok()) {
+    std::fprintf(stderr, "match failed: %s\n",
+                 run.status.ToString().c_str());
     return false;
   }
   if (rep == 0 || ms < m->millis) m->millis = ms;
-  if (rep == 0) m->rows = CanonRows(*out, g);
+  if (rep == 0) m->run = std::move(run);
   return true;
 }
 
@@ -144,34 +136,43 @@ int RunBench() {
   PropertyGraph g = MakeExpansionGraph();
   std::printf("expansion graph: %s\n", g.Summary().c_str());
 
+  // Each workload compiled once; the oracle is its batch-plan-free copy.
+  std::vector<testing_util::CompiledDecl> compiled;
+  std::vector<Program> scalar;
+  for (const Workload& w : kExpansionWorkloads) {
+    compiled.push_back(testing_util::Compile(g, w.query));
+    if (!compiled.back().status.ok()) {
+      std::fprintf(stderr, "compile failed: %s\n",
+                   compiled.back().status.ToString().c_str());
+      return 1;
+    }
+    scalar.push_back(compiled.back().program);
+    scalar.back().batch = nullptr;
+  }
+
   // --- 1. matcher-step throughput + batch engagement ----------------------
   {
     const bool enforce = ThroughputGateActive();
     double log_ratio_sum = 0;
     size_t measured = 0;
 
-    std::printf("%-28s | %10s %10s | %12s %12s | %7s\n", "workload", "ms:off",
-                "ms:on", "steps/s:off", "steps/s:on", "ratio");
-    for (const Workload& w : kExpansionWorkloads) {
-      EngineOptions base;
-      base.use_planner = false;  // Pure matcher comparison.
-      base.num_threads = 1;
+    std::printf("%-28s | %10s %10s | %12s %12s | %7s\n", "workload",
+                "ms:scalar", "ms:batch", "steps/s:sc", "steps/s:bat",
+                "ratio");
+    for (size_t i = 0; i < std::size(kExpansionWorkloads); ++i) {
+      const Workload& w = kExpansionWorkloads[i];
+      const testing_util::CompiledDecl& c = compiled[i];
+      MatcherOptions options;
+      options.num_threads = 1;
       Measurement off, on;
-      base.matcher.use_batch = false;
-      base.metrics = &off.metrics;
-      Engine scalar_engine(g, base);
-      base.matcher.use_batch = true;
-      base.metrics = &on.metrics;
-      Engine batch_engine(g, base);
-      // Warm both plan caches, then interleave the timed repetitions so
-      // frequency scaling and cache warmth hit both sides alike. A gate
-      // failure on an earlier workload must not stop the measurements, so
-      // execution errors get their own flag.
-      bool ran = MeasureOnce(scalar_engine, g, w.query, 0, &off) &&
-                 MeasureOnce(batch_engine, g, w.query, 0, &on);
+      // Interleave the timed repetitions so frequency scaling and cache
+      // warmth hit both sides alike. A gate failure on an earlier workload
+      // must not stop the measurements, so execution errors get their own
+      // flag.
+      bool ran = true;
       for (int rep = 0; ran && rep < 5; ++rep) {
-        ran = MeasureOnce(scalar_engine, g, w.query, rep, &off) &&
-              MeasureOnce(batch_engine, g, w.query, rep, &on);
+        ran = MeasureOnce(g, scalar[i], *c.vars, options, rep, &off) &&
+              MeasureOnce(g, c.program, *c.vars, options, rep, &on);
       }
       if (!ran) {
         ok = false;
@@ -180,36 +181,29 @@ int RunBench() {
 
       // Scalar-equivalent steps per second: same logical work (the scalar
       // oracle's step count), each side's own wall time.
-      double work = static_cast<double>(off.metrics.matcher_steps);
+      double work = static_cast<double>(off.run.steps);
       double thr_off = work / (off.millis / 1e3);
       double thr_on = work / (on.millis / 1e3);
       double ratio = on.millis > 0 ? off.millis / on.millis : 0;
       std::printf("%-28s | %10.3f %10.3f | %12.3g %12.3g | %6.2fx\n", w.name,
                   off.millis, on.millis, thr_off, thr_on, ratio);
-      report.Add(std::string(w.name) + ":batch=off", off.millis,
-                 off.metrics.seeded_nodes, off.metrics.matcher_steps,
-                 off.rows.size());
-      report.Add(std::string(w.name) + ":batch=on", on.millis,
-                 on.metrics.seeded_nodes, on.metrics.matcher_steps,
-                 on.rows.size(),
+      report.Add(std::string(w.name) + ":scalar", off.millis, off.run.seeds,
+                 off.run.steps, off.run.rows.size());
+      report.Add(std::string(w.name) + ":batch", on.millis, on.run.seeds,
+                 on.run.steps, on.run.rows.size(),
                  {{"throughput_ratio", ratio},
-                  {"batch_blocks", static_cast<double>(on.metrics.batch_blocks)},
-                  {"survivor_rate",
-                   on.metrics.batch_candidates > 0
-                       ? static_cast<double>(on.metrics.batch_survivors) /
-                             static_cast<double>(on.metrics.batch_candidates)
-                       : 0}});
+                  {"batch_blocks", static_cast<double>(on.run.batch_blocks)}});
 
-      if (off.rows != on.rows) {
+      if (off.run.rows != on.run.rows) {
         std::fprintf(stderr, "FAIL %s: batch changed rows (%zu vs %zu)\n",
-                     w.name, on.rows.size(), off.rows.size());
+                     w.name, on.run.rows.size(), off.run.rows.size());
         ok = false;
       }
-      if (on.metrics.batch_blocks == 0) {
+      if (on.run.route != MatchRoute::kBatch || on.run.batch_blocks == 0) {
         std::fprintf(stderr, "FAIL %s: batch path did not engage\n", w.name);
         ok = false;
       }
-      if (off.metrics.batch_blocks != 0) {
+      if (off.run.batch_blocks != 0) {
         std::fprintf(stderr, "FAIL %s: scalar oracle ran batched\n", w.name);
         ok = false;
       }
@@ -235,49 +229,44 @@ int RunBench() {
     }
   }
 
-  // --- 2. byte-identity matrix --------------------------------------------
-  // Identical rows in identical order across {batch on/off} x {threads}:
-  // the drain order replays the scalar DFS accept order exactly, so the
-  // batch matcher is held to the byte-identity bar, not just multiset
-  // equality (docs/vectorized.md).
-  {
-    for (const Workload& w : kExpansionWorkloads) {
-      std::vector<std::string> baseline;
-      bool have_baseline = false;
-      for (bool batch : {false, true}) {
-        for (size_t threads : {size_t{1}, size_t{8}}) {
-          EngineOptions base;
-          base.matcher.use_batch = batch;
-          base.num_threads = threads;
-          // Force real sharding even on short seed lists.
-          base.matcher.min_seeds_per_shard = 1;
-          Measurement m;
-          base.metrics = &m.metrics;
-          Engine engine(g, base);
-          if (!MeasureOnce(engine, g, w.query, 0, &m)) {
-            ok = false;
-            break;
-          }
-          if (!have_baseline) {
-            baseline = m.rows;
-            have_baseline = true;
-          } else if (m.rows != baseline) {
-            std::fprintf(stderr,
-                         "FAIL %s: rows differ at batch=%d threads=%zu "
-                         "(%zu vs %zu rows)\n",
-                         w.name, batch ? 1 : 0, threads, m.rows.size(),
-                         baseline.size());
-            ok = false;
-          }
+  // --- 2. byte-identity ---------------------------------------------------
+  // Identical rows in identical order from the batch route and its scalar
+  // oracle, sequential and sharded: the drain order replays the scalar DFS
+  // accept order exactly, so the batch matcher is held to the byte-identity
+  // bar, not just multiset equality (docs/vectorized.md).
+  for (size_t i = 0; i < std::size(kExpansionWorkloads); ++i) {
+    const Workload& w = kExpansionWorkloads[i];
+    const testing_util::CompiledDecl& c = compiled[i];
+    std::vector<std::string> baseline;
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      MatcherOptions options;
+      options.num_threads = threads;
+      options.min_seeds_per_shard = 1;  // Force real sharding.
+      const Program* const programs[] = {&scalar[i], &c.program};
+      for (const Program* program : programs) {
+        RouteRun run =
+            testing_util::RunOnce(g, *program, *c.vars, options, false);
+        if (!run.status.ok()) {
+          std::fprintf(stderr, "match failed: %s\n",
+                       run.status.ToString().c_str());
+          ok = false;
+          break;
+        }
+        if (baseline.empty()) {
+          baseline = std::move(run.rows);
+        } else if (run.rows != baseline) {
+          std::fprintf(stderr,
+                       "FAIL %s: rows differ on the %s route at threads=%zu "
+                       "(%zu vs %zu rows)\n",
+                       w.name, program == &c.program ? "batch" : "scalar",
+                       threads, run.rows.size(), baseline.size());
+          ok = false;
         }
       }
-      if (have_baseline) {
-        std::printf(
-            "byte-identity %-28s: %5zu rows identical over "
-            "{batch on/off} x {threads 1,8}\n",
-            w.name, baseline.size());
-      }
     }
+    std::printf("byte-identity %-28s: %5zu rows identical over "
+                "{batch, scalar oracle} x {threads 1,8}\n",
+                w.name, baseline.size());
   }
 
   report.Write();

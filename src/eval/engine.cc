@@ -250,7 +250,7 @@ std::optional<uint64_t> FixedPatternLength(const PathPattern& p) {
 /// bucket of its anchor, the value being the planned literal or the
 /// bind-time binding of the $parameter the equality compares against.
 /// nullptr seeds from the label scan instead: the anchor has no index
-/// source (DirectPlan never sets one), or the parameter is unbound or NULL
+/// source, or the parameter is unbound or NULL
 /// — the inline predicate then filters by itself (to nothing: `= NULL` is
 /// never true), so rows are identical either way.
 const std::vector<NodeId>* IndexSeeds(const PropertyGraph& graph,
@@ -434,7 +434,6 @@ void CaptureSlowQuery(const EngineOptions& options, const PropertyGraph& g,
   planner::ExplainExec exec;
   exec.threads = rec.threads;
   exec.cached = rec.cache_hit;
-  exec.batch = options.matcher.use_batch ? kBatchBlockTarget : 0;
   exec.analyzed = true;
   exec.rows = rec.rows;
   exec.truncated = rec.truncated;
@@ -523,9 +522,6 @@ size_t Engine::ResolvedThreads() const { return ResolveThreads(options_); }
 
 Result<planner::Plan> Engine::PlanNormalized(const GraphPattern& normalized,
                                              const VarTable& vars) const {
-  if (!options_.use_planner) {
-    return planner::DirectPlan(normalized, vars);
-  }
   std::shared_ptr<const planner::GraphStats> stats =
       planner::GetStats(graph_);
   planner::PlannerConfig config;
@@ -542,8 +538,7 @@ Result<std::shared_ptr<const planner::CachedPlan>> Engine::PreparePlan(
   // The fingerprint is the parameterized pattern text: $name placeholders
   // render as themselves, so executions differing only in bound values
   // share one entry — the prepare-once contract.
-  const std::string fingerprint =
-      planner::PlanFingerprint(pattern, options_.use_planner);
+  const std::string fingerprint = planner::PlanFingerprint(pattern);
   if (std::shared_ptr<const planner::CachedPlan> cached = planner::LookupPlan(
           graph_, fingerprint,
           options_.publish_metrics ? &graph_.registry() : nullptr)) {
@@ -653,7 +648,6 @@ Result<std::string> Engine::Explain(const GraphPattern& pattern) const {
   planner::ExplainExec exec;
   exec.threads = ResolvedThreads();
   exec.cached = cache_hit;
-  exec.batch = options_.matcher.use_batch ? kBatchBlockTarget : 0;
   return planner::ExplainPlan(prepared->plan, *prepared->vars,
                               /*stats=*/nullptr, &exec, /*actuals=*/nullptr,
                               &prepared->diagnostics);
@@ -687,7 +681,6 @@ Result<std::string> Engine::ExplainAnalyze(const GraphPattern& pattern,
   planner::ExplainExec exec;
   exec.threads = ResolvedThreads();
   exec.cached = prepared.cache_hit_;
-  exec.batch = options_.matcher.use_batch ? kBatchBlockTarget : 0;
   exec.analyzed = true;
   exec.rows = out.rows.size();
   exec.truncated = out.truncated;
@@ -765,7 +758,7 @@ analysis::DiagnosticList Engine::LintImpl(const std::string& match_text) const {
 }
 
 // ---------------------------------------------------------------------------
-// Engine: batch execution (the differential oracle)
+// Engine: materialized execution
 // ---------------------------------------------------------------------------
 
 void Engine::CountDiagnostics(const analysis::DiagnosticList& diags) const {
@@ -1053,7 +1046,6 @@ Result<std::string> PreparedQuery::Explain() const {
   planner::ExplainExec exec;
   exec.threads = ResolveThreads(options_);
   exec.cached = cache_hit_;
-  exec.batch = options_.matcher.use_batch ? kBatchBlockTarget : 0;
   return planner::ExplainPlan(plan_->plan, *plan_->vars, /*stats=*/nullptr,
                               &exec, /*actuals=*/nullptr,
                               &plan_->diagnostics);

@@ -85,11 +85,6 @@ struct EngineMetrics {
 struct EngineOptions {
   MatcherOptions matcher;
   size_t max_rows = 1u << 20;  // Join-output guard.
-  /// Statistics-driven planning: anchor-end selection (running a pattern
-  /// from its more selective endpoint, mirrored when that is the right one),
-  /// join ordering, and seed lists restricted to already-bound variables.
-  /// Off reproduces the unplanned engine exactly (differential testing).
-  bool use_planner = true;
   /// Seed-partitioned parallel matching: per-declaration seed lists are
   /// sharded over this many worker threads and the per-shard match sets are
   /// merged in seed-index order, so results are byte-identical to the
@@ -459,8 +454,7 @@ class Engine {
   Result<MatchOutput> Match(const GraphPattern& pattern) const;
 
   /// The execution plan the engine would use for this pattern: normalize,
-  /// analyze, then run the statistics-driven planner (or the direct plan
-  /// when use_planner is off).
+  /// analyze, then run the statistics-driven planner.
   Result<planner::Plan> Plan(const GraphPattern& pattern) const;
 
   /// Human-readable EXPLAIN of the plan (see planner/explain.h for the

@@ -399,10 +399,10 @@ class Matcher {
       return RunBfs();
     }
     // Block-at-a-time route (docs/vectorized.md): eligible linear programs
-    // with all predicate kernels bindable. Anything else — and the
-    // differential oracle with use_batch off — runs the tuple-at-a-time
-    // interpreter.
-    if (options_.use_batch && TryBindBatch()) {
+    // with all predicate kernels bindable. Anything else — and a program
+    // whose batch plan was cleared, the batch route's differential oracle —
+    // runs the tuple-at-a-time interpreter.
+    if (TryBindBatch()) {
       route_ = MatchRoute::kBatch;
       return RunBatch();
     }

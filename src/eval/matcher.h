@@ -40,19 +40,6 @@ struct MatcherOptions {
   /// of the shard count, so this is purely a latency knob). Tests set 1 to
   /// force sharding on tiny graphs.
   size_t min_seeds_per_shard = 16;
-  /// Block-at-a-time frontier expansion (docs/vectorized.md): linear
-  /// fixed-length patterns expand whole frontier blocks against contiguous
-  /// CSR ranges with selection-vector filtering and compiled predicate
-  /// kernels, materializing states only for accepted rows. Off runs the
-  /// tuple-at-a-time interpreter for every pattern — the differential
-  /// oracle. Rows are byte-identical either way (the batch drain replays
-  /// the DFS accept order); only the step accounting differs, because the
-  /// batch path charges per adjacency candidate rather than per interpreter
-  /// instruction. Patterns outside the eligible shape (selectors,
-  /// quantifiers, restrictors, non-kernel WHEREs) fall back to the scalar
-  /// interpreter automatically. EngineOptions passes this field through
-  /// unchanged (`EngineOptions::matcher.use_batch`).
-  bool use_batch = true;
 };
 
 /// Target number of frontier entries expanded per batch block. Candidate

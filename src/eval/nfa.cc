@@ -1,16 +1,84 @@
 #include "eval/nfa.h"
 
+#include <cassert>
+#include <optional>
 #include <sstream>
+
+#include "parser/parser.h"
 
 namespace gpml {
 
 namespace {
+
+/// The instruction count the Compiler below emits for `p`, mirroring its
+/// emission rules one for one, saturated at kMaxProgramInstructions + 1 so
+/// that no bound can overflow it. `*offset` receives the offset of the
+/// first quantifier whose expansion passes the cap.
+uint64_t ProgramSize(const PathPattern& p, std::optional<size_t>* offset) {
+  constexpr uint64_t kSaturated = kMaxProgramInstructions + 1;
+  auto sat = [](uint64_t n) { return n < kSaturated ? n : kSaturated; };
+  uint64_t n = 0;
+  if (p.kind != PathPattern::Kind::kConcat) {
+    // A split and a jump between alternatives; a tag per multiset branch.
+    const uint64_t k = p.alternatives.size();
+    n = (k > 0 ? 2 * (k - 1) : 0) +
+        (p.kind == PathPattern::Kind::kAlternation ? k : 0);
+    for (const PathPatternPtr& alt : p.alternatives) {
+      n = sat(n + ProgramSize(*alt, offset));
+    }
+    return n;
+  }
+  for (const PathElement& e : p.elements) {
+    if (e.kind == PathElement::Kind::kNode ||
+        e.kind == PathElement::Kind::kEdge) {
+      n = sat(n + 1);
+      continue;
+    }
+    // One segment: scope, frame and WHERE check around the body, plus the
+    // split of `?`.
+    const bool iteration = e.kind == PathElement::Kind::kQuantified;
+    uint64_t size = ProgramSize(*e.sub, offset) +
+                    (e.restrictor != Restrictor::kNone ? 2 : 0) +
+                    (iteration || e.where != nullptr ? 2 : 0) +
+                    (e.where != nullptr ? 1 : 0) +
+                    (e.kind == PathElement::Kind::kOptional ? 1 : 0);
+    if (iteration) {
+      // min copies, then a split per optional copy or a guarded loop
+      // (split, body, jump).
+      uint64_t extra = 0;
+      if (!e.max.has_value()) {
+        extra = size + 2;
+      } else if (*e.max > e.min) {
+        extra = sat(*e.max - e.min) * (size + 1);
+      }
+      size = sat(sat(e.min) * size + extra);
+      if (size == kSaturated && !offset->has_value()) {
+        *offset = e.quantifier_span.begin;
+      }
+    }
+    n = sat(n + size);
+  }
+  return n;
+}
 
 class Compiler {
  public:
   explicit Compiler(const VarTable& vars) : vars_(vars) {}
 
   Result<Program> Compile(const PathPatternDecl& decl) {
+    std::optional<size_t> offset;
+    const uint64_t size = ProgramSize(*decl.pattern, &offset) +
+                          (decl.restrictor != Restrictor::kNone ? 3 : 1);
+    if (size > kMaxProgramInstructions) {
+      return Status::ResourceExhausted(
+          (offset.has_value()
+               ? "quantifier (offset=" + std::to_string(*offset) + ")"
+               : std::string("path pattern")) +
+          " compiles to more than " +
+          std::to_string(kMaxProgramInstructions) +
+          " instructions; lower its bounds");
+    }
+    program_.code.reserve(static_cast<size_t>(size));
     program_.selector = decl.selector;
     program_.root = decl.pattern;
     if (!decl.path_var.empty()) {
@@ -28,6 +96,7 @@ class Compiler {
 
     program_.start = 0;
     program_.exact_visit_key = PositionIsState(*decl.pattern);
+    assert(program_.code.size() == size);  // ProgramSize mirrors emission.
     return std::move(program_);
   }
 

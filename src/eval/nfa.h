@@ -70,8 +70,10 @@ struct Instr {
 /// `NodeCheck (EdgeStep NodeCheck)* Accept` — no selector, splits, frames,
 /// restrictor scopes, or provenance tags — whose inline WHEREs all compile
 /// into PredicateKernels. Anything else leaves `eligible` false and the
-/// matcher runs the scalar interpreter (which stays the differential oracle
-/// either way; see MatcherOptions::use_batch).
+/// matcher runs the scalar interpreter. The interpreter is also the batch
+/// route's differential oracle: a copy of the bound program with `batch`
+/// reset runs scalar, with byte-identical rows (only the step accounting
+/// differs: the batch route charges per adjacency candidate).
 struct BatchPlan {
   /// One kNodeCheck position. `nodes[i]` binds the node reached after i
   /// edge hops.
@@ -153,8 +155,9 @@ struct Program {
 
   /// Block-at-a-time plan, built when BindProgramToGraph is given the
   /// variable table; nullptr (or !eligible) routes to the scalar
-  /// interpreter. Stored on the program so plan-cache hits reuse the
-  /// compiled kernels exactly like they reuse label_preds.
+  /// interpreter, which is how tests run the batch route's oracle. Stored
+  /// on the program so plan-cache hits reuse the compiled kernels exactly
+  /// like they reuse label_preds.
   std::shared_ptr<const BatchPlan> batch;
 
   /// Witness-route plan; set by BindProgramToGraph exactly for

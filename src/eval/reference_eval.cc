@@ -514,4 +514,95 @@ Result<MatchSet> RunReference(const PropertyGraph& g,
   return out;
 }
 
+namespace {
+
+/// True when `binding` binds every shared singleton that `row` binds to the
+/// same element: the equi-join condition of §6.5.
+bool JoinsWith(const ResultRow& row, const PathBinding& binding,
+               const std::vector<int>& shared) {
+  for (int var : shared) {
+    const ElementRef* mine = binding.LastOf(var);
+    for (size_t d = 0; mine != nullptr && d < row.bindings.size(); ++d) {
+      const ElementRef* theirs = row.bindings[d]->LastOf(var);
+      if (theirs != nullptr && !(*theirs == *mine)) return false;
+    }
+  }
+  return true;
+}
+
+/// DIFFERENT EDGES / DIFFERENT NODES (§7.1): no edge (or node) of the row
+/// is bound twice. A named singleton is one binding however often it
+/// occurs; each group iteration and each anonymous position is its own.
+bool ElementsDistinct(const ResultRow& row, const VarTable& vars,
+                      bool edges) {
+  std::map<ElementRef, int> bound_by;  // The singleton, or -1.
+  for (const auto& binding : row.bindings) {
+    for (const ElementaryBinding& b : binding->reduced) {
+      if (b.element.is_edge() != edges) continue;
+      const VarInfo& info = vars.info(b.var);
+      const int var = info.group || info.anonymous ? -1 : b.var;
+      auto [it, fresh] = bound_by.emplace(b.element, var);
+      if (!fresh && (var < 0 || it->second != var)) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+Result<MatchOutput> RunReferencePattern(const PropertyGraph& g,
+                                        const GraphPattern& normalized,
+                                        std::shared_ptr<const VarTable> vars,
+                                        const ReferenceOptions& options) {
+  MatchOutput out;
+  out.vars = vars;
+  out.normalized = normalized;
+  std::vector<int> shared;
+  for (int v = 0; v < vars->size(); ++v) {
+    const VarInfo& info = vars->info(v);
+    if (!info.group && info.kind != VarInfo::Kind::kPath &&
+        info.decls.size() > 1) {
+      shared.push_back(v);
+    }
+  }
+
+  std::vector<ResultRow> rows(1);  // The empty row: the join's unit.
+  for (const PathPatternDecl& decl : normalized.paths) {
+    out.path_vars.push_back(decl.path_var.empty() ? -1
+                                                  : vars->Find(decl.path_var));
+    GPML_ASSIGN_OR_RETURN(MatchSet set,
+                          RunReference(g, decl, *vars, options));
+    std::vector<ResultRow> joined;
+    for (PathBinding& pb : set.bindings) {
+      auto binding = std::make_shared<const PathBinding>(std::move(pb));
+      for (const ResultRow& row : rows) {
+        if (!JoinsWith(row, *binding, shared)) continue;
+        joined.push_back(row);
+        joined.back().bindings.push_back(binding);
+        if (joined.size() > options.max_matches) {
+          return Status::ResourceExhausted(
+              "reference join exceeded max_matches");
+        }
+      }
+    }
+    rows = std::move(joined);
+  }
+
+  for (ResultRow& row : rows) {
+    if (normalized.mode != MatchMode::kRepeatableElements &&
+        !ElementsDistinct(row, *vars,
+                          normalized.mode == MatchMode::kDifferentEdges)) {
+      continue;
+    }
+    if (normalized.where != nullptr) {
+      RowScope scope(out, row);
+      GPML_ASSIGN_OR_RETURN(TriBool keep,
+                            EvalPredicate(*normalized.where, g, *vars, scope));
+      if (keep != TriBool::kTrue) continue;
+    }
+    out.rows.push_back(std::move(row));
+  }
+  return out;
+}
+
 }  // namespace gpml

@@ -1,12 +1,14 @@
 #ifndef GPML_EVAL_REFERENCE_EVAL_H_
 #define GPML_EVAL_REFERENCE_EVAL_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "ast/ast.h"
 #include "common/result.h"
 #include "eval/binding.h"
+#include "eval/engine.h"
 #include "eval/matcher.h"
 #include "graph/property_graph.h"
 
@@ -84,6 +86,19 @@ Result<MatchSet> RunReference(const PropertyGraph& g,
                               const PathPatternDecl& decl,
                               const VarTable& vars,
                               const ReferenceOptions& options);
+
+/// Full reference evaluation of a normalized graph pattern (§6.5 "Multiple
+/// patterns"), literally: RunReference per declaration, a nested-loop join
+/// of the match sets on the singleton variables the declarations share,
+/// the match mode (DIFFERENT EDGES / DIFFERENT NODES), then the final WHERE
+/// through RowScope. Rows hold one binding per declaration in source order;
+/// they come in nested-loop order, which callers compare as a multiset.
+/// `options.max_matches` bounds the joined rows too. The planner's oracle:
+/// no plan, no seed or target restriction, no hash join.
+Result<MatchOutput> RunReferencePattern(const PropertyGraph& g,
+                                        const GraphPattern& normalized,
+                                        std::shared_ptr<const VarTable> vars,
+                                        const ReferenceOptions& options);
 
 }  // namespace gpml
 

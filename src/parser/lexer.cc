@@ -1,6 +1,10 @@
 #include "parser/lexer.h"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 
 namespace gpml {
 
@@ -132,15 +136,29 @@ Result<std::vector<Token>> Tokenize(const std::string& input) {
       t.offset = start;
       t.length = i - start;
       t.text = input.substr(start, i - start);
+      // Checked conversions: a literal the value types cannot hold is a
+      // syntax error, never an exception or a wrapped product.
+      const size_t digits_end = multiplier != 1 ? i - 1 : i;
+      bool in_range = true;
       if (is_double) {
         t.kind = TokenKind::kDouble;
-        t.double_value =
-            std::stod(input.substr(start, i - start)) * multiplier;
+        const std::string digits = input.substr(start, digits_end - start);
+        errno = 0;
+        double value = std::strtod(digits.c_str(), nullptr);
+        in_range = errno != ERANGE;
+        t.double_value = value * static_cast<double>(multiplier);
+        in_range = in_range && std::isfinite(t.double_value);
       } else {
         t.kind = TokenKind::kInt;
-        std::string digits = input.substr(start, i - start);
-        if (multiplier != 1) digits.pop_back();
-        t.int_value = std::stoll(digits) * multiplier;
+        int64_t value = 0;
+        std::from_chars_result r = std::from_chars(
+            input.data() + start, input.data() + digits_end, value);
+        in_range = r.ec == std::errc() &&
+                   !__builtin_mul_overflow(value, multiplier, &t.int_value);
+      }
+      if (!in_range) {
+        return Status::SyntaxError("numeric literal out of range (offset=" +
+                                   std::to_string(start) + ")");
       }
       tokens.push_back(std::move(t));
       continue;

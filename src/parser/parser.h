@@ -1,6 +1,7 @@
 #ifndef GPML_PARSER_PARSER_H_
 #define GPML_PARSER_PARSER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,14 @@ namespace gpml {
 /// network — and every pass over the parsed tree (normalize, analyze,
 /// compile, evaluation) is bounded by it too.
 inline constexpr size_t kMaxParseNesting = 256;
+
+/// The most instructions one compiled path declaration may hold. Bounded
+/// quantifiers compile to one body copy per iteration, so `{k}` multiplies
+/// its body (and nested `[[...]{k}]{k}` multiply again); CompilePattern
+/// counts the expanded size from the pattern, with saturating arithmetic,
+/// before it emits anything, and refuses a larger program with
+/// kResourceExhausted naming the quantifier's offset.
+inline constexpr uint64_t kMaxProgramInstructions = uint64_t{1} << 16;
 
 /// Parses a complete GPML statement:
 ///   MATCH <path decls> [WHERE <postfilter>] [RETURN [DISTINCT] <items>]

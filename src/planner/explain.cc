@@ -101,13 +101,10 @@ std::string ExplainPlan(const Plan& plan, const VarTable& vars,
                         const std::vector<DeclActual>* actuals,
                         const analysis::DiagnosticList* warnings) {
   std::ostringstream os;
-  os << "plan: " << plan.decls.size() << " declaration(s), planner="
-     << (plan.planner_used ? "on" : "off") << "\n";
+  os << "plan: " << plan.decls.size() << " declaration(s)\n";
   if (exec != nullptr) {
     os << "exec: threads=" << exec->threads
-       << " cached=" << (exec->cached ? "true" : "false")
-       // Vectorized matcher block target; 0 = scalar execution.
-       << " batch=" << exec->batch;
+       << " cached=" << (exec->cached ? "true" : "false");
     if (exec->analyzed) {
       os << " rows=" << exec->rows
          << " truncated=" << (exec->truncated ? "true" : "false");
@@ -201,7 +198,6 @@ Result<ExplainedPlan> ParseExplain(const std::string& text) {
     if (line.rfind("plan: ", 0) == 0) {
       saw_header = true;
       declared = static_cast<size_t>(std::atoi(line.c_str() + 6));
-      out.planner_on = line.find("planner=on") != std::string::npos;
       continue;
     }
     if (line.rfind("-- graph stats --", 0) == 0) break;
@@ -226,8 +222,6 @@ Result<ExplainedPlan> ParseExplain(const std::string& text) {
       out.threads = static_cast<size_t>(
           std::atoi(TokenValue(line, "threads=").c_str()));
       out.cached = TokenValue(line, "cached=") == "true";
-      out.batch = static_cast<size_t>(
-          std::atol(TokenValue(line, "batch=").c_str()));
       std::string rows = TokenValue(line, "rows=");
       if (!rows.empty()) {
         out.analyzed = true;

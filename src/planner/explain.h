@@ -19,9 +19,6 @@ namespace planner {
 struct ExplainExec {
   size_t threads = 1;
   bool cached = false;
-  /// Vectorized matcher block target (MatcherOptions::use_batch on): rendered
-  /// as `batch=N` on the exec line; 0 = scalar execution.
-  size_t batch = 0;
   bool analyzed = false;  // True for EXPLAIN ANALYZE: rows/truncated valid.
   size_t rows = 0;        // Result rows after join, mode filter, postfilter.
   bool truncated = false; // Budget-truncated output (not a clean LIMIT stop).
@@ -53,7 +50,7 @@ struct DeclActual {
 /// Renders a plan as stable, line-oriented text, one `step` line per
 /// declaration in execution order:
 ///
-///   plan: 2 declaration(s), planner=on
+///   plan: 2 declaration(s)
 ///   exec: threads=4 cached=true
 ///   step 1: decl=0 dir=forward anchor=left var=x seeds~2 source=label:Account
 ///       fanout~1.5 join=[] selector=none
@@ -137,11 +134,9 @@ struct ExplainedWarning {
 };
 
 struct ExplainedPlan {
-  bool planner_on = false;
   bool has_exec = false;   // An `exec:` line was present.
   size_t threads = 0;      // From the exec line; 0 when absent.
   bool cached = false;     // From the exec line; false when absent.
-  size_t batch = 0;        // `batch=` on the exec line; 0 when absent.
   bool analyzed = false;   // The exec line carried ANALYZE actuals.
   size_t rows = 0;         // From the exec line; 0 when absent.
   bool truncated = false;  // From the exec line; false when absent.

@@ -6,13 +6,11 @@
 namespace gpml {
 namespace planner {
 
-std::string PlanFingerprint(const GraphPattern& pattern, bool use_planner) {
+std::string PlanFingerprint(const GraphPattern& pattern) {
   // Print covers mode, every declaration (selector, restrictor, path var,
   // pattern) and the postfilter WHERE; parse(Print(x)) == x structurally, so
   // the rendering is injective on parseable patterns.
-  std::string fp = Print(pattern);
-  fp += use_planner ? "|planner=on" : "|planner=off";
-  return fp;
+  return Print(pattern);
 }
 
 std::shared_ptr<const CachedPlan> LookupPlan(const PropertyGraph& g,

@@ -91,12 +91,11 @@ struct PlanCache {
 /// churn; steady-state workloads repeat far fewer distinct patterns.
 inline constexpr size_t kPlanCacheMaxEntries = 128;
 
-/// Deterministic fingerprint of (pattern, planning mode): the pattern's
-/// surface-syntax rendering — Print roundtrips with the parser, so distinct
-/// patterns render distinctly — plus the planner flag, which selects
-/// between PlanPattern and DirectPlan outputs. The graph half of the cache
-/// key is the identity token carried by the cache snapshot itself.
-std::string PlanFingerprint(const GraphPattern& pattern, bool use_planner);
+/// Deterministic fingerprint of a pattern: its surface-syntax rendering —
+/// Print roundtrips with the parser, so distinct patterns render
+/// distinctly. The graph half of the cache key is the identity token
+/// carried by the cache snapshot itself.
+std::string PlanFingerprint(const GraphPattern& pattern);
 
 /// The cached entry of `g` for `fingerprint`, or nullptr on a miss (also
 /// when the stored snapshot belongs to a different graph identity). When

@@ -512,25 +512,10 @@ const NodePattern* LastNodeOf(const PathPattern& p) {
 // Planning
 // ---------------------------------------------------------------------------
 
-Plan DirectPlan(const GraphPattern& normalized, const VarTable& vars) {
-  Plan plan;
-  std::set<int> processed;
-  for (size_t d = 0; d < normalized.paths.size(); ++d) {
-    DeclPlan dp;
-    dp.decl_index = static_cast<int>(d);
-    dp.decl = normalized.paths[d];
-    dp.join_vars = JoinVars(vars, dp.decl_index, processed);
-    processed.insert(dp.decl_index);
-    plan.decls.push_back(std::move(dp));
-  }
-  return plan;
-}
-
 Result<Plan> PlanPattern(const GraphPattern& normalized, const VarTable& vars,
                          const GraphStats& stats,
                          const PlannerConfig& config) {
   Plan plan;
-  plan.planner_used = true;
   const size_t n = normalized.paths.size();
 
   struct Cand {

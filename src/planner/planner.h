@@ -80,8 +80,6 @@ struct DeclPlan {
 /// An execution plan for a whole graph pattern: declarations in execution
 /// order, each with direction, seed source, and join variables.
 struct Plan {
-  bool planner_used = false;  // false: declaration order as written, no
-                              // reversal, no seed restriction.
   std::vector<DeclPlan> decls;
 };
 
@@ -93,11 +91,6 @@ struct Plan {
 Result<Plan> PlanPattern(const GraphPattern& normalized, const VarTable& vars,
                          const GraphStats& stats,
                          const PlannerConfig& config = {});
-
-/// The unplanned execution: declarations as written, forward direction,
-/// label-index or full-scan seeding. Exactly the seed engine's behavior;
-/// used when EngineOptions::use_planner is off and for differential testing.
-Plan DirectPlan(const GraphPattern& normalized, const VarTable& vars);
 
 /// The mirror image of a path pattern: elements in reverse order, edge
 /// orientations flipped, subpatterns mirrored recursively.

@@ -51,36 +51,13 @@ bool HasCode(const analysis::DiagnosticList& diags, const char* code) {
   return false;
 }
 
-/// Rows of the single-declaration `query` under the §6 reference
-/// evaluator (no analysis, planning or compilation), after its postfilter;
-/// SIZE_MAX when the query does not evaluate.
+/// Rows of `query` under the §6 reference evaluator (no analysis,
+/// planning or compilation), after its postfilter; SIZE_MAX when the query
+/// does not evaluate.
 size_t ReferenceRowCount(const PropertyGraph& g, const std::string& query) {
-  Result<GraphPattern> parsed = ParseGraphPattern(query);
-  if (!parsed.ok()) return SIZE_MAX;
-  Result<GraphPattern> normalized = Normalize(*parsed);
-  if (!normalized.ok()) return SIZE_MAX;
-  Result<Analysis> analysis = Analyze(*normalized);
-  if (!analysis.ok()) return SIZE_MAX;
-  MatchOutput scope_context;
-  scope_context.vars = std::make_shared<VarTable>(*analysis);
-  scope_context.normalized = *normalized;
-  scope_context.path_vars = {-1};
-  Result<MatchSet> ref = RunReference(g, normalized->paths[0],
-                                      *scope_context.vars, ReferenceOptions());
-  if (!ref.ok()) return SIZE_MAX;
-  size_t kept = 0;
-  for (const PathBinding& pb : ref->bindings) {
-    ResultRow row;
-    row.bindings.push_back(std::make_shared<const PathBinding>(pb));
-    Result<TriBool> keep =
-        normalized->where == nullptr
-            ? Result<TriBool>(TriBool::kTrue)
-            : EvalPredicate(*normalized->where, g, *scope_context.vars,
-                            RowScope(scope_context, row));
-    EXPECT_TRUE(keep.ok()) << keep.status();
-    if (keep.ok() && *keep == TriBool::kTrue) ++kept;
-  }
-  return kept;
+  std::vector<std::string> rows = testing_util::ReferenceJoinRows(g, query);
+  return !rows.empty() && rows[0].rfind("ERROR:", 0) == 0 ? SIZE_MAX
+                                                          : rows.size();
 }
 
 class AnalysisTest : public ::testing::Test {

@@ -5,15 +5,12 @@
 // result identity.
 
 #include <algorithm>
-#include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "eval/nfa.h"
-#include "eval/reference_eval.h"
 #include "graph/graph_builder.h"
-#include "parser/parser.h"
-#include "semantics/normalize.h"
 #include "test_util.h"
 
 namespace gpml {
@@ -118,11 +115,9 @@ TEST(BfsSoundnessTest, ConditionalBranchesNotMergedAcrossEnvironments) {
 
 /// Compiles the first declaration of `text` for a flag check.
 Result<Program> CompileFirst(const std::string& text) {
-  GPML_ASSIGN_OR_RETURN(GraphPattern parsed, ParseGraphPattern(text));
-  GPML_ASSIGN_OR_RETURN(GraphPattern normalized, Normalize(parsed));
-  GPML_ASSIGN_OR_RETURN(Analysis analysis, Analyze(normalized));
-  VarTable vars(analysis);
-  return CompilePattern(normalized.paths[0], vars);
+  testing_util::CompiledDecl c = testing_util::CompileDecl(text);
+  if (!c.status.ok()) return c.status;
+  return std::move(c.program);
 }
 
 TEST(BfsSoundnessTest, ExactVisitKeyEligibility) {
@@ -181,37 +176,10 @@ TEST(BfsSoundnessTest, InteriorVariableKeepsHashedKeysAndAgreesWithReference) {
   ASSERT_TRUE(program.ok()) << program.status();
   EXPECT_FALSE(program->exact_visit_key);
 
-  using Triple = std::tuple<NodeId, NodeId, size_t>;
-  auto triples = [](const std::vector<PathBinding>& bindings) {
-    std::vector<Triple> out;
-    for (const PathBinding& pb : bindings) {
-      out.emplace_back(pb.path.Start(), pb.path.End(), pb.path.Length());
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-
-  Result<GraphPattern> parsed = ParseGraphPattern(text);
-  ASSERT_TRUE(parsed.ok());
-  Result<GraphPattern> normalized = Normalize(*parsed);
-  ASSERT_TRUE(normalized.ok());
-  Result<Analysis> analysis = Analyze(*normalized);
-  ASSERT_TRUE(analysis.ok());
-  VarTable vars(*analysis);
-  Result<MatchSet> reference =
-      RunReference(g, normalized->paths[0], vars, ReferenceOptions{});
-  ASSERT_TRUE(reference.ok()) << reference.status();
-
-  Result<MatchOutput> out = Engine(g).Match(text);
-  ASSERT_TRUE(out.ok()) << out.status();
-  std::vector<PathBinding> engine_bindings;
-  for (const ResultRow& row : out->rows) {
-    engine_bindings.push_back(*row.bindings[0]);
-  }
-  std::vector<Triple> expected = triples(reference->bindings);
-  EXPECT_EQ(triples(engine_bindings), expected);
-  EXPECT_NE(std::find(expected.begin(), expected.end(),
-                      Triple{g.FindNode("s"), g.FindNode("t"), 3}),
+  // ANY SHORTEST rows render as (start, end, length) triples.
+  std::vector<std::string> expected = testing_util::ReferenceJoinRows(g, text);
+  EXPECT_EQ(testing_util::EngineJoinRows(g, text), expected);
+  EXPECT_NE(std::find(expected.begin(), expected.end(), "s->t len=3 | "),
             expected.end());
 }
 

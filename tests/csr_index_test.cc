@@ -8,7 +8,6 @@
 // parallel edges, self-loops), and a graph whose label universe exceeds
 // the 64-bit masks.
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -16,12 +15,10 @@
 
 #include "ast/label_expr.h"
 #include "eval/engine.h"
-#include "eval/reference_eval.h"
 #include "graph/generator.h"
 #include "graph/graph_builder.h"
 #include "graph/sample_graph.h"
-#include "parser/parser.h"
-#include "semantics/normalize.h"
+#include "tests/test_util.h"
 
 namespace gpml {
 namespace {
@@ -257,39 +254,28 @@ TEST(CsrIndexTest, LabelUniverseBeyondBitsetStillExact) {
   // row must be the one the §6 reference evaluator finds.
   const std::string q =
       "MATCH (x:L3&Common)-[:E3]->(y:Common WHERE y.w < 5)";
-  Result<MatchOutput> out = Engine(g).Match(q);
-  ASSERT_TRUE(out.ok()) << out.status();
-  Result<GraphPattern> parsed = ParseGraphPattern(q);
-  ASSERT_TRUE(parsed.ok());
-  Result<GraphPattern> normalized = Normalize(*parsed);
-  ASSERT_TRUE(normalized.ok());
-  Result<Analysis> analysis = Analyze(*normalized);
-  ASSERT_TRUE(analysis.ok());
-  VarTable vars(*analysis);
-  Result<MatchSet> ref =
-      RunReference(g, normalized->paths[0], vars, ReferenceOptions{});
-  ASSERT_TRUE(ref.ok()) << ref.status();
-  ASSERT_EQ(out->rows.size(), 1u);
-  ASSERT_EQ(ref->bindings.size(), 1u);
-  EXPECT_EQ(out->rows[0].bindings[0]->ToString(g, *out->vars),
-            ref->bindings[0].ToString(g, vars));
+  std::vector<std::string> rows = testing_util::EngineJoinRows(g, q);
+  EXPECT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows, testing_util::ReferenceJoinRows(g, q));
 }
 
 TEST(CsrIndexTest, ConjunctionSeedsFromMostSelectiveConjunct) {
   // Paper graph: 2 Country nodes, 1 City node (c2 is City & Country). The
   // conjunction must seed from the City index (1 node), not all nodes.
   PropertyGraph g = BuildPaperGraph();
-  EngineMetrics metrics;
-  EngineOptions options;
-  options.use_planner = false;  // Exercise the matcher's own seeding rule.
-  options.metrics = &metrics;
-  Engine engine(g, options);
-  Result<MatchOutput> out = engine.Match("MATCH (x:City&Country)");
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->rows.size(), 1u);
-  EXPECT_EQ(metrics.seeded_nodes, 1u);
+  // The matcher's own seeding rule: the compiled program, no plan.
+  testing_util::CompiledDecl c =
+      testing_util::Compile(g, "MATCH (x:City&Country)");
+  ASSERT_TRUE(c.status.ok()) << c.status;
+  MatchStats stats;
+  Result<MatchSet> set = RunPattern(g, c.program, *c.vars, MatcherOptions(),
+                                    nullptr, nullptr, &stats);
+  ASSERT_TRUE(set.ok()) << set.status();
+  EXPECT_EQ(set->bindings.size(), 1u);
+  EXPECT_EQ(stats.seeds, 1u);
 
   // The planner's estimate mirrors the same rule (EXPLAIN seeds~1).
+  EngineMetrics metrics;
   EngineOptions planned;
   planned.metrics = &metrics;
   Result<MatchOutput> out2 =

@@ -1,7 +1,7 @@
 // Streaming cursor execution: rows pulled through a Cursor are
 // byte-identical to Engine::Match's materialized row sequence (a prefix of
 // it under LIMIT) across the full option matrix {threads 1,8} x
-// {planner on/off} x {limit absent/present}, for both cursor
+// {limit absent/present}, for both cursor
 // modes (chunked single-declaration streaming and lazy-batch). Mid-stream
 // abandonment leaks nothing; budget exhaustion surfaces as a flagged
 // truncation under BudgetPolicy::kTruncate, distinct from a clean LIMIT
@@ -19,19 +19,12 @@
 #include "graph/generator.h"
 #include "graph/sample_graph.h"
 #include "pgq/graph_table.h"
+#include "tests/test_util.h"
 
 namespace gpml {
 namespace {
 
-std::string CanonRow(const ResultRow& row, const MatchOutput& context,
-                     const PropertyGraph& g) {
-  std::string s;
-  for (const auto& pb : row.bindings) {
-    s += pb->ToString(g, *context.vars);
-    s += " | ";
-  }
-  return s;
-}
+using testing_util::RenderRow;
 
 /// Ordered canonical rows of the batch oracle.
 std::vector<std::string> MatchRows(const PropertyGraph& g,
@@ -44,7 +37,7 @@ std::vector<std::string> MatchRows(const PropertyGraph& g,
   if (!out.ok()) return rows;
   rows.reserve(out->rows.size());
   for (const ResultRow& row : out->rows) {
-    rows.push_back(CanonRow(row, *out, g));
+    rows.push_back(RenderRow(row, *out, g));
   }
   return rows;
 }
@@ -67,7 +60,7 @@ std::vector<std::string> CursorRows(const PropertyGraph& g,
     Result<bool> more = cursor->Next(&view);
     EXPECT_TRUE(more.ok()) << query << " -> " << more.status();
     if (!more.ok() || !*more) break;
-    rows.push_back(CanonRow(*view.row, *view.context, g));
+    rows.push_back(RenderRow(*view.row, *view.context, g));
   }
   return rows;
 }
@@ -104,25 +97,21 @@ TEST(CursorTest, StreamedRowsByteIdenticalAcrossMatrix) {
   PropertyGraph g = MatrixGraph();
   for (const char* query : kQueries) {
     for (size_t threads : {size_t{1}, size_t{8}}) {
-      for (bool planner : {true, false}) {
-        EngineOptions options;
-        options.num_threads = threads;
-        options.use_planner = planner;
-        options.matcher.min_seeds_per_shard = 1;  // Force real sharding.
-        std::vector<std::string> oracle = MatchRows(g, query, options);
-        // Full stream == full materialization.
-        EXPECT_EQ(CursorRows(g, query, options, std::nullopt), oracle)
-            << query << " threads=" << threads << " planner=" << planner;
-        // Limited stream == prefix of the materialization.
-        uint64_t limit = 3;
-        std::vector<std::string> expected(
-            oracle.begin(),
-            oracle.begin() +
-                static_cast<long>(std::min<size_t>(limit, oracle.size())));
-        EXPECT_EQ(CursorRows(g, query, options, limit), expected)
-            << query << " threads=" << threads << " planner=" << planner
-            << " limit";
-      }
+      EngineOptions options;
+      options.num_threads = threads;
+      options.matcher.min_seeds_per_shard = 1;  // Force real sharding.
+      std::vector<std::string> oracle = MatchRows(g, query, options);
+      // Full stream == full materialization.
+      EXPECT_EQ(CursorRows(g, query, options, std::nullopt), oracle)
+          << query << " threads=" << threads;
+      // Limited stream == prefix of the materialization.
+      uint64_t limit = 3;
+      std::vector<std::string> expected(
+          oracle.begin(),
+          oracle.begin() +
+              static_cast<long>(std::min<size_t>(limit, oracle.size())));
+      EXPECT_EQ(CursorRows(g, query, options, limit), expected)
+          << query << " threads=" << threads << " limit";
     }
   }
 }
@@ -305,8 +294,8 @@ TEST(CursorTest, DrainMatchesOracle) {
   ASSERT_TRUE(drained.ok()) << drained.status();
   ASSERT_EQ(drained->rows.size(), oracle->rows.size());
   for (size_t i = 0; i < drained->rows.size(); ++i) {
-    EXPECT_EQ(CanonRow(drained->rows[i], *drained, g),
-              CanonRow(oracle->rows[i], *oracle, g));
+    EXPECT_EQ(RenderRow(drained->rows[i], *drained, g),
+              RenderRow(oracle->rows[i], *oracle, g));
   }
   EXPECT_FALSE(drained->truncated);
 }

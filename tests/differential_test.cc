@@ -3,10 +3,13 @@
 // engine must produce identical reduced-binding sets on randomized graphs
 // for a family of generated patterns. This is the strongest evidence that
 // the lazy product-graph search implements the declarative execution model.
+// Multi-declaration patterns check the planner the same way: the planned
+// engine against the §6.5 reference join (RunReferencePattern), on a family
+// that makes every planner decision fire.
 
-#include <algorithm>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,73 +19,16 @@
 #include "graph/generator.h"
 #include "graph/sample_graph.h"
 #include "parser/parser.h"
-#include "semantics/normalize.h"
+#include "planner/planner.h"
+#include "tests/test_util.h"
 
 namespace gpml {
 namespace {
 
-/// Canonical rendering of a MatchSet for comparison.
-std::vector<std::string> Canon(const std::vector<PathBinding>& bindings,
-                               const PropertyGraph& g, const VarTable& vars) {
-  std::vector<std::string> out;
-  out.reserve(bindings.size());
-  for (const PathBinding& pb : bindings) {
-    std::string s = pb.ToString(g, vars);
-    for (int32_t t : pb.tags) s += " #" + std::to_string(t);
-    out.push_back(std::move(s));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Runs both evaluators on the first path declaration of `query`; the
-/// reference side applies the final WHERE (a graph-pattern concern, §6.5)
-/// through the same RowScope machinery the engine uses.
+/// The engine's rows equal the §6 reference evaluator's as a multiset.
 void ExpectAgreement(const PropertyGraph& g, const std::string& query) {
-  Result<GraphPattern> parsed = ParseGraphPattern(query);
-  ASSERT_TRUE(parsed.ok()) << query << " -> " << parsed.status();
-  Result<GraphPattern> normalized = Normalize(*parsed);
-  ASSERT_TRUE(normalized.ok());
-  Result<Analysis> analysis = Analyze(*normalized);
-  ASSERT_TRUE(analysis.ok()) << query << " -> " << analysis.status();
-  VarTable vars(*analysis);
-
-  ReferenceOptions ref_options;
-  Result<MatchSet> ref =
-      RunReference(g, normalized->paths[0], vars, ref_options);
-  ASSERT_TRUE(ref.ok()) << query << " -> " << ref.status();
-
-  if (normalized->where != nullptr) {
-    MatchOutput scratch;
-    scratch.vars = std::make_shared<VarTable>(*analysis);
-    scratch.normalized = *normalized;
-    scratch.path_vars = {normalized->paths[0].path_var.empty()
-                             ? -1
-                             : vars.Find(normalized->paths[0].path_var)};
-    std::vector<PathBinding> filtered;
-    for (PathBinding& pb : ref->bindings) {
-      ResultRow row;
-      row.bindings.push_back(std::make_shared<const PathBinding>(pb));
-      RowScope scope(scratch, row);
-      Result<TriBool> keep =
-          EvalPredicate(*normalized->where, g, vars, scope);
-      ASSERT_TRUE(keep.ok()) << keep.status();
-      if (*keep == TriBool::kTrue) filtered.push_back(std::move(pb));
-    }
-    ref->bindings = std::move(filtered);
-  }
-
-  Engine engine(g);
-  Result<MatchOutput> out = engine.Match(*parsed);
-  ASSERT_TRUE(out.ok()) << query << " -> " << out.status();
-
-  std::vector<PathBinding> engine_bindings;
-  engine_bindings.reserve(out->rows.size());
-  for (const ResultRow& row : out->rows) {
-    engine_bindings.push_back(*row.bindings[0]);
-  }
-  EXPECT_EQ(Canon(ref->bindings, g, vars),
-            Canon(engine_bindings, g, vars))
+  EXPECT_EQ(testing_util::EngineJoinRows(g, query),
+            testing_util::ReferenceJoinRows(g, query))
       << query << " on " << g.Summary();
 }
 
@@ -161,75 +107,55 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.index % std::size(kPatternFamily));
     });
 
-/// Ordered row rendering (not sorted): the execution-matrix tests require
-/// byte-identical rows in identical order, not just equal sets.
-std::vector<std::string> OrderedRows(const MatchOutput& out,
-                                     const PropertyGraph& g) {
-  std::vector<std::string> rows;
-  rows.reserve(out.rows.size());
-  for (const ResultRow& row : out.rows) {
-    std::string s;
-    for (const auto& pb : row.bindings) {
-      s += pb->ToString(g, *out.vars);
-      s += " | ";
-    }
-    rows.push_back(std::move(s));
-  }
-  return rows;
-}
-
-/// The parallel/planner execution matrix over {threads 1,8} x
-/// {planner on/off}:
-///  * within each planner setting, both thread counts must produce
-///    byte-identical rows in identical order — shards merge in seed order;
-///  * across planner on/off the row multiset must be identical (a mirrored
-///    declaration discovers the same matches from the other end, so its
-///    legal row order within one path-length group can differ — the
-///    planner's historical contract, established in the PR 1 tests).
-void ExpectMatrixIdentical(const PropertyGraph& g, const std::string& query) {
-  std::vector<std::string> planner_baseline[2];
-  bool have_planner_baseline[2] = {false, false};
+/// The execution matrix over {threads 1,8}: both thread counts must
+/// produce byte-identical rows in identical order — shards merge in seed
+/// order. With `reference`, the rows must also be the §6.5 reference
+/// join's as a multiset (graphs and patterns small enough for it to
+/// enumerate).
+void ExpectMatrixIdentical(const PropertyGraph& g, const std::string& query,
+                           const ReferenceOptions* reference = nullptr) {
+  std::vector<std::string> baseline;
   for (size_t threads : {size_t{1}, size_t{8}}) {
-    for (bool planner : {false, true}) {
-      EngineOptions options;
-      options.num_threads = threads;
-      options.use_planner = planner;
-      options.matcher.min_seeds_per_shard = 1;  // Shard tiny seed lists.
-      Engine engine(g, options);
-      Result<MatchOutput> out = engine.Match(query);
-      ASSERT_TRUE(out.ok()) << query << " -> " << out.status();
-      std::vector<std::string> rows = OrderedRows(*out, g);
-      std::vector<std::string>& baseline = planner_baseline[planner];
-      if (!have_planner_baseline[planner]) {
-        baseline = std::move(rows);
-        have_planner_baseline[planner] = true;
-      } else {
-        ASSERT_EQ(rows, baseline) << query << " diverges at threads="
-                                  << threads << " planner=" << planner;
+    EngineOptions options;
+    options.num_threads = threads;
+    options.matcher.min_seeds_per_shard = 1;  // Shard tiny seed lists.
+    Result<MatchOutput> out = Engine(g, options).Match(query);
+    ASSERT_TRUE(out.ok()) << query << " -> " << out.status();
+    std::vector<std::string> rows = testing_util::OrderedRows(*out, g);
+    if (threads == 1) {
+      baseline = std::move(rows);
+      if (reference != nullptr) {
+        EXPECT_EQ(testing_util::SortedRows(*out, g),
+                  testing_util::ReferenceJoinRows(g, query, *reference))
+            << query << " on " << g.Summary();
       }
+    } else {
+      ASSERT_EQ(rows, baseline) << query << " diverges at threads="
+                                << threads;
     }
   }
-  std::vector<std::string> on = planner_baseline[1];
-  std::vector<std::string> off = planner_baseline[0];
-  std::sort(on.begin(), on.end());
-  std::sort(off.begin(), off.end());
-  ASSERT_EQ(on, off) << query << ": planner changed the row multiset";
 }
 
 TEST(DifferentialMatrixTest, RandomGraphRowsIdenticalAcrossMatrix) {
-  const char* queries[] = {
-      "MATCH (x:L0)-[e:L1]->(y)",
-      "MATCH (x:L0 WHERE x.w < 50)-[e:L0|L1]->(y WHERE y.w >= 20)",
-      "MATCH TRAIL (x)-[e:L0]->+(y)",
-      "MATCH ALL SHORTEST (x:L0)-[e]->*(y:L1)",
-      "MATCH (x:L0)-[e:L1]->(y), (y)-[f:L0]->(z)",
-      "MATCH (x)~[e:L2]~(y)-[f]->(z:!L1)",
+  // The reference enumerates every trail, or every walk up to the cap, of
+  // a 60-edge graph for the two unbounded patterns; the 6-node graphs
+  // cover them against it.
+  const std::pair<const char*, bool> queries[] = {
+      {"MATCH (x:L0)-[e:L1]->(y)", true},
+      {"MATCH (x:L0 WHERE x.w < 50)-[e:L0|L1]->(y WHERE y.w >= 20)", true},
+      {"MATCH TRAIL (x)-[e:L0]->+(y)", false},
+      {"MATCH ALL SHORTEST (x:L0)-[e]->*(y:L1)", false},
+      {"MATCH (x:L0)-[e:L1]->(y), (y)-[f:L0]->(z)", true},
+      {"MATCH (x)~[e:L2]~(y)-[f]->(z:!L1)", true},
   };
   for (uint64_t seed : {1u, 4u}) {
     PropertyGraph g = MakeRandomGraph(/*num_nodes=*/24, /*num_edges=*/60,
                                       /*num_labels=*/3,
                                       /*undirected_fraction=*/0.3, seed);
-    for (const char* q : queries) ExpectMatrixIdentical(g, q);
+    const ReferenceOptions reference;
+    for (const auto& [q, with_reference] : queries) {
+      ExpectMatrixIdentical(g, q, with_reference ? &reference : nullptr);
+    }
   }
 }
 
@@ -248,7 +174,118 @@ TEST(DifferentialMatrixTest, FraudGraphRowsIdenticalAcrossMatrix) {
       "MATCH (p:Phone)~[:hasPhone]~(s:Account)-[t:Transfer]->"
       "(d:Account)~[:hasPhone]~(p)",
   };
-  for (const char* q : queries) ExpectMatrixIdentical(g, q);
+  const ReferenceOptions reference;
+  for (const char* q : queries) ExpectMatrixIdentical(g, q, &reference);
+}
+
+// ---------------------------------------------------------------------------
+// §6.5 joins: the planner against the reference join
+// ---------------------------------------------------------------------------
+
+/// Multi-declaration patterns over the random graphs' L0-L2 labels: a
+/// shared-singleton join, a cross-declaration final WHERE, the match modes,
+/// an anchor bound by an earlier declaration, a right-anchored (reversible)
+/// declaration, a declaration written before the one that should run first,
+/// and the Figure 4 ANY join.
+const char* kJoinFamily[] = {
+    "MATCH (x)-[e:L0]->(y), (y)-[f:L1]->(z)",
+    "MATCH (x)-[e]->(y), (y)-[f]->(z) WHERE x.w < z.w",
+    "MATCH DIFFERENT EDGES (x)-[e]->(y), (y)-[f]->(z)",
+    "MATCH DIFFERENT NODES (x)-[]->(y), (y)~[]~(z)",
+    "MATCH (x:L0 WHERE x.w < 60)-[e]->(y), TRAIL (y)-[f]->{1,2}(z)",
+    "MATCH (x)-[e]->(y:L1 WHERE y.w < 30), (y)<-[f]-(z)",
+    "MATCH ALL SHORTEST (x)-[]->+(y), (x:L2)-[e:L0|L1]->(z)",
+    "MATCH (x:L0)-[e]->(c)<-[f]-(y:L1), ANY (x)-[]->+(y)",
+    "MATCH (x:L0)-[e]->(c)<-[f]-(y:L1), ANY SHORTEST (x)-[]->+(y)",
+};
+
+/// The same shapes on the paper graph, index-seedable and Figure 4 itself.
+const char* kPaperJoinFamily[] = {
+    "MATCH (p:Phone)~[:hasPhone]~(s:Account), (s)-[t:Transfer]->(d:Account)",
+    "MATCH (x:Account)-[t:Transfer]->(y), (y)-[u:Transfer]->(z) "
+    "WHERE t.amount > u.amount",
+    "MATCH DIFFERENT EDGES (x)-[t:Transfer]->(y), (y)-[u:Transfer]->(z)",
+    "MATCH DIFFERENT NODES (x)-[t:Transfer]->(y), (y)-[u:Transfer]->(z)",
+    "MATCH (x:Account WHERE x.owner='Scott')-[:Transfer]->(y), "
+    "TRAIL (y)-[:Transfer]->{1,3}(z)",
+    "MATCH (x:Account)-[:isLocatedIn]->(c:City WHERE c.name='Ankh-Morpork'), "
+    "(x)-[t:Transfer]->(y)",
+    "MATCH (x:Account WHERE x.isBlocked='no')-[:isLocatedIn]->"
+    "(c:City WHERE c.name='Ankh-Morpork')<-[:isLocatedIn]-"
+    "(y:Account WHERE y.isBlocked='yes'), "
+    "ANY (x)-[:Transfer]->+(y)",
+    "MATCH ANY SHORTEST (x)-[:Transfer]->+(y), "
+    "(x:Account WHERE x.owner='Aretha')-[:isLocatedIn]->(c)",
+};
+
+/// What the planner chose across a family: each decision must fire at
+/// least once, or the comparison would not test it.
+struct PlannerDecisions {
+  size_t reversed = 0;
+  size_t seed_filtered = 0;
+  size_t target_filtered = 0;
+  size_t index_seeded = 0;
+  size_t reordered = 0;
+};
+
+/// Runs `query` at threads 1 and 8 against the reference join and tallies
+/// the planner's decisions.
+void ExpectJoinAgreement(const PropertyGraph& g, const std::string& query,
+                         PlannerDecisions* decisions) {
+  SCOPED_TRACE(query + " on " + g.Summary());
+  const std::vector<std::string> want =
+      testing_util::ReferenceJoinRows(g, query);
+  ASSERT_TRUE(want.empty() || want[0].rfind("ERROR:", 0) != 0) << want[0];
+  std::vector<std::string> sequential;
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    EngineMetrics metrics;
+    EngineOptions options;
+    options.num_threads = threads;
+    options.matcher.min_seeds_per_shard = 1;
+    options.metrics = &metrics;
+    Engine engine(g, options);
+    Result<MatchOutput> out = engine.Match(query);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(testing_util::SortedRows(*out, g), want) << threads;
+    if (threads == 1) {
+      sequential = testing_util::OrderedRows(*out, g);
+      decisions->reversed += metrics.reversed_decls;
+      decisions->seed_filtered += metrics.seed_filtered_decls;
+      decisions->target_filtered += metrics.target_filtered_decls;
+      decisions->index_seeded += metrics.index_seeded_decls;
+      Result<planner::Plan> plan = engine.Plan(*ParseGraphPattern(query));
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      for (size_t i = 0; i < plan->decls.size(); ++i) {
+        if (plan->decls[i].decl_index != static_cast<int>(i)) {
+          ++decisions->reordered;
+          break;
+        }
+      }
+    } else {
+      EXPECT_EQ(testing_util::OrderedRows(*out, g), sequential) << threads;
+    }
+  }
+}
+
+TEST(DifferentialJoinTest, PlannerAgreesWithTheReferenceJoin) {
+  PlannerDecisions decisions;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    PropertyGraph g =
+        MakeRandomGraph(/*num_nodes=*/6, /*num_edges=*/9, /*num_labels=*/3,
+                        /*undirected_fraction=*/0.3, seed);
+    for (const char* query : kJoinFamily) {
+      ExpectJoinAgreement(g, query, &decisions);
+    }
+  }
+  PropertyGraph paper = BuildPaperGraph();
+  for (const char* query : kPaperJoinFamily) {
+    ExpectJoinAgreement(paper, query, &decisions);
+  }
+  EXPECT_GT(decisions.reversed, 0u);
+  EXPECT_GT(decisions.seed_filtered, 0u);
+  EXPECT_GT(decisions.target_filtered, 0u);
+  EXPECT_GT(decisions.index_seeded, 0u);
+  EXPECT_GT(decisions.reordered, 0u);
 }
 
 TEST(DifferentialPaperGraphTest, PaperQueriesAgree) {

@@ -49,7 +49,6 @@ TEST(ExplainTest, RoundtripsThePlan) {
 
   Result<planner::ExplainedPlan> parsed = planner::ParseExplain(*text);
   ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << *text;
-  EXPECT_TRUE(parsed->planner_on);
   ASSERT_EQ(parsed->decls.size(), plan->decls.size());
 
   // Re-derive the variable table to name-check parsed fields.
@@ -140,19 +139,6 @@ TEST(ExplainTest, PostfilterEqualityFallsBackToLabelScan) {
   EXPECT_EQ(parsed->decls[0].source, "label:Account") << *text;
   EXPECT_EQ(testing_util::Rows(g, postfiltered, "x, y"),
             testing_util::Rows(g, kFraudQuery, "x, y"));
-}
-
-TEST(ExplainTest, PlannerOffIsReported) {
-  PropertyGraph g = BuildPaperGraph();
-  EngineOptions options;
-  options.use_planner = false;
-  Engine engine(g, options);
-  Result<std::string> text = engine.Explain(kFraudQuery);
-  ASSERT_TRUE(text.ok());
-  Result<planner::ExplainedPlan> parsed = planner::ParseExplain(*text);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_FALSE(parsed->planner_on);
-  EXPECT_EQ(parsed->decls[1].source, "all");
 }
 
 TEST(ExplainTest, VerboseIncludesGraphStats) {
@@ -264,7 +250,6 @@ TEST(ExplainTest, AdversarialLabelRoundtripsThroughParseExplain) {
 
   const std::string weird = "City \"of\"\nAnkh, Morpork\\step 9: decl=0";
   planner::Plan plan;
-  plan.planner_used = true;
   planner::DeclPlan dp;
   dp.decl_index = 0;
   dp.anchor_var = vars.Find("x");
@@ -321,7 +306,7 @@ TEST(ExplainTest, ExecLineRoundtrips) {
 TEST(ExplainTest, ParseExplainRejectsGarbage) {
   EXPECT_FALSE(planner::ParseExplain("no plan here").ok());
   EXPECT_FALSE(
-      planner::ParseExplain("plan: 2 declaration(s), planner=on\n"
+      planner::ParseExplain("plan: 2 declaration(s)\n"
                             "step 1: decl=0 dir=forward anchor=left var=x "
                             "seeds~1 source=all fanout~0 join=[] "
                             "selector=none\n")

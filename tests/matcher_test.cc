@@ -5,35 +5,18 @@
 #include "eval/nfa.h"
 #include "graph/generator.h"
 #include "graph/graph_builder.h"
-#include "parser/parser.h"
-#include "semantics/normalize.h"
+#include "tests/test_util.h"
 
 namespace gpml {
 namespace {
 
-/// One declaration compiled below the Engine facade, not yet bound.
-struct Compiled {
-  VarTable vars;
-  Program program;
-};
-
-Result<Compiled> Compile(const std::string& text) {
-  GPML_ASSIGN_OR_RETURN(GraphPattern parsed, ParseGraphPattern(text));
-  GPML_ASSIGN_OR_RETURN(GraphPattern normalized, Normalize(parsed));
-  GPML_ASSIGN_OR_RETURN(Analysis analysis, Analyze(normalized));
-  VarTable vars(analysis);
-  GPML_ASSIGN_OR_RETURN(Program program,
-                        CompilePattern(normalized.paths[0], vars));
-  return Compiled{std::move(vars), std::move(program)};
-}
-
 /// Compiles one declaration, binds it to `g` and runs the matcher directly
 /// so the raw MatchSet is observable.
 Result<MatchSet> RunMatch(const PropertyGraph& g, const std::string& text,
-                     MatcherOptions options = {}) {
-  GPML_ASSIGN_OR_RETURN(Compiled c, Compile(text));
-  BindProgramToGraph(&c.program, g, &c.vars);
-  return RunPattern(g, c.program, c.vars, options);
+                          MatcherOptions options = {}) {
+  testing_util::CompiledDecl c = testing_util::Compile(g, text);
+  if (!c.status.ok()) return c.status;
+  return RunPattern(g, c.program, *c.vars, options);
 }
 
 TEST(MatcherTest, BindingsOrderedByPathLength) {
@@ -129,20 +112,21 @@ TEST(MatcherTest, RunsOnlyProgramsBoundToItsGraph) {
   // an unbound program, or one bound to an equal-looking graph, is refused.
   PropertyGraph g = MakeChainGraph(4);
   PropertyGraph other = MakeChainGraph(4);
-  Result<Compiled> c = Compile("MATCH (a)-[:Transfer]->(b)");
-  ASSERT_TRUE(c.ok()) << c.status();
+  testing_util::CompiledDecl c =
+      testing_util::CompileDecl("MATCH (a)-[:Transfer]->(b)");
+  ASSERT_TRUE(c.status.ok()) << c.status;
 
-  Result<MatchSet> unbound = RunPattern(g, c->program, c->vars, {});
+  Result<MatchSet> unbound = RunPattern(g, c.program, *c.vars, {});
   ASSERT_FALSE(unbound.ok());
   EXPECT_EQ(unbound.status().code(), StatusCode::kInvalidArgument);
 
-  BindProgramToGraph(&c->program, other, &c->vars);
-  Result<MatchSet> foreign = RunPattern(g, c->program, c->vars, {});
+  BindProgramToGraph(&c.program, other, c.vars.get());
+  Result<MatchSet> foreign = RunPattern(g, c.program, *c.vars, {});
   ASSERT_FALSE(foreign.ok());
   EXPECT_EQ(foreign.status().code(), StatusCode::kInvalidArgument);
 
-  BindProgramToGraph(&c->program, g, &c->vars);
-  Result<MatchSet> bound = RunPattern(g, c->program, c->vars, {});
+  BindProgramToGraph(&c.program, g, c.vars.get());
+  Result<MatchSet> bound = RunPattern(g, c.program, *c.vars, {});
   ASSERT_TRUE(bound.ok()) << bound.status();
   EXPECT_EQ(bound->bindings.size(), 3u);
 }

@@ -2,32 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include "parser/parser.h"
-#include "semantics/normalize.h"
+#include "tests/test_util.h"
 
 namespace gpml {
 namespace {
 
-struct Compiled {
-  GraphPattern normalized;
-  std::unique_ptr<VarTable> vars;
-  Program program;
-};
+using Compiled = testing_util::CompiledDecl;
 
 Compiled Compile(const std::string& text) {
-  Compiled c;
-  Result<GraphPattern> parsed = ParseGraphPattern(text);
-  EXPECT_TRUE(parsed.ok()) << parsed.status();
-  Result<GraphPattern> normalized = Normalize(*parsed);
-  EXPECT_TRUE(normalized.ok());
-  c.normalized = *normalized;
-  Result<Analysis> analysis = Analyze(c.normalized);
-  EXPECT_TRUE(analysis.ok()) << analysis.status();
-  c.vars = std::make_unique<VarTable>(*analysis);
-  Result<Program> program =
-      CompilePattern(c.normalized.paths[0], *c.vars);
-  EXPECT_TRUE(program.ok()) << program.status();
-  c.program = std::move(*program);
+  Compiled c = testing_util::CompileDecl(text);
+  EXPECT_TRUE(c.status.ok()) << c.status;
   return c;
 }
 

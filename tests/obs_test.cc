@@ -1,7 +1,7 @@
 // The observability layer (docs/observability.md): the metrics registry's
 // counter/histogram semantics (including exactness under concurrent
 // increments — run under TSan in CI), the engine's span-tree tracing across
-// the {threads} x {planner} x {cache} execution matrix, Prometheus
+// the {threads} x {cache} execution matrix, Prometheus
 // text-format rendering validated against the exposition-format grammar,
 // the slow-query ring buffer and its engine capture path, streaming-cursor
 // publication semantics, and both hosts' retrieval surfaces.
@@ -41,6 +41,10 @@ const char* kFraudQuery =
 // Single fixed-length declaration: takes the cursor's chunked stream mode.
 const char* kStreamQuery =
     "MATCH (x:Account WHERE x.isBlocked='no')-[t:Transfer]->(y:Account)";
+// Streamed too, but on the scalar DFS: no kernel compiles IS NOT NULL.
+const char* kScalarStreamQuery =
+    "MATCH (x:Account WHERE x.isBlocked IS NOT NULL)-[t:Transfer]->"
+    "(y:Account)";
 
 // --- MetricsRegistry ---------------------------------------------------------
 
@@ -237,39 +241,35 @@ TEST(TraceTest, EngineTraceAcrossExecutionMatrix) {
   size_t want_rows = 0;
   bool first_config = true;
   for (size_t threads : {size_t{1}, size_t{8}}) {
-    for (bool planner : {true, false}) {
-      // Fresh graph per config: the first run is a plan-cache miss, the
-      // second a hit whose trace replays the stored compile costs.
-      PropertyGraph g = MakeFraudGraph(graph_options);
-      EngineMetrics metrics;
-      obs::Trace trace;
-      EngineOptions options;
-      options.num_threads = threads;
-      options.use_planner = planner;
-      options.metrics = &metrics;
-      options.trace = &trace;
-      Engine engine(g, options);
+    // Fresh graph per config: the first run is a plan-cache miss, the
+    // second a hit whose trace replays the stored compile costs.
+    PropertyGraph g = MakeFraudGraph(graph_options);
+    EngineMetrics metrics;
+    obs::Trace trace;
+    EngineOptions options;
+    options.num_threads = threads;
+    options.metrics = &metrics;
+    options.trace = &trace;
+    Engine engine(g, options);
 
-      for (bool warm : {false, true}) {
-        std::string config = "threads=" + std::to_string(threads) +
-                             " planner=" + std::to_string(planner) +
-                             " warm=" + std::to_string(warm);
-        Result<MatchOutput> out = engine.Match(kFraudQuery);
-        ASSERT_TRUE(out.ok()) << config << ": " << out.status();
-        if (first_config) {
-          want_rows = out->rows.size();
-          first_config = false;
-        }
-        EXPECT_EQ(out->rows.size(), want_rows)
-            << config << ": tracing must not change results";
-        CheckEngineTrace(trace, /*expect_cached=*/warm, config);
-        // The trace's stage totals are the same measurements the
-        // metrics report (docs/observability.md).
-        EXPECT_GE(metrics.plan_ms, 0) << config;
-        EXPECT_GE(metrics.seed_ms, 0) << config;
-        EXPECT_GE(metrics.exec_ms, 0) << config;
-        EXPECT_EQ(metrics.plan_cache_hits, warm ? 1u : 0u) << config;
+    for (bool warm : {false, true}) {
+      std::string config = "threads=" + std::to_string(threads) +
+                           " warm=" + std::to_string(warm);
+      Result<MatchOutput> out = engine.Match(kFraudQuery);
+      ASSERT_TRUE(out.ok()) << config << ": " << out.status();
+      if (first_config) {
+        want_rows = out->rows.size();
+        first_config = false;
       }
+      EXPECT_EQ(out->rows.size(), want_rows)
+          << config << ": tracing must not change results";
+      CheckEngineTrace(trace, /*expect_cached=*/warm, config);
+      // The trace's stage totals are the same measurements the
+      // metrics report (docs/observability.md).
+      EXPECT_GE(metrics.plan_ms, 0) << config;
+      EXPECT_GE(metrics.seed_ms, 0) << config;
+      EXPECT_GE(metrics.exec_ms, 0) << config;
+      EXPECT_EQ(metrics.plan_cache_hits, warm ? 1u : 0u) << config;
     }
   }
 }
@@ -335,7 +335,6 @@ TEST(MetricsTest, BatchMatcherPublishesBlockTelemetry) {
   EngineMetrics metrics;
   EngineOptions options;
   options.metrics = &metrics;
-  options.matcher.use_batch = true;
   ASSERT_TRUE(Engine(g, options).Match(kStreamQuery).ok());
   EXPECT_GT(metrics.batch_blocks, 0u);
   EXPECT_GT(metrics.batch_candidates, 0u);
@@ -350,10 +349,9 @@ TEST(MetricsTest, BatchMatcherPublishesBlockTelemetry) {
   ASSERT_NE(rate, nullptr);
   EXPECT_EQ(rate->count, 1u);
 
-  // The scalar oracle leaves the batch telemetry untouched.
+  // A query on the scalar route leaves the batch telemetry untouched.
   PropertyGraph scalar_graph = BuildPaperGraph();
-  options.matcher.use_batch = false;
-  ASSERT_TRUE(Engine(scalar_graph, options).Match(kStreamQuery).ok());
+  ASSERT_TRUE(Engine(scalar_graph, options).Match(kScalarStreamQuery).ok());
   EXPECT_EQ(metrics.batch_blocks, 0u);
   EXPECT_EQ(metrics.batch_candidates, 0u);
   obs::MetricsSnapshot scalar_snap =
@@ -843,22 +841,20 @@ TEST(ExecutionRecordTest, EveryViewReportsTheRouteEachDeclarationRan) {
   EXPECT_EQ(plan->decls[1].actual_route, "witness") << *explained;
 
   // Materialized and streamed runs of one query report the same route: a
-  // selector query (the cursor materializes it) and a fixed-length one
-  // (the cursor streams it), batched and on the scalar DFS.
+  // selector query (the cursor materializes it) and fixed-length ones (the
+  // cursor streams them), batched and on the scalar DFS.
   struct Case {
     const char* query;
-    bool use_batch;
     size_t witness_decls;
     bool batched;
   };
-  for (const Case& c : {Case{kFraudQuery, true, 1, true},
-                        Case{kStreamQuery, true, 0, true},
-                        Case{kStreamQuery, false, 0, false}}) {
-    SCOPED_TRACE(std::string(c.query) + (c.use_batch ? "" : " scalar"));
+  for (const Case& c : {Case{kFraudQuery, 1, true},
+                        Case{kStreamQuery, 0, true},
+                        Case{kScalarStreamQuery, 0, false}}) {
+    SCOPED_TRACE(c.query);
     EngineMetrics metrics;
     EngineOptions options;
     options.metrics = &metrics;
-    options.matcher.use_batch = c.use_batch;
     Result<PreparedQuery> q = Engine(g, options).Prepare(c.query);
     ASSERT_TRUE(q.ok()) << q.status();
     ASSERT_TRUE(q->Execute().ok());
@@ -911,8 +907,7 @@ TEST(ExecutionRecordTest, SlowCaptureRendersTheTraceOfEachMode) {
 TEST(ExecutionRecordTest, TargetFilteredDeclsReachEveryView) {
   // The fraud query's transfer chain has both endpoints bound by the
   // co-location step: EngineMetrics, the registry counter and EXPLAIN
-  // ANALYZE all report the one target-restricted declaration; with the
-  // planner off nothing is restricted.
+  // ANALYZE all report the one target-restricted declaration.
   PropertyGraph g = BuildPaperGraph();
   EngineMetrics metrics;
   EngineOptions options;
@@ -929,13 +924,9 @@ TEST(ExecutionRecordTest, TargetFilteredDeclsReachEveryView) {
   ASSERT_EQ(parsed->decls.size(), 2u);
   EXPECT_EQ(parsed->decls[1].target, "bound:y") << *text;
   EXPECT_GT(parsed->decls[1].actual_targets, 0) << *text;
-
-  options.use_planner = false;
-  ASSERT_TRUE(Engine(g, options).Match(kFraudQuery).ok());
-  EXPECT_EQ(metrics.target_filtered_decls, 0u);
   EXPECT_EQ(g.metrics_registry()->Snapshot().CounterValue(
                 "gpml_target_filtered_decls_total"),
-            2u);  // The Match and EXPLAIN ANALYZE runs; none with it off.
+            2u);  // The Match and EXPLAIN ANALYZE runs.
 }
 
 // --- ExplainAnalyze plumbing -------------------------------------------------
@@ -958,26 +949,6 @@ TEST(ObsTest, ExplainAnalyzeReportsStageActuals) {
   EXPECT_LE(decl_ms, parsed->total_ms + 1.0)
       << "per-declaration time is contained in the total\n"
       << *text;
-}
-
-TEST(ObsTest, ExplainAnalyzeRoundTripsBatchBlockTarget) {
-  // The exec line's batch= token (the vectorized block target, 0 when the
-  // batch path is disabled) survives a render -> ParseExplain round trip.
-  PropertyGraph g = BuildPaperGraph();
-  EngineOptions options;
-  options.matcher.use_batch = true;
-  Result<std::string> text = Engine(g, options).ExplainAnalyze(kStreamQuery);
-  ASSERT_TRUE(text.ok()) << text.status();
-  Result<planner::ExplainedPlan> parsed = planner::ParseExplain(*text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << *text;
-  EXPECT_EQ(parsed->batch, 512) << *text;
-
-  options.matcher.use_batch = false;
-  Result<std::string> off = Engine(g, options).ExplainAnalyze(kStreamQuery);
-  ASSERT_TRUE(off.ok()) << off.status();
-  Result<planner::ExplainedPlan> parsed_off = planner::ParseExplain(*off);
-  ASSERT_TRUE(parsed_off.ok()) << parsed_off.status() << "\n" << *off;
-  EXPECT_EQ(parsed_off->batch, 0) << *off;
 }
 
 }  // namespace

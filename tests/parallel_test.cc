@@ -1,11 +1,10 @@
-// Seed-partitioned parallel execution: num_threads ∈ {1, 2, 8} crossed with
-// use_planner ∈ {on, off} must produce results byte-identical to the
-// sequential engine — same rows in the same order — on the Figure 2–4
+// Seed-partitioned parallel execution: num_threads ∈ {1, 2, 8} must
+// produce results byte-identical to the sequential engine — same rows in the same order — on the Figure 2–4
 // workloads (the paper graph of Figure 2 with the basic patterns of
 // Figure 3 and the fraud queries of Figure 4, plus the scaled fraud and
-// random generator graphs). Single-declaration workloads are additionally
-// checked against the §6 reference evaluator, the ground truth the
-// sequential engine is differential-tested against. Also covers the shared
+// random generator graphs). Paper-graph workloads are additionally checked
+// against the §6.5 reference join, the ground truth the sequential engine
+// is differential-tested against. Also covers the shared
 // resource budget: one atomic max_steps/max_matches budget spans all shards,
 // so a parallel run cannot execute N× the configured limits, and the
 // sequential path still trips at exactly the historical instruction.
@@ -16,40 +15,20 @@
 #include <gtest/gtest.h>
 
 #include "eval/engine.h"
-#include "eval/reference_eval.h"
 #include "graph/generator.h"
 #include "graph/sample_graph.h"
-#include "parser/parser.h"
-#include "semantics/normalize.h"
+#include "tests/test_util.h"
 
 namespace gpml {
 namespace {
 
-/// Canonical order-preserving rendering of a MatchOutput: one string per
-/// row, bindings in declaration order. Two runs agree iff these sequences
-/// are equal element-for-element (row order included).
-std::vector<std::string> CanonRows(const MatchOutput& out,
-                                   const PropertyGraph& g) {
-  std::vector<std::string> rows;
-  rows.reserve(out.rows.size());
-  for (const ResultRow& row : out.rows) {
-    std::string s;
-    for (const auto& pb : row.bindings) {
-      s += pb->ToString(g, *out.vars);
-      for (int32_t t : pb->tags) s += " #" + std::to_string(t);
-      s += " | ";
-    }
-    rows.push_back(std::move(s));
-  }
-  return rows;
-}
+using testing_util::OrderedRows;
 
 Result<MatchOutput> RunQuery(const PropertyGraph& g, const std::string& query,
-                        size_t num_threads, bool use_planner,
+                        size_t num_threads,
                         EngineMetrics* metrics = nullptr) {
   EngineOptions options;
   options.num_threads = num_threads;
-  options.use_planner = use_planner;
   options.metrics = metrics;
   // Force fan-out even on tiny test graphs (the default threshold keeps
   // short seed lists sequential as a latency guard).
@@ -93,28 +72,23 @@ const char* kWorkloads[] = {
 
 void ExpectParallelAgreement(const PropertyGraph& g,
                              const std::string& query) {
-  for (bool use_planner : {true, false}) {
-    EngineMetrics seq_metrics;
-    Result<MatchOutput> seq = RunQuery(g, query, 1, use_planner, &seq_metrics);
-    ASSERT_TRUE(seq.ok()) << query << " -> " << seq.status();
-    std::vector<std::string> want = CanonRows(*seq, g);
-    for (size_t threads : {size_t{2}, size_t{8}}) {
-      EngineMetrics par_metrics;
-      Result<MatchOutput> par =
-          RunQuery(g, query, threads, use_planner, &par_metrics);
-      ASSERT_TRUE(par.ok())
-          << query << " threads=" << threads << " -> " << par.status();
-      EXPECT_EQ(want, CanonRows(*par, g))
-          << query << " threads=" << threads
-          << " planner=" << (use_planner ? "on" : "off") << " on "
-          << g.Summary();
-      // Sharding repartitions the same per-seed searches: the total
-      // instruction count is invariant in the thread count.
-      EXPECT_EQ(seq_metrics.matcher_steps, par_metrics.matcher_steps)
-          << query << " threads=" << threads;
-      EXPECT_EQ(seq_metrics.seeded_nodes, par_metrics.seeded_nodes);
-      EXPECT_EQ(par_metrics.threads, threads);
-    }
+  EngineMetrics seq_metrics;
+  Result<MatchOutput> seq = RunQuery(g, query, 1, &seq_metrics);
+  ASSERT_TRUE(seq.ok()) << query << " -> " << seq.status();
+  std::vector<std::string> want = OrderedRows(*seq, g);
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    EngineMetrics par_metrics;
+    Result<MatchOutput> par = RunQuery(g, query, threads, &par_metrics);
+    ASSERT_TRUE(par.ok())
+        << query << " threads=" << threads << " -> " << par.status();
+    EXPECT_EQ(want, OrderedRows(*par, g))
+        << query << " threads=" << threads << " on " << g.Summary();
+    // Sharding repartitions the same per-seed searches: the total
+    // instruction count is invariant in the thread count.
+    EXPECT_EQ(seq_metrics.matcher_steps, par_metrics.matcher_steps)
+        << query << " threads=" << threads;
+    EXPECT_EQ(seq_metrics.seeded_nodes, par_metrics.seeded_nodes);
+    EXPECT_EQ(par_metrics.threads, threads);
   }
 }
 
@@ -175,9 +149,9 @@ TEST(ParallelTest, RandomGraphWorkloads) {
   }
 }
 
-/// Single-declaration workloads double-checked against the §6 reference
-/// evaluator (set equality; order is the engine's own contract, asserted
-/// against the sequential engine above).
+/// Workloads double-checked against the §6.5 reference join (multiset
+/// equality; order is the engine's own contract, asserted against the
+/// sequential engine above).
 TEST(ParallelTest, AgreesWithReferenceEvaluator) {
   PropertyGraph g = BuildPaperGraph();
   const char* queries[] = {
@@ -185,33 +159,19 @@ TEST(ParallelTest, AgreesWithReferenceEvaluator) {
       "MATCH (x:Account)-[t:Transfer WHERE t.amount > 5000000]->(y:Account)",
       "MATCH TRAIL (x:Account)-[:Transfer]->+(y:Account WHERE "
       "y.isBlocked='yes')",
+      "MATCH (x:Account WHERE x.isBlocked='no')-[:isLocatedIn]->"
+      "(c:City WHERE c.name='Ankh-Morpork')<-[:isLocatedIn]-"
+      "(y:Account WHERE y.isBlocked='yes'), "
+      "ANY SHORTEST p = (x)-[:Transfer]->+(y)",
+      "MATCH DIFFERENT EDGES (x)-[e:Transfer]->(y), (y)-[f:Transfer]->(z)",
   };
   for (const char* query : queries) {
-    Result<GraphPattern> parsed = ParseGraphPattern(query);
-    ASSERT_TRUE(parsed.ok()) << query;
-    Result<GraphPattern> normalized = Normalize(*parsed);
-    ASSERT_TRUE(normalized.ok());
-    Result<Analysis> analysis = Analyze(*normalized);
-    ASSERT_TRUE(analysis.ok());
-    VarTable vars(*analysis);
-    Result<MatchSet> ref =
-        RunReference(g, normalized->paths[0], vars, ReferenceOptions{});
-    ASSERT_TRUE(ref.ok()) << query << " -> " << ref.status();
-    std::vector<std::string> want;
-    for (const PathBinding& pb : ref->bindings) {
-      want.push_back(pb.ToString(g, vars));
-    }
-    std::sort(want.begin(), want.end());
-
+    std::vector<std::string> want = testing_util::ReferenceJoinRows(g, query);
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      Result<MatchOutput> out = RunQuery(g, query, threads, /*use_planner=*/true);
+      Result<MatchOutput> out = RunQuery(g, query, threads);
       ASSERT_TRUE(out.ok()) << query;
-      std::vector<std::string> got;
-      for (const ResultRow& row : out->rows) {
-        got.push_back(row.bindings[0]->ToString(g, *out->vars));
-      }
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(want, got) << query << " threads=" << threads;
+      EXPECT_EQ(testing_util::SortedRows(*out, g), want)
+          << query << " threads=" << threads;
     }
   }
 }
@@ -226,7 +186,7 @@ const char* kBudgetQuery =
 
 size_t StepsUsed(const PropertyGraph& g, const std::string& query) {
   EngineMetrics metrics;
-  Result<MatchOutput> out = RunQuery(g, query, 1, /*use_planner=*/true, &metrics);
+  Result<MatchOutput> out = RunQuery(g, query, 1, &metrics);
   EXPECT_TRUE(out.ok()) << out.status();
   return metrics.matcher_steps;
 }
@@ -305,7 +265,7 @@ TEST(ParallelTest, SharedMatchBudget) {
   FraudGraphOptions options;
   options.num_accounts = 40;
   PropertyGraph g = MakeFraudGraph(options);
-  Result<MatchOutput> full = RunQuery(g, kBudgetQuery, 1, true);
+  Result<MatchOutput> full = RunQuery(g, kBudgetQuery, 1);
   ASSERT_TRUE(full.ok());
   size_t rows = full->rows.size();
   ASSERT_GT(rows, 16u);
@@ -323,8 +283,8 @@ TEST(ParallelTest, SharedMatchBudget) {
     opts.on_budget = EngineOptions::BudgetPolicy::kTruncate;
     Result<MatchOutput> cut = Engine(g, opts).Match(kBudgetQuery);
     ASSERT_TRUE(cut.ok()) << cut.status();
-    if (threads == 1) sequential_cut = CanonRows(*cut, g);
-    EXPECT_EQ(CanonRows(*cut, g), sequential_cut) << "threads=" << threads;
+    if (threads == 1) sequential_cut = OrderedRows(*cut, g);
+    EXPECT_EQ(OrderedRows(*cut, g), sequential_cut) << "threads=" << threads;
   }
 }
 

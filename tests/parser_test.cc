@@ -1,5 +1,8 @@
 #include "parser/parser.h"
 
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "ast/print.h"
@@ -454,6 +457,47 @@ TEST(ParserNestingTest, MegabyteOfNestingFailsCleanly) {
   }
   EXPECT_FALSE(ParseExpression(Repeat("(", n) + "1" + Repeat(")", n)).ok());
   EXPECT_FALSE(ParseColumns(Repeat("- ", n / 2) + "1").ok());
+}
+
+// --- numeric literal range ---------------------------------------------------
+
+TEST(ParserNumericLiteralTest, OutOfRangeLiteralsAreSyntaxErrors) {
+  const std::string prefix = "MATCH (x WHERE x.w > ";
+  const std::pair<std::string, std::string> cases[] = {
+      {"int64 overflow", "99999999999999999999"},
+      {"one past INT64_MAX", "9223372036854775808"},
+      {"magnitude suffix overflow", "99999999999999M"},
+      {"double underflow", "0." + Repeat("0", 400) + "1"},
+      {"double overflow", "1" + Repeat("0", 400) + ".5"},
+      {"double suffix overflow", "1" + Repeat("0", 305) + ".5M"},
+  };
+  for (const auto& [kind, literal] : cases) {
+    Result<MatchStatement> r = ParseStatement(prefix + literal + ")");
+    ASSERT_FALSE(r.ok()) << kind;
+    EXPECT_EQ(r.status().code(), StatusCode::kSyntaxError) << kind;
+    EXPECT_NE(r.status().message().find("numeric literal out of range "
+                                        "(offset=" +
+                                        std::to_string(prefix.size()) + ")"),
+              std::string::npos)
+        << kind << ": " << r.status();
+  }
+  // The quantifier's bounds are the same literals.
+  Result<MatchStatement> q =
+      ParseStatement("MATCH (x)-[]->{99999999999999999999}(y)");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kSyntaxError) << q.status();
+  EXPECT_NE(q.status().message().find("offset=15"), std::string::npos)
+      << q.status();
+}
+
+TEST(ParserNumericLiteralTest, LiteralsAtTheLimitsParse) {
+  for (const std::string& literal :
+       {std::string("9223372036854775807"), std::string("9223372036854M"),
+        std::string("1.5M"), "0." + Repeat("0", 300) + "1"}) {
+    Result<MatchStatement> r =
+        ParseStatement("MATCH (x WHERE x.w > " + literal + ")");
+    EXPECT_TRUE(r.ok()) << literal << ": " << r.status();
+  }
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ TEST(PlanCacheTest, SharedAcrossEnginesAndHosts) {
   EXPECT_EQ(metrics.plan_cache_hits, 1u);
 }
 
-TEST(PlanCacheTest, DistinctPatternsAndPlannerModesMiss) {
+TEST(PlanCacheTest, DistinctPatternsMiss) {
   PropertyGraph g = BuildPaperGraph();
   EngineMetrics metrics;
   EngineOptions options;
@@ -87,11 +87,6 @@ TEST(PlanCacheTest, DistinctPatternsAndPlannerModesMiss) {
   ASSERT_TRUE(Engine(g, options).Match("MATCH (x:Account)").ok());
   EXPECT_EQ(metrics.plan_cache_misses, 1u);
   EXPECT_EQ(metrics.plan_cache_hits, 0u);
-
-  // Same pattern, planner off: a DirectPlan is a different plan — miss.
-  options.use_planner = false;
-  ASSERT_TRUE(Engine(g, options).Match(kQuery).ok());
-  EXPECT_EQ(metrics.plan_cache_misses, 1u);
 
   // And hits once warmed.
   ASSERT_TRUE(Engine(g, options).Match(kQuery).ok());
@@ -118,8 +113,7 @@ TEST(PlanCacheTest, InvalidatedByGraphIdentity) {
 
   // Direct slot check: a's entry is invisible through b even if someone
   // transplanted the snapshot (Lookup revalidates the identity token).
-  std::string fp = planner::PlanFingerprint(
-      *ParseGraphPattern(kQuery), /*use_planner=*/true);
+  std::string fp = planner::PlanFingerprint(*ParseGraphPattern(kQuery));
   EXPECT_NE(planner::LookupPlan(a, fp), nullptr);
   b.set_plan_cache(a.plan_cache());
   EXPECT_EQ(planner::LookupPlan(b, fp), nullptr);

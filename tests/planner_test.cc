@@ -25,18 +25,6 @@ namespace {
 
 using planner::GraphStats;
 
-EngineOptions PlannerOn() {
-  EngineOptions o;
-  o.use_planner = true;
-  return o;
-}
-
-EngineOptions PlannerOff() {
-  EngineOptions o;
-  o.use_planner = false;
-  return o;
-}
-
 /// A graph where the right end of (a:Src)-[:E]->(b:Dst) is far more
 /// selective than the left: many sources funnel into two sinks.
 PropertyGraph SkewedGraph(int sources = 40) {
@@ -257,9 +245,9 @@ TEST(AnchorSelectionTest, HistogramSelectivityDrivesAnchorChoice) {
 
 // --- Anchor / direction selection -------------------------------------------
 
-Result<planner::Plan> PlanFor(const PropertyGraph& g, const std::string& query,
-                              EngineOptions options = PlannerOn()) {
-  Engine engine(g, options);
+Result<planner::Plan> PlanFor(const PropertyGraph& g,
+                              const std::string& query) {
+  Engine engine(g);
   Result<GraphPattern> pattern = ParseGraphPattern(query);
   EXPECT_TRUE(pattern.ok()) << pattern.status();
   return engine.Plan(*pattern);
@@ -310,15 +298,6 @@ TEST(AnchorSelectionTest, DeterministicSelectorMayReverse) {
   EXPECT_TRUE(plan->decls[0].reversed);
 }
 
-TEST(AnchorSelectionTest, PlannerOffNeverReverses) {
-  PropertyGraph g = SkewedGraph(40);
-  Result<planner::Plan> plan =
-      PlanFor(g, "MATCH (a:Src)-[:E]->(b:Dst)", PlannerOff());
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_FALSE(plan->planner_used);
-  EXPECT_FALSE(plan->decls[0].reversed);
-}
-
 TEST(PatternMirrorTest, DoubleReversalIsIdentity) {
   Result<GraphPattern> parsed = ParseGraphPattern(
       "MATCH (a:Src WHERE a.x = 1)<~[e:E|F]~[(c)-[:G]->(d)]{1,3}(b:Dst)");
@@ -362,7 +341,7 @@ TEST(JoinOrderTest, SelectiveDeclRunsFirst) {
   ASSERT_GE(plan->decls[1].seed_bound_var, 0);
 }
 
-TEST(JoinOrderTest, SeedRestrictionShrinksSeededNodes) {
+TEST(JoinOrderTest, SeedRestrictionKeepsTheReferenceRows) {
   PropertyGraph g = BuildPaperGraph();
   const std::string query =
       "MATCH (x:Account WHERE x.isBlocked='no')-[:isLocatedIn]->"
@@ -370,25 +349,17 @@ TEST(JoinOrderTest, SeedRestrictionShrinksSeededNodes) {
       "(y:Account WHERE y.isBlocked='yes'), "
       "ANY (x)-[:Transfer]->+(y)";
 
-  EngineMetrics on_metrics, off_metrics;
-  EngineOptions on = PlannerOn();
-  on.metrics = &on_metrics;
-  EngineOptions off = PlannerOff();
-  off.metrics = &off_metrics;
-
-  Engine e_on(g, on);
-  ASSERT_TRUE(e_on.Match(query).ok());
-  Engine e_off(g, off);
-  ASSERT_TRUE(e_off.Match(query).ok());
-  EXPECT_GE(on_metrics.seed_filtered_decls, 1u);
-  EXPECT_LT(on_metrics.seeded_nodes, off_metrics.seeded_nodes);
-  EXPECT_LT(on_metrics.matcher_steps, off_metrics.matcher_steps);
-  // And identical results.
-  EXPECT_EQ(testing_util::Rows(g, query, "x, y", on),
-            testing_util::Rows(g, query, "x, y", off));
+  EngineMetrics metrics;
+  EngineOptions options;
+  options.metrics = &metrics;
+  std::vector<std::string> rows =
+      testing_util::EngineJoinRows(g, query, options);
+  EXPECT_GE(metrics.seed_filtered_decls, 1u);
+  EXPECT_FALSE(rows.empty());
+  EXPECT_EQ(rows, testing_util::ReferenceJoinRows(g, query));
 }
 
-// --- Differential: planner on == planner off == reference -------------------
+// --- Differential: planner == the §6.5 reference join -----------------------
 
 const char* kDifferentialQueries[] = {
     "MATCH (x:Account)-[t:Transfer]->(y:Account)",
@@ -413,33 +384,13 @@ const char* kDifferentialQueries[] = {
     "MATCH (x:Account) [-[:Transfer]->(y:Account)]? WHERE x.owner <> 'Jay'",
 };
 
-/// Canonical rendering of full result rows (all bindings, sorted).
-std::vector<std::string> CanonRows(const PropertyGraph& g,
-                                   const std::string& query,
-                                   const EngineOptions& options) {
-  Engine engine(g, options);
-  Result<MatchOutput> out = engine.Match(query);
-  if (!out.ok()) return {"ERROR: " + out.status().ToString()};
-  std::vector<std::string> rows;
-  rows.reserve(out->rows.size());
-  for (const ResultRow& row : out->rows) {
-    std::string s;
-    for (const auto& pb : row.bindings) {
-      s += pb->ToString(g, *out->vars) + " ; ";
-    }
-    rows.push_back(std::move(s));
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
 TEST(PlannerDifferentialTest, PaperGraph) {
   PropertyGraph g = BuildPaperGraph();
   for (const char* query : kDifferentialQueries) {
-    std::vector<std::string> on = CanonRows(g, query, PlannerOn());
-    ASSERT_TRUE(on.empty() || on[0].rfind("ERROR:", 0) != 0)
-        << query << " -> " << on[0];
-    EXPECT_EQ(on, CanonRows(g, query, PlannerOff())) << query;
+    std::vector<std::string> planned = testing_util::EngineJoinRows(g, query);
+    ASSERT_TRUE(planned.empty() || planned[0].rfind("ERROR:", 0) != 0)
+        << query << " -> " << planned[0];
+    EXPECT_EQ(planned, testing_util::ReferenceJoinRows(g, query)) << query;
   }
 }
 
@@ -453,48 +404,15 @@ TEST(PlannerDifferentialTest, RandomGraphs) {
   };
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     PropertyGraph g = MakeRandomGraph(24, 60, 3, 0.25, seed);
+    // A shortest path repeats no node, so N expansions are exact for ALL
+    // SHORTEST and the reference stays small on 24 nodes.
+    ReferenceOptions reference;
+    reference.expansion_cap = g.num_nodes();
     for (const char* query : queries) {
-      EXPECT_EQ(CanonRows(g, query, PlannerOn()),
-                CanonRows(g, query, PlannerOff()))
+      EXPECT_EQ(testing_util::EngineJoinRows(g, query),
+                testing_util::ReferenceJoinRows(g, query, reference))
           << "seed " << seed << ": " << query;
     }
-  }
-}
-
-TEST(PlannerDifferentialTest, AgainstReferenceEvaluator) {
-  PropertyGraph g = BuildPaperGraph();
-  const char* queries[] = {
-      "MATCH (x)-[t:Transfer]->(y:Account WHERE y.owner='Jay')",
-      "MATCH ACYCLIC (x)-[:Transfer]->+(y:Account WHERE y.owner='Dave')",
-      "MATCH ALL SHORTEST (x:Account)-[:Transfer]->+(y:Account "
-      "WHERE y.owner='Mike')",
-  };
-  for (const char* query : queries) {
-    Result<GraphPattern> parsed = ParseGraphPattern(query);
-    ASSERT_TRUE(parsed.ok());
-    Result<GraphPattern> normalized = Normalize(*parsed);
-    ASSERT_TRUE(normalized.ok());
-    Result<Analysis> analysis = Analyze(*normalized);
-    ASSERT_TRUE(analysis.ok());
-    VarTable vars(*analysis);
-    Result<MatchSet> ref =
-        RunReference(g, normalized->paths[0], vars, ReferenceOptions{});
-    ASSERT_TRUE(ref.ok()) << query << " -> " << ref.status();
-    std::vector<std::string> ref_rows;
-    for (const PathBinding& pb : ref->bindings) {
-      ref_rows.push_back(pb.ToString(g, vars));
-    }
-    std::sort(ref_rows.begin(), ref_rows.end());
-
-    Engine engine(g, PlannerOn());
-    Result<MatchOutput> out = engine.Match(query);
-    ASSERT_TRUE(out.ok()) << query << " -> " << out.status();
-    std::vector<std::string> engine_rows;
-    for (const ResultRow& row : out->rows) {
-      engine_rows.push_back(row.bindings[0]->ToString(g, *out->vars));
-    }
-    std::sort(engine_rows.begin(), engine_rows.end());
-    EXPECT_EQ(engine_rows, ref_rows) << query;
   }
 }
 

@@ -219,14 +219,9 @@ TEST(PreparedQueryTest, PreparedEqualsLiteralRows) {
        "x, y"},
   };
   for (const Case& c : cases) {
-    for (bool planner : {true, false}) {
-      EngineOptions options;
-      options.use_planner = planner;
-      EXPECT_EQ(PreparedRows(g, c.parameterized, c.params, c.columns,
-                             options),
-                Rows(g, c.literal, c.columns, options))
-          << c.parameterized << " planner=" << planner;
-    }
+    EXPECT_EQ(PreparedRows(g, c.parameterized, c.params, c.columns),
+              Rows(g, c.literal, c.columns))
+        << c.parameterized;
   }
 }
 

@@ -31,6 +31,10 @@ namespace {
 // route in the matrix.
 const char* kStreamQuery =
     "MATCH (x:Account WHERE x.isBlocked='no')-[t:Transfer]->(y:Account)";
+// The same shape on the scalar route: no kernel compiles IS NOT NULL.
+const char* kScalarQuery =
+    "MATCH (x:Account WHERE x.isBlocked IS NOT NULL)-[t:Transfer]->"
+    "(y:Account)";
 
 // The planner anchors this at its rarer endpoint: the City end over a
 // graph with a few cities, the Account end (mirrored) over one with more
@@ -227,16 +231,16 @@ TEST(QueryStatsStoreTest, HashPlanTextIsStableAndDiscriminating) {
 // --- engine recording --------------------------------------------------------
 
 TEST(QueryStatsEngineTest, ExactAggregationAcrossConcurrentMatrix) {
-  // {engine threads} x {batch}; in every cell, 4 client threads
+  // {engine threads} x {batch route, scalar route}; in every cell, 4 client threads
   // each run 5 executions against a shared private store. The per-call
   // EngineMetrics are the oracle: the store's cumulative entry must equal
   // their sums exactly, even under concurrent Record calls.
   constexpr int kClients = 4;
   constexpr int kCallsEach = 5;
   for (size_t threads : {size_t{1}, size_t{8}}) {
-    for (bool batch : {true, false}) {
-      std::string config = "threads=" + std::to_string(threads) +
-                           " batch=" + std::to_string(batch);
+    for (const char* query : {kStreamQuery, kScalarQuery}) {
+      std::string config =
+          "threads=" + std::to_string(threads) + " " + query;
       PropertyGraph g = TestGraph();
       obs::QueryStatsStore store;
 
@@ -254,12 +258,11 @@ TEST(QueryStatsEngineTest, ExactAggregationAcrossConcurrentMatrix) {
           EngineMetrics metrics;
           EngineOptions options;
           options.num_threads = threads;
-          options.matcher.use_batch = batch;
           options.query_stats = &store;
           options.metrics = &metrics;
           Engine engine(g, options);
           for (int i = 0; i < kCallsEach; ++i) {
-            Result<MatchOutput> out = engine.Match(kStreamQuery);
+            Result<MatchOutput> out = engine.Match(query);
             ASSERT_TRUE(out.ok()) << config << ": " << out.status();
             oracles[c].rows += metrics.rows;
             oracles[c].seeds += metrics.seeded_nodes;

@@ -2,6 +2,8 @@
 // parser resilience on hostile inputs, and engine behaviour at the edges
 // of the spec that the paper's prose does not exercise.
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "graph/graph_builder.h"
@@ -89,6 +91,49 @@ TEST(RobustnessTest, MegabyteOfNestingIsASyntaxError) {
         "MATCH " + std::string(depth, '[') + "(x)-[:Transfer]->(y)" +
             std::string(depth, ']')}) {
     EXPECT_EQ(MatchStatusOf(g, text).code(), StatusCode::kSyntaxError);
+  }
+}
+
+TEST(RobustnessTest, OutOfRangeNumericLiteralIsASyntaxError) {
+  // std::stoll / std::stod threw here once, taking the process down.
+  PropertyGraph g = BuildPaperGraph();
+  for (const std::string& text :
+       {std::string("MATCH (x WHERE x.w > 99999999999999999999)"),
+        std::string("MATCH (x)-[]->{99999999999999999999}(y)"),
+        "MATCH (x WHERE x.w > 0." + std::string(400, '0') + "1)",
+        std::string("MATCH (x WHERE x.w > 99999999999999M)")}) {
+    EXPECT_EQ(MatchStatusOf(g, text).code(), StatusCode::kSyntaxError)
+        << text.substr(0, 60);
+  }
+}
+
+TEST(RobustnessTest, HugeBoundedQuantifierIsRefusedBeforeCompiling) {
+  // One body copy per iteration: {10000000} once exhausted memory while
+  // compiling. The expanded size is counted from the pattern first.
+  PropertyGraph g = BuildPaperGraph();
+  const std::string prefix = "MATCH (x)-[]->";
+  for (const std::string& quantifier :
+       {std::string("{10000000}"), std::string("{1,99999999999}"),
+        std::string("{9223372036854775807}")}) {
+    Status status = MatchStatusOf(g, prefix + quantifier + "(y)");
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << quantifier;
+    const std::string offset = "offset=" + std::to_string(prefix.size());
+    EXPECT_NE(status.message().find(offset), std::string::npos) << status;
+  }
+  // Nested products count too, and name the quantifier that overflows.
+  const std::string nested = "MATCH (x)[[()-[]->()]{300}]{300}(y)";
+  Status status = MatchStatusOf(g, nested);
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
+  const size_t outer = nested.find("]{300}(y)") + 1;
+  EXPECT_NE(status.message().find("offset=" + std::to_string(outer)),
+            std::string::npos)
+      << status;
+  // Below the cap it still compiles.
+  Engine engine(g);
+  for (const char* text : {"MATCH (x)[[()-[]->()]{30}]{30}(y)",
+                           "MATCH (x)-[]->{5000}(y)"}) {
+    Result<PreparedQuery> prepared = engine.Prepare(text);
+    EXPECT_TRUE(prepared.ok()) << text << ": " << prepared.status();
   }
 }
 

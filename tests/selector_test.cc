@@ -9,7 +9,6 @@
 #include "graph/sample_graph.h"
 #include "parser/parser.h"
 #include "planner/planner.h"
-#include "semantics/normalize.h"
 #include "test_util.h"
 
 namespace gpml {
@@ -464,37 +463,30 @@ TEST(SelectorTest, AnyBudgetCountsOnlyKeptBindings) {
 
 TEST(SelectorTest, TargetPushdownKeepsJoinedRowsExactly) {
   // y is bound by the first declaration, so the second keeps only accepts
-  // ending at those nodes; the join would discard the rest anyway.
+  // ending at those nodes; the join would discard the rest anyway. The
+  // oracle is the §6.5 reference join, which restricts nothing.
   PropertyGraph g = MultigraphFixture();
   const std::string query =
       "MATCH (x:S)-[:T]->{2}(y), ANY SHORTEST p = (x)-[:T]->+(y)";
-  EngineMetrics on_metrics;
-  EngineOptions on;
-  on.metrics = &on_metrics;
-  EngineMetrics off_metrics;
-  EngineOptions off;
-  off.use_planner = false;  // No target restriction.
-  off.metrics = &off_metrics;
-  std::vector<std::string> planned = Rows(g, query, "x, y, p", on);
-  EXPECT_EQ(planned, Rows(g, query, "x, y, p", off));
+  EngineMetrics metrics;
+  EngineOptions options;
+  options.metrics = &metrics;
+  std::vector<std::string> planned =
+      testing_util::EngineJoinRows(g, query, options);
+  EXPECT_EQ(planned, testing_util::ReferenceJoinRows(g, query));
   EXPECT_FALSE(planned.empty());
-  EXPECT_EQ(on_metrics.target_filtered_decls, 1u);
-  EXPECT_EQ(off_metrics.target_filtered_decls, 0u);
+  EXPECT_EQ(metrics.target_filtered_decls, 1u);
 }
 
 TEST(SelectorTest, TargetPushdownOnAMirroredDeclaration) {
   // A mirrored program runs right to left: its accepts end at the
   // declaration's *left* endpoint, which is what the target filter tests.
   PropertyGraph g = MultigraphFixture();
-  Result<GraphPattern> parsed =
-      ParseGraphPattern("MATCH ALL SHORTEST p = (x)-[:T]->+(y:S)");
-  ASSERT_TRUE(parsed.ok());
-  Result<GraphPattern> normalized = Normalize(*parsed);
-  ASSERT_TRUE(normalized.ok());
-  Result<Analysis> analysis = Analyze(*normalized);
-  ASSERT_TRUE(analysis.ok());
-  VarTable vars(*analysis);
-  PathPatternDecl mirrored = normalized->paths[0];
+  testing_util::CompiledDecl c =
+      testing_util::Compile(g, "MATCH ALL SHORTEST p = (x)-[:T]->+(y:S)");
+  ASSERT_TRUE(c.status.ok()) << c.status;
+  const VarTable& vars = *c.vars;
+  PathPatternDecl mirrored = c.normalized.paths[0];
   ASSERT_TRUE(planner::ReversalSafe(mirrored));
   mirrored.pattern = planner::ReversePathPattern(mirrored.pattern);
   Result<Program> program = CompilePattern(mirrored, vars);

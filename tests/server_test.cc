@@ -292,6 +292,39 @@ TEST(ServerTest, DeeplyNestedQueryIsSyntaxErrorAndConnectionSurvives) {
                                    .size());
 }
 
+// Out-of-range numeric literals and bounded quantifiers too large to
+// compile get structured errors, and the connection keeps serving.
+TEST(ServerTest, OversizedLiteralAndQuantifierRefusedConnectionSurvives) {
+  TestServer srv;
+  Client client = MustConnect(srv);
+  ASSERT_TRUE(client.UseGraph("fraud").ok());
+  for (const char* text : {"MATCH (x WHERE x.w > 99999999999999999999)",
+                           "MATCH (x)-[]->{99999999999999999999}(y)"}) {
+    Result<Client::PreparedInfo> refused = client.Prepare(text);
+    ASSERT_FALSE(refused.ok()) << text;
+    EXPECT_EQ(refused.status().code(), StatusCode::kSyntaxError)
+        << refused.status();
+    EXPECT_NE(refused.status().message().find("offset="), std::string::npos)
+        << refused.status();
+    EXPECT_TRUE(client.Ping().ok());
+  }
+  Result<Client::PreparedInfo> huge =
+      client.Prepare("MATCH (x)-[]->{10000000}(y)");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kResourceExhausted)
+      << huge.status();
+  EXPECT_NE(huge.status().message().find("offset=14"), std::string::npos)
+      << huge.status();
+
+  EXPECT_TRUE(client.Ping().ok());
+  Result<Client::PreparedInfo> prepared = client.Prepare(kOwnerQuery);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  Result<ExecuteResult> rows = client.Execute(prepared->stmt, Owner(3));
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->rows.size(), OracleRows(TestGraph(), kOwnerQuery, Owner(3))
+                                   .size());
+}
+
 // execute and open decode `limit` the same way: a negative one is a bad
 // request for both, never an unbounded stream.
 TEST(ServerTest, NegativeLimitIsBadRequestForExecuteAndOpen) {

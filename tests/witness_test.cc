@@ -11,8 +11,6 @@
 // parity with the search the witness route replaced is pinned in
 // bench_csr and selector_test.)
 
-#include <algorithm>
-#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -24,8 +22,7 @@
 #include "eval/nfa.h"
 #include "eval/reference_eval.h"
 #include "graph/generator.h"
-#include "parser/parser.h"
-#include "semantics/normalize.h"
+#include "tests/test_util.h"
 
 namespace gpml {
 namespace {
@@ -60,93 +57,21 @@ const char* kQueries[] = {
 
 const Params kParams = {{"lo", Value::Int(30)}};
 
-struct Compiled {
-  GraphPattern normalized;
-  std::unique_ptr<VarTable> vars;
-  Program program;
-};
-
-Compiled Compile(const PropertyGraph& g, const std::string& text) {
-  Compiled c;
-  Result<GraphPattern> parsed = ParseGraphPattern(text);
-  EXPECT_TRUE(parsed.ok()) << text << " -> " << parsed.status();
-  Result<GraphPattern> normalized = Normalize(*parsed);
-  EXPECT_TRUE(normalized.ok()) << text;
-  c.normalized = std::move(*normalized);
-  Result<Analysis> analysis = Analyze(c.normalized);
-  EXPECT_TRUE(analysis.ok()) << text << " -> " << analysis.status();
-  c.vars = std::make_unique<VarTable>(*analysis);
-  Result<Program> program = CompilePattern(c.normalized.paths[0], *c.vars);
-  EXPECT_TRUE(program.ok()) << text;
-  c.program = std::move(*program);
-  BindProgramToGraph(&c.program, g, c.vars.get());
-  return c;
-}
-
-/// A MatchSet in order, each binding with its witness path spelled out.
-std::vector<std::string> Render(const MatchSet& set, const PropertyGraph& g,
-                                const VarTable& vars) {
-  std::vector<std::string> out;
-  for (const PathBinding& pb : set.bindings) {
-    std::string s = pb.ToString(g, vars) + " path=" + g.node(pb.path.Start()).name;
-    for (size_t i = 0; i < pb.path.Length(); ++i) {
-      s += " " + g.edge(pb.path.edges()[i]).name + "/" +
-           std::to_string(static_cast<int>(pb.path.traversals()[i])) + " " +
-           g.node(pb.path.nodes()[i + 1]).name;
-    }
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-struct RouteRun {
-  Status status;
-  std::vector<std::string> rows;
-  size_t steps = 0;
-  MatchRoute route = MatchRoute::kDfs;
-  bool truncated = false;
-};
+using testing_util::Compile;
+using testing_util::CompiledDecl;
+using testing_util::IsPrefix;
+using testing_util::RouteRun;
 
 RouteRun RunOnce(const PropertyGraph& g, const Program& program,
-            const VarTable& vars, const MatcherOptions& options,
-            bool partial) {
-  RouteRun run;
-  MatchStats stats;
-  bool exhausted = false;
-  Result<MatchSet> set =
-      RunPattern(g, program, vars, options, /*seed_filter=*/nullptr,
-                 /*target_filter=*/nullptr, &stats, &kParams,
-                 /*shared_budget=*/nullptr, partial ? &exhausted : nullptr);
-  run.status = set.ok() ? Status::OK() : set.status();
-  if (set.ok()) run.rows = Render(*set, g, vars);
-  run.steps = stats.steps;
-  run.route = stats.route;
-  run.truncated = exhausted;
-  return run;
-}
-
-/// `prefix` is a prefix of `full`.
-bool IsPrefix(const std::vector<std::string>& prefix,
-              const std::vector<std::string>& full) {
-  return prefix.size() <= full.size() &&
-         std::equal(prefix.begin(), prefix.end(), full.begin());
-}
-
-/// The (start, end) pairs of a MatchSet, with the path length kept when
-/// `with_length` (ANY SHORTEST fixes it; ANY does not).
-std::set<std::tuple<NodeId, NodeId, size_t>> Endpoints(
-    const std::vector<PathBinding>& bindings, bool with_length) {
-  std::set<std::tuple<NodeId, NodeId, size_t>> out;
-  for (const PathBinding& pb : bindings) {
-    out.emplace(pb.path.Start(), pb.path.End(),
-                with_length ? pb.path.Length() : 0);
-  }
-  return out;
+                 const VarTable& vars, const MatcherOptions& options,
+                 bool partial) {
+  return testing_util::RunOnce(g, program, vars, options, partial, &kParams);
 }
 
 void CheckQuery(const PropertyGraph& g, const std::string& text) {
   SCOPED_TRACE(text + " on " + g.Summary());
-  Compiled c = Compile(g, text);
+  CompiledDecl c = Compile(g, text);
+  ASSERT_TRUE(c.status.ok()) << c.status;
   ASSERT_TRUE(c.program.exact_visit_key);
   ASSERT_NE(c.program.witness, nullptr);
   Program oracle = c.program;
@@ -251,22 +176,17 @@ void CheckQuery(const PropertyGraph& g, const std::string& text) {
 /// The witness route's endpoint pairs (and, under ANY SHORTEST, their
 /// path lengths) are the literal §6 evaluator's.
 void CheckAgainstReference(const PropertyGraph& g, const std::string& text) {
-  SCOPED_TRACE(text + " on " + g.Summary());
-  Compiled c = Compile(g, text);
   // A shortest witness repeats no (node, position) state, so N + 1
   // iterations reach every endpoint pair on these patterns.
   ReferenceOptions options;
   options.expansion_cap = g.num_nodes() + 1;
-  Result<MatchSet> ref =
-      RunReference(g, c.normalized.paths[0], *c.vars, options);
-  ASSERT_TRUE(ref.ok()) << ref.status();
-  Result<MatchSet> mine = RunPattern(g, c.program, *c.vars, MatcherOptions(),
-                                     nullptr, nullptr, nullptr, &kParams);
-  ASSERT_TRUE(mine.ok()) << mine.status();
-  const bool shortest =
-      c.program.selector.kind == Selector::Kind::kAnyShortest;
-  EXPECT_EQ(Endpoints(mine->bindings, shortest),
-            Endpoints(ref->bindings, shortest));
+  EngineMetrics metrics;
+  EngineOptions engine_options;
+  engine_options.metrics = &metrics;
+  EXPECT_EQ(testing_util::EngineJoinRows(g, text, engine_options),
+            testing_util::ReferenceJoinRows(g, text, options))
+      << text << " on " << g.Summary();
+  EXPECT_EQ(metrics.witness_decls, 1u);
 }
 
 class WitnessRouteTest
@@ -310,7 +230,9 @@ TEST(WitnessRouteTest, ShardsALargerGraph) {
 
 TEST(WitnessRouteTest, UnboundParameterFailsLikeTheGeneralSearch) {
   PropertyGraph g = MakeRandomGraph(9, 22, 3, 0.3, 5);
-  Compiled c = Compile(g, "MATCH ANY (x)-[:L0]->+(y WHERE y.w > $missing)");
+  CompiledDecl c =
+      Compile(g, "MATCH ANY (x)-[:L0]->+(y WHERE y.w > $missing)");
+  ASSERT_TRUE(c.status.ok()) << c.status;
   ASSERT_TRUE(c.program.exact_visit_key);
   Program oracle = c.program;
   oracle.exact_visit_key = false;
@@ -323,7 +245,8 @@ TEST(WitnessRouteTest, UnboundParameterFailsLikeTheGeneralSearch) {
 
 TEST(WitnessRouteTest, RefusesAProgramWithoutItsWitnessPlan) {
   PropertyGraph g = MakeRandomGraph(9, 22, 3, 0.3, 6);
-  Compiled c = Compile(g, "MATCH ANY (x)-[:L0]->+(y)");
+  CompiledDecl c = Compile(g, "MATCH ANY (x)-[:L0]->+(y)");
+  ASSERT_TRUE(c.status.ok()) << c.status;
   Program unbound = c.program;
   unbound.witness = nullptr;
   Result<MatchSet> r = RunPattern(g, unbound, *c.vars, MatcherOptions());
