@@ -17,10 +17,12 @@
 //     the bindings its declarations keep: exact (pc, node, start) visit
 //     keys fix the ANY step count, and a search that stopped gating
 //     accepts per endpoint partition or restricting them to the bound end
-//     nodes exceeds that budget. A third selector pin sums perfbench
-//     `paths`' ANY statement (inline target WHERE) over a fixed suspect
-//     list: the witness route must charge exactly the steps the general
-//     selector search charged for the same programs.
+//     nodes exceeds that budget. Three more pins sum perfbench `paths`'
+//     statements over a fixed suspect list: the ANY statement (inline
+//     target WHERE, the witness route), the TRAIL statement (the DFS
+//     under a restrictor scope) and the city join (the selector BFS, then
+//     the witness route). Each route must charge exactly the steps the
+//     search it replaced charged for the same programs.
 //  2. Byte-identity (always enforced): identical rows in identical order
 //     across {threads 1, 8}. (The rows themselves are checked against the
 //     §6.5 reference join on small graphs in tests/differential_test.cc.)
@@ -122,19 +124,41 @@ const PinnedWorkload kSelectorWorkloads[] = {
      /*max_matches=*/1297},
 };
 
-/// perfbench `paths`' ANY statement with each suspect inlined as a literal
-/// (the planner index-seeds it from the one matching account), pinned as
-/// the sum of its steps over a fixed suspect list: the selector route with
-/// an inline target WHERE on the endpoint it accepts at.
-constexpr const char* kPathsAnySuspects[] = {"u0",   "u20",  "u40",  "u60",
-                                             "u80",  "u100", "u120", "u140",
-                                             "u160", "u180", "u200", "u220",
-                                             "u240", "u260", "u280"};
-constexpr size_t kPathsAnySteps = 72037;
+/// perfbench `paths`' statements with each suspect inlined as a literal
+/// (the planner index-seeds them from the one matching account), each
+/// pinned as the sum of its steps over a fixed suspect list. `query` holds
+/// the statement with "$owner" where the suspect goes.
+///  - paths_any_blocked: the selector route with an inline target WHERE on
+///    the endpoint it accepts at (the witness route).
+///  - paths_trail: TRAIL {1,3}, the per-seed DFS under a restrictor scope.
+///  - paths_city: Figure 4's city join, whose fixed-length declaration
+///    carries an ANY selector (the general selector BFS) before the ANY
+///    chain (the witness route).
+constexpr const char* kPathsSuspects[] = {"u0",   "u20",  "u40",  "u60",
+                                          "u80",  "u100", "u120", "u140",
+                                          "u160", "u180", "u200", "u220",
+                                          "u240", "u260", "u280"};
 
-std::string PathsAnyQuery(const char* owner) {
-  return std::string("MATCH ANY (x:Account WHERE x.owner='") + owner +
-         "')-[:Transfer]->+(y:Account WHERE y.isBlocked='yes')";
+const PinnedWorkload kPathsWorkloads[] = {
+    {"paths_any_blocked",
+     "MATCH ANY (x:Account WHERE x.owner='$owner')-[:Transfer]->+"
+     "(y:Account WHERE y.isBlocked='yes')",
+     72037},
+    {"paths_trail",
+     "MATCH TRAIL (x:Account WHERE x.owner='$owner')-[:Transfer]->{1,3}"
+     "(y:Account)",
+     10235},
+    {"paths_city",
+     "MATCH ANY (x:Account WHERE x.owner='$owner')-[:isLocatedIn]->"
+     "(g:City)<-[:isLocatedIn]-(y:Account WHERE y.isBlocked='yes'), "
+     "ANY (x)-[:Transfer]->+(y)",
+     79224},
+};
+
+std::string WithOwner(const std::string& query, const char* owner) {
+  std::string out = query;
+  out.replace(out.find("$owner"), 6, owner);
+  return out;
 }
 
 const Workload kMatrixWorkloads[] = {
@@ -269,36 +293,28 @@ void CheckPinned(const PropertyGraph& g, const PinnedWorkload& w,
              ok);
 }
 
-/// Runs perfbench `paths`' ANY statement once per suspect at one thread
-/// and checks the summed matcher steps against kPathsAnySteps.
-void CheckPathsAnyPin(const PropertyGraph& g, bench::JsonReport* report,
-                      bool* ok) {
+/// Runs `w` once per suspect at one thread and checks the summed matcher
+/// steps against its pin.
+void CheckPathsPin(const PropertyGraph& g, const PinnedWorkload& w,
+                   bench::JsonReport* report, bool* ok) {
   EngineOptions base;
   base.num_threads = 1;
   size_t seeds = 0;
   size_t steps = 0;
   size_t rows = 0;
   double millis = 0;
-  for (const char* owner : kPathsAnySuspects) {
-    Measurement m = Measure(g, PathsAnyQuery(owner), base, ok);
+  for (const char* owner : kPathsSuspects) {
+    Measurement m = Measure(g, WithOwner(w.query, owner), base, ok);
     if (!*ok) return;
     seeds += m.metrics.seeded_nodes;
     steps += m.metrics.matcher_steps;
     rows += m.rows.size();
     millis += m.millis;
   }
-  std::printf("%-28s | %10.3f | %10zu %10zu\n", "paths_any_blocked", millis,
-              steps, kPathsAnySteps);
-  report->Add("paths_any_blocked", millis, seeds, steps, rows,
-              {{"pinned_steps", static_cast<double>(kPathsAnySteps)}});
-  if (steps != kPathsAnySteps) {
-    std::fprintf(stderr,
-                 "FAIL paths_any_blocked: %zu matcher steps, pinned %zu "
-                 "(did the witness route stop charging one step per "
-                 "adjacency candidate and per epsilon instruction?)\n",
-                 steps, kPathsAnySteps);
-    *ok = false;
-  }
+  CheckSteps(w, seeds, steps, rows, millis,
+             "did a route stop charging one step per adjacency candidate "
+             "and per epsilon instruction?",
+             report, ok);
 }
 
 int RunBench() {
@@ -322,7 +338,9 @@ int RunBench() {
       CheckPinned(g, w, &report, &ok);
       if (!ok) break;
     }
-    if (ok) CheckPathsAnyPin(g, &report, &ok);
+    for (const PinnedWorkload& w : kPathsWorkloads) {
+      if (ok) CheckPathsPin(g, w, &report, &ok);
+    }
   }
 
   // --- 2. byte-identity matrix --------------------------------------------

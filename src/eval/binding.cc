@@ -32,46 +32,6 @@ int VarTable::Find(const std::string& name) const {
   return it == by_name_.end() ? -1 : it->second;
 }
 
-BindingChain Extend(const BindingChain& chain, ElementaryBinding b,
-                    Traversal t) {
-  auto link = std::make_shared<BindingLink>();
-  link->binding = b;
-  link->traversal = t;
-  link->prev = chain;
-  link->size = (chain == nullptr ? 0 : chain->size) + 1;
-  return link;
-}
-
-std::vector<BindingLink> Materialize(const BindingChain& chain) {
-  std::vector<BindingLink> out;
-  if (chain == nullptr) return out;
-  out.resize(chain->size);
-  const BindingLink* cur = chain.get();
-  for (size_t i = chain->size; i-- > 0;) {
-    out[i] = *cur;
-    cur = cur->prev.get();
-  }
-  return out;
-}
-
-EnvChain ExtendEnv(const EnvChain& env, int var, ElementRef element,
-                   uint64_t serial) {
-  auto link = std::make_shared<EnvLink>();
-  link->var = var;
-  link->element = element;
-  link->serial = serial;
-  link->prev = env;
-  return link;
-}
-
-const EnvLink* LookupEnv(const EnvChain& env, int var) {
-  for (const EnvLink* cur = env.get(); cur != nullptr;
-       cur = cur->prev.get()) {
-    if (cur->var == var) return cur;
-  }
-  return nullptr;
-}
-
 std::vector<ElementRef> PathBinding::ElementsOf(int var) const {
   std::vector<ElementRef> out;
   for (const ElementaryBinding& b : reduced) {
@@ -107,27 +67,23 @@ std::string PathBinding::ToString(const PropertyGraph& g,
   return Join(parts, " ");
 }
 
-PathBinding ReduceChain(const BindingChain& chain, const VarTable& vars,
-                        std::vector<int32_t> tags) {
-  return ReduceBindings(Materialize(chain), vars, std::move(tags));
-}
-
-PathBinding ReduceBindings(const std::vector<BindingLink>& raw,
-                           const VarTable& vars, std::vector<int32_t> tags) {
-  PathBinding out;
-  out.tags = std::move(tags);
+void ReduceBindings(const std::vector<WitnessLink>& raw, const VarTable& vars,
+                    const std::vector<int32_t>& tags, PathBinding* out) {
+  out->tags.assign(tags.begin(), tags.end());
+  out->reduced.clear();
+  out->reduced.reserve(raw.size());
 
   // Reconstruct the path: first node entry starts it; every edge entry is
   // followed by (a run of) node entries for the node it reaches.
   bool started = false;
   for (size_t i = 0; i < raw.size(); ++i) {
-    const BindingLink& l = raw[i];
+    const WitnessLink& l = raw[i];
     if (l.binding.element.is_node()) {
       if (!started) {
-        out.path = Path(l.binding.element.id);
-        out.path.Reserve(static_cast<size_t>(std::count_if(
+        out->path.Reset(l.binding.element.id);
+        out->path.Reserve(static_cast<size_t>(std::count_if(
             raw.begin() + static_cast<long>(i), raw.end(),
-            [](const BindingLink& b) { return b.binding.element.is_edge(); })));
+            [](const WitnessLink& b) { return b.binding.element.is_edge(); })));
         started = true;
       }
     } else {
@@ -139,9 +95,10 @@ PathBinding ReduceBindings(const std::vector<BindingLink>& raw,
           break;
         }
       }
-      out.path.Append(l.binding.element.id, l.traversal, next);
+      out->path.Append(l.binding.element.id, l.traversal, next);
     }
   }
+  if (!started) out->path = Path();
 
   // Reduction with adjacency cleanup (§6.3, §6.5): within each run of
   // consecutive node entries keep the named bindings; if the run is all
@@ -149,9 +106,9 @@ PathBinding ReduceBindings(const std::vector<BindingLink>& raw,
   // kept, anonymous ones renamed to the shared anonymous edge variable.
   size_t i = 0;
   while (i < raw.size()) {
-    const BindingLink& l = raw[i];
+    const WitnessLink& l = raw[i];
     if (l.binding.element.is_edge()) {
-      out.reduced.push_back(
+      out->reduced.push_back(
           {vars.Reduced(l.binding.var), l.binding.element});
       ++i;
       continue;
@@ -165,16 +122,15 @@ PathBinding ReduceBindings(const std::vector<BindingLink>& raw,
     for (size_t j = i; j < run_end; ++j) {
       if (!vars.info(raw[j].binding.var).anonymous) {
         any_named = true;
-        out.reduced.push_back(raw[j].binding);
+        out->reduced.push_back(raw[j].binding);
       }
     }
     if (!any_named) {
-      out.reduced.push_back(
+      out->reduced.push_back(
           {vars.anon_node_id(), raw[i].binding.element});
     }
     i = run_end;
   }
-  return out;
 }
 
 }  // namespace gpml

@@ -1,7 +1,6 @@
 #ifndef GPML_EVAL_BINDING_H_
 #define GPML_EVAL_BINDING_H_
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -57,41 +56,22 @@ struct ElementaryBinding {
   }
 };
 
-/// Persistent (immutable, structurally shared) chain of elementary bindings
-/// built up during pattern matching. Edge entries additionally record the
-/// traversal direction so the matched Path can be reconstructed at accept
-/// time without carrying a growing Path in every search state.
-struct BindingLink {
+/// The index of no record: ends a chain of WitnessLinks.
+inline constexpr uint32_t kNoLink = 0xffffffffu;
+
+/// One elementary binding on a path the search built, linked by index to
+/// the binding before it (`prev`; kNoLink for the first) in the array that
+/// holds it, so paths sharing a prefix share its links. An edge entry also
+/// records its traversal direction and `node`, the node it reached, so the
+/// matched Path and the restrictor memories (TRAIL's edges, ACYCLIC's and
+/// SIMPLE's nodes) are read off the links; a node entry's `node` is its
+/// node.
+struct WitnessLink {
   ElementaryBinding binding;
   Traversal traversal = Traversal::kForward;  // Meaningful for edge entries.
-  std::shared_ptr<const BindingLink> prev;
-  uint32_t size = 0;  // Chain length including this link.
+  NodeId node = kInvalidId;
+  uint32_t prev = kNoLink;
 };
-using BindingChain = std::shared_ptr<const BindingLink>;
-
-/// Appends a binding, returning the extended chain.
-BindingChain Extend(const BindingChain& chain, ElementaryBinding b,
-                    Traversal t = Traversal::kForward);
-
-/// Materializes the chain front-to-back.
-std::vector<BindingLink> Materialize(const BindingChain& chain);
-
-/// Persistent environment of *named-variable* bindings used for implicit
-/// equi-joins and predicate evaluation during the search. `serial`
-/// identifies the quantifier-iteration instance in which the binding was
-/// made (§6: the superscript); a lookup joins only when the serials match.
-struct EnvLink {
-  int var = -1;
-  ElementRef element;
-  uint64_t serial = 0;
-  std::shared_ptr<const EnvLink> prev;
-};
-using EnvChain = std::shared_ptr<const EnvLink>;
-
-EnvChain ExtendEnv(const EnvChain& env, int var, ElementRef element,
-                   uint64_t serial);
-/// Latest entry for `var`, or nullptr.
-const EnvLink* LookupEnv(const EnvChain& env, int var);
 
 /// A completed, reduced path binding (§6.5): the deduplication unit and the
 /// row content delivered to the hosts.
@@ -119,18 +99,15 @@ struct PathBinding {
   std::string ToString(const PropertyGraph& g, const VarTable& vars) const;
 };
 
-/// Builds the reduced PathBinding from a raw chain: walks front-to-back,
-/// collapses every run of consecutive node bindings (which all refer to the
-/// same graph node) by keeping the named ones — or a single anonymous
-/// binding if the run has no named variable — and reconstructs the Path.
-PathBinding ReduceChain(const BindingChain& chain, const VarTable& vars,
-                        std::vector<int32_t> tags);
-
-/// ReduceChain over the chain's links already materialized front-to-back
-/// (`prev` and `size` are not read), for callers that keep their bindings
-/// outside refcounted links.
-PathBinding ReduceBindings(const std::vector<BindingLink>& raw,
-                           const VarTable& vars, std::vector<int32_t> tags);
+/// Builds the reduced PathBinding of a path's bindings front-to-back
+/// (`prev` and `node` are not read): collapses every run of consecutive
+/// node bindings (which all refer to the same graph node) by keeping the
+/// named ones — or a single anonymous binding if the run has no named
+/// variable — and reconstructs the Path. Writes into `out`, reusing its
+/// storage, so a caller that reduces into one scratch binding allocates
+/// only the copies it keeps.
+void ReduceBindings(const std::vector<WitnessLink>& raw, const VarTable& vars,
+                    const std::vector<int32_t>& tags, PathBinding* out);
 
 }  // namespace gpml
 

@@ -316,6 +316,8 @@ void AddMatchStats(const MatchStats& stats, obs::ExecutionRecord* rec) {
   rec->batch_blocks += stats.batch_blocks;
   rec->batch_candidates += stats.batch_candidates;
   rec->batch_survivors += stats.batch_survivors;
+  rec->arena_records = std::max<uint64_t>(rec->arena_records,
+                                          stats.arena_records);
   rec->seed_ms += stats.seed_ms;
   rec->match_ms += stats.match_ms;
 }
@@ -338,6 +340,7 @@ EngineMetrics ToEngineMetrics(const obs::ExecutionRecord& rec) {
   m.batch_blocks = rec.batch_blocks;
   m.batch_candidates = rec.batch_candidates;
   m.batch_survivors = rec.batch_survivors;
+  m.arena_records = rec.arena_records;
   m.plan_ms = rec.paid_plan_ms();
   m.seed_ms = rec.seed_ms;
   m.exec_ms = rec.match_ms;
@@ -906,6 +909,7 @@ Result<MatchOutput> MaterializePlan(const PropertyGraph& graph,
       run->actual.target_filtered = use_target;
       run->actual.targets = target_filter.size();
       run->actual.route = MatchRouteName(match_stats.route);
+      run->actual.arena_records = match_stats.arena_records;
       run->actual.ms = match_stats.match_ms;
     }
 

@@ -71,6 +71,9 @@ struct EngineMetrics {
                                    // expanded (0 = scalar route throughout).
   size_t batch_candidates = 0;     // Adjacency candidates gathered.
   size_t batch_survivors = 0;      // Candidates surviving all filter passes.
+  size_t arena_records = 0;        // Most search records one matcher arena
+                                   // held at once, over the declarations
+                                   // (and chunks; MatchStats::arena_records).
   // Wall-clock stage totals in milliseconds (monotonic clock), the same
   // measurements the trace spans carry (docs/observability.md):
   double plan_ms = 0;              // Parse plus compile cost this execution

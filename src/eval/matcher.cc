@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
+#include <new>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "eval/expr_eval.h"
@@ -17,266 +16,142 @@ namespace gpml {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Persistent id set (restrictor memory): linked additions, O(depth) lookup.
+// Search entries and their record arena
 // ---------------------------------------------------------------------------
+//
+// The DFS and BFS routes search over plain-data entries. What a path has
+// bound lives in one arena of records per matcher (one seed slice), each
+// linked to older records by index: the path's bindings (WitnessLinks), its
+// named-variable environment, its open frames, its restrictor scopes and
+// its multiset-alternation tags. A record never changes once written, so
+// entries that share a prefix share its records: forking an entry copies
+// 40 bytes, and extending it appends a record.
 
-struct IdSetNode {
-  uint32_t id;
-  std::shared_ptr<const IdSetNode> prev;
-};
-using IdSet = std::shared_ptr<const IdSetNode>;
-
-bool IdSetContains(const IdSet& set, uint32_t id) {
-  for (const IdSetNode* cur = set.get(); cur != nullptr;
-       cur = cur->prev.get()) {
-    if (cur->id == id) return true;
-  }
-  return false;
-}
-
-IdSet IdSetAdd(const IdSet& set, uint32_t id) {
-  auto node = std::make_shared<IdSetNode>();
-  node->id = id;
-  node->prev = set;
-  return node;
-}
-
-size_t IdSetHash(const IdSet& set) {
-  // Order-insensitive: XOR of element hashes (sets, not sequences).
-  size_t h = 0;
-  for (const IdSetNode* cur = set.get(); cur != nullptr;
-       cur = cur->prev.get()) {
-    h ^= (cur->id + 0x9e3779b9u) * 0x85ebca6bu;
-  }
-  return h;
-}
-
-// ---------------------------------------------------------------------------
-// Exact visit keys (the witness route of Program::exact_visit_key programs)
-// ---------------------------------------------------------------------------
-
-/// An open-addressing set of exact (tagged pc, node, start) visit keys.
-/// Compared field by field, never by hash alone, and sized by the keys
-/// inserted — the states one shard actually visits. The slot array is
-/// reused across the searches one thread runs (a fresh set per RunPattern
-/// call would allocate and zero it every time): a slot is occupied only
-/// when it carries this set's epoch, so taking the array over clears it.
-class VisitKeySet {
- public:
-  VisitKeySet() = default;
-  ~VisitKeySet() {
-    Pool& pool = ThreadPool();
-    if (slots_.size() <= kMaxPooledSlots &&
-        slots_.size() > pool.slots.size()) {
-      pool.slots = std::move(slots_);
-    }
-  }
-  VisitKeySet(const VisitKeySet&) = delete;
-  VisitKeySet& operator=(const VisitKeySet&) = delete;
-
-  /// Inserts the key; false when it was already present.
-  bool Insert(uint32_t pc, NodeId node, NodeId start) {
-    if ((size_ + 1) * 2 > slots_.size()) Grow();
-    const uint64_t nodes = (static_cast<uint64_t>(start) << 32) | node;
-    const size_t mask = slots_.size() - 1;
-    for (size_t i = Hash(pc, nodes) & mask;; i = (i + 1) & mask) {
-      Slot& s = slots_[i];
-      if (s.epoch != epoch_) {
-        s = {nodes, pc, epoch_};
-        ++size_;
-        return true;
-      }
-      if (s.pc == pc && s.nodes == nodes) return false;
-    }
-  }
-
- private:
-  struct Slot {
-    uint64_t nodes = 0;  // start << 32 | node.
-    uint32_t pc = 0;
-    uint32_t epoch = 0;  // Occupied iff equal to the owning set's epoch_.
-  };
-  /// One thread's spare slot array, and the epochs handed out on it.
-  struct Pool {
-    std::vector<Slot> slots;
-    uint32_t epoch = 0;
-  };
-  /// Arrays above this many slots (1 MiB) are freed, not kept: a search
-  /// that large costs far more than the allocation.
-  static constexpr size_t kMaxPooledSlots = size_t{1} << 16;
-
-  static Pool& ThreadPool() {
-    thread_local Pool pool;
-    return pool;
-  }
-
-  static size_t Hash(uint32_t pc, uint64_t nodes) {
-    uint64_t h = nodes ^ (static_cast<uint64_t>(pc) * 0x9e3779b97f4a7c15ULL);
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return static_cast<size_t>(h);
-  }
-
-  void Grow() {
-    if (slots_.empty()) {
-      // First insert: take over the thread's spare array under a new epoch.
-      Pool& pool = ThreadPool();
-      slots_ = std::move(pool.slots);
-      epoch_ = ++pool.epoch;
-      if (epoch_ == 0) {  // Wrapped: no stale slot may look occupied.
-        std::fill(slots_.begin(), slots_.end(), Slot());
-        epoch_ = ++pool.epoch;
-      }
-      if (!slots_.empty()) return;
-    }
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 64 : old.size() * 2, Slot());
-    const size_t mask = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.epoch != epoch_) continue;
-      size_t i = Hash(s.pc, s.nodes) & mask;
-      while (slots_[i].epoch == epoch_) i = (i + 1) & mask;
-      slots_[i] = s;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  size_t size_ = 0;
-  uint32_t epoch_ = 0;
+/// A named-variable binding of the environment (§4.2's implicit
+/// equi-join). `serial` is the quantifier iteration it was made in (§6's
+/// superscript): the frame record that opened the iteration, or kNoLink
+/// outside every quantifier.
+struct EnvRecord {
+  int var;
+  ElementRef element;
+  uint32_t serial;
+  uint32_t prev;
 };
 
-// ---------------------------------------------------------------------------
-// Search state
-// ---------------------------------------------------------------------------
-
-struct ScopeState {
-  int scope_id = -1;
-  Restrictor restrictor = Restrictor::kNone;
-  NodeId start_node = kInvalidId;
-  bool start_revisited = false;  // SIMPLE: the one allowed repeat happened.
-  IdSet edges;                   // TRAIL memory.
-  IdSet nodes;                   // ACYCLIC / SIMPLE memory.
+/// An open frame and where the path stood when it opened: the group
+/// boundary of §4.4's per-iteration predicates and the zero-progress
+/// guard. A quantifier-iteration frame is also the serial of the iteration
+/// it opens at depth + 1, and links to the path's previous iteration frame
+/// (`serial_prev`).
+struct FrameRecord {
+  uint32_t outer;  // Enclosing open frame.
+  uint32_t link_at_begin;
+  uint32_t edges_at_begin;
+  int depth;
+  uint32_t serial_prev;
 };
 
-struct FrameState {
-  uint32_t chain_size_at_begin = 0;
-  uint32_t edges_at_begin = 0;
+/// An open restrictor scope. Its memory is the path since it opened: the
+/// edges bound after `link_at_begin` (TRAIL), and `start_node` plus the
+/// nodes those edges reached (ACYCLIC, SIMPLE).
+struct ScopeRecord {
+  uint32_t outer;  // Enclosing open scope.
+  Restrictor restrictor;
+  NodeId start_node;
+  uint32_t link_at_begin;
 };
 
-/// serials[depth] with inline storage: states are copied on every accepted
-/// edge step, and quantifier nesting deeper than the inline capacity is
-/// rare, so the common copy is a memcpy instead of a vector allocation.
-class Serials {
- public:
-  void assign(size_t n, uint64_t v) {
-    if (n > kInline) {
-      big_.assign(n, v);
-    } else {
-      big_.clear();
-      for (size_t i = 0; i < kInline; ++i) small_[i] = v;
-    }
-  }
-  uint64_t& operator[](size_t i) {
-    return big_.empty() ? small_[i] : big_[i];
-  }
-  uint64_t operator[](size_t i) const {
-    return big_.empty() ? small_[i] : big_[i];
-  }
-
- private:
-  static constexpr size_t kInline = 4;
-  uint64_t small_[kInline] = {0, 0, 0, 0};
-  std::vector<uint64_t> big_;
+/// A multiset-alternation tag (§4.5).
+struct TagRecord {
+  int32_t tag;
+  uint32_t prev;
 };
 
-struct State {
+/// One arena slot. Which member it holds follows from the link that
+/// reaches it.
+union Record {
+  Record() : link() {}
+  WitnessLink link;
+  EnvRecord env;
+  FrameRecord frame;
+  ScopeRecord scope;
+  TagRecord tag;
+};
+
+/// A search position: program counter `pc` at `node`, on a path of
+/// `edges` edges from `start`, with the heads of its record chains.
+struct Entry {
   int pc = 0;
   NodeId node = kInvalidId;
   NodeId start = kInvalidId;
   uint32_t edges = 0;
-  BindingChain chain;
-  EnvChain env;
-  Serials serials;  // Index = quantifier depth; [0] == 0.
-  std::vector<FrameState> frames;
-  std::vector<ScopeState> scopes;
-  std::vector<int32_t> tags;
+  uint32_t link = kNoLink;    // Last binding.
+  uint32_t env = kNoLink;     // Last named-variable binding.
+  uint32_t frame = kNoLink;   // Innermost open frame.
+  uint32_t serial = kNoLink;  // Last quantifier-iteration frame.
+  uint32_t scope = kNoLink;   // Innermost open restrictor scope.
+  uint32_t tag = kNoLink;     // Last tag.
+};
+
+/// An exact (tagged pc, node, start) visit key of the witness route,
+/// compared field by field, never by hash alone.
+struct VisitKey {
+  uint64_t nodes = 0;  // start << 32 | node.
+  uint32_t pc = 0;
+  uint64_t Hash() const {
+    return nodes ^ (static_cast<uint64_t>(pc) * 0x9e3779b97f4a7c15ULL);
+  }
+};
+
+/// A binding kept by one shard (or by the merge's cross-slice dedupe):
+/// its ReducedHash and its index in the kept list.
+struct KeptBinding {
+  uint64_t hash = 0;
+  uint32_t index = 0;
+  uint64_t Hash() const { return hash; }
 };
 
 // ---------------------------------------------------------------------------
-// Expression scope over an in-flight state
+// Expression scope over an in-flight entry
 // ---------------------------------------------------------------------------
 
+/// `pending_var` (-1: none) is being bound to `pending`; the entry's
+/// environment holds the named variables bound before. Witness-route
+/// entries carry no environment: there the only other variable an inline
+/// predicate can see is `start_var` (-1: not bound yet), the start node.
 class SearchScope : public EvalScope {
  public:
-  SearchScope(const State& state, int pending_var, ElementRef pending_el,
-              bool has_pending, const Params* params)
-      : state_(state),
+  SearchScope(const std::vector<Record>& arena, const Entry& entry,
+              int pending_var, ElementRef pending, const Params* params,
+              int start_var = -1)
+      : arena_(arena),
+        entry_(entry),
         pending_var_(pending_var),
-        pending_el_(pending_el),
-        has_pending_(has_pending),
-        params_(params) {}
+        pending_(pending),
+        params_(params),
+        start_var_(start_var) {}
 
   std::optional<ElementRef> LookupSingleton(int var) const override {
-    if (has_pending_ && var == pending_var_) return pending_el_;
-    const EnvLink* e = LookupEnv(state_.env, var);
-    if (e == nullptr) return std::nullopt;
-    return e->element;
+    if (var == pending_var_) return pending_;
+    for (uint32_t i = entry_.env; i != kNoLink; i = arena_[i].env.prev) {
+      if (arena_[i].env.var == var) return arena_[i].env.element;
+    }
+    if (var == start_var_) return ElementRef::Node(entry_.start);
+    return std::nullopt;
   }
 
   std::vector<ElementRef> CollectGroup(int var) const override {
     // Innermost frame delimits the group (§4.4 per-iteration predicates and
     // §5.3 prefilters); without a frame, the whole binding so far.
-    uint32_t floor = state_.frames.empty()
-                         ? 0
-                         : state_.frames.back().chain_size_at_begin;
+    const uint32_t floor = entry_.frame == kNoLink
+                               ? kNoLink
+                               : arena_[entry_.frame].frame.link_at_begin;
     std::vector<ElementRef> out;
-    for (const BindingLink* cur = state_.chain.get();
-         cur != nullptr && cur->size > floor; cur = cur->prev.get()) {
-      if (cur->binding.var == var) out.push_back(cur->binding.element);
+    for (uint32_t i = entry_.link; i != floor; i = arena_[i].link.prev) {
+      const WitnessLink& l = arena_[i].link;
+      if (l.binding.var == var) out.push_back(l.binding.element);
     }
     std::reverse(out.begin(), out.end());
-    if (has_pending_ && var == pending_var_) out.push_back(pending_el_);
-    return out;
-  }
-
-  const Value* LookupParam(const std::string& name) const override {
-    return FindParam(params_, name);
-  }
-
- private:
-  const State& state_;
-  int pending_var_;
-  ElementRef pending_el_;
-  bool has_pending_;
-  const Params* params_;
-};
-
-/// The expression scope of the witness route (exact-key programs): the
-/// only named variables are the two endpoints, so an inline predicate sees
-/// the start node (once its check has bound it) and the element being
-/// bound — what SearchScope's environment holds at the same point.
-class WitnessScope : public EvalScope {
- public:
-  WitnessScope(int start_var, ElementRef start, int pending_var,
-               ElementRef pending, const Params* params)
-      : start_var_(start_var),
-        start_(start),
-        pending_var_(pending_var),
-        pending_(pending),
-        params_(params) {}
-
-  std::optional<ElementRef> LookupSingleton(int var) const override {
-    if (var == pending_var_) return pending_;
-    if (var == start_var_) return start_;
-    return std::nullopt;
-  }
-
-  /// Unreached: the analyzer refuses aggregates in inline predicates, and
-  /// exact-key programs have no parenthesized WHERE.
-  std::vector<ElementRef> CollectGroup(int var) const override {
-    std::vector<ElementRef> out;
-    if (var == start_var_) out.push_back(start_);
     if (var == pending_var_) out.push_back(pending_);
     return out;
   }
@@ -286,11 +161,12 @@ class WitnessScope : public EvalScope {
   }
 
  private:
-  int start_var_;  // -1 when no named start node is bound yet.
-  ElementRef start_;
+  const std::vector<Record>& arena_;
+  const Entry& entry_;
   int pending_var_;
   ElementRef pending_;
   const Params* params_;
+  int start_var_;
 };
 
 }  // namespace
@@ -385,6 +261,8 @@ class Matcher {
   size_t batch_blocks() const { return batch_blocks_; }
   size_t batch_candidates() const { return batch_candidates_; }
   size_t batch_survivors() const { return batch_survivors_; }
+  /// The most arena records held at once (MatchStats::arena_records).
+  size_t arena_records() const { return std::max(arena_peak_, arena_.size()); }
 
  private:
   // --- shared helpers ------------------------------------------------------
@@ -410,8 +288,23 @@ class Matcher {
     return RunDfs();
   }
 
+  /// Charges one executed instruction or adjacency candidate.
   Status Budget() {
-    ++steps_;
+    // A charged step adds at most two arena records, so refusing here keeps
+    // every record index below kNoLink.
+    if (arena_.size() >= kNoLink - 2) {
+      return Status::ResourceExhausted(
+          "match search exceeded its record arena; tighten the pattern");
+    }
+    return ChargeSteps(1);
+  }
+
+  /// Charges `n` steps: with no shared budget against the local max_steps,
+  /// per call (so a sequential run stops at exactly the step over the
+  /// limit); else in strides of charge_stride_ against the shared budget.
+  /// The batch route charges a block's gathered candidates in one call.
+  Status ChargeSteps(size_t n) {
+    steps_ += n;
     if (budget_ == nullptr) {
       if (steps_ > options_.max_steps) {
         return Status::ResourceExhausted(
@@ -420,21 +313,68 @@ class Matcher {
       }
       return Status::OK();
     }
-    if (++pending_steps_ >= charge_stride_) {
-      size_t n = pending_steps_;
+    pending_steps_ += n;
+    if (pending_steps_ >= charge_stride_) {
+      size_t m = pending_steps_;
       pending_steps_ = 0;
-      return budget_->ChargeSteps(n);
+      return budget_->ChargeSteps(m);
     }
     return Status::OK();
   }
 
-  State MakeStart(NodeId s) const {
-    State st;
-    st.pc = program_.start;
-    st.node = s;
-    st.start = s;
-    st.serials.assign(static_cast<size_t>(program_.max_depth) + 1, 0);
-    return st;
+  Entry MakeStart(NodeId s) const {
+    Entry e;
+    e.pc = program_.start;
+    e.node = s;
+    e.start = s;
+    return e;
+  }
+
+  // --- the record arena -----------------------------------------------------
+
+  /// Appends a record holding `value` as its `member`; its index.
+  template <typename T>
+  uint32_t Add(T Record::*member, const T& value) {
+    arena_.emplace_back();
+    new (&(arena_.back().*member)) T(value);  // Makes `member` active.
+    return static_cast<uint32_t>(arena_.size() - 1);
+  }
+
+  uint32_t ArenaSize() const { return static_cast<uint32_t>(arena_.size()); }
+
+  /// Drops the records from `size` on, noting the peak first.
+  void CutArena(uint32_t size) {
+    arena_peak_ = std::max(arena_peak_, arena_.size());
+    arena_.resize(size);
+  }
+
+  /// serials[depth] of `e`'s path: the frame record that opened its current
+  /// iteration at `depth`; kNoLink at depth 0 and before the first.
+  uint32_t SerialAt(const Entry& e, int depth) const {
+    for (uint32_t i = e.serial; i != kNoLink; i = arena_[i].frame.serial_prev) {
+      if (arena_[i].frame.depth + 1 == depth) return i;
+    }
+    return kNoLink;
+  }
+
+  /// The implicit equi-join (§4.2) of binding `var` to `ref` on `e`'s
+  /// path: false when the same variable is bound to another element in the
+  /// same iteration instance. Otherwise `*extend` tells whether the binding
+  /// is new to the environment, made in iteration `*serial`.
+  bool JoinAdmits(const Entry& e, int var, ElementRef ref, bool* extend,
+                  uint32_t* serial) const {
+    *extend = false;
+    const VarInfo& vi = vars_.info(var);
+    if (vi.anonymous) return true;
+    *serial = SerialAt(e, vi.depth);
+    for (uint32_t i = e.env; i != kNoLink; i = arena_[i].env.prev) {
+      const EnvRecord& prev = arena_[i].env;
+      if (prev.var != var) continue;
+      if (prev.serial == *serial) return prev.element == ref;
+      break;
+    }
+    *extend = true;
+    return true;
   }
 
   /// Label admissibility of a node check through the program's compiled
@@ -463,32 +403,27 @@ class Matcher {
     return g_.csr().Range(node, in.edge_label_sym);
   }
 
-  /// Checks a node pattern against `node` with `state`'s environment;
-  /// returns false to prune. On success appends the binding (out).
-  Result<bool> ApplyNodeCheck(const Instr& in, State* state) {
+  /// Checks a node pattern against `e`'s node and environment; returns
+  /// false to prune. On success appends the binding.
+  Result<bool> ApplyNodeCheck(const Instr& in, Entry* e) {
     const NodePattern& np = *in.node;
-    if (!NodeLabelsMatch(in, state->node)) return false;
-    ElementRef ref = ElementRef::Node(state->node);
-
-    // Implicit equi-join (§4.2): a previous binding of the same variable in
-    // the same iteration instance must be the same node.
-    const VarInfo& vi = vars_.info(in.var);
-    if (!vi.anonymous) {
-      const EnvLink* prev = LookupEnv(state->env, in.var);
-      uint64_t serial = state->serials[static_cast<size_t>(vi.depth)];
-      if (prev != nullptr && prev->serial == serial) {
-        if (!(prev->element == ref)) return false;
-      } else {
-        state->env = ExtendEnv(state->env, in.var, ref, serial);
-      }
-    }
+    if (!NodeLabelsMatch(in, e->node)) return false;
+    const ElementRef ref = ElementRef::Node(e->node);
+    bool extend_env = false;
+    uint32_t serial = kNoLink;
+    if (!JoinAdmits(*e, in.var, ref, &extend_env, &serial)) return false;
     if (np.where != nullptr) {
-      SearchScope scope(*state, in.var, ref, /*has_pending=*/true, params_);
+      SearchScope scope(arena_, *e, in.var, ref, params_);
       GPML_ASSIGN_OR_RETURN(TriBool ok,
                             EvalPredicate(*np.where, g_, vars_, scope));
       if (ok != TriBool::kTrue) return false;
     }
-    state->chain = Extend(state->chain, {in.var, ref});
+    if (extend_env) {
+      e->env = Add(&Record::env, EnvRecord{in.var, ref, serial, e->env});
+    }
+    e->link = Add(&Record::link, WitnessLink{{in.var, ref},
+                                             Traversal::kForward, e->node,
+                                             e->link});
     return true;
   }
 
@@ -508,118 +443,86 @@ class Matcher {
     return false;
   }
 
-  /// Restrictor admission of the edge step (eid, next), split into a
-  /// side-effect-free check on the source state and a mutation applied to
-  /// the successor copy — so rejected steps never pay the State copy.
-  /// Together they implement exactly the historical per-scope semantics:
-  /// TRAIL forbids edge repeats, ACYCLIC node repeats, SIMPLE allows one
-  /// repeat of the scope's first node as the final position.
-  static bool CheckRestrictors(const State& state, EdgeId eid, NodeId next) {
-    for (const ScopeState& sc : state.scopes) {
-      switch (sc.restrictor) {
-        case Restrictor::kTrail:
-          if (IdSetContains(sc.edges, eid)) return false;
-          break;
-        case Restrictor::kAcyclic:
-          if (IdSetContains(sc.nodes, next)) return false;
-          break;
-        case Restrictor::kSimple:
-          if (sc.start_revisited) return false;
-          if (IdSetContains(sc.nodes, next) && next != sc.start_node) {
-            return false;
-          }
-          break;
-        case Restrictor::kNone:
-          break;
+  /// Orientation and label admissibility of the edge step `in` over `adj`.
+  /// A prefiltered step's CSR bucket already guarantees the label.
+  bool EdgeAdmits(const Instr& in, const Adjacency& adj) const {
+    return Admits(in.edge->orientation, adj.traversal) &&
+           (in.edge_prefiltered || EdgeLabelsMatch(in, adj.edge));
+  }
+
+  /// Restrictor admission of the edge step (eid, next) from `e`: every open
+  /// scope walks the edges bound since it opened. TRAIL forbids edge
+  /// repeats, ACYCLIC node repeats, SIMPLE allows one repeat of the scope's
+  /// first node as the final position.
+  bool CheckRestrictors(const Entry& e, EdgeId eid, NodeId next) const {
+    for (uint32_t s = e.scope; s != kNoLink; s = arena_[s].scope.outer) {
+      const ScopeRecord& sc = arena_[s].scope;
+      if (sc.restrictor == Restrictor::kAcyclic && next == sc.start_node) {
+        return false;
+      }
+      for (uint32_t i = e.link; i != sc.link_at_begin;
+           i = arena_[i].link.prev) {
+        const WitnessLink& l = arena_[i].link;
+        if (!l.binding.element.is_edge()) continue;
+        switch (sc.restrictor) {
+          case Restrictor::kTrail:
+            if (l.binding.element.id == eid) return false;
+            break;
+          case Restrictor::kSimple:
+            if (l.node == sc.start_node) return false;  // Already closed.
+            [[fallthrough]];
+          case Restrictor::kAcyclic:
+            if (l.node == next) return false;
+            break;
+          case Restrictor::kNone:
+            break;
+        }
       }
     }
     return true;
   }
 
-  /// Applies the step to the successor's scope memories. Pre-condition:
-  /// CheckRestrictors passed on the source state (which shares the same
-  /// persistent id sets), so a SIMPLE repeat here can only be the start
-  /// node closing the path.
-  static void ApplyRestrictors(State* state, EdgeId eid, NodeId next) {
-    for (ScopeState& sc : state->scopes) {
-      switch (sc.restrictor) {
-        case Restrictor::kTrail:
-          sc.edges = IdSetAdd(sc.edges, eid);
-          break;
-        case Restrictor::kAcyclic:
-          sc.nodes = IdSetAdd(sc.nodes, next);
-          break;
-        case Restrictor::kSimple:
-          if (IdSetContains(sc.nodes, next)) {
-            sc.start_revisited = true;
-          } else {
-            sc.nodes = IdSetAdd(sc.nodes, next);
-          }
-          break;
-        case Restrictor::kNone:
-          break;
-      }
-    }
-  }
-
-  /// Attempts the edge step `in` from `state` over adjacency `adj` (drawn
-  /// from ExpansionRange); on success returns the successor state. A
-  /// prefiltered step's CSR bucket already guarantees the label expression.
-  Result<std::optional<State>> TryEdge(const Instr& in, const State& state,
-                                       const Adjacency& adj) {
+  /// Attempts the edge step `in` from `cur` over adjacency `adj` (drawn from
+  /// ExpansionRange); on success writes the successor to `next`. Every
+  /// rejection test reads `cur` only, so a refused step adds no record.
+  Result<bool> TryEdge(const Instr& in, const Entry& cur, const Adjacency& adj,
+                       Entry* next) {
+    if (!EdgeAdmits(in, adj)) return false;
     const EdgePattern& ep = *in.edge;
-    if (!Admits(ep.orientation, adj.traversal)) return std::optional<State>();
-    if (!in.edge_prefiltered && !EdgeLabelsMatch(in, adj.edge)) {
-      return std::optional<State>();
-    }
-    ElementRef ref = ElementRef::Edge(adj.edge);
-
-    // Every rejection test runs against the source state first; the State
-    // copy (persistent-chain refcounts, scope/frame vectors) is paid only
-    // by admitted steps.
-    const VarInfo& vi = vars_.info(in.var);
+    const ElementRef ref = ElementRef::Edge(adj.edge);
     bool extend_env = false;
-    uint64_t serial = 0;
-    if (!vi.anonymous) {
-      const EnvLink* prev = LookupEnv(state.env, in.var);
-      serial = state.serials[static_cast<size_t>(vi.depth)];
-      if (prev != nullptr && prev->serial == serial) {
-        if (!(prev->element == ref)) return std::optional<State>();
-      } else {
-        extend_env = true;
-      }
-    }
+    uint32_t serial = kNoLink;
+    if (!JoinAdmits(cur, in.var, ref, &extend_env, &serial)) return false;
     if (ep.where != nullptr) {
-      SearchScope scope(state, in.var, ref, /*has_pending=*/true, params_);
+      SearchScope scope(arena_, cur, in.var, ref, params_);
       GPML_ASSIGN_OR_RETURN(TriBool ok,
                             EvalPredicate(*ep.where, g_, vars_, scope));
-      if (ok != TriBool::kTrue) return std::optional<State>();
+      if (ok != TriBool::kTrue) return false;
     }
-    if (!CheckRestrictors(state, adj.edge, adj.neighbor)) {
-      return std::optional<State>();
-    }
+    if (!CheckRestrictors(cur, adj.edge, adj.neighbor)) return false;
 
-    State next = state;
-    if (extend_env) next.env = ExtendEnv(next.env, in.var, ref, serial);
-    ApplyRestrictors(&next, adj.edge, adj.neighbor);
-    next.chain = Extend(next.chain, {in.var, ref}, adj.traversal);
-    next.node = adj.neighbor;
-    next.edges = state.edges + 1;
-    next.pc = in.next;
-    return std::optional<State>(std::move(next));
+    *next = cur;
+    if (extend_env) {
+      next->env = Add(&Record::env, EnvRecord{in.var, ref, serial, cur.env});
+    }
+    next->link = Add(&Record::link, WitnessLink{{in.var, ref}, adj.traversal,
+                                                adj.neighbor, cur.link});
+    next->node = adj.neighbor;
+    next->edges = cur.edges + 1;
+    next->pc = in.next;
+    return true;
   }
 
-  /// Runs epsilon work from `state` until edge steps (appended to `parked`)
+  /// Runs epsilon work from `entry` until edge steps (appended to `parked`)
   /// or accepts (recorded). Forks are handled with an explicit worklist —
   /// a member scratch so its capacity persists across the (very frequent)
-  /// calls instead of reallocating per admitted edge. Not reentrant; no
-  /// callee reaches AdvanceEpsilon again.
-  Status AdvanceEpsilon(State state, std::vector<State>* parked) {
-    std::vector<State>& work = epsilon_work_;
+  /// calls. Not reentrant; no callee reaches AdvanceEpsilon again.
+  Status AdvanceEpsilon(Entry entry, std::vector<Entry>* parked) {
+    std::vector<Entry>& work = epsilon_work_;
     work.clear();
-    work.push_back(std::move(state));
+    work.push_back(entry);
     while (!work.empty()) {
-      State cur = std::move(work.back());
+      Entry cur = work.back();
       work.pop_back();
       bool dead = false;
       while (!dead) {
@@ -628,15 +531,13 @@ class Matcher {
         switch (in.op) {
           case Instr::Op::kAccept: {
             if (TargetAdmits(cur.node)) {
-              GPML_RETURN_IF_ERROR(RecordAccept(cur.chain, cur.tags,
-                                                cur.start, cur.node,
-                                                cur.edges));
+              GPML_RETURN_IF_ERROR(RecordAccept(cur));
             }
             dead = true;
             break;
           }
           case Instr::Op::kEdgeStep:
-            parked->push_back(std::move(cur));
+            parked->push_back(cur);
             dead = true;
             break;
           case Instr::Op::kNodeCheck: {
@@ -649,9 +550,9 @@ class Matcher {
             break;
           }
           case Instr::Op::kSplit: {
-            State fork = cur;
+            Entry fork = cur;
             fork.pc = in.alt;
-            work.push_back(std::move(fork));
+            work.push_back(fork);
             cur.pc = in.next;
             break;
           }
@@ -659,19 +560,16 @@ class Matcher {
             cur.pc = in.next;
             break;
           case Instr::Op::kFrameBegin: {
-            FrameState f;
-            f.chain_size_at_begin = cur.chain ? cur.chain->size : 0;
-            f.edges_at_begin = cur.edges;
-            cur.frames.push_back(f);
-            if (in.quant_frame) {
-              cur.serials[static_cast<size_t>(in.depth + 1)] = ++serial_gen_;
-            }
+            const uint32_t f =
+                Add(&Record::frame, FrameRecord{cur.frame, cur.link, cur.edges,
+                                                in.depth, cur.serial});
+            cur.frame = f;
+            if (in.quant_frame) cur.serial = f;
             cur.pc = in.next;
             break;
           }
           case Instr::Op::kWhereCheck: {
-            SearchScope scope(cur, -1, ElementRef(), /*has_pending=*/false,
-                              params_);
+            SearchScope scope(arena_, cur, -1, ElementRef(), params_);
             GPML_ASSIGN_OR_RETURN(TriBool ok,
                                   EvalPredicate(*in.where, g_, vars_, scope));
             if (ok != TriBool::kTrue) {
@@ -682,38 +580,29 @@ class Matcher {
             break;
           }
           case Instr::Op::kFrameEnd: {
-            const FrameState& f = cur.frames.back();
+            const FrameRecord& f = arena_[cur.frame].frame;
             if (in.guard_progress && cur.edges == f.edges_at_begin) {
               dead = true;  // Zero-width loop iteration: cut.
               break;
             }
-            cur.frames.pop_back();
+            cur.frame = f.outer;
             cur.pc = in.next;
             break;
           }
-          case Instr::Op::kScopeBegin: {
-            ScopeState sc;
-            sc.scope_id = in.scope_id;
-            sc.restrictor = in.restrictor;
-            sc.start_node = cur.node;
-            if (sc.restrictor == Restrictor::kAcyclic ||
-                sc.restrictor == Restrictor::kSimple) {
-              sc.nodes = IdSetAdd(nullptr, cur.node);
-            }
-            cur.scopes.push_back(std::move(sc));
+          case Instr::Op::kScopeBegin:
+            cur.scope = Add(&Record::scope, ScopeRecord{cur.scope,
+                                                        in.restrictor,
+                                                        cur.node, cur.link});
             cur.pc = in.next;
             break;
-          }
-          case Instr::Op::kScopeEnd: {
-            cur.scopes.pop_back();
+          case Instr::Op::kScopeEnd:
+            cur.scope = arena_[cur.scope].scope.outer;
             cur.pc = in.next;
             break;
-          }
-          case Instr::Op::kTag: {
-            cur.tags.push_back(in.tag);
+          case Instr::Op::kTag:
+            cur.tag = Add(&Record::tag, TagRecord{in.tag, cur.tag});
             cur.pc = in.next;
             break;
-          }
         }
       }
     }
@@ -728,55 +617,73 @@ class Matcher {
            std::binary_search(targets_->begin(), targets_->end(), end);
   }
 
-  /// Records one accepted binding of the path from `start` to `end` with
-  /// `length` edges (shared by the interpreter's kAccept and the batch
-  /// drain, which accepts in the same order — so the shard-local keep-first
-  /// dedup is route-independent). The selector's keep rule gates it per
-  /// endpoint partition before the binding is reduced: accepts arrive in
-  /// nondecreasing length on the selector route, so a binding the rule
-  /// refuses here is one ApplySelector would drop. max_matches counts only
-  /// the bindings kept.
-  Status RecordAccept(const BindingChain& chain,
-                      const std::vector<int32_t>& tags, NodeId start,
-                      NodeId end, uint32_t length) {
+  /// Records the accept of `e` (shared by the DFS, BFS and witness routes;
+  /// the batch drain accepts in the same order, so the shard-local
+  /// keep-first dedup is route-independent). The selector's keep rule
+  /// gates it per endpoint partition before the binding is read: accepts
+  /// arrive in nondecreasing length on the selector route, so a binding the
+  /// rule refuses here is one ApplySelector would drop. max_matches counts
+  /// only the bindings kept.
+  Status RecordAccept(const Entry& e) {
     SelectorPartition* part = nullptr;
     if (!program_.selector.IsNone()) {
-      part = SelectorGate(start, end, length);
+      part = SelectorGate(e.start, e.node, e.edges);
       if (part == nullptr) return Status::OK();
     }
-    return KeepBinding(ReduceChain(chain, vars_, tags), part, length);
+    ReadLinks(e.link);
+    tags_.clear();
+    for (uint32_t i = e.tag; i != kNoLink; i = arena_[i].tag.prev) {
+      tags_.push_back(arena_[i].tag.tag);
+    }
+    std::reverse(tags_.begin(), tags_.end());
+    ReduceBindings(path_, vars_, tags_, &binding_);
+    // The witness route's keep rule admits one binding per endpoint
+    // partition, and equal bindings share their endpoints, so a binding
+    // it admits never repeats a kept one: no dedupe lookup.
+    return route_ == MatchRoute::kWitness ? CommitBinding(part, e.edges)
+                                          : KeepBinding(part, e.edges);
+  }
+
+  /// Reads the bindings of the path whose last binding is `link` into
+  /// path_, front-to-back.
+  void ReadLinks(uint32_t link) {
+    size_t n = 0;
+    for (uint32_t i = link; i != kNoLink; i = arena_[i].link.prev) ++n;
+    path_.resize(n);
+    for (uint32_t i = link; i != kNoLink; i = arena_[i].link.prev) {
+      path_[--n] = arena_[i].link;
+    }
   }
 
   /// The selector's keep rule for an accept of `length` from `start` to
   /// `end`: its endpoint partition when the rule still admits it, else
   /// nullptr (the accept adds no row, so its binding is never built).
   SelectorPartition* SelectorGate(NodeId start, NodeId end, uint32_t length) {
-    SelectorPartition* part =
-        &partitions_[(static_cast<uint64_t>(start) << 32) | end];
-    return SelectorKeeps(program_.selector, *part, length) ? part : nullptr;
+    SelectorPartition& part = partitions_.Of(start, end);
+    return SelectorKeeps(program_.selector, part, length) ? &part : nullptr;
   }
 
-  /// Keeps `pb` unless this shard already kept an equal binding; `part`
-  /// (nullptr without a selector) records it. Charges max_matches.
-  Status KeepBinding(PathBinding pb, SelectorPartition* part,
-                     uint32_t length) {
-    size_t h = pb.ReducedHash();
-    auto [it, inserted] = seen_.emplace(h, std::vector<size_t>());
-    for (size_t idx : it->second) {
-      if (results_[idx].SameReduced(pb)) return Status::OK();  // Duplicate.
-    }
-    it->second.push_back(results_.size());
-    Status charge = CommitBinding(std::move(pb), part, length);
-    if (!charge.ok()) it->second.pop_back();
-    return charge;
+  /// Keeps binding_ unless this shard already kept an equal binding; `part`
+  /// (nullptr without a selector) records it. Charges max_matches. A
+  /// binding the charge refuses leaves its seen_ slot behind, which no
+  /// lookup reaches: the search stops at the refusal.
+  Status KeepBinding(SelectorPartition* part, uint32_t length) {
+    const uint64_t hash = binding_.ReducedHash();
+    auto [kept, fresh] =
+        seen_.FindOrInsert(hash, [&](const KeptBinding& k) {
+          return k.hash == hash && results_[k.index].SameReduced(binding_);
+        });
+    if (!fresh) return Status::OK();  // Duplicate.
+    *kept = {hash, static_cast<uint32_t>(results_.size())};
+    return CommitBinding(part, length);
   }
 
-  /// Keeps `pb`, which repeats no binding this shard kept, and charges it
-  /// against max_matches.
-  Status CommitBinding(PathBinding pb, SelectorPartition* part,
-                       uint32_t length) {
-    if (part != nullptr) SelectorRecordKept(program_.selector, part, length);
-    results_.push_back(std::move(pb));
+  /// Keeps a copy of binding_, which repeats no binding this shard kept —
+  /// the only allocation of an accept — and charges it against
+  /// max_matches.
+  Status CommitBinding(SelectorPartition* part, uint32_t length) {
+    if (part != nullptr) SelectorRecordKept(part, length);
+    results_.push_back(binding_);
     Status charge;
     if (budget_ == nullptr) {
       if (results_.size() > options_.max_matches) {
@@ -803,20 +710,37 @@ class Matcher {
   }
 
   /// One seed's depth-first search — also the batch route's per-seed
-  /// fallback when a frontier level overflows the in-memory cap.
+  /// fallback when a frontier level overflows the in-memory cap. Each
+  /// parked entry keeps the arena size its epsilon closure left (`marks`):
+  /// when it is popped, the records above that mark belonged to entries
+  /// already expanded, so the arena is cut back to it, and a candidate
+  /// that parks nothing is cut back at once. The arena thus holds only the
+  /// paths of the entries on the stack.
   Status RunDfsSeed(NodeId seed) {
-    std::vector<State> stack;
+    std::vector<Entry>& stack = dfs_stack_;
+    std::vector<uint32_t>& marks = dfs_marks_;
+    stack.clear();
+    marks.clear();
+    CutArena(0);
     GPML_RETURN_IF_ERROR(AdvanceEpsilon(MakeStart(seed), &stack));
+    marks.resize(stack.size(), ArenaSize());
     while (!stack.empty()) {
-      State cur = std::move(stack.back());
+      const Entry cur = stack.back();
       stack.pop_back();
+      CutArena(marks.back());
+      marks.pop_back();
       const Instr& in = program_.code[static_cast<size_t>(cur.pc)];
       for (const Adjacency& adj : ExpansionRange(in, cur.node)) {
         GPML_RETURN_IF_ERROR(Budget());
-        GPML_ASSIGN_OR_RETURN(std::optional<State> next,
-                              TryEdge(in, cur, adj));
-        if (next.has_value()) {
-          GPML_RETURN_IF_ERROR(AdvanceEpsilon(std::move(*next), &stack));
+        const uint32_t before = ArenaSize();
+        Entry next;
+        GPML_ASSIGN_OR_RETURN(bool admitted, TryEdge(in, cur, adj, &next));
+        if (!admitted) continue;
+        GPML_RETURN_IF_ERROR(AdvanceEpsilon(next, &stack));
+        if (stack.size() == marks.size()) {
+          CutArena(before);
+        } else {
+          marks.resize(stack.size(), ArenaSize());
         }
       }
     }
@@ -826,14 +750,14 @@ class Matcher {
   // --- Batch route (docs/vectorized.md) -----------------------------------
   //
   // Linear fixed-length patterns expand level by level: levels_[l] holds
-  // every partial binding of length l as a 16-byte FrontierEntry instead of
-  // a State (no environment links, no chain refcounts — the binding is the
+  // every partial binding of length l as a 16-byte FrontierEntry (no
+  // environment, frame or binding records — the binding is the
   // parent-pointer path itself). Each level is expanded in blocks of
   // kBatchBlockTarget entries: the block's adjacency candidates are gathered
   // into dense arrays, the filter cascade runs as selection-vector passes
-  // over those arrays, and only final-hop survivors ever materialize a
-  // BindingChain. Rows come out byte-identical to the scalar DFS because the
-  // drain replays its accept order: the DFS pops parked states in reverse of
+  // over those arrays, and only final-hop survivors are ever read out as a
+  // binding. Rows come out byte-identical to the scalar DFS because the
+  // drain replays its accept order: the DFS pops parked entries in reverse of
   // their push order at every level, so the level-(L-1) entries are visited
   // in exact reverse of the forward build order, each emitting its surviving
   // final-hop children in forward adjacency order.
@@ -849,8 +773,8 @@ class Matcher {
   };
 
   /// Struct-of-arrays candidate block: the gathered adjacency records of one
-  /// frontier block, plus the two selection vectors the filter passes
-  /// ping-pong between.
+  /// frontier block (a prefix of each array; the arrays only grow), plus
+  /// the two selection vectors the filter passes ping-pong between.
   struct CandidateBlock {
     std::vector<uint32_t> parent;  // Absolute index into the source level.
     std::vector<EdgeId> edge;
@@ -858,14 +782,16 @@ class Matcher {
     std::vector<Traversal> traversal;
     std::vector<uint32_t> sel;
     std::vector<uint32_t> sel2;
+    std::vector<AdjSpan> ranges;  // Per frontier entry of the block.
 
-    void Clear() {
-      parent.clear();
-      edge.clear();
-      neighbor.clear();
-      traversal.clear();
+    /// Room for `n` candidates.
+    void Reserve(size_t n) {
+      if (parent.size() >= n) return;
+      parent.resize(n);
+      edge.resize(n);
+      neighbor.resize(n);
+      traversal.resize(n);
     }
-    size_t size() const { return parent.size(); }
   };
 
   /// Per-seed frontier size cap: a level growing past this falls the seed
@@ -874,30 +800,6 @@ class Matcher {
   /// the final drain).
   static constexpr size_t kMaxLevelEntries = 1u << 22;
 
-  /// Charges `n` batch-gathered candidates against the step budget in one
-  /// call. Equivalent to n Budget() calls (same stride flushing), so shared
-  /// budgets see the same charge cadence; only the per-route step totals
-  /// differ (the batch path charges per adjacency candidate, the interpreter
-  /// additionally per epsilon instruction).
-  Status ChargeBatchSteps(size_t n) {
-    steps_ += n;
-    if (budget_ == nullptr) {
-      if (steps_ > options_.max_steps) {
-        return Status::ResourceExhausted(
-            "match search exceeded max_steps; tighten the pattern or raise "
-            "MatcherOptions::max_steps");
-      }
-      return Status::OK();
-    }
-    pending_steps_ += n;
-    if (pending_steps_ >= charge_stride_) {
-      size_t m = pending_steps_;
-      pending_steps_ = 0;
-      return budget_->ChargeSteps(m);
-    }
-    return Status::OK();
-  }
-
   /// Binds the program's compiled predicate kernels to this run's $params.
   /// False routes the run to the scalar interpreter: the program is not
   /// batch-eligible, or a kernel references an unbound parameter (the scalar
@@ -905,23 +807,18 @@ class Matcher {
   bool TryBindBatch() {
     const BatchPlan* bp = program_.batch.get();
     if (bp == nullptr || !bp->eligible) return false;
-    node_kernels_.assign(bp->nodes.size(), BoundPredicateKernel());
-    edge_kernels_.assign(bp->edges.size(), BoundPredicateKernel());
-    for (size_t i = 0; i < bp->nodes.size(); ++i) {
-      if (bp->nodes[i].has_kernel &&
-          !BindPredicateKernel(bp->nodes[i].kernel, params_,
-                               &node_kernels_[i])) {
-        return false;
+    auto bind = [this](const auto& steps,
+                       std::vector<BoundPredicateKernel>* kernels) {
+      kernels->assign(steps.size(), BoundPredicateKernel());
+      for (size_t i = 0; i < steps.size(); ++i) {
+        if (steps[i].has_kernel &&
+            !BindPredicateKernel(steps[i].kernel, params_, &(*kernels)[i])) {
+          return false;
+        }
       }
-    }
-    for (size_t i = 0; i < bp->edges.size(); ++i) {
-      if (bp->edges[i].has_kernel &&
-          !BindPredicateKernel(bp->edges[i].kernel, params_,
-                               &edge_kernels_[i])) {
-        return false;
-      }
-    }
-    return true;
+      return true;
+    };
+    return bind(bp->nodes, &node_kernels_) && bind(bp->edges, &edge_kernels_);
   }
 
   /// The ancestor of `levels_[level][idx]` at `target_level`, by walking
@@ -951,6 +848,11 @@ class Matcher {
         !edge_in.edge_prefiltered && edge_in.edge->labels != nullptr;
     const bool check_node_label =
         node_in.node->labels != nullptr && !ns.label_implied;
+    unsigned admitted = 0;  // Bit t: orientation admits Traversal t.
+    for (Traversal t : {Traversal::kForward, Traversal::kBackward,
+                        Traversal::kUndirected}) {
+      if (Admits(orientation, t)) admitted |= 1u << static_cast<unsigned>(t);
+    }
 
     const std::vector<FrontierEntry>& frontier = levels_[h];
     std::vector<FrontierEntry>& next = levels_[h + 1];
@@ -960,35 +862,55 @@ class Matcher {
          base += kBatchBlockTarget) {
       const size_t limit =
           std::min(base + kBatchBlockTarget, frontier.size());
-      blk.Clear();
 
       // Gather: every adjacency candidate of the block's frontier entries,
       // straight out of the contiguous CSR label bucket (or the full
-      // adjacency list when no partition applies).
+      // adjacency list when no partition applies). The structural
+      // conjuncts — orientation and the equi-joins, whose joined-to
+      // element is fixed per frontier entry — run in the gather: every
+      // candidate is written, and only one they admit advances the count,
+      // so the loop has no data-dependent branch.
+      blk.ranges.clear();
+      size_t n = 0;
       for (size_t f = base; f < limit; ++f) {
-        AdjSpan range = ExpansionRange(edge_in, frontier[f].node);
-        for (size_t k = 0; k < range.count; ++k) {
-          const Adjacency& adj = range[k];
-          blk.parent.push_back(static_cast<uint32_t>(f));
-          blk.edge.push_back(adj.edge);
-          blk.neighbor.push_back(adj.neighbor);
-          blk.traversal.push_back(adj.traversal);
-        }
+        blk.ranges.push_back(ExpansionRange(edge_in, frontier[f].node));
+        n += blk.ranges.back().count;
       }
-      const size_t n = blk.size();
-      GPML_RETURN_IF_ERROR(ChargeBatchSteps(n));
+      GPML_RETURN_IF_ERROR(ChargeSteps(n));
       ++batch_blocks_;
       batch_candidates_ += n;
-      if (n == 0) continue;
+      blk.Reserve(n);
+      size_t m = 0;
+      for (size_t f = base; f < limit; ++f) {
+        const uint32_t parent = static_cast<uint32_t>(f);
+        // Edge equi-join: hop q's edge lives on the level-(q+1) entry.
+        const EdgeId want_edge =
+            es.eq_pos < 0
+                ? kInvalidId
+                : Ancestor(h, parent, static_cast<size_t>(es.eq_pos) + 1).edge;
+        const NodeId want_node =
+            ns.eq_pos < 0
+                ? kInvalidId
+                : Ancestor(h, parent, static_cast<size_t>(ns.eq_pos)).node;
+        for (const Adjacency& adj : blk.ranges[f - base]) {
+          blk.parent[m] = parent;
+          blk.edge[m] = adj.edge;
+          blk.neighbor[m] = adj.neighbor;
+          blk.traversal[m] = adj.traversal;
+          m += ((admitted >> static_cast<unsigned>(adj.traversal)) & 1u) &
+               static_cast<unsigned>(es.eq_pos < 0 || adj.edge == want_edge) &
+               static_cast<unsigned>(ns.eq_pos < 0 ||
+                                     adj.neighbor == want_node);
+        }
+      }
+      if (m == 0) continue;
 
       // Filter cascade over selection vectors: each pass scans the current
       // survivor list and compacts it. Pass order is free to differ from
       // the interpreter's check order because every pass is a pure
       // conjunct — the surviving set is the same either way.
-      blk.sel.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        blk.sel[i] = static_cast<uint32_t>(i);
-      }
+      blk.sel.resize(m);
+      for (size_t i = 0; i < m; ++i) blk.sel[i] = static_cast<uint32_t>(i);
       auto filter = [&blk](auto&& keep) {
         blk.sel2.clear();
         for (uint32_t i : blk.sel) {
@@ -997,11 +919,6 @@ class Matcher {
         blk.sel.swap(blk.sel2);
       };
 
-      if (orientation != EdgeOrientation::kAny) {
-        filter([&](uint32_t i) {
-          return Admits(orientation, blk.traversal[i]);
-        });
-      }
       if (check_edge_label) {
         filter([&](uint32_t i) {
           return EdgeLabelsMatch(edge_in, blk.edge[i]);
@@ -1011,19 +928,6 @@ class Matcher {
         const BoundPredicateKernel& kernel = edge_kernels_[h];
         filter([&](uint32_t i) {
           return EvalKernel(kernel, g_, /*is_node=*/false, blk.edge[i]);
-        });
-      }
-      if (es.eq_pos >= 0) {
-        // Edge equi-join: hop q's edge lives on the level-(q+1) entry.
-        const size_t target = static_cast<size_t>(es.eq_pos) + 1;
-        filter([&](uint32_t i) {
-          return Ancestor(h, blk.parent[i], target).edge == blk.edge[i];
-        });
-      }
-      if (ns.eq_pos >= 0) {
-        const size_t target = static_cast<size_t>(ns.eq_pos);
-        filter([&](uint32_t i) {
-          return Ancestor(h, blk.parent[i], target).node == blk.neighbor[i];
         });
       }
       if (check_node_label) {
@@ -1048,62 +952,49 @@ class Matcher {
     return false;
   }
 
-  /// Materializes the binding chain of a final-level entry, exactly as the
-  /// interpreter would have built it: node, then (edge, node) per hop, with
-  /// the edge link carrying the traversal direction.
-  BindingChain BuildChain(size_t level, uint32_t idx) {
+  /// Records the accept of the path ending at levels_[level][idx], its
+  /// bindings read off the parent links exactly as the interpreter binds
+  /// them: node, then (edge, node) per hop.
+  Status AcceptFrontier(size_t level, uint32_t idx) {
     const BatchPlan& bp = *program_.batch;
-    // Collect the entry's ancestor path root-first.
-    chain_scratch_.resize(level + 1);
-    {
-      const FrontierEntry* e = &levels_[level][idx];
-      size_t l = level;
-      while (true) {
-        chain_scratch_[l] = e;
-        if (l == 0) break;
-        e = &levels_[l - 1][e->parent];
-        --l;
-      }
+    path_.resize(2 * level + 1);
+    const FrontierEntry* e = &levels_[level][idx];
+    for (size_t l = level;; --l) {
+      path_[2 * l] = {{bp.nodes[l].var, ElementRef::Node(e->node)},
+                      Traversal::kForward, e->node, kNoLink};
+      if (l == 0) break;
+      path_[2 * l - 1] = {{bp.edges[l - 1].var, ElementRef::Edge(e->edge)},
+                          e->traversal, e->node, kNoLink};
+      e = &levels_[l - 1][e->parent];
     }
-    BindingChain chain = Extend(
-        nullptr, {bp.nodes[0].var, ElementRef::Node(chain_scratch_[0]->node)});
-    for (size_t l = 1; l <= level; ++l) {
-      const FrontierEntry& e = *chain_scratch_[l];
-      chain = Extend(chain, {bp.edges[l - 1].var, ElementRef::Edge(e.edge)},
-                     e.traversal);
-      chain = Extend(chain, {bp.nodes[l].var, ElementRef::Node(e.node)});
-    }
-    return chain;
+    ReduceBindings(path_, vars_, tags_, &binding_);
+    return KeepBinding(nullptr, static_cast<uint32_t>(level));
   }
 
   Status RunBatch() {
     const BatchPlan& bp = *program_.batch;
     const size_t hops = bp.edges.size();
     levels_.resize(hops + 1);
-    const std::vector<int32_t> no_tags;  // Eligible programs emit no kTag.
+    tags_.clear();  // Eligible programs emit no kTag.
 
     for (size_t s = 0; s < num_seeds_; ++s) {
       const NodeId seed = seeds_[s];
       // Level 0: the seed must pass the first node check (seeding may have
       // come from a label-index superset, exactly like the scalar route).
-      GPML_RETURN_IF_ERROR(ChargeBatchSteps(1));
+      GPML_RETURN_IF_ERROR(ChargeSteps(1));
       const Instr& first = program_.code[static_cast<size_t>(bp.nodes[0].pc)];
       if (!NodeLabelsMatch(first, seed)) continue;
       if (!node_kernels_[0].terms.empty() &&
           !EvalKernel(node_kernels_[0], g_, /*is_node=*/true, seed)) {
         continue;
       }
+      for (std::vector<FrontierEntry>& level : levels_) level.clear();
+      levels_[0].push_back({seed, kInvalidId, 0, Traversal::kForward});
       if (hops == 0) {
-        if (TargetAdmits(seed)) {
-          GPML_RETURN_IF_ERROR(RecordAccept(
-              Extend(nullptr, {bp.nodes[0].var, ElementRef::Node(seed)}),
-              no_tags, seed, seed, 0));
-        }
+        if (TargetAdmits(seed)) GPML_RETURN_IF_ERROR(AcceptFrontier(0, 0));
         continue;
       }
 
-      for (std::vector<FrontierEntry>& level : levels_) level.clear();
-      levels_[0].push_back({seed, kInvalidId, 0, Traversal::kForward});
       bool overflow = false;
       for (size_t h = 0; h < hops && !overflow; ++h) {
         GPML_ASSIGN_OR_RETURN(overflow, ExpandLevel(h));
@@ -1136,9 +1027,8 @@ class Matcher {
       for (size_t p = parents.size(); p-- > 0;) {
         for (size_t i = drain_offsets_[p]; i < drain_offsets_[p + 1]; ++i) {
           if (!TargetAdmits(finals[i].node)) continue;
-          GPML_RETURN_IF_ERROR(RecordAccept(
-              BuildChain(hops, static_cast<uint32_t>(i)), no_tags, seed,
-              finals[i].node, static_cast<uint32_t>(hops)));
+          GPML_RETURN_IF_ERROR(
+              AcceptFrontier(hops, static_cast<uint32_t>(i)));
         }
       }
     }
@@ -1147,62 +1037,117 @@ class Matcher {
 
   // --- BFS route (selector present) ---------------------------------------
 
-  /// Pruning key: product state plus everything that influences future
-  /// admissibility or result identity (named environment with iteration
-  /// currency, open-frame contents, restrictor memories, provenance tags).
-  /// The key hashes the start node, so visit budgets are per start node and
-  /// seed-partitioned shards prune exactly like the sequential frontier.
-  /// Serves only programs outside Program::exact_visit_key (those run on
-  /// the witness route).
-  size_t StateKey(const State& state) {
-    size_t h = 0x9ddfea08eb382d69ULL;
-    h = HashCombine(h, static_cast<size_t>(state.pc));
-    h = HashCombine(h, state.node);
-    h = HashCombine(h, state.start);
-    // Latest binding per named var, with "bound in the current iteration
-    // instance at its depth" as part of the key instead of the raw serial.
+  /// Writes the pruning key of `e`, parked at an edge step, into key_: the
+  /// product state plus everything that influences future admissibility or
+  /// result identity — the latest binding of each named variable and
+  /// whether it was made in the current iteration instance at its depth,
+  /// the bindings since the outermost open frame began and the number of
+  /// open frames, each open scope's restrictor memory (as a sorted set),
+  /// and the tags. Each part of variable length is preceded by its length,
+  /// and a variable's kind fixes its element's, so equal words are equal
+  /// keys. The key holds the start node, so visit budgets are per start
+  /// node and seed-partitioned shards prune exactly like the sequential
+  /// frontier. Serves only programs outside Program::exact_visit_key (those
+  /// run on the witness route).
+  void BuildStateKey(const Entry& e) {
+    std::vector<uint32_t>& w = key_;
+    w.clear();
+    w.push_back(static_cast<uint32_t>(e.pc));
+    w.push_back(e.node);
+    w.push_back(e.start);
+    auto close = [&w](size_t at) {
+      w[at] = static_cast<uint32_t>(w.size() - at - 1);
+    };
+
+    size_t at = w.size();
+    w.push_back(0);
     if (var_seen_.size() != static_cast<size_t>(vars_.size())) {
       var_seen_.assign(static_cast<size_t>(vars_.size()), 0);
     }
     var_seen_list_.clear();
-    for (const EnvLink* e = state.env.get(); e != nullptr;
-         e = e->prev.get()) {
-      uint8_t& seen = var_seen_[static_cast<size_t>(e->var)];
+    for (uint32_t i = e.env; i != kNoLink; i = arena_[i].env.prev) {
+      const EnvRecord& r = arena_[i].env;
+      uint8_t& seen = var_seen_[static_cast<size_t>(r.var)];
       if (seen != 0) continue;
       seen = 1;
-      var_seen_list_.push_back(e->var);
-      const VarInfo& vi = vars_.info(e->var);
-      bool current =
-          e->serial == state.serials[static_cast<size_t>(vi.depth)];
-      h = HashCombine(h, static_cast<size_t>(e->var) * 2654435761u);
-      h = HashCombine(h, ElementRefHash()(e->element));
-      h = HashCombine(h, current ? 0x51u : 0x7fu);
+      var_seen_list_.push_back(r.var);
+      w.push_back(static_cast<uint32_t>(r.var));
+      w.push_back(r.element.id);
+      w.push_back(r.serial == SerialAt(e, vars_.info(r.var).depth) ? 1 : 0);
     }
     for (int var : var_seen_list_) var_seen_[static_cast<size_t>(var)] = 0;
-    if (!state.frames.empty()) {
-      uint32_t floor = state.frames.front().chain_size_at_begin;
-      for (const BindingLink* b = state.chain.get();
-           b != nullptr && b->size > floor; b = b->prev.get()) {
-        h = HashCombine(h, static_cast<size_t>(b->binding.var));
-        h = HashCombine(h, ElementRefHash()(b->binding.element));
+    close(at);
+
+    at = w.size();
+    w.push_back(0);
+    if (e.frame != kNoLink) {
+      uint32_t outermost = e.frame;
+      uint32_t frames = 1;
+      for (; arena_[outermost].frame.outer != kNoLink; ++frames) {
+        outermost = arena_[outermost].frame.outer;
       }
-      h = HashCombine(h, state.frames.size());
+      const uint32_t floor = arena_[outermost].frame.link_at_begin;
+      for (uint32_t i = e.link; i != floor; i = arena_[i].link.prev) {
+        w.push_back(static_cast<uint32_t>(arena_[i].link.binding.var));
+        w.push_back(arena_[i].link.binding.element.id);
+      }
+      w.push_back(frames);
     }
-    for (const ScopeState& sc : state.scopes) {
-      h = HashCombine(h, static_cast<size_t>(sc.restrictor));
-      h = HashCombine(h, sc.start_node);
-      h = HashCombine(h, sc.start_revisited ? 1u : 2u);
-      h = HashCombine(h, IdSetHash(sc.edges));
-      h = HashCombine(h, IdSetHash(sc.nodes));
+    close(at);
+
+    at = w.size();
+    w.push_back(0);
+    for (uint32_t s = e.scope; s != kNoLink; s = arena_[s].scope.outer) {
+      const ScopeRecord& sc = arena_[s].scope;
+      ids_.clear();
+      bool revisited = false;  // SIMPLE: the start node was reached again.
+      for (uint32_t i = e.link; i != sc.link_at_begin;
+           i = arena_[i].link.prev) {
+        const WitnessLink& l = arena_[i].link;
+        if (!l.binding.element.is_edge()) continue;
+        if (sc.restrictor == Restrictor::kTrail) {
+          ids_.push_back(l.binding.element.id);
+        } else if (l.node == sc.start_node) {
+          revisited = true;
+        } else {
+          ids_.push_back(l.node);
+        }
+      }
+      std::sort(ids_.begin(), ids_.end());
+      w.push_back(static_cast<uint32_t>(sc.restrictor));
+      w.push_back(sc.start_node);
+      w.push_back(revisited ? 1 : 0);
+      w.push_back(static_cast<uint32_t>(ids_.size()));
+      w.insert(w.end(), ids_.begin(), ids_.end());
     }
-    for (int32_t t : state.tags) h = HashCombine(h, 0xabcd + static_cast<size_t>(t));
-    return h;
+    close(at);
+
+    for (uint32_t i = e.tag; i != kNoLink; i = arena_[i].tag.prev) {
+      w.push_back(static_cast<uint32_t>(arena_[i].tag.tag));
+    }
   }
 
-  /// May `state` (parked at an edge step, at BFS level `level`) expand?
-  bool AdmitExpansion(const State& state, uint32_t level) {
-    size_t key = StateKey(state);
-    Visits& v = visits_[key];
+  /// May `e` (parked at an edge step, at BFS level e.edges) expand? Keys
+  /// are looked up by hash and compared word by word, so two states are
+  /// pruned together only when their keys are equal.
+  bool AdmitExpansion(const Entry& e) {
+    BuildStateKey(e);
+    uint64_t h = 0x9ddfea08eb382d69ULL;
+    for (uint32_t word : key_) h = HashCombine(h, word);
+    auto [slot, fresh] = visits_.FindOrInsert(h, [&](const VisitSlot& v) {
+      return v.hash == h && v.len == key_.size() &&
+             std::equal(key_.begin(), key_.end(),
+                        key_words_.begin() + static_cast<long>(v.offset));
+    });
+    if (fresh) {
+      slot->hash = h;
+      slot->offset = key_words_.size();
+      slot->len = static_cast<uint32_t>(key_.size());
+      key_words_.insert(key_words_.end(), key_.begin(), key_.end());
+    }
+    VisitSlot& v = *slot;
+    const uint32_t level = e.edges;
+    const size_t k = static_cast<size_t>(program_.selector.k);
     switch (program_.selector.kind) {
       case Selector::Kind::kAny:
       case Selector::Kind::kAnyShortest:
@@ -1212,28 +1157,23 @@ class Matcher {
       case Selector::Kind::kAllShortest:
         if (v.count == 0) {
           v.count = 1;
-          v.min_level = level;
+          v.level = level;
           return true;
         }
-        return level <= v.min_level;
+        return level <= v.level;
       case Selector::Kind::kAnyK:
-      case Selector::Kind::kShortestK: {
-        size_t k = static_cast<size_t>(program_.selector.k);
+      case Selector::Kind::kShortestK:
         if (v.count >= k) return false;
         ++v.count;
         return true;
-      }
-      case Selector::Kind::kShortestKGroup: {
-        size_t k = static_cast<size_t>(program_.selector.k);
-        for (uint32_t l : v.levels) {
-          if (l == level) return true;
-        }
-        if (v.levels.size() < k) {
-          v.levels.push_back(level);
-          return true;
-        }
-        return false;
-      }
+      case Selector::Kind::kShortestKGroup:
+        // Levels arrive in increasing order, so a level admitted before is
+        // the last one admitted.
+        if (v.count > 0 && v.level == level) return true;
+        if (v.count >= k) return false;
+        ++v.count;
+        v.level = level;
+        return true;
       case Selector::Kind::kNone:
         return true;
     }
@@ -1241,26 +1181,27 @@ class Matcher {
   }
 
   Status RunBfs() {
-    std::vector<State> frontier;
+    std::vector<Entry> frontier;
+    std::vector<Entry> next;
     for (size_t i = 0; i < num_seeds_; ++i) {
       GPML_RETURN_IF_ERROR(AdvanceEpsilon(MakeStart(seeds_[i]), &frontier));
     }
     while (!frontier.empty()) {
-      std::vector<State> next_frontier;
-      for (const State& cur : frontier) {
-        if (!AdmitExpansion(cur, cur.edges)) continue;
+      next.clear();
+      for (const Entry& cur : frontier) {
+        if (!AdmitExpansion(cur)) continue;
         const Instr& in = program_.code[static_cast<size_t>(cur.pc)];
         for (const Adjacency& adj : ExpansionRange(in, cur.node)) {
           GPML_RETURN_IF_ERROR(Budget());
-          GPML_ASSIGN_OR_RETURN(std::optional<State> nxt,
-                                TryEdge(in, cur, adj));
-          if (nxt.has_value()) {
-            GPML_RETURN_IF_ERROR(
-                AdvanceEpsilon(std::move(*nxt), &next_frontier));
+          Entry successor;
+          GPML_ASSIGN_OR_RETURN(bool admitted,
+                                TryEdge(in, cur, adj, &successor));
+          if (admitted) {
+            GPML_RETURN_IF_ERROR(AdvanceEpsilon(successor, &next));
           }
         }
       }
-      frontier = std::move(next_frontier);
+      frontier.swap(next);
     }
     // Results were recorded in nondecreasing path length because accepts at
     // level L are recorded while processing level L; keep stable order.
@@ -1271,41 +1212,25 @@ class Matcher {
   //
   // An exact-key ANY / ANY SHORTEST program searches the (pc, node, start)
   // product graph: nothing else in a state can change what the search does
-  // next (docs/planner.md, "Selector route"). So this route carries no
-  // State. A frontier entry is a 16-byte (pc, node, start, link) record;
-  // the bindings of its path live in a per-shard arena of index-linked
-  // WitnessLinks and are read out only for an accept the selector keeps.
-  // The epsilon closure runs the same instructions in the same order as
-  // AdvanceEpsilon, charging Budget() the same way, so step counts,
-  // max_steps cut-offs, kTruncate prefixes, accept order and witnesses
-  // are those the State search gave these programs (bench_csr and
-  // selector_test pin the steps). Rows are the general selector search's:
-  // the same program with exact_visit_key cleared is the differential
-  // oracle (tests/witness_test.cc).
-  //
-  // What the closure leaves out is what exact-key programs cannot use: an
-  // environment (the named variables are the start node, bound once, and
-  // the end node, bound just before kAccept), serials (no named variable
-  // inside a quantifier), restrictor scopes and tags (none), and the frame
-  // stack. A frame opened in an earlier closure has seen an edge since, so
-  // only the frames opened in this closure can fail guard_progress — a
-  // counter of those is the whole frame state.
-
-  static constexpr uint32_t kNoLink = 0xffffffffu;
-
-  /// One binding on a witness path: `prev` links toward the start node.
-  struct WitnessLink {
-    ElementaryBinding binding;
-    Traversal traversal = Traversal::kForward;
-    uint32_t prev = kNoLink;
-  };
+  // next (docs/planner.md, "Selector route"). So a frontier entry is 16
+  // bytes, (pc, node, start, link), and its closure keeps no environment
+  // (the named variables are the start node, bound once, and the end node,
+  // bound just before kAccept), serials, scopes, tags (none) or frame
+  // stack: a frame opened in an earlier closure has seen an edge since, so
+  // a counter of the frames opened in this closure is the whole frame
+  // state guard_progress needs. The closure runs AdvanceEpsilon's
+  // instructions in the same order and charges Budget() the same way, so
+  // step counts, max_steps cut-offs, kTruncate prefixes, accept order and
+  // witnesses stay pinned (bench_csr, selector_test). Rows are the general
+  // selector search's: the same program with exact_visit_key cleared is
+  // the differential oracle (tests/witness_test.cc).
 
   /// A frontier entry: parked at the edge step `pc` on `node`.
   struct WitnessEntry {
     uint32_t pc;
     NodeId node;
     NodeId start;
-    uint32_t link;  // Last binding of the path in witness_links_.
+    uint32_t link;  // Last binding of the path in arena_.
   };
 
   /// A pending branch of one epsilon closure (kSplit's alternative).
@@ -1322,19 +1247,20 @@ class Matcher {
     return static_cast<uint32_t>(pc) * 2 + (parked ? 1 : 0);
   }
 
-  Result<uint32_t> AddWitnessLink(uint32_t prev, int var, ElementRef element,
-                                  Traversal traversal) {
-    if (witness_links_.size() >= kNoLink) {
-      return Status::ResourceExhausted(
-          "witness search exceeded its binding arena; tighten the pattern");
-    }
-    witness_links_.push_back({{var, element}, traversal, prev});
-    return static_cast<uint32_t>(witness_links_.size() - 1);
+  /// Records the visit key (pc, node, start); false when it was already
+  /// present.
+  bool Visit(uint32_t pc, NodeId node, NodeId start) {
+    const VisitKey key{(static_cast<uint64_t>(start) << 32) | node, pc};
+    auto [slot, fresh] = visited_.FindOrInsert(
+        key.Hash(),
+        [&](const VisitKey& k) { return k.pc == pc && k.nodes == key.nodes; });
+    if (fresh) *slot = key;
+    return fresh;
   }
 
   /// Evaluates the inline WHERE of the check at `pc` on the element being
   /// bound: through its bound kernel when it has one, else the scalar
-  /// evaluator over a WitnessScope.
+  /// evaluator, which sees that element and the start node.
   Result<bool> WitnessWhere(int pc, const Expr& where, int var,
                             ElementRef pending, NodeId start) {
     const int k = witness_->kernel_of[static_cast<size_t>(pc)];
@@ -1342,9 +1268,10 @@ class Matcher {
       return EvalKernel(witness_kernels_[static_cast<size_t>(k)], g_,
                         pending.is_node(), pending.id);
     }
-    const bool start_bound = pc != witness_->start_pc;
-    WitnessScope scope(start_bound ? witness_start_var_ : -1,
-                       ElementRef::Node(start), var, pending, params_);
+    Entry at;
+    at.start = start;
+    SearchScope scope(arena_, at, var, pending, params_,
+                      pc != witness_->start_pc ? witness_start_var_ : -1);
     GPML_ASSIGN_OR_RETURN(TriBool ok, EvalPredicate(where, g_, vars_, scope));
     return ok == TriBool::kTrue;
   }
@@ -1381,8 +1308,11 @@ class Matcher {
         switch (in.op) {
           case Instr::Op::kAccept:
             if (TargetAdmits(node)) {
-              GPML_RETURN_IF_ERROR(
-                  RecordWitness(start, node, level, cur.link));
+              Entry done = MakeStart(start);
+              done.node = node;
+              done.edges = level;
+              done.link = cur.link;
+              GPML_RETURN_IF_ERROR(RecordAccept(done));
             }
             dead = true;
             break;
@@ -1398,10 +1328,9 @@ class Matcher {
               dead = true;
               break;
             }
-            GPML_ASSIGN_OR_RETURN(
-                cur.link, AddWitnessLink(cur.link, in.var,
-                                         ElementRef::Node(node),
-                                         Traversal::kForward));
+            cur.link = Add(&Record::link,
+                           WitnessLink{{in.var, ElementRef::Node(node)},
+                                       Traversal::kForward, node, cur.link});
             cur.pc = in.next;
             break;
           }
@@ -1438,28 +1367,6 @@ class Matcher {
     return Status::OK();
   }
 
-  /// kAccept on the witness route: the selector gate first, then the
-  /// path's bindings, read front-to-back off its parent links — the links a
-  /// BindingChain of the general search would hold — and reduced.
-  Status RecordWitness(NodeId start, NodeId end, uint32_t length,
-                       uint32_t link) {
-    SelectorPartition* part = SelectorGate(start, end, length);
-    if (part == nullptr) return Status::OK();
-    size_t n = 0;
-    for (uint32_t i = link; i != kNoLink; i = witness_links_[i].prev) ++n;
-    witness_path_.resize(n);
-    for (uint32_t i = link; i != kNoLink; i = witness_links_[i].prev) {
-      BindingLink& out = witness_path_[--n];
-      out.binding = witness_links_[i].binding;
-      out.traversal = witness_links_[i].traversal;
-    }
-    // No dedupe lookup: ANY and ANY SHORTEST keep one binding per endpoint
-    // partition, and equal bindings share their endpoints, so a binding
-    // the gate admits never repeats a kept one.
-    return CommitBinding(ReduceBindings(witness_path_, vars_, {}), part,
-                         length);
-  }
-
   /// RunBfs on witness entries: the same level order, the same Budget()
   /// charge per adjacency candidate, the same TryEdge checks in the same
   /// order, and the exact (pc, node, start) visit keys.
@@ -1487,18 +1394,15 @@ class Matcher {
     for (uint32_t level = 0; !frontier.empty(); ++level) {
       next.clear();
       for (const WitnessEntry& cur : frontier) {
-        if (!visited_.Insert(VisitPc(static_cast<int>(cur.pc), true),
-                             cur.node, cur.start)) {
+        if (!Visit(VisitPc(static_cast<int>(cur.pc), true), cur.node,
+                   cur.start)) {
           continue;
         }
         const Instr& in = program_.code[cur.pc];
         const EdgePattern& ep = *in.edge;
         for (const Adjacency& adj : ExpansionRange(in, cur.node)) {
           GPML_RETURN_IF_ERROR(Budget());
-          if (!Admits(ep.orientation, adj.traversal)) continue;
-          if (!in.edge_prefiltered && !EdgeLabelsMatch(in, adj.edge)) {
-            continue;
-          }
+          if (!EdgeAdmits(in, adj)) continue;
           const ElementRef ref = ElementRef::Edge(adj.edge);
           if (ep.where != nullptr) {
             GPML_ASSIGN_OR_RETURN(
@@ -1507,13 +1411,12 @@ class Matcher {
             if (!ok) continue;
           }
           // A successor whose position was already reached adds nothing.
-          if (!visited_.Insert(VisitPc(in.next, false), adj.neighbor,
-                               cur.start)) {
+          if (!Visit(VisitPc(in.next, false), adj.neighbor, cur.start)) {
             continue;
           }
-          GPML_ASSIGN_OR_RETURN(
-              uint32_t link,
-              AddWitnessLink(cur.link, in.var, ref, adj.traversal));
+          const uint32_t link =
+              Add(&Record::link, WitnessLink{{in.var, ref}, adj.traversal,
+                                             adj.neighbor, cur.link});
           GPML_RETURN_IF_ERROR(WitnessClosure(in.next, adj.neighbor,
                                               cur.start, link, level + 1,
                                               &next));
@@ -1524,10 +1427,16 @@ class Matcher {
     return Status::OK();
   }
 
-  struct Visits {
+  /// One BFS pruning key (key_words_[offset, offset + len)) and its
+  /// visits: `count` expansions admitted (SHORTEST k GROUP: distinct
+  /// levels), at `level` (ALL SHORTEST: the first; GROUP: the last).
+  struct VisitSlot {
+    uint64_t hash = 0;
+    size_t offset = 0;
+    uint32_t len = 0;
+    uint32_t level = 0;
     size_t count = 0;
-    uint32_t min_level = 0;
-    std::vector<uint32_t> levels;
+    uint64_t Hash() const { return hash; }
   };
 
   const PropertyGraph& g_;
@@ -1544,34 +1453,41 @@ class Matcher {
 
   size_t steps_ = 0;
   size_t pending_steps_ = 0;
-  uint64_t serial_gen_ = 0;
-  std::vector<State> epsilon_work_;  // AdvanceEpsilon scratch.
+  std::vector<Record> arena_;  // Every route but the batch matcher's.
+  size_t arena_peak_ = 0;      // Largest arena_.size() before a cut.
+  std::vector<Entry> epsilon_work_;  // AdvanceEpsilon scratch.
+  std::vector<Entry> dfs_stack_;     // RunDfsSeed's parked entries and
+  std::vector<uint32_t> dfs_marks_;  // the arena size each left.
+  // Accept scratch, reused by every accept of every route:
+  std::vector<WitnessLink> path_;  // The path's bindings, front-to-back.
+  std::vector<int32_t> tags_;
+  PathBinding binding_;            // Reduced; copied only when kept.
   // Batch-route state (sized once, reused across seeds and levels):
   std::vector<BoundPredicateKernel> node_kernels_;  // Indexed like
   std::vector<BoundPredicateKernel> edge_kernels_;  // BatchPlan::nodes/edges.
   std::vector<std::vector<FrontierEntry>> levels_;
   CandidateBlock block_;
-  std::vector<const FrontierEntry*> chain_scratch_;  // BuildChain ancestors.
   std::vector<size_t> drain_offsets_;
   size_t batch_blocks_ = 0;
   size_t batch_candidates_ = 0;
   size_t batch_survivors_ = 0;
   std::vector<PathBinding> results_;
-  std::unordered_map<size_t, std::vector<size_t>> seen_;
-  // Selector route: kept bindings per (start << 32 | end) partition.
-  std::unordered_map<uint64_t, SelectorPartition> partitions_;
-  std::unordered_map<size_t, Visits> visits_;  // Hashed StateKey visits.
+  FlatTable<KeptBinding> seen_;  // results_ by ReducedHash.
+  SelectorPartitions partitions_;  // Selector route: kept per endpoint pair.
+  // BFS-route state:
+  FlatTable<VisitSlot> visits_;
+  std::vector<uint32_t> key_words_;  // Every VisitSlot's key.
+  std::vector<uint32_t> key_;        // BuildStateKey scratch.
+  std::vector<uint32_t> ids_;        // One scope's memory, sorted.
+  std::vector<uint8_t> var_seen_;    // Indexed by var id; all zero
+  std::vector<int> var_seen_list_;   // between BuildStateKey calls.
   // Witness-route state (see RunWitness):
   int witness_start_var_ = -1;  // Named start variable, else -1.
   std::vector<BoundPredicateKernel> witness_kernels_;  // Indexed like
   std::vector<bool> witness_kernel_bound_;             // WitnessPlan::kernels.
-  std::vector<WitnessLink> witness_links_;
   std::vector<WitnessFork> witness_work_;  // WitnessClosure scratch.
-  std::vector<BindingLink> witness_path_;  // RecordWitness scratch.
-  VisitKeySet visited_;                    // Exact (pc, node, start) keys.
+  FlatTable<VisitKey> visited_;            // Exact (pc, node, start) keys.
   MatchRoute route_ = MatchRoute::kDfs;
-  std::vector<uint8_t> var_seen_;   // StateKey scratch, indexed by var id;
-  std::vector<int> var_seen_list_;  // all zero between calls.
 };
 
 // ---------------------------------------------------------------------------
@@ -1586,6 +1502,7 @@ struct SliceOutcome {
   size_t batch_blocks = 0;
   size_t batch_candidates = 0;
   size_t batch_survivors = 0;
+  size_t arena_records = 0;
   double ms = 0;  // Slice wall clock, measured inside the worker.
 };
 
@@ -1615,6 +1532,7 @@ void RunSlice(const PropertyGraph& g, const Program& program,
   out->batch_blocks = m.batch_blocks();
   out->batch_candidates = m.batch_candidates();
   out->batch_survivors = m.batch_survivors();
+  out->arena_records = m.arena_records();
   if (out->status.ok()) {
     out->results = m.TakeResults();
     out->ms = slice_clock.ElapsedMs();
@@ -1657,48 +1575,52 @@ Status MergeStatuses(const std::vector<SliceOutcome>& outcomes) {
 /// slices are contiguous seed blocks (DFS emits per seed, BFS per level with
 /// seeds in order within each level, and equal bindings always have equal
 /// path length, so the keep-first choice is order-independent too).
+///
+/// Without `cross_slice_dedup` (one slice, or distinct seeds) no binding
+/// and no endpoint partition spans two slices, so the per-partition accept
+/// gate already kept exactly what ApplySelector would: it applied the same
+/// rule to each partition's bindings in the same (length) order. Then the
+/// merge skips both passes.
 MatchSet MergeSlices(std::vector<SliceOutcome> outcomes,
                      const Program& program, bool cross_slice_dedup) {
-  std::vector<PathBinding> all;
-  size_t total = 0;
-  for (const SliceOutcome& o : outcomes) total += o.results.size();
-  all.reserve(total);
-  for (SliceOutcome& o : outcomes) {
-    std::move(o.results.begin(), o.results.end(), std::back_inserter(all));
+  MatchSet out;
+  std::vector<PathBinding>& all = out.bindings;
+  if (outcomes.size() == 1) {
+    all = std::move(outcomes[0].results);
+  } else {
+    size_t total = 0;
+    for (const SliceOutcome& o : outcomes) total += o.results.size();
+    all.reserve(total);
+    for (SliceOutcome& o : outcomes) {
+      std::move(o.results.begin(), o.results.end(), std::back_inserter(all));
+    }
   }
 
   if (cross_slice_dedup) {
     std::vector<PathBinding> uniq;
     uniq.reserve(all.size());
-    std::unordered_map<size_t, std::vector<size_t>> seen;
+    FlatTable<KeptBinding> seen;
     for (PathBinding& pb : all) {
-      size_t h = pb.ReducedHash();
-      auto [it, inserted] = seen.emplace(h, std::vector<size_t>());
-      bool duplicate = false;
-      for (size_t idx : it->second) {
-        if (uniq[idx].SameReduced(pb)) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) continue;
-      it->second.push_back(uniq.size());
+      const uint64_t hash = pb.ReducedHash();
+      auto [kept, fresh] = seen.FindOrInsert(hash, [&](const KeptBinding& k) {
+        return k.hash == hash && uniq[k.index].SameReduced(pb);
+      });
+      if (!fresh) continue;
+      *kept = {hash, static_cast<uint32_t>(uniq.size())};
       uniq.push_back(std::move(pb));
     }
     all = std::move(uniq);
   }
 
-  // DFS results sort by length here (historically SortResults); BFS results
-  // are already level-ordered, so the stable sort is the identity — either
-  // way ApplySelector's nondecreasing-length precondition holds.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const PathBinding& a, const PathBinding& b) {
-                     return a.path.Length() < b.path.Length();
-                   });
-
-  MatchSet out;
-  out.bindings = std::move(all);
-  ApplySelector(program.selector, &out.bindings);
+  // DFS results sort by length here; BFS results are already level-ordered.
+  // Either way ApplySelector's nondecreasing-length precondition holds.
+  auto shorter = [](const PathBinding& a, const PathBinding& b) {
+    return a.path.Length() < b.path.Length();
+  };
+  if (!std::is_sorted(all.begin(), all.end(), shorter)) {
+    std::stable_sort(all.begin(), all.end(), shorter);
+  }
+  if (cross_slice_dedup) ApplySelector(program.selector, &all);
   return out;
 }
 
@@ -1818,6 +1740,7 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
     stats->batch_blocks = 0;
     stats->batch_candidates = 0;
     stats->batch_survivors = 0;
+    stats->arena_records = 0;
     stats->seed_ms = seed_ms;
     stats->route = outcomes[0].route;  // Every slice takes the same route.
     for (const SliceOutcome& o : outcomes) {
@@ -1825,6 +1748,7 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
       stats->batch_blocks += o.batch_blocks;
       stats->batch_candidates += o.batch_candidates;
       stats->batch_survivors += o.batch_survivors;
+      stats->arena_records = std::max(stats->arena_records, o.arena_records);
     }
     stats->shard_ms = std::move(shard_ms);
   }

@@ -112,7 +112,7 @@ struct MatchSet {
 
 /// The search a RunPattern call ran (docs/planner.md, "Selector route";
 /// docs/vectorized.md): the per-seed DFS, the block-at-a-time batch
-/// matcher, the general selector BFS over hashed state keys, or the
+/// matcher, the general selector BFS over full search-state keys, or the
 /// witness route of exact-key programs (Program::exact_visit_key).
 enum class MatchRoute { kDfs, kBatch, kBfs, kWitness };
 
@@ -132,6 +132,10 @@ struct MatchStats {
   size_t batch_blocks = 0;      // Frontier blocks expanded.
   size_t batch_candidates = 0;  // Adjacency candidates gathered into blocks.
   size_t batch_survivors = 0;   // Candidates surviving all filter passes.
+  /// The most search records one slice's arena held at once, over the
+  /// slices (zero on the batch route): the memory of the DFS, BFS and
+  /// witness routes' paths, environments, frames, scopes and tags.
+  size_t arena_records = 0;
   // Wall-clock timings (monotonic clock, see obs/clock.h), always measured:
   // two clock reads per region, far below the bench_obs 2% overhead gate.
   // The engine turns these into trace spans and EngineMetrics/stage-

@@ -416,13 +416,13 @@ class RigidMatcher {
   }
 
   Status Accept() {
-    // Build a chain with base variables and reuse the shared reduction.
-    BindingChain chain;
-    for (size_t i = 0; i < rp_.items.size(); ++i) {
-      chain = Extend(chain, {rp_.items[i].var, assignments_[i]},
-                     traversals_[i]);
+    // The base variables' bindings, reduced by the matcher's reduction.
+    std::vector<WitnessLink> raw(rp_.items.size());
+    for (size_t i = 0; i < raw.size(); ++i) {
+      raw[i].binding = {rp_.items[i].var, assignments_[i]};
+      raw[i].traversal = traversals_[i];
     }
-    out_->push_back(ReduceChain(chain, vars_, rp_.tags));
+    ReduceBindings(raw, vars_, rp_.tags, &out_->emplace_back());
     if (out_->size() > max_matches_) {
       return Status::ResourceExhausted(
           "reference evaluation exceeded max_matches");

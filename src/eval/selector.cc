@@ -1,7 +1,5 @@
 #include "eval/selector.h"
 
-#include <algorithm>
-#include <map>
 #include <utility>
 
 namespace gpml {
@@ -19,38 +17,33 @@ bool SelectorKeeps(const Selector& sel, const SelectorPartition& p,
     case Selector::Kind::kShortestK:
       return p.kept < static_cast<size_t>(sel.k);
     case Selector::Kind::kShortestKGroup:
-      return p.lengths.size() < static_cast<size_t>(sel.k) ||
-             std::find(p.lengths.begin(), p.lengths.end(), len) !=
-                 p.lengths.end();
+      return p.groups < static_cast<uint32_t>(sel.k) ||
+             (p.kept > 0 && len == p.last_len);
     case Selector::Kind::kNone:
       return true;
   }
   return true;
 }
 
-void SelectorRecordKept(const Selector& sel, SelectorPartition* p,
-                        uint32_t len) {
+void SelectorRecordKept(SelectorPartition* p, uint32_t len) {
   if (p->kept == 0) p->min_len = len;
-  if (sel.kind == Selector::Kind::kShortestKGroup &&
-      std::find(p->lengths.begin(), p->lengths.end(), len) ==
-          p->lengths.end()) {
-    p->lengths.push_back(len);
-  }
+  if (p->kept == 0 || len != p->last_len) ++p->groups;
+  p->last_len = len;
   ++p->kept;
 }
 
 void ApplySelector(const Selector& sel, std::vector<PathBinding>* bindings) {
   if (sel.IsNone()) return;
 
-  std::map<std::pair<NodeId, NodeId>, SelectorPartition> parts;
+  SelectorPartitions parts;
   std::vector<PathBinding> kept;
   kept.reserve(bindings->size());
 
   for (PathBinding& pb : *bindings) {
-    SelectorPartition& p = parts[{pb.path.Start(), pb.path.End()}];
+    SelectorPartition& p = parts.Of(pb.path.Start(), pb.path.End());
     uint32_t len = static_cast<uint32_t>(pb.path.Length());
     if (!SelectorKeeps(sel, p, len)) continue;
-    SelectorRecordKept(sel, &p, len);
+    SelectorRecordKept(&p, len);
     kept.push_back(std::move(pb));
   }
   *bindings = std::move(kept);

@@ -23,12 +23,7 @@ struct AdjSpan {
   const Adjacency* end() const { return data + count; }
   bool empty() const { return count == 0; }
 
-  /// Indexed access and sub-ranges, used by the batch matcher's gather loop
-  /// to walk a range in fixed-size chunks (docs/vectorized.md).
   const Adjacency& operator[](size_t i) const { return data[i]; }
-  AdjSpan Slice(size_t offset, size_t n) const {
-    return {data + offset, n < count - offset ? n : count - offset};
-  }
 };
 
 /// Label-partitioned CSR adjacency: for every node, the incident-edge

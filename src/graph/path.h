@@ -35,8 +35,13 @@ class Path {
   const std::vector<EdgeId>& edges() const { return edges_; }
   const std::vector<Traversal>& traversals() const { return traversals_; }
 
-  /// Appends a step crossing `e` to `next`. The caller guarantees the step is
-  /// admissible in the underlying graph.
+  /// Makes this the zero-length path on `start`, keeping its storage.
+  void Reset(NodeId start) {
+    nodes_.assign(1, start);
+    edges_.clear();
+    traversals_.clear();
+  }
+
   /// Reserves room for a path of `length` edges.
   void Reserve(size_t length) {
     nodes_.reserve(length + 1);
@@ -44,6 +49,8 @@ class Path {
     traversals_.reserve(length);
   }
 
+  /// Appends a step crossing `e` to `next`. The caller guarantees the step is
+  /// admissible in the underlying graph.
   void Append(EdgeId e, Traversal t, NodeId next) {
     edges_.push_back(e);
     traversals_.push_back(t);

@@ -39,6 +39,8 @@ struct ExecutionRecord {
   uint64_t batch_blocks = 0;
   uint64_t batch_candidates = 0;
   uint64_t batch_survivors = 0;
+  uint64_t arena_records = 0;  // Peak matcher arena records of any one run
+                               // (max, not sum: MatchStats::arena_records).
 
   // Decisions.
   uint64_t reversed_decls = 0;      // Run from the right-end anchor.

@@ -173,6 +173,7 @@ std::string ExplainPlan(const Plan& plan, const VarTable& vars,
          << (a.index_seeded ? "index" : (a.seed_filtered ? "bound" : "scan"));
       if (a.target_filtered) os << " actual_targets=" << a.targets;
       if (!a.route.empty()) os << " actual_route=" << a.route;
+      os << " actual_arena=" << a.arena_records;
     }
     std::string selector = dp.decl.selector.ToString();
     os << " selector="
@@ -279,6 +280,8 @@ Result<ExplainedPlan> ParseExplain(const std::string& text) {
       std::string targets = TokenValue(line, "actual_targets=");
       if (!targets.empty()) d.actual_targets = std::atol(targets.c_str());
       d.actual_route = TokenValue(line, "actual_route=");
+      std::string arena = TokenValue(line, "actual_arena=");
+      if (!arena.empty()) d.actual_arena = std::atol(arena.c_str());
     }
     out.decls.push_back(std::move(d));
   }

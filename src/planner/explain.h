@@ -43,6 +43,7 @@ struct DeclActual {
   size_t targets = 0;          // Distinct end nodes allowed (when filtered).
   std::string route;           // The matcher route that ran
                                // (MatchRouteName); rendered when non-empty.
+  size_t arena_records = 0;    // MatchStats::arena_records (actual_arena=).
   double ms = -1;              // Declaration wall clock (seed + match);
                                // rendered as actual_ms= when >= 0.
 };
@@ -70,8 +71,9 @@ struct DeclActual {
 /// `actual_seeds/actual_steps/actual_rows/actual_ms/actual_source` tokens
 /// to each step line, where actual_source is `index`, `bound` or `scan`,
 /// plus `actual_targets=<n>` (distinct end nodes allowed) on a
-/// target-restricted step and `actual_route=witness|bfs|dfs|batch`, the
-/// matcher route the declaration ran on.
+/// target-restricted step, `actual_route=witness|bfs|dfs|batch`, the
+/// matcher route the declaration ran on, and `actual_arena=<n>`, the most
+/// search records its matcher arena held at once.
 /// `warnings`, when non-null and non-empty, renders the static analyzer's
 /// findings (docs/analysis.md) between the exec line and the steps:
 ///
@@ -120,6 +122,7 @@ struct ExplainedDecl {
   long actual_targets = -1;   // Distinct end nodes allowed; -1 when absent.
   std::string actual_route;   // "witness", "bfs", "dfs", "batch"; "" when
                               // absent.
+  long actual_arena = -1;     // Peak matcher arena records.
 };
 
 /// A warning line of an EXPLAIN rendering, decoded. Mirrors

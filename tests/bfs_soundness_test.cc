@@ -154,7 +154,7 @@ TEST(BfsSoundnessTest, InteriorVariableKeepsHashedKeysAndAgreesWithReference) {
   // The named interior m decides whether y qualifies, so states meeting at
   // hub with different m must not merge. s reaches hub first through m2
   // (w=9, which no y beats) and then through m1 (w=1); only the m1 prefix
-  // reaches t (w=5) at length 3. The program stays on hashed visit keys,
+  // reaches t (w=5) at length 3. The program stays on full-state visit keys,
   // and its (start, end, length) triples match the reference evaluator's.
   GraphBuilder b;
   b.AddNode("s", {"N"}, {{"w", Value::Int(0)}});

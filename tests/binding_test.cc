@@ -46,41 +46,6 @@ TEST(VarTableTest, ReducedMapsAnonymousToShared) {
   EXPECT_EQ(vars2.Reduced(vars2.Find("x")), vars2.Find("x"));
 }
 
-TEST(BindingChainTest, ExtendAndMaterialize) {
-  BindingChain chain;
-  chain = Extend(chain, {0, ElementRef::Node(5)});
-  chain = Extend(chain, {1, ElementRef::Edge(2)}, Traversal::kBackward);
-  chain = Extend(chain, {0, ElementRef::Node(6)});
-  EXPECT_EQ(chain->size, 3u);
-  std::vector<BindingLink> links = Materialize(chain);
-  ASSERT_EQ(links.size(), 3u);
-  EXPECT_EQ(links[0].binding.element.id, 5u);
-  EXPECT_EQ(links[1].traversal, Traversal::kBackward);
-  EXPECT_EQ(links[2].binding.element.id, 6u);
-}
-
-TEST(BindingChainTest, StructuralSharing) {
-  BindingChain base = Extend(nullptr, {0, ElementRef::Node(1)});
-  BindingChain left = Extend(base, {1, ElementRef::Node(2)});
-  BindingChain right = Extend(base, {1, ElementRef::Node(3)});
-  EXPECT_EQ(Materialize(left)[0].binding.element.id, 1u);
-  EXPECT_EQ(Materialize(right)[0].binding.element.id, 1u);
-  EXPECT_EQ(left->prev.get(), right->prev.get());
-}
-
-TEST(EnvChainTest, LookupFindsLatest) {
-  EnvChain env;
-  env = ExtendEnv(env, 0, ElementRef::Node(1), 0);
-  env = ExtendEnv(env, 1, ElementRef::Node(2), 0);
-  env = ExtendEnv(env, 0, ElementRef::Node(3), 7);
-  const EnvLink* e0 = LookupEnv(env, 0);
-  ASSERT_NE(e0, nullptr);
-  EXPECT_EQ(e0->element.id, 3u);
-  EXPECT_EQ(e0->serial, 7u);
-  EXPECT_EQ(LookupEnv(env, 1)->element.id, 2u);
-  EXPECT_EQ(LookupEnv(env, 9), nullptr);
-}
-
 TEST(PathBindingTest, ElementsOfAndLastOf) {
   PathBinding pb;
   pb.reduced = {{0, ElementRef::Node(1)},
@@ -101,19 +66,40 @@ TEST(PathBindingTest, SameReducedIncludesTags) {
   EXPECT_NE(a.ReducedHash(), b.ReducedHash());
 }
 
-TEST(ReduceChainTest, AdjacentAnonymousRunsCollapse) {
+/// A path's raw bindings front-to-back, as the matcher reads them off its
+/// links.
+std::vector<WitnessLink> Raw(
+    std::initializer_list<std::pair<ElementaryBinding, Traversal>> items) {
+  std::vector<WitnessLink> raw;
+  for (const auto& [binding, traversal] : items) {
+    WitnessLink l;
+    l.binding = binding;
+    l.traversal = traversal;
+    raw.push_back(l);
+  }
+  return raw;
+}
+
+PathBinding Reduce(const std::vector<WitnessLink>& raw, const VarTable& vars) {
+  PathBinding pb;
+  ReduceBindings(raw, vars, {}, &pb);
+  return pb;
+}
+
+constexpr Traversal kFwd = Traversal::kForward;
+
+TEST(ReduceBindingsTest, AdjacentAnonymousRunsCollapse) {
   Analysis an = AnalyzeQuery("MATCH ()-[:T]->()");
   VarTable vars(an);
   int n1 = vars.Find("$n1");
   int e1 = vars.Find("$e1");
   int n2 = vars.Find("$n2");
-  BindingChain chain;
-  chain = Extend(chain, {n1, ElementRef::Node(0)});
-  chain = Extend(chain, {e1, ElementRef::Edge(0)});
-  chain = Extend(chain, {n2, ElementRef::Node(1)});
-  // Simulate an adjacent anonymous node (same graph node) after n2.
-  chain = Extend(chain, {n1, ElementRef::Node(1)});
-  PathBinding pb = ReduceChain(chain, vars, {});
+  // An adjacent anonymous node (same graph node) after n2.
+  PathBinding pb = Reduce(Raw({{{n1, ElementRef::Node(0)}, kFwd},
+                               {{e1, ElementRef::Edge(0)}, kFwd},
+                               {{n2, ElementRef::Node(1)}, kFwd},
+                               {{n1, ElementRef::Node(1)}, kFwd}}),
+                          vars);
   // Run (n2, n1) collapses to one anonymous binding.
   ASSERT_EQ(pb.reduced.size(), 3u);
   EXPECT_EQ(pb.reduced[0].var, vars.anon_node_id());
@@ -121,44 +107,64 @@ TEST(ReduceChainTest, AdjacentAnonymousRunsCollapse) {
   EXPECT_EQ(pb.reduced[2].var, vars.anon_node_id());
 }
 
-TEST(ReduceChainTest, NamedBindingsSurviveRuns) {
+TEST(ReduceBindingsTest, NamedBindingsSurviveRuns) {
   Analysis an = AnalyzeQuery("MATCH (a)-[:T]->(b)");
   VarTable vars(an);
   int a = vars.Find("a");
   int e = vars.Find("$e1");
   int b = vars.Find("b");
-  BindingChain chain;
-  chain = Extend(chain, {a, ElementRef::Node(0)});
-  chain = Extend(chain, {e, ElementRef::Edge(0)});
-  chain = Extend(chain, {b, ElementRef::Node(1)});
-  chain = Extend(chain, {a, ElementRef::Node(1)});  // Named in same run.
-  PathBinding pb = ReduceChain(chain, vars, {});
+  PathBinding pb = Reduce(Raw({{{a, ElementRef::Node(0)}, kFwd},
+                               {{e, ElementRef::Edge(0)}, kFwd},
+                               {{b, ElementRef::Node(1)}, kFwd},
+                               {{a, ElementRef::Node(1)}, kFwd}}),
+                          vars);
   ASSERT_EQ(pb.reduced.size(), 4u);
   EXPECT_EQ(pb.reduced[2].var, b);
   EXPECT_EQ(pb.reduced[3].var, a);
 }
 
-TEST(ReduceChainTest, PathReconstruction) {
+TEST(ReduceBindingsTest, PathReconstruction) {
   Analysis an = AnalyzeQuery("MATCH (a)-[:T]->(b)");
   VarTable vars(an);
-  BindingChain chain;
-  chain = Extend(chain, {vars.Find("a"), ElementRef::Node(4)});
-  chain = Extend(chain, {vars.Find("$e1"), ElementRef::Edge(9)},
-                 Traversal::kBackward);
-  chain = Extend(chain, {vars.Find("b"), ElementRef::Node(7)});
-  PathBinding pb = ReduceChain(chain, vars, {});
+  PathBinding pb =
+      Reduce(Raw({{{vars.Find("a"), ElementRef::Node(4)}, kFwd},
+                  {{vars.Find("$e1"), ElementRef::Edge(9)},
+                   Traversal::kBackward},
+                  {{vars.Find("b"), ElementRef::Node(7)}, kFwd}}),
+             vars);
   EXPECT_EQ(pb.path.Start(), 4u);
   EXPECT_EQ(pb.path.End(), 7u);
   EXPECT_EQ(pb.path.Length(), 1u);
   EXPECT_EQ(pb.path.traversals()[0], Traversal::kBackward);
 }
 
-TEST(ReduceChainTest, EmptyChain) {
+TEST(ReduceBindingsTest, EmptyPath) {
   Analysis an = AnalyzeQuery("MATCH (a)");
   VarTable vars(an);
-  PathBinding pb = ReduceChain(nullptr, vars, {});
+  PathBinding pb = Reduce({}, vars);
   EXPECT_TRUE(pb.reduced.empty());
   EXPECT_TRUE(pb.path.IsEmpty());
+}
+
+TEST(ReduceBindingsTest, AReusedBindingIsReplacedWhole) {
+  // The matcher reduces every accept into one scratch binding: nothing of
+  // an earlier, longer binding may survive in it.
+  Analysis an = AnalyzeQuery("MATCH (a)-[:T]->(b)");
+  VarTable vars(an);
+  const int a = vars.Find("a");
+  const int e = vars.Find("$e1");
+  const int b = vars.Find("b");
+  PathBinding scratch;
+  ReduceBindings(Raw({{{a, ElementRef::Node(0)}, kFwd},
+                      {{e, ElementRef::Edge(3)}, kFwd},
+                      {{b, ElementRef::Node(1)}, kFwd}}),
+                 vars, {2, 5}, &scratch);
+  ReduceBindings(Raw({{{a, ElementRef::Node(6)}, kFwd}}), vars, {}, &scratch);
+  PathBinding fresh = Reduce(Raw({{{a, ElementRef::Node(6)}, kFwd}}), vars);
+  EXPECT_TRUE(scratch.SameReduced(fresh));
+  EXPECT_EQ(scratch.path, fresh.path);
+  EXPECT_EQ(scratch.path.Length(), 0u);
+  EXPECT_TRUE(scratch.tags.empty());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // engine against the §6.5 reference join (RunReferencePattern), on a family
 // that makes every planner decision fire.
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -286,6 +287,102 @@ TEST(DifferentialJoinTest, PlannerAgreesWithTheReferenceJoin) {
   EXPECT_GT(decisions.target_filtered, 0u);
   EXPECT_GT(decisions.index_seeded, 0u);
   EXPECT_GT(decisions.reordered, 0u);
+}
+
+/// One shape per field of the matcher's search entries (docs/planner.md,
+/// "Search entries"): nested restrictor scopes, a named variable inside a
+/// quantifier (bound afresh per iteration) and the iteration-scoped
+/// equi-join of §4.2 (serials), a group WHERE inside a parenthesized
+/// pattern, quantified or not (frames), |+| tags (§4.5), SIMPLE closing a
+/// cycle (and refusing to go on past it), and the selector BFS's keys
+/// under ACYCLIC.
+const char* kEntryShapes[] = {
+    "MATCH TRAIL (a) [ACYCLIC ()-[]->{1,3}()]-[f]->(b)",
+    "MATCH (x) [-[e]->(m:L0)]{1,3} (y)",
+    "MATCH TRAIL (x) [(m)-[e]->(n)-[f]-(m)]{1,2} (y)",
+    "MATCH TRAIL (x) [()-[e]->{1,3}() WHERE COUNT(e.*) > 1] (y)",
+    "MATCH TRAIL (x) [()-[e]->{1,2}() WHERE COUNT(e.*) = 2]{1,2} (y)",
+    "MATCH (x) [-[e:L0]->(y) |+| -[e]->(y)]",
+    "MATCH ANY SHORTEST (x) [-[e:L0]->(y) |+| -[e]->(y)]",
+    "MATCH SIMPLE (x)-[e]->+(x)",
+    "MATCH SIMPLE (x)-[e]-{1,4}(y)",
+    "MATCH ALL SHORTEST (x) [-[e]->(m)]{1,3} (y)",
+    "MATCH ALL SHORTEST ACYCLIC (x)-[]->+(y)",
+    "MATCH SHORTEST 2 GROUP ACYCLIC (x)-[]->+(y)",
+};
+
+/// `part` is `whole` with zero or more rows left out, in order.
+bool IsSubsequence(const std::vector<std::string>& part,
+                   const std::vector<std::string>& whole) {
+  auto it = whole.begin();
+  for (const std::string& row : part) {
+    it = std::find(it, whole.end(), row);
+    if (it == whole.end()) return false;
+    ++it;
+  }
+  return true;
+}
+
+/// `query` trips max_steps exactly at the steps it runs (one fewer is
+/// refused), and under kTruncate delivers the same cut of its rows at
+/// threads 1 and 8: a subsequence of the full rows in their order, and a
+/// prefix of them under a selector, whose search emits by length.
+void ExpectExactBudgets(const PropertyGraph& g, const std::string& query) {
+  SCOPED_TRACE(query + " on " + g.Summary());
+  EngineMetrics metrics;
+  EngineOptions options;
+  options.num_threads = 1;
+  options.metrics = &metrics;
+  Result<MatchOutput> full = Engine(g, options).Match(query);
+  ASSERT_TRUE(full.ok()) << full.status();
+  const size_t steps = metrics.matcher_steps;
+  const std::vector<std::string> rows = testing_util::OrderedRows(*full, g);
+
+  options.matcher.max_steps = steps;
+  EXPECT_TRUE(Engine(g, options).Match(query).ok());
+  options.matcher.max_steps = steps - 1;
+  EXPECT_EQ(Engine(g, options).Match(query).status().code(),
+            StatusCode::kResourceExhausted);
+
+  const bool selector = query.find("SHORTEST") != std::string::npos;
+  options.on_budget = EngineOptions::BudgetPolicy::kTruncate;
+  options.matcher.min_seeds_per_shard = 1;
+  for (size_t max_steps : {steps - 1, steps / 2}) {
+    std::vector<std::string> cut;
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      options.num_threads = threads;
+      options.matcher.max_steps = max_steps;
+      Result<MatchOutput> out = Engine(g, options).Match(query);
+      ASSERT_TRUE(out.ok()) << out.status();
+      EXPECT_TRUE(out->truncated) << max_steps;
+      const std::vector<std::string> got = testing_util::OrderedRows(*out, g);
+      if (threads > 1) {
+        EXPECT_EQ(got, cut) << max_steps;
+        continue;
+      }
+      cut = got;
+      EXPECT_TRUE(IsSubsequence(cut, rows)) << max_steps;
+      if (selector) {
+        EXPECT_TRUE(testing_util::IsPrefix(cut, rows)) << max_steps;
+      }
+    }
+  }
+}
+
+TEST(DifferentialJoinTest, SearchEntryShapesAgreeAndTripExactly) {
+  PlannerDecisions decisions;
+  size_t rows = 0;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    PropertyGraph g =
+        MakeRandomGraph(/*num_nodes=*/8, /*num_edges=*/16, /*num_labels=*/3,
+                        /*undirected_fraction=*/0.3, seed);
+    for (const char* query : kEntryShapes) {
+      ExpectJoinAgreement(g, query, &decisions);
+      ExpectExactBudgets(g, query);
+      rows += testing_util::ReferenceJoinRows(g, query).size();
+    }
+  }
+  EXPECT_GT(rows, std::size(kEntryShapes) * 3);
 }
 
 TEST(DifferentialPaperGraphTest, PaperQueriesAgree) {

@@ -755,6 +755,7 @@ void ExpectSameCounts(const EngineMetrics& a, const EngineMetrics& b) {
   EXPECT_EQ(x.batch_blocks, y.batch_blocks);
   EXPECT_EQ(x.batch_candidates, y.batch_candidates);
   EXPECT_EQ(x.batch_survivors, y.batch_survivors);
+  EXPECT_EQ(x.arena_records, y.arena_records);
 }
 
 /// Per-series change between two registry snapshots: counter values and
@@ -839,10 +840,15 @@ TEST(ExecutionRecordTest, EveryViewReportsTheRouteEachDeclarationRan) {
   ASSERT_EQ(plan->decls.size(), 2u);
   EXPECT_EQ(plan->decls[0].actual_route, "batch") << *explained;
   EXPECT_EQ(plan->decls[1].actual_route, "witness") << *explained;
+  // The batch matcher keeps no search records; the witness route's links
+  // live in the arena.
+  EXPECT_EQ(plan->decls[0].actual_arena, 0) << *explained;
+  EXPECT_GT(plan->decls[1].actual_arena, 0) << *explained;
 
-  // Materialized and streamed runs of one query report the same route: a
-  // selector query (the cursor materializes it) and fixed-length ones (the
-  // cursor streams them), batched and on the scalar DFS.
+  // Materialized and streamed runs of one query report the same route and
+  // the same peak arena: a selector query (the cursor materializes it) and
+  // fixed-length ones (the cursor streams them in seed chunks), batched
+  // and on the scalar DFS, whose arena holds one seed's search at a time.
   struct Case {
     const char* query;
     size_t witness_decls;
@@ -866,6 +872,8 @@ TEST(ExecutionRecordTest, EveryViewReportsTheRouteEachDeclarationRan) {
     EXPECT_EQ(metrics.witness_decls, c.witness_decls);
     EXPECT_EQ(materialized.batch_blocks > 0, c.batched);
     EXPECT_EQ(metrics.batch_blocks > 0, c.batched);
+    EXPECT_EQ(materialized.arena_records, metrics.arena_records);
+    EXPECT_EQ(metrics.arena_records > 0, c.witness_decls > 0 || !c.batched);
   }
 }
 

@@ -393,7 +393,7 @@ TEST(SelectorTest, WitnessGoldensHoldAcrossThreadsStreamsAndTruncation) {
 
 TEST(SelectorTest, WitnessRouteKeepsTheStepCountOfTheSearchItReplaced) {
   // perfbench `paths`' ANY statement for one suspect on fraud-300 runs on
-  // the witness route. The State search it replaced charged exactly 4,791
+  // the witness route. The copied-state search it replaced charged 4,791
   // steps here (bench_csr pins the same statement over 15 suspects), so the
   // budget trips at the same instruction: one step fewer is refused, and
   // kTruncate delivers the sequential engine's prefix whatever

@@ -79,7 +79,7 @@ void CheckQuery(const PropertyGraph& g, const std::string& text) {
 
   // Full runs at 1 and 4 threads (shards of one seed each): the same
   // MatchSet as the general search, in the same order. The general search
-  // keys visits on hashed states and builds every successor before keying
+  // keys visits on full search states and builds every successor before keying
   // it, so it may run more steps; the witness route's own count does not
   // depend on the shard count.
   RouteRun full;
