@@ -1,8 +1,7 @@
 // Planner effectiveness on the Figure 4 fraud-query workload: seeded start
 // nodes, matcher steps and rows at increasing graph scale, each pinned
-// exactly. Unlike the timing benchmarks this is a plain executable (no
-// google-benchmark dependency) with a checked contract, so it doubles as a
-// ctest regression gate: it exits non-zero if any counter leaves its pin.
+// exactly, run under ctest as a regression gate: it exits non-zero if any
+// counter leaves its pin.
 // Every pin also records what the unplanned engine (declarations as
 // written, forward, label-scan seeding, no seed or target restriction)
 // counted on the same cell, and the contract checks that the planned seeds

@@ -19,20 +19,6 @@
 namespace gpml {
 namespace bench {
 
-/// Runs a match and returns the row count; aborts on error so benchmarks
-/// fail loudly instead of measuring garbage.
-inline size_t RunOrDie(const PropertyGraph& g, const std::string& query,
-                       EngineOptions options = {}) {
-  Engine engine(g, options);
-  Result<MatchOutput> out = engine.Match(query);
-  if (!out.ok()) {
-    std::fprintf(stderr, "benchmark query failed: %s\n  %s\n", query.c_str(),
-                 out.status().ToString().c_str());
-    std::abort();
-  }
-  return out->rows.size();
-}
-
 /// The p-th percentile (0 < p <= 100) of `samples` by linear interpolation
 /// between closest ranks (the "exclusive" flavor numpy calls 'linear').
 /// Sorts a copy; benchmarks call this once per distribution, not per

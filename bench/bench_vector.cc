@@ -102,12 +102,17 @@ struct Measurement {
 };
 
 /// One timed repetition; folds the wall time into the running minimum.
+/// Only RunPattern is timed: the rows are rendered after the clock stops.
 bool MeasureOnce(const PropertyGraph& g, const Program& program,
                  const VarTable& vars, const MatcherOptions& options, int rep,
                  Measurement* m) {
+  MatchStats stats;
   auto start = std::chrono::steady_clock::now();
-  RouteRun run = testing_util::RunOnce(g, program, vars, options, false);
+  Result<MatchSet> set = RunPattern(g, program, vars, options,
+                                    /*seed_filter=*/nullptr,
+                                    /*target_filter=*/nullptr, &stats);
   double ms = MillisSince(start);
+  RouteRun run = testing_util::ToRouteRun(set, stats, false, g, vars);
   if (!run.status.ok()) {
     std::fprintf(stderr, "match failed: %s\n",
                  run.status.ToString().c_str());

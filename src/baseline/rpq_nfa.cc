@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <queue>
 
 namespace gpml {
 namespace baseline {
@@ -254,135 +253,6 @@ Result<Path> ShortestRegexPath(const PropertyGraph& g, const RpqNfa& nfa,
     cur = next;
   }
   return p;
-}
-
-namespace {
-
-/// Shared Dijkstra over the (node × nfa-state × layer) product. With
-/// `max_hops` == SIZE_MAX the layer collapses to 0 and this is plain
-/// weighted product search.
-Result<Path> CheapestImpl(const PropertyGraph& g, const RpqNfa& nfa,
-                          NodeId source, NodeId target,
-                          const std::string& weight_property,
-                          size_t max_hops, double default_weight) {
-  const size_t ns = static_cast<size_t>(nfa.num_states);
-  const size_t layers = max_hops == SIZE_MAX ? 1 : max_hops + 1;
-  const bool layered = max_hops != SIZE_MAX;
-  const size_t total = g.num_nodes() * ns * layers;
-
-  auto id_of = [&](NodeId n, int q, size_t hops) {
-    size_t layer = layered ? hops : 0;
-    return (static_cast<size_t>(n) * ns + static_cast<size_t>(q)) * layers +
-           layer;
-  };
-  // Pre-validate and cache edge costs: errors surface before the search.
-  std::vector<double> cost(g.num_edges(), default_weight);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const Value& w = g.edge(e).GetProperty(weight_property);
-    if (w.is_null()) continue;
-    if (!w.is_numeric()) {
-      return Status::SemanticError("weight property " + weight_property +
-                                   " is not numeric on edge " +
-                                   g.edge(e).name);
-    }
-    if (w.AsDouble() < 0) {
-      return Status::InvalidArgument(
-          "negative edge weight on " + g.edge(e).name +
-          "; Dijkstra requires non-negative costs");
-    }
-    cost[e] = w.AsDouble();
-  }
-
-  struct Entry {
-    double dist;
-    NodeId node;
-    int state;
-    size_t hops;
-    bool operator>(const Entry& o) const { return dist > o.dist; }
-  };
-  struct Pred {
-    double dist = -1.0;  // -1 = unvisited.
-    size_t prev = SIZE_MAX;
-    EdgeId edge = kInvalidId;
-    Traversal traversal = Traversal::kForward;
-  };
-  std::vector<Pred> pred(total);
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
-
-  auto relax = [&](NodeId n, int q, size_t hops, double dist, size_t prev,
-                   EdgeId e, Traversal t) {
-    size_t id = id_of(n, q, hops);
-    if (pred[id].dist >= 0 && pred[id].dist <= dist) return;
-    pred[id] = {dist, prev, e, t};
-    queue.push({dist, n, q, hops});
-  };
-  relax(source, nfa.start, 0, 0.0, SIZE_MAX, kInvalidId,
-        Traversal::kForward);
-
-  size_t accept_id = SIZE_MAX;
-  while (!queue.empty()) {
-    Entry cur = queue.top();
-    queue.pop();
-    size_t id = id_of(cur.node, cur.state, cur.hops);
-    if (pred[id].dist < cur.dist) continue;  // Stale entry.
-    if (cur.node == target && cur.state == nfa.accept) {
-      accept_id = id;
-      break;
-    }
-    for (int si : nfa.out[static_cast<size_t>(cur.state)]) {
-      const RpqNfa::Step& step = nfa.steps[static_cast<size_t>(si)];
-      if (step.epsilon) {
-        // Zero-cost move: the predecessor record (last edge taken) carries
-        // over unchanged for path reconstruction.
-        relax(cur.node, step.to, cur.hops, cur.dist, pred[id].prev,
-              pred[id].edge, pred[id].traversal);
-        continue;
-      }
-      if (layered && cur.hops >= max_hops) continue;
-      ForEachMove(g, cur.node, step, [&](const Adjacency& adj) {
-        relax(adj.neighbor, step.to, cur.hops + 1,
-              cur.dist + cost[adj.edge], id, adj.edge, adj.traversal);
-      });
-    }
-  }
-
-  if (accept_id == SIZE_MAX) {
-    return Status::NotFound("no path matching the regex within the bounds");
-  }
-
-  std::vector<std::pair<EdgeId, Traversal>> edges;
-  for (size_t id = accept_id;
-       id != SIZE_MAX && pred[id].edge != kInvalidId;) {
-    edges.push_back({pred[id].edge, pred[id].traversal});
-    id = pred[id].prev;
-  }
-  std::reverse(edges.begin(), edges.end());
-  Path p(source);
-  NodeId cur = source;
-  for (auto& [e, t] : edges) {
-    NodeId next = g.Cross(e, cur, t);
-    p.Append(e, t, next);
-    cur = next;
-  }
-  return p;
-}
-
-}  // namespace
-
-Result<Path> CheapestRegexPath(const PropertyGraph& g, const RpqNfa& nfa,
-                               NodeId source, NodeId target,
-                               const std::string& weight_property,
-                               double default_weight) {
-  return CheapestImpl(g, nfa, source, target, weight_property, SIZE_MAX,
-                      default_weight);
-}
-
-Result<Path> CheapestRegexPathWithinHops(
-    const PropertyGraph& g, const RpqNfa& nfa, NodeId source, NodeId target,
-    const std::string& weight_property, size_t max_hops,
-    double default_weight) {
-  return CheapestImpl(g, nfa, source, target, weight_property, max_hops,
-                      default_weight);
 }
 
 }  // namespace baseline

@@ -48,28 +48,10 @@ std::vector<NodeId> EvalReachableFrom(const PropertyGraph& g,
 
 /// Product-automaton BFS shortest path from `source` to `target` under the
 /// regex — the §7.2 research question ("shortest path queries with arbitrary
-/// regular expressions") answered with the textbook construction. Returns
-/// nullopt-like empty path when unreachable.
+/// regular expressions") answered with the textbook construction. NotFound
+/// when no path matches.
 Result<Path> ShortestRegexPath(const PropertyGraph& g, const RpqNfa& nfa,
                                NodeId source, NodeId target);
-
-/// Cheapest path under edge weights — the §7.1 Language Opportunity
-/// ("cheapest path search, by adding weights to edges", PGQL's ANY
-/// CHEAPEST): Dijkstra over the (graph × NFA) product. Edge cost is the
-/// numeric property `weight_property`; edges lacking it cost
-/// `default_weight`. Negative weights are rejected.
-Result<Path> CheapestRegexPath(const PropertyGraph& g, const RpqNfa& nfa,
-                               NodeId source, NodeId target,
-                               const std::string& weight_property,
-                               double default_weight = 1.0);
-
-/// Constrained variant answering §7.2's "most scenic route to the airport
-/// in at most 2 hours": cheapest path whose hop count does not exceed
-/// `max_hops`, via Dijkstra over the layered (graph × NFA × hops) product.
-Result<Path> CheapestRegexPathWithinHops(
-    const PropertyGraph& g, const RpqNfa& nfa, NodeId source, NodeId target,
-    const std::string& weight_property, size_t max_hops,
-    double default_weight = 1.0);
 
 }  // namespace baseline
 }  // namespace gpml

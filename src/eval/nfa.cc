@@ -246,10 +246,7 @@ class Compiler {
       int pc = Emit(Instr::Op::kFrameBegin);
       At(pc).quant_frame = iteration;
     }
-    if (iteration) {
-      ++depth_;
-      program_.max_depth = std::max(program_.max_depth, depth_);
-    }
+    if (iteration) ++depth_;
     GPML_RETURN_IF_ERROR(CompilePath(sub));
     if (where != nullptr) {
       int pc = Emit(Instr::Op::kWhereCheck);

@@ -127,7 +127,6 @@ struct WitnessPlan {
 struct Program {
   std::vector<Instr> code;
   int start = 0;
-  int max_depth = 0;   // Deepest quantifier nesting (serial array size).
   int num_scopes = 0;
   Selector selector;
   int path_var = -1;   // Interned id of the path variable, -1 if none.

@@ -1,10 +1,8 @@
 // The §7.1 Language Opportunities implemented beyond the core paper:
-// isomorphic match modes, cheapest (weighted) paths with and without hop
-// bounds, and JSON export of bindings.
+// isomorphic match modes and JSON export of bindings.
 
 #include <gtest/gtest.h>
 
-#include "baseline/rpq_nfa.h"
 #include "gql/json_export.h"
 #include "graph/graph_builder.h"
 #include "graph/sample_graph.h"
@@ -93,85 +91,6 @@ TEST(MatchModeTest, DifferentNodesSemantics) {
                          "-[:Transfer]->()-[:Transfer]->()-[:Transfer]->"
                          "(b) WHERE SAME(a, b)"),
             0u);
-}
-
-// --- cheapest paths (weights) ----------------------------------------------
-
-class CheapestTest : public ::testing::Test {
- protected:
-  CheapestTest() {
-    // Two routes u -> w: direct (cost 10) and via v (cost 2 + 3 = 5, two
-    // hops).
-    GraphBuilder b;
-    b.AddNode("u", {"N"});
-    b.AddNode("v", {"N"});
-    b.AddNode("w", {"N"});
-    b.AddDirectedEdge("direct", "u", "w", {"T"},
-                      {{"cost", Value::Int(10)}});
-    b.AddDirectedEdge("leg1", "u", "v", {"T"}, {{"cost", Value::Int(2)}});
-    b.AddDirectedEdge("leg2", "v", "w", {"T"}, {{"cost", Value::Int(3)}});
-    g_ = std::move(std::move(b).Build()).value();
-    nfa_ = baseline::BuildNfa(**baseline::ParseRegex("T+"));
-  }
-  PropertyGraph g_;
-  baseline::RpqNfa nfa_;
-};
-
-TEST_F(CheapestTest, PrefersCheaperDetour) {
-  Result<Path> p = baseline::CheapestRegexPath(
-      g_, nfa_, g_.FindNode("u"), g_.FindNode("w"), "cost");
-  ASSERT_TRUE(p.ok()) << p.status();
-  EXPECT_EQ(p->ToString(g_), "path(u,leg1,v,leg2,w)");
-}
-
-TEST_F(CheapestTest, HopBoundForcesDirectRoute) {
-  // "Most scenic route in at most 2 hours" (§7.2): with max 1 hop, the
-  // expensive direct edge is the only option.
-  Result<Path> p = baseline::CheapestRegexPathWithinHops(
-      g_, nfa_, g_.FindNode("u"), g_.FindNode("w"), "cost", /*max_hops=*/1);
-  ASSERT_TRUE(p.ok()) << p.status();
-  EXPECT_EQ(p->ToString(g_), "path(u,direct,w)");
-  // With 2 hops the detour wins again.
-  p = baseline::CheapestRegexPathWithinHops(
-      g_, nfa_, g_.FindNode("u"), g_.FindNode("w"), "cost", /*max_hops=*/2);
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p->Length(), 2u);
-}
-
-TEST_F(CheapestTest, MissingWeightUsesDefault) {
-  Result<Path> p = baseline::CheapestRegexPath(
-      g_, nfa_, g_.FindNode("u"), g_.FindNode("w"), "nonexistent");
-  ASSERT_TRUE(p.ok());
-  // All edges cost 1: the 1-hop direct route is cheapest.
-  EXPECT_EQ(p->ToString(g_), "path(u,direct,w)");
-}
-
-TEST_F(CheapestTest, NegativeWeightRejected) {
-  GraphBuilder b;
-  b.AddNode("x", {"N"});
-  b.AddNode("y", {"N"});
-  b.AddDirectedEdge("e", "x", "y", {"T"}, {{"cost", Value::Int(-1)}});
-  PropertyGraph g = std::move(std::move(b).Build()).value();
-  Result<Path> p = baseline::CheapestRegexPath(g, nfa_, 0, 1, "cost");
-  EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(CheapestTest, UnreachableWithinBound) {
-  Result<Path> p = baseline::CheapestRegexPathWithinHops(
-      g_, nfa_, g_.FindNode("u"), g_.FindNode("w"), "cost", /*max_hops=*/0);
-  EXPECT_EQ(p.status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(CheapestTest, PaperGraphCheapestByAmount) {
-  PropertyGraph g = BuildPaperGraph();
-  baseline::RpqNfa nfa = baseline::BuildNfa(
-      **baseline::ParseRegex("Transfer+"));
-  // Cheapest (by transferred amount) Dave→Aretha route: t6(4M)+t8(9M)+
-  // t1(8M)+t2(10M)=31M vs t5(10M)+t2(10M)=20M: the 2-hop route wins.
-  Result<Path> p = baseline::CheapestRegexPath(
-      g, nfa, g.FindNode("a6"), g.FindNode("a2"), "amount");
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p->ToString(g), "path(a6,t5,a3,t2,a2)");
 }
 
 // --- JSON export -------------------------------------------------------------

@@ -152,24 +152,31 @@ struct RouteRun {
   bool truncated = false;
 };
 
-inline RouteRun RunOnce(const PropertyGraph& g, const Program& program,
-                        const VarTable& vars, const MatcherOptions& options,
-                        bool partial, const Params* params = nullptr) {
+/// The RouteRun of a finished RunPattern call.
+inline RouteRun ToRouteRun(const Result<MatchSet>& set,
+                           const MatchStats& stats, bool truncated,
+                           const PropertyGraph& g, const VarTable& vars) {
   RouteRun run;
-  MatchStats stats;
-  bool exhausted = false;
-  Result<MatchSet> set =
-      RunPattern(g, program, vars, options, /*seed_filter=*/nullptr,
-                 /*target_filter=*/nullptr, &stats, params,
-                 /*shared_budget=*/nullptr, partial ? &exhausted : nullptr);
   run.status = set.ok() ? Status::OK() : set.status();
   if (set.ok()) run.rows = RenderMatchSet(*set, g, vars);
   run.seeds = stats.seeds;
   run.steps = stats.steps;
   run.route = stats.route;
   run.batch_blocks = stats.batch_blocks;
-  run.truncated = exhausted;
+  run.truncated = truncated;
   return run;
+}
+
+inline RouteRun RunOnce(const PropertyGraph& g, const Program& program,
+                        const VarTable& vars, const MatcherOptions& options,
+                        bool partial, const Params* params = nullptr) {
+  MatchStats stats;
+  bool exhausted = false;
+  Result<MatchSet> set =
+      RunPattern(g, program, vars, options, /*seed_filter=*/nullptr,
+                 /*target_filter=*/nullptr, &stats, params,
+                 /*shared_budget=*/nullptr, partial ? &exhausted : nullptr);
+  return ToRouteRun(set, stats, exhausted, g, vars);
 }
 
 /// `prefix` is a prefix of `full`.
@@ -214,9 +221,10 @@ inline std::vector<std::string> OrderedRows(const MatchOutput& out,
 }
 
 /// Rows of a match output as a sorted multiset, bindings in declaration
-/// order. An ANY / ANY SHORTEST declaration renders as its endpoint pair
-/// (plus the path length under ANY SHORTEST): which witness it keeps per
-/// pair is the evaluator's choice, the pairs are not.
+/// order. An ANY / ANY k / ANY SHORTEST / SHORTEST k declaration renders as
+/// its endpoint pair (plus the path length under the SHORTEST kinds): which
+/// witnesses it keeps per pair is the evaluator's choice, the pairs and
+/// lengths are not.
 inline std::vector<std::string> SortedRows(const MatchOutput& out,
                                            const PropertyGraph& g) {
   std::vector<std::string> rows;
@@ -226,10 +234,12 @@ inline std::vector<std::string> SortedRows(const MatchOutput& out,
     for (size_t d = 0; d < row.bindings.size(); ++d) {
       const PathBinding& pb = *row.bindings[d];
       const Selector::Kind kind = out.normalized.paths[d].selector.kind;
-      if (kind == Selector::Kind::kAny ||
-          kind == Selector::Kind::kAnyShortest) {
+      const bool shortest = kind == Selector::Kind::kAnyShortest ||
+                            kind == Selector::Kind::kShortestK;
+      if (shortest || kind == Selector::Kind::kAny ||
+          kind == Selector::Kind::kAnyK) {
         s += g.node(pb.path.Start()).name + "->" + g.node(pb.path.End()).name;
-        if (kind == Selector::Kind::kAnyShortest) {
+        if (shortest) {
           s += " len=" + std::to_string(pb.path.Length());
         }
       } else {
