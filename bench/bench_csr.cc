@@ -320,10 +320,14 @@ void CheckPathsPin(const PropertyGraph& g, const PinnedWorkload& w,
 int RunBench() {
   bool ok = true;
   bench::JsonReport report("csr");
+  // The graphs outlive the sections so that BENCH_csr.prom snapshots their
+  // metrics registries.
+  std::vector<PropertyGraph> graphs;
+  graphs.reserve(4);
 
   // --- 1. pinned matcher steps --------------------------------------------
   {
-    PropertyGraph g = MakeExpansionGraph();
+    const PropertyGraph& g = graphs.emplace_back(MakeExpansionGraph());
     std::printf("expansion graph: %s\n", g.Summary().c_str());
     std::printf("%-28s | %10s | %10s %10s\n", "workload", "ms", "steps",
                 "pinned");
@@ -333,7 +337,7 @@ int RunBench() {
     }
   }
   if (ok) {
-    PropertyGraph g = MakeMatrixGraph();
+    const PropertyGraph& g = graphs.emplace_back(MakeMatrixGraph());
     for (const PinnedWorkload& w : kSelectorWorkloads) {
       CheckPinned(g, w, &report, &ok);
       if (!ok) break;
@@ -346,7 +350,7 @@ int RunBench() {
   // --- 2. byte-identity matrix --------------------------------------------
   // Both thread counts must be byte-identical (same rows, same order).
   {
-    PropertyGraph g = MakeMatrixGraph();
+    const PropertyGraph& g = graphs.emplace_back(MakeMatrixGraph());
     for (const Workload& w : kMatrixWorkloads) {
       std::vector<std::string> baseline;
       for (size_t threads : {size_t{1}, size_t{8}}) {
@@ -374,7 +378,7 @@ int RunBench() {
 
   // --- 3. index-backed seeding --------------------------------------------
   {
-    PropertyGraph g = MakeMatrixGraph();
+    const PropertyGraph& g = graphs.emplace_back(MakeMatrixGraph());
     EngineOptions base;
     base.num_threads = 1;
     Measurement scan = Measure(g, kLabelScanQuery, base, &ok);

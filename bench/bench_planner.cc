@@ -113,12 +113,16 @@ int RunBench() {
               "accounts", "seeds", "unplanned", "steps", "unplanned", "ms",
               "rows");
   const int scales[] = {100, 300};
+  // The graphs outlive the loop so that BENCH_planner.prom snapshots their
+  // metrics registries.
+  std::vector<PropertyGraph> graphs;
+  graphs.reserve(2);
   for (int s = 0; s < 2; ++s) {
     const int accounts = scales[s];
     FraudGraphOptions options;
     options.num_accounts = accounts;
     options.num_cities = std::max(2, accounts / 100);
-    PropertyGraph g = MakeFraudGraph(options);
+    const PropertyGraph& g = graphs.emplace_back(MakeFraudGraph(options));
     for (const Workload& w : workloads) {
       const Counters& pin = w.pinned[s];
       const Counters& off = w.unplanned[s];

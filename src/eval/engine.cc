@@ -44,6 +44,35 @@ const Path* RowScope::LookupPath(int var) const {
   return nullptr;
 }
 
+/// Span-level detail of one declaration, beyond what the record sums up
+/// (a chunked declaration accumulates its chunks). Times are offsets from
+/// the execution's start.
+struct DeclRun {
+  planner::DeclActual actual;
+  int decl_index = 0;
+  uint64_t start_us = 0;
+  uint64_t end_us = 0;
+  double seed_ms = 0;
+  std::vector<double> shard_ms;
+  bool joined = false;  // Every declaration after the first joins.
+  uint64_t join_start_us = 0;
+  uint64_t join_us = 0;
+};
+
+struct ExecDetail {
+  uint64_t epoch_us = 0;  // MonotonicMicros when the cursor opened.
+  std::vector<DeclRun> decls;  // Plan order.
+  std::optional<uint64_t> filter_start_us;  // The first per-row tail.
+
+  uint64_t NowUs() const { return obs::MonotonicMicros() - epoch_us; }
+  std::vector<planner::DeclActual> Actuals() const {
+    std::vector<planner::DeclActual> out;
+    out.reserve(decls.size());
+    for (const DeclRun& run : decls) out.push_back(run.actual);
+    return out;
+  }
+};
+
 namespace {
 
 /// Joins the accumulated rows with the next declaration's bindings on the
@@ -169,9 +198,9 @@ bool ModeAdmitsRow(const MatchOutput& ctx, const ResultRow& row) {
 }
 
 /// The shared per-row tail of every execution path: match-mode filter, then
-/// the final WHERE postfilter of §5.2. Batch materialization and both
-/// cursor modes run every row through this in the same order, which is what
-/// keeps streamed rows byte-identical to Engine::Match.
+/// the final WHERE postfilter of §5.2. Whole runs and seed chunks alike run
+/// every row through this in the same order, which is what keeps pulled
+/// rows byte-identical to drained ones.
 Result<bool> RowSurvives(const MatchOutput& ctx, const PropertyGraph& g,
                          const ResultRow& row) {
   if (!ModeAdmitsRow(ctx, row)) return false;
@@ -186,7 +215,7 @@ Result<bool> RowSurvives(const MatchOutput& ctx, const PropertyGraph& g,
 }
 
 // ---------------------------------------------------------------------------
-// Streaming eligibility: fixed-length patterns
+// Chunk eligibility: fixed-length patterns
 // ---------------------------------------------------------------------------
 
 std::optional<uint64_t> FixedPatternLength(const PathPattern& p);
@@ -218,7 +247,7 @@ std::optional<uint64_t> FixedElementLength(const PathElement& e) {
 /// The edge count every match of `p` must have, nullopt when it varies.
 /// Matches of a fixed-length pattern all sort equal under the merge's
 /// by-path-length order, so chunked seed-order generation reproduces the
-/// full run's binding order exactly — the streaming cursor's eligibility
+/// full run's binding order exactly — the cursor's chunk eligibility
 /// test (docs/api.md).
 std::optional<uint64_t> FixedPatternLength(const PathPattern& p) {
   switch (p.kind) {
@@ -268,7 +297,7 @@ const std::vector<NodeId>* IndexSeeds(const PropertyGraph& graph,
   return &graph.IndexedNodes(anchor.label, anchor.index_prop, *value);
 }
 
-/// First-row chunk of the streaming cursor; chunks grow geometrically so a
+/// First-row chunk of a chunked declaration; chunks grow geometrically so a
 /// full drain pays O(log seeds) chunk overheads while LIMIT 1 touches only
 /// a handful of seeds.
 constexpr size_t kFirstChunkSeeds = 8;
@@ -308,7 +337,7 @@ obs::ExecutionRecord StartRecord(const EngineOptions& options,
   return rec;
 }
 
-/// Adds one matcher run's work — a declaration, or a stream chunk — to the
+/// Adds one matcher run's work — a declaration, or a seed chunk — to the
 /// record.
 void AddMatchStats(const MatchStats& stats, obs::ExecutionRecord* rec) {
   rec->seeds += stats.seeds;
@@ -347,67 +376,23 @@ EngineMetrics ToEngineMetrics(const obs::ExecutionRecord& rec) {
   return m;
 }
 
-/// Span-level detail of one declaration of a materialized run, beyond what
-/// the record sums up. Times are offsets from the execution's start.
-struct DeclRun {
-  planner::DeclActual actual;
-  int decl_index = 0;
-  uint64_t start_us = 0;
-  uint64_t end_us = 0;
-  double seed_ms = 0;
-  std::vector<double> shard_ms;
-  bool joined = false;  // Every declaration after the first joins.
-  uint64_t join_start_us = 0;
-  uint64_t join_us = 0;
-};
-
-/// What a materialized run's span tree and EXPLAIN ANALYZE need on top of
-/// its record. Collected only when one of them may be consumed.
-struct ExecDetail {
-  uint64_t epoch_us = 0;  // MonotonicMicros at the execution's start.
-  std::vector<DeclRun> decls;  // Plan order.
-  uint64_t filter_start_us = 0;
-
-  uint64_t NowUs() const { return obs::MonotonicMicros() - epoch_us; }
-  std::vector<planner::DeclActual> Actuals() const {
-    std::vector<planner::DeclActual> out;
-    out.reserve(decls.size());
-    for (const DeclRun& run : decls) out.push_back(run.actual);
-    return out;
-  }
-};
-
-/// Renders the span trace of a finished execution from its record. A
-/// materialized run (which always keeps its detail when a trace may be
-/// rendered) becomes the query > decl > seed/shard tree plus join and
-/// filter spans; a stream, whose work happened across pulls, becomes a flat
-/// query/parse/plan/seed/match trace.
+/// Renders the span trace of a finished execution from its record and
+/// detail: the query > decl > seed/shard tree plus join and filter spans.
 void RenderTrace(const EngineOptions& options, const obs::ExecutionRecord& rec,
-                 const ExecDetail* detail, obs::Trace* tr) {
+                 const ExecDetail& detail, obs::Trace* tr) {
   tr->Clear();
   const char* cached = rec.cache_hit ? "true" : "false";
   int root = tr->AddComplete("query", obs::Trace::kNoParent, 0,
                              MsToUs(rec.total_ms));
-  if (rec.streamed) {
-    tr->Attr(root, "mode", "stream");
-    tr->Attr(root, "cached", cached);
-    tr->Attr(root, "rows", std::to_string(rec.rows));
-  } else {
-    tr->Attr(root, "threads", std::to_string(rec.threads));
-    tr->Attr(root, "cached", cached);
-  }
+  tr->Attr(root, "threads", std::to_string(rec.threads));
+  tr->Attr(root, "cached", cached);
   if (!options.tenant.empty()) tr->Attr(root, "tenant", options.tenant);
   if (!options.trace_id.empty()) tr->Attr(root, "trace_id", options.trace_id);
-  if (!rec.streamed) tr->Attr(root, "rows", std::to_string(rec.rows));
+  tr->Attr(root, "rows", std::to_string(rec.rows));
   if (rec.parse_ms > 0) tr->AddComplete("parse", root, 0, MsToUs(rec.parse_ms));
   int plan_span = tr->AddComplete("plan", root, 0, MsToUs(rec.compile_ms));
   tr->Attr(plan_span, "cached", cached);
-  if (detail == nullptr) {  // A stream: no per-declaration detail.
-    tr->AddComplete("seed", root, 0, MsToUs(rec.seed_ms));
-    tr->AddComplete("match", root, 0, MsToUs(rec.match_ms));
-    return;
-  }
-  for (const DeclRun& run : detail->decls) {
+  for (const DeclRun& run : detail.decls) {
     int decl = tr->AddComplete("decl", root, run.start_us,
                                run.end_us - run.start_us);
     tr->Attr(decl, "decl", std::to_string(run.decl_index));
@@ -425,15 +410,15 @@ void RenderTrace(const EngineOptions& options, const obs::ExecutionRecord& rec,
       tr->AddComplete("join", root, run.join_start_us, run.join_us);
     }
   }
-  tr->AddComplete("filter", root, detail->filter_start_us,
+  tr->AddComplete("filter", root, detail.filter_start_us.value_or(0),
                   MsToUs(rec.filter_ms));
 }
 
-/// Captures one slow execution into the configured (or global) log.
-void CaptureSlowQuery(const EngineOptions& options, const PropertyGraph& g,
-                      const planner::CachedPlan& plan,
-                      const obs::ExecutionRecord& rec,
-                      const ExecDetail* detail, const obs::Trace& trace) {
+/// The EXPLAIN ANALYZE rendering of a finished execution: the plan with
+/// the record's exec line and the detail's per-declaration actuals.
+std::string ExplainAnalyzed(const planner::CachedPlan& plan,
+                            const obs::ExecutionRecord& rec,
+                            const ExecDetail& detail) {
   planner::ExplainExec exec;
   exec.threads = rec.threads;
   exec.cached = rec.cache_hit;
@@ -442,9 +427,16 @@ void CaptureSlowQuery(const EngineOptions& options, const PropertyGraph& g,
   exec.truncated = rec.truncated;
   exec.total_ms = rec.total_ms;
   exec.plan_ms = rec.paid_plan_ms();
-  std::vector<planner::DeclActual> actuals;
-  if (detail != nullptr) actuals = detail->Actuals();
+  std::vector<planner::DeclActual> actuals = detail.Actuals();
+  return planner::ExplainPlan(plan.plan, *plan.vars, /*stats=*/nullptr, &exec,
+                              &actuals, &plan.diagnostics);
+}
 
+/// Captures one slow execution into the configured (or global) log.
+void CaptureSlowQuery(const EngineOptions& options, const PropertyGraph& g,
+                      const planner::CachedPlan& plan,
+                      const obs::ExecutionRecord& rec,
+                      const ExecDetail& detail, const obs::Trace& trace) {
   obs::SlowQueryRecord slow;
   slow.graph_token = g.identity_token();
   // Parameterized fingerprint: $names render as themselves, so the capture
@@ -452,10 +444,7 @@ void CaptureSlowQuery(const EngineOptions& options, const PropertyGraph& g,
   slow.fingerprint = plan.stats_fingerprint;
   slow.total_ms = rec.total_ms;
   slow.rows = rec.rows;
-  slow.explain = planner::ExplainPlan(plan.plan, *plan.vars, /*stats=*/nullptr,
-                                      &exec,
-                                      detail != nullptr ? &actuals : nullptr,
-                                      &plan.diagnostics);
+  slow.explain = ExplainAnalyzed(plan, rec, detail);
   slow.trace_json = trace.ToJsonLines();
   slow.tenant = options.tenant;
   slow.trace_id = options.trace_id;
@@ -472,7 +461,8 @@ void CaptureSlowQuery(const EngineOptions& options, const PropertyGraph& g,
 /// trace and the stats store — with the work it spent before failing: a
 /// query that dies on its step budget dominated that budget, and the
 /// store's purpose is to say so. The span trace is rendered only when
-/// something consumes it.
+/// something consumes it, and then `detail` is non-null: the cursor keeps
+/// it whenever a trace, a sink or a slow capture is attached.
 void Publish(const PropertyGraph& g, const EngineOptions& options,
              const planner::CachedPlan& plan, const obs::ExecutionRecord& rec,
              const ExecDetail* detail) {
@@ -487,9 +477,9 @@ void Publish(const PropertyGraph& g, const EngineOptions& options,
   obs::Trace local_trace;
   obs::Trace* trace = options.trace;
   if (trace == nullptr && (emit || slow)) trace = &local_trace;
-  if (trace != nullptr) RenderTrace(options, rec, detail, trace);
+  if (trace != nullptr) RenderTrace(options, rec, *detail, trace);
   if (emit) options.trace_sink->Emit(*trace);
-  if (slow) CaptureSlowQuery(options, g, plan, rec, detail, *trace);
+  if (slow) CaptureSlowQuery(options, g, plan, rec, *detail, *trace);
 
   if (!options.publish_query_stats) return;
   obs::QueryStatsStore& store = options.query_stats != nullptr
@@ -664,34 +654,17 @@ Result<std::string> Engine::ExplainAnalyze(const std::string& match_text,
 
 Result<std::string> Engine::ExplainAnalyze(const GraphPattern& pattern,
                                            const Params& params) const {
-  // Run with private metrics and a private trace so the rendering carries
-  // measured wall-clock actuals (`ms=`, `plan_ms=`, `actual_ms=`) even when
-  // the caller attached neither.
-  EngineMetrics metrics;
+  // Drain a cursor under a private trace: a trace makes the cursor keep the
+  // span detail the per-declaration actuals come from, even when the
+  // caller attached none.
   obs::Trace trace;
   EngineOptions opts = options_;
-  opts.metrics = &metrics;
   opts.trace = &trace;
   GPML_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(pattern));
-  GPML_RETURN_IF_ERROR(ValidateParams(prepared.signature_, params));
-  std::shared_ptr<const Params> shared =
-      params.empty() ? nullptr : std::make_shared<const Params>(params);
-  std::vector<planner::DeclActual> actuals;
-  GPML_ASSIGN_OR_RETURN(
-      MatchOutput out,
-      ExecutePlan(graph_, opts, *prepared.plan_, prepared.cache_hit_,
-                  std::move(shared), &actuals));
-  planner::ExplainExec exec;
-  exec.threads = ResolvedThreads();
-  exec.cached = prepared.cache_hit_;
-  exec.analyzed = true;
-  exec.rows = out.rows.size();
-  exec.truncated = out.truncated;
-  exec.total_ms = trace.TotalMs("query");
-  exec.plan_ms = metrics.plan_ms;
-  return planner::ExplainPlan(prepared.plan_->plan, *prepared.plan_->vars,
-                              /*stats=*/nullptr, &exec, &actuals,
-                              &prepared.plan_->diagnostics);
+  GPML_ASSIGN_OR_RETURN(Cursor cursor,
+                        prepared.WithOptions(opts).Open(params));
+  GPML_RETURN_IF_ERROR(cursor.Drain().status());
+  return ExplainAnalyzed(*prepared.plan_, cursor.record_, *cursor.detail_);
 }
 
 // ---------------------------------------------------------------------------
@@ -761,7 +734,7 @@ analysis::DiagnosticList Engine::LintImpl(const std::string& match_text) const {
 }
 
 // ---------------------------------------------------------------------------
-// Engine: materialized execution
+// Engine: one-shot execution
 // ---------------------------------------------------------------------------
 
 void Engine::CountDiagnostics(const analysis::DiagnosticList& diags) const {
@@ -777,237 +750,10 @@ Result<MatchOutput> Engine::Match(const std::string& match_text) const {
 }
 
 Result<MatchOutput> Engine::Match(const GraphPattern& pattern) const {
-  // The legacy one-shot call is a thin prepare-bind-drain: prepare (or hit
-  // the plan cache), bind the empty parameter set, materialize.
+  // The one-shot call is a thin prepare-bind-drain: prepare (or hit the
+  // plan cache), bind the empty parameter set, drain a cursor.
   GPML_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(pattern));
   return prepared.Execute();
-}
-
-namespace {
-
-/// The distinct nodes `var` is bound to across `rows` (its last binding in
-/// each row), ascending — a declaration's restricted seed or target list.
-std::vector<NodeId> BoundNodes(const std::vector<ResultRow>& rows, int var) {
-  std::unordered_set<NodeId> distinct;
-  for (const ResultRow& row : rows) {
-    for (size_t i = row.bindings.size(); i-- > 0;) {
-      const ElementRef* el = row.bindings[i]->LastOf(var);
-      if (el != nullptr) {
-        if (el->is_node()) distinct.insert(el->id);
-        break;
-      }
-    }
-  }
-  std::vector<NodeId> out(distinct.begin(), distinct.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// The materializing execution: per-declaration matching in plan order,
-/// the singleton hash join, declaration reordering, then the per-row tail.
-/// Fills `rec` as it goes — including the work of a declaration whose run
-/// fails — and `detail` when non-null.
-Result<MatchOutput> MaterializePlan(const PropertyGraph& graph,
-                                    const EngineOptions& options,
-                                    const planner::CachedPlan& prepared,
-                                    std::shared_ptr<const Params> params,
-                                    obs::ExecutionRecord* rec,
-                                    ExecDetail* detail) {
-  MatchOutput out;
-  out.normalized = prepared.normalized;
-  out.vars = prepared.vars;
-  out.params = std::move(params);
-  const planner::Plan& plan = prepared.plan;
-  const bool truncate =
-      options.on_budget == EngineOptions::BudgetPolicy::kTruncate;
-  const MatcherOptions matcher_options =
-      ExecMatcherOptions(options, rec->threads);
-
-  // Evaluate every path declaration independently (§6.5) in plan order,
-  // then join. The planner may mirror a declaration (anchor at its right
-  // end) or seed it from the bindings of earlier declarations; both are
-  // result-preserving (see docs/planner.md).
-  const size_t num_decls = plan.decls.size();
-  out.path_vars.assign(num_decls, -1);
-  if (detail != nullptr) detail->decls.reserve(num_decls);
-  bool first = true;
-  std::vector<ResultRow> rows;
-  // Analyzer-proven empty pattern (docs/analysis.md): skip seeding, matching
-  // and joining entirely — the loop guard below keeps the tail of this
-  // function (reorder, filter) running over zero rows, so the execution
-  // still publishes its counters (0 seeds, 0 matcher steps, 0 rows) and a
-  // complete trace.
-  const bool always_empty = prepared.always_empty;
-  for (size_t plan_pos = 0; !always_empty && plan_pos < num_decls;
-       ++plan_pos) {
-    const planner::DeclPlan& dp = plan.decls[plan_pos];
-    const PathPatternDecl& decl = dp.decl;
-    const uint64_t decl_start_us = detail != nullptr ? detail->NowUs() : 0;
-    out.path_vars[static_cast<size_t>(dp.decl_index)] =
-        decl.path_var.empty() ? -1 : out.vars->Find(decl.path_var);
-
-    // Compiled with the plan (and graph-bound); cache hits reuse it as-is.
-    const Program& program = *prepared.programs[plan_pos];
-
-    // Restricted seeding: the anchor variable is already bound by earlier
-    // declarations, so only those nodes can start a joinable match; failing
-    // that, an anchor with an inline equality predicate seeds from the
-    // (label, prop) = value hash index — the value is the planned literal
-    // or the bind-time $parameter binding. Both restrictions only drop
-    // starts the pattern's first node check would reject anyway.
-    std::vector<NodeId> seed_filter;
-    const std::vector<NodeId>* filter = nullptr;
-    bool use_filter = !first && dp.seed_bound_var >= 0;
-    bool use_index = false;
-    if (use_filter) {
-      seed_filter = BoundNodes(rows, dp.seed_bound_var);
-      filter = &seed_filter;
-    } else {
-      filter = IndexSeeds(graph, dp, out.params.get());
-      use_index = filter != nullptr;
-    }
-
-    // Target restriction: the far endpoint is bound by earlier
-    // declarations too, so a binding ending anywhere else cannot join.
-    std::vector<NodeId> target_filter;
-    const bool use_target = !first && dp.target_bound_var >= 0;
-    if (use_target) target_filter = BoundNodes(rows, dp.target_bound_var);
-
-    MatchStats match_stats;
-    bool decl_truncated = false;
-    Result<MatchSet> match = RunPattern(
-        graph, program, *out.vars, matcher_options, filter,
-        use_target ? &target_filter : nullptr, &match_stats,
-        out.params.get(), /*shared_budget=*/nullptr,
-        truncate ? &decl_truncated : nullptr);
-    // Count the work even when the run failed: RunPattern reports the
-    // steps it spent before a budget refusal.
-    AddMatchStats(match_stats, rec);
-    ++rec->decls;
-    if (dp.reversed) ++rec->reversed_decls;
-    if (use_filter) ++rec->bound_seeded_decls;
-    if (use_target) ++rec->target_filtered_decls;
-    if (use_index) ++rec->index_seeded_decls;
-    if (match_stats.route == MatchRoute::kWitness) ++rec->witness_decls;
-    if (!match.ok()) return match.status();
-    if (decl_truncated) out.truncated = true;
-    if (dp.reversed) planner::UnreverseMatchSet(&*match);
-
-    DeclRun* run = nullptr;
-    if (detail != nullptr) {
-      run = &detail->decls.emplace_back();
-      run->decl_index = dp.decl_index;
-      run->start_us = decl_start_us;
-      run->end_us = detail->NowUs();
-      run->seed_ms = match_stats.seed_ms;
-      run->shard_ms = std::move(match_stats.shard_ms);
-      run->actual.seeds = match_stats.seeds;
-      run->actual.steps = match_stats.steps;
-      run->actual.bindings = match->bindings.size();
-      run->actual.index_seeded = use_index;
-      run->actual.seed_filtered = use_filter;
-      run->actual.target_filtered = use_target;
-      run->actual.targets = target_filter.size();
-      run->actual.route = MatchRouteName(match_stats.route);
-      run->actual.arena_records = match_stats.arena_records;
-      run->actual.ms = match_stats.match_ms;
-    }
-
-    std::vector<std::shared_ptr<const PathBinding>> bindings;
-    bindings.reserve(match->bindings.size());
-    for (PathBinding& pb : match->bindings) {
-      bindings.push_back(std::make_shared<const PathBinding>(std::move(pb)));
-    }
-
-    if (first) {
-      rows.reserve(bindings.size());
-      for (auto& b : bindings) {
-        ResultRow r;
-        r.bindings.push_back(std::move(b));
-        rows.push_back(std::move(r));
-      }
-      first = false;
-      continue;
-    }
-
-    obs::Stopwatch join_clock;
-    bool join_truncated = false;
-    GPML_ASSIGN_OR_RETURN(
-        rows, JoinDecl(std::move(rows), bindings, dp.join_vars,
-                       options.max_rows, truncate, &join_truncated));
-    const uint64_t join_us = join_clock.ElapsedMicros();
-    rec->join_ms += static_cast<double>(join_us) / 1e3;
-    if (run != nullptr) {
-      run->joined = true;
-      run->join_start_us = join_clock.start_us() - detail->epoch_us;
-      run->join_us = join_us;
-    }
-    if (join_truncated) out.truncated = true;
-  }
-
-  // Row bindings were accumulated in plan execution order; restore source
-  // declaration order so hosts and RowScope index them by declaration.
-  bool reordered = false;
-  for (size_t i = 0; i < num_decls; ++i) {
-    if (plan.decls[i].decl_index != static_cast<int>(i)) reordered = true;
-  }
-  if (reordered) {
-    for (ResultRow& row : rows) {
-      std::vector<std::shared_ptr<const PathBinding>> ordered(num_decls);
-      for (size_t i = 0; i < num_decls; ++i) {
-        ordered[static_cast<size_t>(plan.decls[i].decl_index)] =
-            std::move(row.bindings[i]);
-      }
-      row.bindings = std::move(ordered);
-    }
-  }
-
-  // Per-row tail: match-mode filter (§7.1) and the final WHERE (§5.2) —
-  // the same RowSurvives the cursor paths stream through.
-  obs::Stopwatch filter_clock;
-  if (detail != nullptr) {
-    detail->filter_start_us = filter_clock.start_us() - detail->epoch_us;
-  }
-  std::vector<ResultRow> surviving;
-  surviving.reserve(rows.size());
-  for (ResultRow& row : rows) {
-    GPML_ASSIGN_OR_RETURN(bool keep, RowSurvives(out, graph, row));
-    if (keep) surviving.push_back(std::move(row));
-  }
-  out.rows = std::move(surviving);
-  rec->filter_ms = filter_clock.ElapsedMs();
-  return out;
-}
-
-}  // namespace
-
-Result<MatchOutput> Engine::ExecutePlan(
-    const PropertyGraph& graph, const EngineOptions& options,
-    const planner::CachedPlan& prepared, bool cache_hit,
-    std::shared_ptr<const Params> params,
-    std::vector<planner::DeclActual>* actuals, double parse_ms) {
-  obs::Stopwatch clock;
-  obs::ExecutionRecord rec = StartRecord(options, prepared, cache_hit, parse_ms);
-  // Span-level detail only when a trace or EXPLAIN ANALYZE may read it: a
-  // caller's trace, a sink, the caller's actuals, or an armed slow-query
-  // capture (which renders both if the run turns out slow).
-  ExecDetail detail;
-  detail.epoch_us = clock.start_us();
-  const bool keep_detail = actuals != nullptr || options.trace != nullptr ||
-                           options.trace_sink != nullptr ||
-                           options.slow_query_ms >= 0;
-  Result<MatchOutput> out =
-      MaterializePlan(graph, options, prepared, std::move(params), &rec,
-                      keep_detail ? &detail : nullptr);
-  rec.total_ms = clock.ElapsedMs();
-  rec.error = !out.ok();
-  if (out.ok()) {
-    rec.rows = out->rows.size();
-    rec.truncated = out->truncated;
-  }
-  if (actuals != nullptr) *actuals = detail.Actuals();
-  Publish(graph, options, prepared, rec, keep_detail ? &detail : nullptr);
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -1025,12 +771,8 @@ PreparedQuery::PreparedQuery(const PropertyGraph& graph,
       cache_hit_(cache_hit) {}
 
 Result<MatchOutput> PreparedQuery::Execute(const Params& params) const {
-  GPML_RETURN_IF_ERROR(ValidateParams(signature_, params));
-  std::shared_ptr<const Params> shared =
-      params.empty() ? nullptr : std::make_shared<const Params>(params);
-  return Engine::ExecutePlan(*graph_, options_, *plan_, cache_hit_,
-                             std::move(shared), /*actuals=*/nullptr,
-                             parse_ms_);
+  GPML_ASSIGN_OR_RETURN(Cursor cursor, Open(params));
+  return cursor.Drain();
 }
 
 Result<Cursor> PreparedQuery::Open(const Params& params) const {
@@ -1056,8 +798,44 @@ Result<std::string> PreparedQuery::Explain() const {
 }
 
 // ---------------------------------------------------------------------------
-// Cursor
+// Cursor: the one executor
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// The distinct nodes `var` is bound to across `rows` (its last binding in
+/// each row), ascending — a declaration's restricted seed or target list.
+std::vector<NodeId> BoundNodes(const std::vector<ResultRow>& rows, int var) {
+  std::unordered_set<NodeId> distinct;
+  for (const ResultRow& row : rows) {
+    for (size_t i = row.bindings.size(); i-- > 0;) {
+      const ElementRef* el = row.bindings[i]->LastOf(var);
+      if (el != nullptr) {
+        if (el->is_node()) distinct.insert(el->id);
+        break;
+      }
+    }
+  }
+  std::vector<NodeId> out(distinct.begin(), distinct.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// One single-binding row per binding: the rows a first declaration starts.
+std::vector<ResultRow> RowsOf(
+    std::vector<std::shared_ptr<const PathBinding>> bindings) {
+  std::vector<ResultRow> rows(bindings.size());
+  for (size_t i = 0; i < bindings.size(); ++i) {
+    rows[i].bindings.push_back(std::move(bindings[i]));
+  }
+  return rows;
+}
+
+}  // namespace
+
+Cursor::Cursor(Cursor&&) noexcept = default;
+Cursor& Cursor::operator=(Cursor&&) noexcept = default;
+Cursor::~Cursor() = default;
 
 Cursor::Cursor(const PropertyGraph& graph, EngineOptions options,
                std::shared_ptr<const planner::CachedPlan> plan,
@@ -1078,35 +856,29 @@ Cursor::Cursor(const PropertyGraph& graph, EngineOptions options,
     context_.path_vars[static_cast<size_t>(dp.decl_index)] =
         dp.decl.path_var.empty() ? -1 : context_.vars->Find(dp.decl.path_var);
   }
+  // Span-level detail only when a trace or EXPLAIN ANALYZE may read it: a
+  // caller's trace (EXPLAIN ANALYZE attaches one), a sink, or an armed
+  // slow-query capture (which renders both if the run turns out slow).
+  if (options_.trace != nullptr || options_.trace_sink != nullptr ||
+      options_.slow_query_ms >= 0) {
+    detail_ = std::make_unique<ExecDetail>();
+    detail_->epoch_us = open_us_;
+    detail_->decls.reserve(p.decls.size());
+  }
 
-  // Streaming eligibility: a single declaration with no selector whose
+  // Chunk eligibility: a single declaration with no selector whose
   // matches all have one fixed path length. Then per-chunk merge order
   // (stable by-length sort) is the identity, chunk outputs concatenate in
-  // seed order exactly like the full run's discovery order, and cross-chunk
+  // seed order exactly like a whole run's discovery order, and cross-chunk
   // duplicates cannot exist (distinct seeds; a reduced binding keeps its
-  // start node) — so streamed rows are byte-identical to Execute.
-  // Analyzer-proven empty plans stay in kBatch: FillBatch delegates to
-  // ExecutePlan, whose always-empty early exit publishes the 0-seed /
-  // 0-step execution without ever calling ComputeSeeds.
+  // start node) — so chunked rows are byte-identical to a whole run.
+  // An analyzer-proven empty plan runs no declaration at all.
   if (!plan_->always_empty && p.decls.size() == 1 &&
       p.decls[0].decl.selector.IsNone() &&
       FixedPatternLength(*p.decls[0].decl.pattern).has_value()) {
-    mode_ = Mode::kStream;
-    const planner::DeclPlan& dp = p.decls[0];
-    record_.streamed = true;
-    record_.decls = 1;
-    if (dp.reversed) record_.reversed_decls = 1;
-    const std::vector<NodeId>* filter =
-        IndexSeeds(graph, dp, context_.params.get());
-    if (filter != nullptr) record_.index_seeded_decls = 1;
-    obs::Stopwatch seed_clock;
-    seeds_ = ComputeSeeds(graph, *plan_->programs[0], filter);
-    record_.seed_ms = seed_clock.ElapsedMs();
+    chunked_ = true;
     chunk_size_ = kFirstChunkSeeds;
-    // One budget across all chunks: the stream can never execute more
-    // steps or accept more matches than a single materializing call.
-    budget_ = std::make_unique<SharedBudget>(options_.matcher.max_steps,
-                                             options_.matcher.max_matches);
+    BeginDecl(0, /*rows=*/{});
   }
   SyncMetrics();
 }
@@ -1117,133 +889,282 @@ void Cursor::SyncMetrics() {
   *options_.metrics = ToEngineMetrics(record_);
 }
 
-Status Cursor::FillChunk() {
-  staged_.clear();
-  staged_pos_ = 0;
-  const planner::DeclPlan& dp = plan_->plan.decls[0];
-  const Program& program = *plan_->programs[0];
+void Cursor::BeginDecl(size_t plan_pos, const std::vector<ResultRow>& rows) {
+  const uint64_t start_us = detail_ != nullptr ? detail_->NowUs() : 0;
+  const planner::DeclPlan& dp = plan_->plan.decls[plan_pos];
+  decl_pos_ = plan_pos;
+  decl_runs_ = 0;
 
-  const size_t count = std::min(chunk_size_, seeds_.size() - seed_pos_);
-  std::vector<NodeId> chunk(seeds_.begin() + static_cast<long>(seed_pos_),
-                            seeds_.begin() +
-                                static_cast<long>(seed_pos_ + count));
-  seed_pos_ += count;
-  chunk_size_ = std::min(chunk_size_ * 2, kMaxChunkSeeds);
+  // Restricted seeding: the anchor variable is already bound by earlier
+  // declarations, so only those nodes can start a joinable match; failing
+  // that, an anchor with an inline equality predicate seeds from the
+  // (label, prop) = value hash index — the value is the planned literal
+  // or the bind-time $parameter binding. Both restrictions only drop
+  // starts the pattern's first node check would reject anyway.
+  const bool first = plan_pos == 0;
+  bound_seeded_ = !first && dp.seed_bound_var >= 0;
+  bound_seeds_.clear();
+  index_seeds_ = nullptr;
+  if (bound_seeded_) {
+    bound_seeds_ = BoundNodes(rows, dp.seed_bound_var);
+  } else {
+    index_seeds_ = IndexSeeds(*graph_, dp, context_.params.get());
+  }
+  // Target restriction: the far endpoint is bound by earlier declarations
+  // too, so a binding ending anywhere else cannot join.
+  target_filtered_ = !first && dp.target_bound_var >= 0;
+  targets_.clear();
+  if (target_filtered_) targets_ = BoundNodes(rows, dp.target_bound_var);
 
+  ++record_.decls;
+  if (dp.reversed) ++record_.reversed_decls;
+  if (bound_seeded_) ++record_.bound_seeded_decls;
+  if (target_filtered_) ++record_.target_filtered_decls;
+  if (index_seeds_ != nullptr) ++record_.index_seeded_decls;
+  if (detail_ != nullptr) {
+    DeclRun& run = detail_->decls.emplace_back();
+    run.decl_index = dp.decl_index;
+    run.start_us = start_us;
+    run.end_us = start_us;
+    run.actual.index_seeded = index_seeds_ != nullptr;
+    run.actual.seed_filtered = bound_seeded_;
+    run.actual.target_filtered = target_filtered_;
+    run.actual.targets = targets_.size();
+    run.actual.ms = 0;
+  }
+}
+
+Result<std::vector<std::shared_ptr<const PathBinding>>> Cursor::RunDecl(
+    const std::vector<NodeId>* chunk) {
+  const planner::DeclPlan& dp = plan_->plan.decls[decl_pos_];
+  const std::vector<NodeId>* seeds = chunk != nullptr ? chunk
+                                     : bound_seeded_  ? &bound_seeds_
+                                                      : index_seeds_;
   const bool truncate =
       options_.on_budget == EngineOptions::BudgetPolicy::kTruncate;
   MatchStats stats;
   bool exhausted = false;
+  // A whole run keeps RunPattern's call-local budget; chunks share the
+  // declaration's budget, so a chunked declaration stops at the same step
+  // a whole run would.
   Result<MatchSet> match = RunPattern(
-      *graph_, program, *context_.vars,
-      ExecMatcherOptions(options_, record_.threads), &chunk,
-      /*target_filter=*/nullptr, &stats,
-      context_.params.get(), budget_.get(), truncate ? &exhausted : nullptr);
-  // Record the matcher work even when the run errored: RunPattern fills
-  // `stats` with the steps actually spent before a budget refusal, and
-  // downstream accounting (the server's per-tenant step charging) must see
-  // them — a query that dies on its step cap still did that work.
+      *graph_, *plan_->programs[decl_pos_], *context_.vars,
+      ExecMatcherOptions(options_, record_.threads), seeds,
+      target_filtered_ ? &targets_ : nullptr, &stats, context_.params.get(),
+      chunk != nullptr ? budget_.get() : nullptr,
+      truncate ? &exhausted : nullptr);
+  // Count the work even when the run failed: RunPattern reports the steps
+  // it spent before a budget refusal, and downstream accounting (the
+  // server's per-tenant step charging) must see them — a query that dies
+  // on its step cap still did that work.
   AddMatchStats(stats, &record_);
+  if (decl_runs_++ == 0 && stats.route == MatchRoute::kWitness) {
+    ++record_.witness_decls;
+  }
   if (!match.ok()) return match.status();
+  if (exhausted) truncated_ = true;
   if (dp.reversed) planner::UnreverseMatchSet(&*match);
 
-  obs::Stopwatch filter_clock;
-  for (PathBinding& pb : match->bindings) {
-    ResultRow row;
-    row.bindings.push_back(
-        std::make_shared<const PathBinding>(std::move(pb)));
-    Result<bool> keep = RowSurvives(context_, *graph_, row);
-    if (!keep.ok()) return keep.status();
-    if (*keep) staged_.push_back(std::move(row));
+  if (detail_ != nullptr) {
+    DeclRun& run = detail_->decls.back();
+    run.end_us = detail_->NowUs();
+    run.seed_ms += stats.seed_ms;
+    // Shard s of the declaration sums shard s of its runs.
+    if (run.shard_ms.size() < stats.shard_ms.size()) {
+      std::swap(run.shard_ms, stats.shard_ms);
+    }
+    for (size_t s = 0; s < stats.shard_ms.size(); ++s) {
+      run.shard_ms[s] += stats.shard_ms[s];
+    }
+    run.actual.seeds += stats.seeds;
+    run.actual.steps += stats.steps;
+    run.actual.bindings += match->bindings.size();
+    run.actual.route = MatchRouteName(stats.route);
+    run.actual.arena_records =
+        std::max(run.actual.arena_records, stats.arena_records);
+    run.actual.ms += stats.match_ms;
   }
-  record_.filter_ms += filter_clock.ElapsedMs();
 
-  if (exhausted) {
-    truncated_ = true;
-    context_.truncated = true;
-    record_.truncated = true;
-    seed_pos_ = seeds_.size();  // No further chunks.
+  std::vector<std::shared_ptr<const PathBinding>> bindings;
+  bindings.reserve(match->bindings.size());
+  for (PathBinding& pb : match->bindings) {
+    bindings.push_back(std::make_shared<const PathBinding>(std::move(pb)));
   }
+  return bindings;
+}
+
+Result<std::vector<ResultRow>> Cursor::JoinDecls() {
+  const planner::Plan& plan = plan_->plan;
+  const size_t num_decls = plan.decls.size();
+  const bool truncate =
+      options_.on_budget == EngineOptions::BudgetPolicy::kTruncate;
+  // Evaluate every path declaration independently (§6.5) in plan order,
+  // then join. The planner may mirror a declaration (anchor at its right
+  // end) or seed it from the bindings of earlier declarations; both are
+  // result-preserving (see docs/planner.md). An analyzer-proven empty
+  // pattern (docs/analysis.md) runs none, and the execution still
+  // publishes its counters (0 seeds, 0 steps, 0 rows) and a whole trace.
+  std::vector<ResultRow> rows;
+  for (size_t pos = 0; !plan_->always_empty && pos < num_decls; ++pos) {
+    BeginDecl(pos, rows);
+    GPML_ASSIGN_OR_RETURN(auto bindings, RunDecl(/*chunk=*/nullptr));
+    if (pos == 0) {
+      rows = RowsOf(std::move(bindings));
+      continue;
+    }
+    obs::Stopwatch join_clock;
+    bool join_truncated = false;
+    GPML_ASSIGN_OR_RETURN(
+        rows, JoinDecl(std::move(rows), bindings, plan.decls[pos].join_vars,
+                       options_.max_rows, truncate, &join_truncated));
+    const uint64_t join_us = join_clock.ElapsedMicros();
+    record_.join_ms += static_cast<double>(join_us) / 1e3;
+    if (detail_ != nullptr) {
+      DeclRun& run = detail_->decls.back();
+      run.joined = true;
+      run.join_start_us = join_clock.start_us() - detail_->epoch_us;
+      run.join_us = join_us;
+    }
+    if (join_truncated) truncated_ = true;
+  }
+
+  // Row bindings were accumulated in plan execution order; restore source
+  // declaration order so hosts and RowScope index them by declaration.
+  bool reordered = false;
+  for (size_t i = 0; i < num_decls; ++i) {
+    if (plan.decls[i].decl_index != static_cast<int>(i)) reordered = true;
+  }
+  if (reordered) {
+    for (ResultRow& row : rows) {
+      std::vector<std::shared_ptr<const PathBinding>> ordered(num_decls);
+      for (size_t i = 0; i < num_decls; ++i) {
+        ordered[static_cast<size_t>(plan.decls[i].decl_index)] =
+            std::move(row.bindings[i]);
+      }
+      row.bindings = std::move(ordered);
+    }
+  }
+  return rows;
+}
+
+Status Cursor::Fill(bool drain) {
+  staged_.clear();
+  staged_pos_ = 0;
+  std::vector<ResultRow> rows;
+  if (chunked_) {
+    // The next chunk of the declaration's seed list, or every remaining
+    // seed when draining; a drain before any chunk runs the declaration
+    // over its whole seed source, exactly like the general shape.
+    const bool whole = drain && !seeds_.has_value();
+    std::vector<NodeId> chunk;
+    if (!whole) {
+      if (!seeds_.has_value()) {
+        obs::Stopwatch seed_clock;
+        seeds_ = ComputeSeeds(*graph_, *plan_->programs[0], index_seeds_);
+        const double seed_ms = seed_clock.ElapsedMs();
+        record_.seed_ms += seed_ms;
+        if (detail_ != nullptr) detail_->decls.back().seed_ms += seed_ms;
+        budget_ = std::make_unique<SharedBudget>(options_.matcher.max_steps,
+                                                 options_.matcher.max_matches);
+      }
+      const size_t left = seeds_->size() - seed_pos_;
+      const size_t count = drain ? left : std::min(chunk_size_, left);
+      const auto begin = seeds_->begin() + static_cast<long>(seed_pos_);
+      chunk.assign(begin, begin + static_cast<long>(count));
+      seed_pos_ += count;
+      chunk_size_ = std::min(chunk_size_ * 2, kMaxChunkSeeds);
+    }
+    GPML_ASSIGN_OR_RETURN(auto bindings, RunDecl(whole ? nullptr : &chunk));
+    rows = RowsOf(std::move(bindings));
+    exhausted_ = whole || truncated_ || seed_pos_ == seeds_->size();
+  } else {
+    GPML_ASSIGN_OR_RETURN(rows, JoinDecls());
+    exhausted_ = true;
+  }
+  record_.truncated = truncated_;
+  context_.truncated = truncated_;
+
+  // Per-row tail: match-mode filter (§7.1) and the final WHERE (§5.2).
+  obs::Stopwatch filter_clock;
+  if (detail_ != nullptr && !detail_->filter_start_us.has_value()) {
+    detail_->filter_start_us = filter_clock.start_us() - detail_->epoch_us;
+  }
+  size_t kept = 0;
+  for (ResultRow& row : rows) {
+    GPML_ASSIGN_OR_RETURN(bool keep, RowSurvives(context_, *graph_, row));
+    if (keep) std::swap(rows[kept++], row);
+  }
+  rows.resize(kept);
+  staged_ = std::move(rows);
+  record_.filter_ms += filter_clock.ElapsedMs();
   SyncMetrics();
   return Status::OK();
 }
 
-Status Cursor::FillBatch() {
-  batch_ran_ = true;
-  Result<MatchOutput> out = Engine::ExecutePlan(
-      *graph_, options_, *plan_, record_.cache_hit, context_.params,
-      /*actuals=*/nullptr, record_.parse_ms);
-  if (!out.ok()) return out.status();
-  truncated_ = out->truncated;
-  context_.truncated = out->truncated;
-  staged_ = std::move(out->rows);
-  staged_pos_ = 0;
-  // ExecutePlan reported the materialized count; the cursor contract is
-  // rows *emitted so far*, counted per pull in Next for both modes.
-  if (options_.metrics != nullptr) options_.metrics->rows = 0;
-  return Status::OK();
-}
-
-Result<bool> Cursor::Next(RowView* view) {
+Result<bool> Cursor::Ready(bool drain) {
   if (!status_.ok()) return status_;
-  if (limit_.has_value() && emitted_ >= *limit_) {
-    if (!done_) {
-      done_ = true;
-      hit_limit_ = true;
-      FinishStream(/*error=*/false);
-    }
-    return false;
-  }
+  StopAtLimit();  // A LIMIT 0 stream ends before its first row.
   if (done_) return false;
-  while (true) {
-    if (staged_pos_ < staged_.size()) {
-      current_ = std::move(staged_[staged_pos_++]);
-      ++emitted_;
-      if (options_.metrics != nullptr) ++options_.metrics->rows;
-      view->row = &current_;
-      view->context = &context_;
-      return true;
+  while (staged_pos_ == staged_.size()) {
+    if (exhausted_) {
+      Finish(/*error=*/false);
+      return false;
     }
-    if (mode_ == Mode::kBatch) {
-      if (batch_ran_) {
-        done_ = true;
-        return false;
-      }
-      status_ = FillBatch();
-    } else {
-      if (seed_pos_ >= seeds_.size()) {
-        done_ = true;
-        FinishStream(/*error=*/false);
-        return false;
-      }
-      status_ = FillChunk();
-    }
+    status_ = Fill(drain);
     if (!status_.ok()) {
-      done_ = true;
-      // kBatch errors were already published inside ExecutePlan.
-      FinishStream(/*error=*/true);
+      Finish(/*error=*/true);
       return status_;
     }
   }
+  return true;
 }
 
-void Cursor::FinishStream(bool error) {
-  if (published_ || mode_ != Mode::kStream) return;
-  published_ = true;
+void Cursor::Emitted(size_t n) {
+  emitted_ += n;
+  if (options_.metrics != nullptr) options_.metrics->rows += n;
+  StopAtLimit();
+}
+
+void Cursor::StopAtLimit() {
+  if (!limit_.has_value() || emitted_ < *limit_) return;
+  hit_limit_ = true;
+  Finish(/*error=*/false);
+}
+
+void Cursor::Finish(bool error) {
+  if (done_) return;
+  done_ = true;
   record_.total_ms =
       static_cast<double>(obs::MonotonicMicros() - open_us_) / 1e3;
   record_.rows = emitted_;
   record_.error = error;
-  Publish(*graph_, options_, *plan_, record_, /*detail=*/nullptr);
+  Publish(*graph_, options_, *plan_, record_, detail_.get());
+}
+
+Result<bool> Cursor::Next(RowView* view) {
+  GPML_ASSIGN_OR_RETURN(bool ready, Ready(/*drain=*/false));
+  if (!ready) return false;
+  current_ = std::move(staged_[staged_pos_++]);
+  view->row = &current_;
+  view->context = &context_;
+  Emitted(1);
+  return true;
 }
 
 Result<MatchOutput> Cursor::Drain() {
   MatchOutput out = context_;
-  RowView view;
   while (true) {
-    GPML_ASSIGN_OR_RETURN(bool more, Next(&view));
-    if (!more) break;
-    out.rows.push_back(*view.row);
+    GPML_ASSIGN_OR_RETURN(bool ready, Ready(/*drain=*/!limit_.has_value()));
+    if (!ready) break;
+    size_t take = staged_.size() - staged_pos_;
+    if (limit_.has_value()) {
+      take = static_cast<size_t>(std::min<uint64_t>(take, *limit_ - emitted_));
+    }
+    const auto first = staged_.begin() + static_cast<long>(staged_pos_);
+    out.rows.insert(out.rows.end(), std::make_move_iterator(first),
+                    std::make_move_iterator(first + static_cast<long>(take)));
+    staged_pos_ += take;
+    Emitted(take);
   }
   out.truncated = truncated_;
   return out;

@@ -25,23 +25,23 @@
 
 namespace gpml {
 
-/// Execution counters of one execution (Engine::Match, PreparedQuery
-/// execution, or a Cursor stream), aggregated over all path declarations.
-/// Filled when EngineOptions::metrics points here; the planner benchmarks
-/// compare these with the planner on and off.
+/// Execution counters of one execution (a Cursor, whether pulled row by
+/// row or drained by Engine::Match / PreparedQuery::Execute), aggregated
+/// over all path declarations. Filled when EngineOptions::metrics points
+/// here; the benchmarks read their exact counters from it.
 ///
 /// A view of the execution's obs::ExecutionRecord, copied out of it when
-/// the execution publishes (and, for a cursor stream, after every chunk).
+/// the execution publishes (and after every fill of the cursor's rows).
 /// Deliberately plain scalar fields (the benchmarks depend on the struct
 /// staying POD): worker shards count into shard-local MatchStats, merged
 /// into the record once per declaration after all shards have joined — so
-/// a num_threads > 1 run never races on these fields. Cursor streams update
+/// a num_threads > 1 run never races on these fields. The cursor updates
 /// the struct between pulls (single-threaded caller context).
 ///
-/// Reset-on-execute: every execution (including Cursor construction, which
-/// starts a stream) zeroes the struct before filling it, so the fields
-/// always describe the latest execution — a cursor's counters grow as rows
-/// are pulled and are final when the stream ends (docs/observability.md).
+/// Reset-on-execute: every execution zeroes the struct when its cursor
+/// opens, so the fields always describe the latest execution — they grow
+/// as rows are pulled and are final when the stream ends
+/// (docs/observability.md).
 struct EngineMetrics {
   size_t decls = 0;                // Path declarations executed.
   size_t seeded_nodes = 0;         // Start nodes seeded, summed over decls.
@@ -62,8 +62,8 @@ struct EngineMetrics {
   size_t plan_cache_misses = 0;    // 1 on a fresh compile, else 0.
   size_t index_seeded_decls = 0;   // Declarations seeded from the equality
                                    // (label, prop) = value hash index.
-  size_t rows = 0;                 // Result rows delivered (post mode filter
-                                   // and postfilter; cursor: emitted so far).
+  size_t rows = 0;                 // Result rows emitted so far (post mode
+                                   // filter and postfilter; LIMIT-capped).
   size_t budget_truncated = 0;     // 1 when the output was cut short by an
                                    // evaluation budget (BudgetPolicy::
                                    // kTruncate) — distinct from a LIMIT stop.
@@ -81,8 +81,7 @@ struct EngineMetrics {
                                    // cache hit (a past execution paid it).
   double seed_ms = 0;              // Seed-list derivation, over all decls.
   double exec_ms = 0;              // Pattern matching (RunPattern wall),
-                                   // over all decls; cursor streams
-                                   // accumulate this across pulls.
+                                   // over all decls and seed chunks.
 };
 
 struct EngineOptions {
@@ -129,9 +128,9 @@ struct EngineOptions {
   /// Executions slower than this wall-clock threshold (ms) are captured —
   /// parameterized fingerprint, EXPLAIN ANALYZE text, trace JSON — into
   /// `slow_log`, or the process-wide obs::GlobalSlowQueryLog() when that
-  /// is null. Negative disables slow-query capture. Streaming cursors
-  /// measure open-to-finish and capture when the stream completes;
-  /// abandoned streams are never captured.
+  /// is null. Negative disables slow-query capture. Every execution is
+  /// measured from cursor open to the end of its stream and captured then;
+  /// abandoned cursors are never captured.
   double slow_query_ms = 1000.0;
   obs::SlowQueryLog* slow_log = nullptr;
   /// Fold every completed execution — success, error, or truncation — into
@@ -200,6 +199,9 @@ class RowScope : public EvalScope {
 
 class Cursor;
 class Engine;
+/// Span-level detail of one execution (engine.cc), kept by a cursor only
+/// when a trace or EXPLAIN ANALYZE may read it.
+struct ExecDetail;
 
 /// A non-owning view of one streamed result row: the row itself plus the
 /// compiled context needed to interpret it (`context->rows` stays empty —
@@ -264,16 +266,16 @@ class PreparedQuery {
     return copy;
   }
 
-  /// Materializing execution — row-identical to Engine::Match on the same
-  /// pattern with the bound values written as literals (prepared-vs-literal
-  /// differential tests assert this).
+  /// Materializing execution: Open + Drain. Row-identical to Engine::Match
+  /// on the same pattern with the bound values written as literals
+  /// (prepared-vs-literal differential tests assert this).
   Result<MatchOutput> Execute(const Params& params = {}) const;
 
   /// Streaming execution: rows are pulled through the returned cursor and
-  /// are byte-identical to Execute's row sequence ( a prefix of it under
+  /// are byte-identical to Execute's row sequence (a prefix of it under
   /// `limit`). Single fixed-length declarations stream incrementally out of
   /// the matcher in seed-order chunks, so the first row does not pay for
-  /// full materialization; other shapes materialize lazily on the first
+  /// full materialization; other shapes run every declaration on the first
   /// pull and stream the filter/delivery stages.
   Result<Cursor> Open(const Params& params = {}) const;
   Result<Cursor> Open(const Params& params,
@@ -303,15 +305,22 @@ class PreparedQuery {
 /// or end of stream; check status() afterwards to distinguish). Rows are
 /// byte-identical to the materializing execution's row sequence; `limit`
 /// (from PreparedQuery::Open or a RETURN ... LIMIT clause) ends the stream
-/// after that many rows, stopping matching early. Abandoning a cursor
-/// mid-stream is safe and leaks nothing: the step/match budget is owned by
-/// the cursor and dies with it.
+/// after that many rows, stopping matching early.
+///
+/// The cursor is the engine's only executor: Engine::Match,
+/// PreparedQuery::Execute and EXPLAIN ANALYZE drain one. It owns the
+/// execution's obs::ExecutionRecord and publishes it once, when the stream
+/// ends — end of rows, the `limit`-th row, flagged truncation or an error
+/// (docs/observability.md). Abandoning a cursor mid-stream is safe, leaks
+/// nothing and publishes nothing: the step/match budget is owned by the
+/// cursor and dies with it.
 class Cursor {
  public:
-  Cursor(Cursor&&) = default;
-  Cursor& operator=(Cursor&&) = default;
+  Cursor(Cursor&&) noexcept;
+  Cursor& operator=(Cursor&&) noexcept;
   Cursor(const Cursor&) = delete;
   Cursor& operator=(const Cursor&) = delete;
+  ~Cursor();
 
   /// Advances to the next row. Returns false at end of stream (clean
   /// completion, LIMIT, or flagged truncation); errors are sticky.
@@ -334,8 +343,10 @@ class Cursor {
   /// The sticky error that terminated the stream, or OK.
   const Status& status() const { return status_; }
 
-  /// Materializes the remaining rows into a MatchOutput (the legacy
-  /// Engine::Match shape); propagates stream errors.
+  /// Moves the remaining rows into a MatchOutput (the Engine::Match shape)
+  /// and ends the stream; propagates stream errors. Without a limit the
+  /// remaining seeds run as one chunk, so draining a fresh cursor makes one
+  /// RunPattern call per declaration.
   Result<MatchOutput> Drain();
 
   /// Input-iterator support for range-for. Iteration ends at end of stream
@@ -366,63 +377,86 @@ class Cursor {
   iterator end() { return iterator(); }
 
  private:
+  friend class Engine;
   friend class PreparedQuery;
-  enum class Mode {
-    kStream,  // Single fixed-length declaration: chunked seed-order
-              // generation straight out of the matcher.
-    kBatch,   // General shape: lazy materialization on first pull, then
-              // streamed filtering/delivery.
-  };
 
   Cursor(const PropertyGraph& graph, EngineOptions options,
          std::shared_ptr<const planner::CachedPlan> plan,
          std::shared_ptr<const Params> params, bool cache_hit,
          std::optional<uint64_t> limit, double parse_ms);
 
-  /// Runs the next seed chunk (kStream) and stages its surviving rows.
-  Status FillChunk();
-  /// Runs the whole batch pipeline (kBatch) and stages surviving rows.
-  Status FillBatch();
-  /// One-shot publication of a kStream execution's record, from Next when
-  /// the stream completes cleanly (end of seeds, LIMIT, or flagged
-  /// truncation) or dies on an error. An errored stream reaches only
-  /// EngineMetrics, a caller-attached trace and the query-stats store (with
-  /// the steps it spent); an abandoned stream publishes nothing. kBatch
-  /// streams publish through ExecutePlan instead (docs/observability.md).
-  void FinishStream(bool error);
+  /// The per-declaration step, part one: picks plan declaration
+  /// `plan_pos`'s seed source (the nodes earlier declarations bound in
+  /// `rows`, else the equality index, else the label scan) and target
+  /// restriction, and counts those decisions into the record.
+  void BeginDecl(size_t plan_pos, const std::vector<ResultRow>& rows);
+  /// The per-declaration step, part two: one RunPattern call of the begun
+  /// declaration over `chunk` (a slice of its seed list, charged to the
+  /// declaration's shared budget) or, when null, over its whole seed
+  /// source. Adds the run's work to the record and the detail and returns
+  /// the bindings in source orientation.
+  Result<std::vector<std::shared_ptr<const PathBinding>>> RunDecl(
+      const std::vector<NodeId>* chunk);
+  /// The general shape: every declaration through the step in plan order,
+  /// joined on shared singletons, bindings restored to source order.
+  Result<std::vector<ResultRow>> JoinDecls();
+  /// Stages the next rows: the next seed chunk of a chunked declaration
+  /// (all remaining seeds when `drain`), else every declaration joined in
+  /// plan order; then the per-row tail (match mode, final WHERE).
+  Status Fill(bool drain);
+  /// True when a staged row is ready; false once the stream has ended.
+  /// Fills as needed and ends the stream on exhaustion, LIMIT or error.
+  Result<bool> Ready(bool drain);
+  /// Counts `n` delivered rows; ends the stream when they reach `limit`.
+  void Emitted(size_t n);
+  /// Ends the stream once `limit` rows were delivered.
+  void StopAtLimit();
+  /// Ends the stream and publishes its record (docs/observability.md):
+  /// the only Publish call, once per execution. A cursor abandoned before
+  /// its stream ends never gets here and publishes nothing.
+  void Finish(bool error);
   /// Copies the record into EngineOptions::metrics (rows = emitted so far).
   void SyncMetrics();
 
   const PropertyGraph* graph_;
   EngineOptions options_;
   std::shared_ptr<const planner::CachedPlan> plan_;
-  Mode mode_ = Mode::kBatch;
 
   MatchOutput context_;  // rows empty; carries vars/normalized/params.
   std::optional<uint64_t> limit_;
   size_t emitted_ = 0;
-  bool done_ = false;
+  bool exhausted_ = false;  // No matcher work left: staged rows are all.
+  bool done_ = false;       // The stream ended and published.
   bool truncated_ = false;
   bool hit_limit_ = false;
   Status status_;
   ResultRow current_;  // Keeps the last-delivered row alive for RowView.
 
-  // Staged surviving rows (one chunk in kStream; everything in kBatch).
+  // Rows that survived the per-row tail, not yet delivered.
   std::vector<ResultRow> staged_;
   size_t staged_pos_ = 0;
-  bool batch_ran_ = false;
 
-  // kStream state.
-  std::vector<NodeId> seeds_;
+  // The declaration the step is running (plan order) and its sources.
+  size_t decl_pos_ = 0;
+  bool bound_seeded_ = false;     // Seeds are bound_seeds_ ...
+  std::vector<NodeId> bound_seeds_;
+  const std::vector<NodeId>* index_seeds_ = nullptr;  // ... else these, else
+                                                      // the label scan.
+  bool target_filtered_ = false;  // Accepts restricted to targets_.
+  std::vector<NodeId> targets_;
+  size_t decl_runs_ = 0;          // RunDecl calls of this declaration.
+
+  // A single fixed-length declaration runs in seed-order chunks that grow
+  // geometrically; its seed list and budget are made at the first chunk.
+  bool chunked_ = false;
+  std::optional<std::vector<NodeId>> seeds_;
   size_t seed_pos_ = 0;
   size_t chunk_size_ = 0;
   std::unique_ptr<SharedBudget> budget_;  // One budget across all chunks.
 
   uint64_t open_us_ = 0;  // Monotonic time of construction.
-  // The execution's only running totals (kStream; a kBatch cursor's
-  // execution keeps its own record inside ExecutePlan).
-  obs::ExecutionRecord record_;
-  bool published_ = false;  // FinishStream fired (once ever).
+  obs::ExecutionRecord record_;  // The execution's only running totals.
+  std::unique_ptr<ExecDetail> detail_;  // Null unless a trace may render.
 };
 
 /// The GPML processor of Figure 9: evaluates graph patterns over one
@@ -431,9 +465,10 @@ class Cursor {
 /// paper requires.
 ///
 /// The primary execution API is Prepare (once) + PreparedQuery::Execute /
-/// Open (per parameter binding); Match is the legacy one-shot wrapper —
-/// prepare, bind nothing, drain — kept as the differential oracle the
-/// cursor paths are tested against.
+/// Open (per parameter binding); Match is the one-shot wrapper — prepare,
+/// bind nothing, drain. Every execution runs through the Cursor; the
+/// semantic oracle it is tested against is RunReferencePattern
+/// (eval/reference_eval.h), the literal §6.5 join.
 class Engine {
  public:
   explicit Engine(const PropertyGraph& graph, EngineOptions options = {})
@@ -491,9 +526,6 @@ class Engine {
   size_t ResolvedThreads() const;
 
  private:
-  friend class PreparedQuery;
-  friend class Cursor;
-
   /// The shared front half of Prepare/Plan/Explain: normalize (§6.2),
   /// analyze (§4.4/§4.6/§4.7), termination-check (§5), intern variables.
   struct Analyzed {
@@ -520,20 +552,6 @@ class Engine {
 
   /// Adds a prepare-time analysis's findings to the registry counter.
   void CountDiagnostics(const analysis::DiagnosticList& diags) const;
-
-  /// The materializing execution shared by Match, PreparedQuery::Execute,
-  /// the kBatch cursor and ExplainAnalyze: per-declaration matching in plan
-  /// order, the singleton hash join, declaration reordering, match-mode
-  /// filter, and the final WHERE. `actuals`, when non-null, receives
-  /// per-declaration measured counters in plan order (EXPLAIN ANALYZE).
-  /// `parse_ms` is the already-paid text-parse cost replayed into the
-  /// record. Fills one obs::ExecutionRecord and publishes it — success or
-  /// error — through the one publisher (docs/observability.md).
-  static Result<MatchOutput> ExecutePlan(
-      const PropertyGraph& graph, const EngineOptions& options,
-      const planner::CachedPlan& prepared, bool cache_hit,
-      std::shared_ptr<const Params> params,
-      std::vector<planner::DeclActual>* actuals, double parse_ms = 0);
 
   const PropertyGraph& graph_;
   EngineOptions options_;

@@ -180,9 +180,9 @@ struct MatchStats {
 /// (prepared queries); nullptr when the pattern is parameter-free.
 ///
 /// `shared_budget`, when non-null, replaces the call-local step/match
-/// budget: the cursor's chunked streaming execution passes one budget
-/// across all of its per-chunk RunPattern calls, so a streamed query can
-/// never execute more total steps than a single materializing call
+/// budget, keeping one budget per declaration: the cursor passes the same
+/// one to every seed-chunk RunPattern call of a chunked declaration, so it
+/// can never execute more total steps than one whole-declaration call
 /// (single-shard chunks charge per step, exactly like the sequential
 /// engine). `budget_exhausted`, when non-null, switches budget exhaustion
 /// from an error into partial delivery: the bindings found so far are

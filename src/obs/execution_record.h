@@ -13,12 +13,12 @@ namespace obs {
 /// One execution as every telemetry surface sees it (docs/observability.md):
 /// registry counters and stage histograms, the query-stats entry, the span
 /// trace, the slow-query capture and EngineMetrics are all views of this
-/// record. The materialized path and the streaming cursor fill the same
-/// fields, so a streamed and a materialized run of one query produce equal
+/// record. Every execution runs through the cursor, which owns the one
+/// record, so a streamed and a drained run of one query produce equal
 /// records apart from the durations.
 ///
 /// Plain data: filling it is a handful of adds per declaration or chunk, and
-/// it is the only running total either execution path keeps.
+/// it is the only running total an execution keeps.
 struct ExecutionRecord {
   // Per-layer wall times in milliseconds (monotonic clock).
   double parse_ms = 0;    // Text parse, replayed from Prepare (0 when the
@@ -29,9 +29,9 @@ struct ExecutionRecord {
   double match_ms = 0;    // Pattern matching (RunPattern wall).
   double join_ms = 0;     // Cross-declaration hash joins.
   double filter_ms = 0;   // Match-mode filter and final WHERE per row.
-  double total_ms = 0;    // The whole execution (cursor: open to finish).
+  double total_ms = 0;    // The whole execution: cursor open to finish.
 
-  // Counts, summed over declarations (and chunks, for a stream).
+  // Counts, summed over declarations (and a declaration's seed chunks).
   uint64_t decls = 0;
   uint64_t seeds = 0;
   uint64_t steps = 0;
@@ -52,8 +52,6 @@ struct ExecutionRecord {
   uint64_t threads = 0;             // Resolved worker count.
   uint64_t plan_hash = 0;           // CachedPlan::plan_hash.
   bool cache_hit = false;           // Plan served from the plan cache.
-  bool streamed = false;            // Cursor stream (flat trace) vs.
-                                    // materialized (span tree).
 
   // Outcome.
   bool error = false;      // Failed; the counts are the work spent first.

@@ -41,6 +41,9 @@ const char* kFraudQuery =
 // Single fixed-length declaration: takes the cursor's chunked stream mode.
 const char* kStreamQuery =
     "MATCH (x:Account WHERE x.isBlocked='no')-[t:Transfer]->(y:Account)";
+// General shape: a selector over an unbounded quantifier runs its whole
+// declaration on the first pull (36 rows on the paper graph).
+const char* kGeneralQuery = "MATCH ANY (x:Account)-[:Transfer]->+(y:Account)";
 // Streamed too, but on the scalar DFS: no kernel compiles IS NOT NULL.
 const char* kScalarStreamQuery =
     "MATCH (x:Account WHERE x.isBlocked IS NOT NULL)-[t:Transfer]->"
@@ -598,6 +601,19 @@ TEST(SlowLogTest, HostsFilterByGraphIdentity) {
 
 // --- streaming cursors -------------------------------------------------------
 
+/// Pulls every row of `cursor` with Next (seed chunks, for a chunked
+/// declaration) and returns how many there were.
+size_t PullAll(Cursor* cursor) {
+  size_t rows = 0;
+  RowView view;
+  while (true) {
+    Result<bool> more = cursor->Next(&view);
+    EXPECT_TRUE(more.ok()) << more.status();
+    if (!more.ok() || !*more) return rows;
+    ++rows;
+  }
+}
+
 TEST(CursorObsTest, StreamPublishesOnceOnCleanCompletion) {
   PropertyGraph g = BuildPaperGraph();
   obs::StringTraceSink sink;
@@ -614,14 +630,7 @@ TEST(CursorObsTest, StreamPublishesOnceOnCleanCompletion) {
 
   Result<Cursor> cursor = q->Open();
   ASSERT_TRUE(cursor.ok());
-  RowView view;
-  size_t rows = 0;
-  while (true) {
-    Result<bool> more = cursor->Next(&view);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-    ++rows;
-  }
+  const size_t rows = PullAll(&*cursor);
   // One execution published: counters advanced once, one trace emitted,
   // one slow capture (threshold 0), and the metrics describe the stream.
   obs::MetricsSnapshot snap = g.metrics_registry()->Snapshot();
@@ -629,13 +638,14 @@ TEST(CursorObsTest, StreamPublishesOnceOnCleanCompletion) {
   EXPECT_EQ(snap.CounterValue("gpml_rows_total"), rows);
   EXPECT_EQ(sink.traces_emitted(), 1u);
   std::string json = sink.TakeOutput();
-  EXPECT_NE(json.find("\"mode\":\"stream\""), std::string::npos) << json;
+  EXPECT_NE(json.find("{\"span\":\"decl\""), std::string::npos) << json;
   EXPECT_EQ(log.total_added(), 1u);
   EXPECT_EQ(log.Snapshot()[0].rows, rows);
   EXPECT_EQ(metrics.rows, rows);
   EXPECT_GE(metrics.exec_ms, 0);
 
-  // Pulling past the end never re-publishes (FinishStream is one-shot).
+  // Pulling past the end never re-publishes (Finish is one-shot).
+  RowView view;
   Result<bool> more = cursor->Next(&view);
   ASSERT_TRUE(more.ok());
   EXPECT_FALSE(*more);
@@ -647,45 +657,80 @@ TEST(CursorObsTest, StreamPublishesOnceOnCleanCompletion) {
 }
 
 TEST(CursorObsTest, LimitStopPublishesAbandonmentDoesNot) {
-  PropertyGraph g = BuildPaperGraph();
-  obs::StringTraceSink sink;
-  EngineOptions options;
-  options.trace_sink = &sink;
-  options.slow_query_ms = -1;
-  Engine engine(g, options);
-  Result<PreparedQuery> q = engine.Prepare(kStreamQuery);
-  ASSERT_TRUE(q.ok());
+  // Both halves of the one executor: a chunked stream and the general
+  // shape, which runs every declaration on the first pull.
+  for (const char* query : {kStreamQuery, kGeneralQuery}) {
+    SCOPED_TRACE(query);
+    PropertyGraph g = BuildPaperGraph();
+    obs::StringTraceSink sink;
+    obs::SlowQueryLog log(8);
+    obs::QueryStatsStore store;
+    EngineMetrics metrics;
+    EngineOptions options;
+    options.metrics = &metrics;
+    options.trace_sink = &sink;
+    options.slow_query_ms = 0;
+    options.slow_log = &log;
+    options.query_stats = &store;
+    Engine engine(g, options);
+    Result<PreparedQuery> q = engine.Prepare(query);
+    ASSERT_TRUE(q.ok()) << q.status();
 
-  // LIMIT hit: a clean completion — publishes.
-  {
-    Result<Cursor> cursor = q->Open({}, 1);
-    ASSERT_TRUE(cursor.ok());
-    RowView view;
-    while (true) {
+    // LIMIT hit: a clean completion — publishes, and every view counts the
+    // one emitted row, not the rows the matcher found.
+    {
+      Result<Cursor> cursor = q->Open({}, 1);
+      ASSERT_TRUE(cursor.ok());
+      EXPECT_EQ(PullAll(&*cursor), 1u);
+      EXPECT_TRUE(cursor->hit_limit());
+    }
+    obs::MetricsSnapshot snap = g.metrics_registry()->Snapshot();
+    EXPECT_EQ(snap.CounterValue("gpml_executions_total"), 1u);
+    EXPECT_EQ(snap.CounterValue("gpml_rows_total"), 1u);
+    EXPECT_EQ(metrics.rows, 1u);
+    EXPECT_EQ(sink.traces_emitted(), 1u);
+    ASSERT_EQ(log.total_added(), 1u);
+    EXPECT_EQ(log.Snapshot()[0].rows, 1u);
+    ASSERT_EQ(store.Snapshot().size(), 1u);
+    EXPECT_EQ(store.Snapshot()[0].rows, 1u);
+
+    // Abandoned mid-stream: no publication (the stream never completed).
+    {
+      Result<Cursor> cursor = q->Open();
+      ASSERT_TRUE(cursor.ok());
+      RowView view;
       Result<bool> more = cursor->Next(&view);
       ASSERT_TRUE(more.ok());
-      if (!*more) break;
+      ASSERT_TRUE(*more);
     }
-    EXPECT_TRUE(cursor->hit_limit());
+    EXPECT_EQ(sink.traces_emitted(), 1u);
+    EXPECT_EQ(g.metrics_registry()->Snapshot().CounterValue(
+                  "gpml_executions_total"),
+              1u);
+    EXPECT_EQ(log.total_added(), 1u);
+    EXPECT_EQ(store.total_recorded(), 1u);
   }
-  EXPECT_EQ(sink.traces_emitted(), 1u);
-  EXPECT_EQ(g.metrics_registry()->Snapshot().CounterValue(
-                "gpml_executions_total"),
-            1u);
+}
 
-  // Abandoned mid-stream: no publication (the stream never completed).
-  {
-    Result<Cursor> cursor = q->Open();
-    ASSERT_TRUE(cursor.ok());
-    RowView view;
-    Result<bool> more = cursor->Next(&view);
-    ASSERT_TRUE(more.ok());
-    ASSERT_TRUE(*more);
+TEST(CursorObsTest, ReturnLimitPublishesAtTheLimitRow) {
+  // RETURN ... LIMIT stops pulling once it has its rows, so the stream
+  // ends, and publishes, as the limit-th row is delivered.
+  for (const char* query : {kStreamQuery, kGeneralQuery}) {
+    SCOPED_TRACE(query);
+    Catalog catalog;
+    ASSERT_TRUE(catalog.AddGraph("bank", BuildPaperGraph()).ok());
+    Session session(catalog);
+    ASSERT_TRUE(session.UseGraph("bank").ok());
+    Result<Table> table =
+        session.Execute(std::string(query) + " RETURN x LIMIT 1");
+    ASSERT_TRUE(table.ok()) << table.status();
+    EXPECT_EQ(table->num_rows(), 1u);
+    Result<std::shared_ptr<const PropertyGraph>> g = catalog.GetGraph("bank");
+    ASSERT_TRUE(g.ok());
+    obs::MetricsSnapshot snap = (*g)->metrics_registry()->Snapshot();
+    EXPECT_EQ(snap.CounterValue("gpml_executions_total"), 1u);
+    EXPECT_EQ(snap.CounterValue("gpml_rows_total"), 1u);
   }
-  EXPECT_EQ(sink.traces_emitted(), 1u);
-  EXPECT_EQ(g.metrics_registry()->Snapshot().CounterValue(
-                "gpml_executions_total"),
-            1u);
 }
 
 TEST(CursorObsTest, MetricsResetOnEachExecution) {
@@ -725,7 +770,8 @@ TEST(CursorObsTest, MetricsResetOnEachExecution) {
   EXPECT_EQ(metrics.rows, fraud_rows);
 }
 
-// --- one execution record, two execution paths -----------------------------
+// --- one execution record, pulled or drained --------------------------------
+
 
 /// EngineMetrics with the wall-clock fields zeroed: what must agree between
 /// two executions of one query whatever the timings.
@@ -775,8 +821,9 @@ std::map<std::string, uint64_t> RegistryDelta(
 
 TEST(ExecutionRecordTest, StreamAndMaterializedRunsPublishEqualRecords) {
   // A single fixed-length declaration over the paper graph's few accounts:
-  // the cursor streams it in one seed chunk, so both paths do the same
-  // matcher work and must publish the same record, durations aside.
+  // pulled row by row, the cursor runs it in one seed chunk; drained by
+  // Execute, in one whole run. Both do the same matcher work and must
+  // publish the same record, durations aside.
   PropertyGraph g = BuildPaperGraph();
   obs::QueryStatsStore store;
   EngineMetrics metrics;
@@ -795,13 +842,12 @@ TEST(ExecutionRecordTest, StreamAndMaterializedRunsPublishEqualRecords) {
 
   Result<Cursor> cursor = q->Open();
   ASSERT_TRUE(cursor.ok()) << cursor.status();
-  Result<MatchOutput> streamed = cursor->Drain();
-  ASSERT_TRUE(streamed.ok()) << streamed.status();
+  const size_t streamed_rows = PullAll(&*cursor);
   const EngineMetrics streamed_metrics = metrics;
   obs::MetricsSnapshot end = g.metrics_registry()->Snapshot();
 
   ASSERT_GT(materialized->rows.size(), 0u);
-  EXPECT_EQ(streamed->rows.size(), materialized->rows.size());
+  EXPECT_EQ(streamed_rows, materialized->rows.size());
   ExpectSameCounts(materialized_metrics, streamed_metrics);
   EXPECT_EQ(streamed_metrics.rows, materialized->rows.size());
 
@@ -845,10 +891,11 @@ TEST(ExecutionRecordTest, EveryViewReportsTheRouteEachDeclarationRan) {
   EXPECT_EQ(plan->decls[0].actual_arena, 0) << *explained;
   EXPECT_GT(plan->decls[1].actual_arena, 0) << *explained;
 
-  // Materialized and streamed runs of one query report the same route and
-  // the same peak arena: a selector query (the cursor materializes it) and
-  // fixed-length ones (the cursor streams them in seed chunks), batched
-  // and on the scalar DFS, whose arena holds one seed's search at a time.
+  // Drained and pulled runs of one query report the same route and the
+  // same peak arena: a selector query (every declaration on the first
+  // pull) and fixed-length ones (pulled in seed chunks, drained in one
+  // run), batched and on the scalar DFS, whose arena holds one seed's
+  // search at a time.
   struct Case {
     const char* query;
     size_t witness_decls;
@@ -867,7 +914,7 @@ TEST(ExecutionRecordTest, EveryViewReportsTheRouteEachDeclarationRan) {
     const EngineMetrics materialized = metrics;
     Result<Cursor> cursor = q->Open();
     ASSERT_TRUE(cursor.ok()) << cursor.status();
-    ASSERT_TRUE(cursor->Drain().ok());
+    PullAll(&*cursor);
     EXPECT_EQ(materialized.witness_decls, c.witness_decls);
     EXPECT_EQ(metrics.witness_decls, c.witness_decls);
     EXPECT_EQ(materialized.batch_blocks > 0, c.batched);
@@ -877,9 +924,11 @@ TEST(ExecutionRecordTest, EveryViewReportsTheRouteEachDeclarationRan) {
   }
 }
 
-TEST(ExecutionRecordTest, SlowCaptureRendersTheTraceOfEachMode) {
+TEST(ExecutionRecordTest, SlowCaptureRendersTheTraceOfEveryExecution) {
   // No caller trace and no sink: the slow capture is the only consumer, so
   // the trace is rendered from the record only because the run was slow.
+  // A drained and a pulled execution run through the same cursor and
+  // render the same span tree.
   PropertyGraph g = BuildPaperGraph();
   obs::SlowQueryLog log(8);
   EngineOptions options;
@@ -891,7 +940,7 @@ TEST(ExecutionRecordTest, SlowCaptureRendersTheTraceOfEachMode) {
   ASSERT_TRUE(q->Execute().ok());
   Result<Cursor> cursor = q->Open();
   ASSERT_TRUE(cursor.ok());
-  ASSERT_TRUE(cursor->Drain().ok());
+  PullAll(&*cursor);
 
   std::vector<obs::SlowQueryRecord> captured = log.Snapshot();
   ASSERT_EQ(captured.size(), 2u);
@@ -899,17 +948,13 @@ TEST(ExecutionRecordTest, SlowCaptureRendersTheTraceOfEachMode) {
     return json.find(std::string("{\"span\":\"") + name + "\"") !=
            std::string::npos;
   };
-  const std::string& materialized = captured[0].trace_json;
-  for (const char* name : {"query", "plan", "decl", "seed", "shard",
-                           "filter"}) {
-    EXPECT_TRUE(has_span(materialized, name)) << name << "\n" << materialized;
+  for (const obs::SlowQueryRecord& capture : captured) {
+    const std::string& json = capture.trace_json;
+    for (const char* name : {"query", "plan", "decl", "seed", "filter"}) {
+      EXPECT_TRUE(has_span(json, name)) << name << "\n" << json;
+    }
+    EXPECT_EQ(json.find("\"mode\""), std::string::npos) << json;
   }
-  const std::string& streamed = captured[1].trace_json;
-  for (const char* name : {"query", "plan", "seed", "match"}) {
-    EXPECT_TRUE(has_span(streamed, name)) << name << "\n" << streamed;
-  }
-  EXPECT_FALSE(has_span(streamed, "decl")) << streamed;
-  EXPECT_NE(streamed.find("\"mode\":\"stream\""), std::string::npos);
 }
 
 TEST(ExecutionRecordTest, TargetFilteredDeclsReachEveryView) {

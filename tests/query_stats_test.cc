@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/query_stats.h"
+#include "obs/slow_query_log.h"
 #include "pgq/graph_table.h"
 
 namespace gpml {
@@ -422,35 +423,73 @@ TEST(QueryStatsEngineTest, ErrorsAndTruncationsAreCounted) {
 }
 
 TEST(QueryStatsEngineTest, StreamRecordsOnCompletionNotAbandonment) {
-  PropertyGraph g = TestGraph();
-  obs::QueryStatsStore store;
-  EngineOptions options;
-  options.query_stats = &store;
-  Engine engine(g, options);
-  Result<PreparedQuery> q = engine.Prepare(kStreamQuery);
-  ASSERT_TRUE(q.ok());
+  // Both halves of the one executor: a chunked stream and the general
+  // shape, which runs every declaration on the first pull.
+  for (const char* query :
+       {kStreamQuery, "MATCH ANY (x:Account)-[:Transfer]->+(y:Account)"}) {
+    SCOPED_TRACE(query);
+    PropertyGraph g = TestGraph();
+    obs::QueryStatsStore store;
+    obs::SlowQueryLog log(8);
+    EngineMetrics metrics;
+    EngineOptions options;
+    options.query_stats = &store;
+    options.metrics = &metrics;
+    options.slow_query_ms = 0;
+    options.slow_log = &log;
+    Engine engine(g, options);
+    Result<PreparedQuery> q = engine.Prepare(query);
+    ASSERT_TRUE(q.ok()) << q.status();
 
-  {
-    Result<Cursor> cursor = q->Open();
-    ASSERT_TRUE(cursor.ok());
-    RowView view;
-    while (true) {
+    {
+      Result<Cursor> cursor = q->Open();
+      ASSERT_TRUE(cursor.ok());
+      RowView view;
+      while (true) {
+        Result<bool> more = cursor->Next(&view);
+        ASSERT_TRUE(more.ok());
+        if (!*more) break;
+      }
+    }
+    EXPECT_EQ(store.total_recorded(), 1u) << "drained stream records once";
+
+    // A LIMIT 1 stream records the one row it emitted, in every view.
+    {
+      Result<Cursor> cursor = q->Open({}, 1);
+      ASSERT_TRUE(cursor.ok());
+      Result<MatchOutput> out = cursor->Drain();
+      ASSERT_TRUE(out.ok()) << out.status();
+      EXPECT_EQ(out->rows.size(), 1u);
+    }
+    EXPECT_EQ(store.total_recorded(), 2u);
+    ASSERT_EQ(store.Snapshot().size(), 1u);
+    const obs::QueryStatEntry unlimited_and_limited = store.Snapshot()[0];
+    ASSERT_EQ(log.total_added(), 2u);
+    const uint64_t all_rows = log.Snapshot()[0].rows;
+    EXPECT_GT(all_rows, 1u);
+    EXPECT_EQ(unlimited_and_limited.rows, all_rows + 1);
+    EXPECT_EQ(log.Snapshot()[1].rows, 1u);
+    EXPECT_EQ(metrics.rows, 1u);
+    EXPECT_EQ(g.metrics_registry()->Snapshot().CounterValue(
+                  "gpml_rows_total"),
+              all_rows + 1);
+
+    {
+      Result<Cursor> cursor = q->Open();
+      ASSERT_TRUE(cursor.ok());
+      RowView view;
       Result<bool> more = cursor->Next(&view);
       ASSERT_TRUE(more.ok());
-      if (!*more) break;
+      ASSERT_TRUE(*more);
+      // Abandoned mid-stream: no completed execution, nothing recorded.
     }
+    EXPECT_EQ(store.total_recorded(), 2u);
+    EXPECT_EQ(store.Snapshot()[0].calls, 2u);
+    EXPECT_EQ(log.total_added(), 2u);
+    EXPECT_EQ(g.metrics_registry()->Snapshot().CounterValue(
+                  "gpml_executions_total"),
+              2u);
   }
-  EXPECT_EQ(store.total_recorded(), 1u) << "drained stream records once";
-
-  {
-    Result<Cursor> cursor = q->Open();
-    ASSERT_TRUE(cursor.ok());
-    RowView view;
-    ASSERT_TRUE(cursor->Next(&view).ok());
-    // Abandoned mid-stream: no completed execution, nothing recorded.
-  }
-  EXPECT_EQ(store.total_recorded(), 1u);
-  EXPECT_EQ(store.Snapshot()[0].calls, 1u);
 }
 
 TEST(QueryStatsEngineTest, PublishQueryStatsOffLeavesStoreEmpty) {
