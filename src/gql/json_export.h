@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "common/json_text.h"
 #include "eval/engine.h"
 #include "graph/property_graph.h"
 
@@ -12,8 +13,9 @@ namespace gpml {
 /// ("Exporting a graph element or path binding to JSON", also floated in
 /// §6.6 for raw multi-path bindings). Also the row encoding of the network
 /// wire protocol (src/server/, docs/server.md), which is why the escaping
-/// below is hardened: every exported string is valid UTF-8 and every
-/// exported document parses under a strict JSON parser.
+/// is hardened (AppendJsonString, common/json_text.h): every exported
+/// string is valid UTF-8 and every exported document parses under a strict
+/// JSON parser.
 ///
 /// Shape:
 /// {
@@ -29,40 +31,30 @@ namespace gpml {
 ///   ]
 /// }
 /// Anonymous variables are omitted. Deterministic key order (variable id).
+/// Property values are written by AppendJsonValue (common/json_text.h):
+/// doubles as "%.17g" plus ".0" when integral, NaN and ±inf as null.
+/// The encoders append to a caller-owned buffer (the server appends each
+/// row straight into its response line); the string forms wrap them.
+
+/// Appends one result row as a JSON object — exactly the element
+/// ExportJson emits into its "rows" array. `output` supplies the row's
+/// interpretation context (variable table, parameter bindings); its own
+/// `rows` vector is ignored, so a streaming Cursor's context() works
+/// directly. The server serves these objects verbatim over the wire, which
+/// is what makes remote rows byte-identical to an in-process export.
+void AppendRowJson(std::string* out, const MatchOutput& output,
+                   const ResultRow& row, const PropertyGraph& g);
+
+/// Appends one element as a JSON object.
+void AppendElementJson(std::string* out, const PropertyGraph& g,
+                       const ElementRef& ref);
+
 std::string ExportJson(const MatchOutput& output, const PropertyGraph& g);
 
-/// One result row as a JSON object — exactly the element ExportJson emits
-/// into its "rows" array. `output` supplies the row's interpretation
-/// context (variable table, parameter bindings); its own `rows` vector is
-/// ignored, so a streaming Cursor's context() works directly. The server
-/// serves these objects verbatim over the wire, which is what makes
-/// remote rows byte-identical to an in-process export.
 std::string RowToJson(const MatchOutput& output, const ResultRow& row,
                       const PropertyGraph& g);
 
-/// One element as a JSON object (exposed for element-level export).
 std::string ElementToJson(const PropertyGraph& g, const ElementRef& ref);
-
-/// Escapes a string for inclusion in JSON output. Hardened for wire use:
-///  * the JSON two-character escapes (\" \\ \b \f \n \r \t) are used where
-///    they exist; every other control character below 0x20 becomes \u00XX,
-///  * invalid UTF-8 (stray continuation bytes, overlong encodings, CESU
-///    surrogate encodings, code points above U+10FFFF, truncated
-///    sequences) is replaced byte-for-byte with U+FFFD, exactly as
-///    SanitizeUtf8 does, so the output is always valid UTF-8 and the
-///    escaped text always parses back (json_export_test round-trips every
-///    1- and 2-byte sequence exhaustively).
-/// Valid UTF-8 above 0x7F is passed through verbatim (never \u-escaped).
-std::string JsonEscape(const std::string& s);
-
-/// True when `s` is well-formed UTF-8 (RFC 3629: no overlongs, no
-/// surrogate code points, nothing above U+10FFFF).
-bool IsValidUtf8(const std::string& s);
-
-/// Returns `s` with every byte that is not part of a well-formed UTF-8
-/// sequence replaced by U+FFFD (one replacement per invalid byte).
-/// Identity on valid UTF-8; idempotent.
-std::string SanitizeUtf8(const std::string& s);
 
 }  // namespace gpml
 

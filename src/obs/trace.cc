@@ -1,45 +1,10 @@
 #include "obs/trace.h"
 
-#include <charconv>
-
+#include "common/json_text.h"
 #include "obs/clock.h"
 
 namespace gpml {
 namespace obs {
-
-namespace {
-
-/// Minimal JSON string escaping for span names and attribute values.
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-template <typename Int>
-void AppendInt(std::string* out, Int value) {
-  char buf[24];
-  char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
-  out->append(buf, end);
-}
-
-}  // namespace
 
 int Trace::Begin(std::string name, int parent) {
   uint64_t now = MonotonicMicros();
@@ -111,11 +76,11 @@ std::string Trace::ToJsonLines() const {
     out += "{\"span\":";
     AppendJsonString(&out, s.name);
     out += ",\"parent\":";
-    AppendInt(&out, s.parent);
+    AppendJsonInt(&out, s.parent);
     out += ",\"start_us\":";
-    AppendInt(&out, s.start_us);
+    AppendJsonInt(&out, s.start_us);
     out += ",\"dur_us\":";
-    AppendInt(&out, s.duration_us);
+    AppendJsonInt(&out, s.duration_us);
     if (!s.attrs.empty()) {
       out += ",\"attrs\":{";
       for (size_t i = 0; i < s.attrs.size(); ++i) {

@@ -9,7 +9,7 @@
 #include <cstring>
 #include <utility>
 
-#include "gql/json_export.h"
+#include "common/json_text.h"
 
 namespace gpml {
 namespace server {
@@ -225,16 +225,18 @@ Status Client::CloseStatement(int64_t stmt) {
       .status();
 }
 
-Result<ExecuteResult> Client::DecodeRows(const RawResponse& response) {
+Result<ExecuteResult> Client::DecodeRows(RawResponse response) {
   ExecuteResult result;
-  const JsonValue* rows = response.parsed.Find("rows");
+  // The response is ours: its rows are moved out, not copied.
+  auto* rows = const_cast<JsonValue*>(response.parsed.Find("rows"));
   if (rows != nullptr && rows->is_array()) {
     result.rows.reserve(rows->array_v.size());
-    for (const JsonValue& row : rows->array_v) {
+    for (JsonValue& row : rows->array_v) {
       // RawSpan hands back the server's bytes untouched — the transport
       // half of the byte-identity contract (re-serializing here could
       // legally reformat numbers and reorder nothing but still differ).
-      result.rows.push_back(ClientRow{row.RawSpan(response.raw), row});
+      result.rows.push_back(
+          ClientRow{row.RawSpan(response.raw), std::move(row)});
     }
   }
   if (const JsonValue* v = response.parsed.Find("truncated");
@@ -262,7 +264,7 @@ Result<ExecuteResult> Client::Execute(int64_t stmt, const Params& params,
   }
   request += "}";
   GPML_ASSIGN_OR_RETURN(RawResponse response, Call(request));
-  return DecodeRows(response);
+  return DecodeRows(std::move(response));
 }
 
 Result<int64_t> Client::Open(int64_t stmt, const Params& params,
@@ -287,7 +289,7 @@ Result<ExecuteResult> Client::Fetch(int64_t cursor, int64_t max_rows) {
       RawResponse response,
       Call("{\"op\":\"fetch\",\"cursor\":" + std::to_string(cursor) +
            ",\"max_rows\":" + std::to_string(max_rows) + "}"));
-  return DecodeRows(response);
+  return DecodeRows(std::move(response));
 }
 
 Status Client::CloseCursor(int64_t cursor) {

@@ -128,7 +128,7 @@ class Client {
   /// the wire table, reason stashed in last_reason_).
   Result<RawResponse> Call(const std::string& request_line);
 
-  Result<ExecuteResult> DecodeRows(const RawResponse& response);
+  Result<ExecuteResult> DecodeRows(RawResponse response);
 
   int fd_ = -1;
   HelloInfo hello_;

@@ -1,12 +1,11 @@
 #include "server/json.h"
 
 #include <cctype>
-#include <cmath>
-#include <cstdio>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
-#include "gql/json_export.h"
+#include "common/json_text.h"
 
 namespace gpml {
 namespace server {
@@ -18,41 +17,44 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return nullptr;
 }
 
-std::string JsonValue::Serialize() const {
-  switch (type) {
-    case Type::kNull: return "null";
-    case Type::kBool: return bool_v ? "true" : "false";
-    case Type::kInt: return std::to_string(int_v);
-    case Type::kDouble: {
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.17g", double_v);
-      std::string s = buf;
-      if (s.find_first_of(".eE") == std::string::npos &&
-          s.find_first_of("nN") == std::string::npos) {
-        s += ".0";  // Keep the double-ness visible to the parser.
+namespace {
+
+void AppendSerialized(std::string* out, const JsonValue& v) {
+  switch (v.type) {
+    case JsonValue::Type::kNull: out->append("null"); return;
+    case JsonValue::Type::kBool:
+      out->append(v.bool_v ? "true" : "false");
+      return;
+    case JsonValue::Type::kInt: AppendJsonInt(out, v.int_v); return;
+    case JsonValue::Type::kDouble: AppendJsonDouble(out, v.double_v); return;
+    case JsonValue::Type::kString: AppendJsonString(out, v.string_v); return;
+    case JsonValue::Type::kArray:
+      out->push_back('[');
+      for (size_t i = 0; i < v.array_v.size(); ++i) {
+        if (i > 0) out->push_back(',');
+        AppendSerialized(out, v.array_v[i]);
       }
-      return s;
-    }
-    case Type::kString: return "\"" + JsonEscape(string_v) + "\"";
-    case Type::kArray: {
-      std::string s = "[";
-      for (size_t i = 0; i < array_v.size(); ++i) {
-        if (i > 0) s += ",";
-        s += array_v[i].Serialize();
+      out->push_back(']');
+      return;
+    case JsonValue::Type::kObject:
+      out->push_back('{');
+      for (size_t i = 0; i < v.object_v.size(); ++i) {
+        if (i > 0) out->push_back(',');
+        AppendJsonString(out, v.object_v[i].first);
+        out->push_back(':');
+        AppendSerialized(out, v.object_v[i].second);
       }
-      return s + "]";
-    }
-    case Type::kObject: {
-      std::string s = "{";
-      for (size_t i = 0; i < object_v.size(); ++i) {
-        if (i > 0) s += ",";
-        s += "\"" + JsonEscape(object_v[i].first) + "\":";
-        s += object_v[i].second.Serialize();
-      }
-      return s + "}";
-    }
+      out->push_back('}');
+      return;
   }
-  return "null";
+}
+
+}  // namespace
+
+std::string JsonValue::Serialize() const {
+  std::string out;
+  AppendSerialized(&out, *this);
+  return out;
 }
 
 namespace {
@@ -296,22 +298,11 @@ class Parser {
         ++pos_;
         continue;
       }
-      // Multi-byte UTF-8: validate via the shared validator in json_export.
-      size_t remaining = text_.size() - pos_;
-      size_t len = 0;
-      if (c >= 0xC2 && c <= 0xDF) {
-        len = 2;
-      } else if (c >= 0xE0 && c <= 0xEF) {
-        len = 3;
-      } else if (c >= 0xF0 && c <= 0xF4) {
-        len = 4;
-      } else {
-        return Error("invalid UTF-8 byte in string");
-      }
-      if (len > remaining) return Error("truncated UTF-8 sequence");
-      if (!IsValidUtf8(text_.substr(pos_, len))) {
-        return Error("invalid UTF-8 sequence in string");
-      }
+      // Multi-byte UTF-8: validate with the shared decoder (json_text.h).
+      size_t len = Utf8SequenceLength(
+          reinterpret_cast<const unsigned char*>(text_.data()) + pos_,
+          text_.size() - pos_);
+      if (len == 0) return Error("invalid UTF-8 sequence in string");
       pos_ += len;
     }
     return Status::OK();

@@ -62,10 +62,9 @@ struct JsonValue {
   }
 
   /// Canonical re-serialization (object member order preserved, strings
-  /// escaped with gpml::JsonEscape, doubles with a trailing ".0" when
-  /// integral). Used by tests for round-trips and by the server to embed
-  /// parsed values; NOT guaranteed to reproduce input bytes — RawSpan does
-  /// that.
+  /// escaped and doubles written by common/json_text.h, ".0" when
+  /// integral). Used by tests for round-trips; NOT guaranteed to
+  /// reproduce input bytes — RawSpan does that.
   std::string Serialize() const;
 };
 

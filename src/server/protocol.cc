@@ -1,8 +1,6 @@
 #include "server/protocol.h"
 
-#include <cstdio>
-
-#include "gql/json_export.h"
+#include "common/json_text.h"
 
 namespace gpml {
 namespace server {
@@ -39,27 +37,6 @@ StatusCode FromWireCode(int code) {
   }
 }
 
-std::string ValueToWireJson(const Value& value) {
-  switch (value.type()) {
-    case ValueType::kNull: return "null";
-    case ValueType::kBool: return value.bool_value() ? "true" : "false";
-    case ValueType::kInt: return std::to_string(value.int_value());
-    case ValueType::kDouble: {
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.17g", value.double_value());
-      std::string s = buf;
-      if (s.find_first_of(".eE") == std::string::npos &&
-          s.find_first_of("nN") == std::string::npos) {
-        s += ".0";
-      }
-      return s;
-    }
-    case ValueType::kString:
-      return "\"" + JsonEscape(value.string_value()) + "\"";
-  }
-  return "null";
-}
-
 Result<Value> WireJsonToValue(const JsonValue& json) {
   switch (json.type) {
     case JsonValue::Type::kNull: return Value::Null();
@@ -90,13 +67,14 @@ Result<Params> WireJsonToParams(const JsonValue& json) {
 
 std::string ParamsToWireJson(const Params& params) {
   std::string out = "{";
-  bool first = true;
   for (const auto& [name, value] : params) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + JsonEscape(name) + "\":" + ValueToWireJson(value);
+    if (out.size() > 1) out.push_back(',');
+    AppendJsonString(&out, name);
+    out.push_back(':');
+    AppendJsonValue(&out, value);
   }
-  return out + "}";
+  out.push_back('}');
+  return out;
 }
 
 std::string ErrorResponse(const Status& status, const std::string& reason,

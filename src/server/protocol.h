@@ -55,11 +55,6 @@ inline constexpr const char* kReasonTenantConcurrency = "TENANT_CONCURRENCY";
 inline constexpr const char* kReasonTenantStepBudget = "TENANT_STEP_BUDGET";
 inline constexpr const char* kReasonBadRequest = "BAD_REQUEST";
 
-/// Renders `value` for the wire. Int and Double stay distinguishable:
-/// doubles always carry a '.', 'e' or "NaN"-less textual marker (3.0, not
-/// 3), because ParseJson types bare integers as kInt.
-std::string ValueToWireJson(const Value& value);
-
 /// Decodes a request parameter value: null/bool/string map directly,
 /// numbers map to Int when the document spelled an integer and Double
 /// otherwise. Arrays/objects are a kInvalidArgument (parameters are

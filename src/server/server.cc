@@ -445,7 +445,8 @@ void Server::HandleConnection(Connection* conn) {
     }
     first = false;
     std::string response = Dispatch(&state, line);
-    if (!SendAll(conn->fd, response + "\n")) break;
+    response.push_back('\n');
+    if (!SendAll(conn->fd, response)) break;
     if (state.close_requested) break;
   }
   if (state.session != nullptr) {
@@ -730,7 +731,9 @@ std::string Server::RunPooled(const char* op, const std::string& tenant,
                   ",\"timing\":{\"admission_ms\":%.3f,\"queue_ms\":%.3f,"
                   "\"exec_ms\":%.3f}",
                   admission_ms, queue_ms, exec_ms);
-    response.insert(response.size() - 1, timing);
+    response.pop_back();
+    response.append(timing);
+    response.push_back('}');
   }
   return response;
 }
@@ -993,7 +996,7 @@ std::string Server::OpExecute(ConnState* state, const JsonValue& req,
           ChargeTenantSteps(*state->session, metrics.matcher_steps);
           return ErrorResponse(cursor.status(), "", id_raw);
         }
-        std::string rows;
+        std::string out = OkResponseHead(id_raw) + ",\"rows\":[";
         size_t count = 0;
         RowView view;
         while (true) {
@@ -1003,15 +1006,14 @@ std::string Server::OpExecute(ConnState* state, const JsonValue& req,
             return ErrorResponse(more.status(), "", id_raw);
           }
           if (!*more) break;
-          if (count > 0) rows += ",";
-          rows += RowToJson(cursor->context(), *view.row, *call.graph);
+          if (count > 0) out.push_back(',');
+          AppendRowJson(&out, cursor->context(), *view.row, *call.graph);
           ++count;
         }
         ChargeTenantSteps(*state->session, metrics.matcher_steps);
         queries_total_->Increment();
         query_duration_us_->Observe(watch.ElapsedMicros());
-        return OkResponseHead(id_raw) + ",\"rows\":[" + rows +
-               "],\"row_count\":" + std::to_string(count) +
+        return std::move(out) + "],\"row_count\":" + std::to_string(count) +
                ",\"truncated\":" + (cursor->truncated() ? "true" : "false") +
                ",\"hit_limit\":" + (cursor->hit_limit() ? "true" : "false") +
                "}";
@@ -1082,7 +1084,7 @@ std::string Server::OpFetch(ConnState* state, const JsonValue& req,
   if (const std::string* t = GetString(req, "trace_id")) trace_id = *t;
   const std::string& tenant = state->session->tenant();
   return RunPooled("fetch", tenant, trace_id, id_raw, [&]() -> std::string {
-    std::string rows;
+    std::string out = OkResponseHead(id_raw) + ",\"rows\":[";
     size_t count = 0;
     bool done = false;
     RowView view;
@@ -1101,13 +1103,13 @@ std::string Server::OpFetch(ConnState* state, const JsonValue& req,
         done = true;
         break;
       }
-      if (count > 0) rows += ",";
-      rows += RowToJson(handle->cursor->context(), *view.row, *handle->graph);
+      if (count > 0) out.push_back(',');
+      AppendRowJson(&out, handle->cursor->context(), *view.row,
+                    *handle->graph);
       ++count;
     }
     charge();
-    return OkResponseHead(id_raw) + ",\"rows\":[" + rows +
-           "],\"row_count\":" + std::to_string(count) +
+    return std::move(out) + "],\"row_count\":" + std::to_string(count) +
            ",\"done\":" + (done ? "true" : "false") + ",\"truncated\":" +
            (handle->cursor->truncated() ? "true" : "false") +
            ",\"hit_limit\":" + (handle->cursor->hit_limit() ? "true" : "false") +

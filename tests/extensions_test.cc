@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "gql/json_export.h"
 #include "graph/graph_builder.h"
 #include "graph/sample_graph.h"
@@ -100,19 +102,69 @@ TEST(JsonExportTest, EscapesStrings) {
   EXPECT_EQ(JsonEscape("plain"), "plain");
 }
 
+// The exact bytes of the §7.1 export. They are also the wire encoding of
+// every served row, so a change here is a protocol change.
 TEST(JsonExportTest, ElementObject) {
   PropertyGraph g = BuildPaperGraph();
-  std::string node = ElementToJson(g, ElementRef::Node(g.FindNode("a4")));
-  EXPECT_NE(node.find("\"kind\":\"node\""), std::string::npos);
-  EXPECT_NE(node.find("\"name\":\"a4\""), std::string::npos);
-  EXPECT_NE(node.find("\"labels\":[\"Account\"]"), std::string::npos);
-  EXPECT_NE(node.find("\"owner\":\"Jay\""), std::string::npos);
+  EXPECT_EQ(ElementToJson(g, ElementRef::Node(g.FindNode("a4"))),
+            R"({"kind":"node","name":"a4","labels":["Account"],)"
+            R"("properties":{"isBlocked":"yes","owner":"Jay"}})");
+  EXPECT_EQ(ElementToJson(g, ElementRef::Edge(g.FindEdge("t4"))),
+            R"({"kind":"edge","name":"t4","directed":true,)"
+            R"("endpoints":["a4","a6"],"labels":["Transfer"],)"
+            R"("properties":{"amount":10000000,"date":"4/1/2020"}})");
+  EXPECT_EQ(ElementToJson(g, ElementRef::Edge(g.FindEdge("hp4"))),
+            R"({"kind":"edge","name":"hp4","directed":false,)"
+            R"("endpoints":["a4","p3"],"labels":["hasPhone"],)"
+            R"("properties":{}})");
+}
 
-  std::string edge = ElementToJson(g, ElementRef::Edge(g.FindEdge("t4")));
-  EXPECT_NE(edge.find("\"kind\":\"edge\""), std::string::npos);
-  EXPECT_NE(edge.find("\"directed\":true"), std::string::npos);
-  EXPECT_NE(edge.find("\"endpoints\":[\"a4\",\"a6\"]"), std::string::npos);
-  EXPECT_NE(edge.find("\"amount\":10000000"), std::string::npos);
+TEST(JsonExportTest, ScalarPropertiesAndEscapedNames) {
+  GraphBuilder b;
+  b.AddNode("n\"1", {"L\\x"},
+            {{"min", Value::Int(std::numeric_limits<int64_t>::min())},
+             {"max", Value::Int(std::numeric_limits<int64_t>::max())},
+             {"yes", Value::Bool(true)},
+             {"no", Value::Bool(false)},
+             {"none", Value::Null()},
+             {"s", Value::String("q\"b\\n\nt\tc\x01" "d\x7f" "caf\xc3\xa9"
+                                 "bad\x80" "end")}});
+  b.AddNode("m");
+  b.AddUndirectedEdge("u", "n\"1", "m", {"U"}, {{"w", Value::Int(-7)}});
+  PropertyGraph g = std::move(std::move(b).Build()).value();
+  EXPECT_EQ(ElementToJson(g, ElementRef::Node(g.FindNode("n\"1"))),
+            R"({"kind":"node","name":"n\"1","labels":["L\\x"],)"
+            R"("properties":{"max":9223372036854775807,)"
+            R"("min":-9223372036854775808,"no":false,"none":null,)"
+            R"("s":"q\"b\\n\nt\tc\u0001d)" "\x7f" "caf\xc3\xa9"
+            "bad\xef\xbf\xbd" R"(end","yes":true}})");
+  EXPECT_EQ(ElementToJson(g, ElementRef::Edge(g.FindEdge("u"))),
+            R"({"kind":"edge","name":"u","directed":false,)"
+            R"("endpoints":["n\"1","m"],"labels":["U"],)"
+            R"("properties":{"w":-7}})");
+}
+
+// Doubles keep 17 significant digits and a ".0" when integral, so they
+// survive the wire as doubles; non-finite values have no JSON spelling
+// and export as null.
+TEST(JsonExportTest, DoublesRoundTripAndNonFiniteIsNull) {
+  GraphBuilder b;
+  b.AddNode("x", {"D"},
+            {{"big", Value::Double(123456789.0)},
+             {"prec", Value::Double(0.1234567891)},
+             {"three", Value::Double(3.0)},
+             {"neg", Value::Double(-0.5)},
+             {"huge", Value::Double(1e300)},
+             {"nan", Value::Double(std::numeric_limits<double>::quiet_NaN())},
+             {"inf", Value::Double(std::numeric_limits<double>::infinity())},
+             {"ninf",
+              Value::Double(-std::numeric_limits<double>::infinity())}});
+  PropertyGraph g = std::move(std::move(b).Build()).value();
+  EXPECT_EQ(ElementToJson(g, ElementRef::Node(g.FindNode("x"))),
+            R"({"kind":"node","name":"x","labels":["D"],)"
+            R"("properties":{"big":123456789.0,"huge":1.0000000000000001e+300,)"
+            R"("inf":null,"nan":null,"neg":-0.5,"ninf":null,)"
+            R"("prec":0.12345678910000001,"three":3.0}})");
 }
 
 TEST(JsonExportTest, RowsWithSingletonGroupPathAndNull) {
@@ -122,19 +174,33 @@ TEST(JsonExportTest, RowsWithSingletonGroupPathAndNull) {
       "MATCH p = (a WHERE a.owner='Jay')[-[b:Transfer]->]{2}(c) "
       "[~[:hasPhone]~(ph:IP)]?");
   ASSERT_TRUE(out.ok()) << out.status();
-  std::string json = ExportJson(*out, g);
   // Two rows (a4->a6->{a3,a5}), group b as array of two edges, unbound
   // conditional ph as null, path p as a path object.
-  EXPECT_NE(json.find("\"rows\":["), std::string::npos);
-  EXPECT_NE(json.find("\"b\":[{"), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":null"), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"path\""), std::string::npos);
-  EXPECT_NE(json.find("\"length\":2"), std::string::npos);
-  // Valid JSON sanity: balanced braces/brackets.
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
+  const std::string a4 =
+      R"({"kind":"node","name":"a4","labels":["Account"],)"
+      R"("properties":{"isBlocked":"yes","owner":"Jay"}})";
+  const std::string t4 =
+      R"({"kind":"edge","name":"t4","directed":true,)"
+      R"("endpoints":["a4","a6"],"labels":["Transfer"],)"
+      R"("properties":{"amount":10000000,"date":"4/1/2020"}})";
+  EXPECT_EQ(
+      ExportJson(*out, g),
+      R"({"rows":[{"a":)" + a4 + R"(,"b":[)" + t4 +
+          R"(,{"kind":"edge","name":"t5","directed":true,)"
+          R"("endpoints":["a6","a3"],"labels":["Transfer"],)"
+          R"("properties":{"amount":10000000,"date":"6/1/2020"}}],)"
+          R"("c":{"kind":"node","name":"a3","labels":["Account"],)"
+          R"("properties":{"isBlocked":"no","owner":"Mike"}},)"
+          R"("p":{"kind":"path","length":2,)"
+          R"("elements":["a4","t4","a6","t5","a3"]},"ph":null},)"
+          R"({"a":)" + a4 + R"(,"b":[)" + t4 +
+          R"(,{"kind":"edge","name":"t6","directed":true,)"
+          R"("endpoints":["a6","a5"],"labels":["Transfer"],)"
+          R"("properties":{"amount":4000000,"date":"7/1/2020"}}],)"
+          R"("c":{"kind":"node","name":"a5","labels":["Account"],)"
+          R"("properties":{"isBlocked":"no","owner":"Charles"}},)"
+          R"("p":{"kind":"path","length":2,)"
+          R"("elements":["a4","t4","a6","t6","a5"]},"ph":null}]})");
 }
 
 TEST(JsonExportTest, EmptyResult) {

@@ -1,4 +1,4 @@
-// Hardened JSON string escaping and UTF-8 sanitation (gql/json_export.h).
+// Hardened JSON string escaping and UTF-8 sanitation (common/json_text.h).
 //
 // The escaping here is load-bearing for the wire protocol: the server
 // serializes every result row with RowToJson and clients diff the raw

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
+#include "common/json_text.h"
 #include "eval/engine.h"
 #include "gql/session.h"
 #include "graph/generator.h"
@@ -28,6 +29,7 @@
 #include "obs/trace.h"
 #include "pgq/graph_table.h"
 #include "planner/explain.h"
+#include "server/json.h"
 
 namespace gpml {
 namespace {
@@ -293,6 +295,36 @@ TEST(TraceTest, SinkReceivesJsonLinesWithoutAttachedTrace) {
   // Errored executions emit nothing.
   EXPECT_FALSE(engine.Match("MATCH (x WHERE $missing = 1)").ok());
   EXPECT_EQ(sink.traces_emitted(), 2u);
+}
+
+// Trace lines go through the shared JSON string writer: a tenant or
+// trace id holding invalid UTF-8 is sanitized (U+FFFD per bad byte), so
+// every line is valid UTF-8 and parses under the strict wire parser.
+TEST(TraceTest, InvalidUtf8AttributesAreSanitized) {
+  PropertyGraph g = BuildPaperGraph();
+  obs::StringTraceSink sink;
+  EngineOptions options;
+  options.trace_sink = &sink;
+  options.tenant = "ten\xff" "ant";
+  options.trace_id = "id\xc0\x80-\xed\xa0\x80\x01";
+  Engine engine(g, options);
+  ASSERT_TRUE(engine.Match(kFraudQuery).ok());
+  std::string out = sink.TakeOutput();
+  EXPECT_TRUE(IsValidUtf8(out)) << out;
+  std::istringstream lines(out);
+  std::string line;
+  bool saw_root = false;
+  while (std::getline(lines, line)) {
+    Result<server::JsonValue> parsed = server::ParseJson(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << ": " << line;
+    const server::JsonValue* attrs = parsed->Find("attrs");
+    if (attrs == nullptr || attrs->Find("tenant") == nullptr) continue;
+    saw_root = true;
+    EXPECT_EQ(attrs->Find("tenant")->string_v, SanitizeUtf8(options.tenant));
+    EXPECT_EQ(attrs->Find("trace_id")->string_v,
+              SanitizeUtf8(options.trace_id));
+  }
+  EXPECT_TRUE(saw_root) << out;
 }
 
 // --- registry publication from the engine ------------------------------------

@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 
+#include "common/json_text.h"
 #include "common/status.h"
 #include "server/json.h"
 #include "server/protocol.h"
@@ -159,8 +160,14 @@ TEST(EnvelopeTest, StatusFromWireErrorDefensiveDefaults) {
 
 // --- scalar Value encoding for $params -------------------------------------
 
+std::string ValueJson(const Value& value) {
+  std::string out;
+  AppendJsonValue(&out, value);
+  return out;
+}
+
 Value RoundTripValue(const Value& value) {
-  std::string wire = ValueToWireJson(value);
+  std::string wire = ValueJson(value);
   Result<JsonValue> parsed = ParseJson(wire);
   EXPECT_TRUE(parsed.ok()) << wire << ": " << parsed.status();
   Result<Value> back = WireJsonToValue(*parsed);
@@ -190,12 +197,25 @@ TEST(ValueWireTest, ScalarsRoundTrip) {
 // An integral double must come back as a double, not collapse into an
 // int: 3.0 and 3 are different GQL values.
 TEST(ValueWireTest, IntegralDoubleStaysDouble) {
-  EXPECT_EQ(ValueToWireJson(Value::Double(3.0)), "3.0");
+  EXPECT_EQ(ValueJson(Value::Double(3.0)), "3.0");
   Value back = RoundTripValue(Value::Double(3.0));
   EXPECT_EQ(back.type(), ValueType::kDouble);
   EXPECT_EQ(back.double_value(), 3.0);
   Value as_int = RoundTripValue(Value::Int(3));
   EXPECT_EQ(as_int.type(), ValueType::kInt);
+}
+
+// NaN and the infinities have no JSON spelling: a parameter holding one is
+// sent as null, and the request line still parses.
+TEST(ValueWireTest, NonFiniteParamsAreNull) {
+  Params params{{"a", Value::Double(std::numeric_limits<double>::quiet_NaN())},
+                {"b", Value::Double(std::numeric_limits<double>::infinity())},
+                {"c", Value::Double(0.1)}};
+  std::string wire = ParamsToWireJson(params);
+  EXPECT_EQ(wire, "{\"a\":null,\"b\":null,\"c\":0.10000000000000001}");
+  Result<JsonValue> parsed = ParseJson(wire);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->Find("c")->double_v, 0.1);
 }
 
 TEST(ValueWireTest, CompositeJsonRejectedAsParam) {

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "eval/engine.h"
 #include "gql/json_export.h"
 #include "graph/generator.h"
+#include "graph/graph_builder.h"
 #include "obs/query_stats.h"
 #include "obs/slow_query_log.h"
 #include "server/client.h"
@@ -176,6 +178,50 @@ TEST(ServerTest, ExecuteIsByteIdenticalToInProcessEngine) {
     nonempty += want.empty() ? 0 : 1;
   }
   EXPECT_GT(nonempty, 0u) << "workload must actually produce rows";
+}
+
+// Doubles reach the client as doubles: integral ones keep a ".0", finite
+// ones parse back to the same value, and NaN and the infinities (which
+// JSON cannot spell) arrive as null instead of breaking the response.
+TEST(ServerTest, DoublePropertiesRoundTripAndNonFiniteArriveAsNull) {
+  GraphBuilder b;
+  b.AddNode("d", {"D"},
+            {{"three", Value::Double(3.0)},
+             {"tenth", Value::Double(0.1)},
+             {"huge", Value::Double(1e300)},
+             {"nan", Value::Double(std::numeric_limits<double>::quiet_NaN())},
+             {"inf", Value::Double(std::numeric_limits<double>::infinity())}});
+  Result<PropertyGraph> graph = std::move(b).Build();
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  TestServer srv;
+  ASSERT_TRUE(srv.server.AddGraph("doubles", std::move(*graph)).ok());
+  Client client = MustConnect(srv);
+  ASSERT_TRUE(client.UseGraph("doubles").ok());
+  Result<Client::PreparedInfo> prepared = client.Prepare("MATCH (x:D)");
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  Result<ExecuteResult> got = client.Execute(prepared->stmt, {});
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_EQ(got->rows.size(), 1u);
+  const JsonValue* x = got->rows[0].parsed.Find("x");
+  ASSERT_NE(x, nullptr);
+  const JsonValue* props = x->Find("properties");
+  ASSERT_NE(props, nullptr);
+  const JsonValue* three = props->Find("three");
+  ASSERT_NE(three, nullptr);
+  EXPECT_TRUE(three->is_double()) << got->rows[0].raw;
+  EXPECT_EQ(three->double_v, 3.0);
+  const JsonValue* tenth = props->Find("tenth");
+  ASSERT_NE(tenth, nullptr);
+  EXPECT_TRUE(tenth->is_double());
+  EXPECT_EQ(tenth->double_v, 0.1);
+  const JsonValue* huge = props->Find("huge");
+  ASSERT_NE(huge, nullptr);
+  EXPECT_EQ(huge->double_v, 1e300);
+  for (const char* name : {"nan", "inf"}) {
+    const JsonValue* v = props->Find(name);
+    ASSERT_NE(v, nullptr) << name;
+    EXPECT_TRUE(v->is_null()) << name << ": " << got->rows[0].raw;
+  }
 }
 
 TEST(ServerTest, ExplainAndStats) {
