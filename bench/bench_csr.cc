@@ -33,9 +33,18 @@
 //     label-scan oracle is the same workload with its equalities moved to
 //     the postfilter WHERE, which the planner never index-seeds (EXPLAIN
 //     must show source=label:<label> for it).
+//  4. Build allocations (always enforced): building the fraud graph of
+//     3,000 accounts makes exactly the pinned number of heap allocations,
+//     counted by the replaced global operator new below. Labels and
+//     properties go straight into the graph's runs and columns, so a
+//     per-element map or a second set of name maps shows as thousands of
+//     extra allocations.
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -43,6 +52,21 @@
 #include "eval/engine.h"
 #include "graph/generator.h"
 #include "tests/test_util.h"
+
+namespace {
+
+/// Heap allocations made through operator new since the process started.
+std::atomic<size_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
 
 namespace gpml {
 namespace {
@@ -317,6 +341,42 @@ void CheckPathsPin(const PropertyGraph& g, const PinnedWorkload& w,
              report, ok);
 }
 
+/// The build-allocation pin: MakeFraudGraph of this many accounts (other
+/// options at their defaults) makes exactly kBuildAllocations allocations.
+constexpr int kAllocationAccounts = 3000;
+constexpr size_t kBuildAllocations = 84411;
+
+void CheckBuildAllocations(bench::JsonReport* report, bool* ok) {
+  FraudGraphOptions options;
+  options.num_accounts = kAllocationAccounts;
+  auto start = std::chrono::steady_clock::now();
+  size_t before = g_allocations.load();
+  PropertyGraph g = MakeFraudGraph(options);
+  size_t allocations = g_allocations.load() - before;
+  double millis = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  size_t elements = g.num_nodes() + g.num_edges();
+  double per_element =
+      static_cast<double>(allocations) / static_cast<double>(elements);
+  std::printf("build fraud-%d (%zu elements): %zu allocations (%.2f per "
+              "element), pinned %zu, %.1f ms\n",
+              kAllocationAccounts, elements, allocations, per_element,
+              kBuildAllocations, millis);
+  report->Add("build_fraud_3000", millis, 0, 0, elements,
+              {{"allocations", static_cast<double>(allocations)},
+               {"allocations_per_element", per_element},
+               {"pinned_allocations",
+                static_cast<double>(kBuildAllocations)}});
+  if (allocations != kBuildAllocations) {
+    std::fprintf(stderr,
+                 "FAIL build allocations: %zu, pinned %zu (a per-element "
+                 "allocation or a second name index in GraphBuilder?)\n",
+                 allocations, kBuildAllocations);
+    *ok = false;
+  }
+}
+
 int RunBench() {
   bool ok = true;
   bench::JsonReport report("csr");
@@ -441,9 +501,12 @@ int RunBench() {
     }
   }
 
+  // --- 4. build allocations ----------------------------------------------
+  CheckBuildAllocations(&report, &ok);
+
   report.Write();
   std::printf(ok ? "csr contract holds: pinned matcher steps, identical "
-                   "rows, index-backed seeding\n"
+                   "rows, index-backed seeding, build allocations\n"
                  : "csr contract VIOLATED (see stderr)\n");
   return ok ? 0 : 1;
 }

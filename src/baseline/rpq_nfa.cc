@@ -112,6 +112,8 @@ inline size_t ProductId(NodeId n, int state, int num_states) {
 template <typename Fn>
 void ForEachMove(const PropertyGraph& g, NodeId n, const RpqNfa::Step& step,
                  Fn&& fn) {
+  const Symbol label = g.label_symbols().Find(step.label);
+  if (label == kInvalidSymbol) return;
   for (const Adjacency& adj : g.adjacencies(n)) {
     // Baseline RPQs (SPARQL/CRPQ) treat graphs as directed edge-labelled:
     // forward steps follow edge direction, ^label steps go against it.
@@ -121,7 +123,8 @@ void ForEachMove(const PropertyGraph& g, NodeId n, const RpqNfa::Step& step,
     bool backward_ok = adj.traversal == Traversal::kBackward ||
                        adj.traversal == Traversal::kUndirected;
     if (step.inverse ? !backward_ok : !forward_ok) continue;
-    if (!g.edge(adj.edge).HasLabel(step.label)) continue;
+    SymSpan labels = g.edge_label_syms(adj.edge);
+    if (!std::binary_search(labels.begin(), labels.end(), label)) continue;
     fn(adj);
   }
 }

@@ -305,11 +305,11 @@ class RigidMatcher {
 
     const RigidItem& it = rp_.items[index];
     if (it.is_node) {
-      const NodeData& nd = g_.node(current);
-      if (it.node->labels != nullptr && !it.node->labels->Matches(nd.labels)) {
+      ElementRef ref = ElementRef::Node(current);
+      if (it.node->labels != nullptr &&
+          !it.node->labels->Matches(g_.LabelNames(ref))) {
         return Status::OK();
       }
-      ElementRef ref = ElementRef::Node(current);
       std::string key = AnnotatedName(it);
       auto prev = env_.find(key);
       bool inserted = false;
@@ -342,11 +342,11 @@ class RigidMatcher {
     // Edge item: iterate admissible adjacencies.
     for (const Adjacency& adj : g_.adjacencies(current)) {
       if (!Admits(it.edge->orientation, adj.traversal)) continue;
-      const EdgeData& ed = g_.edge(adj.edge);
-      if (it.edge->labels != nullptr && !it.edge->labels->Matches(ed.labels)) {
+      ElementRef ref = ElementRef::Edge(adj.edge);
+      if (it.edge->labels != nullptr &&
+          !it.edge->labels->Matches(g_.LabelNames(ref))) {
         continue;
       }
-      ElementRef ref = ElementRef::Edge(adj.edge);
       std::string key = AnnotatedName(it);
       auto prev = env_.find(key);
       if (prev != env_.end() && !(prev->second == ref)) continue;

@@ -27,23 +27,31 @@ Result<PropertyGraph> ProjectGraph(const PropertyGraph& source,
     nodes.insert(source.edge(e).v);
   }
 
+  auto properties = [&source](const ElementRef& ref) {
+    PropertyList props;
+    for (Symbol key : source.property_keys(ref)) {
+      props.emplace_back(source.property_symbols().name(key),
+                         source.ColumnValue(ref, key));
+    }
+    return props;
+  };
   GraphBuilder builder;
   for (NodeId n : nodes) {
-    const NodeData& nd = source.node(n);
-    PropertyList props(nd.properties.begin(), nd.properties.end());
-    builder.AddNode(nd.name, nd.labels, std::move(props));
+    ElementRef ref = ElementRef::Node(n);
+    builder.AddNode(source.node(n).name, source.LabelNames(ref),
+                    properties(ref));
   }
   for (EdgeId e : edges) {
     const EdgeData& ed = source.edge(e);
-    PropertyList props(ed.properties.begin(), ed.properties.end());
+    ElementRef ref = ElementRef::Edge(e);
     if (ed.directed) {
       builder.AddDirectedEdge(ed.name, source.node(ed.u).name,
-                              source.node(ed.v).name, ed.labels,
-                              std::move(props));
+                              source.node(ed.v).name, source.LabelNames(ref),
+                              properties(ref));
     } else {
       builder.AddUndirectedEdge(ed.name, source.node(ed.u).name,
-                                source.node(ed.v).name, ed.labels,
-                                std::move(props));
+                                source.node(ed.v).name,
+                                source.LabelNames(ref), properties(ref));
     }
   }
   return std::move(builder).Build();

@@ -23,10 +23,9 @@ void AppendPathJson(std::string* out, const PropertyGraph& g, const Path& p) {
 
 void AppendElementJson(std::string* out, const PropertyGraph& g,
                        const ElementRef& ref) {
-  const ElementData& d = g.element(ref);
   out->append(ref.is_node() ? "{\"kind\":\"node\",\"name\":"
                             : "{\"kind\":\"edge\",\"name\":");
-  AppendJsonString(out, d.name);
+  AppendJsonString(out, g.element(ref).name);
   if (ref.is_edge()) {
     const EdgeData& e = g.edge(ref.id);
     out->append(e.directed ? ",\"directed\":true,\"endpoints\":["
@@ -37,18 +36,33 @@ void AppendElementJson(std::string* out, const PropertyGraph& g,
     out->push_back(']');
   }
   out->append(",\"labels\":[");
-  for (size_t i = 0; i < d.labels.size(); ++i) {
+  // The run is in symbol order and labels are written in name order. Runs
+  // are a label or two, so each next name is picked in place.
+  const SymbolTable& label_names = g.label_symbols();
+  SymSpan labels = g.label_syms(ref);
+  const std::string* prev = nullptr;
+  for (size_t i = 0; i < labels.count; ++i) {
+    const std::string* next = nullptr;
+    for (Symbol s : labels) {
+      const std::string& name = label_names.name(s);
+      if ((prev == nullptr || *prev < name) &&
+          (next == nullptr || name < *next)) {
+        next = &name;
+      }
+    }
     if (i > 0) out->push_back(',');
-    AppendJsonString(out, d.labels[i]);
+    AppendJsonString(out, *next);
+    prev = next;
   }
   out->append("],\"properties\":{");
+  const SymbolTable& keys = g.property_symbols();
   bool first = true;
-  for (const auto& [k, v] : d.properties) {
+  for (Symbol key : g.property_keys(ref)) {
     if (!first) out->push_back(',');
     first = false;
-    AppendJsonString(out, k);
+    AppendJsonString(out, keys.name(key));
     out->push_back(':');
-    AppendJsonValue(out, v);
+    AppendJsonValue(out, g.ColumnValue(ref, key));
   }
   out->append("}}");
 }
@@ -57,22 +71,23 @@ void AppendRowJson(std::string* out, const MatchOutput& output,
                    const ResultRow& row, const PropertyGraph& g) {
   out->push_back('{');
   RowScope scope(output, row);
-  // In a large graph the row's element records sit far apart, and their
-  // cache misses taken one by one cost more than the writing (perfbench
-  // `remote`). Start them together: the records, then what they point to.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (int v = 0; v < output.vars->size(); ++v) {
-      std::optional<ElementRef> el = scope.LookupSingleton(v);
-      if (output.vars->info(v).anonymous || !el.has_value()) continue;
-      const ElementData& d = g.element(*el);
-      if (pass == 0) {
-        __builtin_prefetch(&d);
-        __builtin_prefetch(&d.properties);
-      } else if (!d.properties.empty()) {
-        __builtin_prefetch(d.labels.data());
-        __builtin_prefetch(&*d.properties.begin());
-        __builtin_prefetch(&d.properties.begin()->second);
-      }
+  // In a large graph the row's elements sit far apart, and their cache
+  // misses taken one by one cost more than the writing (perfbench
+  // `remote`). Start them together, one dependent level per pass: the
+  // records and run offsets, the runs, then the column slots.
+  constexpr size_t kMaxPrefetched = 8;
+  ElementRef elements[kMaxPrefetched];
+  size_t num_elements = 0;
+  for (int v = 0; v < output.vars->size() && num_elements < kMaxPrefetched;
+       ++v) {
+    if (output.vars->info(v).anonymous) continue;
+    if (std::optional<ElementRef> el = scope.LookupSingleton(v)) {
+      elements[num_elements++] = *el;
+    }
+  }
+  for (int pass = 0; pass < 3; ++pass) {
+    for (size_t i = 0; i < num_elements; ++i) {
+      g.PrefetchElement(elements[i], pass);
     }
   }
   bool first_var = true;

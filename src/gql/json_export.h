@@ -31,8 +31,12 @@ namespace gpml {
 ///   ]
 /// }
 /// Anonymous variables are omitted. Deterministic key order (variable id).
-/// Property values are written by AppendJsonValue (common/json_text.h):
-/// doubles as "%.17g" plus ".0" when integral, NaN and ±inf as null.
+/// An element's labels and properties come from the graph's interned store:
+/// label names in string order, and the element's present property keys
+/// (an explicit NULL included) in key-string order, each value read from
+/// its column. Property values are written by AppendJsonValue
+/// (common/json_text.h): doubles as "%.17g" plus ".0" when integral, NaN
+/// and ±inf as null.
 /// The encoders append to a caller-owned buffer (the server appends each
 /// row straight into its response line); the string forms wrap them.
 

@@ -13,9 +13,14 @@ void CsrIndex::Build(const std::vector<std::vector<Adjacency>>& adjacency,
   buckets_.clear();
   entries_.clear();
 
-  // Scratch: (label, record) pairs of one node, stable-sorted by label so
-  // records inside a bucket keep the legacy adjacency order.
-  std::vector<std::pair<Symbol, Adjacency>> scratch;
+  // Scratch: (label, position, record) of one node, sorted by label then
+  // position so records inside a bucket keep the legacy adjacency order.
+  struct Labeled {
+    Symbol label;
+    uint32_t position;
+    Adjacency adj;
+  };
+  std::vector<Labeled> scratch;
   for (size_t n = 0; n < adjacency.size(); ++n) {
     node_begin_[n] = static_cast<uint32_t>(buckets_.size());
     scratch.clear();
@@ -23,20 +28,22 @@ void CsrIndex::Build(const std::vector<std::vector<Adjacency>>& adjacency,
       const uint32_t lo = edge_label_offsets[adj.edge];
       const uint32_t hi = edge_label_offsets[adj.edge + 1];
       for (uint32_t i = lo; i < hi; ++i) {
-        scratch.emplace_back(edge_label_syms[i], adj);
+        scratch.push_back({edge_label_syms[i],
+                           static_cast<uint32_t>(scratch.size()), adj});
       }
     }
-    std::stable_sort(scratch.begin(), scratch.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
+    std::sort(scratch.begin(), scratch.end(),
+              [](const Labeled& a, const Labeled& b) {
+                return a.label != b.label ? a.label < b.label
+                                          : a.position < b.position;
+              });
     size_t i = 0;
     while (i < scratch.size()) {
       Bucket b;
-      b.label = scratch[i].first;
+      b.label = scratch[i].label;
       b.begin = static_cast<uint32_t>(entries_.size());
-      while (i < scratch.size() && scratch[i].first == b.label) {
-        entries_.push_back(scratch[i].second);
+      while (i < scratch.size() && scratch[i].label == b.label) {
+        entries_.push_back(scratch[i].adj);
         ++i;
       }
       b.end = static_cast<uint32_t>(entries_.size());

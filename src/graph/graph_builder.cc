@@ -1,99 +1,125 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace gpml {
 
-namespace {
+void GraphBuilder::AddLabelsAndProperties(PropertyGraph::ElementStore* store,
+                                          uint32_t id,
+                                          std::vector<std::string> labels,
+                                          PropertyList properties) {
+  // Labels intern in name order (symbol ids follow first appearance) and are
+  // stored as a run sorted by symbol.
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  size_t begin = store->label_syms.size();
+  for (const std::string& l : labels) {
+    store->label_syms.push_back(graph_.label_symbols_.Intern(l));
+  }
+  std::sort(store->label_syms.begin() + begin, store->label_syms.end());
+  store->label_offsets.push_back(static_cast<uint32_t>(store->label_syms.size()));
 
-void NormalizeLabels(std::vector<std::string>* labels) {
-  std::sort(labels->begin(), labels->end());
-  labels->erase(std::unique(labels->begin(), labels->end()), labels->end());
+  // Of a repeated key only the last value counts; the rest go in key order.
+  size_t kept = 0;
+  for (size_t i = 0; i < properties.size(); ++i) {
+    bool repeated = false;
+    for (size_t j = i + 1; j < properties.size() && !repeated; ++j) {
+      repeated = properties[j].first == properties[i].first;
+    }
+    if (repeated) continue;
+    if (kept != i) properties[kept] = std::move(properties[i]);
+    ++kept;
+  }
+  properties.resize(kept);
+  std::sort(properties.begin(), properties.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& [key, value] : properties) {
+    Symbol s = graph_.property_symbols_.Intern(key);
+    if (store->columns.size() <= s) store->columns.resize(s + 1);
+    std::vector<Value>& col = store->columns[s];
+    if (col.size() <= id) col.resize(id + 1);
+    col[id] = std::move(value);
+    store->key_syms.push_back(s);
+  }
+  store->key_offsets.push_back(static_cast<uint32_t>(store->key_syms.size()));
 }
-
-ElementData MakeElementData(std::string name, std::vector<std::string> labels,
-                            PropertyList properties) {
-  ElementData d;
-  d.name = std::move(name);
-  d.labels = std::move(labels);
-  NormalizeLabels(&d.labels);
-  for (auto& [k, v] : properties) d.properties[k] = std::move(v);
-  return d;
-}
-
-}  // namespace
 
 NodeId GraphBuilder::AddNode(std::string name,
                              std::vector<std::string> labels,
                              PropertyList properties) {
-  NodeData n;
-  static_cast<ElementData&>(n) =
-      MakeElementData(std::move(name), std::move(labels), std::move(properties));
-  nodes_.push_back(std::move(n));
-  return static_cast<NodeId>(nodes_.size() - 1);
+  NodeId id = static_cast<NodeId>(graph_.nodes_.size());
+  if (!name.empty() && !graph_.node_by_name_.emplace(name, id).second &&
+      duplicate_node_.ok()) {
+    duplicate_node_ = Status::AlreadyExists("duplicate node name: " + name);
+  }
+  graph_.nodes_.push_back(NodeData{{std::move(name)}});
+  AddLabelsAndProperties(&graph_.nodes_store_, id, std::move(labels),
+                         std::move(properties));
+  return id;
+}
+
+void GraphBuilder::AddEdge(std::string name, const std::string& from,
+                           const std::string& to, bool directed,
+                           std::vector<std::string> labels,
+                           PropertyList properties) {
+  EdgeId id = static_cast<EdgeId>(graph_.edges_.size());
+  if (!name.empty() && !graph_.edge_by_name_.emplace(name, id).second &&
+      duplicate_edge_ == kInvalidId) {
+    duplicate_edge_ = id;
+  }
+  EdgeData ed;
+  ed.name = std::move(name);
+  ed.directed = directed;
+  ed.u = graph_.FindNode(from);
+  ed.v = graph_.FindNode(to);
+  if (ed.u == kInvalidId || ed.v == kInvalidId) {
+    pending_.push_back({id, from, to});
+  }
+  graph_.edges_.push_back(std::move(ed));
+  AddLabelsAndProperties(&graph_.edges_store_, id, std::move(labels),
+                         std::move(properties));
 }
 
 void GraphBuilder::AddDirectedEdge(std::string name, const std::string& from,
                                    const std::string& to,
                                    std::vector<std::string> labels,
                                    PropertyList properties) {
-  PendingEdge pe;
-  static_cast<ElementData&>(pe.data) =
-      MakeElementData(std::move(name), std::move(labels), std::move(properties));
-  pe.data.directed = true;
-  pe.from = from;
-  pe.to = to;
-  edges_.push_back(std::move(pe));
+  AddEdge(std::move(name), from, to, /*directed=*/true, std::move(labels),
+          std::move(properties));
 }
 
 void GraphBuilder::AddUndirectedEdge(std::string name, const std::string& a,
                                      const std::string& b,
                                      std::vector<std::string> labels,
                                      PropertyList properties) {
-  PendingEdge pe;
-  static_cast<ElementData&>(pe.data) =
-      MakeElementData(std::move(name), std::move(labels), std::move(properties));
-  pe.data.directed = false;
-  pe.from = a;
-  pe.to = b;
-  edges_.push_back(std::move(pe));
+  AddEdge(std::move(name), a, b, /*directed=*/false, std::move(labels),
+          std::move(properties));
 }
 
 Result<PropertyGraph> GraphBuilder::Build() && {
-  PropertyGraph g;
-  std::unordered_map<std::string, NodeId> by_name;
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    const std::string& name = nodes_[i].name;
-    if (!name.empty() && !by_name.emplace(name, i).second) {
-      return Status::AlreadyExists("duplicate node name: " + name);
-    }
-  }
-  std::unordered_set<std::string> edge_names;
-  for (PendingEdge& pe : edges_) {
-    if (!pe.data.name.empty() && !edge_names.insert(pe.data.name).second) {
-      return Status::AlreadyExists("duplicate edge name: " + pe.data.name);
-    }
-    auto from_it = by_name.find(pe.from);
-    if (from_it == by_name.end()) {
-      return Status::NotFound("edge " + pe.data.name +
+  if (!duplicate_node_.ok()) return duplicate_node_;
+  // Errors report in edge order, a repeated name before an unknown endpoint.
+  for (const PendingEdge& pe : pending_) {
+    if (duplicate_edge_ <= pe.edge) break;
+    EdgeData& ed = graph_.edges_[pe.edge];
+    ed.u = graph_.FindNode(pe.from);
+    if (ed.u == kInvalidId) {
+      return Status::NotFound("edge " + ed.name +
                               " references unknown node: " + pe.from);
     }
-    auto to_it = by_name.find(pe.to);
-    if (to_it == by_name.end()) {
-      return Status::NotFound("edge " + pe.data.name +
+    ed.v = graph_.FindNode(pe.to);
+    if (ed.v == kInvalidId) {
+      return Status::NotFound("edge " + ed.name +
                               " references unknown node: " + pe.to);
     }
-    pe.data.u = from_it->second;
-    pe.data.v = to_it->second;
   }
-
-  g.nodes_ = std::move(nodes_);
-  g.edges_.reserve(edges_.size());
-  for (PendingEdge& pe : edges_) g.edges_.push_back(std::move(pe.data));
-  g.BuildIndexes();
-  return g;
+  if (duplicate_edge_ != kInvalidId) {
+    return Status::AlreadyExists("duplicate edge name: " +
+                                 graph_.edges_[duplicate_edge_].name);
+  }
+  pending_ = {};
+  graph_.BuildIndexes();
+  return std::move(graph_);
 }
 
 }  // namespace gpml

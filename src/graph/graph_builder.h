@@ -16,7 +16,10 @@ using PropertyList = std::vector<std::pair<std::string, Value>>;
 
 /// Constructs PropertyGraph instances. Element names must be unique per kind
 /// (they serve as external identifiers, like a1/t5 in the paper); edges refer
-/// to endpoint nodes by name, so nodes must be added first.
+/// to endpoint nodes by name. Each element's labels and properties go
+/// straight into the graph's interned store as it is added (labels
+/// deduplicated; a repeated property key keeps its last value), so building
+/// stages no per-element maps and indexes the names once.
 ///
 /// Usage:
 ///   GraphBuilder b;
@@ -44,21 +47,32 @@ class GraphBuilder {
                          std::vector<std::string> labels = {},
                          PropertyList properties = {});
 
-  size_t num_nodes() const { return nodes_.size(); }
-  size_t num_edges() const { return edges_.size(); }
+  size_t num_nodes() const { return graph_.nodes_.size(); }
+  size_t num_edges() const { return graph_.edges_.size(); }
 
   /// Validates names/endpoints and produces the immutable graph.
   Result<PropertyGraph> Build() &&;
 
  private:
+  /// An edge naming an endpoint that was not yet added when it was; it
+  /// resolves at Build().
   struct PendingEdge {
-    EdgeData data;
+    EdgeId edge;
     std::string from;
     std::string to;
   };
 
-  std::vector<NodeData> nodes_;
-  std::vector<PendingEdge> edges_;
+  void AddEdge(std::string name, const std::string& from,
+               const std::string& to, bool directed,
+               std::vector<std::string> labels, PropertyList properties);
+  void AddLabelsAndProperties(PropertyGraph::ElementStore* store, uint32_t id,
+                              std::vector<std::string> labels,
+                              PropertyList properties);
+
+  PropertyGraph graph_;
+  Status duplicate_node_;                 // The first repeated node name.
+  EdgeId duplicate_edge_ = kInvalidId;    // The first repeated edge name.
+  std::vector<PendingEdge> pending_;      // In edge order.
 };
 
 }  // namespace gpml

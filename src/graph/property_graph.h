@@ -2,7 +2,6 @@
 #define GPML_GRAPH_PROPERTY_GRAPH_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -60,16 +59,11 @@ struct ElementRefHash {
   }
 };
 
-/// Payload common to nodes and edges: external name, label set, properties.
-/// Labels are kept sorted for deterministic printing and fast subset tests.
+/// Payload common to nodes and edges: the external name. Labels and
+/// properties are stored once, interned, in the graph (label_syms,
+/// property_keys, ColumnValue; see docs/storage.md).
 struct ElementData {
-  std::string name;                       // External id, e.g. "a1", "t5".
-  std::vector<std::string> labels;        // Sorted, unique.
-  std::map<std::string, Value> properties;
-
-  bool HasLabel(const std::string& label) const;
-  /// Missing property -> NULL (the standard's semantics for x.prop).
-  const Value& GetProperty(const std::string& name) const;
+  std::string name;  // External id, e.g. "a1", "t5".
 };
 
 struct NodeData : ElementData {};
@@ -82,7 +76,8 @@ struct EdgeData : ElementData {
   NodeId v = kInvalidId;
 };
 
-/// A view of one element's interned label set (sorted by symbol id).
+/// A view of one element's run of interned symbols: its label set (sorted by
+/// symbol id) or its present property keys (sorted by key string).
 struct SymSpan {
   const Symbol* data = nullptr;
   size_t count = 0;
@@ -134,7 +129,7 @@ class PropertyGraph {
     return {adjacency_[n].data(), adjacency_[n].size()};
   }
 
-  // --- interned storage layer (built once in BuildIndexes) -----------------
+  // --- interned element store (the only copy of labels and properties) ---
 
   /// Label and property-key strings interned to dense symbol ids. Label
   /// symbols are an id space of their own so label sets pack into 64-bit
@@ -147,17 +142,26 @@ class PropertyGraph {
 
   /// Bitmask of `n`'s labels (bit i = label symbol i); meaningful only when
   /// label_bits_usable().
-  uint64_t node_label_bits(NodeId n) const { return node_label_bits_[n]; }
-  uint64_t edge_label_bits(EdgeId e) const { return edge_label_bits_[e]; }
+  uint64_t node_label_bits(NodeId n) const { return nodes_store_.bits[n]; }
+  uint64_t edge_label_bits(EdgeId e) const { return edges_store_.bits[e]; }
 
   /// `n`'s labels as sorted symbol ids (valid at any universe size).
-  SymSpan node_label_syms(NodeId n) const {
-    return {node_label_syms_.data() + node_label_offsets_[n],
-            node_label_offsets_[n + 1] - node_label_offsets_[n]};
+  SymSpan node_label_syms(NodeId n) const { return nodes_store_.Labels(n); }
+  SymSpan edge_label_syms(EdgeId e) const { return edges_store_.Labels(e); }
+  SymSpan label_syms(const ElementRef& ref) const {
+    return store(ref).Labels(ref.id);
   }
-  SymSpan edge_label_syms(EdgeId e) const {
-    return {edge_label_syms_.data() + edge_label_offsets_[e],
-            edge_label_offsets_[e + 1] - edge_label_offsets_[e]};
+
+  /// True when the element carries the label named `label`.
+  bool HasLabel(const ElementRef& ref, const std::string& label) const;
+
+  /// The element's label names in string order (the export order).
+  std::vector<std::string> LabelNames(const ElementRef& ref) const;
+
+  /// The property keys present on the element (an explicitly NULL value
+  /// counts as present), sorted by key string: the export order.
+  SymSpan property_keys(const ElementRef& ref) const {
+    return store(ref).Keys(ref.id);
   }
 
   /// Label-partitioned adjacency (see graph/csr_index.h): expansion with a
@@ -165,27 +169,33 @@ class PropertyGraph {
   const CsrIndex& csr() const { return csr_; }
 
   /// Columnar property access: the value of property-key symbol `key` on an
-  /// element, NULL when absent. An array index per access — the interned
-  /// mirror of ElementData::properties (which stays the string-keyed oracle).
+  /// element, NULL when absent. An array index per access; the columns are
+  /// the only copy of property values.
   const Value& NodeColumnValue(Symbol key, NodeId n) const {
-    const std::vector<Value>& col = node_columns_[key];
-    return col.empty() ? kNullValue() : col[n];
+    return nodes_store_.ColumnValue(key, n);
   }
   const Value& EdgeColumnValue(Symbol key, EdgeId e) const {
-    const std::vector<Value>& col = edge_columns_[key];
-    return col.empty() ? kNullValue() : col[e];
+    return edges_store_.ColumnValue(key, e);
+  }
+  const Value& ColumnValue(const ElementRef& ref, Symbol key) const {
+    return store(ref).ColumnValue(key, ref.id);
   }
 
   /// Property lookup by name through the symbol table and columns: one hash
-  /// of the key string (shared across all elements) plus an array index,
-  /// replacing the per-element std::map walk of ElementData::GetProperty.
+  /// of the key string (shared across all elements) plus an array index.
+  /// Missing property -> NULL (the standard's semantics for x.prop).
   const Value& GetPropertyFast(const ElementRef& ref,
                                const std::string& key) const {
     Symbol s = property_symbols_.Find(key);
     if (s == kInvalidSymbol) return kNullValue();
-    return ref.is_node() ? NodeColumnValue(s, ref.id)
-                         : EdgeColumnValue(s, ref.id);
+    return ColumnValue(ref, s);
   }
+
+  /// Starts the cache misses an export of the element takes, one dependent
+  /// level per `stage` (0: the record and run offsets, 1: the runs, 2: the
+  /// column slots of its keys), so a caller exporting several far-apart
+  /// elements can overlap them.
+  void PrefetchElement(const ElementRef& ref, int stage) const;
 
   /// Nodes carrying `label` whose `key` property equals `value` (ascending
   /// node id) — the equality seed index the planner's index-backed seeding
@@ -204,7 +214,8 @@ class PropertyGraph {
   NodeId FindNode(const std::string& name) const;
   EdgeId FindEdge(const std::string& name) const;
 
-  /// Nodes carrying `label`; empty vector for unknown labels.
+  /// Nodes carrying `label`; empty vector for unknown labels. The label
+  /// index is keyed by label symbol, so this resolves the name once.
   const std::vector<NodeId>& NodesWithLabel(const std::string& label) const;
   const std::vector<EdgeId>& EdgesWithLabel(const std::string& label) const;
 
@@ -259,8 +270,43 @@ class PropertyGraph {
  private:
   friend class GraphBuilder;
 
+  /// One element kind's labels and properties, CSR-style: per element a run
+  /// of label symbols (sorted by symbol) and a run of present property-key
+  /// symbols (sorted by key string), plus one dense NULL-padded column per
+  /// key symbol holding the values. GraphBuilder appends to the runs and
+  /// columns as elements are added; BuildIndexes pads the columns and fills
+  /// the label masks and index.
+  struct ElementStore {
+    std::vector<uint32_t> label_offsets = {0};  // size elements+1.
+    std::vector<Symbol> label_syms;
+    std::vector<uint64_t> bits;                 // When label_bits_usable().
+    std::vector<uint32_t> key_offsets = {0};    // size elements+1.
+    std::vector<Symbol> key_syms;
+    std::vector<std::vector<Value>> columns;    // [key symbol][element id].
+    std::vector<std::vector<uint32_t>> by_label;  // [label symbol] -> ids.
+
+    SymSpan Labels(uint32_t id) const {
+      return {label_syms.data() + label_offsets[id],
+              label_offsets[id + 1] - label_offsets[id]};
+    }
+    SymSpan Keys(uint32_t id) const {
+      return {key_syms.data() + key_offsets[id],
+              key_offsets[id + 1] - key_offsets[id]};
+    }
+    const Value& ColumnValue(Symbol key, uint32_t id) const {
+      const std::vector<Value>& col = columns[key];
+      return col.empty() ? kNullValue() : col[id];
+    }
+    const std::vector<uint32_t>& WithLabel(Symbol s) const;
+    /// Pads the columns to `size` elements and fills `bits` and `by_label`.
+    void Finish(size_t size, size_t num_keys, size_t num_labels);
+  };
+
+  const ElementStore& store(const ElementRef& ref) const {
+    return ref.is_node() ? nodes_store_ : edges_store_;
+  }
+
   void BuildIndexes();
-  void BuildInternedLayer();
 
   /// Shared NULL for missing-property results.
   static const Value& kNullValue() {
@@ -276,21 +322,13 @@ class PropertyGraph {
   std::vector<std::vector<Adjacency>> adjacency_;
   std::unordered_map<std::string, NodeId> node_by_name_;
   std::unordered_map<std::string, EdgeId> edge_by_name_;
-  std::unordered_map<std::string, std::vector<NodeId>> nodes_by_label_;
-  std::unordered_map<std::string, std::vector<EdgeId>> edges_by_label_;
 
-  // Interned storage layer (tentpole of the CSR PR; see docs/storage.md).
+  // Interned element store (see docs/storage.md).
   SymbolTable label_symbols_;
   SymbolTable property_symbols_;
-  std::vector<uint32_t> node_label_offsets_;  // size nodes+1.
-  std::vector<Symbol> node_label_syms_;       // Sorted per element.
-  std::vector<uint32_t> edge_label_offsets_;  // size edges+1.
-  std::vector<Symbol> edge_label_syms_;
-  std::vector<uint64_t> node_label_bits_;
-  std::vector<uint64_t> edge_label_bits_;
+  ElementStore nodes_store_;
+  ElementStore edges_store_;
   CsrIndex csr_;
-  std::vector<std::vector<Value>> node_columns_;  // [key symbol][node id].
-  std::vector<std::vector<Value>> edge_columns_;  // [key symbol][edge id].
   PropertySeedIndex seed_index_;
   mutable std::shared_ptr<const planner::GraphStats> stats_cache_;
   mutable std::shared_ptr<const planner::PlanCache> plan_cache_;

@@ -16,8 +16,8 @@ using Symbol = uint32_t;
 
 inline constexpr Symbol kInvalidSymbol = 0xffffffffu;
 
-/// Interns strings to dense Symbol ids. Built once per graph in
-/// PropertyGraph::BuildIndexes and immutable afterwards, so lookups are safe
+/// Interns strings to dense Symbol ids. Filled by GraphBuilder as elements
+/// are added and immutable once the graph is built, so lookups are safe
 /// from concurrent matcher shards. The engine keeps two instances per graph:
 /// one for labels, one for property keys — separate id spaces keep the label
 /// universe dense enough for bitset representation.
@@ -25,9 +25,13 @@ class SymbolTable {
  public:
   /// Id of `s`, interning it if new.
   Symbol Intern(const std::string& s) {
-    auto [it, inserted] = ids_.emplace(s, static_cast<Symbol>(names_.size()));
-    if (inserted) names_.push_back(s);
-    return it->second;
+    // Look up first: emplace would allocate a node even for a known string.
+    auto it = ids_.find(s);
+    if (it != ids_.end()) return it->second;
+    Symbol id = static_cast<Symbol>(names_.size());
+    ids_.emplace(s, id);
+    names_.push_back(s);
+    return id;
   }
 
   /// Id of `s`, or kInvalidSymbol when never interned. A pattern mentioning

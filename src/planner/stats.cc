@@ -1,6 +1,7 @@
 #include "planner/stats.h"
 
 #include <sstream>
+#include <vector>
 
 namespace gpml {
 namespace planner {
@@ -11,11 +12,16 @@ namespace {
 /// label-path frequency table.
 const std::string kNoLabel = "";
 
-const std::vector<std::string>& LabelsOrNone(
-    const std::vector<std::string>& labels,
-    const std::vector<std::string>& none) {
-  return labels.empty() ? none : labels;
+/// The label-symbol stand-in for an unlabeled element.
+const Symbol kNone = kInvalidSymbol;
+
+/// An element's label run, or the one-element run {kNone} when it has none.
+SymSpan LabelsOrNone(SymSpan labels) {
+  return labels.count == 0 ? SymSpan{&kNone, 1} : labels;
 }
+
+/// Counts per (source-node label, edge label, target-node label) symbols.
+using LabelPathCounts = std::map<std::tuple<Symbol, Symbol, Symbol>, size_t>;
 
 }  // namespace
 
@@ -91,45 +97,51 @@ GraphStats ComputeStats(const PropertyGraph& g) {
   s.num_nodes = g.num_nodes();
   s.num_edges = g.num_edges();
 
+  // Count by label symbol, then name the counts once at the end.
+  const SymbolTable& labels = g.label_symbols();
+  std::vector<size_t> node_counts(labels.size(), 0);
+  std::vector<size_t> edge_counts(labels.size(), 0);
+  std::vector<LabelDegree> degree_sums(labels.size());
+  LabelPathCounts paths;
+  LabelPathCounts undirected_paths;
+
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const NodeData& nd = g.node(n);
-    if (!nd.labels.empty()) ++s.num_labeled_nodes;
-    for (const std::string& l : nd.labels) ++s.node_label_counts[l];
+    SymSpan ls = g.node_label_syms(n);
+    if (ls.count != 0) ++s.num_labeled_nodes;
+    for (Symbol l : ls) ++node_counts[l];
   }
 
-  // Per-label degree accumulators keyed like node_label_counts.
-  std::map<std::string, LabelDegree> degree_sums;
-
-  const std::vector<std::string> none = {kNoLabel};
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const EdgeData& ed = g.edge(e);
-    if (!ed.labels.empty()) ++s.num_labeled_edges;
-    for (const std::string& l : ed.labels) ++s.edge_label_counts[l];
+    SymSpan edge_labels = g.edge_label_syms(e);
+    if (edge_labels.count != 0) ++s.num_labeled_edges;
+    for (Symbol l : edge_labels) ++edge_counts[l];
 
-    const auto& u_labels = LabelsOrNone(g.node(ed.u).labels, none);
-    const auto& v_labels = LabelsOrNone(g.node(ed.v).labels, none);
-    const auto& e_labels = LabelsOrNone(ed.labels, none);
-    for (const std::string& el : e_labels) {
-      for (const std::string& ul : u_labels) {
-        for (const std::string& vl : v_labels) {
-          ++s.label_path_counts[std::make_tuple(ul, el, vl)];
+    SymSpan u_labels = LabelsOrNone(g.node_label_syms(ed.u));
+    SymSpan v_labels = LabelsOrNone(g.node_label_syms(ed.v));
+    for (Symbol el : LabelsOrNone(edge_labels)) {
+      for (Symbol ul : u_labels) {
+        for (Symbol vl : v_labels) {
+          ++paths[{ul, el, vl}];
           if (!ed.directed) {
-            ++s.label_path_counts[std::make_tuple(vl, el, ul)];
-            ++s.undirected_label_path_counts[std::make_tuple(ul, el, vl)];
-            ++s.undirected_label_path_counts[std::make_tuple(vl, el, ul)];
+            ++paths[{vl, el, ul}];
+            ++undirected_paths[{ul, el, vl}];
+            ++undirected_paths[{vl, el, ul}];
           }
         }
       }
     }
 
-    for (const std::string& ul : u_labels) {
+    for (Symbol ul : u_labels) {
+      if (ul == kNone) continue;
       if (ed.directed) {
         degree_sums[ul].avg_out += 1;
       } else {
         degree_sums[ul].avg_undirected += 1;
       }
     }
-    for (const std::string& vl : v_labels) {
+    for (Symbol vl : v_labels) {
+      if (vl == kNone) continue;
       if (ed.directed) {
         degree_sums[vl].avg_in += 1;
       } else {
@@ -138,15 +150,35 @@ GraphStats ComputeStats(const PropertyGraph& g) {
     }
   }
 
-  for (auto& [label, sums] : degree_sums) {
-    if (label == kNoLabel) continue;
-    double n = static_cast<double>(s.NodeLabelCount(label));
-    if (n == 0) continue;  // Edge-only label; no node denominator.
+  auto name = [&labels](Symbol l) -> const std::string& {
+    return l == kNone ? kNoLabel : labels.name(l);
+  };
+  for (Symbol l = 0; l < labels.size(); ++l) {
+    if (node_counts[l] != 0) s.node_label_counts[name(l)] = node_counts[l];
+    if (edge_counts[l] != 0) s.edge_label_counts[name(l)] = edge_counts[l];
+  }
+  // A label named "" shares its key with the unlabeled stand-in, so the
+  // named counts add up.
+  auto named = [&name](const std::tuple<Symbol, Symbol, Symbol>& p) {
+    return std::make_tuple(name(std::get<0>(p)), name(std::get<1>(p)),
+                           name(std::get<2>(p)));
+  };
+  for (const auto& [p, count] : paths) s.label_path_counts[named(p)] += count;
+  for (const auto& [p, count] : undirected_paths) {
+    s.undirected_label_path_counts[named(p)] += count;
+  }
+  for (Symbol l = 0; l < labels.size(); ++l) {
+    const LabelDegree& sums = degree_sums[l];
+    if (name(l) == kNoLabel || node_counts[l] == 0) continue;
+    if (sums.avg_out == 0 && sums.avg_in == 0 && sums.avg_undirected == 0) {
+      continue;  // No incident edge.
+    }
+    double n = static_cast<double>(node_counts[l]);
     LabelDegree d;
     d.avg_out = sums.avg_out / n;
     d.avg_in = sums.avg_in / n;
     d.avg_undirected = sums.avg_undirected / n;
-    s.degree_by_label[label] = d;
+    s.degree_by_label[name(l)] = d;
   }
   return s;
 }

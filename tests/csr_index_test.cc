@@ -2,12 +2,13 @@
 // label-partitioned CSR must contain, for every (node, label) pair, exactly
 // the adjacency records whose edge carries the label — in adjacency-list
 // order, so a bucket scan visits successors exactly as a label-filtered
-// full scan would. The symbol tables, label bitsets, columnar property
-// mirror, and equality seed index are all checked against the string-keyed
-// originals on the paper graph, generated graphs (undirected edges,
-// parallel edges, self-loops), and a graph whose label universe exceeds
-// the 64-bit masks.
+// full scan would. The label runs and bitsets, the property-key runs and
+// columns, and the equality seed index are checked against each other and,
+// where the test builds the graph itself, against its builder input, on the
+// paper graph, generated graphs (undirected edges, parallel edges,
+// self-loops), and a graph whose label universe exceeds the 64-bit masks.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,7 @@ std::vector<Adjacency> FilteredAdjacency(const PropertyGraph& g, NodeId n,
                                          const std::string& label) {
   std::vector<Adjacency> out;
   for (const Adjacency& adj : g.adjacencies(n)) {
-    if (g.edge(adj.edge).HasLabel(label)) out.push_back(adj);
+    if (g.HasLabel(ElementRef::Edge(adj.edge), label)) out.push_back(adj);
   }
   return out;
 }
@@ -47,36 +48,38 @@ bool SameRecords(const std::vector<Adjacency>& want, AdjSpan got) {
   return true;
 }
 
-/// Every storage-layer invariant on one graph.
-void CheckGraph(const PropertyGraph& g) {
+/// Every storage-layer invariant on one graph; with `input`, also every
+/// label and property accessor against the builder input.
+void CheckGraph(const PropertyGraph& g,
+                const testing_util::GraphInput* input = nullptr) {
   const SymbolTable& labels = g.label_symbols();
+  if (input != nullptr) testing_util::ExpectStoreMatchesInput(g, *input);
 
-  // --- label interning: per-element symbols and bitsets match the strings.
-  for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const NodeData& nd = g.node(n);
-    SymSpan syms = g.node_label_syms(n);
-    ASSERT_EQ(syms.count, nd.labels.size());
-    ASSERT_TRUE(std::is_sorted(syms.begin(), syms.end()));
+  // --- label runs: sorted, unique, named by LabelNames, mirrored by bits.
+  auto check_labels = [&](ElementRef ref, uint64_t got_bits) {
+    SymSpan syms = g.label_syms(ref);
+    ASSERT_TRUE(std::adjacent_find(syms.begin(), syms.end(),
+                                   [](Symbol a, Symbol b) { return a >= b; }) ==
+                syms.end());
+    std::vector<std::string> names;
     uint64_t bits = 0;
-    for (const std::string& l : nd.labels) {
-      Symbol s = labels.Find(l);
-      ASSERT_NE(s, kInvalidSymbol) << l;
-      EXPECT_TRUE(std::binary_search(syms.begin(), syms.end(), s)) << l;
+    for (Symbol s : syms) {
+      ASSERT_LT(s, labels.size());
+      names.push_back(labels.name(s));
       if (g.label_bits_usable()) bits |= uint64_t{1} << s;
     }
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(g.LabelNames(ref), names);
+    for (const std::string& l : names) EXPECT_TRUE(g.HasLabel(ref, l)) << l;
     if (g.label_bits_usable()) {
-      EXPECT_EQ(g.node_label_bits(n), bits);
+      EXPECT_EQ(got_bits, bits);
     }
+  };
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    check_labels(ElementRef::Node(n), g.node_label_bits(n));
   }
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const EdgeData& ed = g.edge(e);
-    SymSpan syms = g.edge_label_syms(e);
-    ASSERT_EQ(syms.count, ed.labels.size());
-    for (const std::string& l : ed.labels) {
-      EXPECT_TRUE(std::binary_search(syms.begin(), syms.end(),
-                                     labels.Find(l)))
-          << l;
-    }
+    check_labels(ElementRef::Edge(e), g.edge_label_bits(e));
   }
 
   // --- CSR ranges equal the filtered legacy adjacency for every (node,
@@ -95,7 +98,7 @@ void CheckGraph(const PropertyGraph& g) {
     // appears in exactly k buckets.
     size_t want_total = 0;
     for (const Adjacency& adj : g.adjacencies(n)) {
-      want_total += g.edge(adj.edge).labels.size();
+      want_total += g.edge_label_syms(adj.edge).count;
     }
     EXPECT_EQ(bucket_total, want_total) << "node " << n;
     // Unknown symbols yield empty ranges, never out-of-bounds.
@@ -103,42 +106,51 @@ void CheckGraph(const PropertyGraph& g) {
               0u);
   }
 
-  // --- property columns mirror the string-keyed maps exactly.
-  for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const NodeData& nd = g.node(n);
-    for (const auto& [key, value] : nd.properties) {
-      EXPECT_EQ(g.GetPropertyFast(ElementRef::Node(n), key), value)
-          << "node " << n << "." << key;
+  // --- property-key runs: unique and in name order; the columns hold a
+  // value only under a present key, and lookup by name reads the column.
+  const SymbolTable& keys = g.property_symbols();
+  auto check_properties = [&](ElementRef ref) {
+    SymSpan run = g.property_keys(ref);
+    for (size_t i = 1; i < run.count; ++i) {
+      EXPECT_LT(keys.name(run.data[i - 1]), keys.name(run.data[i]));
     }
-    EXPECT_TRUE(
-        g.GetPropertyFast(ElementRef::Node(n), "no_such_key").is_null());
+    for (Symbol k = 0; k < keys.size(); ++k) {
+      bool present = std::find(run.begin(), run.end(), k) != run.end();
+      const Value& v = g.ColumnValue(ref, k);
+      if (!present) {
+        EXPECT_TRUE(v.is_null()) << keys.name(k);
+      }
+      EXPECT_EQ(&g.GetPropertyFast(ref, keys.name(k)), &v) << keys.name(k);
+    }
+    EXPECT_TRUE(g.GetPropertyFast(ref, "no_such_key").is_null());
+  };
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    check_properties(ElementRef::Node(n));
   }
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const EdgeData& ed = g.edge(e);
-    for (const auto& [key, value] : ed.properties) {
-      EXPECT_EQ(g.GetPropertyFast(ElementRef::Edge(e), key), value)
-          << "edge " << e << "." << key;
-    }
+    check_properties(ElementRef::Edge(e));
   }
 
   // --- equality seed index: for every (label, key, value) present on some
   // labeled node, the index returns exactly the scan result in ascending
-  // node-id order.
+  // node-id order (nothing for NULL: `= NULL` never selects).
+  auto has_key = [&](NodeId m, Symbol k) {
+    SymSpan run = g.property_keys(ElementRef::Node(m));
+    return std::find(run.begin(), run.end(), k) != run.end();
+  };
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const NodeData& nd = g.node(n);
-    for (const std::string& label : nd.labels) {
-      for (const auto& [key, value] : nd.properties) {
+    for (const std::string& label : g.LabelNames(ElementRef::Node(n))) {
+      for (Symbol k : g.property_keys(ElementRef::Node(n))) {
+        const Value& value = g.NodeColumnValue(k, n);
         std::vector<NodeId> want;
-        for (NodeId m = 0; m < g.num_nodes(); ++m) {
-          const NodeData& md = g.node(m);
-          if (!md.HasLabel(label)) continue;
-          auto it = md.properties.find(key);
-          if (it != md.properties.end() && it->second == value) {
+        for (NodeId m = 0; m < g.num_nodes() && !value.is_null(); ++m) {
+          if (g.HasLabel(ElementRef::Node(m), label) && has_key(m, k) &&
+              g.NodeColumnValue(k, m) == value) {
             want.push_back(m);
           }
         }
-        EXPECT_EQ(g.IndexedNodes(label, key, value), want)
-            << label << "." << key << " = " << value.ToString();
+        EXPECT_EQ(g.IndexedNodes(label, keys.name(k), value), want)
+            << label << "." << keys.name(k) << " = " << value.ToString();
       }
     }
   }
@@ -165,20 +177,29 @@ TEST(CsrIndexTest, GeneratedGraphs) {
   }
   CheckGraph(MakeChainGraph(12));
   CheckGraph(MakeDiamondChain(3));
+  // The same shapes from the test's own input, checked against it.
+  for (uint64_t seed : {1u, 2u, 3u, 7u}) {
+    testing_util::GraphInput input =
+        testing_util::RandomGraphInput(/*num_nodes=*/8, /*num_edges=*/40,
+                                       /*num_labels=*/3, seed);
+    CheckGraph(input.Build(), &input);
+  }
 }
 
 TEST(CsrIndexTest, SelfLoopsAndParallelEdges) {
-  GraphBuilder b;
-  b.AddNode("a", {"A", "B"}, {{"w", Value::Int(1)}});
-  b.AddNode("b", {"A"}, {{"w", Value::Int(1)}});
-  b.AddDirectedEdge("d1", "a", "a", {"T"});             // Directed self-loop.
-  b.AddUndirectedEdge("u1", "b", "b", {"T", "S"});      // Undirected loop.
-  b.AddDirectedEdge("d2", "a", "b", {"T"});             // Parallel pair...
-  b.AddDirectedEdge("d3", "a", "b", {"T"});
-  b.AddUndirectedEdge("u2", "a", "b", {"S"});
-  b.AddDirectedEdge("plain", "a", "b", {});             // Label-less.
-  PropertyGraph g = std::move(b).Build().value();
-  CheckGraph(g);
+  testing_util::GraphInput input;
+  input.nodes = {{"a", {"A", "B"}, {{"w", Value::Int(1)}}},
+                 {"b", {"A"}, {{"w", Value::Int(1)}}}};
+  input.edges = {
+      {"d1", {"T"}, {}, "a", "a", true},        // Directed self-loop.
+      {"u1", {"T", "S"}, {}, "b", "b", false},  // Undirected loop.
+      {"d2", {"T"}, {}, "a", "b", true},        // Parallel pair...
+      {"d3", {"T"}, {}, "a", "b", true},
+      {"u2", {"S"}, {}, "a", "b", false},
+      {"plain", {}, {}, "a", "b", true},        // Label-less.
+  };
+  PropertyGraph g = input.Build();
+  CheckGraph(g, &input);
 
   // The directed self-loop contributes forward and backward records to one
   // bucket; the undirected loop exactly one record.
@@ -220,7 +241,8 @@ TEST(CsrIndexTest, CompiledLabelPredsAgreeWithStringMatching) {
           CompiledLabelPred::Compile(expr, labels, use_bits);
       for (NodeId n = 0; n < g.num_nodes(); ++n) {
         SymSpan syms = g.node_label_syms(n);
-        bool want = expr == nullptr || expr->Matches(g.node(n).labels);
+        bool want = expr == nullptr ||
+                    expr->Matches(g.LabelNames(ElementRef::Node(n)));
         EXPECT_EQ(pred.Matches(use_bits ? g.node_label_bits(n) : 0,
                                syms.data, syms.count),
                   want)
@@ -234,21 +256,23 @@ TEST(CsrIndexTest, CompiledLabelPredsAgreeWithStringMatching) {
 TEST(CsrIndexTest, LabelUniverseBeyondBitsetStillExact) {
   // 70 distinct labels: the bitset representation is unusable and every
   // path (predicates, CSR, seeding) must fall back to symbol arrays.
-  GraphBuilder b;
+  testing_util::GraphInput input;
   const int kNodes = 70;
   for (int i = 0; i < kNodes; ++i) {
-    b.AddNode("n" + std::to_string(i),
-              {"L" + std::to_string(i), "Common"},
-              {{"w", Value::Int(i % 7)}});
+    input.nodes.push_back({"n" + std::to_string(i),
+                           {"L" + std::to_string(i), "Common"},
+                           {{"w", Value::Int(i % 7)}}});
   }
   for (int i = 0; i < kNodes; ++i) {
-    b.AddDirectedEdge("e" + std::to_string(i), "n" + std::to_string(i),
-                      "n" + std::to_string((i + 1) % kNodes),
-                      {"E" + std::to_string(i % 5)});
+    input.edges.push_back({"e" + std::to_string(i),
+                           {"E" + std::to_string(i % 5)},
+                           {},
+                           "n" + std::to_string(i),
+                           "n" + std::to_string((i + 1) % kNodes)});
   }
-  PropertyGraph g = std::move(b).Build().value();
+  PropertyGraph g = input.Build();
   ASSERT_FALSE(g.label_bits_usable());
-  CheckGraph(g);
+  CheckGraph(g, &input);
 
   // End-to-end through the engine: the conjunction must match, and the
   // row must be the one the §6 reference evaluator finds.

@@ -39,12 +39,12 @@ TEST_F(GraphProjectionTest, SingleBindingSubgraph) {
 TEST_F(GraphProjectionTest, PropertiesAndLabelsCarryOver) {
   PropertyGraph sub = Project(
       "MATCH (a WHERE a.owner='Jay')-[e:Transfer]->(b)");
-  const NodeData& a4 = sub.node(sub.FindNode("a4"));
-  EXPECT_TRUE(a4.HasLabel("Account"));
-  EXPECT_EQ(a4.GetProperty("isBlocked"), Value::String("yes"));
-  const EdgeData& t4 = sub.edge(sub.FindEdge("t4"));
-  EXPECT_EQ(t4.GetProperty("amount"), Value::Int(10'000'000));
-  EXPECT_TRUE(t4.directed);
+  ElementRef a4 = ElementRef::Node(sub.FindNode("a4"));
+  EXPECT_TRUE(sub.HasLabel(a4, "Account"));
+  EXPECT_EQ(sub.GetPropertyFast(a4, "isBlocked"), Value::String("yes"));
+  ElementRef t4 = ElementRef::Edge(sub.FindEdge("t4"));
+  EXPECT_EQ(sub.GetPropertyFast(t4, "amount"), Value::Int(10'000'000));
+  EXPECT_TRUE(sub.edge(t4.id).directed);
 }
 
 TEST_F(GraphProjectionTest, UnionOfBindings) {

@@ -40,15 +40,20 @@ TEST_F(GraphViewTest, MaterializedViewEqualsFigureOneGraph) {
   ASSERT_EQ(view->num_edges(), direct.num_edges());
 
   // Element-by-element comparison through external names.
+  auto same_labels_and_properties = [&](ElementRef want, ElementRef got) {
+    const std::string& name = direct.element(want).name;
+    EXPECT_EQ(view->LabelNames(got), direct.LabelNames(want)) << name;
+    for (Symbol key : direct.property_keys(want)) {
+      const std::string& prop = direct.property_symbols().name(key);
+      EXPECT_EQ(view->GetPropertyFast(got, prop), direct.ColumnValue(want, key))
+          << name << "." << prop;
+    }
+  };
   for (NodeId n = 0; n < direct.num_nodes(); ++n) {
     const NodeData& want = direct.node(n);
     NodeId m = view->FindNode(want.name);
     ASSERT_NE(m, kInvalidId) << want.name;
-    const NodeData& got = view->node(m);
-    EXPECT_EQ(got.labels, want.labels) << want.name;
-    for (const auto& [prop, value] : want.properties) {
-      EXPECT_EQ(got.GetProperty(prop), value) << want.name << "." << prop;
-    }
+    same_labels_and_properties(ElementRef::Node(n), ElementRef::Node(m));
   }
   for (EdgeId e = 0; e < direct.num_edges(); ++e) {
     const EdgeData& want = direct.edge(e);
@@ -58,10 +63,7 @@ TEST_F(GraphViewTest, MaterializedViewEqualsFigureOneGraph) {
     EXPECT_EQ(got.directed, want.directed) << want.name;
     EXPECT_EQ(view->node(got.u).name, direct.node(want.u).name);
     EXPECT_EQ(view->node(got.v).name, direct.node(want.v).name);
-    EXPECT_EQ(got.labels, want.labels);
-    for (const auto& [prop, value] : want.properties) {
-      EXPECT_EQ(got.GetProperty(prop), value) << want.name << "." << prop;
-    }
+    same_labels_and_properties(ElementRef::Edge(e), ElementRef::Edge(f));
   }
 }
 
@@ -69,9 +71,9 @@ TEST_F(GraphViewTest, CityCountryTableYieldsBothLabels) {
   // Figure 2: one relation per label combination; CityCountry holds c2.
   Result<PropertyGraph> view = MaterializeGraphView(catalog_, def_);
   ASSERT_TRUE(view.ok());
-  const NodeData& c2 = view->node(view->FindNode("c2"));
-  EXPECT_TRUE(c2.HasLabel("City"));
-  EXPECT_TRUE(c2.HasLabel("Country"));
+  ElementRef c2 = ElementRef::Node(view->FindNode("c2"));
+  EXPECT_TRUE(view->HasLabel(c2, "City"));
+  EXPECT_TRUE(view->HasLabel(c2, "Country"));
 }
 
 TEST_F(GraphViewTest, CreatePropertyGraphRegisters) {
@@ -122,9 +124,9 @@ TEST_F(GraphViewTest, ExplicitPropertyColumnSelection) {
   def.nodes[0].property_columns = {"owner"};  // Drop isBlocked.
   Result<PropertyGraph> view = MaterializeGraphView(catalog_, def);
   ASSERT_TRUE(view.ok());
-  const NodeData& a1 = view->node(view->FindNode("a1"));
-  EXPECT_FALSE(a1.GetProperty("owner").is_null());
-  EXPECT_TRUE(a1.GetProperty("isBlocked").is_null());
+  ElementRef a1 = ElementRef::Node(view->FindNode("a1"));
+  EXPECT_FALSE(view->GetPropertyFast(a1, "owner").is_null());
+  EXPECT_TRUE(view->GetPropertyFast(a1, "isBlocked").is_null());
 }
 
 }  // namespace

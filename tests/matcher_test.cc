@@ -82,7 +82,7 @@ TEST(MatcherTest, LabelSeededSearchSkipsOtherLabels) {
   ASSERT_TRUE(scanned.ok());
   size_t l1 = 0;
   for (const PathBinding& pb : scanned->bindings) {
-    if (g.node(pb.path.Start()).HasLabel("L1")) ++l1;
+    if (g.HasLabel(ElementRef::Node(pb.path.Start()), "L1")) ++l1;
   }
   EXPECT_EQ(anchored->bindings.size(), l1);
 }

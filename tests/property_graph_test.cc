@@ -1,8 +1,15 @@
 #include "graph/property_graph.h"
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "gql/json_export.h"
+#include "graph/generator.h"
 #include "graph/graph_builder.h"
+#include "tests/test_util.h"
 
 namespace gpml {
 namespace {
@@ -36,12 +43,13 @@ TEST(PropertyGraphTest, LookupByName) {
 
 TEST(PropertyGraphTest, LabelsAreSortedAndSearchable) {
   PropertyGraph g = std::move(SmallGraph()).value();
-  const NodeData& n2 = g.node(g.FindNode("n2"));
-  EXPECT_TRUE(n2.HasLabel("A"));
-  EXPECT_TRUE(n2.HasLabel("B"));
-  EXPECT_FALSE(n2.HasLabel("C"));
-  const NodeData& n3 = g.node(g.FindNode("n3"));
-  EXPECT_TRUE(n3.labels.empty());
+  ElementRef n2 = ElementRef::Node(g.FindNode("n2"));
+  EXPECT_TRUE(g.HasLabel(n2, "A"));
+  EXPECT_TRUE(g.HasLabel(n2, "B"));
+  EXPECT_FALSE(g.HasLabel(n2, "C"));
+  EXPECT_EQ(g.LabelNames(n2), (std::vector<std::string>{"A", "B"}));
+  ElementRef n3 = ElementRef::Node(g.FindNode("n3"));
+  EXPECT_EQ(g.label_syms(n3).count, 0u);
 }
 
 TEST(PropertyGraphTest, LabelIndex) {
@@ -55,11 +63,11 @@ TEST(PropertyGraphTest, LabelIndex) {
 
 TEST(PropertyGraphTest, PropertiesAndMissingProperty) {
   PropertyGraph g = std::move(SmallGraph()).value();
-  const NodeData& n1 = g.node(g.FindNode("n1"));
-  EXPECT_EQ(n1.GetProperty("k"), Value::Int(1));
-  EXPECT_TRUE(n1.GetProperty("missing").is_null());
-  const EdgeData& e1 = g.edge(g.FindEdge("e1"));
-  EXPECT_EQ(e1.GetProperty("w"), Value::Int(7));
+  ElementRef n1 = ElementRef::Node(g.FindNode("n1"));
+  EXPECT_EQ(g.GetPropertyFast(n1, "k"), Value::Int(1));
+  EXPECT_TRUE(g.GetPropertyFast(n1, "missing").is_null());
+  ElementRef e1 = ElementRef::Edge(g.FindEdge("e1"));
+  EXPECT_EQ(g.GetPropertyFast(e1, "w"), Value::Int(7));
 }
 
 TEST(PropertyGraphTest, DirectedAdjacency) {
@@ -140,7 +148,7 @@ TEST(GraphBuilderTest, DuplicateLabelsDeduplicated) {
   GraphBuilder b;
   b.AddNode("x", {"A", "A", "B"});
   PropertyGraph g = std::move(std::move(b).Build()).value();
-  EXPECT_EQ(g.node(0).labels.size(), 2u);
+  EXPECT_EQ(g.label_syms(ElementRef::Node(0)).count, 2u);
 }
 
 TEST(PropertyGraphTest, ParallelEdgesAllowed) {
@@ -152,6 +160,166 @@ TEST(PropertyGraphTest, ParallelEdgesAllowed) {
   PropertyGraph g = std::move(std::move(b).Build()).value();
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g.adjacencies(g.FindNode("u")).size(), 2u);
+}
+
+TEST(GraphBuilderTest, ErrorsReportInEdgeOrder) {
+  // An edge may name a node added after it; it resolves at Build().
+  GraphBuilder late;
+  late.AddDirectedEdge("e", "x", "y");
+  late.AddNode("x");
+  late.AddNode("y");
+  Result<PropertyGraph> g = std::move(late).Build();
+  ASSERT_TRUE(g.ok()) << g.status();
+  EXPECT_EQ(g->edge(0).u, g->FindNode("x"));
+  EXPECT_EQ(g->edge(0).v, g->FindNode("y"));
+
+  // A repeated name before an unknown endpoint on a later edge...
+  GraphBuilder dup_first;
+  dup_first.AddNode("x");
+  dup_first.AddDirectedEdge("e", "x", "x");
+  dup_first.AddDirectedEdge("e", "x", "x");
+  dup_first.AddDirectedEdge("f", "x", "ghost");
+  EXPECT_EQ(std::move(dup_first).Build().status().ToString(),
+            Status::AlreadyExists("duplicate edge name: e").ToString());
+  // ...and an unknown endpoint before a later repeated name.
+  GraphBuilder ghost_first;
+  ghost_first.AddNode("x");
+  ghost_first.AddDirectedEdge("f", "x", "ghost");
+  ghost_first.AddDirectedEdge("e", "x", "x");
+  ghost_first.AddDirectedEdge("e", "x", "x");
+  EXPECT_EQ(std::move(ghost_first).Build().status().ToString(),
+            Status::NotFound("edge f references unknown node: ghost")
+                .ToString());
+  // A repeated node name wins over every edge error.
+  GraphBuilder dup_node;
+  dup_node.AddDirectedEdge("f", "x", "ghost");
+  dup_node.AddNode("x");
+  dup_node.AddNode("x");
+  EXPECT_EQ(std::move(dup_node).Build().status().code(),
+            StatusCode::kAlreadyExists);
+}
+
+// --- storage round trip: every accessor against the builder input, and the
+// element export bytes the string-map store produced for the same input.
+
+/// Explicit NULL, a repeated key (the last value wins), repeated labels, an
+/// element with no labels or properties, and 70 distinct labels on one node
+/// (past the 64-bit label masks).
+testing_util::GraphInput EdgeCaseInput() {
+  testing_util::GraphInput input;
+  std::vector<std::string> many;
+  for (int i = 69; i >= 0; --i) many.push_back("M" + std::to_string(i));
+  input.nodes = {
+      {"n0",
+       {"B", "A", "B"},
+       {{"z", Value::Int(1)},
+        {"k", Value::Null()},
+        {"a", Value::String("x\"y")},
+        {"z", Value::Int(2)}}},
+      {"n1", {}, {}},
+      {"n2", many, {{"d", Value::Double(0.5)}, {"b", Value::Bool(true)}}},
+  };
+  input.edges = {
+      {"e0", {"T"}, {{"w", Value::Double(2.5)}, {"w", Value::Null()}}, "n0",
+       "n1", true},
+      {"e1", {}, {}, "n1", "n2", false},
+      {"e2", {"T", "S", "T"}, {{"k", Value::String("")}}, "n2", "n2", true},
+  };
+  return input;
+}
+
+/// FNV-1a over every element's export, nodes then edges.
+struct ExportDigest {
+  size_t bytes = 0;
+  uint64_t fnv = 0xcbf29ce484222325ULL;
+};
+
+ExportDigest DigestExport(const PropertyGraph& g) {
+  ExportDigest d;
+  auto add = [&d](const std::string& s) {
+    d.bytes += s.size();
+    for (unsigned char c : s) {
+      d.fnv ^= c;
+      d.fnv *= 0x100000001b3ULL;
+    }
+  };
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    add(ElementToJson(g, ElementRef::Node(n)));
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    add(ElementToJson(g, ElementRef::Edge(e)));
+  }
+  return d;
+}
+
+TEST(StorageRoundTripTest, EdgeCasesMatchInputAndExport) {
+  testing_util::GraphInput input = EdgeCaseInput();
+  PropertyGraph g = input.Build();
+  ASSERT_FALSE(g.label_bits_usable());
+  testing_util::ExpectStoreMatchesInput(g, input);
+
+  // Pinned from the export of the string-keyed per-element maps.
+  EXPECT_EQ(ElementToJson(g, ElementRef::Node(0)),
+            "{\"kind\":\"node\",\"name\":\"n0\",\"labels\":[\"A\",\"B\"],"
+            "\"properties\":{\"a\":\"x\\\"y\",\"k\":null,\"z\":2}}");
+  EXPECT_EQ(ElementToJson(g, ElementRef::Node(1)),
+            "{\"kind\":\"node\",\"name\":\"n1\",\"labels\":[],"
+            "\"properties\":{}}");
+  EXPECT_EQ(ElementToJson(g, ElementRef::Edge(0)),
+            "{\"kind\":\"edge\",\"name\":\"e0\",\"directed\":true,"
+            "\"endpoints\":[\"n0\",\"n1\"],\"labels\":[\"T\"],"
+            "\"properties\":{\"w\":null}}");
+  EXPECT_EQ(ElementToJson(g, ElementRef::Edge(1)),
+            "{\"kind\":\"edge\",\"name\":\"e1\",\"directed\":false,"
+            "\"endpoints\":[\"n1\",\"n2\"],\"labels\":[],\"properties\":{}}");
+  EXPECT_EQ(ElementToJson(g, ElementRef::Edge(2)),
+            "{\"kind\":\"edge\",\"name\":\"e2\",\"directed\":true,"
+            "\"endpoints\":[\"n2\",\"n2\"],\"labels\":[\"S\",\"T\"],"
+            "\"properties\":{\"k\":\"\"}}");
+  // n2's 70 labels export in string order: M0, M1, M10, ..., M69, M7, ...
+  std::string n2 = ElementToJson(g, ElementRef::Node(2));
+  const std::string n2_head =
+      "{\"kind\":\"node\",\"name\":\"n2\",\"labels\":[\"M0\",\"M1\","
+      "\"M10\",\"M11\",";
+  EXPECT_EQ(n2.substr(0, n2_head.size()), n2_head);
+  EXPECT_NE(n2.find("\"M69\",\"M7\",\"M8\",\"M9\"],\"properties\":"
+                    "{\"b\":true,\"d\":0.5}}"),
+            std::string::npos);
+  ExportDigest d = DigestExport(g);
+  EXPECT_EQ(d.bytes, 932u);
+  EXPECT_EQ(d.fnv, 0x33d9eb74bf20a0c7ULL);
+}
+
+TEST(StorageRoundTripTest, RandomInputsMatchInput) {
+  for (uint64_t seed : {1u, 2u, 3u, 7u, 11u}) {
+    testing_util::GraphInput input =
+        testing_util::RandomGraphInput(/*num_nodes=*/12, /*num_edges=*/50,
+                                       /*num_labels=*/4, seed);
+    testing_util::ExpectStoreMatchesInput(input.Build(), input);
+  }
+}
+
+TEST(StorageRoundTripTest, GeneratedGraphsExportAsBefore) {
+  // Digests of the element exports of the string-keyed per-element maps on
+  // the same generated graphs.
+  struct Pin {
+    uint64_t seed;
+    size_t bytes;
+    uint64_t fnv;
+  };
+  for (const Pin& pin : {Pin{1, 4756, 0x88efd359f78c2af5ULL},
+                         Pin{2, 4769, 0x1a10c6bef599b760ULL},
+                         Pin{3, 4763, 0xbc1ebd82ca048317ULL},
+                         Pin{7, 4759, 0x03cf52636c07ceabULL}}) {
+    ExportDigest d = DigestExport(MakeRandomGraph(8, 40, 3, 0.4, pin.seed));
+    EXPECT_EQ(d.bytes, pin.bytes) << "seed " << pin.seed;
+    EXPECT_EQ(d.fnv, pin.fnv) << "seed " << pin.seed;
+  }
+  FraudGraphOptions options;
+  options.num_accounts = 300;
+  ExportDigest d = DigestExport(MakeFraudGraph(options));
+  EXPECT_EQ(d.bytes, 311722u);
+  EXPECT_EQ(d.fnv, 0x67b458e96e1cdfe9ULL);
 }
 
 }  // namespace

@@ -26,25 +26,25 @@ TEST_F(SampleGraphTest, AccountOwnersAndBlockedFlags) {
   for (int i = 0; i < 6; ++i) {
     NodeId n = g_.FindNode("a" + std::to_string(i + 1));
     ASSERT_NE(n, kInvalidId);
-    const NodeData& nd = g_.node(n);
-    EXPECT_TRUE(nd.HasLabel("Account"));
-    EXPECT_EQ(nd.GetProperty("owner"), Value::String(owners[i]));
-    EXPECT_EQ(nd.GetProperty("isBlocked"),
+    ElementRef ref = ElementRef::Node(n);
+    EXPECT_TRUE(g_.HasLabel(ref, "Account"));
+    EXPECT_EQ(g_.GetPropertyFast(ref, "owner"), Value::String(owners[i]));
+    EXPECT_EQ(g_.GetPropertyFast(ref, "isBlocked"),
               Value::String(i == 3 ? "yes" : "no"))
         << "only Jay (a4) is blocked";
   }
 }
 
 TEST_F(SampleGraphTest, PlaceNodes) {
-  const NodeData& c1 = g_.node(g_.FindNode("c1"));
-  EXPECT_TRUE(c1.HasLabel("Country"));
-  EXPECT_FALSE(c1.HasLabel("City"));
-  EXPECT_EQ(c1.GetProperty("name"), Value::String("Zembla"));
+  ElementRef c1 = ElementRef::Node(g_.FindNode("c1"));
+  EXPECT_TRUE(g_.HasLabel(c1, "Country"));
+  EXPECT_FALSE(g_.HasLabel(c1, "City"));
+  EXPECT_EQ(g_.GetPropertyFast(c1, "name"), Value::String("Zembla"));
 
-  const NodeData& c2 = g_.node(g_.FindNode("c2"));
-  EXPECT_TRUE(c2.HasLabel("Country"));
-  EXPECT_TRUE(c2.HasLabel("City"));
-  EXPECT_EQ(c2.GetProperty("name"), Value::String("Ankh-Morpork"));
+  ElementRef c2 = ElementRef::Node(g_.FindNode("c2"));
+  EXPECT_TRUE(g_.HasLabel(c2, "Country"));
+  EXPECT_TRUE(g_.HasLabel(c2, "City"));
+  EXPECT_EQ(g_.GetPropertyFast(c2, "name"), Value::String("Ankh-Morpork"));
 }
 
 TEST_F(SampleGraphTest, TransferTopologyAndAmounts) {
@@ -64,10 +64,11 @@ TEST_F(SampleGraphTest, TransferTopologyAndAmounts) {
     ASSERT_NE(e, kInvalidId) << r.id;
     const EdgeData& ed = g_.edge(e);
     EXPECT_TRUE(ed.directed);
-    EXPECT_TRUE(ed.HasLabel("Transfer"));
+    EXPECT_TRUE(g_.HasLabel(ElementRef::Edge(e), "Transfer"));
     EXPECT_EQ(ed.u, g_.FindNode(r.from)) << r.id;
     EXPECT_EQ(ed.v, g_.FindNode(r.to)) << r.id;
-    EXPECT_EQ(ed.GetProperty("amount"), Value::Int(r.millions * 1'000'000))
+    EXPECT_EQ(g_.GetPropertyFast(ElementRef::Edge(e), "amount"),
+              Value::Int(r.millions * 1'000'000))
         << r.id;
   }
 }
@@ -78,7 +79,7 @@ TEST_F(SampleGraphTest, LocationEdges) {
     EdgeId e = g_.FindEdge("li" + std::to_string(i));
     ASSERT_NE(e, kInvalidId);
     const EdgeData& ed = g_.edge(e);
-    EXPECT_TRUE(ed.HasLabel("isLocatedIn"));
+    EXPECT_TRUE(g_.HasLabel(ElementRef::Edge(e), "isLocatedIn"));
     EXPECT_EQ(ed.u, g_.FindNode("a" + std::to_string(i)));
     EXPECT_EQ(ed.v, g_.FindNode(i % 2 == 1 ? "c1" : "c2"));
   }
@@ -98,7 +99,7 @@ TEST_F(SampleGraphTest, PhoneEdgesAreUndirected) {
     ASSERT_NE(e, kInvalidId);
     const EdgeData& ed = g_.edge(e);
     EXPECT_FALSE(ed.directed) << r.id;
-    EXPECT_TRUE(ed.HasLabel("hasPhone"));
+    EXPECT_TRUE(g_.HasLabel(ElementRef::Edge(e), "hasPhone"));
     EXPECT_EQ(ed.u, g_.FindNode(r.account));
     EXPECT_EQ(ed.v, g_.FindNode(r.phone));
   }
@@ -108,7 +109,8 @@ TEST_F(SampleGraphTest, SignInEdges) {
   const EdgeData& sip1 = g_.edge(g_.FindEdge("sip1"));
   EXPECT_EQ(sip1.u, g_.FindNode("a1"));
   EXPECT_EQ(sip1.v, g_.FindNode("ip1"));
-  EXPECT_TRUE(sip1.HasLabel("signInWithIP"));
+  EXPECT_TRUE(
+      g_.HasLabel(ElementRef::Edge(g_.FindEdge("sip1")), "signInWithIP"));
   const EdgeData& sip2 = g_.edge(g_.FindEdge("sip2"));
   EXPECT_EQ(sip2.u, g_.FindNode("a5"));
   EXPECT_EQ(sip2.v, g_.FindNode("ip2"));

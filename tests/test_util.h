@@ -2,7 +2,10 @@
 #define GPML_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "eval/nfa.h"
 #include "eval/reference_eval.h"
 #include "gql/result_table.h"
+#include "graph/graph_builder.h"
 #include "parser/parser.h"
 #include "semantics/normalize.h"
 
@@ -277,6 +281,137 @@ inline std::vector<std::string> EngineJoinRows(const PropertyGraph& g,
   Result<MatchOutput> out = Engine(g, options).Match(text);
   if (!out.ok()) return {"ERROR: " + out.status().ToString()};
   return SortedRows(*out, g);
+}
+
+/// One element of a graph's builder input, kept as plain data.
+struct ElementInput {
+  std::string name;
+  std::vector<std::string> labels;
+  PropertyList properties;
+  std::string from{};     // Edges only.
+  std::string to{};       // Edges only.
+  bool directed = true;   // Edges only.
+};
+
+/// A graph's builder input, so a test can check the built store against
+/// exactly what went in.
+struct GraphInput {
+  std::vector<ElementInput> nodes;
+  std::vector<ElementInput> edges;
+
+  PropertyGraph Build() const {
+    GraphBuilder b;
+    for (const ElementInput& n : nodes) {
+      b.AddNode(n.name, n.labels, n.properties);
+    }
+    for (const ElementInput& e : edges) {
+      if (e.directed) {
+        b.AddDirectedEdge(e.name, e.from, e.to, e.labels, e.properties);
+      } else {
+        b.AddUndirectedEdge(e.name, e.from, e.to, e.labels, e.properties);
+      }
+    }
+    return std::move(b).Build().value();
+  }
+};
+
+/// A random mixed multigraph as builder input: directed and undirected
+/// edges, parallel edges and self-loops (endpoints collide at small sizes),
+/// elements with zero to two labels (repeats included) and zero to three
+/// properties, among them explicit NULLs and repeated keys.
+inline GraphInput RandomGraphInput(int num_nodes, int num_edges,
+                                   int num_labels, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto pick = [&rng](int n) { return static_cast<int>(rng() % n); };
+  auto element = [&](const std::string& name) {
+    ElementInput in;
+    in.name = name;
+    for (int i = pick(3); i > 0; --i) {
+      in.labels.push_back("L" + std::to_string(pick(num_labels)));
+    }
+    for (int i = pick(4); i > 0; --i) {
+      std::string key = std::string(1, static_cast<char>('a' + pick(4)));
+      in.properties.emplace_back(key, pick(5) == 0 ? Value::Null()
+                                                   : Value::Int(pick(100)));
+    }
+    return in;
+  };
+  GraphInput input;
+  for (int i = 0; i < num_nodes; ++i) {
+    input.nodes.push_back(element("v" + std::to_string(i)));
+  }
+  for (int i = 0; i < num_edges; ++i) {
+    ElementInput e = element("e" + std::to_string(i));
+    e.from = "v" + std::to_string(pick(num_nodes));
+    e.to = "v" + std::to_string(pick(num_nodes));
+    e.directed = pick(3) != 0;
+    input.edges.push_back(std::move(e));
+  }
+  return input;
+}
+
+/// Checks every label and property accessor of `g` against `input`: the
+/// labels deduplicated and in name order, each present key in name order
+/// with its last value (an explicit NULL is present), every other key NULL,
+/// and the names and endpoints.
+inline void ExpectStoreMatchesInput(const PropertyGraph& g,
+                                    const GraphInput& input) {
+  ASSERT_EQ(g.num_nodes(), input.nodes.size());
+  ASSERT_EQ(g.num_edges(), input.edges.size());
+  const SymbolTable& keys = g.property_symbols();
+  auto check = [&](const ElementInput& in, ElementRef ref) {
+    std::set<std::string> label_set(in.labels.begin(), in.labels.end());
+    std::vector<std::string> labels(label_set.begin(), label_set.end());
+    EXPECT_EQ(g.element(ref).name, in.name);
+    EXPECT_EQ(g.LabelNames(ref), labels) << in.name;
+    SymSpan syms = g.label_syms(ref);
+    EXPECT_EQ(syms.count, labels.size()) << in.name;
+    EXPECT_TRUE(std::is_sorted(syms.begin(), syms.end())) << in.name;
+    uint64_t bits = 0;
+    for (const std::string& l : labels) {
+      EXPECT_TRUE(g.HasLabel(ref, l)) << in.name << ":" << l;
+      Symbol s = g.label_symbols().Find(l);
+      EXPECT_TRUE(std::binary_search(syms.begin(), syms.end(), s)) << l;
+      if (g.label_bits_usable()) bits |= uint64_t{1} << s;
+    }
+    EXPECT_FALSE(g.HasLabel(ref, "NoSuchLabel"));
+    if (g.label_bits_usable()) {
+      EXPECT_EQ(ref.is_node() ? g.node_label_bits(ref.id)
+                              : g.edge_label_bits(ref.id),
+                bits)
+          << in.name;
+    }
+    std::map<std::string, Value> props;
+    for (const auto& [k, v] : in.properties) props[k] = v;
+    std::vector<std::string> want_keys, got_keys;
+    for (const auto& [k, v] : props) want_keys.push_back(k);
+    for (Symbol k : g.property_keys(ref)) got_keys.push_back(keys.name(k));
+    EXPECT_EQ(got_keys, want_keys) << in.name;
+    for (const auto& [k, v] : props) {
+      EXPECT_EQ(g.GetPropertyFast(ref, k), v) << in.name << "." << k;
+      EXPECT_EQ(g.GetPropertyFast(ref, k).type(), v.type())
+          << in.name << "." << k;
+    }
+    for (Symbol k = 0; k < keys.size(); ++k) {
+      if (props.count(keys.name(k)) == 0) {
+        EXPECT_TRUE(g.ColumnValue(ref, k).is_null())
+            << in.name << "." << keys.name(k);
+      }
+    }
+    EXPECT_TRUE(g.GetPropertyFast(ref, "no_such_key").is_null());
+  };
+  for (NodeId n = 0; n < input.nodes.size(); ++n) {
+    EXPECT_EQ(g.FindNode(input.nodes[n].name), n);
+    check(input.nodes[n], ElementRef::Node(n));
+  }
+  for (EdgeId e = 0; e < input.edges.size(); ++e) {
+    const ElementInput& in = input.edges[e];
+    EXPECT_EQ(g.FindEdge(in.name), e);
+    EXPECT_EQ(g.edge(e).directed, in.directed) << in.name;
+    EXPECT_EQ(g.edge(e).u, g.FindNode(in.from)) << in.name;
+    EXPECT_EQ(g.edge(e).v, g.FindNode(in.to)) << in.name;
+    check(in, ElementRef::Edge(e));
+  }
 }
 
 }  // namespace testing_util
