@@ -1,7 +1,8 @@
 #include "server/admission.h"
 
 #include <algorithm>
-#include <limits>
+
+#include "server/protocol.h"
 
 namespace gpml {
 namespace server {
@@ -12,13 +13,6 @@ void AdmissionController::SetQuota(const std::string& tenant,
   TenantState& state = GetLocked(tenant);
   state.quota = quota;
   state.quota_set = true;
-}
-
-TenantQuota AdmissionController::QuotaFor(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const TenantState* state = FindLocked(tenant);
-  if (state == nullptr) return default_quota_;
-  return EffectiveQuotaLocked(*state);
 }
 
 Status AdmissionController::AdmitSession(const std::string& tenant) {
@@ -40,17 +34,20 @@ void AdmissionController::ReleaseSession(const std::string& tenant) {
   if (state.sessions > 0) --state.sessions;
 }
 
-Status AdmissionController::AdmitQuery(const std::string& tenant) {
+Status AdmissionController::AdmitQuery(const std::string& tenant,
+                                       const char** reason) {
   std::lock_guard<std::mutex> lock(mu_);
   TenantState& state = GetLocked(tenant);
   const TenantQuota& quota = EffectiveQuotaLocked(state);
   if (quota.max_total_steps != 0 &&
       state.total_steps >= quota.max_total_steps) {
+    *reason = kReasonTenantStepBudget;
     return Status::ResourceExhausted(
         "tenant '" + tenant + "' spent its cumulative step budget (" +
         std::to_string(quota.max_total_steps) + " steps)");
   }
   if (quota.max_concurrent != 0 && state.in_flight >= quota.max_concurrent) {
+    *reason = kReasonTenantConcurrency;
     return Status::ResourceExhausted(
         "tenant '" + tenant + "' is at its concurrency quota (" +
         std::to_string(quota.max_concurrent) + " queries in flight)");
@@ -71,25 +68,22 @@ void AdmissionController::ChargeSteps(const std::string& tenant,
   GetLocked(tenant).total_steps += steps;
 }
 
-uint64_t AdmissionController::RemainingSteps(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const TenantState* state = FindLocked(tenant);
-  uint64_t cap = state != nullptr ? EffectiveQuotaLocked(*state).max_total_steps
-                                  : default_quota_.max_total_steps;
-  if (cap == 0) return std::numeric_limits<uint64_t>::max();
-  uint64_t spent = state != nullptr ? state->total_steps : 0;
-  return spent >= cap ? 0 : cap - spent;
-}
-
 MatcherOptions AdmissionController::ApplyQuota(const std::string& tenant,
                                                MatcherOptions matcher) const {
-  TenantQuota quota = QuotaFor(tenant);
-  uint64_t remaining = RemainingSteps(tenant);
+  std::lock_guard<std::mutex> lock(mu_);
+  const TenantState* state = FindLocked(tenant);
+  const TenantQuota& quota =
+      state != nullptr ? EffectiveQuotaLocked(*state) : default_quota_;
   if (quota.max_steps_per_query != 0) {
     matcher.max_steps = std::min(matcher.max_steps, quota.max_steps_per_query);
   }
-  if (remaining < matcher.max_steps) {
-    matcher.max_steps = static_cast<size_t>(remaining);
+  if (quota.max_total_steps != 0) {
+    const uint64_t spent = state != nullptr ? state->total_steps : 0;
+    const uint64_t remaining =
+        spent >= quota.max_total_steps ? 0 : quota.max_total_steps - spent;
+    if (remaining < matcher.max_steps) {
+      matcher.max_steps = static_cast<size_t>(remaining);
+    }
   }
   if (quota.max_matches_per_query != 0) {
     matcher.max_matches =

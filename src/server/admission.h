@@ -45,26 +45,22 @@ class AdmissionController {
 
   /// Installs a tenant-specific quota (before or after traffic starts).
   void SetQuota(const std::string& tenant, TenantQuota quota);
-  TenantQuota QuotaFor(const std::string& tenant) const;
 
   /// Claims a session slot. kResourceExhausted (reason TENANT_SESSIONS)
   /// when the tenant is at max_sessions.
   Status AdmitSession(const std::string& tenant);
   void ReleaseSession(const std::string& tenant);
 
-  /// Claims an in-flight query slot. kResourceExhausted with reason
-  /// TENANT_CONCURRENCY (at max_concurrent) or TENANT_STEP_BUDGET
-  /// (cumulative steps spent). On success the caller MUST balance with
-  /// ReleaseQuery; use QueryTicket for that.
-  Status AdmitQuery(const std::string& tenant);
+  /// Claims an in-flight query slot. A refusal is kResourceExhausted, and
+  /// `*reason` names its cause: TENANT_STEP_BUDGET (cumulative steps spent)
+  /// or TENANT_CONCURRENCY (at max_concurrent). On success the caller MUST
+  /// balance with ReleaseQuery; use QueryTicket for that.
+  Status AdmitQuery(const std::string& tenant, const char** reason);
   void ReleaseQuery(const std::string& tenant);
 
   /// Records `steps` executed by a completed query against the tenant's
   /// cumulative budget.
   void ChargeSteps(const std::string& tenant, uint64_t steps);
-
-  /// Remaining cumulative step budget; SIZE_MAX when unlimited.
-  uint64_t RemainingSteps(const std::string& tenant) const;
 
   /// Tightens `matcher` to the tenant's per-query caps and remaining
   /// cumulative budget — the quota -> SharedBudget mapping (the engine
@@ -98,32 +94,19 @@ class AdmissionController {
   std::map<std::string, TenantState> tenants_;
 };
 
-/// RAII in-flight query slot: releases on destruction. Move-only.
+/// RAII in-flight query slot of an admitted query: releases on
+/// destruction.
 class QueryTicket {
  public:
-  QueryTicket() = default;
   QueryTicket(AdmissionController* controller, std::string tenant)
       : controller_(controller), tenant_(std::move(tenant)) {}
-  QueryTicket(QueryTicket&& other) noexcept { *this = std::move(other); }
-  QueryTicket& operator=(QueryTicket&& other) noexcept {
-    Release();
-    controller_ = other.controller_;
-    tenant_ = std::move(other.tenant_);
-    other.controller_ = nullptr;
-    return *this;
-  }
   QueryTicket(const QueryTicket&) = delete;
   QueryTicket& operator=(const QueryTicket&) = delete;
-  ~QueryTicket() { Release(); }
-
-  void Release() {
-    if (controller_ != nullptr) controller_->ReleaseQuery(tenant_);
-    controller_ = nullptr;
-  }
+  ~QueryTicket() { controller_->ReleaseQuery(tenant_); }
 
  private:
-  AdmissionController* controller_ = nullptr;
-  std::string tenant_;
+  AdmissionController* const controller_;
+  const std::string tenant_;
 };
 
 }  // namespace server

@@ -16,17 +16,47 @@ namespace server {
 
 namespace {
 
-bool SendAll(int fd, const std::string& data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
+/// The member `key` of a response object when `is` holds for it.
+const JsonValue* Member(const JsonValue& response, const char* key,
+                        bool (JsonValue::*is)() const) {
+  const JsonValue* v = response.Find(key);
+  return v != nullptr && (v->*is)() ? v : nullptr;
+}
+
+/// The member `key` a successful `op` response carries, or Internal.
+Result<const JsonValue*> Required(const Client::RawResponse& response,
+                                  const char* op, const char* key,
+                                  bool (JsonValue::*is)() const) {
+  if (const JsonValue* v = Member(response.parsed, key, is)) return v;
+  return Status::Internal(std::string(op) + " response without \"" + key +
+                          "\": " + response.raw);
+}
+
+bool BoolOr(const JsonValue& response, const char* key, bool fallback) {
+  const JsonValue* v = Member(response, key, &JsonValue::is_bool);
+  return v != nullptr ? v->bool_v : fallback;
+}
+
+std::vector<std::string> Strings(const JsonValue& response, const char* key) {
+  std::vector<std::string> out;
+  if (const JsonValue* v = Member(response, key, &JsonValue::is_array)) {
+    for (const JsonValue& item : v->array_v) {
+      if (item.is_string()) out.push_back(item.string_v);
     }
-    off += static_cast<size_t>(n);
   }
-  return true;
+  return out;
+}
+
+/// The execute / open request for a prepared statement.
+std::string StatementRequest(const char* op, int64_t stmt,
+                             const Params& params,
+                             std::optional<uint64_t> limit) {
+  std::string request = std::string("{\"op\":\"") + op +
+                        "\",\"stmt\":" + std::to_string(stmt) +
+                        ",\"params\":" + ParamsToWireJson(params);
+  if (limit.has_value()) request += ",\"limit\":" + std::to_string(*limit);
+  request += "}";
+  return request;
 }
 
 }  // namespace
@@ -80,16 +110,14 @@ Result<Client> Client::Connect(const std::string& host, int port,
   }
   request += "}";
   GPML_ASSIGN_OR_RETURN(RawResponse response, client.Call(request));
-  if (const JsonValue* v = response.parsed.Find("protocol");
-      v != nullptr && v->is_int()) {
+  const JsonValue& hello = response.parsed;
+  if (const JsonValue* v = Member(hello, "protocol", &JsonValue::is_int)) {
     client.hello_.protocol = static_cast<int>(v->int_v);
   }
-  if (const JsonValue* v = response.parsed.Find("session");
-      v != nullptr && v->is_int()) {
+  if (const JsonValue* v = Member(hello, "session", &JsonValue::is_int)) {
     client.hello_.session_id = static_cast<uint64_t>(v->int_v);
   }
-  if (const JsonValue* v = response.parsed.Find("tenant");
-      v != nullptr && v->is_string()) {
+  if (const JsonValue* v = Member(hello, "tenant", &JsonValue::is_string)) {
     client.hello_.tenant = v->string_v;
   }
   if (client.hello_.protocol != kProtocolVersion) {
@@ -163,14 +191,7 @@ Status Client::Bye() {
 Result<std::vector<std::string>> Client::ListGraphs() {
   GPML_ASSIGN_OR_RETURN(RawResponse response,
                         Call("{\"op\":\"list_graphs\"}"));
-  std::vector<std::string> names;
-  if (const JsonValue* graphs = response.parsed.Find("graphs");
-      graphs != nullptr && graphs->is_array()) {
-    for (const JsonValue& name : graphs->array_v) {
-      if (name.is_string()) names.push_back(name.string_v);
-    }
-  }
-  return names;
+  return Strings(response.parsed, "graphs");
 }
 
 Result<bool> Client::LoadGraph(const std::string& name,
@@ -182,8 +203,7 @@ Result<bool> Client::LoadGraph(const std::string& name,
   if (!extra_fields.empty()) request += "," + extra_fields;
   request += "}";
   GPML_ASSIGN_OR_RETURN(RawResponse response, Call(request));
-  const JsonValue* created = response.parsed.Find("created");
-  return created != nullptr && created->is_bool() && created->bool_v;
+  return BoolOr(response.parsed, "created", false);
 }
 
 Status Client::UseGraph(const std::string& name) {
@@ -196,27 +216,14 @@ Result<Client::PreparedInfo> Client::Prepare(const std::string& query) {
   GPML_ASSIGN_OR_RETURN(RawResponse response,
                         Call("{\"op\":\"prepare\",\"query\":\"" +
                              JsonEscape(query) + "\"}"));
+  GPML_ASSIGN_OR_RETURN(
+      const JsonValue* stmt,
+      Required(response, "prepare", "stmt", &JsonValue::is_int));
   PreparedInfo info;
-  const JsonValue* stmt = response.parsed.Find("stmt");
-  if (stmt == nullptr || !stmt->is_int()) {
-    return Status::Internal("prepare response without \"stmt\" handle: " +
-                            response.raw);
-  }
   info.stmt = stmt->int_v;
-  if (const JsonValue* params = response.parsed.Find("params");
-      params != nullptr && params->is_array()) {
-    for (const JsonValue& name : params->array_v) {
-      if (name.is_string()) info.params.push_back(name.string_v);
-    }
-  }
-  if (const JsonValue* v = response.parsed.Find("from_cache");
-      v != nullptr && v->is_bool()) {
-    info.from_cache = v->bool_v;
-  }
-  if (const JsonValue* v = response.parsed.Find("always_empty");
-      v != nullptr && v->is_bool()) {
-    info.always_empty = v->bool_v;
-  }
+  info.params = Strings(response.parsed, "params");
+  info.from_cache = BoolOr(response.parsed, "from_cache", false);
+  info.always_empty = BoolOr(response.parsed, "always_empty", false);
   return info;
 }
 
@@ -239,48 +246,26 @@ Result<ExecuteResult> Client::DecodeRows(RawResponse response) {
           ClientRow{row.RawSpan(response.raw), std::move(row)});
     }
   }
-  if (const JsonValue* v = response.parsed.Find("truncated");
-      v != nullptr && v->is_bool()) {
-    result.truncated = v->bool_v;
-  }
-  if (const JsonValue* v = response.parsed.Find("hit_limit");
-      v != nullptr && v->is_bool()) {
-    result.hit_limit = v->bool_v;
-  }
-  if (const JsonValue* v = response.parsed.Find("done");
-      v != nullptr && v->is_bool()) {
-    result.done = v->bool_v;
-  }
+  result.truncated = BoolOr(response.parsed, "truncated", false);
+  result.hit_limit = BoolOr(response.parsed, "hit_limit", false);
+  result.done = BoolOr(response.parsed, "done", true);
   return result;
 }
 
 Result<ExecuteResult> Client::Execute(int64_t stmt, const Params& params,
                                       std::optional<uint64_t> limit) {
-  std::string request = "{\"op\":\"execute\",\"stmt\":" +
-                        std::to_string(stmt) +
-                        ",\"params\":" + ParamsToWireJson(params);
-  if (limit.has_value()) {
-    request += ",\"limit\":" + std::to_string(*limit);
-  }
-  request += "}";
-  GPML_ASSIGN_OR_RETURN(RawResponse response, Call(request));
+  GPML_ASSIGN_OR_RETURN(RawResponse response,
+                        Call(StatementRequest("execute", stmt, params, limit)));
   return DecodeRows(std::move(response));
 }
 
 Result<int64_t> Client::Open(int64_t stmt, const Params& params,
                              std::optional<uint64_t> limit) {
-  std::string request = "{\"op\":\"open\",\"stmt\":" + std::to_string(stmt) +
-                        ",\"params\":" + ParamsToWireJson(params);
-  if (limit.has_value()) {
-    request += ",\"limit\":" + std::to_string(*limit);
-  }
-  request += "}";
-  GPML_ASSIGN_OR_RETURN(RawResponse response, Call(request));
-  const JsonValue* cursor = response.parsed.Find("cursor");
-  if (cursor == nullptr || !cursor->is_int()) {
-    return Status::Internal("open response without \"cursor\" handle: " +
-                            response.raw);
-  }
+  GPML_ASSIGN_OR_RETURN(RawResponse response,
+                        Call(StatementRequest("open", stmt, params, limit)));
+  GPML_ASSIGN_OR_RETURN(
+      const JsonValue* cursor,
+      Required(response, "open", "cursor", &JsonValue::is_int));
   return cursor->int_v;
 }
 
@@ -302,21 +287,17 @@ Result<std::string> Client::Explain(const std::string& query) {
   GPML_ASSIGN_OR_RETURN(RawResponse response,
                         Call("{\"op\":\"explain\",\"query\":\"" +
                              JsonEscape(query) + "\"}"));
-  const JsonValue* plan = response.parsed.Find("plan");
-  if (plan == nullptr || !plan->is_string()) {
-    return Status::Internal("explain response without \"plan\": " +
-                            response.raw);
-  }
+  GPML_ASSIGN_OR_RETURN(
+      const JsonValue* plan,
+      Required(response, "explain", "plan", &JsonValue::is_string));
   return plan->string_v;
 }
 
 Result<std::string> Client::Metrics() {
   GPML_ASSIGN_OR_RETURN(RawResponse response, Call("{\"op\":\"metrics\"}"));
-  const JsonValue* text = response.parsed.Find("text");
-  if (text == nullptr || !text->is_string()) {
-    return Status::Internal("metrics response without \"text\": " +
-                            response.raw);
-  }
+  GPML_ASSIGN_OR_RETURN(
+      const JsonValue* text,
+      Required(response, "metrics", "text", &JsonValue::is_string));
   return text->string_v;
 }
 
@@ -327,11 +308,9 @@ Result<std::string> Client::SlowQueries(const std::string& graph) {
   }
   request += "}";
   GPML_ASSIGN_OR_RETURN(RawResponse response, Call(request));
-  const JsonValue* records = response.parsed.Find("records");
-  if (records == nullptr || !records->is_array()) {
-    return Status::Internal("slow_queries response without \"records\": " +
-                            response.raw);
-  }
+  GPML_ASSIGN_OR_RETURN(
+      const JsonValue* records,
+      Required(response, "slow_queries", "records", &JsonValue::is_array));
   return records->RawSpan(response.raw);
 }
 
@@ -346,11 +325,9 @@ Result<std::string> Client::QueryStats(const std::string& graph,
   }
   request += "}";
   GPML_ASSIGN_OR_RETURN(RawResponse response, Call(request));
-  const JsonValue* entries = response.parsed.Find("entries");
-  if (entries == nullptr || !entries->is_array()) {
-    return Status::Internal("query_stats response without \"entries\": " +
-                            response.raw);
-  }
+  GPML_ASSIGN_OR_RETURN(
+      const JsonValue* entries,
+      Required(response, "query_stats", "entries", &JsonValue::is_array));
   return entries->RawSpan(response.raw);
 }
 

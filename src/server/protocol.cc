@@ -1,5 +1,9 @@
 #include "server/protocol.h"
 
+#include <sys/socket.h>
+
+#include <cerrno>
+
 #include "common/json_text.h"
 
 namespace gpml {
@@ -22,19 +26,12 @@ WireError ToWireError(StatusCode code) {
 }
 
 StatusCode FromWireCode(int code) {
-  switch (code) {
-    case 0: return StatusCode::kOk;
-    case 100: return StatusCode::kInvalidArgument;
-    case 101: return StatusCode::kSyntaxError;
-    case 102: return StatusCode::kSemanticError;
-    case 103: return StatusCode::kNonTerminating;
-    case 104: return StatusCode::kNotFound;
-    case 105: return StatusCode::kAlreadyExists;
-    case 106: return StatusCode::kResourceExhausted;
-    case 107: return StatusCode::kUnimplemented;
-    case 108: return StatusCode::kInternal;
-    default: return StatusCode::kInternal;
+  // StatusCode values run 0 .. kWireErrorTableSize - 1.
+  for (size_t i = 0; i < kWireErrorTableSize; ++i) {
+    const auto status_code = static_cast<StatusCode>(i);
+    if (ToWireError(status_code).code == code) return status_code;
   }
+  return StatusCode::kInternal;
 }
 
 Result<Value> WireJsonToValue(const JsonValue& json) {
@@ -95,6 +92,19 @@ std::string OkResponseHead(const std::string& id_raw) {
   std::string out = "{\"ok\":true";
   if (!id_raw.empty()) out += ",\"id\":" + id_raw;
   return out;
+}
+
+bool SendAll(int fd, const std::string& data) {
+  size_t off = 0;
+  while (off < data.size()) {
+    ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<size_t>(n);
+  }
+  return true;
 }
 
 Status StatusFromWireError(const JsonValue& error) {

@@ -78,6 +78,11 @@ std::string ErrorResponse(const Status& status, const std::string& reason = "",
 /// handler appends its own fields and the closing brace.
 std::string OkResponseHead(const std::string& id_raw);
 
+/// Writes all of `data` to socket `fd`, riding out short writes and EINTR.
+/// MSG_NOSIGNAL: a peer that hung up surfaces as a failed send, not
+/// SIGPIPE. Both ends of the protocol send through here.
+bool SendAll(int fd, const std::string& data);
+
 /// Reconstructs a Status from a parsed error response object (the value
 /// under "error"). Missing/malformed fields degrade gracefully.
 Status StatusFromWireError(const JsonValue& error);

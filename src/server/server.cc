@@ -14,8 +14,10 @@
 #include <future>
 #include <map>
 #include <optional>
+#include <string_view>
 #include <utility>
 
+#include "common/json_text.h"
 #include "gql/json_export.h"
 #include "graph/generator.h"
 #include "graph/sample_graph.h"
@@ -32,24 +34,9 @@ namespace server {
 
 namespace {
 
-/// Writes all of `data`, riding out short writes and EINTR. MSG_NOSIGNAL:
-/// a peer that hung up must surface as a failed send, not SIGPIPE.
-bool SendAll(int fd, const std::string& data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 /// Buffered newline-delimited reader over a socket. One ReadLine call is
-/// one protocol request; a line longer than kMaxLine aborts the
-/// connection (hostile input must not buffer unboundedly).
+/// one protocol request; a line longer than kMaxLine bytes ends the
+/// reading (hostile input must not buffer unboundedly) and sets too_long.
 struct LineReader {
   static constexpr size_t kMaxLine = 16u << 20;
   static constexpr size_t kCompactAt = 1u << 20;
@@ -59,6 +46,10 @@ struct LineReader {
   bool ReadLine(std::string* line) {
     while (true) {
       size_t nl = buf.find('\n', pos);
+      if ((nl == std::string::npos ? buf.size() : nl) - pos > kMaxLine) {
+        too_long = true;
+        return false;
+      }
       if (nl != std::string::npos) {
         line->assign(buf, pos, nl - pos);
         pos = nl + 1;
@@ -69,7 +60,6 @@ struct LineReader {
         if (!line->empty() && line->back() == '\r') line->pop_back();
         return true;
       }
-      if (buf.size() - pos > kMaxLine) return false;
       char chunk[65536];
       ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
       if (n < 0 && errno == EINTR) continue;
@@ -81,56 +71,18 @@ struct LineReader {
   int fd;
   std::string buf;
   size_t pos = 0;
+  bool too_long = false;
 };
-
-/// Marks one request in flight against a session: bumps in_flight (which
-/// fences out the reaper) and stamps the idle clock on both edges. When
-/// the session was already expired, expired() reports it and nothing is
-/// marked — the caller answers SESSION_EXPIRED.
-class SessionOp {
- public:
-  explicit SessionOp(std::shared_ptr<ServerSession> session)
-      : session_(std::move(session)) {
-    std::lock_guard<std::mutex> lock(session_->mu);
-    if (session_->expired) {
-      expired_ = true;
-      return;
-    }
-    ++session_->in_flight;
-    session_->last_active_us = obs::MonotonicMicros();
-    active_ = true;
-  }
-
-  ~SessionOp() {
-    if (!active_) return;
-    std::lock_guard<std::mutex> lock(session_->mu);
-    --session_->in_flight;
-    session_->last_active_us = obs::MonotonicMicros();
-  }
-
-  SessionOp(const SessionOp&) = delete;
-  SessionOp& operator=(const SessionOp&) = delete;
-
-  bool expired() const { return expired_; }
-
- private:
-  std::shared_ptr<ServerSession> session_;
-  bool expired_ = false;
-  bool active_ = false;
-};
-
-Status SessionExpiredError() {
-  return Status::NotFound(
-      "session expired after idle timeout; send hello to start a new one");
-}
-
-std::string SessionExpiredResponse(const std::string& id_raw) {
-  return ErrorResponse(SessionExpiredError(), kReasonSessionExpired, id_raw);
-}
 
 const std::string* GetString(const JsonValue& req, const std::string& key) {
   const JsonValue* v = req.Find(key);
   return v != nullptr && v->is_string() ? &v->string_v : nullptr;
+}
+
+std::string StringOr(const JsonValue& req, const std::string& key,
+                     const std::string& fallback = "") {
+  const std::string* v = GetString(req, key);
+  return v != nullptr ? *v : fallback;
 }
 
 bool GetInt(const JsonValue& req, const std::string& key, int64_t* out) {
@@ -147,10 +99,48 @@ int64_t GetIntOr(const JsonValue& req, const std::string& key,
   return v;
 }
 
-std::string FormatMs(double ms) {
+// Field appenders for the JSON objects the server writes, through the
+// common/json_text.h primitives. Key writes `"key":`, after a comma unless
+// the object was just opened.
+void Key(std::string* out, const char* key) {
+  if (out->back() != '{') out->push_back(',');
+  out->push_back('"');
+  out->append(key);
+  out->append("\":");
+}
+
+template <typename Int>
+void IntField(std::string* out, const char* key, Int value) {
+  Key(out, key);
+  AppendJsonInt(out, value);
+}
+
+void StringField(std::string* out, const char* key, std::string_view value) {
+  Key(out, key);
+  AppendJsonString(out, value);
+}
+
+void BoolField(std::string* out, const char* key, bool value) {
+  Key(out, key);
+  out->append(value ? "true" : "false");
+}
+
+/// Milliseconds at the fixed three decimals of the stats bodies.
+void MsField(std::string* out, const char* key, double ms) {
+  Key(out, key);
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", ms);
-  return buf;
+  out->append(buf, std::snprintf(buf, sizeof(buf), "%.3f", ms));
+}
+
+void StringsField(std::string* out, const char* key,
+                  const std::vector<std::string>& values) {
+  Key(out, key);
+  out->push_back('[');
+  for (const std::string& value : values) {
+    if (out->back() != '[') out->push_back(',');
+    AppendJsonString(out, value);
+  }
+  out->push_back(']');
 }
 
 /// Prometheus label-value escaping (text format): backslash, double
@@ -198,64 +188,153 @@ double QuantileMsFromBuckets(const std::vector<uint64_t>& buckets,
   if (calls == 0 || buckets.empty()) return 0;
   uint64_t rank = static_cast<uint64_t>(std::ceil(q * static_cast<double>(calls)));
   if (rank == 0) rank = 1;
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
+  size_t i = 0;
+  for (uint64_t cumulative = 0; i < buckets.size(); ++i) {
     cumulative += buckets[i];
-    if (cumulative >= rank) {
-      size_t bound = i < obs::Histogram::kNumBounds
-                         ? i
-                         : obs::Histogram::kNumBounds - 1;
-      return static_cast<double>(obs::Histogram::BoundMicros(bound)) / 1e3;
-    }
+    if (cumulative >= rank) break;
   }
-  return static_cast<double>(
-             obs::Histogram::BoundMicros(obs::Histogram::kNumBounds - 1)) /
-         1e3;
+  // The overflow bucket (kNumBounds finite ones precede it), or no bucket
+  // reaching `rank`, reads as the last finite bound.
+  const size_t bound = std::min(i, obs::Histogram::kNumBounds - 1);
+  return static_cast<double>(obs::Histogram::BoundMicros(bound)) / 1e3;
 }
 
-/// Builds one of the generator graphs by kind name (docs/server.md lists
-/// them). Sizes come from the request with test-friendly defaults.
-Result<PropertyGraph> BuildGraphByKind(const std::string& kind,
-                                       const JsonValue& req) {
-  if (kind == "paper") return BuildPaperGraph();
-  if (kind == "chain") {
-    return MakeChainGraph(static_cast<int>(GetIntOr(req, "n", 100)));
+std::string_view NameOf(const std::map<uint64_t, std::string>& names,
+                        uint64_t token) {
+  auto it = names.find(token);
+  return it != names.end() ? std::string_view(it->second) : "";
+}
+
+/// A generator's int64 size fields, read from a load_graph request and
+/// checked before anything is built: a size outside [minimum,
+/// kMaxGeneratedElements] is refused, and so are sizes that make more than
+/// kMaxGeneratedElements elements. A refused size reads as the nearest
+/// allowed one, so the sizes fit an int and the element counts computed
+/// from them in int64 never overflow.
+class GraphSizes {
+ public:
+  explicit GraphSizes(const JsonValue& req) : req_(req) {}
+
+  int Get(const char* key, int64_t fallback, int64_t minimum = 0) {
+    const int64_t value = GetIntOr(req_, key, fallback);
+    const int64_t bounded = std::clamp(value, minimum, kMaxGeneratedElements);
+    if (bounded != value && status_.ok()) {
+      status_ = Status::InvalidArgument(
+          "\"" + std::string(key) + "\" must be in [" +
+          std::to_string(minimum) + ", " +
+          std::to_string(kMaxGeneratedElements) + "], got " +
+          std::to_string(value));
+    }
+    return static_cast<int>(bounded);
   }
-  if (kind == "cycle") {
-    return MakeCycleGraph(static_cast<int>(GetIntOr(req, "n", 100)));
+
+  /// `make()`, unless a size was refused or the graph would have more
+  /// than kMaxGeneratedElements `elements`.
+  Result<PropertyGraph> Build(int64_t elements,
+                              const std::function<PropertyGraph()>& make) {
+    GPML_RETURN_IF_ERROR(status_);
+    if (elements > kMaxGeneratedElements) {
+      return Status::InvalidArgument(
+          "the graph would have " + std::to_string(elements) +
+          " elements, over the bound of " +
+          std::to_string(kMaxGeneratedElements));
+    }
+    return make();
   }
-  if (kind == "complete") {
-    return MakeCompleteGraph(static_cast<int>(GetIntOr(req, "n", 16)));
-  }
-  if (kind == "diamond") {
-    return MakeDiamondChain(static_cast<int>(GetIntOr(req, "k", 8)));
-  }
-  if (kind == "grid") {
-    return MakeGridGraph(static_cast<int>(GetIntOr(req, "w", 10)),
-                         static_cast<int>(GetIntOr(req, "h", 10)));
-  }
-  if (kind == "fraud") {
-    FraudGraphOptions opts;
-    opts.num_accounts = static_cast<int>(GetIntOr(req, "accounts", 300));
-    opts.transfers_per_account =
-        static_cast<int>(GetIntOr(req, "transfers", 4));
-    opts.num_cities = static_cast<int>(GetIntOr(req, "cities", 10));
-    opts.seed = static_cast<uint64_t>(GetIntOr(req, "seed", 42));
-    return MakeFraudGraph(opts);
-  }
-  if (kind == "random") {
-    return MakeRandomGraph(static_cast<int>(GetIntOr(req, "nodes", 100)),
-                           static_cast<int>(GetIntOr(req, "edges", 300)),
-                           static_cast<int>(GetIntOr(req, "labels", 3)),
-                           /*undirected_fraction=*/0.25,
-                           static_cast<uint64_t>(GetIntOr(req, "seed", 42)));
+
+ private:
+  const JsonValue& req_;
+  Status status_;
+};
+
+// Each kind checks an upper bound on the nodes plus edges it builds: exact
+// for complete, diamond and random; chain and grid build a few edges
+// fewer, and about half of fraud's accounts sign in with an IP.
+const GraphKind kGraphKinds[] = {
+    {"paper", [](const JsonValue&) -> Result<PropertyGraph> {
+       return BuildPaperGraph();
+     }},
+    {"chain", [](const JsonValue& req) {
+       GraphSizes sizes(req);
+       const int n = sizes.Get("n", 100);
+       return sizes.Build(2 * int64_t{n}, [n] { return MakeChainGraph(n); });
+     }},
+    {"cycle", [](const JsonValue& req) {
+       GraphSizes sizes(req);
+       const int n = sizes.Get("n", 100);
+       return sizes.Build(2 * int64_t{n}, [n] { return MakeCycleGraph(n); });
+     }},
+    {"complete", [](const JsonValue& req) {
+       GraphSizes sizes(req);
+       const int n = sizes.Get("n", 16);
+       return sizes.Build(int64_t{n} * n, [n] { return MakeCompleteGraph(n); });
+     }},
+    {"diamond", [](const JsonValue& req) {
+       GraphSizes sizes(req);
+       const int k = sizes.Get("k", 8);
+       return sizes.Build(7 * int64_t{k} + 1,
+                          [k] { return MakeDiamondChain(k); });
+     }},
+    {"grid", [](const JsonValue& req) {
+       GraphSizes sizes(req);
+       const int w = sizes.Get("w", 10);
+       const int h = sizes.Get("h", 10);
+       return sizes.Build(3 * int64_t{w} * h,
+                          [w, h] { return MakeGridGraph(w, h); });
+     }},
+    {"fraud", [](const JsonValue& req) {
+       GraphSizes sizes(req);
+       FraudGraphOptions opts;
+       opts.num_accounts = sizes.Get("accounts", 300, 1);
+       opts.transfers_per_account = sizes.Get("transfers", 4);
+       opts.num_cities = sizes.Get("cities", 10, 1);
+       opts.seed = static_cast<uint64_t>(GetIntOr(req, "seed", 42));
+       return sizes.Build(
+           int64_t{opts.num_accounts} * (opts.transfers_per_account + 5) +
+               opts.num_cities + 2,
+           [opts] { return MakeFraudGraph(opts); });
+     }},
+    {"random", [](const JsonValue& req) {
+       GraphSizes sizes(req);
+       const int nodes = sizes.Get("nodes", 100, 1);
+       const int edges = sizes.Get("edges", 300);
+       const int labels = sizes.Get("labels", 3);
+       const auto seed = static_cast<uint64_t>(GetIntOr(req, "seed", 42));
+       return sizes.Build(int64_t{nodes} + edges, [=] {
+         return MakeRandomGraph(nodes, edges, labels, 0.25, seed);
+       });
+     }},
+};
+
+}  // namespace
+
+Result<const GraphKind*> FindGraphKind(const std::string& name) {
+  for (const GraphKind& kind : kGraphKinds) {
+    if (name == kind.name) return &kind;
   }
   return Status::InvalidArgument(
-      "unknown graph kind '" + kind +
+      "unknown graph kind '" + name +
       "' (expected paper|chain|cycle|complete|diamond|grid|fraud|random)");
 }
 
-}  // namespace
+/// One request being answered. A handler appends its fields to `body`,
+/// which starts as OkResponseHead, or returns a failed Status and leaves
+/// the machine-readable reason, if one applies, in `reason`.
+struct Server::Reply {
+  std::string op;
+  std::string id_raw;
+  std::string body;
+  const char* reason = "";
+
+  Status Refuse(Status status, const char* why) {
+    reason = why;
+    return status;
+  }
+  Status BadRequest(std::string message) {
+    return Refuse(Status::InvalidArgument(std::move(message)),
+                  kReasonBadRequest);
+  }
+};
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)), admission_(options_.default_quota) {
@@ -435,12 +514,13 @@ void Server::HandleConnection(Connection* conn) {
   while (reader.ReadLine(&line)) {
     if (line.empty()) continue;
     if (first && line.rfind("GET ", 0) == 0) {
-      HandleHttp(conn->fd, line, &reader.buf, &reader.pos);
-      // HTTP clients frame the response by EOF (Connection: close); the
-      // sweep only closes the fd once a *new* connection arrives, so
-      // signal EOF here. shutdown() doesn't free the descriptor number,
-      // keeping the close-only-after-join discipline intact.
-      ::shutdown(conn->fd, SHUT_RDWR);
+      // Drain the request headers (bounded by LineReader) so closing the
+      // socket after the response doesn't reset unread client data. A
+      // header over the cap just ends them: HTTP gets no NDJSON error.
+      for (std::string header; reader.ReadLine(&header) && !header.empty();) {
+      }
+      reader.too_long = false;
+      HandleHttp(conn->fd, line);
       break;
     }
     first = false;
@@ -449,41 +529,38 @@ void Server::HandleConnection(Connection* conn) {
     if (!SendAll(conn->fd, response)) break;
     if (state.close_requested) break;
   }
+  if (reader.too_long) {
+    // The rest of the line cannot be skipped without reading it: answer
+    // once, then end the stream.
+    requests_total_->Increment();
+    errors_total_->Increment();
+    SendAll(conn->fd,
+            ErrorResponse(Status::InvalidArgument(
+                              "request line longer than " +
+                              std::to_string(LineReader::kMaxLine) + " bytes"),
+                          kReasonBadRequest) +
+                "\n");
+  }
   if (state.session != nullptr) {
     ReleaseSessionSlot(state.session);
     registry_.Remove(state.session->id());
   }
-  // The fd is closed by the accept-loop sweep (or Stop) after this thread
-  // is joined — never here, so a shutdown() from Stop can't race a reused
-  // descriptor number.
+  // The peer sees end of stream now (HTTP clients frame the response by
+  // it). The fd itself is closed by the accept-loop sweep (or Stop) after
+  // this thread is joined — never here, so a shutdown() from Stop can't
+  // race a reused descriptor number.
+  ::shutdown(conn->fd, SHUT_RDWR);
   conn->done.store(true);
 }
 
-void Server::HandleHttp(int fd, const std::string& request_line,
-                        std::string* buffered, size_t* buffer_pos) {
-  // Drain the request headers (bounded by LineReader) so closing the
-  // socket after the response doesn't reset unread client data.
-  LineReader reader(fd);
-  reader.buf = std::move(*buffered);
-  reader.pos = *buffer_pos;
-  std::string header;
-  while (reader.ReadLine(&header)) {
-    if (header.empty()) break;
-  }
-
-  size_t path_begin = 4;  // Past "GET ".
-  size_t path_end = request_line.find(' ', path_begin);
-  std::string target =
-      path_end == std::string::npos
-          ? request_line.substr(path_begin)
-          : request_line.substr(path_begin, path_end - path_begin);
-  std::string path = target;
-  std::string query;
-  size_t qmark = target.find('?');
-  if (qmark != std::string::npos) {
-    path = target.substr(0, qmark);
-    query = target.substr(qmark + 1);
-  }
+void Server::HandleHttp(int fd, const std::string& request_line) {
+  // "GET <path>[?<query>] HTTP/1.1": the target runs to the next space.
+  const std::string target =
+      request_line.substr(4, request_line.find(' ', 4) - 4);
+  const size_t qmark = target.find('?');
+  const std::string path = target.substr(0, qmark);
+  const std::string query =
+      qmark == std::string::npos ? "" : target.substr(qmark + 1);
 
   int code = 200;
   std::string reason = "OK";
@@ -491,28 +568,19 @@ void Server::HandleHttp(int fd, const std::string& request_line,
   std::string body;
   if (path == "/metrics") {
     body = obs::RenderPrometheus(obs::AggregateAllRegistries());
-  } else if (path == "/slow_queries") {
-    Result<std::string> records = SlowQueriesJson(QueryParam(query, "graph"));
-    if (records.ok()) {
+  } else if (path == "/slow_queries" || path == "/query_stats") {
+    const std::string graph = QueryParam(query, "graph");
+    Status status = path == "/slow_queries"
+                        ? AppendSlowQueries(graph, &body)
+                        : AppendQueryStats(graph, QueryParam(query, "tenant"),
+                                           &body);
+    if (status.ok()) {
       content_type = "application/json";
-      body = *records;
       body += "\n";
     } else {
       code = 404;
       reason = "Not Found";
-      body = records.status().message() + "\n";
-    }
-  } else if (path == "/query_stats") {
-    Result<std::string> entries = QueryStatsJson(QueryParam(query, "graph"),
-                                                 QueryParam(query, "tenant"));
-    if (entries.ok()) {
-      content_type = "application/json";
-      body = *entries;
-      body += "\n";
-    } else {
-      code = 404;
-      reason = "Not Found";
-      body = entries.status().message() + "\n";
+      body = status.message() + "\n";
     }
   } else {
     code = 404;
@@ -532,109 +600,104 @@ void Server::HandleHttp(int fd, const std::string& request_line,
 
 std::string Server::Dispatch(ConnState* state, const std::string& line) {
   requests_total_->Increment();
-  Result<JsonValue> parsed = ParseJson(line);
-  if (!parsed.ok()) {
+  Reply reply;
+  Status status = Handle(state, line, &reply);
+  if (!status.ok()) {
     errors_total_->Increment();
-    return ErrorResponse(Status::InvalidArgument("request is not valid JSON: " +
-                                                 parsed.status().message()),
-                         kReasonBadRequest);
+    return ErrorResponse(status, reply.reason, reply.id_raw);
   }
-  const JsonValue& req = *parsed;
-  std::string id_raw;
-  if (const JsonValue* id = req.Find("id")) id_raw = id->RawSpan(line);
-  const std::string* op = GetString(req, "op");
-  if (op == nullptr) {
-    errors_total_->Increment();
-    return ErrorResponse(
-        Status::InvalidArgument("request needs a string \"op\" field"),
-        kReasonBadRequest, id_raw);
-  }
-
-  std::string response;
-  if (*op == "hello") {
-    response = OpHello(state, req, id_raw);
-  } else if (*op == "ping") {
-    if (state->session != nullptr) {
-      SessionOp touch(state->session);  // Refreshes the idle clock.
-    }
-    response = OkResponseHead(id_raw) + "}";
-  } else if (*op == "bye") {
-    state->close_requested = true;
-    response = OkResponseHead(id_raw) + "}";
-  } else if (*op == "list_graphs") {
-    response = OpListGraphs(id_raw);
-  } else if (*op == "load_graph") {
-    response = OpLoadGraph(req, id_raw);
-  } else if (*op == "use_graph") {
-    response = OpUseGraph(state, req, id_raw);
-  } else if (*op == "prepare") {
-    response = OpPrepare(state, req, id_raw);
-  } else if (*op == "explain") {
-    response = OpExplain(state, req, id_raw);
-  } else if (*op == "execute") {
-    response = OpExecute(state, req, id_raw);
-  } else if (*op == "open") {
-    response = OpOpen(state, req, id_raw);
-  } else if (*op == "fetch") {
-    response = OpFetch(state, req, id_raw);
-  } else if (*op == "close_cursor") {
-    response = OpCloseCursor(state, req, id_raw);
-  } else if (*op == "close_stmt") {
-    response = OpCloseStatement(state, req, id_raw);
-  } else if (*op == "metrics") {
-    response = OpMetrics(id_raw);
-  } else if (*op == "slow_queries") {
-    response = OpSlowQueries(req, id_raw);
-  } else if (*op == "query_stats") {
-    response = OpQueryStats(req, id_raw);
-  } else if (*op == "stats") {
-    response = OpStats(state, id_raw);
-  } else if (*op == "debug_sleep") {
-    response = OpDebugSleep(state, req, id_raw);
-  } else {
-    response = ErrorResponse(
-        Status::InvalidArgument("unknown op '" + *op + "'"), kReasonBadRequest,
-        id_raw);
-  }
-  if (response.rfind("{\"ok\":false", 0) == 0) errors_total_->Increment();
-  return response;
+  reply.body.push_back('}');
+  return std::move(reply.body);
 }
 
-Status Server::EnsureSession(ConnState* state, const std::string& tenant) {
+Status Server::Handle(ConnState* state, const std::string& line,
+                      Reply* reply) {
+  static const std::map<std::string_view, Handler> kHandlers = {
+      {"hello", &Server::OpHello},
+      {"ping", &Server::OpPing},
+      {"bye", &Server::OpBye},
+      {"list_graphs", &Server::OpListGraphs},
+      {"load_graph", &Server::OpLoadGraph},
+      {"use_graph", &Server::OpUseGraph},
+      {"prepare", &Server::OpPrepare},
+      {"explain", &Server::OpPrepare},
+      {"execute", &Server::OpStatement},
+      {"open", &Server::OpStatement},
+      {"fetch", &Server::OpFetch},
+      {"close_cursor", &Server::OpClose},
+      {"close_stmt", &Server::OpClose},
+      {"metrics", &Server::OpMetrics},
+      {"slow_queries", &Server::OpObservations},
+      {"query_stats", &Server::OpObservations},
+      {"stats", &Server::OpStats},
+      {"debug_sleep", &Server::OpDebugSleep},
+  };
+  Result<JsonValue> parsed = ParseJson(line);
+  if (!parsed.ok()) {
+    return reply->BadRequest("request is not valid JSON: " +
+                             parsed.status().message());
+  }
+  if (const JsonValue* id = parsed->Find("id")) {
+    reply->id_raw = id->RawSpan(line);
+  }
+  const std::string* op = GetString(*parsed, "op");
+  if (op == nullptr) {
+    return reply->BadRequest("request needs a string \"op\" field");
+  }
+  auto handler = kHandlers.find(*op);
+  if (handler == kHandlers.end()) {
+    return reply->BadRequest("unknown op '" + *op + "'");
+  }
+  reply->op = *op;
+  reply->body = OkResponseHead(reply->id_raw);
+  return (this->*handler->second)(state, *parsed, reply);
+}
+
+Status Server::OpenSession(ConnState* state, const std::string& tenant,
+                           Reply* reply) {
   if (state->session != nullptr) return Status::OK();
   std::string effective = tenant.empty() ? "default" : tenant;
   Status admitted = admission_.AdmitSession(effective);
   if (!admitted.ok()) {
     rejected_quota_total_->Increment();
     TenantRefusalsCounter(effective, kReasonTenantSessions)->Increment();
-    return admitted;
+    return reply->Refuse(admitted, kReasonTenantSessions);
   }
-  state->session = registry_.Create(effective, TenantStepsCounter(effective));
+  const std::string label = "{tenant=\"" + PromLabelEscape(effective) + "\"}";
+  state->session = registry_.Create(
+      effective, metrics_.GetCounter("gpml_tenant_steps_total" + label),
+      metrics_.GetGauge("gpml_tenant_active_sessions" + label));
   sessions_opened_total_->Increment();
-  TenantSessionsGauge(effective)->Increment();
+  state->session->sessions_gauge()->Increment();
   return Status::OK();
 }
 
-bool Server::ReleaseSessionSlot(
-    const std::shared_ptr<ServerSession>& session) {
-  bool release = false;
-  {
-    std::lock_guard<std::mutex> lock(session->mu);
-    if (!session->admission_released) {
-      session->admission_released = true;
-      release = true;
-    }
+Status Server::EnterSession(ConnState* state, const char* needs_hello,
+                            SessionOp* in_flight, Reply* reply) {
+  if (needs_hello == nullptr) {
+    GPML_RETURN_IF_ERROR(OpenSession(state, "", reply));
+  } else if (state->session == nullptr) {
+    return reply->BadRequest(std::string(needs_hello) +
+                             " needs a session; send hello first");
   }
-  if (release) {
-    admission_.ReleaseSession(session->tenant());
-    TenantSessionsGauge(session->tenant())->Decrement();
+  if (!in_flight->Enter(state->session)) {
+    return reply->Refuse(
+        Status::NotFound("session expired after idle timeout; send hello "
+                         "to start a new one"),
+        kReasonSessionExpired);
   }
-  return release;
+  return Status::OK();
 }
 
-obs::Counter* Server::TenantStepsCounter(const std::string& tenant) {
-  return metrics_.GetCounter("gpml_tenant_steps_total{tenant=\"" +
-                             PromLabelEscape(tenant) + "\"}");
+void Server::ReleaseSessionSlot(
+    const std::shared_ptr<ServerSession>& session) {
+  {
+    std::lock_guard<std::mutex> lock(session->mu);
+    if (session->admission_released) return;
+    session->admission_released = true;
+  }
+  admission_.ReleaseSession(session->tenant());
+  session->sessions_gauge()->Decrement();
 }
 
 obs::Counter* Server::TenantRefusalsCounter(const std::string& tenant,
@@ -644,49 +707,42 @@ obs::Counter* Server::TenantRefusalsCounter(const std::string& tenant,
                              reason + "\"}");
 }
 
-obs::Gauge* Server::TenantSessionsGauge(const std::string& tenant) {
-  return metrics_.GetGauge("gpml_tenant_active_sessions{tenant=\"" +
-                           PromLabelEscape(tenant) + "\"}");
-}
-
-void Server::ChargeTenantSteps(const ServerSession& session, uint64_t steps) {
+void Server::ChargeSteps(const ServerSession& session, CursorHandle* handle) {
+  const uint64_t total = handle->metrics->matcher_steps;
+  const uint64_t steps = total - handle->steps_charged;
+  handle->steps_charged = total;
   admission_.ChargeSteps(session.tenant(), steps);
   if (steps > 0) session.steps_counter()->Increment(steps);
 }
 
-std::string Server::RunPooled(const char* op, const std::string& tenant,
-                              const std::string& trace_id,
-                              const std::string& id_raw,
-                              const std::function<std::string()>& fn) {
+Status Server::RunPooled(const std::string& tenant,
+                         const std::string& trace_id, Reply* reply,
+                         const std::function<Status()>& fn) {
   obs::Stopwatch request_clock;
-  Status admitted = admission_.AdmitQuery(tenant);
+  const char* refusal = "";
+  Status admitted = admission_.AdmitQuery(tenant, &refusal);
   const uint64_t admission_us = request_clock.ElapsedMicros();
   if (!admitted.ok()) {
     rejected_quota_total_->Increment();
-    // AdmitQuery has two refusal causes; the messages (admission.cc) are
-    // the discriminator for the machine-readable reason.
-    const char* reason =
-        admitted.message().find("step budget") != std::string::npos
-            ? kReasonTenantStepBudget
-            : kReasonTenantConcurrency;
-    TenantRefusalsCounter(tenant, reason)->Increment();
-    return ErrorResponse(admitted, reason, id_raw);
+    TenantRefusalsCounter(tenant, refusal)->Increment();
+    return reply->Refuse(admitted, refusal);
   }
   QueryTicket ticket(&admission_, tenant);
-  std::promise<std::string> result;
-  std::future<std::string> future = result.get_future();
-  // The worker writes these before set_value; future.get() synchronizes,
-  // so the reads below are ordered after the writes.
+  std::promise<Status> result;
+  std::future<Status> future = result.get_future();
+  // The worker writes these (and the reply body) before set_value;
+  // future.get() synchronizes, so the reads below are ordered after the
+  // writes.
   double queue_ms = 0;
   double exec_ms = 0;
   const uint64_t queue_start_us = request_clock.ElapsedMicros();
-  bool accepted = pool_->SubmitTimed(
+  bool accepted = pool_->Submit(
       [&result, &fn, &queue_ms, &exec_ms](double waited_ms) {
         queue_ms = waited_ms;
         obs::Stopwatch exec_clock;
-        std::string response = fn();
+        Status status = fn();
         exec_ms = exec_clock.ElapsedMs();
-        result.set_value(std::move(response));
+        result.set_value(std::move(status));
       });
   if (!accepted) {
     rejected_saturated_total_->Increment();
@@ -694,13 +750,13 @@ std::string Server::RunPooled(const char* op, const std::string& tenant,
     const char* reason =
         stopping ? kReasonServerStopping : kReasonServerSaturated;
     TenantRefusalsCounter(tenant, reason)->Increment();
-    return ErrorResponse(
+    return reply->Refuse(
         Status::ResourceExhausted(
             stopping ? "server is shutting down"
                      : "server worker pool is saturated; retry later"),
-        reason, id_raw);
+        reason);
   }
-  std::string response = future.get();
+  Status status = future.get();
 
   // The request trace is rendered only for a sink, from the measured
   // times. The queue span starts at submission and ends at worker pickup
@@ -710,7 +766,7 @@ std::string Server::RunPooled(const char* op, const std::string& tenant,
     obs::Trace trace;
     int root = trace.AddComplete("request", obs::Trace::kNoParent, 0,
                                  request_clock.ElapsedMicros());
-    trace.Attr(root, "op", op);
+    trace.Attr(root, "op", reply->op);
     trace.Attr(root, "tenant", tenant);
     if (!trace_id.empty()) trace.Attr(root, "trace_id", trace_id);
     trace.AddComplete("admission", root, 0, admission_us);
@@ -720,346 +776,250 @@ std::string Server::RunPooled(const char* op, const std::string& tenant,
                       obs::MsToUs(exec_ms));
     options_.engine.trace_sink->Emit(trace);
   }
-  const double admission_ms = static_cast<double>(admission_us) / 1e3;
-
-  // Successful responses carry the request timing breakdown; error
+  // Only successful responses carry the request timing breakdown; error
   // response shapes stay pinned by the protocol tests.
-  if (response.rfind("{\"ok\":true", 0) == 0 && !response.empty() &&
-      response.back() == '}') {
-    char timing[160];
-    std::snprintf(timing, sizeof(timing),
-                  ",\"timing\":{\"admission_ms\":%.3f,\"queue_ms\":%.3f,"
-                  "\"exec_ms\":%.3f}",
-                  admission_ms, queue_ms, exec_ms);
-    response.pop_back();
-    response.append(timing);
-    response.push_back('}');
-  }
-  return response;
+  GPML_RETURN_IF_ERROR(status);
+  char timing[160];
+  reply->body.append(
+      timing, std::snprintf(timing, sizeof(timing),
+                            ",\"timing\":{\"admission_ms\":%.3f,\"queue_ms\":"
+                            "%.3f,\"exec_ms\":%.3f}",
+                            static_cast<double>(admission_us) / 1e3, queue_ms,
+                            exec_ms));
+  return Status::OK();
 }
 
-std::string Server::OpHello(ConnState* state, const JsonValue& req,
-                            const std::string& id_raw) {
-  std::string tenant = "default";
-  if (const std::string* t = GetString(req, "tenant")) tenant = *t;
-  if (state->session != nullptr) {
-    // Re-hello after an idle reap is the documented recovery path: the
-    // expired shell is discarded and a fresh session admitted.
-    bool expired = false;
-    {
-      std::lock_guard<std::mutex> lock(state->session->mu);
-      expired = state->session->expired;
+Status Server::WriteRows(const ServerSession& session, CursorHandle* handle,
+                         size_t max_rows, bool paged, std::string* out) {
+  Cursor& cursor = *handle->cursor;
+  out->append(",\"rows\":[");
+  size_t count = 0;
+  bool done = false;
+  Status status;
+  RowView view;
+  while (count < max_rows) {
+    Result<bool> more = cursor.Next(&view);
+    if (!more.ok()) {
+      status = more.status();
+      break;
     }
-    if (expired) {
-      registry_.Remove(state->session->id());
-      state->session.reset();
+    if (!*more) {
+      done = true;
+      break;
     }
+    if (count++ > 0) out->push_back(',');
+    AppendRowJson(out, cursor.context(), *view.row, *handle->graph);
   }
-  Status ensured = EnsureSession(state, tenant);
-  if (!ensured.ok()) {
-    return ErrorResponse(ensured, kReasonTenantSessions, id_raw);
-  }
-  return OkResponseHead(id_raw) + ",\"protocol\":" +
-         std::to_string(kProtocolVersion) + ",\"server\":\"gpml\"" +
-         ",\"session\":" + std::to_string(state->session->id()) +
-         ",\"tenant\":\"" + JsonEscape(state->session->tenant()) + "\"}";
+  ChargeSteps(session, handle);
+  GPML_RETURN_IF_ERROR(status);
+  out->push_back(']');
+  IntField(out, "row_count", count);
+  if (paged) BoolField(out, "done", done);
+  BoolField(out, "truncated", cursor.truncated());
+  BoolField(out, "hit_limit", cursor.hit_limit());
+  return Status::OK();
 }
 
-std::string Server::OpListGraphs(const std::string& id_raw) {
-  std::vector<std::string> names;
-  {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    names = catalog_.GraphNames();
+Status Server::OpHello(ConnState* state, const JsonValue& req, Reply* reply) {
+  // Re-hello after an idle reap is the documented recovery path: the
+  // expired shell is discarded and a fresh session admitted.
+  if (state->session != nullptr && !SessionOp().Enter(state->session)) {
+    registry_.Remove(state->session->id());
+    state->session.reset();
   }
-  std::string out = OkResponseHead(id_raw) + ",\"graphs\":[";
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + JsonEscape(names[i]) + "\"";
-  }
-  out += "]}";
-  return out;
+  GPML_RETURN_IF_ERROR(
+      OpenSession(state, StringOr(req, "tenant", "default"), reply));
+  std::string* out = &reply->body;
+  IntField(out, "protocol", kProtocolVersion);
+  StringField(out, "server", "gpml");
+  IntField(out, "session", state->session->id());
+  StringField(out, "tenant", state->session->tenant());
+  return Status::OK();
 }
 
-std::string Server::OpLoadGraph(const JsonValue& req,
-                                const std::string& id_raw) {
+Status Server::OpPing(ConnState* state, const JsonValue&, Reply*) {
+  // Refreshes the idle clock; an expired session is left for hello.
+  if (state->session != nullptr) SessionOp().Enter(state->session);
+  return Status::OK();
+}
+
+Status Server::OpBye(ConnState* state, const JsonValue&, Reply*) {
+  state->close_requested = true;
+  return Status::OK();
+}
+
+Status Server::OpListGraphs(ConnState*, const JsonValue&, Reply* reply) {
+  std::lock_guard<std::mutex> lock(catalog_mu_);
+  StringsField(&reply->body, "graphs", catalog_.GraphNames());
+  return Status::OK();
+}
+
+Status Server::OpLoadGraph(ConnState*, const JsonValue& req, Reply* reply) {
   const std::string* name = GetString(req, "name");
   if (name == nullptr) {
-    return ErrorResponse(
-        Status::InvalidArgument("load_graph needs a string \"name\""),
-        kReasonBadRequest, id_raw);
+    return reply->BadRequest("load_graph needs a string \"name\"");
   }
+  StringField(&reply->body, "graph", *name);
   {
     std::lock_guard<std::mutex> lock(catalog_mu_);
     if (catalog_.HasGraph(*name)) {
-      return OkResponseHead(id_raw) + ",\"graph\":\"" + JsonEscape(*name) +
-             "\",\"created\":false}";
+      BoolField(&reply->body, "created", false);
+      return Status::OK();
     }
   }
-  std::string kind = "paper";
-  if (const std::string* k = GetString(req, "kind")) kind = *k;
-  Result<PropertyGraph> graph = BuildGraphByKind(kind, req);
-  if (!graph.ok()) return ErrorResponse(graph.status(), "", id_raw);
-  {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    Status added = catalog_.AddGraph(*name, std::move(*graph));
-    if (!added.ok() && added.code() != StatusCode::kAlreadyExists) {
-      return ErrorResponse(added, "", id_raw);
-    }
-    return OkResponseHead(id_raw) + ",\"graph\":\"" + JsonEscape(*name) +
-           "\",\"created\":" + (added.ok() ? "true" : "false") + "}";
-  }
+  GPML_ASSIGN_OR_RETURN(const GraphKind* kind,
+                        FindGraphKind(StringOr(req, "kind", "paper")));
+  Result<PropertyGraph> graph = kind->build(req);
+  if (!graph.ok()) return reply->Refuse(graph.status(), kReasonBadRequest);
+  std::lock_guard<std::mutex> lock(catalog_mu_);
+  Status added = catalog_.AddGraph(*name, std::move(*graph));
+  if (!added.ok() && added.code() != StatusCode::kAlreadyExists) return added;
+  BoolField(&reply->body, "created", added.ok());
+  return Status::OK();
 }
 
-std::string Server::OpUseGraph(ConnState* state, const JsonValue& req,
-                               const std::string& id_raw) {
+Status Server::OpUseGraph(ConnState* state, const JsonValue& req,
+                          Reply* reply) {
   const std::string* name = GetString(req, "graph");
   if (name == nullptr) {
-    return ErrorResponse(
-        Status::InvalidArgument("use_graph needs a string \"graph\""),
-        kReasonBadRequest, id_raw);
+    return reply->BadRequest("use_graph needs a string \"graph\"");
   }
-  Status ensured = EnsureSession(state, "");
-  if (!ensured.ok()) {
-    return ErrorResponse(ensured, kReasonTenantSessions, id_raw);
-  }
-  SessionOp op(state->session);
-  if (op.expired()) return SessionExpiredResponse(id_raw);
-  Result<std::shared_ptr<const PropertyGraph>> graph = [&] {
+  SessionOp in_flight;
+  GPML_RETURN_IF_ERROR(EnterSession(state, nullptr, &in_flight, reply));
+  std::shared_ptr<const PropertyGraph> graph;
+  {
     std::lock_guard<std::mutex> lock(catalog_mu_);
-    return catalog_.GetGraph(*name);
-  }();
-  if (!graph.ok()) return ErrorResponse(graph.status(), "", id_raw);
+    GPML_ASSIGN_OR_RETURN(graph, catalog_.GetGraph(*name));
+  }
   {
     std::lock_guard<std::mutex> lock(state->session->mu);
-    state->session->graph = *graph;
-    state->session->graph_name = *name;
+    state->session->graph = std::move(graph);
   }
-  return OkResponseHead(id_raw) + ",\"graph\":\"" + JsonEscape(*name) + "\"}";
+  StringField(&reply->body, "graph", *name);
+  return Status::OK();
 }
 
-std::string Server::OpPrepare(ConnState* state, const JsonValue& req,
-                              const std::string& id_raw) {
+Status Server::OpPrepare(ConnState* state, const JsonValue& req,
+                         Reply* reply) {
   const std::string* text = GetString(req, "query");
   if (text == nullptr) {
-    return ErrorResponse(
-        Status::InvalidArgument("prepare needs a string \"query\""),
-        kReasonBadRequest, id_raw);
+    return reply->BadRequest(reply->op + " needs a string \"query\"");
   }
-  Status ensured = EnsureSession(state, "");
-  if (!ensured.ok()) {
-    return ErrorResponse(ensured, kReasonTenantSessions, id_raw);
-  }
-  SessionOp op(state->session);
-  if (op.expired()) return SessionExpiredResponse(id_raw);
+  SessionOp in_flight;
+  GPML_RETURN_IF_ERROR(EnterSession(state, nullptr, &in_flight, reply));
   std::shared_ptr<const PropertyGraph> graph;
   {
     std::lock_guard<std::mutex> lock(state->session->mu);
     graph = state->session->graph;
   }
   if (graph == nullptr) {
-    return ErrorResponse(
-        Status::InvalidArgument("no graph selected; send use_graph first"),
-        kReasonBadRequest, id_raw);
+    return reply->BadRequest("no graph selected; send use_graph first");
   }
   Engine engine(*graph, options_.engine);
-  Result<PreparedQuery> prepared = engine.Prepare(*text);
-  if (!prepared.ok()) return ErrorResponse(prepared.status(), "", id_raw);
-
-  std::string params_json = "[";
-  std::vector<std::string> names = prepared->signature().Names();
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) params_json += ",";
-    params_json += "\"" + JsonEscape(names[i]) + "\"";
+  std::string* out = &reply->body;
+  if (reply->op == "explain") {
+    GPML_ASSIGN_OR_RETURN(std::string plan, engine.Explain(*text));
+    StringField(out, "plan", plan);
+    return Status::OK();
   }
-  params_json += "]";
-  bool from_cache = prepared->from_cache();
-  bool always_empty = prepared->always_empty();
-
+  GPML_ASSIGN_OR_RETURN(PreparedQuery prepared, engine.Prepare(*text));
   int64_t handle = 0;
   {
     std::lock_guard<std::mutex> lock(state->session->mu);
     handle = state->session->next_handle++;
-    state->session->statements.emplace(
-        handle, PreparedHandle{std::move(*prepared), graph, *text});
+    state->session->statements.emplace(handle,
+                                       PreparedHandle{prepared, graph});
   }
-  return OkResponseHead(id_raw) + ",\"stmt\":" + std::to_string(handle) +
-         ",\"params\":" + params_json +
-         ",\"from_cache\":" + (from_cache ? "true" : "false") +
-         ",\"always_empty\":" + (always_empty ? "true" : "false") + "}";
+  IntField(out, "stmt", handle);
+  StringsField(out, "params", prepared.signature().Names());
+  BoolField(out, "from_cache", prepared.from_cache());
+  BoolField(out, "always_empty", prepared.always_empty());
+  return Status::OK();
 }
 
-std::string Server::OpExplain(ConnState* state, const JsonValue& req,
-                              const std::string& id_raw) {
-  const std::string* text = GetString(req, "query");
-  if (text == nullptr) {
-    return ErrorResponse(
-        Status::InvalidArgument("explain needs a string \"query\""),
-        kReasonBadRequest, id_raw);
-  }
-  Status ensured = EnsureSession(state, "");
-  if (!ensured.ok()) {
-    return ErrorResponse(ensured, kReasonTenantSessions, id_raw);
-  }
-  SessionOp op(state->session);
-  if (op.expired()) return SessionExpiredResponse(id_raw);
-  std::shared_ptr<const PropertyGraph> graph;
-  {
-    std::lock_guard<std::mutex> lock(state->session->mu);
-    graph = state->session->graph;
-  }
-  if (graph == nullptr) {
-    return ErrorResponse(
-        Status::InvalidArgument("no graph selected; send use_graph first"),
-        kReasonBadRequest, id_raw);
-  }
-  Engine engine(*graph, options_.engine);
-  Result<std::string> plan = engine.Explain(*text);
-  if (!plan.ok()) return ErrorResponse(plan.status(), "", id_raw);
-  return OkResponseHead(id_raw) + ",\"plan\":\"" + JsonEscape(*plan) + "\"}";
-}
-
-/// The request half execute and open share, decoded and resolved against
-/// the session's statement table.
-struct Server::StatementCall {
-  Params params;
-  std::optional<uint64_t> limit;
-  std::string trace_id;
-  std::shared_ptr<const PropertyGraph> graph;
-  std::optional<PreparedQuery> query;  // Cheap copy; shared compiled plan.
-};
-
-std::string Server::RunStatement(
-    const char* op, ConnState* state, const JsonValue& req,
-    const std::string& id_raw,
-    const std::function<std::string(const StatementCall&)>& run) {
-  if (state->session == nullptr) {
-    return ErrorResponse(Status::InvalidArgument(
-                             std::string(op) +
-                             " needs a session; send hello first"),
-                         kReasonBadRequest, id_raw);
-  }
-  SessionOp session_op(state->session);
-  if (session_op.expired()) return SessionExpiredResponse(id_raw);
+Status Server::OpStatement(ConnState* state, const JsonValue& req,
+                           Reply* reply) {
+  const bool open = reply->op == "open";
+  const char* op = open ? "open" : "execute";
+  SessionOp in_flight;
+  GPML_RETURN_IF_ERROR(EnterSession(state, op, &in_flight, reply));
   int64_t stmt = 0;
   if (!GetInt(req, "stmt", &stmt)) {
-    return ErrorResponse(Status::InvalidArgument(
-                             std::string(op) +
-                             " needs an integer \"stmt\" handle"),
-                         kReasonBadRequest, id_raw);
+    return reply->BadRequest(std::string(op) +
+                             " needs an integer \"stmt\" handle");
   }
-  StatementCall call;
+  Params params;
   if (const JsonValue* p = req.Find("params")) {
     Result<Params> decoded = WireJsonToParams(*p);
     if (!decoded.ok()) {
-      return ErrorResponse(decoded.status(), kReasonBadRequest, id_raw);
+      return reply->Refuse(decoded.status(), kReasonBadRequest);
     }
-    call.params = std::move(*decoded);
+    params = std::move(*decoded);
   }
-  int64_t limit_v = 0;
-  if (GetInt(req, "limit", &limit_v)) {
-    if (limit_v < 0) {
-      return ErrorResponse(
-          Status::InvalidArgument("\"limit\" must be non-negative"),
-          kReasonBadRequest, id_raw);
-    }
-    call.limit = static_cast<uint64_t>(limit_v);
+  std::optional<uint64_t> limit;
+  if (int64_t v = 0; GetInt(req, "limit", &v)) {
+    if (v < 0) return reply->BadRequest("\"limit\" must be non-negative");
+    limit = static_cast<uint64_t>(v);
   }
+  std::shared_ptr<const PropertyGraph> graph;
+  std::optional<PreparedQuery> query;  // Cheap copy; shared compiled plan.
   {
     std::lock_guard<std::mutex> lock(state->session->mu);
     auto it = state->session->statements.find(stmt);
     if (it != state->session->statements.end()) {
-      call.graph = it->second.graph;
-      call.query = it->second.query;
+      graph = it->second.graph;
+      query = it->second.query;
     }
   }
-  if (!call.query.has_value()) {
-    return ErrorResponse(Status::NotFound("unknown statement handle " +
-                                          std::to_string(stmt)),
-                         "", id_raw);
+  if (!query.has_value()) {
+    return Status::NotFound("unknown statement handle " + std::to_string(stmt));
   }
-  if (const std::string* t = GetString(req, "trace_id")) call.trace_id = *t;
-  return RunPooled(op, state->session->tenant(), call.trace_id, id_raw,
-                   [&] { return run(call); });
+  ServerSession& session = *state->session;
+  const std::string trace_id = StringOr(req, "trace_id");
+  return RunPooled(session.tenant(), trace_id, reply, [&]() -> Status {
+    obs::Stopwatch watch;
+    // A drained cursor dies here, on the worker that allocated it.
+    CursorHandle handle{nullptr, std::make_unique<EngineMetrics>(), graph};
+    // The server's engine options, tightened to the tenant's quota and
+    // stamped with the tenant and trace_id for slow-query captures and
+    // query-stats attribution.
+    EngineOptions opts = options_.engine;
+    opts.metrics = handle.metrics.get();
+    opts.tenant = session.tenant();
+    opts.trace_id = trace_id;
+    opts.matcher = admission_.ApplyQuota(session.tenant(), opts.matcher);
+    PreparedQuery bound = query->WithOptions(opts);
+    Result<Cursor> cursor = bound.Open(params, limit);
+    if (!cursor.ok()) {
+      ChargeSteps(session, &handle);
+      return cursor.status();
+    }
+    handle.cursor = std::make_unique<Cursor>(std::move(*cursor));
+    if (open) {
+      queries_total_->Increment();
+      int64_t cursor_id = 0;
+      {
+        std::lock_guard<std::mutex> lock(session.mu);
+        cursor_id = session.next_handle++;
+        session.cursors.emplace(cursor_id, std::move(handle));
+      }
+      IntField(&reply->body, "cursor", cursor_id);
+      return Status::OK();
+    }
+    GPML_RETURN_IF_ERROR(WriteRows(session, &handle, SIZE_MAX,
+                                   /*paged=*/false, &reply->body));
+    queries_total_->Increment();
+    query_duration_us_->Observe(watch.ElapsedMicros());
+    return Status::OK();
+  });
 }
 
-std::string Server::OpExecute(ConnState* state, const JsonValue& req,
-                              const std::string& id_raw) {
-  return RunStatement(
-      "execute", state, req, id_raw,
-      [&](const StatementCall& call) -> std::string {
-        obs::Stopwatch watch;
-        EngineMetrics metrics;
-        PreparedQuery bound = call.query->WithOptions(ExecutionOptions(
-            state->session->tenant(), &metrics, call.trace_id));
-        Result<Cursor> cursor = bound.Open(call.params, call.limit);
-        if (!cursor.ok()) {
-          ChargeTenantSteps(*state->session, metrics.matcher_steps);
-          return ErrorResponse(cursor.status(), "", id_raw);
-        }
-        std::string out = OkResponseHead(id_raw) + ",\"rows\":[";
-        size_t count = 0;
-        RowView view;
-        while (true) {
-          Result<bool> more = cursor->Next(&view);
-          if (!more.ok()) {
-            ChargeTenantSteps(*state->session, metrics.matcher_steps);
-            return ErrorResponse(more.status(), "", id_raw);
-          }
-          if (!*more) break;
-          if (count > 0) out.push_back(',');
-          AppendRowJson(&out, cursor->context(), *view.row, *call.graph);
-          ++count;
-        }
-        ChargeTenantSteps(*state->session, metrics.matcher_steps);
-        queries_total_->Increment();
-        query_duration_us_->Observe(watch.ElapsedMicros());
-        return std::move(out) + "],\"row_count\":" + std::to_string(count) +
-               ",\"truncated\":" + (cursor->truncated() ? "true" : "false") +
-               ",\"hit_limit\":" + (cursor->hit_limit() ? "true" : "false") +
-               "}";
-      });
-}
-
-std::string Server::OpOpen(ConnState* state, const JsonValue& req,
-                           const std::string& id_raw) {
-  return RunStatement(
-      "open", state, req, id_raw,
-      [&](const StatementCall& call) -> std::string {
-        auto metrics = std::make_unique<EngineMetrics>();
-        PreparedQuery bound = call.query->WithOptions(ExecutionOptions(
-            state->session->tenant(), metrics.get(), call.trace_id));
-        Result<Cursor> cursor = bound.Open(call.params, call.limit);
-        if (!cursor.ok()) return ErrorResponse(cursor.status(), "", id_raw);
-        queries_total_->Increment();
-        CursorHandle handle;
-        handle.cursor = std::make_unique<Cursor>(std::move(*cursor));
-        handle.metrics = std::move(metrics);
-        handle.graph = call.graph;
-        int64_t cursor_id = 0;
-        {
-          std::lock_guard<std::mutex> lock(state->session->mu);
-          cursor_id = state->session->next_handle++;
-          state->session->cursors[cursor_id] = std::move(handle);
-        }
-        return OkResponseHead(id_raw) +
-               ",\"cursor\":" + std::to_string(cursor_id) + "}";
-      });
-}
-
-std::string Server::OpFetch(ConnState* state, const JsonValue& req,
-                            const std::string& id_raw) {
-  if (state->session == nullptr) {
-    return ErrorResponse(
-        Status::InvalidArgument("fetch needs a session; send hello first"),
-        kReasonBadRequest, id_raw);
-  }
-  SessionOp op(state->session);
-  if (op.expired()) return SessionExpiredResponse(id_raw);
+Status Server::OpFetch(ConnState* state, const JsonValue& req, Reply* reply) {
+  SessionOp in_flight;
+  GPML_RETURN_IF_ERROR(EnterSession(state, "fetch", &in_flight, reply));
   int64_t cursor_id = 0;
   if (!GetInt(req, "cursor", &cursor_id)) {
-    return ErrorResponse(
-        Status::InvalidArgument("fetch needs an integer \"cursor\" handle"),
-        kReasonBadRequest, id_raw);
+    return reply->BadRequest("fetch needs an integer \"cursor\" handle");
   }
   int64_t max_rows = GetIntOr(req, "max_rows", 256);
   if (max_rows <= 0) max_rows = 256;
@@ -1075,171 +1035,105 @@ std::string Server::OpFetch(ConnState* state, const JsonValue& req,
     if (it != state->session->cursors.end()) handle = &it->second;
   }
   if (handle == nullptr) {
-    return ErrorResponse(Status::NotFound("unknown cursor handle " +
-                                          std::to_string(cursor_id)),
-                         "", id_raw);
+    return Status::NotFound("unknown cursor handle " +
+                            std::to_string(cursor_id));
   }
-
-  std::string trace_id;
-  if (const std::string* t = GetString(req, "trace_id")) trace_id = *t;
-  const std::string& tenant = state->session->tenant();
-  return RunPooled("fetch", tenant, trace_id, id_raw, [&]() -> std::string {
-    std::string out = OkResponseHead(id_raw) + ",\"rows\":[";
-    size_t count = 0;
-    bool done = false;
-    RowView view;
-    auto charge = [&] {
-      uint64_t total = handle->metrics->matcher_steps;
-      ChargeTenantSteps(*state->session, total - handle->steps_charged);
-      handle->steps_charged = total;
-    };
-    while (count < static_cast<size_t>(max_rows)) {
-      Result<bool> more = handle->cursor->Next(&view);
-      if (!more.ok()) {
-        charge();
-        return ErrorResponse(more.status(), "", id_raw);
-      }
-      if (!*more) {
-        done = true;
-        break;
-      }
-      if (count > 0) out.push_back(',');
-      AppendRowJson(&out, handle->cursor->context(), *view.row,
-                    *handle->graph);
-      ++count;
-    }
-    charge();
-    return std::move(out) + "],\"row_count\":" + std::to_string(count) +
-           ",\"done\":" + (done ? "true" : "false") + ",\"truncated\":" +
-           (handle->cursor->truncated() ? "true" : "false") +
-           ",\"hit_limit\":" + (handle->cursor->hit_limit() ? "true" : "false") +
-           "}";
+  ServerSession& session = *state->session;
+  return RunPooled(session.tenant(), StringOr(req, "trace_id"), reply, [&] {
+    return WriteRows(session, handle, static_cast<size_t>(max_rows),
+                     /*paged=*/true, &reply->body);
   });
 }
 
-std::string Server::OpCloseCursor(ConnState* state, const JsonValue& req,
-                                  const std::string& id_raw) {
-  if (state->session == nullptr) {
-    return ErrorResponse(Status::InvalidArgument(
-                             "close_cursor needs a session; send hello first"),
-                         kReasonBadRequest, id_raw);
-  }
-  SessionOp op(state->session);
-  if (op.expired()) return SessionExpiredResponse(id_raw);
-  int64_t cursor_id = 0;
-  if (!GetInt(req, "cursor", &cursor_id)) {
-    return ErrorResponse(Status::InvalidArgument(
-                             "close_cursor needs an integer \"cursor\""),
-                         kReasonBadRequest, id_raw);
+Status Server::OpClose(ConnState* state, const JsonValue& req, Reply* reply) {
+  const bool cursor = reply->op == "close_cursor";
+  const char* op = cursor ? "close_cursor" : "close_stmt";
+  const char* field = cursor ? "cursor" : "stmt";
+  SessionOp in_flight;
+  GPML_RETURN_IF_ERROR(EnterSession(state, op, &in_flight, reply));
+  int64_t id = 0;
+  if (!GetInt(req, field, &id)) {
+    return reply->BadRequest(std::string(op) + " needs an integer \"" +
+                             field + "\"");
   }
   size_t erased = 0;
   {
     std::lock_guard<std::mutex> lock(state->session->mu);
-    erased = state->session->cursors.erase(cursor_id);
+    erased = cursor ? state->session->cursors.erase(id)
+                    : state->session->statements.erase(id);
   }
   if (erased == 0) {
-    return ErrorResponse(Status::NotFound("unknown cursor handle " +
-                                          std::to_string(cursor_id)),
-                         "", id_raw);
+    return Status::NotFound(std::string("unknown ") +
+                            (cursor ? "cursor" : "statement") + " handle " +
+                            std::to_string(id));
   }
-  return OkResponseHead(id_raw) + ",\"closed\":true}";
+  BoolField(&reply->body, "closed", true);
+  return Status::OK();
 }
 
-std::string Server::OpCloseStatement(ConnState* state, const JsonValue& req,
-                                     const std::string& id_raw) {
-  if (state->session == nullptr) {
-    return ErrorResponse(Status::InvalidArgument(
-                             "close_stmt needs a session; send hello first"),
-                         kReasonBadRequest, id_raw);
-  }
-  SessionOp op(state->session);
-  if (op.expired()) return SessionExpiredResponse(id_raw);
-  int64_t stmt = 0;
-  if (!GetInt(req, "stmt", &stmt)) {
-    return ErrorResponse(
-        Status::InvalidArgument("close_stmt needs an integer \"stmt\""),
-        kReasonBadRequest, id_raw);
-  }
-  size_t erased = 0;
-  {
-    std::lock_guard<std::mutex> lock(state->session->mu);
-    erased = state->session->statements.erase(stmt);
-  }
-  if (erased == 0) {
-    return ErrorResponse(
-        Status::NotFound("unknown statement handle " + std::to_string(stmt)),
-        "", id_raw);
-  }
-  return OkResponseHead(id_raw) + ",\"closed\":true}";
+Status Server::OpMetrics(ConnState*, const JsonValue&, Reply* reply) {
+  StringField(&reply->body, "text",
+              obs::RenderPrometheus(obs::AggregateAllRegistries()));
+  return Status::OK();
 }
 
-std::string Server::OpMetrics(const std::string& id_raw) {
-  std::string text = obs::RenderPrometheus(obs::AggregateAllRegistries());
-  return OkResponseHead(id_raw) + ",\"text\":\"" + JsonEscape(text) + "\"}";
+Status Server::OpObservations(ConnState*, const JsonValue& req,
+                              Reply* reply) {
+  const std::string graph = StringOr(req, "graph");
+  if (reply->op == "slow_queries") {
+    Key(&reply->body, "records");
+    return AppendSlowQueries(graph, &reply->body);
+  }
+  Key(&reply->body, "entries");
+  return AppendQueryStats(graph, StringOr(req, "tenant"), &reply->body);
 }
 
-std::string Server::OpSlowQueries(const JsonValue& req,
-                                  const std::string& id_raw) {
-  std::string graph;
-  if (const std::string* g = GetString(req, "graph")) graph = *g;
-  Result<std::string> records = SlowQueriesJson(graph);
-  if (!records.ok()) return ErrorResponse(records.status(), "", id_raw);
-  return OkResponseHead(id_raw) + ",\"records\":" + *records + "}";
-}
-
-std::string Server::OpQueryStats(const JsonValue& req,
-                                 const std::string& id_raw) {
-  std::string graph;
-  std::string tenant;
-  if (const std::string* g = GetString(req, "graph")) graph = *g;
-  if (const std::string* t = GetString(req, "tenant")) tenant = *t;
-  Result<std::string> entries = QueryStatsJson(graph, tenant);
-  if (!entries.ok()) return ErrorResponse(entries.status(), "", id_raw);
-  return OkResponseHead(id_raw) + ",\"entries\":" + *entries + "}";
-}
-
-std::string Server::OpStats(ConnState* state, const std::string& id_raw) {
-  std::string tenant =
+Status Server::OpStats(ConnState* state, const JsonValue&, Reply* reply) {
+  const std::string tenant =
       state->session != nullptr ? state->session->tenant() : "default";
-  AdmissionController::TenantCounts counts = admission_.CountsFor(tenant);
-  return OkResponseHead(id_raw) +
-         ",\"sessions\":" + std::to_string(registry_.size()) +
-         ",\"queue_depth\":" + std::to_string(pool_->queue_depth()) +
-         ",\"active\":" + std::to_string(pool_->active()) + ",\"tenant\":{" +
-         "\"name\":\"" + JsonEscape(tenant) + "\"" +
-         ",\"sessions\":" + std::to_string(counts.sessions) +
-         ",\"in_flight\":" + std::to_string(counts.in_flight) +
-         ",\"total_steps\":" + std::to_string(counts.total_steps) + "}}";
+  const AdmissionController::TenantCounts counts =
+      admission_.CountsFor(tenant);
+  std::string* out = &reply->body;
+  IntField(out, "sessions", registry_.size());
+  IntField(out, "queue_depth", pool_->queue_depth());
+  IntField(out, "active", pool_->active());
+  Key(out, "tenant");
+  out->push_back('{');
+  StringField(out, "name", tenant);
+  IntField(out, "sessions", counts.sessions);
+  IntField(out, "in_flight", counts.in_flight);
+  IntField(out, "total_steps", counts.total_steps);
+  out->push_back('}');
+  return Status::OK();
 }
 
-std::string Server::OpDebugSleep(ConnState* state, const JsonValue& req,
-                                 const std::string& id_raw) {
+Status Server::OpDebugSleep(ConnState* state, const JsonValue& req,
+                            Reply* reply) {
   if (!options_.enable_debug_ops) {
-    return ErrorResponse(
-        Status::Unimplemented("debug ops are disabled on this server"), "",
-        id_raw);
+    return Status::Unimplemented("debug ops are disabled on this server");
   }
-  Status ensured = EnsureSession(state, "");
-  if (!ensured.ok()) {
-    return ErrorResponse(ensured, kReasonTenantSessions, id_raw);
-  }
-  SessionOp op(state->session);
-  if (op.expired()) return SessionExpiredResponse(id_raw);
-  int64_t ms = GetIntOr(req, "ms", 10);
-  if (ms < 0) ms = 0;
-  if (ms > 10000) ms = 10000;
-  std::string trace_id;
-  if (const std::string* t = GetString(req, "trace_id")) trace_id = *t;
-  const std::string& tenant = state->session->tenant();
-  return RunPooled("debug_sleep", tenant, trace_id, id_raw,
-                   [&]() -> std::string {
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    return OkResponseHead(id_raw) + ",\"slept_ms\":" + std::to_string(ms) +
-           "}";
-  });
+  SessionOp in_flight;
+  GPML_RETURN_IF_ERROR(EnterSession(state, nullptr, &in_flight, reply));
+  const int64_t ms = std::clamp<int64_t>(GetIntOr(req, "ms", 10), 0, 10000);
+  return RunPooled(state->session->tenant(), StringOr(req, "trace_id"), reply,
+                   [&] {
+                     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+                     IntField(&reply->body, "slept_ms", ms);
+                     return Status::OK();
+                   });
 }
 
-Result<std::string> Server::SlowQueriesJson(const std::string& graph) {
+std::map<uint64_t, std::string> Server::GraphNamesByToken() {
+  std::map<uint64_t, std::string> names;
+  std::lock_guard<std::mutex> lock(catalog_mu_);
+  for (const std::string& name : catalog_.GraphNames()) {
+    Result<std::shared_ptr<const PropertyGraph>> g = catalog_.GetGraph(name);
+    if (g.ok()) names[(*g)->identity_token()] = name;
+  }
+  return names;
+}
+
+Status Server::AppendSlowQueries(const std::string& graph, std::string* out) {
   std::vector<obs::SlowQueryRecord> records;
   if (!graph.empty()) {
     std::lock_guard<std::mutex> lock(catalog_mu_);
@@ -1253,36 +1147,28 @@ Result<std::string> Server::SlowQueriesJson(const std::string& graph) {
     records = log->Snapshot();
   }
   // Graph names are friendlier than identity tokens; resolve what we can.
-  std::map<uint64_t, std::string> token_names;
-  {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    for (const std::string& name : catalog_.GraphNames()) {
-      Result<std::shared_ptr<const PropertyGraph>> g = catalog_.GetGraph(name);
-      if (g.ok()) token_names[(*g)->identity_token()] = name;
-    }
+  const std::map<uint64_t, std::string> names = GraphNamesByToken();
+  out->push_back('[');
+  for (const obs::SlowQueryRecord& record : records) {
+    if (out->back() != '[') out->push_back(',');
+    out->push_back('{');
+    IntField(out, "sequence", record.sequence);
+    IntField(out, "graph_token", record.graph_token);
+    StringField(out, "graph", NameOf(names, record.graph_token));
+    StringField(out, "fingerprint", record.fingerprint);
+    StringField(out, "tenant", record.tenant);
+    StringField(out, "trace_id", record.trace_id);
+    MsField(out, "total_ms", record.total_ms);
+    IntField(out, "rows", record.rows);
+    StringField(out, "explain", record.explain);
+    out->push_back('}');
   }
-  std::string out = "[";
-  for (size_t i = 0; i < records.size(); ++i) {
-    const obs::SlowQueryRecord& record = records[i];
-    if (i > 0) out += ",";
-    auto name_it = token_names.find(record.graph_token);
-    out += "{\"sequence\":" + std::to_string(record.sequence) +
-           ",\"graph_token\":" + std::to_string(record.graph_token) +
-           ",\"graph\":\"" +
-           JsonEscape(name_it != token_names.end() ? name_it->second : "") +
-           "\",\"fingerprint\":\"" + JsonEscape(record.fingerprint) +
-           "\",\"tenant\":\"" + JsonEscape(record.tenant) +
-           "\",\"trace_id\":\"" + JsonEscape(record.trace_id) +
-           "\",\"total_ms\":" + FormatMs(record.total_ms) +
-           ",\"rows\":" + std::to_string(record.rows) + ",\"explain\":\"" +
-           JsonEscape(record.explain) + "\"}";
-  }
-  out += "]";
-  return out;
+  out->push_back(']');
+  return Status::OK();
 }
 
-Result<std::string> Server::QueryStatsJson(const std::string& graph,
-                                           const std::string& tenant) {
+Status Server::AppendQueryStats(const std::string& graph,
+                                const std::string& tenant, std::string* out) {
   const obs::QueryStatsStore* store =
       options_.engine.query_stats != nullptr ? options_.engine.query_stats
                                              : &obs::GlobalQueryStats();
@@ -1308,73 +1194,54 @@ Result<std::string> Server::QueryStatsJson(const std::string& graph,
                       const obs::QueryStatEntry& b) {
                      return a.total_ms > b.total_ms;
                    });
-  std::map<uint64_t, std::string> token_names;
-  {
-    std::lock_guard<std::mutex> lock(catalog_mu_);
-    for (const std::string& name : catalog_.GraphNames()) {
-      Result<std::shared_ptr<const PropertyGraph>> g = catalog_.GetGraph(name);
-      if (g.ok()) token_names[(*g)->identity_token()] = name;
+  const std::map<uint64_t, std::string> names = GraphNamesByToken();
+  out->push_back('[');
+  for (const obs::QueryStatEntry& e : entries) {
+    if (out->back() != '[') out->push_back(',');
+    out->push_back('{');
+    StringField(out, "fingerprint", e.fingerprint);
+    IntField(out, "graph_token", e.graph_token);
+    StringField(out, "graph", NameOf(names, e.graph_token));
+    StringField(out, "tenant", e.tenant);
+    IntField(out, "calls", e.calls);
+    IntField(out, "errors", e.errors);
+    IntField(out, "truncations", e.truncations);
+    IntField(out, "rows", e.rows);
+    IntField(out, "seeds", e.seeds);
+    IntField(out, "steps", e.steps);
+    IntField(out, "cache_hits", e.cache_hits);
+    IntField(out, "cache_misses", e.cache_misses);
+    IntField(out, "batch_calls", e.batch_calls);
+    MsField(out, "total_ms", e.total_ms);
+    MsField(out, "mean_ms",
+            e.calls > 0 ? e.total_ms / static_cast<double>(e.calls) : 0);
+    MsField(out, "min_ms", e.min_ms);
+    MsField(out, "max_ms", e.max_ms);
+    MsField(out, "p50_ms",
+            QuantileMsFromBuckets(e.latency_buckets, e.calls, 0.50));
+    MsField(out, "p95_ms",
+            QuantileMsFromBuckets(e.latency_buckets, e.calls, 0.95));
+    IntField(out, "plan_hash", e.plans.empty() ? 0 : e.plans.back().plan_hash);
+    BoolField(out, "plan_changed", e.plan_changed);
+    IntField(out, "plan_changes", e.plan_changes);
+    Key(out, "plans");
+    out->push_back('[');
+    for (const obs::PlanRecord& plan : e.plans) {
+      if (out->back() != '[') out->push_back(',');
+      out->push_back('{');
+      IntField(out, "plan_hash", plan.plan_hash);
+      IntField(out, "calls", plan.calls);
+      MsField(out, "total_ms", plan.total_ms);
+      MsField(out, "min_ms", plan.min_ms);
+      MsField(out, "max_ms", plan.max_ms);
+      IntField(out, "first_seen_us", plan.first_seen_us);
+      IntField(out, "last_seen_us", plan.last_seen_us);
+      out->push_back('}');
     }
+    out->append("]}");
   }
-  std::string out = "[";
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const obs::QueryStatEntry& e = entries[i];
-    if (i > 0) out += ",";
-    auto name_it = token_names.find(e.graph_token);
-    uint64_t current_plan = e.plans.empty() ? 0 : e.plans.back().plan_hash;
-    double mean_ms =
-        e.calls > 0 ? e.total_ms / static_cast<double>(e.calls) : 0;
-    out += "{\"fingerprint\":\"" + JsonEscape(e.fingerprint) +
-           "\",\"graph_token\":" + std::to_string(e.graph_token) +
-           ",\"graph\":\"" +
-           JsonEscape(name_it != token_names.end() ? name_it->second : "") +
-           "\",\"tenant\":\"" + JsonEscape(e.tenant) +
-           "\",\"calls\":" + std::to_string(e.calls) +
-           ",\"errors\":" + std::to_string(e.errors) +
-           ",\"truncations\":" + std::to_string(e.truncations) +
-           ",\"rows\":" + std::to_string(e.rows) +
-           ",\"seeds\":" + std::to_string(e.seeds) +
-           ",\"steps\":" + std::to_string(e.steps) +
-           ",\"cache_hits\":" + std::to_string(e.cache_hits) +
-           ",\"cache_misses\":" + std::to_string(e.cache_misses) +
-           ",\"batch_calls\":" + std::to_string(e.batch_calls) +
-           ",\"total_ms\":" + FormatMs(e.total_ms) +
-           ",\"mean_ms\":" + FormatMs(mean_ms) +
-           ",\"min_ms\":" + FormatMs(e.min_ms) +
-           ",\"max_ms\":" + FormatMs(e.max_ms) + ",\"p50_ms\":" +
-           FormatMs(QuantileMsFromBuckets(e.latency_buckets, e.calls, 0.50)) +
-           ",\"p95_ms\":" +
-           FormatMs(QuantileMsFromBuckets(e.latency_buckets, e.calls, 0.95)) +
-           ",\"plan_hash\":" + std::to_string(current_plan) +
-           ",\"plan_changed\":" + (e.plan_changed ? "true" : "false") +
-           ",\"plan_changes\":" + std::to_string(e.plan_changes) +
-           ",\"plans\":[";
-    for (size_t p = 0; p < e.plans.size(); ++p) {
-      const obs::PlanRecord& plan = e.plans[p];
-      if (p > 0) out += ",";
-      out += "{\"plan_hash\":" + std::to_string(plan.plan_hash) +
-             ",\"calls\":" + std::to_string(plan.calls) +
-             ",\"total_ms\":" + FormatMs(plan.total_ms) +
-             ",\"min_ms\":" + FormatMs(plan.min_ms) +
-             ",\"max_ms\":" + FormatMs(plan.max_ms) +
-             ",\"first_seen_us\":" + std::to_string(plan.first_seen_us) +
-             ",\"last_seen_us\":" + std::to_string(plan.last_seen_us) + "}";
-    }
-    out += "]}";
-  }
-  out += "]";
-  return out;
-}
-
-EngineOptions Server::ExecutionOptions(const std::string& tenant,
-                                       EngineMetrics* metrics,
-                                       const std::string& trace_id) const {
-  EngineOptions opts = options_.engine;
-  opts.metrics = metrics;
-  opts.tenant = tenant;
-  opts.trace_id = trace_id;
-  opts.matcher = admission_.ApplyQuota(tenant, opts.matcher);
-  return opts;
+  out->push_back(']');
+  return Status::OK();
 }
 
 }  // namespace server

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -22,6 +23,26 @@
 
 namespace gpml {
 namespace server {
+
+/// The most elements (nodes plus edges) a generator graph may have. Sizes
+/// are checked against it before anything is built, so one load_graph
+/// request cannot make the server build n^2 edges for a huge n.
+inline constexpr int64_t kMaxGeneratedElements = 2'000'000;
+
+/// A generator graph kind (graph/generator.h; docs/server.md lists the
+/// kinds and their size fields). load_graph and gpml_server --load build
+/// graphs through this one table.
+struct GraphKind {
+  const char* name;
+  /// Builds the graph with the int sizes found in `sizes` (absent ones
+  /// take the kind's defaults). A size below its generator's minimum, or
+  /// sizes that come to more than kMaxGeneratedElements elements, are
+  /// InvalidArgument, and nothing is built.
+  Result<PropertyGraph> (*build)(const JsonValue& sizes);
+};
+
+/// The generator kind named `name`, or InvalidArgument listing the kinds.
+Result<const GraphKind*> FindGraphKind(const std::string& name);
 
 /// Server configuration. Engine options default to one worker thread per
 /// query — the server's parallelism comes from running many tenants'
@@ -94,14 +115,11 @@ class Server {
   /// every thread has joined.
   void Stop();
 
-  /// The port actually bound (== options().port unless that was 0).
+  /// The port actually bound (== ServerOptions::port unless that was 0).
   int port() const { return port_; }
-  const ServerOptions& options() const { return options_; }
 
   /// Per-tenant quota installation and inspection (tests, mains).
   AdmissionController& admission() { return admission_; }
-  /// Live session table (tests assert on reaping).
-  SessionRegistry& sessions() { return registry_; }
 
  private:
   struct Connection {
@@ -117,107 +135,113 @@ class Server {
     bool close_requested = false;
   };
 
+  /// One request being answered (server.cc): the success body handlers
+  /// append their fields to, and the reason that goes with a failure.
+  struct Reply;
+  using Handler = Status (Server::*)(ConnState*, const JsonValue&, Reply*);
+
   void AcceptLoop();
   void ReaperLoop();
   void HandleConnection(Connection* conn);
-  void HandleHttp(int fd, const std::string& request_line,
-                  std::string* buffered, size_t* buffer_pos);
+  /// Answers one HTTP GET (its headers already read) on `fd`.
+  void HandleHttp(int fd, const std::string& request_line);
 
-  /// Dispatches one NDJSON request line to its handler; returns the
-  /// response line (without trailing newline).
+  /// Answers one NDJSON request line (returned without its newline). The
+  /// one writer of the response envelope: a handler that succeeds has
+  /// appended its fields to OkResponseHead, and Dispatch closes the
+  /// object; a failed Status becomes ErrorResponse with the handler's
+  /// reason and counts in errors_total.
   std::string Dispatch(ConnState* state, const std::string& line);
+  /// Decodes `line` and runs its op's handler.
+  Status Handle(ConnState* state, const std::string& line, Reply* reply);
 
-  /// Ensures the connection has a session (creating one under `tenant`
-  /// admission); empty tenant means "default".
-  Status EnsureSession(ConnState* state, const std::string& tenant);
+  /// Opens the connection's session under `tenant` ("" = "default")
+  /// unless it has one; TENANT_SESSIONS when the tenant is at its quota.
+  Status OpenSession(ConnState* state, const std::string& tenant,
+                     Reply* reply);
+
+  /// The session prologue of a stateful op. An op named by `needs_hello`
+  /// is refused without the session hello opens; a null `needs_hello`
+  /// opens a "default" session when the connection has none. Then
+  /// `in_flight` marks the request, or SESSION_EXPIRED refuses it when
+  /// the reaper already expired the session.
+  Status EnterSession(ConnState* state, const char* needs_hello,
+                      SessionOp* in_flight, Reply* reply);
 
   /// Runs `fn` on the worker pool under a tenant query ticket, blocking
   /// until it finishes; maps saturation and quota refusals to structured
   /// errors. Builds the request-level trace (root "request" with
   /// admission/queue/session child spans, emitted to the engine trace
-  /// sink when one is configured) and injects a "timing" object —
-  /// admission_ms / queue_ms / exec_ms — into successful responses.
+  /// sink when one is configured) and, when `fn` succeeds, appends a
+  /// "timing" object — admission_ms / queue_ms / exec_ms — to the body.
   /// `trace_id` is the client-supplied correlation id ("" = none): echoed
   /// as a root-span attribute and threaded into the engine options so
   /// slow-query captures carry it.
-  std::string RunPooled(const char* op, const std::string& tenant,
-                        const std::string& trace_id, const std::string& id_raw,
-                        const std::function<std::string()>& fn);
+  Status RunPooled(const std::string& tenant, const std::string& trace_id,
+                   Reply* reply, const std::function<Status()>& fn);
 
-  /// What execute and open share: the session check, the statement
-  /// lookup, and the `params`, `limit` (rejected when negative) and
-  /// `trace_id` decode. Returns the error response for a malformed or
-  /// unresolvable request; otherwise runs `run` on the worker pool through
-  /// RunPooled and returns its response.
-  struct StatementCall;
-  std::string RunStatement(
-      const char* op, ConnState* state, const JsonValue& req,
-      const std::string& id_raw,
-      const std::function<std::string(const StatementCall&)>& run);
+  /// The row writer execute and fetch share: streams up to `max_rows` rows
+  /// of the handle's cursor straight into `out` as "rows" and
+  /// "row_count", then "done" when `paged`, "truncated" and "hit_limit".
+  /// The steps the cursor ran are charged even when it fails.
+  Status WriteRows(const ServerSession& session, CursorHandle* handle,
+                   size_t max_rows, bool paged, std::string* out);
 
-  // Op handlers (NDJSON). All return a full response line.
-  std::string OpHello(ConnState* state, const JsonValue& req,
-                      const std::string& id_raw);
-  std::string OpListGraphs(const std::string& id_raw);
-  std::string OpLoadGraph(const JsonValue& req, const std::string& id_raw);
-  std::string OpUseGraph(ConnState* state, const JsonValue& req,
-                         const std::string& id_raw);
-  std::string OpPrepare(ConnState* state, const JsonValue& req,
-                        const std::string& id_raw);
-  std::string OpExplain(ConnState* state, const JsonValue& req,
-                        const std::string& id_raw);
-  std::string OpExecute(ConnState* state, const JsonValue& req,
-                        const std::string& id_raw);
-  std::string OpOpen(ConnState* state, const JsonValue& req,
-                     const std::string& id_raw);
-  std::string OpFetch(ConnState* state, const JsonValue& req,
-                      const std::string& id_raw);
-  std::string OpCloseCursor(ConnState* state, const JsonValue& req,
-                            const std::string& id_raw);
-  std::string OpCloseStatement(ConnState* state, const JsonValue& req,
-                               const std::string& id_raw);
-  std::string OpMetrics(const std::string& id_raw);
-  std::string OpSlowQueries(const JsonValue& req, const std::string& id_raw);
-  std::string OpQueryStats(const JsonValue& req, const std::string& id_raw);
-  std::string OpStats(ConnState* state, const std::string& id_raw);
-  std::string OpDebugSleep(ConnState* state, const JsonValue& req,
-                           const std::string& id_raw);
+  /// Charges the matcher steps the handle's cursor ran since the last
+  /// charge against the tenant's admission budget, and mirrors them into
+  /// its gpml_tenant_steps_total{tenant=...} counter.
+  void ChargeSteps(const ServerSession& session, CursorHandle* handle);
 
-  /// Slow-query records as a JSON array ("" graph = all graphs).
-  Result<std::string> SlowQueriesJson(const std::string& graph);
+  // Op handlers (NDJSON): each appends its fields to reply->body, or
+  // returns the failure (and sets reply->reason when one applies).
+  Status OpHello(ConnState* state, const JsonValue& req, Reply* reply);
+  Status OpPing(ConnState* state, const JsonValue& req, Reply* reply);
+  Status OpBye(ConnState* state, const JsonValue& req, Reply* reply);
+  Status OpListGraphs(ConnState* state, const JsonValue& req, Reply* reply);
+  Status OpLoadGraph(ConnState* state, const JsonValue& req, Reply* reply);
+  Status OpUseGraph(ConnState* state, const JsonValue& req, Reply* reply);
+  /// prepare and explain: the query text compiled against the graph the
+  /// session selected with use_graph.
+  Status OpPrepare(ConnState* state, const JsonValue& req, Reply* reply);
+  /// execute and open: the statement lookup and the `params`, `limit`
+  /// (rejected when negative) and `trace_id` decode they share, then the
+  /// cursor opened on the worker pool and drained or kept.
+  Status OpStatement(ConnState* state, const JsonValue& req, Reply* reply);
+  Status OpFetch(ConnState* state, const JsonValue& req, Reply* reply);
+  /// close_cursor and close_stmt.
+  Status OpClose(ConnState* state, const JsonValue& req, Reply* reply);
+  Status OpMetrics(ConnState* state, const JsonValue& req, Reply* reply);
+  /// slow_queries and query_stats.
+  Status OpObservations(ConnState* state, const JsonValue& req,
+                        Reply* reply);
+  Status OpStats(ConnState* state, const JsonValue& req, Reply* reply);
+  Status OpDebugSleep(ConnState* state, const JsonValue& req, Reply* reply);
 
-  /// Query-stats entries as a JSON array sorted by total time, descending
-  /// ("" graph / "" tenant = no filter). Reads the store the executions
-  /// record into (ServerOptions::engine.query_stats, or the process-wide
-  /// store when that is null).
-  Result<std::string> QueryStatsJson(const std::string& graph,
-                                     const std::string& tenant);
+  /// Appends the slow-query records as a JSON array ("" graph = all
+  /// graphs).
+  Status AppendSlowQueries(const std::string& graph, std::string* out);
 
-  /// Engine options for one execution of `tenant`: base options with the
-  /// tenant's quota mapped onto the matcher budget, `metrics` attached,
-  /// and the tenant / client trace_id stamped for slow-query captures and
-  /// query-stats attribution.
-  EngineOptions ExecutionOptions(const std::string& tenant,
-                                 EngineMetrics* metrics,
-                                 const std::string& trace_id) const;
+  /// Appends the query-stats entries as a JSON array sorted by total
+  /// time, descending ("" graph / "" tenant = no filter). Reads the store
+  /// the executions record into (ServerOptions::engine.query_stats, or
+  /// the process-wide store when that is null).
+  Status AppendQueryStats(const std::string& graph, const std::string& tenant,
+                          std::string* out);
 
-  // Per-tenant metric families, registered in the server registry with
-  // the tenant (and refusal reason) spliced into the series name as
-  // Prometheus labels — AggregateAllRegistries exports them via /metrics.
-  obs::Counter* TenantStepsCounter(const std::string& tenant);
+  /// Served graph names by identity token, for the stats bodies.
+  std::map<uint64_t, std::string> GraphNamesByToken();
+
+  /// gpml_tenant_refusals_total{tenant=...,reason=...} in the server
+  /// registry, which /metrics exports (AggregateAllRegistries) along with
+  /// the tenant's steps counter and sessions gauge.
   obs::Counter* TenantRefusalsCounter(const std::string& tenant,
                                       const char* reason);
-  obs::Gauge* TenantSessionsGauge(const std::string& tenant);
-
-  /// Charges `steps` against the session tenant's admission budget and
-  /// mirrors them into its gpml_tenant_steps_total{tenant=...} counter.
-  void ChargeTenantSteps(const ServerSession& session, uint64_t steps);
 
   /// Releases the session's admission slot exactly once (the
   /// admission_released latch) and decrements the tenant's active-sessions
   /// gauge with it. Both teardown paths — connection close and the idle
-  /// reaper — funnel through here. Returns whether this call released.
-  bool ReleaseSessionSlot(const std::shared_ptr<ServerSession>& session);
+  /// reaper — funnel through here.
+  void ReleaseSessionSlot(const std::shared_ptr<ServerSession>& session);
 
   ServerOptions options_;
   int listen_fd_ = -1;

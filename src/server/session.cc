@@ -6,24 +6,36 @@ namespace gpml {
 namespace server {
 
 std::shared_ptr<ServerSession> SessionRegistry::Create(
-    const std::string& tenant, obs::Counter* steps_counter) {
+    const std::string& tenant, obs::Counter* steps_counter,
+    obs::Gauge* sessions_gauge) {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t id = next_id_++;
-  auto session = std::make_shared<ServerSession>(id, tenant, steps_counter);
+  auto session = std::make_shared<ServerSession>(id, tenant, steps_counter,
+                                                 sessions_gauge);
   session->last_active_us = obs::MonotonicMicros();
   sessions_[id] = session;
   return session;
 }
 
+bool SessionOp::Enter(std::shared_ptr<ServerSession> session) {
+  std::lock_guard<std::mutex> lock(session->mu);
+  if (session->expired) return false;
+  ++session->in_flight;
+  session->last_active_us = obs::MonotonicMicros();
+  session_ = std::move(session);
+  return true;
+}
+
+SessionOp::~SessionOp() {
+  if (session_ == nullptr) return;
+  std::lock_guard<std::mutex> lock(session_->mu);
+  --session_->in_flight;
+  session_->last_active_us = obs::MonotonicMicros();
+}
+
 void SessionRegistry::Remove(uint64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
   sessions_.erase(id);
-}
-
-std::shared_ptr<ServerSession> SessionRegistry::Find(uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : it->second;
 }
 
 size_t SessionRegistry::size() const {

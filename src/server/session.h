@@ -21,7 +21,6 @@ namespace server {
 struct PreparedHandle {
   PreparedQuery query;
   std::shared_ptr<const PropertyGraph> graph;
-  std::string text;  // The prepared MATCH text (diagnostics, slow log).
 };
 
 /// A server-side open cursor: the streaming Cursor plus the metrics
@@ -43,20 +42,26 @@ struct CursorHandle {
 /// sessions with no request in flight.
 class ServerSession {
  public:
-  ServerSession(uint64_t id, std::string tenant, obs::Counter* steps_counter)
-      : id_(id), tenant_(std::move(tenant)), steps_counter_(steps_counter) {}
+  ServerSession(uint64_t id, std::string tenant, obs::Counter* steps_counter,
+                obs::Gauge* sessions_gauge)
+      : id_(id),
+        tenant_(std::move(tenant)),
+        steps_counter_(steps_counter),
+        sessions_gauge_(sessions_gauge) {}
 
   uint64_t id() const { return id_; }
   const std::string& tenant() const { return tenant_; }
-  /// gpml_tenant_steps_total{tenant=...} of this session's tenant, resolved
-  /// once when the session is created (a session's tenant never changes).
+  /// gpml_tenant_steps_total{tenant=...} and
+  /// gpml_tenant_active_sessions{tenant=...} of this session's tenant,
+  /// resolved once when the session is created (a session's tenant never
+  /// changes).
   obs::Counter* steps_counter() const { return steps_counter_; }
+  obs::Gauge* sessions_gauge() const { return sessions_gauge_; }
 
   /// Guards every mutable field below.
   std::mutex mu;
 
   std::shared_ptr<const PropertyGraph> graph;  // Selected via use_graph.
-  std::string graph_name;
   std::map<int64_t, PreparedHandle> statements;
   std::map<int64_t, CursorHandle> cursors;
   int64_t next_handle = 1;
@@ -78,6 +83,24 @@ class ServerSession {
   const uint64_t id_;
   const std::string tenant_;
   obs::Counter* const steps_counter_;
+  obs::Gauge* const sessions_gauge_;
+};
+
+/// Marks one request in flight against a session: Enter bumps in_flight
+/// (which fences out the reaper) and stamps the idle clock; the destructor
+/// drops the mark and stamps the clock again. Enter marks nothing and
+/// returns false when the reaper already expired the session.
+class SessionOp {
+ public:
+  SessionOp() = default;
+  ~SessionOp();
+  SessionOp(const SessionOp&) = delete;
+  SessionOp& operator=(const SessionOp&) = delete;
+
+  bool Enter(std::shared_ptr<ServerSession> session);
+
+ private:
+  std::shared_ptr<ServerSession> session_;  // Set while a request is marked.
 };
 
 /// The server's session table. Sessions are created at connection setup,
@@ -86,12 +109,12 @@ class ServerSession {
 /// request gets a structured SESSION_EXPIRED error, not a disconnect).
 class SessionRegistry {
  public:
-  /// Registers a session of `tenant`; `steps_counter` is its tenant's
-  /// step counter, resolved once by the caller.
+  /// Registers a session of `tenant`; `steps_counter` and `sessions_gauge`
+  /// are its tenant's metric handles, resolved once by the caller.
   std::shared_ptr<ServerSession> Create(const std::string& tenant,
-                                        obs::Counter* steps_counter);
+                                        obs::Counter* steps_counter,
+                                        obs::Gauge* sessions_gauge);
   void Remove(uint64_t id);
-  std::shared_ptr<ServerSession> Find(uint64_t id) const;
   size_t size() const;
 
   /// Expires sessions idle for longer than `idle_us`: drops their

@@ -18,24 +18,12 @@ WorkerPool::WorkerPool(size_t num_threads, size_t max_queue)
 
 WorkerPool::~WorkerPool() { Shutdown(); }
 
-bool WorkerPool::Submit(std::function<void()> task) {
-  return SubmitTimed(
-      [task = std::move(task)](double /*queue_ms*/) { task(); });
-}
-
-bool WorkerPool::SubmitTimed(std::function<void(double queue_ms)> task) {
-  QueuedTask queued;
-  queued.fn = std::move(task);
-  queued.enqueued_us = obs::MonotonicMicros();
-  return Enqueue(std::move(queued));
-}
-
-bool WorkerPool::Enqueue(QueuedTask task) {
+bool WorkerPool::Submit(std::function<void(double queue_ms)> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return false;
     if (queue_.size() >= max_queue_) return false;
-    queue_.push_back(std::move(task));
+    queue_.push_back(QueuedTask{std::move(task), obs::MonotonicMicros()});
   }
   cv_.notify_one();
   return true;
@@ -82,11 +70,8 @@ void WorkerPool::WorkerLoop() {
     const double queue_ms =
         static_cast<double>(obs::MonotonicMicros() - task.enqueued_us) / 1e3;
     task.fn(queue_ms);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-    }
-    idle_cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mu_);
+    --active_;
   }
 }
 

@@ -32,14 +32,10 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   /// Enqueues `task`. False (task not accepted) when the queue is full or
-  /// the pool is shutting down.
-  bool Submit(std::function<void()> task);
-
-  /// Like Submit, but stamps the enqueue time and hands the task its own
-  /// queue wait (milliseconds between submission and worker pickup) — the
-  /// server's `queue` span. Without this, execution spans start at worker
-  /// pickup and queue wait is invisible in traces and slow-query entries.
-  bool SubmitTimed(std::function<void(double queue_ms)> task);
+  /// the pool is shutting down. The task is handed its own queue wait
+  /// (milliseconds between submission and worker pickup) — the server's
+  /// `queue` span, so queue wait shows in traces and timing objects.
+  bool Submit(std::function<void(double queue_ms)> task);
 
   /// Rejects new submissions, runs everything already accepted, joins the
   /// workers. Idempotent.
@@ -49,8 +45,6 @@ class WorkerPool {
   size_t queue_depth() const;
   /// Tasks currently executing.
   size_t active() const;
-  size_t num_threads() const { return threads_.size(); }
-  size_t max_queue() const { return max_queue_; }
 
  private:
   /// A queued task plus its enqueue timestamp (monotonic microseconds);
@@ -61,12 +55,10 @@ class WorkerPool {
   };
 
   void WorkerLoop();
-  bool Enqueue(QueuedTask task);
 
   const size_t max_queue_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;        // Signals workers: work or stop.
-  std::condition_variable idle_cv_;   // Signals Shutdown: all drained.
+  std::condition_variable cv_;  // Signals workers: work or stop.
   std::deque<QueuedTask> queue_;
   size_t active_ = 0;
   bool stopping_ = false;

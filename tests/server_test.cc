@@ -14,6 +14,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -88,10 +89,8 @@ std::vector<std::string> OracleRows(const PropertyGraph& g,
   return rows;
 }
 
-/// Blocking HTTP/1.1 GET against the server's port; returns the whole
-/// response (status line, headers, body). The server closes after one
-/// response, so read-until-EOF frames it.
-std::string HttpGet(int port, const std::string& target) {
+/// A blocking TCP connection to the server's loopback port.
+int ConnectLoopback(int port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -100,6 +99,14 @@ std::string HttpGet(int port, const std::string& target) {
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
+  return fd;
+}
+
+/// Blocking HTTP/1.1 GET against the server's port; returns the whole
+/// response (status line, headers, body). The server closes after one
+/// response, so read-until-EOF frames it.
+std::string HttpGet(int port, const std::string& target) {
+  int fd = ConnectLoopback(port);
   std::string request =
       "GET " + target + " HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n";
   EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
@@ -494,7 +501,9 @@ TEST(ServerTest, IdleReapExpiresOpenCursorAndHelloRecovers) {
 TEST(SessionRegistryTest, ClockAheadOfNowIsNotIdle) {
   SessionRegistry registry;
   obs::Counter steps;
-  std::shared_ptr<ServerSession> session = registry.Create("busy", &steps);
+  obs::Gauge sessions;
+  std::shared_ptr<ServerSession> session =
+      registry.Create("busy", &steps, &sessions);
   const uint64_t now_us = 1'000'000'000;
   const uint64_t idle_us = 1'000;
   {
@@ -905,6 +914,373 @@ TEST(ServerTest, PerTenantMetricFamiliesAreExported) {
                               .size()],
             '0')
       << *text;
+}
+
+// --- wire bytes ------------------------------------------------------------
+
+/// A raw NDJSON connection: request lines out, response lines back, byte
+/// for byte (Client says hello on connect and parses every response).
+class RawConnection {
+ public:
+  explicit RawConnection(int port) : fd_(ConnectLoopback(port)) {}
+  ~RawConnection() { ::close(fd_); }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  /// Sends `line` plus a newline and returns the response line.
+  std::string Call(const std::string& line) {
+    std::string out = line + "\n";
+    EXPECT_EQ(::send(fd_, out.data(), out.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(out.size()));
+    return ReadLine();
+  }
+
+  int fd() const { return fd_; }
+
+  /// The next response line without its newline, or "" at end of stream.
+  std::string ReadLine() {
+    for (;;) {
+      size_t nl = buf_.find('\n');
+      if (nl != std::string::npos) {
+        std::string line = buf_.substr(0, nl);
+        buf_.erase(0, nl + 1);
+        return line;
+      }
+      char chunk[4096];
+      ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) return "";
+      buf_.append(chunk, static_cast<size_t>(n));
+    }
+  }
+
+ private:
+  int fd_;
+  std::string buf_;
+};
+
+void ReplaceAll(std::string* s, const std::string& from,
+                const std::string& to) {
+  for (size_t at = s->find(from); at != std::string::npos;
+       at = s->find(from, at + to.size())) {
+    s->replace(at, from.size(), to);
+  }
+}
+
+/// `text` with the values that differ between runs masked: every pooled
+/// op's timing object is dropped, and the metrics text, the query-stats
+/// clock stamps and an HTTP Content-Length become fixed placeholders.
+std::string MaskVolatile(std::string text) {
+  for (size_t at = text.find(",\"timing\":{"); at != std::string::npos;
+       at = text.find(",\"timing\":{", at)) {
+    text.erase(at, text.find('}', at) - at + 1);
+  }
+  for (const std::string key :
+       {"\"first_seen_us\":", "\"last_seen_us\":", "Content-Length: "}) {
+    for (size_t at = text.find(key); at != std::string::npos;
+         at = text.find(key, at + 1)) {
+      size_t begin = at + key.size();
+      size_t end = text.find_first_not_of("0123456789", begin);
+      text.replace(begin, end - begin, "N");
+    }
+  }
+  const std::string text_key = "\"text\":\"";
+  if (size_t at = text.find(text_key); at != std::string::npos) {
+    size_t begin = at + text_key.size();
+    size_t end = begin;
+    while (text[end] != '"') end += text[end] == '\\' ? 2 : 1;
+    text.replace(begin, end - begin, "...");
+  }
+  return text;
+}
+
+struct Pin {
+  std::string request;
+  std::string response;  // Masked by MaskVolatile.
+};
+
+/// Sends each pinned request over `conn` and compares the masked response
+/// line with the pinned bytes, `graph_token` (when set) spelled TOKEN.
+void ExpectPinned(RawConnection* conn, const std::vector<Pin>& pins,
+                  uint64_t graph_token = 0) {
+  for (const Pin& pin : pins) {
+    std::string got = MaskVolatile(conn->Call(pin.request));
+    if (graph_token != 0) {
+      ReplaceAll(&got, "\"graph_token\":" + std::to_string(graph_token),
+                 "\"graph_token\":TOKEN");
+    }
+    EXPECT_EQ(got, pin.response) << pin.request;
+  }
+}
+
+constexpr char kPinOwner[] =
+    R"pin(MATCH (x:Account WHERE x.owner = $owner)-[t:Transfer]->(y:Account))pin";
+constexpr char kPinAll[] = R"pin(MATCH (x:Account)-[t:Transfer]->(y:Account))pin";
+
+// The exact response bytes of every op's success shape and of each error
+// shape, on one connection that starts without a session; only the timing
+// object and the metrics text are masked.
+TEST(ServerTest, ResponseBytesArePinned) {
+  ServerOptions options;
+  options.enable_debug_ops = true;
+  obs::SlowQueryLog log;  // Hermetic: nothing bleeds in from other tests.
+  obs::QueryStatsStore store;
+  options.engine.slow_log = &log;
+  options.engine.query_stats = &store;
+  TestServer srv(options);
+  RawConnection conn(srv.port());
+  const std::string prepare_owner =
+      std::string(R"pin({"op":"prepare","id":20,"query":")pin") + kPinOwner +
+      R"pin("})pin";
+  const std::string prepare_all =
+      std::string(R"pin({"op":"prepare","id":21,"query":")pin") + kPinAll + R"pin("})pin";
+  const std::string explain =
+      std::string(R"pin({"op":"explain","id":23,"query":")pin") + kPinAll + R"pin("})pin";
+  ExpectPinned(&conn, {
+      {R"pin({not json)pin", R"pin({"ok":false,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"request is not valid JSON: JSON parse error at offset 1: expected object key string","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"id":1})pin", R"pin({"ok":false,"id":1,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"request needs a string \"op\" field","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"warp_drive","id":2})pin", R"pin({"ok":false,"id":2,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"unknown op 'warp_drive'","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"execute","id":3,"stmt":1})pin", R"pin({"ok":false,"id":3,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"execute needs a session; send hello first","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"open","id":4,"stmt":1})pin", R"pin({"ok":false,"id":4,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"open needs a session; send hello first","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"fetch","id":5,"cursor":1})pin", R"pin({"ok":false,"id":5,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"fetch needs a session; send hello first","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"close_cursor","id":6,"cursor":1})pin", R"pin({"ok":false,"id":6,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"close_cursor needs a session; send hello first","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"close_stmt","id":7,"stmt":1})pin", R"pin({"ok":false,"id":7,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"close_stmt needs a session; send hello first","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"ping","id":"p"})pin", R"pin({"ok":true,"id":"p"})pin"},
+      {R"pin({"op":"list_graphs","id":{"k":[8,"x"]}})pin", R"pin({"ok":true,"id":{"k":[8,"x"]},"graphs":["fraud"]})pin"},
+      {R"pin({"op":"load_graph","id":9,"kind":"chain"})pin", R"pin({"ok":false,"id":9,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"load_graph needs a string \"name\"","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"load_graph","id":10,"name":"c4","kind":"teapot"})pin", R"pin({"ok":false,"id":10,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"unknown graph kind 'teapot' (expected paper|chain|cycle|complete|diamond|grid|fraud|random)"}})pin"},
+      {R"pin({"op":"load_graph","id":11,"name":"c4","kind":"chain","n":4})pin",
+       R"pin({"ok":true,"id":11,"graph":"c4","created":true})pin"},
+      {R"pin({"op":"load_graph","id":12,"name":"c4","kind":"chain","n":4})pin",
+       R"pin({"ok":true,"id":12,"graph":"c4","created":false})pin"},
+      {R"pin({"op":"hello","id":13,"tenant":"pin"})pin", R"pin({"ok":true,"id":13,"protocol":1,"server":"gpml","session":1,"tenant":"pin"})pin"},
+      {R"pin({"op":"prepare","id":14,"query":"MATCH (x)"})pin", R"pin({"ok":false,"id":14,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"no graph selected; send use_graph first","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"use_graph","id":15})pin", R"pin({"ok":false,"id":15,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"use_graph needs a string \"graph\"","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"use_graph","id":16,"graph":"nope"})pin", R"pin({"ok":false,"id":16,"error":{"code":104,"name":"NOT_FOUND","message":"no graph named nope"}})pin"},
+      {R"pin({"op":"use_graph","id":17,"graph":"c4"})pin", R"pin({"ok":true,"id":17,"graph":"c4"})pin"},
+      {R"pin({"op":"prepare","id":18})pin", R"pin({"ok":false,"id":18,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"prepare needs a string \"query\"","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"prepare","id":19,"query":"MATCH ((("})pin", R"pin({"ok":false,"id":19,"error":{"code":101,"name":"SYNTAX_ERROR","message":"expected ) in node pattern (offset=9, at '<end>')\n  MATCH (((\n           ^"}})pin"},
+      {prepare_owner, R"pin({"ok":true,"id":20,"stmt":1,"params":["owner"],"from_cache":false,"always_empty":false})pin"},
+      {prepare_all, R"pin({"ok":true,"id":21,"stmt":2,"params":[],"from_cache":false,"always_empty":false})pin"},
+      {R"pin({"op":"explain","id":22})pin", R"pin({"ok":false,"id":22,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"explain needs a string \"query\"","reason":"BAD_REQUEST"}})pin"},
+      {explain, R"pin({"ok":true,"id":23,"plan":"plan: 1 declaration(s)\nexec: threads=1 cached=true\nstep 1: decl=0 dir=forward anchor=left var=x seeds~4 source=label:Account fanout~0.75 sel~1 join=[] selector=none\n"})pin"},
+      {R"pin({"op":"execute","id":24,"stmt":1,"params":{"owner":"u1"}})pin", R"pin({"ok":true,"id":24,"rows":[{"t":{"kind":"edge","name":"t1","directed":true,"endpoints":["v1","v2"],"labels":["Transfer"],"properties":{"amount":4000000,"date":"1/1/2020"}},"x":{"kind":"node","name":"v1","labels":["Account"],"properties":{"isBlocked":"no","owner":"u1"}},"y":{"kind":"node","name":"v2","labels":["Account"],"properties":{"isBlocked":"no","owner":"u2"}}}],"row_count":1,"truncated":false,"hit_limit":false})pin"},
+      {R"pin({"op":"execute","id":25,"stmt":2,"limit":2})pin", R"pin({"ok":true,"id":25,"rows":[{"t":{"kind":"edge","name":"t0","directed":true,"endpoints":["v0","v1"],"labels":["Transfer"],"properties":{"amount":10000000,"date":"1/1/2020"}},"x":{"kind":"node","name":"v0","labels":["Account"],"properties":{"isBlocked":"no","owner":"u0"}},"y":{"kind":"node","name":"v1","labels":["Account"],"properties":{"isBlocked":"no","owner":"u1"}}},{"t":{"kind":"edge","name":"t1","directed":true,"endpoints":["v1","v2"],"labels":["Transfer"],"properties":{"amount":4000000,"date":"1/1/2020"}},"x":{"kind":"node","name":"v1","labels":["Account"],"properties":{"isBlocked":"no","owner":"u1"}},"y":{"kind":"node","name":"v2","labels":["Account"],"properties":{"isBlocked":"no","owner":"u2"}}}],"row_count":2,"truncated":false,"hit_limit":true})pin"},
+      {R"pin({"op":"execute","id":26})pin", R"pin({"ok":false,"id":26,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"execute needs an integer \"stmt\" handle","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"execute","id":27,"stmt":99})pin", R"pin({"ok":false,"id":27,"error":{"code":104,"name":"NOT_FOUND","message":"unknown statement handle 99"}})pin"},
+      {R"pin({"op":"execute","id":28,"stmt":1,"limit":-1})pin", R"pin({"ok":false,"id":28,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"\"limit\" must be non-negative","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"execute","id":29,"stmt":1,"params":{"owner":[1]}})pin", R"pin({"ok":false,"id":29,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"parameter values must be scalars (null/bool/number/string)","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"execute","id":30,"stmt":1})pin", R"pin({"ok":false,"id":30,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"missing parameter $owner"}})pin"},
+      {R"pin({"op":"open","id":31,"stmt":2,"limit":-1})pin", R"pin({"ok":false,"id":31,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"\"limit\" must be non-negative","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"open","id":32,"stmt":99})pin", R"pin({"ok":false,"id":32,"error":{"code":104,"name":"NOT_FOUND","message":"unknown statement handle 99"}})pin"},
+      {R"pin({"op":"open","id":33,"stmt":2,"limit":2})pin", R"pin({"ok":true,"id":33,"cursor":3})pin"},
+      {R"pin({"op":"fetch","id":34,"cursor":3,"max_rows":1})pin", R"pin({"ok":true,"id":34,"rows":[{"t":{"kind":"edge","name":"t0","directed":true,"endpoints":["v0","v1"],"labels":["Transfer"],"properties":{"amount":10000000,"date":"1/1/2020"}},"x":{"kind":"node","name":"v0","labels":["Account"],"properties":{"isBlocked":"no","owner":"u0"}},"y":{"kind":"node","name":"v1","labels":["Account"],"properties":{"isBlocked":"no","owner":"u1"}}}],"row_count":1,"done":false,"truncated":false,"hit_limit":false})pin"},
+      {R"pin({"op":"fetch","id":35,"cursor":3,"trace_id":"t-1"})pin", R"pin({"ok":true,"id":35,"rows":[{"t":{"kind":"edge","name":"t1","directed":true,"endpoints":["v1","v2"],"labels":["Transfer"],"properties":{"amount":4000000,"date":"1/1/2020"}},"x":{"kind":"node","name":"v1","labels":["Account"],"properties":{"isBlocked":"no","owner":"u1"}},"y":{"kind":"node","name":"v2","labels":["Account"],"properties":{"isBlocked":"no","owner":"u2"}}}],"row_count":1,"done":true,"truncated":false,"hit_limit":true})pin"},
+      {R"pin({"op":"fetch","id":36,"cursor":3})pin", R"pin({"ok":true,"id":36,"rows":[],"row_count":0,"done":true,"truncated":false,"hit_limit":true})pin"},
+      {R"pin({"op":"fetch","id":37})pin", R"pin({"ok":false,"id":37,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"fetch needs an integer \"cursor\" handle","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"fetch","id":38,"cursor":99})pin", R"pin({"ok":false,"id":38,"error":{"code":104,"name":"NOT_FOUND","message":"unknown cursor handle 99"}})pin"},
+      {R"pin({"op":"close_cursor","id":39,"cursor":3})pin", R"pin({"ok":true,"id":39,"closed":true})pin"},
+      {R"pin({"op":"close_cursor","id":40,"cursor":3})pin", R"pin({"ok":false,"id":40,"error":{"code":104,"name":"NOT_FOUND","message":"unknown cursor handle 3"}})pin"},
+      {R"pin({"op":"close_cursor","id":41})pin", R"pin({"ok":false,"id":41,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"close_cursor needs an integer \"cursor\"","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"close_stmt","id":42,"stmt":2})pin", R"pin({"ok":true,"id":42,"closed":true})pin"},
+      {R"pin({"op":"close_stmt","id":43,"stmt":2})pin", R"pin({"ok":false,"id":43,"error":{"code":104,"name":"NOT_FOUND","message":"unknown statement handle 2"}})pin"},
+      {R"pin({"op":"close_stmt","id":44})pin", R"pin({"ok":false,"id":44,"error":{"code":100,"name":"INVALID_ARGUMENT","message":"close_stmt needs an integer \"stmt\"","reason":"BAD_REQUEST"}})pin"},
+      {R"pin({"op":"stats","id":45})pin", R"pin({"ok":true,"id":45,"sessions":1,"queue_depth":0,"active":0,"tenant":{"name":"pin","sessions":1,"in_flight":0,"total_steps":23}})pin"},
+      {R"pin({"op":"metrics","id":46})pin", R"pin({"ok":true,"id":46,"text":"..."})pin"},
+      {R"pin({"op":"slow_queries","id":47,"graph":"nope"})pin", R"pin({"ok":false,"id":47,"error":{"code":104,"name":"NOT_FOUND","message":"no graph named nope"}})pin"},
+      {R"pin({"op":"query_stats","id":48,"graph":"nope"})pin", R"pin({"ok":false,"id":48,"error":{"code":104,"name":"NOT_FOUND","message":"no graph named nope"}})pin"},
+      {R"pin({"op":"debug_sleep","id":49,"ms":1})pin", R"pin({"ok":true,"id":49,"slept_ms":1})pin"},
+      {R"pin({"op":"bye","id":50})pin", R"pin({"ok":true,"id":50})pin"},
+  });
+}
+
+// SESSION_EXPIRED for an op that needs hello's session and for one that
+// opens a session itself; ping still answers, and hello starts over.
+TEST(ServerTest, ExpiredSessionResponseBytesArePinned) {
+  TestServer srv(FastReapOptions());
+  RawConnection conn(srv.port());
+  ExpectPinned(&conn, {{R"pin({"op":"hello","id":1,"tenant":"sleepy"})pin", R"pin({"ok":true,"id":1,"protocol":1,"server":"gpml","session":1,"tenant":"sleepy"})pin"}});
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  ExpectPinned(&conn, {
+      {R"pin({"op":"ping","id":2})pin", R"pin({"ok":true,"id":2})pin"},
+      {R"pin({"op":"execute","id":3,"stmt":1})pin", R"pin({"ok":false,"id":3,"error":{"code":104,"name":"NOT_FOUND","message":"session expired after idle timeout; send hello to start a new one","reason":"SESSION_EXPIRED"}})pin"},
+      {R"pin({"op":"use_graph","id":4,"graph":"fraud"})pin", R"pin({"ok":false,"id":4,"error":{"code":104,"name":"NOT_FOUND","message":"session expired after idle timeout; send hello to start a new one","reason":"SESSION_EXPIRED"}})pin"},
+      {R"pin({"op":"close_stmt","id":5,"stmt":1})pin", R"pin({"ok":false,"id":5,"error":{"code":104,"name":"NOT_FOUND","message":"session expired after idle timeout; send hello to start a new one","reason":"SESSION_EXPIRED"}})pin"},
+      {R"pin({"op":"hello","id":6,"tenant":"sleepy"})pin", R"pin({"ok":true,"id":6,"protocol":1,"server":"gpml","session":2,"tenant":"sleepy"})pin"},
+  });
+}
+
+// The stats body, and the slow-query and query-stats bodies over stores
+// fed fixed records, through the NDJSON ops and the HTTP routes alike.
+TEST(ServerTest, ObservabilityBodiesArePinned) {
+  obs::SlowQueryLog log;
+  obs::QueryStatsStore store;
+  ServerOptions options;
+  options.engine.slow_log = &log;
+  options.engine.query_stats = &store;
+  PropertyGraph graph = TestGraph();
+  const uint64_t token = graph.identity_token();
+  Server server(options);
+  ASSERT_TRUE(server.AddGraph("fraud", std::move(graph)).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  obs::SlowQueryRecord slow;
+  slow.graph_token = token;
+  slow.fingerprint = kPinOwner;
+  slow.total_ms = 12.3456;
+  slow.rows = 3;
+  slow.explain = "Match\n  \"x\" \xC3\xA9 \x01";
+  slow.tenant = "acme";
+  slow.trace_id = "req-1";
+  log.Add(slow);
+  slow.graph_token = 0;  // A graph the server does not serve.
+  slow.fingerprint = "MATCH (x)";
+  slow.total_ms = 0.5;
+  slow.rows = 0;
+  slow.explain.clear();
+  slow.tenant = "bob";
+  slow.trace_id.clear();
+  log.Add(slow);
+
+  obs::QueryObservation seen;
+  seen.fingerprint = kPinOwner;
+  seen.graph_token = token;
+  seen.tenant = "acme";
+  seen.plan_hash = 11;
+  seen.total_ms = 1.5;
+  seen.rows = 2;
+  seen.seeds = 1;
+  seen.steps = 40;
+  seen.cache_hit = false;
+  store.Record(seen);
+  seen.plan_hash = 22;
+  seen.total_ms = 4.0;
+  seen.cache_hit = true;
+  seen.batch_engaged = true;
+  store.Record(seen);
+  seen.fingerprint = kPinAll;
+  seen.graph_token = 0;
+  seen.tenant = "bob";
+  seen.plan_hash = 33;
+  seen.total_ms = 0.25;
+  seen.error = true;
+  seen.truncated = true;
+  store.Record(seen);
+
+  RawConnection conn(server.port());
+  ExpectPinned(&conn, {
+      {R"pin({"op":"stats","id":1})pin", R"pin({"ok":true,"id":1,"sessions":0,"queue_depth":0,"active":0,"tenant":{"name":"default","sessions":0,"in_flight":0,"total_steps":0}})pin"},
+      {R"pin({"op":"slow_queries","id":2})pin", R"pin({"ok":true,"id":2,"records":[{"sequence":0,"graph_token":TOKEN,"graph":"fraud","fingerprint":"MATCH (x:Account WHERE x.owner = $owner)-[t:Transfer]->(y:Account)","tenant":"acme","trace_id":"req-1","total_ms":12.346,"rows":3,"explain":"Match\n  \"x\" é \u0001"},{"sequence":1,"graph_token":0,"graph":"","fingerprint":"MATCH (x)","tenant":"bob","trace_id":"","total_ms":0.500,"rows":0,"explain":""}]})pin"},
+      {R"pin({"op":"slow_queries","id":3,"graph":"fraud"})pin", R"pin({"ok":true,"id":3,"records":[{"sequence":0,"graph_token":TOKEN,"graph":"fraud","fingerprint":"MATCH (x:Account WHERE x.owner = $owner)-[t:Transfer]->(y:Account)","tenant":"acme","trace_id":"req-1","total_ms":12.346,"rows":3,"explain":"Match\n  \"x\" é \u0001"}]})pin"},
+      {R"pin({"op":"query_stats","id":4})pin", R"pin({"ok":true,"id":4,"entries":[{"fingerprint":"MATCH (x:Account WHERE x.owner = $owner)-[t:Transfer]->(y:Account)","graph_token":TOKEN,"graph":"fraud","tenant":"acme","calls":2,"errors":0,"truncations":0,"rows":4,"seeds":2,"steps":80,"cache_hits":1,"cache_misses":1,"batch_calls":1,"total_ms":5.500,"mean_ms":2.750,"min_ms":1.500,"max_ms":4.000,"p50_ms":2.048,"p95_ms":4.096,"plan_hash":22,"plan_changed":true,"plan_changes":1,"plans":[{"plan_hash":11,"calls":1,"total_ms":1.500,"min_ms":1.500,"max_ms":1.500,"first_seen_us":N,"last_seen_us":N},{"plan_hash":22,"calls":1,"total_ms":4.000,"min_ms":4.000,"max_ms":4.000,"first_seen_us":N,"last_seen_us":N}]},{"fingerprint":"MATCH (x:Account)-[t:Transfer]->(y:Account)","graph_token":0,"graph":"","tenant":"bob","calls":1,"errors":1,"truncations":1,"rows":2,"seeds":1,"steps":40,"cache_hits":1,"cache_misses":0,"batch_calls":1,"total_ms":0.250,"mean_ms":0.250,"min_ms":0.250,"max_ms":0.250,"p50_ms":0.256,"p95_ms":0.256,"plan_hash":33,"plan_changed":false,"plan_changes":0,"plans":[{"plan_hash":33,"calls":1,"total_ms":0.250,"min_ms":0.250,"max_ms":0.250,"first_seen_us":N,"last_seen_us":N}]}]})pin"},
+      {R"pin({"op":"query_stats","id":5,"graph":"fraud","tenant":"acme"})pin",
+       R"pin({"ok":true,"id":5,"entries":[{"fingerprint":"MATCH (x:Account WHERE x.owner = $owner)-[t:Transfer]->(y:Account)","graph_token":TOKEN,"graph":"fraud","tenant":"acme","calls":2,"errors":0,"truncations":0,"rows":4,"seeds":2,"steps":80,"cache_hits":1,"cache_misses":1,"batch_calls":1,"total_ms":5.500,"mean_ms":2.750,"min_ms":1.500,"max_ms":4.000,"p50_ms":2.048,"p95_ms":4.096,"plan_hash":22,"plan_changed":true,"plan_changes":1,"plans":[{"plan_hash":11,"calls":1,"total_ms":1.500,"min_ms":1.500,"max_ms":1.500,"first_seen_us":N,"last_seen_us":N},{"plan_hash":22,"calls":1,"total_ms":4.000,"min_ms":4.000,"max_ms":4.000,"first_seen_us":N,"last_seen_us":N}]}]})pin"},
+      {R"pin({"op":"query_stats","id":6,"tenant":"bob"})pin", R"pin({"ok":true,"id":6,"entries":[{"fingerprint":"MATCH (x:Account)-[t:Transfer]->(y:Account)","graph_token":0,"graph":"","tenant":"bob","calls":1,"errors":1,"truncations":1,"rows":2,"seeds":1,"steps":40,"cache_hits":1,"cache_misses":0,"batch_calls":1,"total_ms":0.250,"mean_ms":0.250,"min_ms":0.250,"max_ms":0.250,"p50_ms":0.256,"p95_ms":0.256,"plan_hash":33,"plan_changed":false,"plan_changes":0,"plans":[{"plan_hash":33,"calls":1,"total_ms":0.250,"min_ms":0.250,"max_ms":0.250,"first_seen_us":N,"last_seen_us":N}]}]})pin"},
+      {R"pin({"op":"debug_sleep","id":7})pin", R"pin({"ok":false,"id":7,"error":{"code":107,"name":"UNIMPLEMENTED","message":"debug ops are disabled on this server"}})pin"},
+  }, token);
+
+  const std::vector<Pin> http = {
+      {"/slow_queries", R"pin(HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: N\r\nConnection: close\r\n\r\n[{"sequence":0,"graph_token":TOKEN,"graph":"fraud","fingerprint":"MATCH (x:Account WHERE x.owner = $owner)-[t:Transfer]->(y:Account)","tenant":"acme","trace_id":"req-1","total_ms":12.346,"rows":3,"explain":"Match\n  \"x\" é \u0001"},{"sequence":1,"graph_token":0,"graph":"","fingerprint":"MATCH (x)","tenant":"bob","trace_id":"","total_ms":0.500,"rows":0,"explain":""}]\n)pin"},
+      {"/slow_queries?graph=fraud", R"pin(HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: N\r\nConnection: close\r\n\r\n[{"sequence":0,"graph_token":TOKEN,"graph":"fraud","fingerprint":"MATCH (x:Account WHERE x.owner = $owner)-[t:Transfer]->(y:Account)","tenant":"acme","trace_id":"req-1","total_ms":12.346,"rows":3,"explain":"Match\n  \"x\" é \u0001"}]\n)pin"},
+      {"/query_stats", R"pin(HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: N\r\nConnection: close\r\n\r\n[{"fingerprint":"MATCH (x:Account WHERE x.owner = $owner)-[t:Transfer]->(y:Account)","graph_token":TOKEN,"graph":"fraud","tenant":"acme","calls":2,"errors":0,"truncations":0,"rows":4,"seeds":2,"steps":80,"cache_hits":1,"cache_misses":1,"batch_calls":1,"total_ms":5.500,"mean_ms":2.750,"min_ms":1.500,"max_ms":4.000,"p50_ms":2.048,"p95_ms":4.096,"plan_hash":22,"plan_changed":true,"plan_changes":1,"plans":[{"plan_hash":11,"calls":1,"total_ms":1.500,"min_ms":1.500,"max_ms":1.500,"first_seen_us":N,"last_seen_us":N},{"plan_hash":22,"calls":1,"total_ms":4.000,"min_ms":4.000,"max_ms":4.000,"first_seen_us":N,"last_seen_us":N}]},{"fingerprint":"MATCH (x:Account)-[t:Transfer]->(y:Account)","graph_token":0,"graph":"","tenant":"bob","calls":1,"errors":1,"truncations":1,"rows":2,"seeds":1,"steps":40,"cache_hits":1,"cache_misses":0,"batch_calls":1,"total_ms":0.250,"mean_ms":0.250,"min_ms":0.250,"max_ms":0.250,"p50_ms":0.256,"p95_ms":0.256,"plan_hash":33,"plan_changed":false,"plan_changes":0,"plans":[{"plan_hash":33,"calls":1,"total_ms":0.250,"min_ms":0.250,"max_ms":0.250,"first_seen_us":N,"last_seen_us":N}]}]\n)pin"},
+      {"/query_stats?graph=fraud&tenant=acme", R"pin(HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: N\r\nConnection: close\r\n\r\n[{"fingerprint":"MATCH (x:Account WHERE x.owner = $owner)-[t:Transfer]->(y:Account)","graph_token":TOKEN,"graph":"fraud","tenant":"acme","calls":2,"errors":0,"truncations":0,"rows":4,"seeds":2,"steps":80,"cache_hits":1,"cache_misses":1,"batch_calls":1,"total_ms":5.500,"mean_ms":2.750,"min_ms":1.500,"max_ms":4.000,"p50_ms":2.048,"p95_ms":4.096,"plan_hash":22,"plan_changed":true,"plan_changes":1,"plans":[{"plan_hash":11,"calls":1,"total_ms":1.500,"min_ms":1.500,"max_ms":1.500,"first_seen_us":N,"last_seen_us":N},{"plan_hash":22,"calls":1,"total_ms":4.000,"min_ms":4.000,"max_ms":4.000,"first_seen_us":N,"last_seen_us":N}]}]\n)pin"},
+      {"/query_stats?graph=missing", R"pin(HTTP/1.1 404 Not Found\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: N\r\nConnection: close\r\n\r\nno graph named missing\n)pin"},
+      {"/nowhere", R"pin(HTTP/1.1 404 Not Found\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: N\r\nConnection: close\r\n\r\nnot found\n)pin"},
+  };
+  for (const Pin& pin : http) {
+    std::string got = HttpGet(server.port(), pin.request);
+    size_t body = got.find("\r\n\r\n") + 4;
+    EXPECT_NE(got.find("Content-Length: " + std::to_string(got.size() - body) +
+                       "\r\n"),
+              std::string::npos)
+        << pin.request;
+    got = MaskVolatile(got);
+    ReplaceAll(&got, "\"graph_token\":" + std::to_string(token),
+               "\"graph_token\":TOKEN");
+    ReplaceAll(&got, "\r\n", "\\r\\n");
+    ReplaceAll(&got, "\n", "\\n");
+    EXPECT_EQ(got, pin.response) << pin.request;
+  }
+  server.Stop();
+}
+
+// load_graph sizes no generator can build are refused with a structured
+// error before anything is built (a zero-city fraud graph used to abort
+// the whole server), and the same connection keeps serving.
+TEST(ServerTest, LoadGraphRejectsDegenerateSizes) {
+  TestServer srv;
+  RawConnection conn(srv.port());
+  const char* const kBelowMinimum[] = {
+      R"pin("kind":"fraud","cities":0)pin",
+      R"pin("kind":"fraud","accounts":0)pin",
+      R"pin("kind":"random","nodes":0)pin",
+      R"pin("kind":"chain","n":-1)pin",
+  };
+  for (const char* sizes : kBelowMinimum) {
+    Result<JsonValue> response = ParseJson(conn.Call(
+        std::string(R"pin({"op":"load_graph","name":"bad",)pin") + sizes + "}"));
+    ASSERT_TRUE(response.ok()) << sizes;
+    EXPECT_FALSE(response->Find("ok")->bool_v) << sizes;
+    const JsonValue* error = response->Find("error");
+    ASSERT_NE(error, nullptr) << sizes;
+    EXPECT_EQ(error->Find("name")->string_v, "INVALID_ARGUMENT") << sizes;
+    EXPECT_EQ(error->Find("reason")->string_v, "BAD_REQUEST") << sizes;
+    EXPECT_EQ(conn.Call(R"pin({"op":"ping"})pin"), R"pin({"ok":true})pin") << sizes;
+  }
+  // 2^32 + 5 nodes must not wrap to 5, and a complete graph on 10^5 nodes
+  // would have 10^10 elements: all are over the element bound.
+  const char* const kTooLarge[] = {
+      R"pin("kind":"complete","n":4294967301)pin",
+      R"pin("kind":"complete","n":100000)pin",
+      R"pin("kind":"fraud","accounts":1000000,"transfers":1000000)pin",
+  };
+  for (const char* sizes : kTooLarge) {
+    Result<JsonValue> response = ParseJson(conn.Call(
+        std::string(R"pin({"op":"load_graph","name":"big",)pin") + sizes + "}"));
+    ASSERT_TRUE(response.ok()) << sizes;
+    EXPECT_FALSE(response->Find("ok")->bool_v) << sizes;
+    const JsonValue* error = response->Find("error");
+    ASSERT_NE(error, nullptr) << sizes;
+    EXPECT_EQ(error->Find("reason")->string_v, "BAD_REQUEST") << sizes;
+    EXPECT_NE(error->Find("message")->string_v.find("2000000"),
+              std::string::npos)
+        << sizes;
+    EXPECT_EQ(conn.Call(R"pin({"op":"ping"})pin"), R"pin({"ok":true})pin") << sizes;
+  }
+  EXPECT_EQ(conn.Call(R"pin({"op":"list_graphs"})pin"),
+            R"pin({"ok":true,"graphs":["fraud"]})pin");
+}
+
+// The server ends the stream right after acknowledging bye, so a client
+// reading to end of stream is not left waiting for the next accept.
+TEST(ServerTest, ByeEndsTheStream) {
+  TestServer srv;
+  RawConnection conn(srv.port());
+  EXPECT_EQ(conn.Call(R"pin({"op":"bye","id":1})pin"),
+            R"pin({"ok":true,"id":1})pin");
+  timeval timeout{5, 0};
+  ASSERT_EQ(::setsockopt(conn.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  char byte = 0;
+  EXPECT_EQ(::recv(conn.fd(), &byte, 1, 0), 0) << "end of stream, no timeout";
+}
+
+// A request line longer than the 16 MiB line cap gets one BAD_REQUEST
+// error line before the server closes the connection; other connections
+// are unaffected.
+TEST(ServerTest, OverLongRequestLineGetsBadRequest) {
+  TestServer srv;
+  RawConnection conn(srv.port());
+  std::string line((16u << 20) + 1024, 'x');
+  Result<JsonValue> response = ParseJson(conn.Call(line));
+  ASSERT_TRUE(response.ok());
+  EXPECT_FALSE(response->Find("ok")->bool_v);
+  const JsonValue* error = response->Find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->Find("reason")->string_v, "BAD_REQUEST");
+  EXPECT_EQ(conn.ReadLine(), "") << "the connection closes after the error";
+  Client client = MustConnect(srv);
+  EXPECT_TRUE(client.Ping().ok());
 }
 
 // --- shutdown and concurrency ----------------------------------------------

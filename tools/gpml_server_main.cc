@@ -6,8 +6,9 @@
 //
 // Serves the NDJSON query protocol and the HTTP GET /metrics and
 // /slow_queries endpoints on one port. --load materializes generator
-// graphs at startup (e.g. --load bank=fraud --load demo=paper); clients
-// can add more at runtime with the load_graph op. SIGINT/SIGTERM trigger
+// graphs at startup (e.g. --load bank=fraud --load demo=paper) with the
+// load_graph op's default sizes; clients can add more at runtime with that
+// op. SIGINT/SIGTERM trigger
 // a graceful drain: in-flight queries finish and get their responses.
 
 #include <csignal>
@@ -17,8 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/generator.h"
-#include "graph/sample_graph.h"
 #include "server/server.h"
 
 namespace {
@@ -46,7 +45,7 @@ int main(int argc, char** argv) {
 
   struct Load {
     std::string name;
-    std::string kind;
+    const gpml::server::GraphKind* kind;
   };
   std::vector<Load> loads;
 
@@ -79,7 +78,14 @@ int main(int argc, char** argv) {
                      spec.c_str());
         return 2;
       }
-      loads.push_back(Load{spec.substr(0, eq), spec.substr(eq + 1)});
+      gpml::Result<const gpml::server::GraphKind*> kind =
+          gpml::server::FindGraphKind(spec.substr(eq + 1));
+      if (!kind.ok()) {
+        std::fprintf(stderr, "--load %s: %s\n", spec.c_str(),
+                     kind.status().message().c_str());
+        return 2;
+      }
+      loads.push_back(Load{spec.substr(0, eq), *kind});
     } else if (arg == "--help" || arg == "-h") {
       Usage(argv[0]);
       return 0;
@@ -92,27 +98,18 @@ int main(int argc, char** argv) {
 
   gpml::server::Server server(options);
   for (const Load& load : loads) {
-    gpml::PropertyGraph graph = [&]() -> gpml::PropertyGraph {
-      if (load.kind == "paper") return gpml::BuildPaperGraph();
-      if (load.kind == "chain") return gpml::MakeChainGraph(100);
-      if (load.kind == "cycle") return gpml::MakeCycleGraph(100);
-      if (load.kind == "complete") return gpml::MakeCompleteGraph(16);
-      if (load.kind == "diamond") return gpml::MakeDiamondChain(8);
-      if (load.kind == "grid") return gpml::MakeGridGraph(10, 10);
-      if (load.kind == "random") {
-        return gpml::MakeRandomGraph(100, 300, 3, 0.25, 42);
-      }
-      // Default (also "fraud"): the scaled Figure 1 banking graph.
-      return gpml::MakeFraudGraph(gpml::FraudGraphOptions{});
-    }();
-    gpml::Status added = server.AddGraph(load.name, std::move(graph));
+    gpml::Result<gpml::PropertyGraph> graph =
+        load.kind->build(gpml::server::JsonValue());
+    gpml::Status added = graph.ok()
+                             ? server.AddGraph(load.name, std::move(*graph))
+                             : graph.status();
     if (!added.ok()) {
       std::fprintf(stderr, "--load %s=%s: %s\n", load.name.c_str(),
-                   load.kind.c_str(), added.message().c_str());
+                   load.kind->name, added.message().c_str());
       return 1;
     }
     std::fprintf(stderr, "loaded graph '%s' (%s)\n", load.name.c_str(),
-                 load.kind.c_str());
+                 load.kind->name);
   }
 
   gpml::Status started = server.Start();

@@ -26,6 +26,7 @@
 #include <thread>
 
 #include "server/json.h"
+#include "server/protocol.h"
 
 namespace {
 
@@ -71,16 +72,10 @@ bool HttpGet(const std::string& host, int port, const std::string& target,
   std::string request = "GET " + target +
                         " HTTP/1.1\r\nHost: " + host +
                         "\r\nConnection: close\r\n\r\n";
-  size_t off = 0;
-  while (off < request.size()) {
-    ssize_t n = ::send(fd, request.data() + off, request.size() - off, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      *error = std::string("send: ") + std::strerror(errno);
-      ::close(fd);
-      return false;
-    }
-    off += static_cast<size_t>(n);
+  if (!gpml::server::SendAll(fd, request)) {
+    *error = std::string("send: ") + std::strerror(errno);
+    ::close(fd);
+    return false;
   }
   std::string response;
   char chunk[65536];
