@@ -1,0 +1,52 @@
+#ifndef GPML_BENCH_ALLOC_COUNT_H_
+#define GPML_BENCH_ALLOC_COUNT_H_
+
+// Counts the process's heap allocations by replacing the global operator
+// new, for benches that pin an exact allocation count. The replacement is
+// defined here, not declared, so include this header from exactly one
+// source file of a bench binary (each bench is one file). Never include it
+// from bench_util.h, whose other users must keep the standard allocator.
+
+#include <atomic>
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+
+namespace gpml {
+namespace bench {
+
+/// Heap allocations made through operator new since the process started.
+inline std::atomic<size_t> g_allocations{0};
+
+inline void* CountedMalloc(size_t size) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+}  // namespace bench
+}  // namespace gpml
+
+// Every allocating form is replaced, so that a sanitizer runtime, which
+// brings its own forms, never frees memory this malloc handed out and an
+// allocation is counted once in every build type.
+void* operator new(size_t size) {
+  if (void* p = gpml::bench::CountedMalloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](size_t size) { return operator new(size); }
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  return gpml::bench::CountedMalloc(size);
+}
+void* operator new[](size_t size, const std::nothrow_t&) noexcept {
+  return gpml::bench::CountedMalloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+#endif  // GPML_BENCH_ALLOC_COUNT_H_

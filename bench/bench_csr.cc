@@ -35,38 +35,22 @@
 //     must show source=label:<label> for it).
 //  4. Build allocations (always enforced): building the fraud graph of
 //     3,000 accounts makes exactly the pinned number of heap allocations,
-//     counted by the replaced global operator new below. Labels and
-//     properties go straight into the graph's runs and columns, so a
-//     per-element map or a second set of name maps shows as thousands of
-//     extra allocations.
+//     counted by the replaced global operator new of alloc_count.h.
+//     Labels and properties go straight into the graph's runs and columns,
+//     so a per-element map or a second set of name maps shows as thousands
+//     of extra allocations.
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_count.h"
 #include "bench_util.h"
 #include "eval/engine.h"
 #include "graph/generator.h"
 #include "tests/test_util.h"
-
-namespace {
-
-/// Heap allocations made through operator new since the process started.
-std::atomic<size_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
 
 namespace gpml {
 namespace {
@@ -350,9 +334,9 @@ void CheckBuildAllocations(bench::JsonReport* report, bool* ok) {
   FraudGraphOptions options;
   options.num_accounts = kAllocationAccounts;
   auto start = std::chrono::steady_clock::now();
-  size_t before = g_allocations.load();
+  size_t before = bench::g_allocations.load();
   PropertyGraph g = MakeFraudGraph(options);
-  size_t allocations = g_allocations.load() - before;
+  size_t allocations = bench::g_allocations.load() - before;
   double millis = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - start)
                       .count();

@@ -1,41 +1,45 @@
-// Observability-overhead contract on the Figure 4 fraud workload (300
-// accounts). Like bench_planner this is a plain executable with a checked
-// contract, run under ctest as a regression gate:
+// Observability contract: what the telemetry that is on by default costs
+// each execution, and that every telemetry surface is live. Like
+// bench_planner this is a plain executable with a checked contract, run
+// under ctest as a regression gate:
 //
-//  1. Overhead (enforced only in optimized, unsanitized builds): running
-//     with the full observability stack attached — EngineMetrics, a Trace,
-//     a TraceSink, registry publication, slow-query capture armed — must
-//     cost <= 2% wall time vs running with everything off. This is the
-//     contract that lets instrumentation stay on by default
-//     (docs/observability.md).
-//  2. Query-stats overhead (same build gating): recording into the
-//     per-fingerprint statistics store (obs/query_stats.h), with everything
-//     else off, must also cost <= 2% wall time vs the bare baseline.
-//  3. Publication cost at microsecond scale (same build gating): the 2%
-//     gates above run a query of hundreds of milliseconds and cannot see a
-//     fixed per-execution cost. A prepared, index-seeded 1-hop lookup on a
-//     fraud graph (~10us per execution, drained through a cursor like a
-//     GQL session) is timed with telemetry off, at its defaults (registry,
-//     query stats, slow-query capture armed) and fully on (plus
-//     EngineMetrics, a caller trace and a sink), in interleaved reps. The
-//     per-execution cost (on minus off, median and MAD over reps) goes to
-//     BENCH_obs.json; the medians are gated at kPointDefaultBoundUs and
-//     kPointFullBoundUs.
-//  4. Functional (always enforced): the instrumented run actually produced
-//     telemetry — span tree with a closed "query" root, emitted JSON lines,
-//     advanced registry counters, a well-formed Prometheus rendering, a
-//     slow-query capture whose EXPLAIN ANALYZE text parses back, an exact
-//     per-fingerprint stats entry, and one query text run over a graph
-//     and its reload with a different city count (which flips the
-//     planner's anchor) surfacing as exactly one recorded plan change.
+//  1. Publication counts (always enforced, every build type): a prepared,
+//     index-seeded 1-hop lookup on a fraud graph, opened and drained
+//     through a cursor like a GQL session, runs kCountExecs times with
+//     telemetry off, at its defaults (registry, query stats, slow-query
+//     capture armed) and fully on (plus EngineMetrics, a caller trace and
+//     a sink that renders every trace). The heap allocations and mutex
+//     acquisitions of those executions are pinned per configuration; the
+//     difference to off is what one published execution adds. This
+//     binary replaces operator new (alloc_count.h) and pthread_mutex_lock
+//     (below) to count every call, so an allocation or a lock added
+//     anywhere on the execution or publish path moves a pin.
+//  2. Publication cost at microsecond scale (optimized, unsanitized builds
+//     only): the same lookup timed in the three configurations in
+//     interleaved reps. The per-execution cost (configuration minus off,
+//     median and MAD over reps) goes to BENCH_obs.json; the medians are
+//     gated at kPointDefaultBoundUs and kPointFullBoundUs.
+//  3. Functional (always enforced): the Figure 4 fraud workload (300
+//     accounts) run with the full stack produces telemetry — a span tree
+//     with a closed "query" root, emitted JSON lines, advanced registry
+//     counters, a well-formed Prometheus rendering, a slow-query capture
+//     whose EXPLAIN ANALYZE text parses back — and the rows of the bare
+//     run; a query-stats entry counts its executions exactly; and one
+//     query text run over a graph and its reload with a different city
+//     count (which flips the planner's anchor) surfaces as exactly one
+//     recorded plan change.
 
-#include <algorithm>
+#include <dlfcn.h>
+#include <pthread.h>
+
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <vector>
 
+#include "alloc_count.h"
 #include "bench_util.h"
 #include "eval/engine.h"
 #include "graph/generator.h"
@@ -46,14 +50,27 @@
 #include "obs/trace.h"
 #include "planner/explain.h"
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define GPML_BENCH_SANITIZED 1
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define GPML_BENCH_SANITIZED 1
-#endif
-#endif
+namespace {
+
+/// Mutex acquisitions through pthread_mutex_lock since the process
+/// started; std::mutex::lock ends there, in this binary and in the C++
+/// runtime alike.
+std::atomic<size_t> g_locks{0};
+
+using LockFn = int (*)(pthread_mutex_t*);
+std::atomic<LockFn> g_real_lock{nullptr};
+
+}  // namespace
+
+extern "C" int pthread_mutex_lock(pthread_mutex_t* mutex) {
+  g_locks.fetch_add(1, std::memory_order_relaxed);
+  LockFn real = g_real_lock.load(std::memory_order_relaxed);
+  if (real == nullptr) {
+    real = reinterpret_cast<LockFn>(dlsym(RTLD_NEXT, "pthread_mutex_lock"));
+    g_real_lock.store(real, std::memory_order_relaxed);
+  }
+  return real(mutex);
+}
 
 namespace gpml {
 namespace {
@@ -64,13 +81,6 @@ constexpr char kFraudQuery[] =
     "(y:Account WHERE y.isBlocked='yes'), "
     "ANY (x)-[:Transfer]->+(y)";
 
-PropertyGraph MakeWorkloadGraph() {
-  FraudGraphOptions options;
-  options.num_accounts = 300;
-  options.num_cities = 3;
-  return MakeFraudGraph(options);
-}
-
 double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -78,18 +88,17 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
 }
 
 /// Everything off: no metrics, no trace, no sink, no registry publication,
-/// slow-query capture disabled. The baseline the 2% budget is against.
+/// slow-query capture disabled.
 EngineOptions OffOptions() {
   EngineOptions options;
-  options.num_threads = 1;  // Single-threaded for timing stability.
+  options.num_threads = 1;
   options.publish_metrics = false;
   options.publish_query_stats = false;
   options.slow_query_ms = -1;
   return options;
 }
 
-/// The full stack attached, slow threshold high enough to never fire
-/// during the timed loop (capture itself is measured separately).
+/// The full stack attached, slow threshold high enough to never fire.
 EngineOptions OnOptions(EngineMetrics* metrics, obs::Trace* trace,
                         obs::TraceSink* sink, obs::QueryStatsStore* stats) {
   EngineOptions options;
@@ -104,23 +113,21 @@ EngineOptions OnOptions(EngineMetrics* metrics, obs::Trace* trace,
   return options;
 }
 
-double MeasureOnce(const PropertyGraph& g, const EngineOptions& options,
-                   bool* ok, size_t* rows) {
-  Engine engine(g, options);
-  auto start = std::chrono::steady_clock::now();
-  Result<MatchOutput> out = engine.Match(kFraudQuery);
-  double ms = MillisSince(start);
+/// Rows of one Engine::Match of the fraud query; 0 (and *ok = false) on
+/// failure.
+size_t RunFraud(const PropertyGraph& g, const EngineOptions& options,
+                bool* ok) {
+  Result<MatchOutput> out = Engine(g, options).Match(kFraudQuery);
   if (!out.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
                  out.status().ToString().c_str());
     *ok = false;
-    return ms;
+    return 0;
   }
-  *rows = out->rows.size();
-  return ms;
+  return out->rows.size();
 }
 
-// --- microsecond-scale publication cost --------------------------------------
+// --- the published point lookup ---------------------------------------------
 
 constexpr char kPointQuery[] =
     "MATCH (x:Account WHERE x.owner = $owner)-[t:Transfer]->(y:Account)";
@@ -135,6 +142,19 @@ constexpr int kPointReps = 21;
 /// Full stack: medians 1.36-2.34us -> 4.3us.
 constexpr double kPointDefaultBoundUs = 1.6;
 constexpr double kPointFullBoundUs = 4.3;
+/// Per configuration (off, defaults, full); off is the baseline.
+constexpr std::array<double, 3> kPointBoundsUs = {0, kPointDefaultBoundUs,
+                                                  kPointFullBoundUs};
+
+/// Executions the allocation and lock pins cover, after the warm-up.
+constexpr int kCountExecs = 100;
+const char* const kConfigNames[] = {"off", "default", "full"};
+/// Heap allocations and mutex acquisitions of kCountExecs executions, per
+/// configuration (off, defaults, full). Publication adds 2 allocations and
+/// the query-stats store's one lock per execution at the defaults, and 10
+/// allocations and that lock with the full stack.
+constexpr std::array<size_t, 3> kCountAllocations = {5901, 6101, 6901};
+constexpr std::array<size_t, 3> kCountLocks = {0, 100, 100};
 
 /// A sink that renders every trace like a real one would and keeps only
 /// the byte count, so a long timed loop does not grow memory.
@@ -149,12 +169,10 @@ class CountingSink : public obs::TraceSink {
   size_t bytes_ = 0;
 };
 
-/// Mean wall time (us) of one execution of `query` over `params`, each
-/// opened and drained through a cursor — the path GQL sessions take.
-double PointRepMicros(const PreparedQuery& query,
-                      const std::vector<Params>& params, bool* ok,
-                      size_t* rows) {
-  auto start = std::chrono::steady_clock::now();
+/// Opens and drains `query` once per entry of `params` — the path GQL
+/// sessions take — adding the rows to *rows; false on a failure.
+bool RunPoints(const PreparedQuery& query, const std::vector<Params>& params,
+               size_t* rows) {
   for (const Params& p : params) {
     Result<Cursor> cursor = query.Open(p);
     Result<MatchOutput> out =
@@ -162,188 +180,228 @@ double PointRepMicros(const PreparedQuery& query,
     if (!out.ok()) {
       std::fprintf(stderr, "point query failed: %s\n",
                    out.status().ToString().c_str());
-      *ok = false;
-      return 0;
+      return false;
     }
     *rows += out->rows.size();
   }
+  return true;
+}
+
+/// Mean wall time (us) of one execution over `params`.
+double PointRepMicros(const PreparedQuery& query,
+                      const std::vector<Params>& params, bool* ok,
+                      size_t* rows) {
+  auto start = std::chrono::steady_clock::now();
+  *ok = RunPoints(query, params, rows) && *ok;
   return MillisSince(start) * 1e3 / static_cast<double>(params.size());
 }
 
-double Median(const std::vector<double>& v) {
-  return bench::Percentile(v, 50);
-}
-
-/// Median absolute deviation from the median.
-double Mad(const std::vector<double>& v) {
-  double m = Median(v);
-  std::vector<double> dev;
-  dev.reserve(v.size());
-  for (double x : v) dev.push_back(x > m ? x - m : m - x);
-  return Median(dev);
-}
-
-bool OverheadGateActive() {
-#ifdef GPML_BENCH_SANITIZED
-  return false;
-#elif !defined(NDEBUG)
+bool TimingGateActive() {
+#if defined(GPML_BENCH_SANITIZED) || !defined(NDEBUG)
   return false;
 #else
   return true;
 #endif
 }
 
+/// Contracts 1 and 2 on the point lookup.
+void CheckPointPublication(bench::JsonReport* report, bool* ok) {
+  FraudGraphOptions graph_options;
+  graph_options.num_accounts = kPointAccounts;
+  PropertyGraph pg = MakeFraudGraph(graph_options);
+  EngineMetrics metrics;
+  obs::Trace trace;
+  CountingSink sink;
+  obs::QueryStatsStore store;
+  EngineOptions off = OffOptions();
+  EngineOptions defaults;  // Production defaults, one thread.
+  defaults.num_threads = 1;
+  defaults.query_stats = &store;
+  EngineOptions full = defaults;
+  full.metrics = &metrics;
+  full.trace = &trace;
+  full.trace_sink = &sink;
+  const std::array<const EngineOptions*, 3> configs = {&off, &defaults,
+                                                       &full};
+  std::vector<PreparedQuery> queries;
+  for (const EngineOptions* options : configs) {
+    Result<PreparedQuery> q = Engine(pg, *options).Prepare(kPointQuery);
+    if (!q.ok()) {
+      std::fprintf(stderr, "FAIL: point prepare: %s\n",
+                   q.status().ToString().c_str());
+      *ok = false;
+      return;
+    }
+    queries.push_back(*q);
+  }
+  std::vector<Params> params;
+  for (int i = 0; i < kPointExecsPerRep; ++i) {
+    params.push_back(Params{
+        {"owner", Value::String("u" + std::to_string(
+                                          (i * 7919) % kPointAccounts))}});
+  }
+  bool point_ok = true;
+  std::array<size_t, 3> rows = {0, 0, 0};
+  for (size_t c = 0; c < configs.size(); ++c) {  // Warm-up.
+    point_ok = RunPoints(queries[c], params, &rows[c]) && point_ok;
+  }
+
+  // --- contract 1: exact allocation and lock counts -----------------------
+  const std::vector<Params> counted(params.begin(),
+                                    params.begin() + kCountExecs);
+  std::array<size_t, 3> allocations{}, locks{}, counted_rows{};
+  for (size_t c = 0; c < configs.size() && point_ok; ++c) {
+    const size_t allocations_before = bench::g_allocations.load();
+    const size_t locks_before = g_locks.load();
+    point_ok = RunPoints(queries[c], counted, &counted_rows[c]);
+    allocations[c] = bench::g_allocations.load() - allocations_before;
+    locks[c] = g_locks.load() - locks_before;
+  }
+  if (!point_ok) {
+    *ok = false;
+    return;
+  }
+  for (size_t c = 0; c < configs.size(); ++c) {
+    std::printf("point publication counts, %s: %zu allocations (pin %zu), "
+                "%zu locks (pin %zu) over %d executions\n",
+                kConfigNames[c], allocations[c], kCountAllocations[c],
+                locks[c], kCountLocks[c], kCountExecs);
+    if (allocations[c] != kCountAllocations[c] ||
+        locks[c] != kCountLocks[c]) {
+      std::fprintf(stderr, "FAIL: point publication counts (%s) moved off "
+                   "their pins\n", kConfigNames[c]);
+      *ok = false;
+    }
+  }
+
+  // --- contract 2: microsecond-scale cost ---------------------------------
+  // Each rep times every configuration once, rotating which goes first;
+  // cost[c] is configuration c's time minus off's in the same rep.
+  std::array<std::vector<double>, 3> us, cost;
+  size_t reps_run = 0;
+  auto measure_reps = [&] {
+    for (int rep = 0; rep < kPointReps && point_ok; ++rep, ++reps_run) {
+      std::array<double, 3> t = {0, 0, 0};
+      for (size_t k = 0; k < configs.size(); ++k) {
+        size_t c = (reps_run + k) % configs.size();
+        t[c] = PointRepMicros(queries[c], params, &point_ok, &rows[c]);
+        us[c].push_back(t[c]);
+      }
+      for (size_t c = 1; c < configs.size(); ++c) {
+        cost[c].push_back(t[c] - t[0]);
+      }
+    }
+  };
+  auto over_bound = [&] {
+    for (size_t c = 1; c < configs.size(); ++c) {
+      if (bench::MedianSpread(cost[c]).median > kPointBoundsUs[c]) return true;
+    }
+    return false;
+  };
+  measure_reps();
+  if (TimingGateActive() && point_ok && over_bound()) {
+    // One more round before declaring failure; the reps of both rounds
+    // count, so a genuine regression still fails.
+    std::printf("point publication over bound on first round; "
+                "re-measuring\n");
+    measure_reps();
+  }
+  if (!point_ok) {
+    *ok = false;
+    return;
+  }
+  if (rows[0] != rows[1] || rows[0] != rows[2] ||
+      counted_rows[0] != counted_rows[1] ||
+      counted_rows[0] != counted_rows[2]) {
+    std::fprintf(stderr, "FAIL: telemetry changed point-lookup rows\n");
+    *ok = false;
+  }
+  const size_t rows_per_rep = rows[0] / (reps_run + 1);
+  for (size_t c = 0; c < configs.size(); ++c) {
+    const double exec_us = bench::MedianSpread(us[c]).median;
+    std::vector<std::pair<std::string, double>> extra = {
+        {"allocations_per_exec",
+         static_cast<double>(allocations[c]) / kCountExecs},
+        {"locks_per_exec", static_cast<double>(locks[c]) / kCountExecs}};
+    if (c == 0) {
+      std::printf("point publication cost over %zu reps x %d execs: off "
+                  "%.2fus/exec",
+                  reps_run, kPointExecsPerRep, exec_us);
+    } else {
+      const bench::Spread added = bench::MedianSpread(cost[c]);
+      std::printf(", %s %+.2fus (MAD %.2f, bound %.1f)", kConfigNames[c],
+                  added.median, added.mad, kPointBoundsUs[c]);
+      extra.push_back({"publication_us", added.median});
+      extra.push_back({"publication_mad_us", added.mad});
+      extra.push_back({"bound_us", kPointBoundsUs[c]});
+    }
+    report->Add(std::string("point1hop:obs=") + kConfigNames[c],
+                exec_us / 1e3, 0, 0, rows_per_rep, std::move(extra));
+  }
+  std::printf("\n");
+  if (!TimingGateActive()) {
+    std::printf("point publication gate: SKIPPED (sanitizer or "
+                "unoptimized build distorts timings)\n");
+  } else if (over_bound()) {
+    std::fprintf(stderr, "FAIL: point publication cost per execution over "
+                 "its bound (see above)\n");
+    *ok = false;
+  }
+  if (sink.bytes() == 0 || trace.Find("query") == nullptr) {
+    std::fprintf(stderr, "FAIL: point lookups emitted no traces\n");
+    *ok = false;
+  }
+}
+
 int RunBench() {
   bool ok = true;
   bench::JsonReport report("obs");
-  PropertyGraph g = MakeWorkloadGraph();
 
+  CheckPointPublication(&report, &ok);
+
+  // --- functional contract on fraud-300 ------------------------------------
+  FraudGraphOptions fraud_options;
+  fraud_options.num_accounts = 300;
+  fraud_options.num_cities = 3;
+  PropertyGraph g = MakeFraudGraph(fraud_options);
   EngineMetrics metrics;
   obs::Trace trace;
   obs::StringTraceSink sink;
   obs::QueryStatsStore full_store;
-  EngineOptions off = OffOptions();
-  EngineOptions on = OnOptions(&metrics, &trace, &sink, &full_store);
-
-  // Warm the plan cache, stats, and label indexes so both sides measure
-  // pure matching work.
-  size_t rows_off = 0, rows_on = 0;
-  MeasureOnce(g, off, &ok, &rows_off);
-  MeasureOnce(g, on, &ok, &rows_on);
+  auto start = std::chrono::steady_clock::now();
+  const size_t rows_off = RunFraud(g, OffOptions(), &ok);
+  const double off_ms = MillisSince(start);
+  start = std::chrono::steady_clock::now();
+  const size_t rows_on =
+      RunFraud(g, OnOptions(&metrics, &trace, &sink, &full_store), &ok);
+  const double on_ms = MillisSince(start);
   if (!ok) return 1;
-
-  // Interleaved pairs, alternating which configuration goes first each
-  // repetition: the two runs of a pair are adjacent in time, so slow
-  // thermal/clock drift and a shared host's load phases hit both alike,
-  // and alternation cancels any first-vs-second bias within a pair. The
-  // overhead is the median over pairs of on/off - 1, which also ignores
-  // the few pairs a phase change splits. (Comparing each side's fastest
-  // run instead rests on two single samples: A/A rounds of it read from
-  // -16% to +11% on a 4-vCPU shared host, the paired median within ±3%.)
-  // Minima are still reported as each side's best time.
-  constexpr int kRepetitions = 60;
-  std::vector<double> on_ratios;
-  auto measure_pair = [&](double* best_off, double* best_on) {
-    for (int rep = 0; rep < kRepetitions && ok; ++rep) {
-      double ms_off, ms_on;
-      if (rep % 2 == 0) {
-        ms_off = MeasureOnce(g, off, &ok, &rows_off);
-        ms_on = MeasureOnce(g, on, &ok, &rows_on);
-      } else {
-        ms_on = MeasureOnce(g, on, &ok, &rows_on);
-        ms_off = MeasureOnce(g, off, &ok, &rows_off);
-      }
-      *best_off = std::min(*best_off, ms_off);
-      *best_on = std::min(*best_on, ms_on);
-      if (ms_off > 0) on_ratios.push_back(ms_on / ms_off);
-    }
-  };
-  auto overhead = [](const std::vector<double>& ratios) {
-    return ratios.empty() ? 0 : (Median(ratios) - 1.0) * 100.0;
-  };
-  double best_off = 1e300, best_on = 1e300;
-  measure_pair(&best_off, &best_on);
-  if (OverheadGateActive() && ok && overhead(on_ratios) > 2.0) {
-    // One retry before declaring failure: the first round may have run on
-    // a machine still hot or loaded from an earlier bench gate. Pairs
-    // accumulate across rounds, so a genuine regression still fails.
-    std::printf("overhead %.2f%% on first round; re-measuring\n",
-                overhead(on_ratios));
-    measure_pair(&best_off, &best_on);
-  }
-  if (!ok) return 1;
-
-  double overhead_pct = overhead(on_ratios);
-  std::printf(
-      "observability overhead: %+.2f%% (median of %zu pairs; best off "
-      "%.3fms, on %.3fms), rows %zu\n",
-      overhead_pct, on_ratios.size(), best_off, best_on, rows_on);
-  report.Add("fraud300:obs=off", best_off, 0, 0, rows_off);
-  report.Add("fraud300:obs=on", best_on, metrics.seeded_nodes,
-             metrics.matcher_steps, rows_on,
-             {{"overhead_pct", overhead_pct}});
-
+  report.Add("fraud300:obs=off", off_ms, 0, 0, rows_off);
+  report.Add("fraud300:obs=on", on_ms, metrics.seeded_nodes,
+             metrics.matcher_steps, rows_on);
   if (rows_off != rows_on) {
-    std::fprintf(stderr, "FAIL: instrumentation changed the result (%zu vs %zu rows)\n",
+    std::fprintf(stderr,
+                 "FAIL: instrumentation changed the result (%zu vs %zu "
+                 "rows)\n",
                  rows_off, rows_on);
     ok = false;
   }
-  if (!OverheadGateActive()) {
-    std::printf(
-        "overhead gate: SKIPPED (sanitizer or unoptimized build distorts "
-        "timings)\n");
-  } else if (overhead_pct > 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: observability overhead %.2f%% > 2%% "
-                 "(best off %.3fms, on %.3fms)\n",
-                 overhead_pct, best_off, best_on);
-    ok = false;
-  }
 
-  // --- query-stats recording alone, against the same 2% budget -----------
-  // Everything else stays off so the gate isolates what the per-fingerprint
-  // store adds to every execution (docs/observability.md).
+  // The query-stats store must see every execution, exactly.
+  constexpr size_t kStatsCalls = 3;
   obs::QueryStatsStore stats_store;
   EngineOptions stats = OffOptions();
   stats.publish_query_stats = true;
   stats.query_stats = &stats_store;
-  size_t rows_stats = 0;
-  size_t stats_calls = 0;
-  MeasureOnce(g, stats, &ok, &rows_stats);  // Warm, like the main gate.
-  ++stats_calls;
-  if (!ok) return 1;
-  std::vector<double> stats_ratios;
-  auto measure_stats_pair = [&](double* best_base, double* best_stats) {
-    for (int rep = 0; rep < kRepetitions && ok; ++rep) {
-      double ms_base, ms_stats;
-      if (rep % 2 == 0) {
-        ms_base = MeasureOnce(g, off, &ok, &rows_off);
-        ms_stats = MeasureOnce(g, stats, &ok, &rows_stats);
-      } else {
-        ms_stats = MeasureOnce(g, stats, &ok, &rows_stats);
-        ms_base = MeasureOnce(g, off, &ok, &rows_off);
-      }
-      ++stats_calls;
-      *best_base = std::min(*best_base, ms_base);
-      *best_stats = std::min(*best_stats, ms_stats);
-      if (ms_base > 0) stats_ratios.push_back(ms_stats / ms_base);
-    }
-  };
-  double best_base = 1e300, best_stats = 1e300;
-  measure_stats_pair(&best_base, &best_stats);
-  if (OverheadGateActive() && ok && overhead(stats_ratios) > 2.0) {
-    std::printf("query-stats overhead %.2f%% on first round; re-measuring\n",
-                overhead(stats_ratios));
-    measure_stats_pair(&best_base, &best_stats);
-  }
-  if (!ok) return 1;
-  double stats_overhead_pct = overhead(stats_ratios);
-  std::printf(
-      "query-stats overhead: %+.2f%% (median of %zu pairs; best off "
-      "%.3fms, stats %.3fms)\n",
-      stats_overhead_pct, stats_ratios.size(), best_base, best_stats);
-  report.Add("fraud300:stats=on", best_stats, 0, 0, rows_stats,
-             {{"overhead_pct", stats_overhead_pct}});
-  if (!OverheadGateActive()) {
-    std::printf("query-stats gate: SKIPPED (sanitizer or unoptimized build "
-                "distorts timings)\n");
-  } else if (stats_overhead_pct > 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: query-stats overhead %.2f%% > 2%% "
-                 "(best off %.3fms, stats %.3fms)\n",
-                 stats_overhead_pct, best_base, best_stats);
-    ok = false;
-  }
-
-  // The store must have seen every instrumented execution, exactly.
+  for (size_t i = 0; i < kStatsCalls; ++i) RunFraud(g, stats, &ok);
   std::vector<obs::QueryStatEntry> recorded = stats_store.Snapshot();
-  if (recorded.size() != 1 || recorded[0].calls != stats_calls ||
-      recorded[0].rows != stats_calls * rows_stats ||
+  if (recorded.size() != 1 || recorded[0].calls != kStatsCalls ||
+      recorded[0].rows != kStatsCalls * rows_off ||
       recorded[0].steps == 0) {
     std::fprintf(stderr,
                  "FAIL: query-stats entry does not match the workload "
                  "(%zu entries; want calls %zu rows %zu)\n",
-                 recorded.size(), stats_calls, stats_calls * rows_stats);
+                 recorded.size(), kStatsCalls, kStatsCalls * rows_off);
     ok = false;
   }
 
@@ -383,116 +441,7 @@ int RunBench() {
     }
   }
 
-  // --- microsecond-scale publication cost ----------------------------------
-  {
-    FraudGraphOptions point_graph_options;
-    point_graph_options.num_accounts = kPointAccounts;
-    PropertyGraph pg = MakeFraudGraph(point_graph_options);
-    EngineMetrics point_metrics;
-    obs::Trace point_trace;
-    CountingSink point_sink;
-    obs::QueryStatsStore point_store;
-    EngineOptions point_off = OffOptions();
-    EngineOptions point_default;  // Production defaults, one thread.
-    point_default.num_threads = 1;
-    point_default.query_stats = &point_store;
-    EngineOptions point_full = point_default;
-    point_full.metrics = &point_metrics;
-    point_full.trace = &point_trace;
-    point_full.trace_sink = &point_sink;
-    const std::array<const EngineOptions*, 3> configs = {
-        &point_off, &point_default, &point_full};
-    std::vector<PreparedQuery> queries;
-    for (const EngineOptions* options : configs) {
-      Result<PreparedQuery> q = Engine(pg, *options).Prepare(kPointQuery);
-      if (!q.ok()) {
-        std::fprintf(stderr, "FAIL: point prepare: %s\n",
-                     q.status().ToString().c_str());
-        return 1;
-      }
-      queries.push_back(*q);
-    }
-    std::vector<Params> params;
-    for (int i = 0; i < kPointExecsPerRep; ++i) {
-      params.push_back(Params{
-          {"owner", Value::String("u" + std::to_string(
-                                            (i * 7919) % kPointAccounts))}});
-    }
-    bool point_ok = true;  // Apart from `ok`: earlier gates may have failed.
-    std::array<size_t, 3> point_rows = {0, 0, 0};
-    for (size_t c = 0; c < configs.size(); ++c) {  // Warm-up.
-      PointRepMicros(queries[c], params, &point_ok, &point_rows[c]);
-    }
-    // Each rep times every configuration once, rotating which goes first.
-    std::array<std::vector<double>, 3> us;
-    std::vector<double> cost_default, cost_full;
-    size_t reps_run = 0;
-    auto measure_reps = [&] {
-      for (int rep = 0; rep < kPointReps && point_ok; ++rep, ++reps_run) {
-        std::array<double, 3> t = {0, 0, 0};
-        for (size_t k = 0; k < configs.size(); ++k) {
-          size_t c = (reps_run + k) % configs.size();
-          t[c] = PointRepMicros(queries[c], params, &point_ok, &point_rows[c]);
-          us[c].push_back(t[c]);
-        }
-        cost_default.push_back(t[1] - t[0]);
-        cost_full.push_back(t[2] - t[0]);
-      }
-    };
-    auto over_bound = [&] {
-      return Median(cost_default) > kPointDefaultBoundUs ||
-             Median(cost_full) > kPointFullBoundUs;
-    };
-    measure_reps();
-    if (OverheadGateActive() && point_ok && over_bound()) {
-      // One more round before declaring failure, as above; the reps of
-      // both rounds count, so a genuine regression still fails.
-      std::printf("point publication over bound on first round; "
-                  "re-measuring\n");
-      measure_reps();
-    }
-    if (!point_ok) return 1;
-    if (point_rows[0] != point_rows[1] || point_rows[0] != point_rows[2]) {
-      std::fprintf(stderr, "FAIL: telemetry changed point-lookup rows\n");
-      ok = false;
-    }
-    const double off_us = Median(us[0]);
-    const double default_cost = Median(cost_default);
-    const double full_cost = Median(cost_full);
-    std::printf(
-        "point publication cost: off %.2fus/exec, defaults %+.2fus "
-        "(MAD %.2f), full %+.2fus (MAD %.2f) over %zu reps x %d execs\n",
-        off_us, default_cost, Mad(cost_default), full_cost, Mad(cost_full),
-        reps_run, kPointExecsPerRep);
-    const size_t rows_per_rep = point_rows[0] / (reps_run + 1);
-    report.Add("point1hop:obs=off", off_us / 1e3, 0, 0, rows_per_rep);
-    report.Add("point1hop:obs=default", Median(us[1]) / 1e3, 0, 0,
-               rows_per_rep,
-               {{"publication_us", default_cost},
-                {"publication_mad_us", Mad(cost_default)},
-                {"bound_us", kPointDefaultBoundUs}});
-    report.Add("point1hop:obs=full", Median(us[2]) / 1e3, 0, 0, rows_per_rep,
-               {{"publication_us", full_cost},
-                {"publication_mad_us", Mad(cost_full)},
-                {"bound_us", kPointFullBoundUs}});
-    if (!OverheadGateActive()) {
-      std::printf("point publication gate: SKIPPED (sanitizer or "
-                  "unoptimized build distorts timings)\n");
-    } else if (over_bound()) {
-      std::fprintf(stderr,
-                   "FAIL: point publication cost per execution: defaults "
-                   "%.2fus (bound %.1f), full %.2fus (bound %.1f)\n",
-                   default_cost, kPointDefaultBoundUs, full_cost,
-                   kPointFullBoundUs);
-      ok = false;
-    }
-    if (point_sink.bytes() == 0 || point_trace.Find("query") == nullptr) {
-      std::fprintf(stderr, "FAIL: point lookups emitted no traces\n");
-      ok = false;
-    }
-  }
-
-  // --- functional contract: the telemetry is actually there ---------------
+  // The telemetry of the full-stack run is all there.
   const obs::Span* root = trace.Find("query");
   if (trace.empty() || root == nullptr || root->duration_us < 0) {
     std::fprintf(stderr, "FAIL: no closed 'query' span in the trace\n");
@@ -523,8 +472,7 @@ int RunBench() {
   EngineOptions slow = OnOptions(&metrics, &trace, &sink, &full_store);
   slow.slow_query_ms = 0;
   slow.slow_log = &slow_log;
-  size_t rows_slow = 0;
-  MeasureOnce(g, slow, &ok, &rows_slow);
+  RunFraud(g, slow, &ok);
   std::vector<obs::SlowQueryRecord> captured = slow_log.Snapshot();
   if (captured.empty()) {
     std::fprintf(stderr, "FAIL: slow-query capture did not fire\n");
@@ -541,8 +489,8 @@ int RunBench() {
   }
 
   report.Write();
-  std::printf(ok ? "observability contract holds: <= 2%% overhead, live "
-                   "telemetry on all surfaces\n"
+  std::printf(ok ? "observability contract holds: pinned publication "
+                   "counts, live telemetry on all surfaces\n"
                  : "observability contract VIOLATED (see stderr)\n");
   return ok ? 0 : 1;
 }

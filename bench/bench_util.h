@@ -16,6 +16,16 @@
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 
+// Sanitizer builds distort timings, so the few wall-time gates that remain
+// report their numbers there without enforcing them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define GPML_BENCH_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define GPML_BENCH_SANITIZED 1
+#endif
+#endif
+
 namespace gpml {
 namespace bench {
 
@@ -32,6 +42,24 @@ inline double Percentile(std::vector<double> samples, double p) {
   if (lo >= samples.size() - 1) return samples.back();
   double frac = rank - static_cast<double>(lo);
   return samples[lo] + frac * (samples[lo + 1] - samples[lo]);
+}
+
+/// The median of a sample set and the median absolute deviation from it:
+/// the estimator of every wall-time gate. A shared host's load bursts move
+/// a few samples far, which moves the mean and the minimum but not these.
+struct Spread {
+  double median = 0;
+  double mad = 0;
+};
+
+inline Spread MedianSpread(const std::vector<double>& samples) {
+  Spread s;
+  s.median = Percentile(samples, 50);
+  std::vector<double> deviations;
+  deviations.reserve(samples.size());
+  for (double x : samples) deviations.push_back(std::fabs(x - s.median));
+  s.mad = Percentile(std::move(deviations), 50);
+  return s;
 }
 
 /// The tail summary every latency benchmark reports: p50/p95/p99 plus the

@@ -36,15 +36,6 @@
 #include "graph/generator.h"
 #include "tests/test_util.h"
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define GPML_BENCH_SANITIZED 1
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define GPML_BENCH_SANITIZED 1
-#endif
-#endif
-
 namespace gpml {
 namespace {
 

@@ -137,7 +137,7 @@ struct EngineOptions {
   /// the per-fingerprint workload statistics store (obs/query_stats.h):
   /// cumulative calls/rows/steps, a log2 latency histogram, and the plan
   /// ring that detects replans. One short mutexed update per completion,
-  /// inside the bench_obs 2% budget. Off only for overhead measurement.
+  /// which bench_obs pins. Off only for overhead measurement.
   bool publish_query_stats = true;
   /// The store to record into; null uses obs::GlobalQueryStats(). The
   /// server passes its own store only in tests — production shares the

@@ -1497,6 +1497,7 @@ class Matcher {
 struct SliceOutcome {
   Status status = Status::OK();
   std::vector<PathBinding> results;
+  size_t seeds = 0;
   size_t steps = 0;
   MatchRoute route = MatchRoute::kDfs;
   size_t batch_blocks = 0;
@@ -1527,6 +1528,7 @@ void RunSlice(const PropertyGraph& g, const Program& program,
   Matcher m(g, program, vars, options, seeds, num_seeds, targets, budget,
             charge_stride, params);
   out->status = m.Run();
+  out->seeds = num_seeds;
   out->steps = m.steps();
   out->route = m.route();
   out->batch_blocks = m.batch_blocks();
@@ -1743,7 +1745,13 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
     stats->arena_records = 0;
     stats->seed_ms = seed_ms;
     stats->route = outcomes[0].route;  // Every slice takes the same route.
+    stats->slice_seeds.clear();
+    stats->slice_steps.clear();
     for (const SliceOutcome& o : outcomes) {
+      if (shards > 1) {
+        stats->slice_seeds.push_back(o.seeds);
+        stats->slice_steps.push_back(o.steps);
+      }
       stats->steps += o.steps;
       stats->batch_blocks += o.batch_blocks;
       stats->batch_candidates += o.batch_candidates;

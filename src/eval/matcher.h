@@ -137,12 +137,16 @@ struct MatchStats {
   /// witness routes' paths, environments, frames, scopes and tags.
   size_t arena_records = 0;
   // Wall-clock timings (monotonic clock, see obs/clock.h), always measured:
-  // two clock reads per region, far below the bench_obs 2% overhead gate.
-  // The engine turns these into trace spans and EngineMetrics/stage-
-  // histogram totals (docs/observability.md).
+  // two clock reads per region. The engine turns these into trace spans
+  // and EngineMetrics/stage-histogram totals (docs/observability.md).
   double seed_ms = 0;             // ComputeSeeds (seed-list derivation).
   double match_ms = 0;            // The whole RunPattern call.
   std::vector<double> shard_ms;   // Per worker shard (all its slices).
+  /// Sharded runs only (empty when one shard ran): each seed slice's
+  /// seeds and steps in slice (= seed) order. They depend on the seed list
+  /// alone, never on which worker claimed the slice.
+  std::vector<size_t> slice_seeds;
+  std::vector<size_t> slice_steps;
 };
 
 /// Runs one compiled pattern over the graph: every admissible start node is

@@ -23,8 +23,8 @@ inline uint64_t MonotonicMicros() {
 inline uint64_t MsToUs(double ms) { return static_cast<uint64_t>(ms * 1e3); }
 
 /// A started monotonic stopwatch. Two clock reads per measured region; cheap
-/// enough to stay on unconditionally in the engine (the bench_obs gate holds
-/// total instrumentation overhead under 2%).
+/// enough to stay on unconditionally in the engine (bench_obs bounds what
+/// publishing an execution costs in microseconds).
 class Stopwatch {
  public:
   Stopwatch() : start_us_(MonotonicMicros()) {}

@@ -85,9 +85,9 @@ struct QueryStatEntry {
 
 /// A bounded, LRU-evicted store of cumulative per-fingerprint statistics.
 /// One mutex, one short critical section per *completed execution* —
-/// completion is not the matcher's inner loop, so this stays well inside
-/// the bench_obs 2% budget ("lock-cheap", not lock-free; the per-entry
-/// histogram and plan ring make per-field atomics impractical).
+/// completion is not the matcher's inner loop (bench_obs pins it as the one
+/// lock an execution publishes with; "lock-cheap", not lock-free: the
+/// per-entry histogram and plan ring make per-field atomics impractical).
 ///
 /// Entries are keyed by (tenant, fingerprint): the server keeps tenants'
 /// workloads distinguishable, in-process hosts all record under tenant ""

@@ -45,21 +45,24 @@ struct LineReader {
 
   bool ReadLine(std::string* line) {
     while (true) {
-      size_t nl = buf.find('\n', pos);
+      // Only the bytes appended since the last scan can hold the newline,
+      // so a long line costs one pass however many reads it spans.
+      size_t nl = buf.find('\n', scanned);
       if ((nl == std::string::npos ? buf.size() : nl) - pos > kMaxLine) {
         too_long = true;
         return false;
       }
       if (nl != std::string::npos) {
         line->assign(buf, pos, nl - pos);
-        pos = nl + 1;
+        pos = scanned = nl + 1;
         if (pos >= kCompactAt) {
           buf.erase(0, pos);
-          pos = 0;
+          pos = scanned = 0;
         }
         if (!line->empty() && line->back() == '\r') line->pop_back();
         return true;
       }
+      scanned = buf.size();
       char chunk[65536];
       ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
       if (n < 0 && errno == EINTR) continue;
@@ -70,7 +73,8 @@ struct LineReader {
 
   int fd;
   std::string buf;
-  size_t pos = 0;
+  size_t pos = 0;      // Start of the current line in buf.
+  size_t scanned = 0;  // buf[pos, scanned) holds no newline.
   bool too_long = false;
 };
 
@@ -449,24 +453,7 @@ void Server::AcceptLoop() {
       ::close(fd);
       break;
     }
-    size_t live = 0;
-    {
-      // Sweep finished connections: join their threads and release fds.
-      // Only here and never from the connection threads themselves, so an
-      // fd is closed exactly once, strictly after its thread has exited.
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      for (auto it = conns_.begin(); it != conns_.end();) {
-        if ((*it)->done.load()) {
-          if ((*it)->thread.joinable()) (*it)->thread.join();
-          ::close((*it)->fd);
-          it = conns_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      live = conns_.size();
-    }
-    if (live >= options_.max_connections) {
+    if (SweepFinished() >= options_.max_connections) {
       SendAll(fd, ErrorResponse(Status::ResourceExhausted(
                                     "server connection limit reached"),
                                 kReasonServerSaturated) +
@@ -486,6 +473,23 @@ void Server::AcceptLoop() {
   }
 }
 
+size_t Server::SweepFinished() {
+  // Only here (and in Stop) and never from the connection threads
+  // themselves, so an fd is closed exactly once, strictly after its thread
+  // has been joined.
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    if ((*it)->done.load()) {
+      if ((*it)->thread.joinable()) (*it)->thread.join();
+      ::close((*it)->fd);
+      it = conns_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  return conns_.size();
+}
+
 void Server::ReaperLoop() {
   std::unique_lock<std::mutex> lock(reaper_mu_);
   while (!stopping_.load()) {
@@ -503,6 +507,7 @@ void Server::ReaperLoop() {
       ReleaseSessionSlot(session);
       sessions_reaped_total_->Increment();
     }
+    SweepFinished();
   }
 }
 
@@ -546,7 +551,7 @@ void Server::HandleConnection(Connection* conn) {
     registry_.Remove(state.session->id());
   }
   // The peer sees end of stream now (HTTP clients frame the response by
-  // it). The fd itself is closed by the accept-loop sweep (or Stop) after
+  // it). The fd itself is closed by SweepFinished (or Stop) after
   // this thread is joined — never here, so a shutdown() from Stop can't
   // race a reused descriptor number.
   ::shutdown(conn->fd, SHUT_RDWR);

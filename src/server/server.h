@@ -68,7 +68,8 @@ struct ServerOptions {
   /// Sessions idle longer than this are reaped: statements and cursors
   /// dropped, subsequent requests answered with SESSION_EXPIRED.
   double idle_timeout_ms = 5 * 60 * 1000.0;
-  /// Reaper wake-up period.
+  /// Reaper wake-up period: idle sessions expire, and closed connections
+  /// release their thread and fd, within one period.
   double reap_interval_ms = 250.0;
   /// Admission quota for tenants without an explicit SetQuota.
   TenantQuota default_quota;
@@ -142,6 +143,9 @@ class Server {
 
   void AcceptLoop();
   void ReaperLoop();
+  /// Joins every finished connection's thread and closes its fd (the
+  /// accept loop and the reaper both call it); returns the live count.
+  size_t SweepFinished();
   void HandleConnection(Connection* conn);
   /// Answers one HTTP GET (its headers already read) on `fd`.
   void HandleHttp(int fd, const std::string& request_line);

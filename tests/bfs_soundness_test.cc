@@ -113,13 +113,6 @@ TEST(BfsSoundnessTest, ConditionalBranchesNotMergedAcrossEnvironments) {
   EXPECT_EQ(rows, (std::vector<std::string>{"NULL|e2|t", "e1|NULL|t"}));
 }
 
-/// Compiles the first declaration of `text` for a flag check.
-Result<Program> CompileFirst(const std::string& text) {
-  testing_util::CompiledDecl c = testing_util::CompileDecl(text);
-  if (!c.status.ok()) return c.status;
-  return std::move(c.program);
-}
-
 TEST(BfsSoundnessTest, ExactVisitKeyEligibility) {
   // Exact (pc, node, start) keys: ANY / ANY SHORTEST whose only named
   // node variables are the two endpoints, with no restrictor scope, no
@@ -130,9 +123,9 @@ TEST(BfsSoundnessTest, ExactVisitKeyEligibility) {
            "(y WHERE y.w > x.w)",
            "MATCH ANY (x)[()-[:T]->()-[:T]->()]+(x)",
        }) {
-    Result<Program> program = CompileFirst(text);
-    ASSERT_TRUE(program.ok()) << text << " -> " << program.status();
-    EXPECT_TRUE(program->exact_visit_key) << text;
+    testing_util::CompiledDecl c = testing_util::CompileDecl(text);
+    ASSERT_TRUE(c.status.ok()) << c.status;
+    EXPECT_TRUE(c.program.exact_visit_key) << text;
   }
   for (const char* text : {
            "MATCH ALL SHORTEST (x)-[:T]->+(y)",
@@ -144,9 +137,9 @@ TEST(BfsSoundnessTest, ExactVisitKeyEligibility) {
            "MATCH ANY (x)[()-[t:T]->() WHERE t.w > 1]+(y)",
            "MATCH ANY (x)[(a)-[:T]->()]+(y)",
        }) {
-    Result<Program> program = CompileFirst(text);
-    ASSERT_TRUE(program.ok()) << text << " -> " << program.status();
-    EXPECT_FALSE(program->exact_visit_key) << text;
+    testing_util::CompiledDecl c = testing_util::CompileDecl(text);
+    ASSERT_TRUE(c.status.ok()) << c.status;
+    EXPECT_FALSE(c.program.exact_visit_key) << text;
   }
 }
 
@@ -172,9 +165,9 @@ TEST(BfsSoundnessTest, InteriorVariableKeepsHashedKeysAndAgreesWithReference) {
   const std::string text =
       "MATCH ANY SHORTEST (x)-[:T]->+(m)-[:T]->+(y WHERE y.w > m.w)";
 
-  Result<Program> program = CompileFirst(text);
-  ASSERT_TRUE(program.ok()) << program.status();
-  EXPECT_FALSE(program->exact_visit_key);
+  testing_util::CompiledDecl c = testing_util::CompileDecl(text);
+  ASSERT_TRUE(c.status.ok()) << c.status;
+  EXPECT_FALSE(c.program.exact_visit_key);
 
   // ANY SHORTEST rows render as (start, end, length) triples.
   std::vector<std::string> expected = testing_util::ReferenceJoinRows(g, text);

@@ -18,7 +18,9 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1281,6 +1283,74 @@ TEST(ServerTest, OverLongRequestLineGetsBadRequest) {
   EXPECT_EQ(conn.ReadLine(), "") << "the connection closes after the error";
   Client client = MustConnect(srv);
   EXPECT_TRUE(client.Ping().ok());
+}
+
+// A request arriving one byte per send, and requests whose bytes straddle
+// the server's 64 KiB reads, are each answered once and in order.
+TEST(ServerTest, RequestsSplitAcrossReadsAreAnswered) {
+  TestServer srv;
+  RawConnection conn(srv.port());
+  const std::string ping = R"pin({"op":"ping","id":1})pin" "\n";
+  for (char c : ping) {
+    ASSERT_EQ(::send(conn.fd(), &c, 1, MSG_NOSIGNAL), 1);
+  }
+  EXPECT_EQ(conn.ReadLine(), R"pin({"ok":true,"id":1})pin");
+
+  // The first line ends 10 bytes short of 64 KiB, so the second starts in
+  // the first read and ends in the next; the third spans several reads.
+  auto padded = [](int id, size_t bytes) {
+    std::string head = R"({"op":"ping","id":)" + std::to_string(id) +
+                       R"(,"pad":")";
+    return head + std::string(bytes - head.size() - 3, 'x') + "\"}\n";
+  };
+  std::string burst = padded(2, (64u << 10) - 10) +
+                      R"pin({"op":"ping","id":3})pin" "\n" +
+                      padded(4, 200u << 10);
+  ASSERT_EQ(burst.find('\n'), (64u << 10) - 11);
+  ASSERT_EQ(::send(conn.fd(), burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  EXPECT_EQ(conn.ReadLine(), R"pin({"ok":true,"id":2})pin");
+  EXPECT_EQ(conn.ReadLine(), R"pin({"ok":true,"id":3})pin");
+  EXPECT_EQ(conn.ReadLine(), R"pin({"ok":true,"id":4})pin");
+}
+
+/// Open file descriptors of this process.
+size_t OpenFds() {
+  size_t n = 0;
+  for (auto it = std::filesystem::directory_iterator("/proc/self/fd");
+       it != std::filesystem::directory_iterator(); ++it) {
+    ++n;
+  }
+  return n;
+}
+
+// Connections that said bye release their threads and fds within a reap
+// interval, with no further connection arriving to trigger the sweep.
+TEST(ServerTest, ClosedConnectionsReleaseFdsWithoutNewAccept) {
+  if (!std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "no /proc/self/fd to count open descriptors";
+  }
+  TestServer srv(FastReapOptions());
+  const size_t before = OpenFds();
+  {
+    std::vector<std::unique_ptr<RawConnection>> conns;
+    for (int i = 0; i < 4; ++i) {
+      conns.push_back(std::make_unique<RawConnection>(srv.port()));
+      EXPECT_EQ(conns.back()->Call(R"pin({"op":"bye"})pin"),
+                R"pin({"ok":true})pin");
+    }
+    for (auto& conn : conns) {
+      EXPECT_EQ(conn->ReadLine(), "") << "the stream ends after bye";
+    }
+  }  // Client ends closed: only the server's ends remain.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  size_t open = OpenFds();
+  while (open > before && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    open = OpenFds();
+  }
+  EXPECT_EQ(open, before) << "server ends of closed connections still open";
 }
 
 // --- shutdown and concurrency ----------------------------------------------

@@ -61,12 +61,7 @@ using testing_util::Compile;
 using testing_util::CompiledDecl;
 using testing_util::IsPrefix;
 using testing_util::RouteRun;
-
-RouteRun RunOnce(const PropertyGraph& g, const Program& program,
-                 const VarTable& vars, const MatcherOptions& options,
-                 bool partial) {
-  return testing_util::RunOnce(g, program, vars, options, partial, &kParams);
-}
+using testing_util::RunOnce;
 
 void CheckQuery(const PropertyGraph& g, const std::string& text) {
   SCOPED_TRACE(text + " on " + g.Summary());
@@ -87,8 +82,8 @@ void CheckQuery(const PropertyGraph& g, const std::string& text) {
     MatcherOptions options;
     options.num_threads = threads;
     options.min_seeds_per_shard = 1;
-    RouteRun witness = RunOnce(g, c.program, *c.vars, options, false);
-    RouteRun general = RunOnce(g, oracle, *c.vars, options, false);
+    RouteRun witness = RunOnce(g, c.program, *c.vars, options, false, &kParams);
+    RouteRun general = RunOnce(g, oracle, *c.vars, options, false, &kParams);
     const std::string what = "threads=" + std::to_string(threads);
     ASSERT_TRUE(witness.status.ok()) << what << ": " << witness.status;
     ASSERT_TRUE(general.status.ok()) << what << ": " << general.status;
@@ -112,7 +107,8 @@ void CheckQuery(const PropertyGraph& g, const std::string& text) {
       options.max_steps = max_steps;
       options.num_threads = partial ? 4 : 1;
       options.min_seeds_per_shard = 1;
-      RouteRun witness = RunOnce(g, c.program, *c.vars, options, partial);
+      RouteRun witness = RunOnce(g, c.program, *c.vars, options,
+                                 partial, &kParams);
       const std::string what = "max_steps=" + std::to_string(max_steps) +
                                (partial ? " kTruncate" : " kError");
       EXPECT_EQ(witness.status.code(),
@@ -123,7 +119,8 @@ void CheckQuery(const PropertyGraph& g, const std::string& text) {
       if (!partial) continue;
       EXPECT_EQ(witness.truncated, trips) << what;
       EXPECT_TRUE(IsPrefix(witness.rows, full.rows)) << what;
-      RouteRun general = RunOnce(g, oracle, *c.vars, options, partial);
+      RouteRun general = RunOnce(g, oracle, *c.vars, options,
+                                 partial, &kParams);
       EXPECT_TRUE(general.status.ok()) << what << ": " << general.status;
       EXPECT_TRUE(IsPrefix(general.rows, full.rows)) << what;
     }
@@ -133,8 +130,8 @@ void CheckQuery(const PropertyGraph& g, const std::string& text) {
   if (full.rows.size() > 1) {
     MatcherOptions options;
     options.max_matches = full.rows.size() - 1;
-    RouteRun witness = RunOnce(g, c.program, *c.vars, options, true);
-    RouteRun general = RunOnce(g, oracle, *c.vars, options, true);
+    RouteRun witness = RunOnce(g, c.program, *c.vars, options, true, &kParams);
+    RouteRun general = RunOnce(g, oracle, *c.vars, options, true, &kParams);
     const std::vector<std::string> kept(full.rows.begin(),
                                         full.rows.end() - 1);
     EXPECT_TRUE(witness.truncated);
@@ -236,8 +233,10 @@ TEST(WitnessRouteTest, UnboundParameterFailsLikeTheGeneralSearch) {
   ASSERT_TRUE(c.program.exact_visit_key);
   Program oracle = c.program;
   oracle.exact_visit_key = false;
-  RouteRun witness = RunOnce(g, c.program, *c.vars, MatcherOptions(), false);
-  RouteRun general = RunOnce(g, oracle, *c.vars, MatcherOptions(), false);
+  RouteRun witness = RunOnce(g, c.program, *c.vars, MatcherOptions(),
+                             false, &kParams);
+  RouteRun general = RunOnce(g, oracle, *c.vars, MatcherOptions(),
+                             false, &kParams);
   EXPECT_FALSE(witness.status.ok());
   EXPECT_EQ(witness.status.code(), general.status.code());
   EXPECT_EQ(witness.status.message(), general.status.message());
