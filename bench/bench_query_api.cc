@@ -22,8 +22,8 @@
 //     the prepare pipeline — over the same cold prepares, the median of the
 //     analyzer's own time (PreparedQuery::analysis_ms, timed by the
 //     engine) must stay within 5% of the median prepare wall time outside
-//     it, plus a small absolute epsilon (enforced only on non-sanitized
-//     builds). Both terms come from the same calls; the medians and their
+//     it, plus a small absolute epsilon (enforced only in optimized,
+//     unsanitized builds: bench::WallGatesEnforced). Both terms come from the same calls; the medians and their
 //     MADs are reported either way.
 //
 // Writes BENCH_query_api.json via bench_util.h.
@@ -304,15 +304,14 @@ bool AnalysisOverheadContract(const PropertyGraph& g,
                {"overhead_pct", overhead_pct}});
 
   bool ok = true;
-#ifdef GPML_BENCH_SANITIZED
-  std::printf("analysis gate: SKIPPED (sanitizer build distorts timings)\n");
-#else
   // 5% relative plus 5us absolute: sub-millisecond prepares jitter by
   // scheduler noise alone, which a pure ratio would amplify.
-  if (analysis.median > rest.median * 0.05 + 0.005) {
+  if (!bench::WallGatesEnforced()) {
+    std::printf("analysis gate: SKIPPED (sanitizer or unoptimized build "
+                "distorts timings)\n");
+  } else if (analysis.median > rest.median * 0.05 + 0.005) {
     ok = Fail("analysis must add <= 5% to cold prepare latency");
   }
-#endif
   return ok;
 }
 

@@ -5,8 +5,9 @@
 //     row, as raw response bytes, equals the in-process engine's
 //     RowToJson output for the same binding (transport adds nothing,
 //     loses nothing);
-//   * concurrency — the fleet runs on 8 connections concurrently through
-//     the bounded worker pool with zero spurious failures;
+//   * concurrency — the fleet runs on 8 connections concurrently, each
+//     query on its connection's thread behind the admission controller's
+//     run slots and bounded wait queue, with zero spurious failures;
 //   * tail latency — per-query wall times are summarized as p50/p95/p99
 //     into BENCH_server.json (bench_util.h percentile helpers);
 //   * workload introspection — after the mixed fleet (two fingerprints),

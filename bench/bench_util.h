@@ -16,8 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 
-// Sanitizer builds distort timings, so the few wall-time gates that remain
-// report their numbers there without enforcing them.
+// Sanitizer builds distort timings (see WallGatesEnforced).
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define GPML_BENCH_SANITIZED 1
 #elif defined(__has_feature)
@@ -28,6 +27,17 @@
 
 namespace gpml {
 namespace bench {
+
+/// Whether the wall-time gates are enforced: not in sanitized or
+/// unoptimized (!NDEBUG) builds, whose timings say nothing about the
+/// optimized code. There the gates report their numbers only.
+inline bool WallGatesEnforced() {
+#if defined(GPML_BENCH_SANITIZED) || !defined(NDEBUG)
+  return false;
+#else
+  return true;
+#endif
+}
 
 /// The p-th percentile (0 < p <= 100) of `samples` by linear interpolation
 /// between closest ranks (the "exclusive" flavor numpy calls 'linear').

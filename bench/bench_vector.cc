@@ -114,18 +114,6 @@ bool MeasureOnce(const PropertyGraph& g, const Program& program,
   return true;
 }
 
-bool ThroughputGateActive() {
-#ifdef GPML_BENCH_SANITIZED
-  std::printf("throughput gate: SKIPPED (sanitizer build distorts timings)\n");
-  return false;
-#elif !defined(NDEBUG)
-  std::printf("throughput gate: SKIPPED (unoptimized build)\n");
-  return false;
-#else
-  return true;
-#endif
-}
-
 int RunBench() {
   bool ok = true;
   bench::JsonReport report("vector");
@@ -148,7 +136,11 @@ int RunBench() {
 
   // --- 1. matcher-step throughput + batch engagement ----------------------
   {
-    const bool enforce = ThroughputGateActive();
+    const bool enforce = bench::WallGatesEnforced();
+    if (!enforce) {
+      std::printf("throughput gate: SKIPPED (sanitizer or unoptimized build "
+                  "distorts timings)\n");
+    }
     double log_ratio_sum = 0;
     size_t measured = 0;
 

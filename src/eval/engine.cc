@@ -44,35 +44,6 @@ const Path* RowScope::LookupPath(int var) const {
   return nullptr;
 }
 
-/// Span-level detail of one declaration, beyond what the record sums up
-/// (a chunked declaration accumulates its chunks). Times are offsets from
-/// the execution's start.
-struct DeclRun {
-  planner::DeclActual actual;
-  int decl_index = 0;
-  uint64_t start_us = 0;
-  uint64_t end_us = 0;
-  double seed_ms = 0;
-  std::vector<double> shard_ms;
-  bool joined = false;  // Every declaration after the first joins.
-  uint64_t join_start_us = 0;
-  uint64_t join_us = 0;
-};
-
-struct ExecDetail {
-  uint64_t epoch_us = 0;  // MonotonicMicros when the cursor opened.
-  std::vector<DeclRun> decls;  // Plan order.
-  std::optional<uint64_t> filter_start_us;  // The first per-row tail.
-
-  uint64_t NowUs() const { return obs::MonotonicMicros() - epoch_us; }
-  std::vector<planner::DeclActual> Actuals() const {
-    std::vector<planner::DeclActual> out;
-    out.reserve(decls.size());
-    for (const DeclRun& run : decls) out.push_back(run.actual);
-    return out;
-  }
-};
-
 namespace {
 
 /// Joins the accumulated rows with the next declaration's bindings on the
@@ -861,7 +832,7 @@ Cursor::Cursor(const PropertyGraph& graph, EngineOptions options,
   // slow-query capture (which renders both if the run turns out slow).
   if (options_.trace != nullptr || options_.trace_sink != nullptr ||
       options_.slow_query_ms >= 0) {
-    detail_ = std::make_unique<ExecDetail>();
+    detail_.emplace();
     detail_->epoch_us = open_us_;
     detail_->decls.reserve(p.decls.size());
   }
@@ -890,7 +861,7 @@ void Cursor::SyncMetrics() {
 }
 
 void Cursor::BeginDecl(size_t plan_pos, const std::vector<ResultRow>& rows) {
-  const uint64_t start_us = detail_ != nullptr ? detail_->NowUs() : 0;
+  const uint64_t start_us = detail_.has_value() ? detail_->NowUs() : 0;
   const planner::DeclPlan& dp = plan_->plan.decls[plan_pos];
   decl_pos_ = plan_pos;
   decl_runs_ = 0;
@@ -921,7 +892,7 @@ void Cursor::BeginDecl(size_t plan_pos, const std::vector<ResultRow>& rows) {
   if (bound_seeded_) ++record_.bound_seeded_decls;
   if (target_filtered_) ++record_.target_filtered_decls;
   if (index_seeds_ != nullptr) ++record_.index_seeded_decls;
-  if (detail_ != nullptr) {
+  if (detail_.has_value()) {
     DeclRun& run = detail_->decls.emplace_back();
     run.decl_index = dp.decl_index;
     run.start_us = start_us;
@@ -965,7 +936,7 @@ Result<std::vector<std::shared_ptr<const PathBinding>>> Cursor::RunDecl(
   if (exhausted) truncated_ = true;
   if (dp.reversed) planner::UnreverseMatchSet(&*match);
 
-  if (detail_ != nullptr) {
+  if (detail_.has_value()) {
     DeclRun& run = detail_->decls.back();
     run.end_us = detail_->NowUs();
     run.seed_ms += stats.seed_ms;
@@ -1019,7 +990,7 @@ Result<std::vector<ResultRow>> Cursor::JoinDecls() {
                        options_.max_rows, truncate, &join_truncated));
     const uint64_t join_us = join_clock.ElapsedMicros();
     record_.join_ms += static_cast<double>(join_us) / 1e3;
-    if (detail_ != nullptr) {
+    if (detail_.has_value()) {
       DeclRun& run = detail_->decls.back();
       run.joined = true;
       run.join_start_us = join_clock.start_us() - detail_->epoch_us;
@@ -1063,7 +1034,7 @@ Status Cursor::Fill(bool drain) {
         seeds_ = ComputeSeeds(*graph_, *plan_->programs[0], index_seeds_);
         const double seed_ms = seed_clock.ElapsedMs();
         record_.seed_ms += seed_ms;
-        if (detail_ != nullptr) detail_->decls.back().seed_ms += seed_ms;
+        if (detail_.has_value()) detail_->decls.back().seed_ms += seed_ms;
         budget_ = std::make_unique<SharedBudget>(options_.matcher.max_steps,
                                                  options_.matcher.max_matches);
       }
@@ -1086,7 +1057,7 @@ Status Cursor::Fill(bool drain) {
 
   // Per-row tail: match-mode filter (§7.1) and the final WHERE (§5.2).
   obs::Stopwatch filter_clock;
-  if (detail_ != nullptr && !detail_->filter_start_us.has_value()) {
+  if (detail_.has_value() && !detail_->filter_start_us.has_value()) {
     detail_->filter_start_us = filter_clock.start_us() - detail_->epoch_us;
   }
   size_t kept = 0;
@@ -1138,7 +1109,8 @@ void Cursor::Finish(bool error) {
       static_cast<double>(obs::MonotonicMicros() - open_us_) / 1e3;
   record_.rows = emitted_;
   record_.error = error;
-  Publish(*graph_, options_, *plan_, record_, detail_.get());
+  Publish(*graph_, options_, *plan_, record_,
+          detail_.has_value() ? &*detail_ : nullptr);
 }
 
 Result<bool> Cursor::Next(RowView* view) {

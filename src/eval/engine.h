@@ -14,6 +14,7 @@
 #include "eval/matcher.h"
 #include "eval/params.h"
 #include "graph/property_graph.h"
+#include "obs/clock.h"
 #include "obs/execution_record.h"
 #include "obs/query_stats.h"
 #include "obs/slow_query_log.h"
@@ -199,9 +200,37 @@ class RowScope : public EvalScope {
 
 class Cursor;
 class Engine;
-/// Span-level detail of one execution (engine.cc), kept by a cursor only
-/// when a trace or EXPLAIN ANALYZE may read it.
-struct ExecDetail;
+
+/// Span-level detail of one declaration, beyond what the record sums up
+/// (a chunked declaration accumulates its chunks). Times are offsets from
+/// the execution's start.
+struct DeclRun {
+  planner::DeclActual actual;
+  int decl_index = 0;
+  uint64_t start_us = 0;
+  uint64_t end_us = 0;
+  double seed_ms = 0;
+  std::vector<double> shard_ms;
+  bool joined = false;  // Every declaration after the first joins.
+  uint64_t join_start_us = 0;
+  uint64_t join_us = 0;
+};
+
+/// Span-level detail of one execution, kept by a cursor only when a trace
+/// or EXPLAIN ANALYZE may read it.
+struct ExecDetail {
+  uint64_t epoch_us = 0;  // MonotonicMicros when the cursor opened.
+  std::vector<DeclRun> decls;  // Plan order.
+  std::optional<uint64_t> filter_start_us;  // The first per-row tail.
+
+  uint64_t NowUs() const { return obs::MonotonicMicros() - epoch_us; }
+  std::vector<planner::DeclActual> Actuals() const {
+    std::vector<planner::DeclActual> out;
+    out.reserve(decls.size());
+    for (const DeclRun& run : decls) out.push_back(run.actual);
+    return out;
+  }
+};
 
 /// A non-owning view of one streamed result row: the row itself plus the
 /// compiled context needed to interpret it (`context->rows` stays empty —
@@ -456,7 +485,7 @@ class Cursor {
 
   uint64_t open_us_ = 0;  // Monotonic time of construction.
   obs::ExecutionRecord record_;  // The execution's only running totals.
-  std::unique_ptr<ExecDetail> detail_;  // Null unless a trace may render.
+  std::optional<ExecDetail> detail_;  // Empty unless a trace may render.
 };
 
 /// The GPML processor of Figure 9: evaluates graph patterns over one

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/clock.h"
 #include "server/protocol.h"
 
 namespace gpml {
@@ -35,8 +36,10 @@ void AdmissionController::ReleaseSession(const std::string& tenant) {
 }
 
 Status AdmissionController::AdmitQuery(const std::string& tenant,
-                                       const char** reason) {
-  std::lock_guard<std::mutex> lock(mu_);
+                                       const char** reason,
+                                       uint64_t* waited_us) {
+  *waited_us = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   TenantState& state = GetLocked(tenant);
   const TenantQuota& quota = EffectiveQuotaLocked(state);
   if (quota.max_total_steps != 0 &&
@@ -52,14 +55,40 @@ Status AdmissionController::AdmitQuery(const std::string& tenant,
         "tenant '" + tenant + "' is at its concurrency quota (" +
         std::to_string(quota.max_concurrent) + " queries in flight)");
   }
+  const uint64_t waiting = turns_issued_ - next_turn_;
+  const bool must_wait = running_ >= run_slots_ || waiting > 0;
+  if (must_wait && waiting >= max_waiting_) {
+    *reason = kReasonServerSaturated;
+    return Status::ResourceExhausted(
+        "every run slot is taken and the wait queue is full; retry later");
+  }
+  // A waiting query holds its tenant's in-flight slot too.
   ++state.in_flight;
+  if (must_wait) {
+    const uint64_t turn = turns_issued_++;
+    const uint64_t wait_start_us = obs::MonotonicMicros();
+    slot_freed_.wait(lock, [this, turn] {
+      return turn == next_turn_ && running_ < run_slots_;
+    });
+    ++next_turn_;
+    *waited_us = obs::MonotonicMicros() - wait_start_us;
+    // The next waiter may find a slot free too.
+    if (next_turn_ != turns_issued_ && running_ + 1 < run_slots_) {
+      slot_freed_.notify_all();
+    }
+  }
+  ++running_;
   return Status::OK();
 }
 
 void AdmissionController::ReleaseQuery(const std::string& tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
-  TenantState& state = GetLocked(tenant);
-  if (state.in_flight > 0) --state.in_flight;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    TenantState& state = GetLocked(tenant);
+    if (state.in_flight > 0) --state.in_flight;
+    --running_;
+  }
+  slot_freed_.notify_all();
 }
 
 void AdmissionController::ChargeSteps(const std::string& tenant,
@@ -90,6 +119,11 @@ MatcherOptions AdmissionController::ApplyQuota(const std::string& tenant,
         std::min(matcher.max_matches, quota.max_matches_per_query);
   }
   return matcher;
+}
+
+AdmissionController::RunCounts AdmissionController::Runs() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return {running_, static_cast<size_t>(turns_issued_ - next_turn_)};
 }
 
 AdmissionController::TenantCounts AdmissionController::CountsFor(

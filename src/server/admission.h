@@ -1,6 +1,7 @@
 #ifndef GPML_SERVER_ADMISSION_H_
 #define GPML_SERVER_ADMISSION_H_
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -36,12 +37,19 @@ struct TenantQuota {
   uint64_t max_total_steps = 0;
 };
 
-/// Admission decisions for sessions and queries, per tenant. All methods
-/// are thread-safe; the per-query fast path is one short critical section.
+/// Admission decisions for sessions and queries, per tenant, and the
+/// server-wide run slots: at most `run_slots` (0 means 1) admitted queries
+/// run at once, each on the connection thread that read it, and at most
+/// `max_waiting` more wait for a slot in arrival order. All methods are
+/// thread-safe; a query that finds a slot free takes one short critical
+/// section.
 class AdmissionController {
  public:
-  explicit AdmissionController(TenantQuota default_quota = {})
-      : default_quota_(default_quota) {}
+  AdmissionController(TenantQuota default_quota, size_t run_slots,
+                      size_t max_waiting)
+      : default_quota_(default_quota),
+        run_slots_(run_slots == 0 ? 1 : run_slots),
+        max_waiting_(max_waiting) {}
 
   /// Installs a tenant-specific quota (before or after traffic starts).
   void SetQuota(const std::string& tenant, TenantQuota quota);
@@ -51,11 +59,18 @@ class AdmissionController {
   Status AdmitSession(const std::string& tenant);
   void ReleaseSession(const std::string& tenant);
 
-  /// Claims an in-flight query slot. A refusal is kResourceExhausted, and
-  /// `*reason` names its cause: TENANT_STEP_BUDGET (cumulative steps spent)
-  /// or TENANT_CONCURRENCY (at max_concurrent). On success the caller MUST
-  /// balance with ReleaseQuery; use QueryTicket for that.
-  Status AdmitQuery(const std::string& tenant, const char** reason);
+  /// Claims an in-flight query slot of the tenant, then a run slot: at
+  /// once when one is free and no query waits, else after the queries
+  /// that wait already. A refusal is kResourceExhausted, and `*reason`
+  /// names its cause: TENANT_STEP_BUDGET (cumulative steps spent) or
+  /// TENANT_CONCURRENCY (at max_concurrent), both without waiting, or
+  /// SERVER_SATURATED (max_waiting queries wait already). `*waited_us` is
+  /// the wait for the run slot. On success the caller MUST balance with
+  /// ReleaseQuery; use QueryTicket for that.
+  Status AdmitQuery(const std::string& tenant, const char** reason,
+                    uint64_t* waited_us);
+  /// Frees the tenant's in-flight slot and the run slot, and wakes the
+  /// query that waited longest.
   void ReleaseQuery(const std::string& tenant);
 
   /// Records `steps` executed by a completed query against the tenant's
@@ -76,6 +91,13 @@ class AdmissionController {
   };
   TenantCounts CountsFor(const std::string& tenant) const;
 
+  /// Server-wide: queries holding a run slot, and queries waiting for one.
+  struct RunCounts {
+    size_t active = 0;
+    size_t queue_depth = 0;
+  };
+  RunCounts Runs() const;
+
  private:
   struct TenantState {
     TenantQuota quota;
@@ -92,9 +114,18 @@ class AdmissionController {
   mutable std::mutex mu_;
   TenantQuota default_quota_;
   std::map<std::string, TenantState> tenants_;
+
+  const size_t run_slots_;
+  const size_t max_waiting_;
+  size_t running_ = 0;
+  // Waiters take consecutive turns; the waiter whose turn is next_turn_
+  // takes the next free slot, so slots go out in arrival order.
+  uint64_t turns_issued_ = 0;
+  uint64_t next_turn_ = 0;
+  std::condition_variable slot_freed_;
 };
 
-/// RAII in-flight query slot of an admitted query: releases on
+/// RAII in-flight and run slot of an admitted query: releases both on
 /// destruction.
 class QueryTicket {
  public:

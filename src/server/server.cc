@@ -11,7 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <future>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string_view>
@@ -341,7 +341,9 @@ struct Server::Reply {
 };
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)), admission_(options_.default_quota) {
+    : options_(std::move(options)),
+      admission_(options_.default_quota, options_.worker_threads,
+                 options_.max_queue) {
   connections_total_ = metrics_.GetCounter("gpml_server_connections_total");
   requests_total_ = metrics_.GetCounter("gpml_server_requests_total");
   errors_total_ = metrics_.GetCounter("gpml_server_errors_total");
@@ -399,8 +401,6 @@ Status Server::Start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
 
-  pool_ = std::make_unique<WorkerPool>(options_.worker_threads,
-                                       options_.max_queue);
   accept_thread_ = std::thread(&Server::AcceptLoop, this);
   reaper_thread_ = std::thread(&Server::ReaperLoop, this);
   return Status::OK();
@@ -422,7 +422,8 @@ void Server::Stop() {
 
   // Graceful drain: SHUT_RD wakes connection threads blocked in recv (they
   // see EOF and tear down) but leaves the write side open, so a request
-  // already executing still gets its response before the thread exits.
+  // already running or waiting for a run slot still gets its response
+  // before the thread exits.
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (const auto& conn : conns_) {
@@ -435,7 +436,6 @@ void Server::Stop() {
     if (conn->fd >= 0) ::close(conn->fd);
   }
   conns_.clear();
-  if (pool_ != nullptr) pool_->Shutdown();
   ::close(listen_fd_);
   listen_fd_ = -1;
 }
@@ -720,53 +720,36 @@ void Server::ChargeSteps(const ServerSession& session, CursorHandle* handle) {
   if (steps > 0) session.steps_counter()->Increment(steps);
 }
 
-Status Server::RunPooled(const std::string& tenant,
-                         const std::string& trace_id, Reply* reply,
-                         const std::function<Status()>& fn) {
+template <typename Fn>
+Status Server::RunAdmitted(const std::string& tenant,
+                         const std::string& trace_id, Reply* reply, Fn&& fn) {
   obs::Stopwatch request_clock;
   const char* refusal = "";
-  Status admitted = admission_.AdmitQuery(tenant, &refusal);
-  const uint64_t admission_us = request_clock.ElapsedMicros();
+  uint64_t queue_us = 0;
+  Status admitted = admission_.AdmitQuery(tenant, &refusal, &queue_us);
+  // The decision is the admission span; the wait for a run slot follows it.
+  const uint64_t admission_us = request_clock.ElapsedMicros() - queue_us;
   if (!admitted.ok()) {
-    rejected_quota_total_->Increment();
+    if (std::strcmp(refusal, kReasonServerSaturated) == 0) {
+      rejected_saturated_total_->Increment();
+      if (stopping_.load()) {
+        refusal = kReasonServerStopping;
+        admitted = Status::ResourceExhausted("server is shutting down");
+      }
+    } else {
+      rejected_quota_total_->Increment();
+    }
     TenantRefusalsCounter(tenant, refusal)->Increment();
     return reply->Refuse(admitted, refusal);
   }
   QueryTicket ticket(&admission_, tenant);
-  std::promise<Status> result;
-  std::future<Status> future = result.get_future();
-  // The worker writes these (and the reply body) before set_value;
-  // future.get() synchronizes, so the reads below are ordered after the
-  // writes.
-  double queue_ms = 0;
-  double exec_ms = 0;
-  const uint64_t queue_start_us = request_clock.ElapsedMicros();
-  bool accepted = pool_->Submit(
-      [&result, &fn, &queue_ms, &exec_ms](double waited_ms) {
-        queue_ms = waited_ms;
-        obs::Stopwatch exec_clock;
-        Status status = fn();
-        exec_ms = exec_clock.ElapsedMs();
-        result.set_value(std::move(status));
-      });
-  if (!accepted) {
-    rejected_saturated_total_->Increment();
-    bool stopping = stopping_.load();
-    const char* reason =
-        stopping ? kReasonServerStopping : kReasonServerSaturated;
-    TenantRefusalsCounter(tenant, reason)->Increment();
-    return reply->Refuse(
-        Status::ResourceExhausted(
-            stopping ? "server is shutting down"
-                     : "server worker pool is saturated; retry later"),
-        reason);
-  }
-  Status status = future.get();
+  obs::Stopwatch exec_clock;
+  Status status = fn();
+  const uint64_t exec_us = exec_clock.ElapsedMicros();
 
   // The request trace is rendered only for a sink, from the measured
-  // times. The queue span starts at submission and ends at worker pickup
-  // (the wait the pool measured); the session span is the handler running
-  // under the session from pickup to completion.
+  // times. The queue span is the wait for a run slot; the session span is
+  // the handler running under the session from then to completion.
   if (options_.engine.trace_sink != nullptr) {
     obs::Trace trace;
     int root = trace.AddComplete("request", obs::Trace::kNoParent, 0,
@@ -775,10 +758,8 @@ Status Server::RunPooled(const std::string& tenant,
     trace.Attr(root, "tenant", tenant);
     if (!trace_id.empty()) trace.Attr(root, "trace_id", trace_id);
     trace.AddComplete("admission", root, 0, admission_us);
-    const uint64_t queue_us = obs::MsToUs(queue_ms);
-    trace.AddComplete("queue", root, queue_start_us, queue_us);
-    trace.AddComplete("session", root, queue_start_us + queue_us,
-                      obs::MsToUs(exec_ms));
+    trace.AddComplete("queue", root, admission_us, queue_us);
+    trace.AddComplete("session", root, admission_us + queue_us, exec_us);
     options_.engine.trace_sink->Emit(trace);
   }
   // Only successful responses carry the request timing breakdown; error
@@ -789,8 +770,9 @@ Status Server::RunPooled(const std::string& tenant,
       timing, std::snprintf(timing, sizeof(timing),
                             ",\"timing\":{\"admission_ms\":%.3f,\"queue_ms\":"
                             "%.3f,\"exec_ms\":%.3f}",
-                            static_cast<double>(admission_us) / 1e3, queue_ms,
-                            exec_ms));
+                            static_cast<double>(admission_us) / 1e3,
+                            static_cast<double>(queue_us) / 1e3,
+                            static_cast<double>(exec_us) / 1e3));
   return Status::OK();
 }
 
@@ -981,9 +963,8 @@ Status Server::OpStatement(ConnState* state, const JsonValue& req,
   }
   ServerSession& session = *state->session;
   const std::string trace_id = StringOr(req, "trace_id");
-  return RunPooled(session.tenant(), trace_id, reply, [&]() -> Status {
+  return RunAdmitted(session.tenant(), trace_id, reply, [&]() -> Status {
     obs::Stopwatch watch;
-    // A drained cursor dies here, on the worker that allocated it.
     CursorHandle handle{nullptr, std::make_unique<EngineMetrics>(), graph};
     // The server's engine options, tightened to the tenant's quota and
     // stamped with the tenant and trace_id for slow-query captures and
@@ -1044,7 +1025,7 @@ Status Server::OpFetch(ConnState* state, const JsonValue& req, Reply* reply) {
                             std::to_string(cursor_id));
   }
   ServerSession& session = *state->session;
-  return RunPooled(session.tenant(), StringOr(req, "trace_id"), reply, [&] {
+  return RunAdmitted(session.tenant(), StringOr(req, "trace_id"), reply, [&] {
     return WriteRows(session, handle, static_cast<size_t>(max_rows),
                      /*paged=*/true, &reply->body);
   });
@@ -1100,8 +1081,9 @@ Status Server::OpStats(ConnState* state, const JsonValue&, Reply* reply) {
       admission_.CountsFor(tenant);
   std::string* out = &reply->body;
   IntField(out, "sessions", registry_.size());
-  IntField(out, "queue_depth", pool_->queue_depth());
-  IntField(out, "active", pool_->active());
+  const AdmissionController::RunCounts runs = admission_.Runs();
+  IntField(out, "queue_depth", runs.queue_depth);
+  IntField(out, "active", runs.active);
   Key(out, "tenant");
   out->push_back('{');
   StringField(out, "name", tenant);
@@ -1120,7 +1102,7 @@ Status Server::OpDebugSleep(ConnState* state, const JsonValue& req,
   SessionOp in_flight;
   GPML_RETURN_IF_ERROR(EnterSession(state, nullptr, &in_flight, reply));
   const int64_t ms = std::clamp<int64_t>(GetIntOr(req, "ms", 10), 0, 10000);
-  return RunPooled(state->session->tenant(), StringOr(req, "trace_id"), reply,
+  return RunAdmitted(state->session->tenant(), StringOr(req, "trace_id"), reply,
                    [&] {
                      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
                      IntField(&reply->body, "slept_ms", ms);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -19,7 +18,6 @@
 #include "server/admission.h"
 #include "server/json.h"
 #include "server/session.h"
-#include "server/worker_pool.h"
 
 namespace gpml {
 namespace server {
@@ -44,10 +42,10 @@ struct GraphKind {
 /// The generator kind named `name`, or InvalidArgument listing the kinds.
 Result<const GraphKind*> FindGraphKind(const std::string& name);
 
-/// Server configuration. Engine options default to one worker thread per
-/// query — the server's parallelism comes from running many tenants'
-/// queries concurrently on the worker pool, not from sharding every query
-/// across the whole box.
+/// Server configuration. Engine options default to one thread per query —
+/// the server's parallelism comes from running many connections' queries
+/// at once, each on its own connection thread, not from sharding every
+/// query across the whole box.
 struct ServerOptions {
   ServerOptions() { engine.num_threads = 1; }
 
@@ -57,10 +55,13 @@ struct ServerOptions {
   /// TCP port; 0 binds an ephemeral port (tests, benchmarks) — read the
   /// real one back with port().
   int port = 0;
-  /// Worker threads executing queries (execute/open/fetch run here).
+  /// Queries (execute/open/fetch/debug_sleep) that run at once, each on
+  /// the connection thread that read it; 0 means 1.
   size_t worker_threads = 4;
-  /// Bounded worker-pool queue; a request arriving with the queue full is
-  /// rejected with SERVER_SATURATED instead of queueing unboundedly.
+  /// Queries that may wait, in arrival order, for one of those run slots;
+  /// a query arriving with this many waiting is refused with
+  /// SERVER_SATURATED instead of queueing unboundedly. 0: a query runs if
+  /// a slot is free and is refused otherwise.
   size_t max_queue = 64;
   /// Concurrent TCP connections; further accepts are turned away with an
   /// error line.
@@ -108,7 +109,8 @@ class Server {
   /// before and after Start (load_graph goes through the same path).
   Status AddGraph(std::string name, PropertyGraph graph);
 
-  /// Binds, listens, and spawns the accept/reaper/worker threads.
+  /// Binds, listens, and spawns the accept and reaper threads (each
+  /// connection then gets a thread of its own).
   Status Start();
 
   /// Graceful shutdown; safe to call more than once, also from the
@@ -172,17 +174,19 @@ class Server {
   Status EnterSession(ConnState* state, const char* needs_hello,
                       SessionOp* in_flight, Reply* reply);
 
-  /// Runs `fn` on the worker pool under a tenant query ticket, blocking
-  /// until it finishes; maps saturation and quota refusals to structured
-  /// errors. Builds the request-level trace (root "request" with
-  /// admission/queue/session child spans, emitted to the engine trace
-  /// sink when one is configured) and, when `fn` succeeds, appends a
-  /// "timing" object — admission_ms / queue_ms / exec_ms — to the body.
-  /// `trace_id` is the client-supplied correlation id ("" = none): echoed
-  /// as a root-span attribute and threaded into the engine options so
-  /// slow-query captures carry it.
-  Status RunPooled(const std::string& tenant, const std::string& trace_id,
-                   Reply* reply, const std::function<Status()>& fn);
+  /// Admits a query (AdmissionController::AdmitQuery, which may wait for
+  /// a run slot) and runs `fn` on the calling connection thread under its
+  /// QueryTicket; maps saturation and quota refusals to structured errors.
+  /// Builds the request-level trace (root "request" with admission/queue/
+  /// session child spans, emitted to the engine trace sink when one is
+  /// configured) and, when `fn` succeeds, appends a "timing" object —
+  /// admission_ms (the decision) / queue_ms (the wait for a run slot) /
+  /// exec_ms (`fn`) — to the body. `trace_id` is the client-supplied
+  /// correlation id ("" = none): echoed as a root-span attribute and
+  /// threaded into the engine options so slow-query captures carry it.
+  template <typename Fn>
+  Status RunAdmitted(const std::string& tenant, const std::string& trace_id,
+                   Reply* reply, Fn&& fn);
 
   /// The row writer execute and fetch share: streams up to `max_rows` rows
   /// of the handle's cursor straight into `out` as "rows" and
@@ -209,7 +213,7 @@ class Server {
   Status OpPrepare(ConnState* state, const JsonValue& req, Reply* reply);
   /// execute and open: the statement lookup and the `params`, `limit`
   /// (rejected when negative) and `trace_id` decode they share, then the
-  /// cursor opened on the worker pool and drained or kept.
+  /// cursor opened under RunAdmitted and drained or kept.
   Status OpStatement(ConnState* state, const JsonValue& req, Reply* reply);
   Status OpFetch(ConnState* state, const JsonValue& req, Reply* reply);
   /// close_cursor and close_stmt.
@@ -256,7 +260,6 @@ class Server {
 
   AdmissionController admission_;
   SessionRegistry registry_;
-  std::unique_ptr<WorkerPool> pool_;
 
   std::atomic<bool> stopping_{false};
   bool started_ = false;

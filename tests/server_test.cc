@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -531,7 +532,7 @@ TEST(ServerTest, InFlightRequestIsNeverReaped) {
   options.enable_debug_ops = true;
   TestServer srv(options);
   Client client = MustConnect(srv);
-  // Sleeps 4x the idle timeout on the worker pool while holding the
+  // Sleeps 4x the idle timeout on its connection thread while holding the
   // session in flight; must come back OK, and the session must still be
   // usable immediately after.
   EXPECT_TRUE(client.DebugSleep(600).ok());
@@ -644,8 +645,8 @@ TEST(ServerTest, StepBudgetExhaustionIsStructuredError) {
 
 // --- backpressure ----------------------------------------------------------
 
-// With one worker and a one-slot queue, a third simultaneous query (one
-// running, one queued) bounces with SERVER_SATURATED instead of queueing
+// With one run slot and one waiting place, a third simultaneous query (one
+// running, one waiting) bounces with SERVER_SATURATED instead of queueing
 // unboundedly.
 TEST(ServerTest, SaturatedPoolRejectsWithStructuredError) {
   ServerOptions options;
@@ -661,9 +662,8 @@ TEST(ServerTest, SaturatedPoolRejectsWithStructuredError) {
   Result<Client::PreparedInfo> prepared = prober.Prepare(kAllTransfers);
   ASSERT_TRUE(prepared.ok());
 
-  // Stagger the sleepers: the second submit only lands in the queue once
-  // the first has been dequeued by the worker (Submit rejects whenever the
-  // queue itself is full, even if a worker is about to drain it).
+  // Stagger the sleepers so the first holds the run slot and the second
+  // waits for it (the stats poll observes each step).
   std::thread holder1([&running] { running.DebugSleep(1500); });
   bool active = false;
   for (int i = 0; i < 400 && !active; ++i) {
@@ -696,6 +696,101 @@ TEST(ServerTest, SaturatedPoolRejectsWithStructuredError) {
 
   Result<ExecuteResult> ok = prober.Execute(prepared->stmt);
   EXPECT_TRUE(ok.ok()) << ok.status();
+}
+
+/// Polls the stats op until `active` queries hold a run slot and
+/// `queue_depth` wait for one; false if that never happens. Checked with
+/// EXPECT, not ASSERT: the callers' client threads must be joined anyway.
+bool WaitForRuns(Client* prober, int64_t active, int64_t queue_depth) {
+  for (int i = 0; i < 400; ++i) {
+    Result<Client::RawResponse> stats =
+        prober->RoundTrip("{\"op\":\"stats\"}");
+    if (!stats.ok()) return false;
+    if (stats->parsed.Find("active")->int_v == active &&
+        stats->parsed.Find("queue_depth")->int_v == queue_depth) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return false;
+}
+
+// max_queue = 0 means "run if a slot is free, else refuse": a lone query
+// finds the slot free and runs.
+TEST(ServerTest, ZeroQueueRunsAQueryWhenASlotIsFree) {
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.max_queue = 0;
+  TestServer srv(options);
+  Client client = MustConnect(srv);
+  ASSERT_TRUE(client.UseGraph("fraud").ok());
+  Result<Client::PreparedInfo> prepared = client.Prepare(kAllTransfers);
+  ASSERT_TRUE(prepared.ok());
+  Result<ExecuteResult> result = client.Execute(prepared->stmt);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->rows.empty());
+}
+
+// Queries waiting for a run slot take it in arrival order.
+TEST(ServerTest, WaitingQueriesRunInArrivalOrder) {
+  ServerOptions options;
+  options.enable_debug_ops = true;
+  options.worker_threads = 1;
+  options.max_queue = 2;
+  TestServer srv(options);
+  Client holder = MustConnect(srv);
+  Client first = MustConnect(srv);
+  Client second = MustConnect(srv);
+  Client prober = MustConnect(srv);
+
+  std::mutex mu;
+  std::vector<std::string> finished;
+  auto sleep_and_record = [&mu, &finished](Client* client, int64_t ms,
+                                           const char* name) {
+    EXPECT_TRUE(client->DebugSleep(ms).ok()) << name;
+    std::lock_guard<std::mutex> lock(mu);
+    finished.push_back(name);
+  };
+  std::thread hold(sleep_and_record, &holder, 400, "holder");
+  EXPECT_TRUE(WaitForRuns(&prober, 1, 0));
+  std::thread a(sleep_and_record, &first, 50, "A");
+  EXPECT_TRUE(WaitForRuns(&prober, 1, 1));
+  std::thread b(sleep_and_record, &second, 50, "B");
+  EXPECT_TRUE(WaitForRuns(&prober, 1, 2));
+  hold.join();
+  a.join();
+  b.join();
+  EXPECT_EQ(finished, (std::vector<std::string>{"holder", "A", "B"}));
+}
+
+// Stop drains a query that runs and one that waits for the run slot: both
+// get their responses, and Stop returns.
+TEST(ServerTest, StopDrainsRunningAndWaitingQueries) {
+  ServerOptions options;
+  options.enable_debug_ops = true;
+  options.worker_threads = 1;
+  TestServer srv(options);
+  Client running = MustConnect(srv);
+  Client waiting = MustConnect(srv);
+  Client prober = MustConnect(srv);
+
+  Result<Client::RawResponse> ran = Status::Internal("never answered");
+  Result<Client::RawResponse> waited = Status::Internal("never answered");
+  std::thread run([&] {
+    ran = running.RoundTrip("{\"op\":\"debug_sleep\",\"ms\":300}");
+  });
+  EXPECT_TRUE(WaitForRuns(&prober, 1, 0));
+  std::thread wait([&] {
+    waited = waiting.RoundTrip("{\"op\":\"debug_sleep\",\"ms\":50}");
+  });
+  EXPECT_TRUE(WaitForRuns(&prober, 1, 1));
+  srv.server.Stop();
+  run.join();
+  wait.join();
+  ASSERT_TRUE(ran.ok()) << ran.status();
+  EXPECT_TRUE(ran->parsed.Find("ok")->bool_v) << ran->raw;
+  ASSERT_TRUE(waited.ok()) << waited.status();
+  EXPECT_TRUE(waited->parsed.Find("ok")->bool_v) << waited->raw;
 }
 
 // --- observability endpoints -----------------------------------------------
@@ -817,9 +912,9 @@ TEST(ServerTest, QueryStatsOpAndHttpEndpointFilterAndSort) {
             std::string::npos);
 }
 
-// The timing object must account for queue wait from enqueue (not worker
-// pickup): saturate the single worker, then check the queued request's
-// queue_ms + exec_ms against its client-observed wall time.
+// The timing object must account for the wait for a run slot: saturate the
+// single slot, then check the waiting request's queue_ms + exec_ms against
+// its client-observed wall time.
 TEST(ServerTest, TimingSeparatesQueueWaitFromExecution) {
   ServerOptions options;
   options.enable_debug_ops = true;
@@ -829,7 +924,7 @@ TEST(ServerTest, TimingSeparatesQueueWaitFromExecution) {
   Client prober = MustConnect(srv);
 
   std::thread occupy([&holder] { holder.DebugSleep(600); });
-  // Let the holder's sleep reach the lone worker before probing.
+  // Let the holder's sleep take the lone run slot before probing.
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
 
   auto start = std::chrono::steady_clock::now();

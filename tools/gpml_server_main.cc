@@ -8,9 +8,13 @@
 // /slow_queries endpoints on one port. --load materializes generator
 // graphs at startup (e.g. --load bank=fraud --load demo=paper) with the
 // load_graph op's default sizes; clients can add more at runtime with that
-// op. SIGINT/SIGTERM trigger
-// a graceful drain: in-flight queries finish and get their responses.
+// op. --workers N is the number of queries that run at once (each on its
+// connection's thread), --queue N how many more may wait for one of those
+// run slots before a query is refused with SERVER_SATURATED. SIGINT/SIGTERM
+// trigger a graceful drain: in-flight queries finish and get their
+// responses.
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +37,9 @@ void Usage(const char* argv0) {
       "usage: %s [--port N] [--bind ADDR] [--workers N] [--queue N]\n"
       "          [--idle-timeout-ms N] [--slow-query-ms N]\n"
       "          [--load NAME=KIND ...]\n"
+      "--workers: queries that run at once (default 4); --queue: queries\n"
+      "that may wait for a run slot (default 64; 0 = refuse when none is "
+      "free)\n"
       "graph kinds: paper chain cycle complete diamond grid fraud random\n",
       argv0);
 }
@@ -117,9 +124,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "start failed: %s\n", started.message().c_str());
     return 1;
   }
-  std::fprintf(stderr, "gpml_server listening on %s:%d (%zu workers)\n",
+  std::fprintf(stderr,
+               "gpml_server listening on %s:%d (%zu queries at once, %zu may "
+               "wait)\n",
                options.bind_address.c_str(), server.port(),
-               options.worker_threads);
+               std::max<size_t>(options.worker_threads, 1), options.max_queue);
 
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
