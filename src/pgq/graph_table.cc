@@ -1,11 +1,11 @@
 #include "pgq/graph_table.h"
 
-#include <cctype>
-
+#include "common/strings.h"
 #include "gql/result_table.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/snapshot_filter.h"
+#include "parser/lexer.h"
 #include "parser/parser.h"
 #include "planner/explain.h"
 
@@ -95,65 +95,60 @@ Result<std::vector<obs::QueryStatEntry>> GraphTableQueryStats(
 }
 
 Result<GraphTableQuery> ParseGraphTableCall(const std::string& sql) {
-  // Lightweight surface parser: GRAPH_TABLE ( <name> , MATCH <pattern...>
-  // COLUMNS ( <items> ) ) with arbitrary whitespace/case.
-  auto find_ci = [&](const std::string& needle, size_t from) {
-    for (size_t i = from; i + needle.size() <= sql.size(); ++i) {
-      bool match = true;
-      for (size_t j = 0; j < needle.size(); ++j) {
-        if (std::toupper(sql[i + j]) != std::toupper(needle[j])) {
-          match = false;
-          break;
-        }
-      }
-      if (match) return i;
-    }
-    return std::string::npos;
+  // Lightweight surface parser over GPML tokens: GRAPH_TABLE ( <name> ,
+  // MATCH <pattern...> COLUMNS ( <items> ) ), any case. COLUMNS is the
+  // keyword only directly inside GRAPH_TABLE's parentheses and before '(':
+  // never in a string literal, nor a property or variable name.
+  GPML_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
+  auto is = [&](size_t i, TokenKind kind, const char* keyword = nullptr) {
+    return i < tokens.size() && tokens[i].kind == kind &&
+           (keyword == nullptr || EqualsIgnoreCase(tokens[i].text, keyword));
   };
-
-  size_t gt = find_ci("GRAPH_TABLE", 0);
-  if (gt == std::string::npos) {
+  size_t open = 0;
+  while (open < tokens.size() &&
+         !(is(open, TokenKind::kIdent, "GRAPH_TABLE") &&
+           is(open + 1, TokenKind::kLParen))) {
+    ++open;
+  }
+  if (++open >= tokens.size()) {
     return Status::SyntaxError("expected GRAPH_TABLE(...)");
   }
-  size_t open = sql.find('(', gt);
-  if (open == std::string::npos) {
-    return Status::SyntaxError("expected ( after GRAPH_TABLE");
-  }
-  size_t comma = sql.find(',', open);
-  if (comma == std::string::npos) {
+  size_t comma = open + 1;
+  while (comma < tokens.size() && !is(comma, TokenKind::kComma)) ++comma;
+  if (comma == tokens.size()) {
     return Status::SyntaxError("expected graph name argument");
   }
   GraphTableQuery q;
-  q.graph = sql.substr(open + 1, comma - open - 1);
-  // Trim whitespace.
-  while (!q.graph.empty() && std::isspace(static_cast<unsigned char>(
-                                 q.graph.front()))) {
-    q.graph.erase(q.graph.begin());
+  if (comma > open + 1) {
+    const size_t from = tokens[open + 1].offset;
+    q.graph = sql.substr(from, tokens[comma - 1].end() - from);
   }
-  while (!q.graph.empty() &&
-         std::isspace(static_cast<unsigned char>(q.graph.back()))) {
-    q.graph.pop_back();
+  // The COLUMNS keyword, then the closing parenthesis of its list.
+  size_t columns_kw = comma + 1;
+  for (int depth = 0; columns_kw < tokens.size(); ++columns_kw) {
+    if (depth == 0 && is(columns_kw, TokenKind::kIdent, "COLUMNS") &&
+        is(columns_kw + 1, TokenKind::kLParen)) {
+      break;
+    }
+    if (is(columns_kw, TokenKind::kLParen)) ++depth;
+    if (is(columns_kw, TokenKind::kRParen)) --depth;
   }
-
-  size_t columns_kw = find_ci("COLUMNS", comma);
-  if (columns_kw == std::string::npos) {
+  if (columns_kw == tokens.size()) {
     return Status::SyntaxError("expected COLUMNS clause");
   }
-  q.match = sql.substr(comma + 1, columns_kw - comma - 1);
-
-  size_t cols_open = sql.find('(', columns_kw);
-  if (cols_open == std::string::npos) {
-    return Status::SyntaxError("expected ( after COLUMNS");
+  q.match = sql.substr(tokens[comma].end(),
+                       tokens[columns_kw].offset - tokens[comma].end());
+  const Token& cols_open = tokens[columns_kw + 1];
+  size_t close = columns_kw + 2;
+  for (int depth = 1; close < tokens.size(); ++close) {
+    if (is(close, TokenKind::kLParen)) ++depth;
+    if (is(close, TokenKind::kRParen) && --depth == 0) break;
   }
-  // Match the closing parenthesis of the COLUMNS list.
-  int depth = 1;
-  size_t i = cols_open + 1;
-  for (; i < sql.size() && depth > 0; ++i) {
-    if (sql[i] == '(') ++depth;
-    if (sql[i] == ')') --depth;
+  if (close == tokens.size()) {
+    return Status::SyntaxError("unbalanced COLUMNS list");
   }
-  if (depth != 0) return Status::SyntaxError("unbalanced COLUMNS list");
-  q.columns = sql.substr(cols_open + 1, i - cols_open - 2);
+  q.columns = sql.substr(cols_open.end(),
+                         tokens[close].offset - cols_open.end());
   return q;
 }
 

@@ -387,6 +387,10 @@ TEST(DifferentialJoinTest, SearchEntryShapesAgreeAndTripExactly) {
 
 TEST(DifferentialPaperGraphTest, PaperQueriesAgree) {
   PropertyGraph g = BuildPaperGraph();
+  // §3's conjunctive RPQs: a composition by a join on y is the same
+  // composition as one quantified pattern.
+  const char* composed = "MATCH (x)-[:Transfer]->(y), (y)-[:Transfer]->(z)";
+  const char* quantified = "MATCH (x)-[:Transfer]->{2}(z)";
   const char* queries[] = {
       "MATCH (x:Account WHERE x.isBlocked='no')",
       "MATCH (p:Phone)~[:hasPhone]~(s:Account)-[t:Transfer]->"
@@ -398,8 +402,36 @@ TEST(DifferentialPaperGraphTest, PaperQueriesAgree) {
       "(a) [-[:isLocatedIn]->(c:City) | -[:isLocatedIn]->(c:Country)]",
       "MATCH ALL SHORTEST (a WHERE a.owner='Dave')-[t:Transfer]->*"
       "(b WHERE b.owner='Aretha')",
+      // §7.2's shortest paths under regular expressions: an inverse step
+      // then a forward one, transfers then a location hop, the zero-length
+      // path, and no path at all.
+      "MATCH ANY SHORTEST (a WHERE a.owner='Aretha')<-[:Transfer]-()"
+      "-[:Transfer]->(b WHERE b.owner='Charles')",
+      "MATCH ANY SHORTEST (a WHERE a.owner='Jay')-[:Transfer]->+()"
+      "-[:isLocatedIn]->(c)",
+      "MATCH ANY SHORTEST (a WHERE a.owner='Scott')-[:Transfer]->*"
+      "(b WHERE b.owner='Scott')",
+      "MATCH ANY SHORTEST (p:Phone)-[:Transfer]->+(a)",
+      composed,
+      quantified,
+      "MATCH (x)-[:Transfer]->{4}(x)",
   };
   for (const char* q : queries) ExpectAgreement(g, q);
+  EXPECT_EQ(testing_util::Rows(g, composed, "x, z"),
+            testing_util::Rows(g, quantified, "x, z"));
+
+  // Transfer+ connects every ordered pair of the 4-cycle.
+  PropertyGraph cycle = MakeCycleGraph(4);
+  const char* any = "MATCH ANY (a)-[:Transfer]->+(b)";
+  ExpectAgreement(cycle, any);
+  EXPECT_EQ(testing_util::CountRows(cycle, any), 16u);
+  // Across the 4x4 grid the shortest path from corner to corner has 6 hops.
+  PropertyGraph grid = MakeGridGraph(4, 4);
+  const char* corners = "MATCH ANY SHORTEST (a WHERE a.owner='u0')"
+                        "-[:Transfer]->*(b WHERE b.owner='u15')";
+  ExpectAgreement(grid, corners);
+  EXPECT_EQ(testing_util::EngineJoinRows(grid, corners),
+            (std::vector<std::string>{"g0_0->g3_3 len=6 | "}));
 }
 
 }  // namespace

@@ -91,6 +91,21 @@ TEST_F(GraphTableTest, SurfaceSyntaxParser) {
   ASSERT_TRUE(t.ok()) << t.status();
   ASSERT_EQ(t->num_rows(), 1u);
   EXPECT_EQ(*t->At(0, "owner"), Value::String("Jay"));
+
+  // COLUMNS inside a string literal or as a property name is not the
+  // keyword.
+  for (const char* where : {"x.owner='Columns'", "x.columns=1"}) {
+    const std::string match =
+        std::string("MATCH (x:Account WHERE ") + where + ") ";
+    q = ParseGraphTableCall("GRAPH_TABLE(paper_graph, " + match +
+                            "COLUMNS (x.owner AS o))");
+    ASSERT_TRUE(q.ok()) << q.status();
+    EXPECT_EQ(q->match, " " + match);
+    EXPECT_EQ(q->columns, "x.owner AS o");
+    t = GraphTable(catalog_, *q);
+    ASSERT_TRUE(t.ok()) << where << ": " << t.status();
+    EXPECT_EQ(t->num_rows(), 0u);
+  }
 }
 
 TEST_F(GraphTableTest, SurfaceSyntaxErrors) {

@@ -301,5 +301,17 @@ TEST_F(PaperExamplesTest, Sec53BoundedPrefilterQuotientIsEmpty) {
             0u);
 }
 
+// ------------------------------------------------------------------- §7.2 --
+
+TEST_F(PaperExamplesTest, Sec72EvenLengthTransferPath) {
+  // The shortest path under (Transfer/Transfer)+ from Dave to Charles: the
+  // direct transfer t6 has odd length, so it takes the only 2-hop route.
+  EXPECT_EQ(Paths(g_,
+                  "MATCH ANY SHORTEST p = (a WHERE a.owner='Dave')"
+                  "[-[:Transfer]->()-[:Transfer]->]+"
+                  "(b WHERE b.owner='Charles')"),
+            (std::vector<std::string>{"path(a6,t5,a3,t7,a5)"}));
+}
+
 }  // namespace
 }  // namespace gpml

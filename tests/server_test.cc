@@ -663,8 +663,9 @@ TEST(ServerTest, SaturatedPoolRejectsWithStructuredError) {
   ASSERT_TRUE(prepared.ok());
 
   // Stagger the sleepers so the first holds the run slot and the second
-  // waits for it (the stats poll observes each step).
-  std::thread holder1([&running] { running.DebugSleep(1500); });
+  // waits for it (the stats poll observes each step). The probe must land
+  // within the first sleeper's 300 ms.
+  std::thread holder1([&running] { running.DebugSleep(300); });
   bool active = false;
   for (int i = 0; i < 400 && !active; ++i) {
     Result<Client::RawResponse> stats =
@@ -675,7 +676,7 @@ TEST(ServerTest, SaturatedPoolRejectsWithStructuredError) {
   }
   ASSERT_TRUE(active) << "first sleeper never occupied the worker";
 
-  std::thread holder2([&queued] { queued.DebugSleep(1500); });
+  std::thread holder2([&queued] { queued.DebugSleep(300); });
   bool full = false;
   for (int i = 0; i < 400 && !full; ++i) {
     Result<Client::RawResponse> stats =
