@@ -35,10 +35,16 @@
 //     must show source=label:<label> for it).
 //  4. Build allocations (always enforced): building the fraud graph of
 //     3,000 accounts makes exactly the pinned number of heap allocations,
-//     counted by the replaced global operator new of alloc_count.h.
-//     Labels and properties go straight into the graph's runs and columns,
-//     so a per-element map or a second set of name maps shows as thousands
-//     of extra allocations.
+//     counted by the replaced global operator new of alloc_count.h. The
+//     builder borrows its arguments and every element goes straight into
+//     the graph's flat arrays, so a per-element allocation anywhere on the
+//     path (a by-value label vector, a hash node per name) shows as
+//     thousands of extra allocations.
+//  5. Build footprint (always enforced): the built graph holds exactly the
+//     pinned number of live heap bytes, counted by alloc_count.h's
+//     size-prefixed operator new (mmapped blocks included), so a store
+//     that grows per element fails here before it shows in perfbench's
+//     peak RSS.
 
 #include <chrono>
 #include <cstdio>
@@ -325,38 +331,55 @@ void CheckPathsPin(const PropertyGraph& g, const PinnedWorkload& w,
              report, ok);
 }
 
-/// The build-allocation pin: MakeFraudGraph of this many accounts (other
-/// options at their defaults) makes exactly kBuildAllocations allocations.
+/// The build pins: MakeFraudGraph of this many accounts (other options at
+/// their defaults) makes exactly kBuildAllocations allocations, and the
+/// graph it returns holds exactly kBuildLiveBytes heap bytes.
 constexpr int kAllocationAccounts = 3000;
-constexpr size_t kBuildAllocations = 84411;
+constexpr size_t kBuildAllocations = 551;
+constexpr size_t kBuildLiveBytes = 3368476;
 
-void CheckBuildAllocations(bench::JsonReport* report, bool* ok) {
+void CheckBuild(bench::JsonReport* report, bool* ok) {
   FraudGraphOptions options;
   options.num_accounts = kAllocationAccounts;
   auto start = std::chrono::steady_clock::now();
   size_t before = bench::g_allocations.load();
+  size_t bytes_before = bench::g_live_bytes.load();
   PropertyGraph g = MakeFraudGraph(options);
   size_t allocations = bench::g_allocations.load() - before;
+  size_t live_bytes = bench::g_live_bytes.load() - bytes_before;
   double millis = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - start)
                       .count();
   size_t elements = g.num_nodes() + g.num_edges();
   double per_element =
       static_cast<double>(allocations) / static_cast<double>(elements);
+  double bytes_per_element =
+      static_cast<double>(live_bytes) / static_cast<double>(elements);
   std::printf("build fraud-%d (%zu elements): %zu allocations (%.2f per "
-              "element), pinned %zu, %.1f ms\n",
+              "element), pinned %zu; %zu live bytes (%.1f per element), "
+              "pinned %zu; %.1f ms\n",
               kAllocationAccounts, elements, allocations, per_element,
-              kBuildAllocations, millis);
+              kBuildAllocations, live_bytes, bytes_per_element,
+              kBuildLiveBytes, millis);
   report->Add("build_fraud_3000", millis, 0, 0, elements,
               {{"allocations", static_cast<double>(allocations)},
                {"allocations_per_element", per_element},
-               {"pinned_allocations",
-                static_cast<double>(kBuildAllocations)}});
+               {"pinned_allocations", static_cast<double>(kBuildAllocations)},
+               {"live_bytes", static_cast<double>(live_bytes)},
+               {"bytes_per_element", bytes_per_element},
+               {"pinned_live_bytes", static_cast<double>(kBuildLiveBytes)}});
   if (allocations != kBuildAllocations) {
     std::fprintf(stderr,
                  "FAIL build allocations: %zu, pinned %zu (a per-element "
-                 "allocation or a second name index in GraphBuilder?)\n",
+                 "allocation in GraphBuilder or the store?)\n",
                  allocations, kBuildAllocations);
+    *ok = false;
+  }
+  if (live_bytes != kBuildLiveBytes) {
+    std::fprintf(stderr,
+                 "FAIL build live bytes: %zu, pinned %zu (a structure of the "
+                 "store grew or shrank)\n",
+                 live_bytes, kBuildLiveBytes);
     *ok = false;
   }
 }
@@ -485,8 +508,8 @@ int RunBench() {
     }
   }
 
-  // --- 4. build allocations ----------------------------------------------
-  CheckBuildAllocations(&report, &ok);
+  // --- 4. and 5. build allocations and footprint --------------------------
+  CheckBuild(&report, &ok);
 
   report.Write();
   std::printf(ok ? "csr contract holds: pinned matcher steps, identical "

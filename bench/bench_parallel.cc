@@ -123,7 +123,8 @@ void CheckFanOut(const PropertyGraph& g, bench::JsonReport* report,
   sequential.num_threads = 1;
   Result<MatchOutput> coloc = Engine(g, sequential).Match(kColocation);
   if (!coloc.ok()) return fail(coloc.status().ToString());
-  const std::vector<NodeId> seeds = BoundNodes(*coloc, "x");
+  const std::vector<NodeId> seed_ids = BoundNodes(*coloc, "x");
+  const IdSpan seeds(seed_ids);
   const std::vector<NodeId> targets = BoundNodes(*coloc, "y");
   testing_util::CompiledDecl any =
       testing_util::Compile(g, "MATCH ANY (x)-[:Transfer]->+(y)");

@@ -37,9 +37,10 @@ int main() {
   }
   std::printf("Projected transfer subnetwork: %s\n", sub->Summary().c_str());
   for (gpml::NodeId n = 0; n < sub->num_nodes(); ++n) {
-    const gpml::Value& owner =
-        sub->GetPropertyFast(gpml::ElementRef::Node(n), "owner");
-    std::printf("  node %s owner=%s\n", sub->node(n).name.c_str(),
+    gpml::Value owner =
+        sub->GetPropertyFast(gpml::ElementRef::Node(n), "owner").ToValue();
+    std::string name(sub->node_name(n));
+    std::printf("  node %s owner=%s\n", name.c_str(),
                 owner.ToString().c_str());
   }
 

@@ -116,7 +116,7 @@ void AppendJsonDouble(std::string* out, double value) {
   }
 }
 
-void AppendJsonValue(std::string* out, const Value& v) {
+void AppendJsonValue(std::string* out, ValueView v) {
   switch (v.type()) {
     case ValueType::kNull: break;
     case ValueType::kBool: out->append(v.bool_value() ? "true" : "false"); return;

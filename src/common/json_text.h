@@ -33,7 +33,7 @@ void AppendJsonInt(std::string* out, Int value) {
 void AppendJsonDouble(std::string* out, double value);
 
 /// Appends a scalar Value with the appenders above (null, true/false).
-void AppendJsonValue(std::string* out, const Value& value);
+void AppendJsonValue(std::string* out, ValueView value);
 
 /// AppendJsonString's output without the quotes.
 std::string JsonEscape(const std::string& s);

@@ -67,11 +67,7 @@ std::string Value::ToString() const {
 }
 
 bool operator==(const Value& a, const Value& b) {
-  if (a.is_numeric() && b.is_numeric()) {
-    if (a.is_int() && b.is_int()) return a.int_value() == b.int_value();
-    return a.AsDouble() == b.AsDouble();
-  }
-  return a.repr_ == b.repr_;
+  return ValueView(a) == ValueView(b);
 }
 
 bool operator<(const Value& a, const Value& b) {
@@ -82,16 +78,12 @@ bool operator<(const Value& a, const Value& b) {
   return a.repr_ < b.repr_;
 }
 
-TriBool Value::SqlEquals(const Value& a, const Value& b) {
+TriBool Value::SqlEquals(ValueView a, ValueView b) {
   if (a.is_null() || b.is_null()) return TriBool::kUnknown;
-  if (a.is_numeric() && b.is_numeric()) {
-    return a == b ? TriBool::kTrue : TriBool::kFalse;
-  }
-  if (a.type() != b.type()) return TriBool::kFalse;
   return a == b ? TriBool::kTrue : TriBool::kFalse;
 }
 
-Result<int> Value::SqlCompare(const Value& a, const Value& b) {
+Result<int> Value::SqlCompare(ValueView a, ValueView b) {
   if (a.is_null() || b.is_null()) {
     return Status::InvalidArgument("cannot order NULL values");
   }
@@ -167,22 +159,50 @@ Result<Value> Value::Divide(const Value& a, const Value& b) {
   return NumericBinary(a, b, '/');
 }
 
-size_t Value::Hash() const {
+bool operator==(ValueView a, ValueView b) {
+  if (a.is_numeric() && b.is_numeric()) {
+    if (a.is_int() && b.is_int()) return a.int_value() == b.int_value();
+    return a.AsDouble() == b.AsDouble();
+  }
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ValueType::kBool: return a.bool_value() == b.bool_value();
+    case ValueType::kString: return a.string_value() == b.string_value();
+    default: return true;  // NULL == NULL.
+  }
+}
+
+Value ValueView::ToValue() const {
+  switch (type_) {
+    case ValueType::kNull: return Value::Null();
+    case ValueType::kBool: return Value::Bool(b_);
+    case ValueType::kInt: return Value::Int(i_);
+    case ValueType::kDouble: return Value::Double(d_);
+    case ValueType::kString: return Value::String(std::string(s_, size_));
+  }
+  return Value::Null();
+}
+
+size_t ValueView::Hash() const {
   // Numeric values hash through double with a shared seed so that 1 and 1.0
   // (which compare equal) hash identically.
   constexpr size_t kNumericSeed = 0x9e3779b97f4a7c15ULL;
-  switch (type()) {
+  switch (type_) {
     case ValueType::kNull: return 0x2545f4914f6cdd1dULL;
-    case ValueType::kBool: return bool_value() ? 0x6a09e667 : 0xbb67ae85;
+    case ValueType::kBool: return b_ ? 0x6a09e667 : 0xbb67ae85;
     case ValueType::kInt:
-      return kNumericSeed ^
-             std::hash<double>()(static_cast<double>(int_value()));
+      return kNumericSeed ^ std::hash<double>()(static_cast<double>(i_));
     case ValueType::kDouble:
-      return kNumericSeed ^ std::hash<double>()(double_value());
+      return kNumericSeed ^ std::hash<double>()(d_);
     case ValueType::kString:
-      return 0x517cc1b727220a95ULL ^ std::hash<std::string>()(string_value());
+      return 0x517cc1b727220a95ULL ^
+             std::hash<std::string_view>()(string_value());
   }
   return 0;
+}
+
+std::ostream& operator<<(std::ostream& os, ValueView v) {
+  return os << v.ToValue();
 }
 
 std::ostream& operator<<(std::ostream& os, const Value& v) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/result.h"
@@ -24,6 +25,86 @@ const char* TriBoolName(TriBool v);
 enum class ValueType { kNull = 0, kBool, kInt, kDouble, kString };
 
 const char* ValueTypeName(ValueType t);
+
+class Value;
+
+/// A borrowed property value, passed by value: a type tag and an 8-byte
+/// payload (int64, double, bool, or a string's bytes and length). A graph
+/// column read returns one (the string bytes live in the column's arena),
+/// and a `Value` converts to one, so comparisons of a column slot with a
+/// literal or parameter build no `Value` and copy no string. A view of a
+/// `Value` is valid while the `Value` is.
+class ValueView {
+ public:
+  ValueView() = default;  // NULL.
+  ValueView(const Value& v);  // NOLINT: implicit, a Value reads as a view.
+
+  static ValueView Bool(bool b) {
+    ValueView v(ValueType::kBool);
+    v.b_ = b;
+    return v;
+  }
+  static ValueView Int(int64_t i) {
+    ValueView v(ValueType::kInt);
+    v.i_ = i;
+    return v;
+  }
+  static ValueView Double(double d) {
+    ValueView v(ValueType::kDouble);
+    v.d_ = d;
+    return v;
+  }
+  static ValueView String(std::string_view s) {
+    ValueView v(ValueType::kString);
+    v.s_ = s.data();
+    v.size_ = static_cast<uint32_t>(s.size());
+    return v;
+  }
+
+  ValueType type() const { return type_; }
+  bool is_null() const { return type_ == ValueType::kNull; }
+  bool is_bool() const { return type_ == ValueType::kBool; }
+  bool is_int() const { return type_ == ValueType::kInt; }
+  bool is_double() const { return type_ == ValueType::kDouble; }
+  bool is_string() const { return type_ == ValueType::kString; }
+  bool is_numeric() const { return is_int() || is_double(); }
+
+  /// Typed accessors; calling the wrong one is a programming error.
+  bool bool_value() const { return b_; }
+  int64_t int_value() const { return i_; }
+  double double_value() const { return d_; }
+  std::string_view string_value() const { return {s_, size_}; }
+
+  /// Numeric payload widened to double (requires is_numeric()).
+  double AsDouble() const {
+    return is_int() ? static_cast<double>(i_) : d_;
+  }
+
+  /// An owned copy.
+  Value ToValue() const;
+
+  /// The hash `Value::Hash` gives the same value: 1 and 1.0 agree.
+  size_t Hash() const;
+
+  /// `Value`'s structural equality (NULL == NULL, 1 == 1.0, no other
+  /// cross-type equality) over views.
+  friend bool operator==(ValueView a, ValueView b);
+  friend bool operator!=(ValueView a, ValueView b) { return !(a == b); }
+
+ private:
+  explicit ValueView(ValueType t) : type_(t) {}
+
+  ValueType type_ = ValueType::kNull;
+  uint32_t size_ = 0;  // String length.
+  union {
+    bool b_;
+    int64_t i_ = 0;
+    double d_;
+    const char* s_;
+  };
+};
+
+std::ostream& operator<<(std::ostream& os, ValueView v);
 
 /// A property value (the `Val` domain of Definition 2.1). Property graphs
 /// attach these to nodes and edges; expression evaluation produces them.
@@ -77,10 +158,10 @@ class Value {
   friend bool operator<(const Value& a, const Value& b);
 
   /// SQL-style equality: kUnknown if either side is NULL.
-  static TriBool SqlEquals(const Value& a, const Value& b);
-  /// SQL-style ordering comparison: kUnknown if either side is NULL or the
+  static TriBool SqlEquals(ValueView a, ValueView b);
+  /// SQL-style ordering comparison: an error if either side is NULL or the
   /// types are incomparable. `cmp` < 0 / == 0 / > 0 selects < / = / >.
-  static Result<int> SqlCompare(const Value& a, const Value& b);
+  static Result<int> SqlCompare(ValueView a, ValueView b);
 
   /// Arithmetic with NULL propagation; type errors are reported.
   static Result<Value> Add(const Value& a, const Value& b);
@@ -88,7 +169,7 @@ class Value {
   static Result<Value> Multiply(const Value& a, const Value& b);
   static Result<Value> Divide(const Value& a, const Value& b);
 
-  size_t Hash() const;
+  size_t Hash() const { return ValueView(*this).Hash(); }
 
  private:
   using Repr =
@@ -98,6 +179,19 @@ class Value {
 };
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
+
+inline ValueView::ValueView(const Value& v) : type_(v.type()) {
+  switch (type_) {
+    case ValueType::kNull: break;
+    case ValueType::kBool: b_ = v.bool_value(); break;
+    case ValueType::kInt: i_ = v.int_value(); break;
+    case ValueType::kDouble: d_ = v.double_value(); break;
+    case ValueType::kString:
+      s_ = v.string_value().data();
+      size_ = static_cast<uint32_t>(v.string_value().size());
+      break;
+  }
+}
 
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }

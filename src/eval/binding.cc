@@ -62,7 +62,7 @@ std::string PathBinding::ToString(const PropertyGraph& g,
   std::vector<std::string> parts;
   parts.reserve(reduced.size());
   for (const ElementaryBinding& b : reduced) {
-    parts.push_back(vars.name(b.var) + "=" + g.element(b.element).name);
+    parts.push_back(vars.name(b.var) + "=" + std::string(g.name(b.element)));
   }
   return Join(parts, " ");
 }

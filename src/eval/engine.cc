@@ -249,23 +249,23 @@ std::optional<uint64_t> FixedPatternLength(const PathPattern& p) {
 /// The index-backed seed list of a declaration: the (label, prop) = value
 /// bucket of its anchor, the value being the planned literal or the
 /// bind-time binding of the $parameter the equality compares against.
-/// nullptr seeds from the label scan instead: the anchor has no index
+/// nullopt seeds from the label scan instead: the anchor has no index
 /// source, or the parameter is unbound or NULL
 /// — the inline predicate then filters by itself (to nothing: `= NULL` is
 /// never true), so rows are identical either way.
-const std::vector<NodeId>* IndexSeeds(const PropertyGraph& graph,
-                                      const planner::DeclPlan& dp,
-                                      const Params* params) {
+std::optional<IdSpan> IndexSeeds(const PropertyGraph& graph,
+                                 const planner::DeclPlan& dp,
+                                 const Params* params) {
   const planner::SeedEstimate& anchor = dp.anchor;
-  if (!anchor.has_index()) return nullptr;
+  if (!anchor.has_index()) return std::nullopt;
   const Value* value = &anchor.index_value;
   if (!anchor.index_param.empty()) {
-    if (params == nullptr) return nullptr;
+    if (params == nullptr) return std::nullopt;
     auto it = params->find(anchor.index_param);
-    if (it == params->end() || it->second.is_null()) return nullptr;
+    if (it == params->end() || it->second.is_null()) return std::nullopt;
     value = &it->second;
   }
-  return &graph.IndexedNodes(anchor.label, anchor.index_prop, *value);
+  return graph.IndexedNodes(anchor.label, anchor.index_prop, *value);
 }
 
 /// First-row chunk of a chunked declaration; chunks grow geometrically so a
@@ -875,7 +875,7 @@ void Cursor::BeginDecl(size_t plan_pos, const std::vector<ResultRow>& rows) {
   const bool first = plan_pos == 0;
   bound_seeded_ = !first && dp.seed_bound_var >= 0;
   bound_seeds_.clear();
-  index_seeds_ = nullptr;
+  index_seeds_.reset();
   if (bound_seeded_) {
     bound_seeds_ = BoundNodes(rows, dp.seed_bound_var);
   } else {
@@ -891,13 +891,13 @@ void Cursor::BeginDecl(size_t plan_pos, const std::vector<ResultRow>& rows) {
   if (dp.reversed) ++record_.reversed_decls;
   if (bound_seeded_) ++record_.bound_seeded_decls;
   if (target_filtered_) ++record_.target_filtered_decls;
-  if (index_seeds_ != nullptr) ++record_.index_seeded_decls;
+  if (index_seeds_.has_value()) ++record_.index_seeded_decls;
   if (detail_.has_value()) {
     DeclRun& run = detail_->decls.emplace_back();
     run.decl_index = dp.decl_index;
     run.start_us = start_us;
     run.end_us = start_us;
-    run.actual.index_seeded = index_seeds_ != nullptr;
+    run.actual.index_seeded = index_seeds_.has_value();
     run.actual.seed_filtered = bound_seeded_;
     run.actual.target_filtered = target_filtered_;
     run.actual.targets = targets_.size();
@@ -906,11 +906,13 @@ void Cursor::BeginDecl(size_t plan_pos, const std::vector<ResultRow>& rows) {
 }
 
 Result<std::vector<std::shared_ptr<const PathBinding>>> Cursor::RunDecl(
-    const std::vector<NodeId>* chunk) {
+    const IdSpan* chunk) {
   const planner::DeclPlan& dp = plan_->plan.decls[decl_pos_];
-  const std::vector<NodeId>* seeds = chunk != nullptr ? chunk
-                                     : bound_seeded_  ? &bound_seeds_
-                                                      : index_seeds_;
+  const IdSpan bound(bound_seeds_);
+  const IdSpan* seeds = chunk != nullptr ? chunk
+                        : bound_seeded_  ? &bound
+                        : index_seeds_.has_value() ? &*index_seeds_
+                                                   : nullptr;
   const bool truncate =
       options_.on_budget == EngineOptions::BudgetPolicy::kTruncate;
   MatchStats stats;
@@ -1027,11 +1029,13 @@ Status Cursor::Fill(bool drain) {
     // seed when draining; a drain before any chunk runs the declaration
     // over its whole seed source, exactly like the general shape.
     const bool whole = drain && !seeds_.has_value();
-    std::vector<NodeId> chunk;
+    IdSpan chunk;
     if (!whole) {
       if (!seeds_.has_value()) {
         obs::Stopwatch seed_clock;
-        seeds_ = ComputeSeeds(*graph_, *plan_->programs[0], index_seeds_);
+        seeds_ = ComputeSeeds(
+            *graph_, *plan_->programs[0],
+            index_seeds_.has_value() ? &*index_seeds_ : nullptr);
         const double seed_ms = seed_clock.ElapsedMs();
         record_.seed_ms += seed_ms;
         if (detail_.has_value()) detail_->decls.back().seed_ms += seed_ms;
@@ -1040,8 +1044,7 @@ Status Cursor::Fill(bool drain) {
       }
       const size_t left = seeds_->size() - seed_pos_;
       const size_t count = drain ? left : std::min(chunk_size_, left);
-      const auto begin = seeds_->begin() + static_cast<long>(seed_pos_);
-      chunk.assign(begin, begin + static_cast<long>(count));
+      chunk = IdSpan(seeds_->data() + seed_pos_, count);
       seed_pos_ += count;
       chunk_size_ = std::min(chunk_size_ * 2, kMaxChunkSeeds);
     }

@@ -425,7 +425,7 @@ class Cursor {
   /// source. Adds the run's work to the record and the detail and returns
   /// the bindings in source orientation.
   Result<std::vector<std::shared_ptr<const PathBinding>>> RunDecl(
-      const std::vector<NodeId>* chunk);
+      const IdSpan* chunk);
   /// The general shape: every declaration through the step in plan order,
   /// joined on shared singletons, bindings restored to source order.
   Result<std::vector<ResultRow>> JoinDecls();
@@ -469,8 +469,8 @@ class Cursor {
   size_t decl_pos_ = 0;
   bool bound_seeded_ = false;     // Seeds are bound_seeds_ ...
   std::vector<NodeId> bound_seeds_;
-  const std::vector<NodeId>* index_seeds_ = nullptr;  // ... else these, else
-                                                      // the label scan.
+  std::optional<IdSpan> index_seeds_;  // ... else these, else the label
+                                       // scan.
   bool target_filtered_ = false;  // Accepts restricted to targets_.
   std::vector<NodeId> targets_;
   size_t decl_runs_ = 0;          // RunDecl calls of this declaration.

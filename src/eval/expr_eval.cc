@@ -28,8 +28,8 @@ Value FromTriBool(TriBool t) {
 }
 
 /// Value-vs-value comparison under SQL semantics (the shared tail of
-/// Compare and the borrowed fast path).
-Result<TriBool> CompareValues(BinaryOp op, const Value& a, const Value& b) {
+/// Compare, the borrowed fast path and the predicate kernels).
+Result<TriBool> CompareValues(BinaryOp op, ValueView a, ValueView b) {
   if (a.is_null() || b.is_null()) return TriBool::kUnknown;
   switch (op) {
     case BinaryOp::kEq: return Value::SqlEquals(a, b);
@@ -69,28 +69,34 @@ Result<TriBool> Compare(BinaryOp op, const EvalValue& l, const EvalValue& r) {
   return CompareValues(op, l.value, r.value);
 }
 
-/// Resolves an expression to a borrowed Value when that needs no
-/// construction: literals borrow themselves, property accesses borrow the
-/// graph's column slot (or the shared NULL for unbound/unknown cases,
-/// matching the EvalExpr NULL results exactly). Returns nullptr when the
-/// expression needs full evaluation. This keeps `x.prop <op> literal` —
-/// the dominant predicate shape in the matcher's hot loop — free of Value
-/// (string) copies.
-const Value* BorrowValue(const Expr& expr, const PropertyGraph& g,
-                         const VarTable& vars, const EvalScope& scope) {
-  static const Value kNull = Value::Null();
-  if (expr.kind == Expr::Kind::kLiteral) return &expr.literal;
+/// Resolves an expression to a view when that needs no construction:
+/// literals and bound parameters view themselves, property accesses view
+/// the graph's column slot (or NULL for unbound/unknown cases, matching the
+/// EvalExpr NULL results exactly). Returns false when the expression needs
+/// full evaluation. This keeps `x.prop <op> literal` — the dominant
+/// predicate shape in the matcher's hot loop — free of Value (string)
+/// copies.
+bool BorrowValue(const Expr& expr, const PropertyGraph& g,
+                 const VarTable& vars, const EvalScope& scope,
+                 ValueView* out) {
+  if (expr.kind == Expr::Kind::kLiteral) {
+    *out = expr.literal;
+    return true;
+  }
   if (expr.kind == Expr::Kind::kParam) {
     // Bound parameters borrow the execution's Params slot; unbound ones
     // fall through to full evaluation, which reports the error.
-    return scope.LookupParam(expr.var);
+    const Value* v = scope.LookupParam(expr.var);
+    if (v != nullptr) *out = *v;
+    return v != nullptr;
   }
-  if (expr.kind != Expr::Kind::kPropertyAccess) return nullptr;
+  if (expr.kind != Expr::Kind::kPropertyAccess) return false;
+  *out = ValueView();
   int id = vars.Find(expr.var);
-  if (id < 0) return &kNull;
+  if (id < 0) return true;
   std::optional<ElementRef> el = scope.LookupSingleton(id);
-  if (!el.has_value()) return &kNull;
-  return &g.GetPropertyFast(*el, expr.property);
+  if (el.has_value()) *out = g.GetPropertyFast(*el, expr.property);
+  return true;
 }
 
 /// Scope wrapper that overrides one variable with a specific element while
@@ -164,7 +170,7 @@ Result<EvalValue> EvalAggregate(const Expr& expr, const PropertyGraph& g,
                           EvalExpr(*expr.arg, g, vars, member_scope));
     if (v.kind == EvalValue::Kind::kElement) {
       // Aggregating bare elements: LISTAGG renders names, COUNT counts.
-      inputs.push_back(Value::String(g.element(v.element).name));
+      inputs.push_back(Value::String(std::string(g.name(v.element))));
     } else if (!v.value.is_null()) {
       inputs.push_back(v.value);
     }
@@ -254,9 +260,8 @@ Result<EvalValue> EvalExpr(const Expr& expr, const PropertyGraph& g,
       std::optional<ElementRef> el = scope.LookupSingleton(id);
       if (!el.has_value()) return EvalValue::Of(Value::Null());
       // Columnar access: one key-string hash shared across all elements,
-      // then an array index — never the per-element property-map walk. The
-      // mirror is exact (csr_index_test asserts it against the maps).
-      return EvalValue::Of(g.GetPropertyFast(*el, expr.property));
+      // then an array index.
+      return EvalValue::Of(g.GetPropertyFast(*el, expr.property).ToValue());
     }
 
     case Expr::Kind::kBinary: {
@@ -285,14 +290,11 @@ Result<EvalValue> EvalExpr(const Expr& expr, const PropertyGraph& g,
         case BinaryOp::kGe: {
           // Borrowed fast path: both operands reachable without
           // constructing EvalValues (no string copies per evaluation).
-          const Value* lb = BorrowValue(*expr.lhs, g, vars, scope);
-          if (lb != nullptr) {
-            const Value* rb = BorrowValue(*expr.rhs, g, vars, scope);
-            if (rb != nullptr) {
-              GPML_ASSIGN_OR_RETURN(TriBool t,
-                                    CompareValues(expr.op, *lb, *rb));
-              return EvalValue::Of(FromTriBool(t));
-            }
+          ValueView lb, rb;
+          if (BorrowValue(*expr.lhs, g, vars, scope, &lb) &&
+              BorrowValue(*expr.rhs, g, vars, scope, &rb)) {
+            GPML_ASSIGN_OR_RETURN(TriBool t, CompareValues(expr.op, lb, rb));
+            return EvalValue::Of(FromTriBool(t));
           }
           GPML_ASSIGN_OR_RETURN(EvalValue l,
                                 EvalExpr(*expr.lhs, g, vars, scope));
@@ -427,7 +429,7 @@ Value ToOutputValue(const EvalValue& v, const PropertyGraph& g) {
   switch (v.kind) {
     case EvalValue::Kind::kValue: return v.value;
     case EvalValue::Kind::kElement:
-      return Value::String(g.element(v.element).name);
+      return Value::String(std::string(g.name(v.element)));
     case EvalValue::Kind::kPath:
       return Value::String(v.path->ToString(g));
   }
@@ -521,12 +523,12 @@ bool BindPredicateKernel(const PredicateKernel& kernel, const Params* params,
     b.prop = t.prop;
     b.op = t.op;
     if (t.literal != nullptr) {
-      b.rhs = t.literal;
+      b.rhs = *t.literal;
     } else {
       if (params == nullptr) return false;
       auto it = params->find(t.param);
       if (it == params->end()) return false;
-      b.rhs = &it->second;
+      b.rhs = it->second;
     }
     out->terms.push_back(b);
   }
@@ -539,9 +541,9 @@ bool EvalKernel(const BoundPredicateKernel& kernel, const PropertyGraph& g,
     // An un-interned key means the column read is NULL, so the comparison
     // is UNKNOWN: the conjunction can never be kTrue.
     if (t.prop == kInvalidSymbol) return false;
-    const Value& lhs =
+    ValueView lhs =
         is_node ? g.NodeColumnValue(t.prop, id) : g.EdgeColumnValue(t.prop, id);
-    Result<TriBool> r = CompareValues(t.op, lhs, *t.rhs);
+    Result<TriBool> r = CompareValues(t.op, lhs, t.rhs);
     if (!r.ok() || *r != TriBool::kTrue) return false;
   }
   return true;

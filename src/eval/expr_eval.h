@@ -139,13 +139,13 @@ struct PredicateKernel {
 };
 
 /// A kernel with its $parameters resolved for one execution: plain
-/// (column, op, value) triples, every Value borrowed (AST literal or
-/// Params slot — both outlive the run).
+/// (column, op, value) triples, every value a view of an AST literal or a
+/// Params slot (both outlive the run).
 struct BoundPredicateKernel {
   struct Term {
     Symbol prop = kInvalidSymbol;
     BinaryOp op = BinaryOp::kEq;
-    const Value* rhs = nullptr;
+    ValueView rhs;
   };
   std::vector<Term> terms;
 };

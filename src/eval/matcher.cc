@@ -183,8 +183,10 @@ class SearchScope : public EvalScope {
 /// matches in the same ascending-id order the full scan would visit them.
 std::vector<NodeId> ComputeSeeds(const PropertyGraph& g,
                                  const Program& program,
-                                 const std::vector<NodeId>* seed_filter) {
-  if (seed_filter != nullptr) return *seed_filter;
+                                 const IdSpan* seed_filter) {
+  if (seed_filter != nullptr) {
+    return std::vector<NodeId>(seed_filter->begin(), seed_filter->end());
+  }
   int pc = program.start;
   while (true) {
     const Instr& in = program.code[static_cast<size_t>(pc)];
@@ -196,14 +198,16 @@ std::vector<NodeId> ComputeSeeds(const PropertyGraph& g,
     if (in.op == Instr::Op::kNodeCheck && in.node->labels != nullptr) {
       std::vector<const std::string*> required;
       in.node->labels->CollectRequiredNames(&required);
-      const std::vector<NodeId>* best = nullptr;
+      std::optional<IdSpan> best;
       for (const std::string* name : required) {
-        const std::vector<NodeId>& candidates = g.NodesWithLabel(*name);
-        if (best == nullptr || candidates.size() < best->size()) {
-          best = &candidates;
+        IdSpan candidates = g.NodesWithLabel(*name);
+        if (!best.has_value() || candidates.size() < best->size()) {
+          best = candidates;
         }
       }
-      if (best != nullptr) return *best;
+      if (best.has_value()) {
+        return std::vector<NodeId>(best->begin(), best->end());
+      }
     }
     break;
   }
@@ -398,7 +402,7 @@ class Matcher {
   /// contiguous CSR bucket of the step's (most selective) label symbol when
   /// a partition applies, otherwise the full list.
   AdjSpan ExpansionRange(const Instr& in, NodeId node) const {
-    if (in.edge_label_sym == kNoLabelPartition) return g_.AdjacencySpan(node);
+    if (in.edge_label_sym == kNoLabelPartition) return g_.adjacencies(node);
     if (in.edge_label_sym == kInvalidSymbol) return {};  // Unknown label.
     return g_.csr().Range(node, in.edge_label_sym);
   }
@@ -1641,7 +1645,7 @@ const char* MatchRouteName(MatchRoute route) {
 Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
                             const VarTable& vars,
                             const MatcherOptions& options,
-                            const std::vector<NodeId>* seed_filter,
+                            const IdSpan* seed_filter,
                             const std::vector<NodeId>* target_filter,
                             MatchStats* stats, const Params* params,
                             SharedBudget* shared_budget,

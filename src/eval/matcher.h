@@ -200,7 +200,7 @@ struct MatchStats {
 Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
                             const VarTable& vars,
                             const MatcherOptions& options,
-                            const std::vector<NodeId>* seed_filter = nullptr,
+                            const IdSpan* seed_filter = nullptr,
                             const std::vector<NodeId>* target_filter = nullptr,
                             MatchStats* stats = nullptr,
                             const Params* params = nullptr,
@@ -214,7 +214,7 @@ Result<MatchSet> RunPattern(const PropertyGraph& g, const Program& program,
 /// the same list in chunks (docs/api.md).
 std::vector<NodeId> ComputeSeeds(const PropertyGraph& g,
                                  const Program& program,
-                                 const std::vector<NodeId>* seed_filter);
+                                 const IdSpan* seed_filter);
 
 }  // namespace gpml
 

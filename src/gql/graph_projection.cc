@@ -27,31 +27,35 @@ Result<PropertyGraph> ProjectGraph(const PropertyGraph& source,
     nodes.insert(source.edge(e).v);
   }
 
-  auto properties = [&source](const ElementRef& ref) {
-    PropertyList props;
-    for (Symbol key : source.property_keys(ref)) {
-      props.emplace_back(source.property_symbols().name(key),
-                         source.ColumnValue(ref, key));
+  // The element's labels and properties as views of the source graph's
+  // store, in scratch reused across elements.
+  std::vector<std::string_view> labels;
+  std::vector<PropertyArg> props;
+  auto load = [&](const ElementRef& ref) {
+    labels.clear();
+    for (Symbol s : source.label_syms(ref)) {
+      labels.push_back(source.label_symbols().name(s));
     }
-    return props;
+    props.clear();
+    for (Symbol key : source.property_keys(ref)) {
+      props.push_back({source.property_symbols().name(key),
+                       source.ColumnValue(ref, key)});
+    }
   };
   GraphBuilder builder;
   for (NodeId n : nodes) {
-    ElementRef ref = ElementRef::Node(n);
-    builder.AddNode(source.node(n).name, source.LabelNames(ref),
-                    properties(ref));
+    load(ElementRef::Node(n));
+    builder.AddNode(source.node_name(n), labels, props);
   }
   for (EdgeId e : edges) {
     const EdgeData& ed = source.edge(e);
-    ElementRef ref = ElementRef::Edge(e);
+    load(ElementRef::Edge(e));
     if (ed.directed) {
-      builder.AddDirectedEdge(ed.name, source.node(ed.u).name,
-                              source.node(ed.v).name, source.LabelNames(ref),
-                              properties(ref));
+      builder.AddDirectedEdge(source.edge_name(e), source.node_name(ed.u),
+                              source.node_name(ed.v), labels, props);
     } else {
-      builder.AddUndirectedEdge(ed.name, source.node(ed.u).name,
-                                source.node(ed.v).name,
-                                source.LabelNames(ref), properties(ref));
+      builder.AddUndirectedEdge(source.edge_name(e), source.node_name(ed.u),
+                                source.node_name(ed.v), labels, props);
     }
   }
   return std::move(builder).Build();

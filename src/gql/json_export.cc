@@ -10,10 +10,10 @@ void AppendPathJson(std::string* out, const PropertyGraph& g, const Path& p) {
   out->append(",\"elements\":[");
   for (size_t i = 0; i < p.nodes().size(); ++i) {
     if (i > 0) out->push_back(',');
-    AppendJsonString(out, g.node(p.nodes()[i]).name);
+    AppendJsonString(out, g.node_name(p.nodes()[i]));
     if (i < p.edges().size()) {
       out->push_back(',');
-      AppendJsonString(out, g.edge(p.edges()[i]).name);
+      AppendJsonString(out, g.edge_name(p.edges()[i]));
     }
   }
   out->append("]}");
@@ -25,14 +25,14 @@ void AppendElementJson(std::string* out, const PropertyGraph& g,
                        const ElementRef& ref) {
   out->append(ref.is_node() ? "{\"kind\":\"node\",\"name\":"
                             : "{\"kind\":\"edge\",\"name\":");
-  AppendJsonString(out, g.element(ref).name);
+  AppendJsonString(out, g.name(ref));
   if (ref.is_edge()) {
     const EdgeData& e = g.edge(ref.id);
     out->append(e.directed ? ",\"directed\":true,\"endpoints\":["
                            : ",\"directed\":false,\"endpoints\":[");
-    AppendJsonString(out, g.node(e.u).name);
+    AppendJsonString(out, g.node_name(e.u));
     out->push_back(',');
-    AppendJsonString(out, g.node(e.v).name);
+    AppendJsonString(out, g.node_name(e.v));
     out->push_back(']');
   }
   out->append(",\"labels\":[");
@@ -74,7 +74,7 @@ void AppendRowJson(std::string* out, const MatchOutput& output,
   // In a large graph the row's elements sit far apart, and their cache
   // misses taken one by one cost more than the writing (perfbench
   // `remote`). Start them together, one dependent level per pass: the
-  // records and run offsets, the runs, then the column slots.
+  // offsets, the names and runs, the column slots, then the string bytes.
   constexpr size_t kMaxPrefetched = 8;
   ElementRef elements[kMaxPrefetched];
   size_t num_elements = 0;
@@ -85,7 +85,7 @@ void AppendRowJson(std::string* out, const MatchOutput& output,
       elements[num_elements++] = *el;
     }
   }
-  for (int pass = 0; pass < 3; ++pass) {
+  for (int pass = 0; pass < 4; ++pass) {
     for (size_t i = 0; i < num_elements; ++i) {
       g.PrefetchElement(elements[i], pass);
     }

@@ -105,14 +105,14 @@ Result<Table> ProjectAllVariables(const MatchOutput& output,
         std::string joined;
         for (size_t i = 0; i < elems.size(); ++i) {
           if (i > 0) joined += ",";
-          joined += g.element(elems[i]).name;
+          joined += g.name(elems[i]);
         }
         out_row.push_back(Value::String(joined));
         continue;
       }
       std::optional<ElementRef> el = scope.LookupSingleton(v);
       out_row.push_back(el.has_value()
-                            ? Value::String(g.element(*el).name)
+                            ? Value::String(std::string(g.name(*el)))
                             : Value::Null());
     }
     table.AppendUnchecked(std::move(out_row));

@@ -1,35 +1,40 @@
 #include "graph/csr_index.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "graph/property_graph.h"
 
 namespace gpml {
 
-void CsrIndex::Build(const std::vector<std::vector<Adjacency>>& adjacency,
-                     const std::vector<uint32_t>& edge_label_offsets,
-                     const std::vector<Symbol>& edge_label_syms) {
-  node_begin_.assign(adjacency.size() + 1, 0);
+void CsrIndex::Build(const std::vector<uint32_t>& offsets,
+                     const std::vector<Adjacency>& records,
+                     const ElementStore& edges) {
+  const size_t num_nodes = offsets.size() - 1;
+  node_begin_.assign(num_nodes + 1, 0);
   buckets_.clear();
   entries_.clear();
+  size_t num_entries = 0;
+  for (const Adjacency& adj : records) {
+    num_entries += edges.Labels(adj.edge).size();
+  }
+  entries_.reserve(num_entries);
 
   // Scratch: (label, position, record) of one node, sorted by label then
-  // position so records inside a bucket keep the legacy adjacency order.
+  // position so records inside a bucket keep the full adjacency's order.
   struct Labeled {
     Symbol label;
     uint32_t position;
     Adjacency adj;
   };
   std::vector<Labeled> scratch;
-  for (size_t n = 0; n < adjacency.size(); ++n) {
+  for (size_t n = 0; n < num_nodes; ++n) {
     node_begin_[n] = static_cast<uint32_t>(buckets_.size());
     scratch.clear();
-    for (const Adjacency& adj : adjacency[n]) {
-      const uint32_t lo = edge_label_offsets[adj.edge];
-      const uint32_t hi = edge_label_offsets[adj.edge + 1];
-      for (uint32_t i = lo; i < hi; ++i) {
-        scratch.push_back({edge_label_syms[i],
-                           static_cast<uint32_t>(scratch.size()), adj});
+    for (uint32_t r = offsets[n]; r < offsets[n + 1]; ++r) {
+      for (Symbol label : edges.Labels(records[r].edge)) {
+        scratch.push_back(
+            {label, static_cast<uint32_t>(scratch.size()), records[r]});
       }
     }
     std::sort(scratch.begin(), scratch.end(),
@@ -50,7 +55,8 @@ void CsrIndex::Build(const std::vector<std::vector<Adjacency>>& adjacency,
       buckets_.push_back(b);
     }
   }
-  node_begin_[adjacency.size()] = static_cast<uint32_t>(buckets_.size());
+  node_begin_[num_nodes] = static_cast<uint32_t>(buckets_.size());
+  buckets_.shrink_to_fit();
 }
 
 AdjSpan CsrIndex::Range(uint32_t node, Symbol label) const {
@@ -60,8 +66,8 @@ AdjSpan CsrIndex::Range(uint32_t node, Symbol label) const {
       lo, hi, label,
       [](const Bucket& b, Symbol l) { return b.label < l; });
   if (it == hi || it->label != label) return {};
-  return {entries_.data() + it->begin,
-          static_cast<size_t>(it->end - it->begin)};
+  return AdjSpan(entries_.data() + it->begin,
+                 static_cast<size_t>(it->end - it->begin));
 }
 
 // ---------------------------------------------------------------------------
@@ -226,16 +232,89 @@ bool CompiledLabelPred::Matches(uint64_t bits, const Symbol* syms,
 // PropertySeedIndex
 // ---------------------------------------------------------------------------
 
-void PropertySeedIndex::Add(Symbol label, Symbol key, const Value& value,
-                            uint32_t node) {
-  index_[Key{label, key, value}].push_back(node);
+namespace {
+
+/// Calls `fn(label, key, node, value)` for every indexed occurrence, in
+/// ascending node order.
+template <typename Fn>
+void ForEachIndexed(const ElementStore& nodes, const Fn& fn) {
+  for (uint32_t n = 0; n < nodes.size(); ++n) {
+    for (Symbol label : nodes.Labels(n)) {
+      for (Symbol key : nodes.Keys(n)) {
+        ValueView value = nodes.ColumnValue(key, n);
+        if (value.is_null() ||
+            (value.is_double() && std::isnan(value.double_value()))) {
+          continue;
+        }
+        fn(label, key, n, value);
+      }
+    }
+  }
 }
 
-const std::vector<uint32_t>& PropertySeedIndex::Lookup(
-    Symbol label, Symbol key, const Value& value) const {
-  static const std::vector<uint32_t> kEmpty;
-  auto it = index_.find(Key{label, key, value});
-  return it == index_.end() ? kEmpty : it->second;
+}  // namespace
+
+size_t PropertySeedIndex::Hash(Symbol label, Symbol key, ValueView value) {
+  size_t h = value.Hash();
+  h ^= (static_cast<size_t>(label) + 0x9e3779b97f4a7c15ULL) + (h << 6) +
+       (h >> 2);
+  h ^= (static_cast<size_t>(key) + 0x517cc1b727220a95ULL) + (h << 6) +
+       (h >> 2);
+  return h;
+}
+
+void PropertySeedIndex::Build(const ElementStore& nodes) {
+  // Pass 1 numbers the buckets in first-appearance order and counts their
+  // nodes; pass 2 lays each bucket's nodes out as one run.
+  auto hash_of = [&](uint32_t b) {
+    const Bucket& bucket = buckets_[b];
+    return Hash(bucket.label, bucket.key,
+                nodes.ColumnValue(bucket.key, bucket.node));
+  };
+  std::vector<uint32_t> bucket_of;  // Per occurrence.
+  ForEachIndexed(nodes, [&](Symbol label, Symbol key, uint32_t node,
+                            ValueView value) {
+    const uint32_t next = static_cast<uint32_t>(buckets_.size());
+    const uint32_t b = table_.Insert(
+        Hash(label, key, value), next,
+        [&](uint32_t id) {
+          const Bucket& bucket = buckets_[id];
+          return bucket.label == label && bucket.key == key &&
+                 nodes.ColumnValue(key, bucket.node) == value;
+        },
+        hash_of);
+    if (b == next) buckets_.push_back({label, key, node, 0});
+    ++buckets_[b].begin;
+    bucket_of.push_back(b);
+  });
+  uint32_t total = 0;
+  for (Bucket& bucket : buckets_) {
+    const uint32_t count = bucket.begin;
+    bucket.begin = total;
+    total += count;
+  }
+  buckets_.push_back({kInvalidSymbol, kInvalidSymbol, kInvalidId, total});
+  buckets_.shrink_to_fit();
+  std::vector<uint32_t> next(buckets_.size());
+  for (size_t b = 0; b < buckets_.size(); ++b) next[b] = buckets_[b].begin;
+  ids_.resize(total);
+  size_t i = 0;
+  ForEachIndexed(nodes, [&](Symbol, Symbol, uint32_t node, ValueView) {
+    ids_[next[bucket_of[i++]]++] = node;
+  });
+}
+
+IdSpan PropertySeedIndex::Lookup(Symbol label, Symbol key, ValueView value,
+                                 const ElementStore& nodes) const {
+  const uint32_t b =
+      table_.Find(Hash(label, key, value), [&](uint32_t id) {
+        const Bucket& bucket = buckets_[id];
+        return bucket.label == label && bucket.key == key &&
+               nodes.ColumnValue(key, bucket.node) == value;
+      });
+  if (b == IdTable::kNone) return {};
+  return IdSpan(ids_.data() + buckets_[b].begin,
+                buckets_[b + 1].begin - buckets_[b].begin);
 }
 
 }  // namespace gpml

@@ -2,29 +2,16 @@
 #define GPML_GRAPH_CSR_INDEX_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "ast/label_expr.h"
 #include "common/value.h"
 #include "graph/adjacency.h"
+#include "graph/element_store.h"
+#include "graph/id_table.h"
 #include "graph/symbol_table.h"
 
 namespace gpml {
-
-/// A contiguous run of adjacency records — the unit the matcher's expansion
-/// loop iterates. Obtained either from the full per-node adjacency list or
-/// from one of CsrIndex's label partitions.
-struct AdjSpan {
-  const Adjacency* data = nullptr;
-  size_t count = 0;
-
-  const Adjacency* begin() const { return data; }
-  const Adjacency* end() const { return data + count; }
-  bool empty() const { return count == 0; }
-
-  const Adjacency& operator[](size_t i) const { return data[i]; }
-};
 
 /// Label-partitioned CSR adjacency: for every node, the incident-edge
 /// records are grouped into buckets by edge-label symbol, so expansion with
@@ -42,9 +29,10 @@ struct AdjSpan {
 ///  * Buckets of one node are sorted by label symbol (binary search).
 class CsrIndex {
  public:
-  void Build(const std::vector<std::vector<Adjacency>>& adjacency,
-             const std::vector<uint32_t>& edge_label_offsets,
-             const std::vector<Symbol>& edge_label_syms);
+  /// Builds over the full adjacency (`offsets` per node into `records`)
+  /// and the edges' label runs.
+  void Build(const std::vector<uint32_t>& offsets,
+             const std::vector<Adjacency>& records, const ElementStore& edges);
 
   /// The records of `node` whose edge carries `label`; empty span for
   /// unknown labels or label-less partitions.
@@ -110,40 +98,36 @@ class CompiledLabelPred {
 /// enumerates, which keeps planner-chosen index seeding byte-identical).
 /// Values use the engine's structural equality, under which 1 == 1.0 and
 /// hashes agree, matching SQL = on non-null literals exactly.
+///
+/// Every bucket is a run of one ascending id array, found through a flat
+/// table of bucket ids. A bucket records its (label, key) and its first
+/// node, whose column slot is the bucket's value, so the index stores no
+/// value of its own.
 class PropertySeedIndex {
  public:
-  void Add(Symbol label, Symbol key, const Value& value, uint32_t node);
+  /// Indexes every value of `nodes` but NULL and NaN (`=` never selects
+  /// them) under each label of its node.
+  void Build(const ElementStore& nodes);
 
-  /// Nodes with `label` whose `key` property equals `value`; the empty list
-  /// when no node qualifies (which makes an index seed of an absent value a
-  /// correct empty seed set, not a fallback).
-  const std::vector<uint32_t>& Lookup(Symbol label, Symbol key,
-                                      const Value& value) const;
-
-  size_t num_keys() const { return index_.size(); }
+  /// Nodes with `label` whose `key` property equals `value`; empty when no
+  /// node qualifies (which makes an index seed of an absent value a correct
+  /// empty seed set, not a fallback).
+  IdSpan Lookup(Symbol label, Symbol key, ValueView value,
+                const ElementStore& nodes) const;
 
  private:
-  struct Key {
+  struct Bucket {
     Symbol label;
     Symbol key;
-    Value value;
-
-    friend bool operator==(const Key& a, const Key& b) {
-      return a.label == b.label && a.key == b.key && a.value == b.value;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      size_t h = k.value.Hash();
-      h ^= (static_cast<size_t>(k.label) + 0x9e3779b97f4a7c15ULL) +
-           (h << 6) + (h >> 2);
-      h ^= (static_cast<size_t>(k.key) + 0x517cc1b727220a95ULL) + (h << 6) +
-           (h >> 2);
-      return h;
-    }
+    uint32_t node;   // The first node; its slot holds the bucket's value.
+    uint32_t begin;  // Into ids_; the next bucket's begin ends it.
   };
 
-  std::unordered_map<Key, std::vector<uint32_t>, KeyHash> index_;
+  static size_t Hash(Symbol label, Symbol key, ValueView value);
+
+  std::vector<Bucket> buckets_;  // Plus one closing entry after the last.
+  std::vector<uint32_t> ids_;
+  IdTable table_;
 };
 
 }  // namespace gpml

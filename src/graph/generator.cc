@@ -13,15 +13,15 @@ constexpr int64_t kMillion = 1'000'000;
 
 std::string N(int i) { return "v" + std::to_string(i); }
 
-void AddAccountNode(GraphBuilder* b, const std::string& name, int i,
+void AddAccountNode(GraphBuilder* b, std::string_view name, int i,
                     bool blocked) {
   b->AddNode(name, {"Account"},
              {{"owner", Value::String("u" + std::to_string(i))},
               {"isBlocked", Value::String(blocked ? "yes" : "no")}});
 }
 
-void AddTransfer(GraphBuilder* b, int edge_index, const std::string& from,
-                 const std::string& to, int64_t amount) {
+void AddTransfer(GraphBuilder* b, int edge_index, std::string_view from,
+                 std::string_view to, int64_t amount) {
   b->AddDirectedEdge("t" + std::to_string(edge_index), from, to, {"Transfer"},
                      {{"amount", Value::Int(amount)},
                       {"date", Value::String("1/1/2020")}});
@@ -178,18 +178,19 @@ PropertyGraph MakeRandomGraph(int num_nodes, int num_edges, int num_labels,
   std::uniform_real_distribution<double> unit(0.0, 1.0);
 
   for (int i = 0; i < num_nodes; ++i) {
-    b.AddNode(N(i), {"L" + std::to_string(label(rng))},
-              {{"w", Value::Int(weight(rng))}});
+    Value w = Value::Int(weight(rng));
+    std::string l = "L" + std::to_string(label(rng));
+    b.AddNode(N(i), {l}, {{"w", w}});
   }
   for (int e = 0; e < num_edges; ++e) {
     std::string from = N(node(rng));
     std::string to = N(node(rng));
-    std::vector<std::string> labels = {"L" + std::to_string(label(rng))};
-    PropertyList props = {{"w", Value::Int(weight(rng))}};
+    std::string l = "L" + std::to_string(label(rng));
+    Value w = Value::Int(weight(rng));
     if (unit(rng) < undirected_fraction) {
-      b.AddUndirectedEdge("e" + std::to_string(e), from, to, labels, props);
+      b.AddUndirectedEdge("e" + std::to_string(e), from, to, {l}, {{"w", w}});
     } else {
-      b.AddDirectedEdge("e" + std::to_string(e), from, to, labels, props);
+      b.AddDirectedEdge("e" + std::to_string(e), from, to, {l}, {{"w", w}});
     }
   }
   return std::move(b).Build().value();

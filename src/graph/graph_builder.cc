@@ -4,96 +4,88 @@
 
 namespace gpml {
 
-void GraphBuilder::AddLabelsAndProperties(PropertyGraph::ElementStore* store,
-                                          uint32_t id,
-                                          std::vector<std::string> labels,
-                                          PropertyList properties) {
+void GraphBuilder::AddLabelsAndProperties(ElementStore* store, uint32_t id,
+                                          Span<std::string_view> labels,
+                                          Span<PropertyArg> properties) {
   // Labels intern in name order (symbol ids follow first appearance) and are
   // stored as a run sorted by symbol.
-  std::sort(labels.begin(), labels.end());
-  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  labels_.assign(labels.begin(), labels.end());
+  std::sort(labels_.begin(), labels_.end());
+  labels_.erase(std::unique(labels_.begin(), labels_.end()), labels_.end());
   size_t begin = store->label_syms.size();
-  for (const std::string& l : labels) {
+  for (std::string_view l : labels_) {
     store->label_syms.push_back(graph_.label_symbols_.Intern(l));
   }
   std::sort(store->label_syms.begin() + begin, store->label_syms.end());
   store->label_offsets.push_back(static_cast<uint32_t>(store->label_syms.size()));
 
   // Of a repeated key only the last value counts; the rest go in key order.
-  size_t kept = 0;
+  properties_.clear();
   for (size_t i = 0; i < properties.size(); ++i) {
     bool repeated = false;
     for (size_t j = i + 1; j < properties.size() && !repeated; ++j) {
-      repeated = properties[j].first == properties[i].first;
+      repeated = properties[j].key == properties[i].key;
     }
-    if (repeated) continue;
-    if (kept != i) properties[kept] = std::move(properties[i]);
-    ++kept;
+    if (!repeated) properties_.push_back(&properties[i]);
   }
-  properties.resize(kept);
-  std::sort(properties.begin(), properties.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (auto& [key, value] : properties) {
-    Symbol s = graph_.property_symbols_.Intern(key);
+  std::sort(properties_.begin(), properties_.end(),
+            [](const PropertyArg* a, const PropertyArg* b) {
+              return a->key < b->key;
+            });
+  for (const PropertyArg* p : properties_) {
+    Symbol s = graph_.property_symbols_.Intern(p->key);
     if (store->columns.size() <= s) store->columns.resize(s + 1);
-    std::vector<Value>& col = store->columns[s];
-    if (col.size() <= id) col.resize(id + 1);
-    col[id] = std::move(value);
+    store->columns[s].Set(id, p->value);
     store->key_syms.push_back(s);
   }
   store->key_offsets.push_back(static_cast<uint32_t>(store->key_syms.size()));
 }
 
-NodeId GraphBuilder::AddNode(std::string name,
-                             std::vector<std::string> labels,
-                             PropertyList properties) {
-  NodeId id = static_cast<NodeId>(graph_.nodes_.size());
-  if (!name.empty() && !graph_.node_by_name_.emplace(name, id).second &&
-      duplicate_node_.ok()) {
-    duplicate_node_ = Status::AlreadyExists("duplicate node name: " + name);
+NodeId GraphBuilder::AddNode(std::string_view name,
+                             Span<std::string_view> labels,
+                             Span<PropertyArg> properties) {
+  ElementStore& nodes = graph_.nodes_store_;
+  NodeId id = static_cast<NodeId>(nodes.size());
+  if (nodes.AddName(id, name) != id && duplicate_node_.ok()) {
+    duplicate_node_ =
+        Status::AlreadyExists("duplicate node name: " + std::string(name));
   }
-  graph_.nodes_.push_back(NodeData{{std::move(name)}});
-  AddLabelsAndProperties(&graph_.nodes_store_, id, std::move(labels),
-                         std::move(properties));
+  AddLabelsAndProperties(&nodes, id, labels, properties);
   return id;
 }
 
-void GraphBuilder::AddEdge(std::string name, const std::string& from,
-                           const std::string& to, bool directed,
-                           std::vector<std::string> labels,
-                           PropertyList properties) {
+void GraphBuilder::AddEdge(std::string_view name, std::string_view from,
+                           std::string_view to, bool directed,
+                           Span<std::string_view> labels,
+                           Span<PropertyArg> properties) {
+  ElementStore& edges = graph_.edges_store_;
   EdgeId id = static_cast<EdgeId>(graph_.edges_.size());
-  if (!name.empty() && !graph_.edge_by_name_.emplace(name, id).second &&
-      duplicate_edge_ == kInvalidId) {
+  if (edges.AddName(id, name) != id && duplicate_edge_ == kInvalidId) {
     duplicate_edge_ = id;
   }
   EdgeData ed;
-  ed.name = std::move(name);
   ed.directed = directed;
   ed.u = graph_.FindNode(from);
   ed.v = graph_.FindNode(to);
   if (ed.u == kInvalidId || ed.v == kInvalidId) {
-    pending_.push_back({id, from, to});
+    pending_.push_back({id, std::string(from), std::string(to)});
   }
-  graph_.edges_.push_back(std::move(ed));
-  AddLabelsAndProperties(&graph_.edges_store_, id, std::move(labels),
-                         std::move(properties));
+  graph_.edges_.push_back(ed);
+  AddLabelsAndProperties(&edges, id, labels, properties);
 }
 
-void GraphBuilder::AddDirectedEdge(std::string name, const std::string& from,
-                                   const std::string& to,
-                                   std::vector<std::string> labels,
-                                   PropertyList properties) {
-  AddEdge(std::move(name), from, to, /*directed=*/true, std::move(labels),
-          std::move(properties));
+void GraphBuilder::AddDirectedEdge(std::string_view name,
+                                   std::string_view from, std::string_view to,
+                                   Span<std::string_view> labels,
+                                   Span<PropertyArg> properties) {
+  AddEdge(name, from, to, /*directed=*/true, labels, properties);
 }
 
-void GraphBuilder::AddUndirectedEdge(std::string name, const std::string& a,
-                                     const std::string& b,
-                                     std::vector<std::string> labels,
-                                     PropertyList properties) {
-  AddEdge(std::move(name), a, b, /*directed=*/false, std::move(labels),
-          std::move(properties));
+void GraphBuilder::AddUndirectedEdge(std::string_view name,
+                                     std::string_view a, std::string_view b,
+                                     Span<std::string_view> labels,
+                                     Span<PropertyArg> properties) {
+  AddEdge(name, a, b, /*directed=*/false, labels, properties);
 }
 
 Result<PropertyGraph> GraphBuilder::Build() && {
@@ -104,20 +96,23 @@ Result<PropertyGraph> GraphBuilder::Build() && {
     EdgeData& ed = graph_.edges_[pe.edge];
     ed.u = graph_.FindNode(pe.from);
     if (ed.u == kInvalidId) {
-      return Status::NotFound("edge " + ed.name +
+      return Status::NotFound("edge " + std::string(graph_.edge_name(pe.edge)) +
                               " references unknown node: " + pe.from);
     }
     ed.v = graph_.FindNode(pe.to);
     if (ed.v == kInvalidId) {
-      return Status::NotFound("edge " + ed.name +
+      return Status::NotFound("edge " + std::string(graph_.edge_name(pe.edge)) +
                               " references unknown node: " + pe.to);
     }
   }
   if (duplicate_edge_ != kInvalidId) {
-    return Status::AlreadyExists("duplicate edge name: " +
-                                 graph_.edges_[duplicate_edge_].name);
+    return Status::AlreadyExists(
+        "duplicate edge name: " +
+        std::string(graph_.edge_name(duplicate_edge_)));
   }
   pending_ = {};
+  labels_ = {};
+  properties_ = {};
   graph_.BuildIndexes();
   return std::move(graph_);
 }

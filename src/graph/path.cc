@@ -67,8 +67,8 @@ std::string Path::ToString(const PropertyGraph& g) const {
   std::vector<std::string> parts;
   parts.reserve(nodes_.size() + edges_.size());
   for (size_t i = 0; i < nodes_.size(); ++i) {
-    parts.push_back(g.node(nodes_[i]).name);
-    if (i < edges_.size()) parts.push_back(g.edge(edges_[i]).name);
+    parts.emplace_back(g.node_name(nodes_[i]));
+    if (i < edges_.size()) parts.emplace_back(g.edge_name(edges_[i]));
   }
   return "path(" + Join(parts, ",") + ")";
 }

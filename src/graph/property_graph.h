@@ -4,13 +4,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "common/value.h"
 #include "graph/adjacency.h"
 #include "graph/csr_index.h"
+#include "graph/element_store.h"
 #include "graph/symbol_table.h"
 
 namespace gpml {
@@ -59,31 +60,15 @@ struct ElementRefHash {
   }
 };
 
-/// Payload common to nodes and edges: the external name. Labels and
-/// properties are stored once, interned, in the graph (label_syms,
-/// property_keys, ColumnValue; see docs/storage.md).
-struct ElementData {
-  std::string name;  // External id, e.g. "a1", "t5".
-};
-
-struct NodeData : ElementData {};
-
-struct EdgeData : ElementData {
-  bool directed = true;
-  /// For directed edges: source/target. For undirected: the two endpoints in
-  /// insertion order (self-loops allowed in both cases, Def. 2.1).
+/// An edge's endpoints and direction. For directed edges: source/target.
+/// For undirected: the two endpoints in insertion order (self-loops allowed
+/// in both cases, Def. 2.1). Names, labels and properties live in the
+/// graph's element stores (name(), label_syms, property_keys, ColumnValue;
+/// see docs/storage.md).
+struct EdgeData {
   NodeId u = kInvalidId;
   NodeId v = kInvalidId;
-};
-
-/// A view of one element's run of interned symbols: its label set (sorted by
-/// symbol id) or its present property keys (sorted by key string).
-struct SymSpan {
-  const Symbol* data = nullptr;
-  size_t count = 0;
-
-  const Symbol* begin() const { return data; }
-  const Symbol* end() const { return data + count; }
+  bool directed = true;
 };
 
 /// A property graph per Definition 2.1: finite node and edge sets, a total
@@ -107,26 +92,25 @@ class PropertyGraph {
   PropertyGraph(const PropertyGraph&) = delete;
   PropertyGraph& operator=(const PropertyGraph&) = delete;
 
-  size_t num_nodes() const { return nodes_.size(); }
+  size_t num_nodes() const { return nodes_store_.size(); }
   size_t num_edges() const { return edges_.size(); }
 
-  const NodeData& node(NodeId id) const { return nodes_[id]; }
   const EdgeData& edge(EdgeId id) const { return edges_[id]; }
-  const ElementData& element(const ElementRef& ref) const {
-    return ref.is_node() ? static_cast<const ElementData&>(nodes_[ref.id])
-                         : static_cast<const ElementData&>(edges_[ref.id]);
+
+  /// The element's external name ("a1", "t5"); empty when it has none.
+  std::string_view name(const ElementRef& ref) const {
+    return store(ref).Name(ref.id);
   }
+  std::string_view node_name(NodeId n) const { return nodes_store_.Name(n); }
+  std::string_view edge_name(EdgeId e) const { return edges_store_.Name(e); }
 
   /// All admissible single-step traversals leaving `n` (directed out-edges
-  /// forward, directed in-edges backward, undirected incident edges).
-  const std::vector<Adjacency>& adjacencies(NodeId n) const {
-    return adjacency_[n];
-  }
-
-  /// The same records as `adjacencies(n)` as a span (the matcher's uniform
-  /// expansion-range type; see also CsrIndex::Range).
-  AdjSpan AdjacencySpan(NodeId n) const {
-    return {adjacency_[n].data(), adjacency_[n].size()};
+  /// forward, directed in-edges backward, undirected incident edges), in
+  /// edge order: one run of the graph's adjacency array. The matcher's
+  /// uniform expansion-range type, like CsrIndex::Range.
+  AdjSpan adjacencies(NodeId n) const {
+    return AdjSpan(adjacency_.data() + adjacency_offsets_[n],
+                   adjacency_offsets_[n + 1] - adjacency_offsets_[n]);
   }
 
   // --- interned element store (the only copy of labels and properties) ---
@@ -153,7 +137,7 @@ class PropertyGraph {
   }
 
   /// True when the element carries the label named `label`.
-  bool HasLabel(const ElementRef& ref, const std::string& label) const;
+  bool HasLabel(const ElementRef& ref, std::string_view label) const;
 
   /// The element's label names in string order (the export order).
   std::vector<std::string> LabelNames(const ElementRef& ref) const;
@@ -170,54 +154,60 @@ class PropertyGraph {
 
   /// Columnar property access: the value of property-key symbol `key` on an
   /// element, NULL when absent. An array index per access; the columns are
-  /// the only copy of property values.
-  const Value& NodeColumnValue(Symbol key, NodeId n) const {
+  /// the only copy of property values, and a read copies nothing.
+  ValueView NodeColumnValue(Symbol key, NodeId n) const {
     return nodes_store_.ColumnValue(key, n);
   }
-  const Value& EdgeColumnValue(Symbol key, EdgeId e) const {
+  ValueView EdgeColumnValue(Symbol key, EdgeId e) const {
     return edges_store_.ColumnValue(key, e);
   }
-  const Value& ColumnValue(const ElementRef& ref, Symbol key) const {
+  ValueView ColumnValue(const ElementRef& ref, Symbol key) const {
     return store(ref).ColumnValue(key, ref.id);
   }
 
   /// Property lookup by name through the symbol table and columns: one hash
   /// of the key string (shared across all elements) plus an array index.
   /// Missing property -> NULL (the standard's semantics for x.prop).
-  const Value& GetPropertyFast(const ElementRef& ref,
-                               const std::string& key) const {
+  ValueView GetPropertyFast(const ElementRef& ref, std::string_view key) const {
     Symbol s = property_symbols_.Find(key);
-    if (s == kInvalidSymbol) return kNullValue();
+    if (s == kInvalidSymbol) return {};
     return ColumnValue(ref, s);
   }
 
   /// Starts the cache misses an export of the element takes, one dependent
-  /// level per `stage` (0: the record and run offsets, 1: the runs, 2: the
-  /// column slots of its keys), so a caller exporting several far-apart
-  /// elements can overlap them.
+  /// level per `stage` (0: the name, label and key offsets, 1: the name
+  /// bytes and the runs, 2: the column slots of its keys, 3: their string
+  /// bytes), so a caller exporting several far-apart elements can overlap
+  /// them.
   void PrefetchElement(const ElementRef& ref, int stage) const;
 
   /// Nodes carrying `label` whose `key` property equals `value` (ascending
   /// node id) — the equality seed index the planner's index-backed seeding
-  /// consumes. Unknown labels/keys/values yield the empty list.
-  const std::vector<NodeId>& IndexedNodes(const std::string& label,
-                                          const std::string& key,
-                                          const Value& value) const {
-    static const std::vector<NodeId> kEmpty;
+  /// consumes. Unknown labels/keys/values yield the empty span.
+  IdSpan IndexedNodes(std::string_view label, std::string_view key,
+                      ValueView value) const {
     Symbol ls = label_symbols_.Find(label);
     Symbol ks = property_symbols_.Find(key);
-    if (ls == kInvalidSymbol || ks == kInvalidSymbol) return kEmpty;
-    return seed_index_.Lookup(ls, ks, value);
+    if (ls == kInvalidSymbol || ks == kInvalidSymbol) return {};
+    return seed_index_.Lookup(ls, ks, value, nodes_store_);
   }
 
-  /// Lookup by external name; kInvalidId when absent.
-  NodeId FindNode(const std::string& name) const;
-  EdgeId FindEdge(const std::string& name) const;
+  /// Lookup by external name; kInvalidId when absent (always for "").
+  NodeId FindNode(std::string_view name) const {
+    return nodes_store_.Find(name);
+  }
+  EdgeId FindEdge(std::string_view name) const {
+    return edges_store_.Find(name);
+  }
 
-  /// Nodes carrying `label`; empty vector for unknown labels. The label
-  /// index is keyed by label symbol, so this resolves the name once.
-  const std::vector<NodeId>& NodesWithLabel(const std::string& label) const;
-  const std::vector<EdgeId>& EdgesWithLabel(const std::string& label) const;
+  /// Nodes carrying `label`; empty for unknown labels. The label index is
+  /// keyed by label symbol, so this resolves the name once.
+  IdSpan NodesWithLabel(std::string_view label) const {
+    return nodes_store_.WithLabel(label_symbols_.Find(label));
+  }
+  IdSpan EdgesWithLabel(std::string_view label) const {
+    return edges_store_.WithLabel(label_symbols_.Find(label));
+  }
 
   /// The endpoint reached when crossing `e` from `from` with `t`;
   /// kInvalidId if the traversal is not admissible from that endpoint.
@@ -270,64 +260,23 @@ class PropertyGraph {
  private:
   friend class GraphBuilder;
 
-  /// One element kind's labels and properties, CSR-style: per element a run
-  /// of label symbols (sorted by symbol) and a run of present property-key
-  /// symbols (sorted by key string), plus one dense NULL-padded column per
-  /// key symbol holding the values. GraphBuilder appends to the runs and
-  /// columns as elements are added; BuildIndexes pads the columns and fills
-  /// the label masks and index.
-  struct ElementStore {
-    std::vector<uint32_t> label_offsets = {0};  // size elements+1.
-    std::vector<Symbol> label_syms;
-    std::vector<uint64_t> bits;                 // When label_bits_usable().
-    std::vector<uint32_t> key_offsets = {0};    // size elements+1.
-    std::vector<Symbol> key_syms;
-    std::vector<std::vector<Value>> columns;    // [key symbol][element id].
-    std::vector<std::vector<uint32_t>> by_label;  // [label symbol] -> ids.
-
-    SymSpan Labels(uint32_t id) const {
-      return {label_syms.data() + label_offsets[id],
-              label_offsets[id + 1] - label_offsets[id]};
-    }
-    SymSpan Keys(uint32_t id) const {
-      return {key_syms.data() + key_offsets[id],
-              key_offsets[id + 1] - key_offsets[id]};
-    }
-    const Value& ColumnValue(Symbol key, uint32_t id) const {
-      const std::vector<Value>& col = columns[key];
-      return col.empty() ? kNullValue() : col[id];
-    }
-    const std::vector<uint32_t>& WithLabel(Symbol s) const;
-    /// Pads the columns to `size` elements and fills `bits` and `by_label`.
-    void Finish(size_t size, size_t num_keys, size_t num_labels);
-  };
-
   const ElementStore& store(const ElementRef& ref) const {
     return ref.is_node() ? nodes_store_ : edges_store_;
   }
 
   void BuildIndexes();
 
-  /// Shared NULL for missing-property results.
-  static const Value& kNullValue() {
-    static const Value kNull = Value::Null();
-    return kNull;
-  }
-
   /// Monotonic process-wide counter backing identity_token().
   static uint64_t NextIdentityToken();
 
-  std::vector<NodeData> nodes_;
-  std::vector<EdgeData> edges_;
-  std::vector<std::vector<Adjacency>> adjacency_;
-  std::unordered_map<std::string, NodeId> node_by_name_;
-  std::unordered_map<std::string, EdgeId> edge_by_name_;
-
-  // Interned element store (see docs/storage.md).
+  // The element stores and the indexes over them (see docs/storage.md).
   SymbolTable label_symbols_;
   SymbolTable property_symbols_;
   ElementStore nodes_store_;
   ElementStore edges_store_;
+  std::vector<EdgeData> edges_;
+  std::vector<uint32_t> adjacency_offsets_ = {0};  // size nodes+1.
+  std::vector<Adjacency> adjacency_;
   CsrIndex csr_;
   PropertySeedIndex seed_index_;
   mutable std::shared_ptr<const planner::GraphStats> stats_cache_;

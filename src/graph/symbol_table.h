@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
+
+#include "graph/id_table.h"
 
 namespace gpml {
 
@@ -24,22 +26,20 @@ inline constexpr Symbol kInvalidSymbol = 0xffffffffu;
 class SymbolTable {
  public:
   /// Id of `s`, interning it if new.
-  Symbol Intern(const std::string& s) {
-    // Look up first: emplace would allocate a node even for a known string.
-    auto it = ids_.find(s);
-    if (it != ids_.end()) return it->second;
-    Symbol id = static_cast<Symbol>(names_.size());
-    ids_.emplace(s, id);
-    names_.push_back(s);
-    return id;
+  Symbol Intern(std::string_view s) {
+    Symbol id = Find(s);
+    if (id != kInvalidSymbol) return id;
+    id = static_cast<Symbol>(names_.size());
+    names_.emplace_back(s);
+    const std::string& name = names_.back();
+    return index_.Insert(HashName(name), id, Same{this, name}, HashOf{this});
   }
 
   /// Id of `s`, or kInvalidSymbol when never interned. A pattern mentioning
   /// a label the graph does not contain resolves to kInvalidSymbol, which
   /// the compiled predicates treat as "matches no element".
-  Symbol Find(const std::string& s) const {
-    auto it = ids_.find(s);
-    return it == ids_.end() ? kInvalidSymbol : it->second;
+  Symbol Find(std::string_view s) const {
+    return index_.Find(HashName(s), Same{this, s});
   }
 
   const std::string& name(Symbol id) const {
@@ -48,9 +48,24 @@ class SymbolTable {
   size_t size() const { return names_.size(); }
 
  private:
-  std::unordered_map<std::string, Symbol> ids_;
+  struct Same {
+    const SymbolTable* table;
+    std::string_view name;
+    bool operator()(uint32_t id) const { return table->names_[id] == name; }
+  };
+  struct HashOf {
+    const SymbolTable* table;
+    size_t operator()(uint32_t id) const {
+      return HashName(table->names_[id]);
+    }
+  };
+
   std::vector<std::string> names_;
+  IdTable index_;
 };
+
+static_assert(IdTable::kNone == kInvalidSymbol,
+              "a missing name reads as kInvalidSymbol");
 
 }  // namespace gpml
 

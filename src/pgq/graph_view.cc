@@ -27,16 +27,16 @@ Result<std::vector<int>> ResolveColumns(const Table& table,
   return out;
 }
 
-PropertyList RowProperties(const Table& table, const Row& row,
-                           const std::vector<int>& property_cols) {
-  PropertyList props;
-  props.reserve(property_cols.size());
+/// Fills `props` with views of the row's non-NULL property columns.
+void RowProperties(const Table& table, const Row& row,
+                   const std::vector<int>& property_cols,
+                   std::vector<PropertyArg>* props) {
+  props->clear();
   for (int c : property_cols) {
     const Value& v = row[static_cast<size_t>(c)];
     if (v.is_null()) continue;  // Absent property, not a NULL-valued one.
-    props.push_back({table.schema().column(static_cast<size_t>(c)).name, v});
+    props->push_back({table.schema().column(static_cast<size_t>(c)).name, v});
   }
-  return props;
 }
 
 }  // namespace
@@ -44,6 +44,7 @@ PropertyList RowProperties(const Table& table, const Row& row,
 Result<PropertyGraph> MaterializeGraphView(const Catalog& catalog,
                                            const GraphViewDef& def) {
   GraphBuilder builder;
+  std::vector<PropertyArg> row_props;
 
   for (const NodeTableMapping& m : def.nodes) {
     GPML_ASSIGN_OR_RETURN(const Table* table, catalog.GetTable(m.table));
@@ -54,13 +55,14 @@ Result<PropertyGraph> MaterializeGraphView(const Catalog& catalog,
     }
     GPML_ASSIGN_OR_RETURN(std::vector<int> props,
                           ResolveColumns(*table, m.property_columns, key));
+    std::vector<std::string_view> labels(m.labels.begin(), m.labels.end());
     for (const Row& row : table->rows()) {
       const Value& k = row[static_cast<size_t>(key)];
       if (k.is_null()) {
         return Status::InvalidArgument("NULL node key in table " + m.table);
       }
-      builder.AddNode(k.ToString(), m.labels,
-                      RowProperties(*table, row, props));
+      RowProperties(*table, row, props, &row_props);
+      builder.AddNode(k.ToString(), labels, row_props);
     }
   }
 
@@ -76,6 +78,7 @@ Result<PropertyGraph> MaterializeGraphView(const Catalog& catalog,
     GPML_ASSIGN_OR_RETURN(
         std::vector<int> props,
         ResolveColumns(*table, m.property_columns, key, src, dst));
+    std::vector<std::string_view> labels(m.labels.begin(), m.labels.end());
     for (const Row& row : table->rows()) {
       const Value& k = row[static_cast<size_t>(key)];
       const Value& s = row[static_cast<size_t>(src)];
@@ -84,13 +87,13 @@ Result<PropertyGraph> MaterializeGraphView(const Catalog& catalog,
         return Status::InvalidArgument("NULL key/endpoint in edge table " +
                                        m.table);
       }
+      RowProperties(*table, row, props, &row_props);
       if (m.directed) {
         builder.AddDirectedEdge(k.ToString(), s.ToString(), d.ToString(),
-                                m.labels, RowProperties(*table, row, props));
+                                labels, row_props);
       } else {
         builder.AddUndirectedEdge(k.ToString(), s.ToString(), d.ToString(),
-                                  m.labels,
-                                  RowProperties(*table, row, props));
+                                  labels, row_props);
       }
     }
   }

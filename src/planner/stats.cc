@@ -17,7 +17,7 @@ const Symbol kNone = kInvalidSymbol;
 
 /// An element's label run, or the one-element run {kNone} when it has none.
 SymSpan LabelsOrNone(SymSpan labels) {
-  return labels.count == 0 ? SymSpan{&kNone, 1} : labels;
+  return labels.count == 0 ? SymSpan(&kNone, 1) : labels;
 }
 
 /// Counts per (source-node label, edge label, target-node label) symbols.

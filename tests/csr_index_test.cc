@@ -116,11 +116,11 @@ void CheckGraph(const PropertyGraph& g,
     }
     for (Symbol k = 0; k < keys.size(); ++k) {
       bool present = std::find(run.begin(), run.end(), k) != run.end();
-      const Value& v = g.ColumnValue(ref, k);
+      ValueView v = g.ColumnValue(ref, k);
       if (!present) {
         EXPECT_TRUE(v.is_null()) << keys.name(k);
       }
-      EXPECT_EQ(&g.GetPropertyFast(ref, keys.name(k)), &v) << keys.name(k);
+      EXPECT_EQ(g.GetPropertyFast(ref, keys.name(k)), v) << keys.name(k);
     }
     EXPECT_TRUE(g.GetPropertyFast(ref, "no_such_key").is_null());
   };
@@ -141,7 +141,7 @@ void CheckGraph(const PropertyGraph& g,
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     for (const std::string& label : g.LabelNames(ElementRef::Node(n))) {
       for (Symbol k : g.property_keys(ElementRef::Node(n))) {
-        const Value& value = g.NodeColumnValue(k, n);
+        ValueView value = g.NodeColumnValue(k, n);
         std::vector<NodeId> want;
         for (NodeId m = 0; m < g.num_nodes() && !value.is_null(); ++m) {
           if (g.HasLabel(ElementRef::Node(m), label) && has_key(m, k) &&
@@ -149,8 +149,9 @@ void CheckGraph(const PropertyGraph& g,
             want.push_back(m);
           }
         }
-        EXPECT_EQ(g.IndexedNodes(label, keys.name(k), value), want)
-            << label << "." << keys.name(k) << " = " << value.ToString();
+        IdSpan got = g.IndexedNodes(label, keys.name(k), value);
+        EXPECT_EQ(std::vector<NodeId>(got.begin(), got.end()), want)
+            << label << "." << keys.name(k) << " = " << value;
       }
     }
   }

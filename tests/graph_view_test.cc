@@ -41,7 +41,7 @@ TEST_F(GraphViewTest, MaterializedViewEqualsFigureOneGraph) {
 
   // Element-by-element comparison through external names.
   auto same_labels_and_properties = [&](ElementRef want, ElementRef got) {
-    const std::string& name = direct.element(want).name;
+    std::string_view name = direct.name(want);
     EXPECT_EQ(view->LabelNames(got), direct.LabelNames(want)) << name;
     for (Symbol key : direct.property_keys(want)) {
       const std::string& prop = direct.property_symbols().name(key);
@@ -50,19 +50,20 @@ TEST_F(GraphViewTest, MaterializedViewEqualsFigureOneGraph) {
     }
   };
   for (NodeId n = 0; n < direct.num_nodes(); ++n) {
-    const NodeData& want = direct.node(n);
-    NodeId m = view->FindNode(want.name);
-    ASSERT_NE(m, kInvalidId) << want.name;
+    std::string_view name = direct.node_name(n);
+    NodeId m = view->FindNode(name);
+    ASSERT_NE(m, kInvalidId) << name;
     same_labels_and_properties(ElementRef::Node(n), ElementRef::Node(m));
   }
   for (EdgeId e = 0; e < direct.num_edges(); ++e) {
     const EdgeData& want = direct.edge(e);
-    EdgeId f = view->FindEdge(want.name);
-    ASSERT_NE(f, kInvalidId) << want.name;
+    std::string_view name = direct.edge_name(e);
+    EdgeId f = view->FindEdge(name);
+    ASSERT_NE(f, kInvalidId) << name;
     const EdgeData& got = view->edge(f);
-    EXPECT_EQ(got.directed, want.directed) << want.name;
-    EXPECT_EQ(view->node(got.u).name, direct.node(want.u).name);
-    EXPECT_EQ(view->node(got.v).name, direct.node(want.v).name);
+    EXPECT_EQ(got.directed, want.directed) << name;
+    EXPECT_EQ(view->node_name(got.u), direct.node_name(want.u));
+    EXPECT_EQ(view->node_name(got.v), direct.node_name(want.v));
     same_labels_and_properties(ElementRef::Edge(e), ElementRef::Edge(f));
   }
 }

@@ -1,7 +1,10 @@
 #include "graph/property_graph.h"
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -162,6 +165,123 @@ TEST(PropertyGraphTest, ParallelEdgesAllowed) {
   EXPECT_EQ(g.adjacencies(g.FindNode("u")).size(), 2u);
 }
 
+/// The element's name as its export writes it.
+std::string ExportedName(const PropertyGraph& g, const ElementRef& ref) {
+  std::string json = ElementToJson(g, ref);
+  const size_t begin = json.find("\"name\":\"") + 8;
+  return json.substr(begin, json.find('"', begin) - begin);
+}
+
+TEST(PropertyGraphTest, FindByEveryName) {
+  // Enough names to grow the name tables several times, unnamed elements
+  // (never found, never duplicates), and a node and an edge sharing a name.
+  GraphBuilder b;
+  std::vector<std::string> names;
+  for (int i = 0; i < 1000; ++i) {
+    names.push_back("node-" + std::to_string(i * 7919 % 1000));
+    b.AddNode(names.back());
+    if (i % 100 == 0) b.AddNode("");
+  }
+  b.AddNode("shared");
+  for (int i = 0; i < 500; ++i) {
+    b.AddDirectedEdge("edge-" + std::to_string(i), names[i], names[i + 1]);
+    if (i % 100 == 0) b.AddUndirectedEdge("", names[i], names[i]);
+  }
+  b.AddDirectedEdge("shared", "shared", "shared");
+  PropertyGraph g = std::move(std::move(b).Build()).value();
+  ASSERT_EQ(g.num_nodes(), 1011u);
+  ASSERT_EQ(g.num_edges(), 506u);
+
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    std::string name = ExportedName(g, ElementRef::Node(n));
+    EXPECT_EQ(g.FindNode(name), name.empty() ? kInvalidId : n) << name;
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    std::string name = ExportedName(g, ElementRef::Edge(e));
+    EXPECT_EQ(g.FindEdge(name), name.empty() ? kInvalidId : e) << name;
+  }
+  NodeId expected = 0;
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(g.FindNode(names[i]), expected) << names[i];
+    expected += i % 100 == 0 ? 2 : 1;
+  }
+  EdgeId edge = 0;
+  for (int i = 0; i < 500; ++i) {
+    EXPECT_EQ(g.FindEdge("edge-" + std::to_string(i)), edge) << i;
+    edge += i % 100 == 0 ? 2 : 1;
+  }
+  EXPECT_EQ(g.FindNode("shared"), 1010u);
+  EXPECT_EQ(g.FindEdge("shared"), 505u);
+  EXPECT_EQ(g.FindNode(""), kInvalidId);
+  EXPECT_EQ(g.FindEdge(""), kInvalidId);
+  EXPECT_EQ(g.FindNode("node-1000"), kInvalidId);
+  EXPECT_EQ(g.FindNode("node-"), kInvalidId);
+  EXPECT_EQ(g.FindNode("edge-0"), kInvalidId);
+  EXPECT_EQ(g.FindEdge("node-0"), kInvalidId);
+  EXPECT_EQ(g.FindEdge("edge-500"), kInvalidId);
+  EXPECT_EQ(ElementToJson(g, ElementRef::Node(1)),
+            "{\"kind\":\"node\",\"name\":\"\",\"labels\":[],"
+            "\"properties\":{}}");
+  EXPECT_EQ(ElementToJson(g, ElementRef::Edge(1)),
+            "{\"kind\":\"edge\",\"name\":\"\",\"directed\":false,"
+            "\"endpoints\":[\"node-0\",\"node-0\"],\"labels\":[],"
+            "\"properties\":{}}");
+}
+
+TEST(PropertyGraphTest, SeedIndexNumericEqualityAndOrder) {
+  GraphBuilder b;
+  b.AddNode("a", {"L"}, {{"k", Value::Int(1)}});
+  b.AddNode("b", {"L"}, {{"k", Value::Double(1.0)}});
+  b.AddNode("c", {"L"}, {{"k", Value::Int(2)}});
+  b.AddNode("d", {"M"}, {{"k", Value::Int(1)}});
+  b.AddNode("e", {"L", "M"}, {{"k", Value::Int(1)}});
+  b.AddNode("f", {"L"}, {{"k", Value::String("1")}});
+  b.AddNode("g", {"L"},
+            {{"k", Value::Double(std::numeric_limits<double>::quiet_NaN())}});
+  b.AddNode("h", {"L"}, {{"k", Value::Null()}});
+  b.AddNode("i", {"L"}, {{"k", Value::Double(-0.0)}});
+  b.AddNode("j", {"L"}, {{"k", Value::Int(0)}});
+  b.AddNode("k", {"L"}, {{"k", Value::Double(1.0)}, {"z", Value::Bool(true)}});
+  b.AddNode("l", {"L"}, {{"z", Value::Bool(true)}});
+  PropertyGraph g = std::move(std::move(b).Build()).value();
+  auto ids = [&g](const std::string& label, const std::string& key,
+                  const Value& value) {
+    auto found = g.IndexedNodes(label, key, value);
+    std::vector<std::string> names;
+    NodeId prev = kInvalidId;
+    for (NodeId n : found) {
+      EXPECT_TRUE(prev == kInvalidId || prev < n) << "not ascending";
+      prev = n;
+      names.push_back(ExportedName(g, ElementRef::Node(n)));
+    }
+    return names;
+  };
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(ids("L", "k", Value::Double(1.0)), (Names{"a", "b", "e", "k"}));
+  EXPECT_EQ(ids("L", "k", Value::Int(1)), (Names{"a", "b", "e", "k"}));
+  EXPECT_EQ(ids("M", "k", Value::Double(1.0)), (Names{"d", "e"}));
+  EXPECT_EQ(ids("L", "k", Value::Int(2)), (Names{"c"}));
+  EXPECT_EQ(ids("L", "k", Value::Double(2.0)), (Names{"c"}));
+  EXPECT_EQ(ids("L", "k", Value::String("1")), (Names{"f"}));
+  EXPECT_EQ(ids("L", "k", Value::Double(0.0)), (Names{"i", "j"}));
+  EXPECT_EQ(ids("L", "k", Value::Int(0)), (Names{"i", "j"}));
+  EXPECT_EQ(ids("L", "z", Value::Bool(true)), (Names{"k", "l"}));
+  // Absent values, NaN and NULL select nothing.
+  EXPECT_TRUE(g.IndexedNodes("L", "k", Value::Int(3)).empty());
+  EXPECT_TRUE(g.IndexedNodes("L", "k", Value::String("2")).empty());
+  EXPECT_TRUE(g.IndexedNodes("L", "z", Value::Bool(false)).empty());
+  EXPECT_TRUE(g.IndexedNodes("L", "k", Value::Bool(true)).empty());
+  EXPECT_TRUE(
+      g.IndexedNodes("L", "k",
+                     Value::Double(std::numeric_limits<double>::quiet_NaN()))
+          .empty());
+  EXPECT_TRUE(g.IndexedNodes("L", "k", Value::Null()).empty());
+  EXPECT_TRUE(g.IndexedNodes("M", "z", Value::Bool(true)).empty());
+  EXPECT_TRUE(g.IndexedNodes("L", "nope", Value::Int(1)).empty());
+  EXPECT_TRUE(g.IndexedNodes("Nope", "k", Value::Int(1)).empty());
+  EXPECT_EQ(g.IndexedNodes("L", "k", Value::Int(1)).size(), 4u);
+}
+
 TEST(GraphBuilderTest, ErrorsReportInEdgeOrder) {
   // An edge may name a node added after it; it resolves at Build().
   GraphBuilder late;
@@ -288,6 +408,120 @@ TEST(StorageRoundTripTest, EdgeCasesMatchInputAndExport) {
   ExportDigest d = DigestExport(g);
   EXPECT_EQ(d.bytes, 932u);
   EXPECT_EQ(d.fnv, 0x33d9eb74bf20a0c7ULL);
+}
+
+/// One key, "v", whose values differ in type from element to element, and
+/// the edge values of each type: int64 limits, -0.0, NaN, the empty string,
+/// strings around the 8-byte payload width and long ones, non-ASCII and
+/// invalid UTF-8 bytes, an embedded NUL.
+struct MixedValue {
+  std::string name;
+  Value value;
+  bool present = true;
+};
+
+std::vector<MixedValue> MixedValues() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  return {
+      {"int", Value::Int(42)},
+      {"double", Value::Double(2.5)},
+      {"bool", Value::Bool(true)},
+      {"false", Value::Bool(false)},
+      {"string", Value::String("forty-two")},
+      {"null", Value::Null()},
+      {"absent", Value::Null(), false},
+      {"min", Value::Int(std::numeric_limits<int64_t>::min())},
+      {"max", Value::Int(std::numeric_limits<int64_t>::max())},
+      {"negzero", Value::Double(-0.0)},
+      {"nan", Value::Double(nan)},
+      {"tiny", Value::Double(5e-324)},
+      {"empty", Value::String("")},
+      {"s7", Value::String("abcdefg")},
+      {"s8", Value::String("abcdefgh")},
+      {"s9", Value::String("abcdefghi")},
+      {"s16", Value::String("0123456789abcdef")},
+      {"s300", Value::String(std::string(300, 'x'))},
+      {"utf8", Value::String("na\xc3\xafve caf\xc3\xa9 \xe2\x80\x94 \xf0\x9f\x98\x80")},
+      {"bytes", Value::String(std::string("\xff\x00\x80z", 4))},
+  };
+}
+
+/// An owned copy of a property read.
+template <typename Read>
+Value Owned(const Read& read) {
+  if constexpr (std::is_same_v<Read, Value>) {
+    return read;
+  } else {
+    return read.ToValue();
+  }
+}
+
+void ExpectSameValue(ValueType type, const Value& want, const Value& got,
+                     const std::string& what) {
+  ASSERT_EQ(got.type(), type) << what;
+  switch (type) {
+    case ValueType::kDouble:
+      if (std::isnan(want.double_value())) {
+        EXPECT_TRUE(std::isnan(got.double_value())) << what;
+      } else {
+        EXPECT_EQ(got.double_value(), want.double_value()) << what;
+        EXPECT_EQ(std::signbit(got.double_value()),
+                  std::signbit(want.double_value()))
+            << what;
+      }
+      break;
+    case ValueType::kString:
+      EXPECT_EQ(std::string(got.string_value()), want.string_value()) << what;
+      break;
+    default:
+      EXPECT_EQ(got, want) << what;
+  }
+}
+
+TEST(StorageRoundTripTest, OneKeyHoldsEveryTypeOnNodesAndEdges) {
+  std::vector<MixedValue> values = MixedValues();
+  GraphBuilder b;
+  b.AddNode("hub");
+  for (const MixedValue& m : values) {
+    if (m.present) {
+      b.AddNode(m.name, {"N"}, {{"v", m.value}});
+      b.AddDirectedEdge("e-" + m.name, "hub", m.name, {"E"}, {{"v", m.value}});
+    } else {
+      b.AddNode(m.name, {"N"});
+      b.AddDirectedEdge("e-" + m.name, "hub", m.name, {"E"});
+    }
+  }
+  PropertyGraph g = std::move(std::move(b).Build()).value();
+  for (const MixedValue& m : values) {
+    for (ElementRef ref : {ElementRef::Node(g.FindNode(m.name)),
+                           ElementRef::Edge(g.FindEdge("e-" + m.name))}) {
+      ExpectSameValue(m.value.type(), m.value,
+                      Owned(g.GetPropertyFast(ref, "v")), m.name);
+      EXPECT_EQ(g.property_keys(ref).count, m.present ? 1u : 0u) << m.name;
+    }
+  }
+  // Every element's export, pinned from the store of one Value per slot.
+  ExportDigest d = DigestExport(g);
+  EXPECT_EQ(d.bytes, 4489u);
+  EXPECT_EQ(d.fnv, 0x824273a194b38b1eULL);
+  EXPECT_EQ(ElementToJson(g, ElementRef::Node(g.FindNode("min"))),
+            "{\"kind\":\"node\",\"name\":\"min\",\"labels\":[\"N\"],"
+            "\"properties\":{\"v\":-9223372036854775808}}");
+  EXPECT_EQ(ElementToJson(g, ElementRef::Edge(g.FindEdge("e-negzero"))),
+            "{\"kind\":\"edge\",\"name\":\"e-negzero\",\"directed\":true,"
+            "\"endpoints\":[\"hub\",\"negzero\"],\"labels\":[\"E\"],"
+            "\"properties\":{\"v\":-0.0}}");
+  EXPECT_EQ(ElementToJson(g, ElementRef::Node(g.FindNode("nan"))),
+            "{\"kind\":\"node\",\"name\":\"nan\",\"labels\":[\"N\"],"
+            "\"properties\":{\"v\":null}}");
+  EXPECT_EQ(ElementToJson(g, ElementRef::Node(g.FindNode("bytes"))),
+            "{\"kind\":\"node\",\"name\":\"bytes\",\"labels\":[\"N\"],"
+            "\"properties\":{\"v\":\"\xEF\xBF\xBD\\u0000\xEF\xBF\xBD"
+            "z\"}}");
+  EXPECT_EQ(ElementToJson(g, ElementRef::Node(g.FindNode("utf8"))),
+            "{\"kind\":\"node\",\"name\":\"utf8\",\"labels\":[\"N\"],"
+            "\"properties\":{\"v\":\"na\xC3\xAFve caf\xC3\xA9 \xE2\x80\x94 "
+            "\xF0\x9F\x98\x80\"}}");
 }
 
 TEST(StorageRoundTripTest, RandomInputsMatchInput) {

@@ -193,7 +193,7 @@ TEST_F(Section6Test, EdgeT6FailsThePrefilterEverywhere) {
   for (const ResultRow& row : out->rows) {
     for (const ElementaryBinding& b : row.bindings[0]->reduced) {
       if (b.element.is_edge()) {
-        EXPECT_NE(g_.edge(b.element.id).name, "t6");
+        EXPECT_NE(g_.edge_name(b.element.id), "t6");
       }
     }
   }

@@ -132,11 +132,11 @@ inline std::vector<std::string> RenderMatchSet(const MatchSet& set,
   std::vector<std::string> out;
   for (const PathBinding& pb : set.bindings) {
     std::string s =
-        pb.ToString(g, vars) + " path=" + g.node(pb.path.Start()).name;
+        pb.ToString(g, vars) + " path=" + std::string(g.node_name(pb.path.Start()));
     for (size_t i = 0; i < pb.path.Length(); ++i) {
-      s += " " + g.edge(pb.path.edges()[i]).name + "/" +
-           std::to_string(static_cast<int>(pb.path.traversals()[i])) + " " +
-           g.node(pb.path.nodes()[i + 1]).name;
+      s += " " + std::string(g.edge_name(pb.path.edges()[i])) + "/" +
+           std::to_string(static_cast<int>(pb.path.traversals()[i])) + " ";
+      s += g.node_name(pb.path.nodes()[i + 1]);
     }
     out.push_back(std::move(s));
   }
@@ -242,7 +242,9 @@ inline std::vector<std::string> SortedRows(const MatchOutput& out,
                             kind == Selector::Kind::kShortestK;
       if (shortest || kind == Selector::Kind::kAny ||
           kind == Selector::Kind::kAnyK) {
-        s += g.node(pb.path.Start()).name + "->" + g.node(pb.path.End()).name;
+        s += g.node_name(pb.path.Start());
+        s += "->";
+        s += g.node_name(pb.path.End());
         if (shortest) {
           s += " len=" + std::to_string(pb.path.Length());
         }
@@ -287,7 +289,7 @@ inline std::vector<std::string> EngineJoinRows(const PropertyGraph& g,
 struct ElementInput {
   std::string name;
   std::vector<std::string> labels;
-  PropertyList properties;
+  std::vector<std::pair<std::string, Value>> properties;
   std::string from{};     // Edges only.
   std::string to{};       // Edges only.
   bool directed = true;   // Edges only.
@@ -301,14 +303,23 @@ struct GraphInput {
 
   PropertyGraph Build() const {
     GraphBuilder b;
+    std::vector<std::string_view> labels;
+    std::vector<PropertyArg> props;
+    auto views = [&](const ElementInput& in) {
+      labels.assign(in.labels.begin(), in.labels.end());
+      props.clear();
+      for (const auto& [k, v] : in.properties) props.push_back({k, v});
+    };
     for (const ElementInput& n : nodes) {
-      b.AddNode(n.name, n.labels, n.properties);
+      views(n);
+      b.AddNode(n.name, labels, props);
     }
     for (const ElementInput& e : edges) {
+      views(e);
       if (e.directed) {
-        b.AddDirectedEdge(e.name, e.from, e.to, e.labels, e.properties);
+        b.AddDirectedEdge(e.name, e.from, e.to, labels, props);
       } else {
-        b.AddUndirectedEdge(e.name, e.from, e.to, e.labels, e.properties);
+        b.AddUndirectedEdge(e.name, e.from, e.to, labels, props);
       }
     }
     return std::move(b).Build().value();
@@ -362,7 +373,7 @@ inline void ExpectStoreMatchesInput(const PropertyGraph& g,
   auto check = [&](const ElementInput& in, ElementRef ref) {
     std::set<std::string> label_set(in.labels.begin(), in.labels.end());
     std::vector<std::string> labels(label_set.begin(), label_set.end());
-    EXPECT_EQ(g.element(ref).name, in.name);
+    EXPECT_EQ(g.name(ref), in.name);
     EXPECT_EQ(g.LabelNames(ref), labels) << in.name;
     SymSpan syms = g.label_syms(ref);
     EXPECT_EQ(syms.count, labels.size()) << in.name;
